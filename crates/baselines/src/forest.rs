@@ -2,16 +2,17 @@
 //!
 //! Random forest: bootstrap-resampled CART trees with `sqrt(d)` candidate
 //! features per split, averaged. Extra trees: no bootstrap, random
-//! thresholds. Trees are trained rayon-parallel — with CloudInsight
-//! refitting its council every five intervals, forest training is a hot
-//! path of the baseline evaluation.
+//! thresholds. Trees are trained rayon-parallel on one shared, ranked
+//! layout of the samples — with CloudInsight refitting its council every
+//! five intervals, forest training is a hot path of the baseline
+//! evaluation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::ml::Regressor;
-use crate::tree::{DecisionTree, SplitPolicy, TreeConfig};
+use crate::tree::{self, Columns, DecisionTree, SplitPolicy, TreeConfig};
 
 /// Forest flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +90,10 @@ impl Regressor for Forest {
         };
         let kind = self.kind;
         let seed = self.seed;
+        // Laid out (and, for best splits, ranked) once for all the trees;
+        // `None` routes every tree through the reference builder instead.
+        let shared =
+            (!tree::reference_fit()).then(|| Columns::new(xs, config.policy == SplitPolicy::Best));
         self.trees = (0..self.n_trees)
             .into_par_iter()
             .map(|t| {
@@ -101,16 +106,22 @@ impl Regressor for Forest {
                         // Bootstrap resample.
                         let mut rng = StdRng::seed_from_u64(tree_seed ^ 0xB0075);
                         let n = xs.len();
-                        let mut bx = Vec::with_capacity(n);
-                        let mut by = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            let i = rng.gen_range(0..n);
-                            bx.push(xs[i].clone());
-                            by.push(ys[i]);
+                        let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                        let by: Vec<f64> = rows.iter().map(|&i| ys[i]).collect();
+                        match &shared {
+                            // Bootstrap rows inherit their source row's ranks.
+                            Some(cols) => tree.fit_columns(&cols.gather(&rows), &by, None),
+                            None => {
+                                let bx: Vec<Vec<f64>> =
+                                    rows.iter().map(|&i| xs[i].clone()).collect();
+                                tree.fit_reference(&bx, &by);
+                            }
                         }
-                        tree.fit(&bx, &by);
                     }
-                    ForestKind::ExtraTrees => tree.fit(xs, ys),
+                    ForestKind::ExtraTrees => match &shared {
+                        Some(cols) => tree.fit_columns(cols, ys, None),
+                        None => tree.fit_reference(xs, ys),
+                    },
                 }
                 tree
             })

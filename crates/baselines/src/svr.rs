@@ -118,9 +118,16 @@ impl Regressor for Svr {
         let sy: Vec<f64> = ys.iter().map(|y| (y - self.y_mean) / self.y_std).collect();
 
         // Precompute the kernel matrix (training sets are capped upstream).
-        let k: Vec<Vec<f64>> = (0..n)
-            .map(|i| (0..n).map(|j| self.kernel_eval(&sx[i], &sx[j])).collect())
-            .collect();
+        // `dot` and `sq_dist` give the same bits with their arguments
+        // swapped, so only the upper triangle is evaluated and mirrored.
+        let mut k = vec![vec![0.0f64; n]; n];
+        for i in 0..n {
+            for j in i..n {
+                let v = self.kernel_eval(&sx[i], &sx[j]);
+                k[i][j] = v;
+                k[j][i] = v;
+            }
+        }
 
         let mut betas = vec![0.0f64; n];
         let mut f = vec![0.0f64; n]; // f(x_i) under current betas

@@ -289,6 +289,7 @@ mod tests {
 
     #[test]
     fn adaptive_retrains_on_pattern_change_and_recovers() {
+        let _faults = crate::without_faults();
         let values = shifting_series(360);
         let mut adaptive = AdaptiveLoadDynamics::new(AdaptiveConfig::fast_preset(0));
         adaptive.fit(&values[..150]);
@@ -313,6 +314,7 @@ mod tests {
 
     #[test]
     fn adaptive_does_not_thrash_on_stationary_series() {
+        let _faults = crate::without_faults();
         let values: Vec<f64> = (0..300)
             .map(|i| 100.0 + 30.0 * (i as f64 * 0.4).sin())
             .collect();

@@ -118,6 +118,7 @@ mod tests {
 
     #[test]
     fn ensemble_has_k_members_and_shared_hyperparams() {
+        let _faults = crate::without_faults();
         let series = noisy_series(220);
         let framework = LoadDynamics::new(FrameworkConfig::fast_preset(0));
         let ensemble = framework.optimize_ensemble(&series, 3);
@@ -128,6 +129,7 @@ mod tests {
 
     #[test]
     fn ensemble_prediction_is_the_member_mean() {
+        let _faults = crate::without_faults();
         let series = noisy_series(200);
         let framework = LoadDynamics::new(FrameworkConfig::fast_preset(1));
         let mut ensemble = framework.optimize_ensemble(&series, 3);
@@ -142,6 +144,7 @@ mod tests {
 
     #[test]
     fn ensemble_tracks_single_model_accuracy() {
+        let _faults = crate::without_faults();
         let series = noisy_series(260);
         let partition = Partition::paper_default(series.len());
         let framework = LoadDynamics::new(FrameworkConfig::fast_preset(2));

@@ -574,6 +574,7 @@ mod tests {
 
     #[test]
     fn end_to_end_beats_trivial_error_on_seasonal_series() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(300);
         let framework = LoadDynamics::new(FrameworkConfig::fast_preset(3));
         let outcome = framework.optimize(&series);
@@ -592,6 +593,7 @@ mod tests {
 
     #[test]
     fn trials_count_matches_max_iters() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let mut config = FrameworkConfig::fast_preset(1);
         config.max_iters = 5;
@@ -601,6 +603,7 @@ mod tests {
 
     #[test]
     fn selected_hyperparams_are_inside_the_space() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(220);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(2)).optimize(&series);
         let hp = outcome.hyperparams;
@@ -612,6 +615,7 @@ mod tests {
 
     #[test]
     fn random_and_grid_strategies_work() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         for strategy in [SearchStrategy::Random, SearchStrategy::Grid] {
             let mut config = FrameworkConfig::fast_preset(4);
@@ -624,6 +628,7 @@ mod tests {
 
     #[test]
     fn predictor_pads_short_history() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(5)).optimize(&series);
         let mut p = outcome.predictor;
@@ -635,6 +640,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_with_identical_predictions() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(6)).optimize(&series);
         let mut original = outcome.predictor;
@@ -651,6 +657,7 @@ mod tests {
 
     #[test]
     fn try_optimize_reports_invalid_input_instead_of_panicking() {
+        let _faults = crate::without_faults();
         let framework = LoadDynamics::new(FrameworkConfig::fast_preset(1));
         // Partition sized for a different series length.
         let series = seasonal_series(200);
@@ -671,6 +678,7 @@ mod tests {
 
     #[test]
     fn try_optimize_matches_optimize_on_valid_input() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let mut config = FrameworkConfig::fast_preset(4);
         config.max_iters = 3;
@@ -721,6 +729,7 @@ mod tests {
 
     #[test]
     fn snapshot_file_roundtrip() {
+        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(7)).optimize(&series);
         let mut original = outcome.predictor;

@@ -52,3 +52,14 @@ pub use pipeline::{
     evaluate_hyperparams, evaluate_hyperparams_traced, evaluate_hyperparams_with, TrainBudget,
 };
 pub use space::{facebook_space, paper_space, scaled_space};
+
+/// Holds off the tests that install a process-global fault plan, and
+/// clears any plan left behind. This crate's unit tests share one process:
+/// a search that runs while another test's rate-1.0 NaN-loss plan is
+/// installed sees every trial diverge. Every test that trains holds this.
+#[cfg(test)]
+pub(crate) fn without_faults() -> std::sync::MutexGuard<'static, ()> {
+    let guard = ld_faultinject::test_lock();
+    ld_faultinject::reset();
+    guard
+}

@@ -288,6 +288,7 @@ mod tests {
 
     #[test]
     fn learns_predictable_series_to_low_mape() {
+        let _faults = crate::without_faults();
         let values = sine_values(400);
         let partition = Partition::paper_default(values.len());
         let out = evaluate_hyperparams(&values, &partition, hp(), &TrainBudget::default(), 1);
@@ -297,6 +298,7 @@ mod tests {
 
     #[test]
     fn infeasible_history_length_penalized_not_crashed() {
+        let _faults = crate::without_faults();
         let values = sine_values(60);
         let partition = Partition::paper_default(values.len());
         let giant = HyperParams {
@@ -310,6 +312,7 @@ mod tests {
 
     #[test]
     fn validation_windows_can_cross_partition_boundary() {
+        let _faults = crate::without_faults();
         let values = sine_values(200);
         let partition = Partition::paper_default(values.len());
         let n = 8;
@@ -327,6 +330,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        let _faults = crate::without_faults();
         let values = sine_values(250);
         let partition = Partition::paper_default(values.len());
         let a = evaluate_hyperparams(&values, &partition, hp(), &TrainBudget::tiny(), 7);
@@ -354,6 +358,7 @@ mod tests {
 
     #[test]
     fn window_cap_is_applied() {
+        let _faults = crate::without_faults();
         let values = sine_values(1000);
         let partition = Partition::paper_default(values.len());
         let budget = TrainBudget {

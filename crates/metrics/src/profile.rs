@@ -112,15 +112,19 @@ mod tests {
     use super::*;
     use ld_telemetry::Tracer;
 
+    /// Two ticks, each with indexed batches (indices must fold away), all
+    /// with fixed durations so every profile of it is the same: ticks of
+    /// 100 ns, batches of 25 ns, requests of 10 ns.
     fn traced() -> TraceSnapshot {
         let tracer = Tracer::enabled();
-        // Two ticks, each with indexed batches: indices must fold away.
         for tick in 0..2 {
-            let tick_guard = tracer.span_at("tick", tick);
-            let tick_tracer = tick_guard.tracer();
+            tracer.record_span("tick", tick, 100, 0);
+            let tick_tracer = tracer.scoped("tick", tick);
             for batch in 0..3 {
-                let batch_guard = tick_tracer.span_at("batch", batch);
-                batch_guard.tracer().record_span("request", batch, 10, 0);
+                tick_tracer.record_span("batch", batch, 25, 0);
+                tick_tracer
+                    .scoped("batch", batch)
+                    .record_span("request", batch, 10, 0);
             }
         }
         tracer.snapshot()
@@ -160,10 +164,19 @@ mod tests {
     #[test]
     fn profile_of_equal_logical_trees_is_stable() {
         let a = SpanProfile::from_trace(&traced());
-        let paths_a: Vec<String> = a.entries().iter().map(|e| e.path.clone()).collect();
         let b = SpanProfile::from_trace(&traced());
-        let paths_b: Vec<String> = b.entries().iter().map(|e| e.path.clone()).collect();
-        assert_eq!(paths_a, paths_b);
+        assert_eq!(a.entries(), b.entries());
+        // Hottest self time first: batches 6 x 25 - 60, requests 6 x 10,
+        // ticks 2 x 100 - 150.
+        let rows: Vec<(&str, u64)> = a
+            .entries()
+            .iter()
+            .map(|e| (e.path.as_str(), e.self_ns))
+            .collect();
+        assert_eq!(
+            rows,
+            [("tick/batch", 90), ("tick/batch/request", 60), ("tick", 50)]
+        );
         assert_eq!(a.top(2).len(), 2);
         assert_eq!(a.top(99).len(), 3);
     }

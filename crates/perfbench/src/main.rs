@@ -712,7 +712,7 @@ fn bench_cloudinsight_window(cfg: &Cfg) -> KernelResult {
     // trees). "Before" is the pre-change configuration: reference
     // normal-equations build, reference per-node index-sort tree builder,
     // and the serial member sweep. "After" is the shipped defaults: the
-    // fused streaming `lstsq` build, the flat-slab key-sort tree builder,
+    // fused streaming `lstsq` build, the rank-keyed tree builder,
     // with the sweep going member-parallel only when the pool has real
     // workers (single-core hosts sweep serially — the old behavior of
     // paying rayon overhead on a one-thread pool is what dragged this row

@@ -13,6 +13,11 @@
 //!   per tick while half-open, and closes only on a full success streak;
 //! - retry backoff is deterministic and bounded, and the queue bound
 //!   holds even while transient faults keep parking retries.
+//!
+//! Every test that drives an engine holds `ld_faultinject::test_lock()`
+//! and starts from a cleared plan: the retry-pressure test installs a
+//! process-global `SnapshotCorrupt` plan, which engines on parallel test
+//! threads would otherwise see.
 
 use ld_api::MinMaxScaler;
 use ld_nn::{ForecasterConfig, LstmForecaster};
@@ -84,6 +89,8 @@ fn provisioned_engine(
 
 #[test]
 fn no_request_is_both_shed_and_answered_and_none_is_lost() {
+    let _guard = ld_faultinject::test_lock();
+    ld_faultinject::reset();
     for seed in [3u64, 17, 91] {
         let tenants = 12 + (splitmix64(seed) % 9) as usize;
         let bound = 8usize;
@@ -130,6 +137,8 @@ fn no_request_is_both_shed_and_answered_and_none_is_lost() {
 
 #[test]
 fn queue_depth_never_exceeds_bound() {
+    let _guard = ld_faultinject::test_lock();
+    ld_faultinject::reset();
     for seed in [7u64, 23] {
         let bound = 5usize;
         let (mut eng, keys, histories) =
@@ -155,6 +164,8 @@ fn queue_depth_never_exceeds_bound() {
 
 #[test]
 fn shard_count_is_constant_under_churn() {
+    let _guard = ld_faultinject::test_lock();
+    ld_faultinject::reset();
     let (mut eng, keys, histories) =
         provisioned_engine("shards", 29, 20, 64, 8, 1 /* heavy eviction churn */, );
     let want = eng.shard_count();
@@ -177,6 +188,8 @@ fn shard_count_is_constant_under_churn() {
 
 #[test]
 fn cache_accounting_is_conserved() {
+    let _guard = ld_faultinject::test_lock();
+    ld_faultinject::reset();
     for (label, capacity) in [("acct-roomy", 64usize), ("acct-tight", 2)] {
         let (mut eng, keys, histories) = provisioned_engine(label, 41, 15, 64, 4, capacity);
         let mut resolved = 0u64;

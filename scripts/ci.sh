@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate for the workspace: release build, the tier-1 test suite, the
-# ld-perfbench smoke run (kernel equivalence asserts + bench schema check),
-# the ld-lint static-analysis gate (report left in target/lint-report.json),
-# and a warning-free clippy pass. Run from the repository root:
+# CI gate for the workspace: release build, every workspace test suite,
+# the ld-e2e benchmark's smoke suite, the ld-perfbench smoke run (kernel
+# equivalence asserts + bench schema check), the ld-lint static-analysis
+# gate (report left in target/lint-report.json), and a warning-free
+# clippy pass. Run from the repository root:
 #
 #     ./scripts/ci.sh
 #
@@ -15,16 +16,11 @@ if [ "${CI_SKIP_BUILD:-0}" != "1" ]; then
     cargo build --release
 fi
 
-echo "=== cargo test -q ==="
-cargo test -q
+echo "=== cargo test -q --workspace (every crate's unit, integration and property suites) ==="
+cargo test -q --workspace
 
-echo "=== fault-injection & robustness suites ==="
-cargo test -q -p ld-faultinject
-cargo test -q --test fault_injection --test adversarial_inputs
-
-echo "=== serving suites (pipeline equivalence, properties, fault isolation) ==="
-cargo test -q --release -p ld-serve
-cargo test -q --release -p ld-perfbench --test compare_gate
+echo "=== ld-e2e smoke suite (every benchmark workload, council's bitwise forecasts-repeat) ==="
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "=== ld-perfbench --smoke (kernel equivalence + bench schema + regression gate) ==="
 # Tolerance 1.8: every row times its before/after legs interleaved

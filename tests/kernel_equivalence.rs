@@ -19,8 +19,11 @@
 //!   inference path vs `predict_reference`: **bitwise**.
 //! - Packed-panel and row-parallel Gram builds vs the serial build:
 //!   **bitwise**.
-//! - The flat-slab CART tree builder vs the retained index-sort reference
-//!   builder (through the forest and boosting ensembles): **bitwise**.
+//! - The rank-keyed CART tree builder vs the retained index-sort reference
+//!   builder (every council member's own forecasts, the tree, forest and
+//!   boosting members among them, on a continuous and a tie-heavy integer
+//!   series): **bitwise**; and the whole council's walk-forward against a
+//!   digest pinned before the builder changed.
 //! - A full `Trainer::fit` run through the fast path vs the reference
 //!   trainer semantics: identical epoch count, losses within 1e-7 relative.
 
@@ -325,26 +328,75 @@ fn packed_gram_matches_serial_bitwise() {
 
 #[test]
 fn tree_ensembles_match_reference_builder_bitwise() {
-    // The flat-slab tree builder must grow the identical ensembles the
+    // The rank-keyed tree builder must grow the identical ensembles the
     // retained index-sort builder grows — same splits, thresholds, and
-    // leaves — through every Table II tree member.
+    // leaves — through every Table II tree member. Each council member's
+    // own forecasts are compared: the council reports only the forecast of
+    // the member it has selected, which is rarely a tree.
     use ld_api::Predictor as _;
-    let data: Vec<f64> = (0..120)
+    let sine: Vec<f64> = (0..120)
         .map(|i| 40.0 + 12.0 * ((i as f64) * 0.21).sin() + (i % 5) as f64)
         .collect();
-    let run = |reference: bool| -> Vec<f64> {
-        ld_baselines::tree::set_reference_fit(reference);
-        let mut ci = ld_baselines::CloudInsight::new(5);
-        ci.fit(&data[..90]);
-        let out: Vec<f64> = (90..120).map(|i| ci.predict(&data[..i])).collect();
-        ld_baselines::tree::set_reference_fit(false);
-        out
-    };
-    let fast = run(false);
-    let reference = run(true);
-    for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
-        assert_eq!(f.to_bits(), r.to_bits(), "interval {i}: {f} vs {r}");
+    // Integer counts taking five distinct values (a level stepping every
+    // three intervals plus a 0/1 jitter), like the job-count traces (AZ,
+    // FB and LCG have 30, 32 and 84 distinct values): sorted, every window
+    // feature is long runs of tied values, through bootstrap duplicates
+    // and boosting residuals alike.
+    let counts: Vec<f64> = (0..120)
+        .map(|i| (2 + (i / 3) % 4 + (i * 5 % 7) / 4) as f64)
+        .collect();
+    for (series, data) in [("sine", &sine), ("counts", &counts)] {
+        let run = |reference: bool| -> Vec<(String, Vec<f64>)> {
+            ld_baselines::tree::set_reference_fit(reference);
+            let out = ld_baselines::cloudinsight::table2_pool(5)
+                .into_iter()
+                .map(|mut member| {
+                    member.fit(&data[..90]);
+                    let preds = (90..120).map(|i| member.predict(&data[..i])).collect();
+                    (member.name(), preds)
+                })
+                .collect();
+            ld_baselines::tree::set_reference_fit(false);
+            out
+        };
+        for ((member, fast), (_, reference)) in run(false).iter().zip(&run(true)) {
+            for (i, (f, r)) in fast.iter().zip(reference).enumerate() {
+                assert_eq!(
+                    f.to_bits(),
+                    r.to_bits(),
+                    "{member} on {series}, interval {i}: {f} vs {r}"
+                );
+            }
+        }
     }
+}
+
+#[test]
+fn cloudinsight_walk_forward_matches_golden_digest() {
+    // The council's forecasts over one LD_FAST-capped (last 400 intervals)
+    // AZ-30min trace, digested bit for bit and pinned to the value the
+    // sort-based tree builder and the full-matrix SVR kernel build
+    // produced. Unlike the test above this needs no reference toggle, so
+    // it also covers members without one (the SVRs).
+    use ld_api::Predictor as _;
+    let full = ld_traces::TraceConfig {
+        kind: ld_traces::WorkloadKind::Azure,
+        interval_mins: 30,
+    }
+    .build(42);
+    let values = &full.values[full.len().saturating_sub(400)..];
+    let test_start = ld_api::Partition::paper_default(values.len()).val_end;
+    let mut ci = ld_baselines::CloudInsight::new(5);
+    ci.fit(&values[..test_start]);
+    // FNV-1a over the forecasts' little-endian bits.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for i in test_start..values.len() {
+        for b in ci.predict(&values[..i]).to_bits().to_le_bytes() {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(format!("{digest:016x}"), "c59d06a9de5dd210");
 }
 
 #[test]
