@@ -9,8 +9,10 @@
 use ld_api::{metrics, MinMaxScaler, Partition};
 use ld_bench::render::print_table;
 use ld_bench::scale::ExperimentScale;
-use ld_nn::gru::{GruConfig, GruForecaster};
-use ld_nn::{make_windows, Adam, ForecasterConfig, LstmForecaster, Sample, TrainOptions, Trainer};
+use ld_nn::{
+    make_windows, Adam, ForecasterConfig, GruForecaster, LstmForecaster, Sample, TrainOptions,
+    Trainer,
+};
 use ld_traces::{TraceConfig, WorkloadKind};
 
 fn run_model<M: ld_nn::trainer::Trainable>(
@@ -67,18 +69,14 @@ fn main() {
         );
         let partition = Partition::paper_default(series.len());
 
-        let mut lstm = LstmForecaster::new(ForecasterConfig {
+        let config = ForecasterConfig {
             history_len: n,
             hidden_size: s,
             num_layers: 1,
             seed: 0,
-        });
-        let mut gru = GruForecaster::new(GruConfig {
-            history_len: n,
-            hidden_size: s,
-            num_layers: 1,
-            seed: 0,
-        });
+        };
+        let mut lstm = LstmForecaster::new(config);
+        let mut gru = GruForecaster::new(config);
         eprintln!(
             "[ablation] {}: LSTM {} params, GRU {} params",
             series.name,

@@ -27,7 +27,7 @@
 //! reordered-summation noise with the workspace
 //! [`crate::LstmForecaster::predict`] path (whose fused gate step chains
 //! the `W`/`U`/`b` terms differently). The weight panels are packed once
-//! per model ([`crate::lstm::LstmLayer::packed_input_weights`]) and
+//! per model ([`crate::recurrent::RecurrentLayer::packed_input_weights`]) and
 //! invalidated on parameter updates; the activations are consumed
 //! row-major by the register-blocked kernel, so nothing is packed or allocated per step.
 

@@ -1,7 +1,13 @@
-//! The end-to-end LSTM forecaster of the paper's Fig. 3: a stack of LSTM
+//! The end-to-end forecaster of the paper's Fig. 3: a stack of recurrent
 //! layers unrolled over the input window `J_{i-n} .. J_{i-1}`, with the
-//! final hidden state fed through a fully-connected layer `T` to produce the
-//! scalar prediction `P_i`.
+//! final hidden state fed through a fully-connected layer `T` to produce
+//! the scalar prediction `P_i`.
+//!
+//! [`RecurrentForecaster`] is the one stacked shell over every recurrent
+//! [`Cell`]: the workspace forward pass, the reverse sweep, gradient
+//! accumulate/scale/norm/clip, the [`crate::trainer::Trainable`] impl and
+//! JSON snapshots. [`LstmForecaster`] is the paper's model;
+//! [`GruForecaster`] the `ablation_lstm_vs_gru` variant.
 
 use ld_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -9,8 +15,10 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::dense::{Dense, DenseGrads};
+use crate::gru::Gru;
 use crate::loss::squared_error_grad;
-use crate::lstm::{LstmGrads, LstmLayer, ReferenceLstmCache};
+use crate::lstm::{Lstm, ReferenceLstmCache};
+use crate::recurrent::{Cell, LayerGrads, RecurrentLayer};
 use crate::workspace::{self, Workspace};
 
 /// Architecture hyperparameters of one forecaster — exactly the four knobs
@@ -20,9 +28,9 @@ use crate::workspace::{self, Workspace};
 pub struct ForecasterConfig {
     /// History length `n`: how many past JARs the model sees.
     pub history_len: usize,
-    /// Cell-memory size `s` (units per LSTM layer).
+    /// Cell-memory size `s` (units per recurrent layer).
     pub hidden_size: usize,
-    /// Number of stacked LSTM layers.
+    /// Number of stacked recurrent layers.
     pub num_layers: usize,
     /// RNG seed for weight initialization.
     pub seed: u64,
@@ -48,8 +56,8 @@ impl ForecasterConfig {
 /// Gradients for a whole forecaster, mirroring its layer structure.
 #[derive(Debug, Clone)]
 pub struct ForecasterGrads {
-    /// Per-LSTM-layer gradients, bottom first.
-    pub lstm: Vec<LstmGrads>,
+    /// Per-recurrent-layer gradients, bottom first.
+    pub layers: Vec<LayerGrads>,
     /// Head gradients.
     pub head: DenseGrads,
 }
@@ -57,8 +65,8 @@ pub struct ForecasterGrads {
 impl ForecasterGrads {
     /// Accumulates another gradient set elementwise.
     pub fn accumulate(&mut self, other: &ForecasterGrads) {
-        assert_eq!(self.lstm.len(), other.lstm.len());
-        for (a, b) in self.lstm.iter_mut().zip(&other.lstm) {
+        assert_eq!(self.layers.len(), other.layers.len());
+        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
             a.accumulate(b);
         }
         self.head.accumulate(&other.head);
@@ -66,7 +74,7 @@ impl ForecasterGrads {
 
     /// Scales every gradient (e.g. by `1/batch_size`).
     pub fn scale(&mut self, alpha: f64) {
-        for g in &mut self.lstm {
+        for g in &mut self.layers {
             g.scale(alpha);
         }
         self.head.scale(alpha);
@@ -75,7 +83,7 @@ impl ForecasterGrads {
     /// Global L2 norm across all gradient tensors.
     pub fn global_norm(&self) -> f64 {
         let mut ss = 0.0;
-        for g in &self.lstm {
+        for g in &self.layers {
             ss += g.dw.sum_squares() + g.du.sum_squares() + g.db.sum_squares();
         }
         ss += self.head.dw.sum_squares() + self.head.db.sum_squares();
@@ -95,15 +103,22 @@ impl ForecasterGrads {
     }
 }
 
-/// A stacked-LSTM scalar forecaster (the function `f` of Eq. 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LstmForecaster {
+/// A stacked recurrent scalar forecaster (the function `f` of Eq. 1) over
+/// cell `C`.
+#[derive(Debug, Clone)]
+pub struct RecurrentForecaster<C> {
     config: ForecasterConfig,
-    layers: Vec<LstmLayer>,
+    layers: Vec<RecurrentLayer<C>>,
     head: Dense,
 }
 
-impl LstmForecaster {
+/// The paper's stacked-LSTM forecaster.
+pub type LstmForecaster = RecurrentForecaster<Lstm>;
+
+/// The stacked-GRU forecaster of the `ablation_lstm_vs_gru` experiment.
+pub type GruForecaster = RecurrentForecaster<Gru>;
+
+impl<C: Cell> RecurrentForecaster<C> {
     /// Builds a forecaster with freshly initialized weights.
     ///
     /// # Panics
@@ -117,10 +132,10 @@ impl LstmForecaster {
         let mut layers = Vec::with_capacity(config.num_layers);
         for l in 0..config.num_layers {
             let input_dim = if l == 0 { 1 } else { config.hidden_size };
-            layers.push(LstmLayer::new(input_dim, config.hidden_size, &mut rng));
+            layers.push(RecurrentLayer::new(input_dim, config.hidden_size, &mut rng));
         }
         let head = Dense::new(config.hidden_size, 1, &mut rng);
-        LstmForecaster {
+        RecurrentForecaster {
             config,
             layers,
             head,
@@ -132,9 +147,9 @@ impl LstmForecaster {
         &self.config
     }
 
-    /// The stacked LSTM layers, bottom first — read-only access for the
-    /// fused batch-inference kernel and snapshot fingerprinting.
-    pub fn layers(&self) -> &[LstmLayer] {
+    /// The stacked recurrent layers, bottom first — read-only access for
+    /// the fused batch-inference kernel and snapshot fingerprinting.
+    pub fn layers(&self) -> &[RecurrentLayer<C>] {
         &self.layers
     }
 
@@ -170,9 +185,9 @@ impl LstmForecaster {
         );
         let steps = self.config.history_len;
         let n = self.layers.len();
-        ws.ensure_lstm_caches(n);
+        ws.ensure_caches(n);
         for (idx, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = ws.lstm_caches.split_at_mut(idx);
+            let (done, rest) = ws.caches.split_at_mut(idx);
             let cache = &mut rest[0];
             if idx == 0 {
                 layer.forward_into(window, steps, &mut ws.z, cache);
@@ -181,7 +196,7 @@ impl LstmForecaster {
             }
         }
         let mut out = [0.0f64; 1];
-        self.head.forward_into(ws.lstm_caches[n - 1].last_hidden(), &mut out);
+        self.head.forward_into(ws.caches[n - 1].last_hidden(), &mut out);
         out[0]
     }
 
@@ -217,7 +232,7 @@ impl LstmForecaster {
         ws: &mut Workspace,
     ) -> f64 {
         let n = self.layers.len();
-        assert_eq!(grads.lstm.len(), n, "grads layer count mismatch");
+        assert_eq!(grads.layers.len(), n, "grads layer count mismatch");
         let pred = self.forward_ws(window, ws);
         let loss = (pred - target) * (pred - target);
         let dpred = squared_error_grad(pred, target);
@@ -229,7 +244,7 @@ impl LstmForecaster {
         ws.head_dh.clear();
         ws.head_dh.resize(hidden, 0.0);
         self.head.backward_into(
-            ws.lstm_caches[n - 1].last_hidden(),
+            ws.caches[n - 1].last_hidden(),
             &[dpred],
             &mut grads.head,
             &mut ws.head_dh,
@@ -248,19 +263,50 @@ impl LstmForecaster {
             ws.dseq_b.clear();
             ws.dseq_b.resize(steps * layer.input_dim(), 0.0);
             layer.backward_into(
-                &ws.lstm_caches[idx],
+                &ws.caches[idx],
                 &ws.dseq_a,
-                &mut grads.lstm[idx],
+                &mut grads.layers[idx],
                 &mut ws.dseq_b,
                 &mut ws.dz,
                 &mut ws.dh_next,
-                &mut ws.dc_next,
+                &mut ws.dstate,
             );
             std::mem::swap(&mut ws.dseq_a, &mut ws.dseq_b);
         }
         loss
     }
 
+    /// Zeroed gradients matching this model's structure.
+    pub fn zero_grads(&self) -> ForecasterGrads {
+        ForecasterGrads {
+            layers: self.layers.iter().map(RecurrentLayer::zero_grads).collect(),
+            head: DenseGrads::zeros(1, self.config.hidden_size),
+        }
+    }
+
+    /// Visits `(parameter, gradient)` tensor pairs in a fixed order for the
+    /// optimizer.
+    pub fn visit_params(&mut self, grads: &ForecasterGrads, f: &mut impl FnMut(&mut Matrix, &Matrix)) {
+        assert_eq!(grads.layers.len(), self.layers.len());
+        for (layer, g) in self.layers.iter_mut().zip(&grads.layers) {
+            layer.visit_params(g, f);
+        }
+        self.head.visit_params(&grads.head, f);
+    }
+
+    /// Serializes the trained model to JSON (a model snapshot).
+    pub fn to_json(&self) -> String {
+        // ld-lint: allow(unwrap-in-core, "infallible by construction: the forecaster is a tree of finite-dim matrices and plain fields, every one of which serializes without error")
+        serde_json::to_string(self).expect("forecaster serialization")
+    }
+
+    /// Restores a model snapshot produced by [`Self::to_json`].
+    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+        serde_json::from_str(json)
+    }
+}
+
+impl LstmForecaster {
     /// Pre-change prediction path (nested-`Vec` caches, sequential dots),
     /// retained as the equivalence oracle and the perfbench "before" model.
     pub fn predict_reference(&self, window: &[f64]) -> f64 {
@@ -304,7 +350,7 @@ impl LstmForecaster {
         // Backprop through the LSTM stack, top layer first.
         let steps = self.config.history_len;
         let hidden = self.config.hidden_size;
-        let mut lstm_rev: Vec<LstmGrads> = Vec::with_capacity(self.layers.len());
+        let mut lstm_rev: Vec<LayerGrads> = Vec::with_capacity(self.layers.len());
         // Gradient flowing into the top layer's hidden sequence: zero except
         // at the final step.
         let mut dh_seq = vec![vec![0.0; hidden]; steps];
@@ -319,43 +365,34 @@ impl LstmForecaster {
         lstm_rev.reverse();
 
         let grads = ForecasterGrads {
-            lstm: lstm_rev,
+            layers: lstm_rev,
             head: head_grads,
         };
         (loss, grads)
     }
+}
 
-    /// Zeroed gradients matching this model's structure.
-    pub fn zero_grads(&self) -> ForecasterGrads {
-        ForecasterGrads {
-            lstm: self
-                .layers
-                .iter()
-                .map(|l| LstmGrads::zeros(l.input_dim(), l.hidden()))
-                .collect(),
-            head: DenseGrads::zeros(1, self.config.hidden_size),
-        }
+// Hand-written (de)serialization: the vendored `serde_derive` rejects
+// generic types. Field set and order are what the derive emitted for the
+// LSTM forecaster, so snapshots (and the digests that hash their bytes)
+// are unchanged.
+impl<C> Serialize for RecurrentForecaster<C> {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            (String::from("config"), self.config.to_value()),
+            (String::from("layers"), self.layers.to_value()),
+            (String::from("head"), self.head.to_value()),
+        ])
     }
+}
 
-    /// Visits `(parameter, gradient)` tensor pairs in a fixed order for the
-    /// optimizer.
-    pub fn visit_params(&mut self, grads: &ForecasterGrads, f: &mut impl FnMut(&mut Matrix, &Matrix)) {
-        assert_eq!(grads.lstm.len(), self.layers.len());
-        for (layer, g) in self.layers.iter_mut().zip(&grads.lstm) {
-            layer.visit_params(g, f);
-        }
-        self.head.visit_params(&grads.head, f);
-    }
-
-    /// Serializes the trained model to JSON (a model snapshot).
-    pub fn to_json(&self) -> String {
-        // ld-lint: allow(unwrap-in-core, "infallible by construction: the forecaster is a tree of finite-dim matrices and plain fields, every one of which serializes without error")
-        serde_json::to_string(self).expect("forecaster serialization")
-    }
-
-    /// Restores a model snapshot produced by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+impl<C: Cell> Deserialize for RecurrentForecaster<C> {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Ok(RecurrentForecaster {
+            config: Deserialize::from_value(v.field("config")?)?,
+            layers: Deserialize::from_value(v.field("layers")?)?,
+            head: Deserialize::from_value(v.field("head")?)?,
+        })
     }
 }
 
@@ -370,6 +407,14 @@ mod tests {
             num_layers: 2,
             seed: 42,
         }
+    }
+
+    /// The GRU's fixtures: the same shape under another seed.
+    fn tiny_gru() -> GruForecaster {
+        GruForecaster::new(ForecasterConfig {
+            seed: 11,
+            ..tiny_config()
+        })
     }
 
     #[test]
@@ -413,67 +458,55 @@ mod tests {
 
     #[test]
     fn param_count_sums_layers() {
-        let m = LstmForecaster::new(tiny_config());
-        // layer0: 4*3*(1+3+1); layer1: 4*3*(3+3+1); head: 1*(3+1)
-        assert_eq!(m.param_count(), 60 + 84 + 4);
+        // layer0: G*3*(1+3+1); layer1: G*3*(3+3+1); head: 1*(3+1)
+        assert_eq!(LstmForecaster::new(tiny_config()).param_count(), 60 + 84 + 4);
+        assert_eq!(tiny_gru().param_count(), 45 + 63 + 4);
     }
 
-    /// End-to-end gradient check through the full stacked model.
-    #[test]
-    fn sample_grads_match_finite_differences() {
-        let model = LstmForecaster::new(tiny_config());
-        let window = [0.2, -0.4, 0.7, 0.1];
-        let target = 0.5;
-        let (_, grads) = model.sample_grads(&window, target);
+    /// End-to-end gradient check through the full stacked model: central
+    /// differences over every parameter, mutated in visit order. For the
+    /// GRU the reset-gate coupling (`U_n (r . h)`) is the easiest term to
+    /// get wrong.
+    fn check_sample_grads_against_finite_differences<C: Cell>(
+        model: &RecurrentForecaster<C>,
+        window: &[f64],
+        target: f64,
+    ) {
+        let (_, grads) = model.sample_grads(window, target);
 
         // Flatten analytic grads in visit order.
         let mut analytic: Vec<f64> = Vec::new();
-        let mut m = model.clone();
-        m.visit_params(&grads, &mut |_p, g| {
-            analytic.extend_from_slice(g.as_slice());
-        });
+        model
+            .clone()
+            .visit_params(&grads, &mut |_p, g| analytic.extend_from_slice(g.as_slice()));
+        assert_eq!(analytic.len(), model.param_count());
 
-        // Finite differences over every parameter, mutated in visit order.
         let eps = 1e-5;
         let zero = model.zero_grads();
-        let n_params = model.param_count();
-        assert_eq!(analytic.len(), n_params);
-        let mut fd: Vec<f64> = Vec::with_capacity(n_params);
-        for slot in 0..n_params {
-            let mut plus = model.clone();
-            let mut seen = 0usize;
-            plus.visit_params(&zero, &mut |p, _| {
-                let len = p.as_slice().len();
-                if slot >= seen && slot < seen + len {
-                    p.as_mut_slice()[slot - seen] += eps;
-                }
-                seen += len;
-            });
-            let lp = {
-                let (pred, _) = (plus.predict(&window), ());
+        for (slot, a) in analytic.iter().enumerate() {
+            let loss_at = |dir: f64| {
+                let mut m = model.clone();
+                let mut seen = 0usize;
+                m.visit_params(&zero, &mut |p, _| {
+                    let len = p.as_slice().len();
+                    if slot >= seen && slot < seen + len {
+                        p.as_mut_slice()[slot - seen] += dir * eps;
+                    }
+                    seen += len;
+                });
+                let pred = m.predict(window);
                 (pred - target) * (pred - target)
             };
-            let mut minus = model.clone();
-            seen = 0;
-            minus.visit_params(&zero, &mut |p, _| {
-                let len = p.as_slice().len();
-                if slot >= seen && slot < seen + len {
-                    p.as_mut_slice()[slot - seen] -= eps;
-                }
-                seen += len;
-            });
-            let lm = {
-                let pred = minus.predict(&window);
-                (pred - target) * (pred - target)
-            };
-            fd.push((lp - lm) / (2.0 * eps));
+            let fd = (loss_at(1.0) - loss_at(-1.0)) / (2.0 * eps);
+            assert!((a - fd).abs() < 1e-5, "param {slot}: analytic {a} vs fd {fd}");
         }
-        for (i, (a, f)) in analytic.iter().zip(&fd).enumerate() {
-            assert!(
-                (a - f).abs() < 1e-5,
-                "param {i}: analytic {a} vs fd {f}"
-            );
-        }
+    }
+
+    #[test]
+    fn sample_grads_match_finite_differences() {
+        let lstm = LstmForecaster::new(tiny_config());
+        check_sample_grads_against_finite_differences(&lstm, &[0.2, -0.4, 0.7, 0.1], 0.5);
+        check_sample_grads_against_finite_differences(&tiny_gru(), &[0.3, -0.2, 0.6, -0.4], 0.35);
     }
 
     /// The workspace hot path agrees with the retained pre-change
@@ -497,7 +530,7 @@ mod tests {
             let (l_fast, g_fast) = model.sample_grads(&window, target);
             let (l_ref, g_ref) = model.sample_grads_reference(&window, target);
             assert!((l_fast - l_ref).abs() <= 1e-9 * (1.0 + l_ref.abs()));
-            for (idx, (a, b)) in g_fast.lstm.iter().zip(&g_ref.lstm).enumerate() {
+            for (idx, (a, b)) in g_fast.layers.iter().zip(&g_ref.layers).enumerate() {
                 for (ma, mb) in [(&a.dw, &b.dw), (&a.du, &b.du), (&a.db, &b.db)] {
                     assert!(
                         ma.max_abs_diff(mb) <= 1e-9 * (1.0 + mb.frobenius_norm()),
@@ -518,31 +551,43 @@ mod tests {
 
     /// `sample_grads_into` accumulates: two samples into one accumulator
     /// equal the sum of their individual gradients.
-    #[test]
-    fn sample_grads_into_accumulates() {
-        let model = LstmForecaster::new(tiny_config());
-        let w1 = [0.2, -0.4, 0.7, 0.1];
-        let w2 = [0.9, 0.0, -0.3, 0.5];
-        let (l1, g1) = model.sample_grads(&w1, 0.5);
-        let (l2, g2) = model.sample_grads(&w2, -0.2);
+    fn check_sample_grads_into_accumulates<C: Cell>(
+        model: &RecurrentForecaster<C>,
+        (w1, t1): (&[f64], f64),
+        (w2, t2): (&[f64], f64),
+    ) {
+        let (l1, g1) = model.sample_grads(w1, t1);
+        let (l2, g2) = model.sample_grads(w2, t2);
 
         let mut acc = model.zero_grads();
-        let la = model.sample_grads_into(&w1, 0.5, &mut acc);
-        let lb = model.sample_grads_into(&w2, -0.2, &mut acc);
-        assert_eq!(la, l1);
-        assert_eq!(lb, l2);
+        assert_eq!(model.sample_grads_into(w1, t1, &mut acc), l1);
+        assert_eq!(model.sample_grads_into(w2, t2, &mut acc), l2);
         // Accumulating into a warm buffer reorders FP additions relative to
         // summing two fresh gradient sets, so compare with a tight tolerance
         // rather than bitwise.
         let mut expect = g1;
         expect.accumulate(&g2);
         let tol = |m: &ld_linalg::Matrix| 1e-12 * (1.0 + m.frobenius_norm());
-        for (a, b) in acc.lstm.iter().zip(&expect.lstm) {
+        for (a, b) in acc.layers.iter().zip(&expect.layers) {
             assert!(a.dw.max_abs_diff(&b.dw) <= tol(&b.dw));
             assert!(a.du.max_abs_diff(&b.du) <= tol(&b.du));
             assert!(a.db.max_abs_diff(&b.db) <= tol(&b.db));
         }
         assert!(acc.head.dw.max_abs_diff(&expect.head.dw) <= tol(&expect.head.dw));
+    }
+
+    #[test]
+    fn sample_grads_into_accumulates() {
+        check_sample_grads_into_accumulates(
+            &LstmForecaster::new(tiny_config()),
+            (&[0.2, -0.4, 0.7, 0.1], 0.5),
+            (&[0.9, 0.0, -0.3, 0.5], -0.2),
+        );
+        check_sample_grads_into_accumulates(
+            &tiny_gru(),
+            (&[0.3, -0.2, 0.6, -0.4], 0.35),
+            (&[0.0, 0.9, -0.5, 0.2], -0.1),
+        );
     }
 
     #[test]
@@ -562,10 +607,13 @@ mod tests {
 
     #[test]
     fn json_roundtrip_preserves_predictions() {
-        let model = LstmForecaster::new(tiny_config());
-        let json = model.to_json();
-        let back = LstmForecaster::from_json(&json).unwrap();
         let w = [0.3, 0.6, -0.2, 0.8];
-        assert_eq!(model.predict(&w), back.predict(&w));
+        let lstm = LstmForecaster::new(tiny_config());
+        assert_eq!(lstm.predict(&w), LstmForecaster::from_json(&lstm.to_json()).unwrap().predict(&w));
+        let gru = tiny_gru();
+        assert_eq!(gru.predict(&w), GruForecaster::from_json(&gru.to_json()).unwrap().predict(&w));
+        // A snapshot of one cell does not load as the other.
+        assert!(GruForecaster::from_json(&lstm.to_json()).is_err());
+        assert!(LstmForecaster::from_json(&gru.to_json()).is_err());
     }
 }

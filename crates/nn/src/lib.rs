@@ -4,15 +4,22 @@
 //! no mature equivalent for LSTM training, so this crate implements the
 //! required subset directly:
 //!
-//! - [`lstm`]: a stacked LSTM (Fig 3/4 of the paper) with exact
-//!   backpropagation-through-time,
+//! - [`recurrent`]: the recurrent engine — one generic layer, gradient type
+//!   and flat per-layer cache with exact backpropagation-through-time, under
+//!   a [`recurrent::Cell`] trait that supplies only the gate math,
+//! - [`lstm`]: the paper's LSTM cell (Fig 3/4), plus the retained reference
+//!   kernels that pin it,
+//! - [`gru`]: the GRU cell of the `ablation_lstm_vs_gru` experiment,
 //! - [`dense`]: the fully-connected output head `T`,
 //! - [`mlp`]: a plain feed-forward autoregressor used by the
 //!   `ablation_lstm_vs_dense` experiment,
 //! - [`optim`]: Adam (the paper's optimizer) and SGD,
 //! - [`loss`]: mean-squared error (the paper's loss),
 //! - [`forecaster`]: the end-to-end model of Eq. (1) — a window of `n` past
-//!   JARs in, one predicted JAR out — plus (de)serialization,
+//!   JARs in, one predicted JAR out — as one stacked shell over either cell
+//!   ([`LstmForecaster`], [`GruForecaster`]), plus (de)serialization,
+//! - [`batch`]: fused batched LSTM inference, one GEMM per gate block
+//!   across a batch of same-model windows (the serving path),
 //! - [`trainer`]: mini-batch training with shuffling, global-norm gradient
 //!   clipping and early stopping on a validation split,
 //! - [`workspace`]: reusable scratch arenas that make the forward/backward
@@ -37,14 +44,14 @@ pub mod loss;
 pub mod lstm;
 pub mod mlp;
 pub mod optim;
+pub mod recurrent;
 pub mod reference;
 pub mod sections;
 pub mod trainer;
 pub mod workspace;
 
 pub use batch::BatchScratch;
-pub use forecaster::{ForecasterConfig, LstmForecaster};
-pub use gru::{GruConfig, GruForecaster};
+pub use forecaster::{ForecasterConfig, GruForecaster, LstmForecaster};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use trainer::{TrainOptions, TrainReport, Trainer};
 

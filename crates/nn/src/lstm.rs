@@ -1,6 +1,5 @@
-//! A single LSTM layer with exact backpropagation-through-time.
-//!
-//! Implements the cell of the paper's Fig. 4:
+//! The LSTM cell of the paper's Fig. 4, as a [`Cell`] of the recurrent
+//! engine ([`crate::recurrent`]):
 //!
 //! ```text
 //! i_t = sigma(W_i x_t + U_i h_{t-1} + b_i)
@@ -11,191 +10,115 @@
 //! h_t = o_t . tanh(C_t)
 //! ```
 //!
-//! The four gate blocks are packed row-wise into single `W`, `U`, `b`
-//! tensors in the order `[i, f, o, g]`. The forward hot path goes further
-//! and caches a fused `[W | U | b]` micro-panel ([`ld_linalg::pack`]): the
-//! whole `4H` pre-activation is **one** packed mat-vec against
-//! `[x_t | h_{t-1} | 1]` per step ([`LstmLayer::gate_step_fused`]), with
-//! the per-row-dots step retained as [`LstmLayer::gate_step_reference`].
-//! The batched inference kernel rides the same packed panels through
-//! [`LstmLayer::packed_input_weights`] /
-//! [`LstmLayer::packed_recurrent_weights`].
+//! The four gate blocks are packed row-wise in the order `[i, f, o, g]`.
+//! Every gate reads `h_{t-1}` directly, so the whole `4H` pre-activation is
+//! **one** packed mat-vec of the layer's fused `[W | U | b]` panel against
+//! `[x_t | h_{t-1} | 1]` per step
+//! ([`RecurrentLayer::gate_step_fused`]); the batched inference kernel
+//! ([`crate::batch`]) rides the same layer's packed `W`/`U` panels. The
+//! backward step pulls `dx`/`dh` from the layer's cached weight transposes
+//! (contiguous mat-vecs instead of per-row `axpy` strides).
 //!
-//! The hot path is allocation-free: [`LstmLayer::forward_into`] and
-//! [`LstmLayer::backward_into`] write into a caller-owned [`LstmCache`] and
-//! scratch buffers (see [`crate::workspace`]) whose flat strided layout
-//! replaces the per-timestep `Vec` churn of the original implementation.
-//! The backward pass pulls `dx`/`dh` from lazily cached weight transposes
-//! (contiguous mat-vecs instead of per-row `axpy` strides); the caches are
-//! invalidated whenever [`LstmLayer::visit_params`] exposes the weights to
-//! an optimizer step. The pre-change implementation is retained verbatim as
-//! [`LstmLayer::forward_reference`] / [`LstmLayer::backward_reference`] —
-//! the equivalence oracle for `ld-perfbench --smoke` and the
+//! The pre-change implementation is retained verbatim as
+//! [`LstmLayer::forward_reference`] / [`LstmLayer::backward_reference`] and
+//! the per-row-dots step as [`LstmLayer::gate_step_reference`] — the
+//! equivalence oracles for `ld-perfbench --smoke` and the
 //! `kernel_equivalence` suite (fast paths agree within 1e-9 relative).
 
-use std::sync::OnceLock;
-
-use ld_linalg::pack::PackedA;
 use ld_linalg::{vecops, Matrix};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::{
     sigmoid, sigmoid_deriv_from_output, sigmoid_map, tanh, tanh_deriv_from_output, tanh_map,
 };
+use crate::recurrent::{BackStep, Cell, GateClock, LayerGrads, RecurrentLayer, Step};
+
+/// The LSTM cell: four gates `[i, f, o, g]` and a memory state `C_t`.
+#[derive(Debug, Clone, Copy)]
+pub struct Lstm;
 
 /// One LSTM layer (the `M` cell of the paper, unrolled over a window).
-#[derive(Debug)]
-pub struct LstmLayer {
-    input_dim: usize,
-    hidden: usize,
-    /// Input weights, `4H x input_dim`, gate blocks `[i, f, o, g]`.
-    w: Matrix,
-    /// Recurrent weights, `4H x H`.
-    u: Matrix,
-    /// Bias, `4H x 1`.
-    b: Matrix,
-    /// Lazily built `W^T` (`input_dim x 4H`) for the backward `dx` mat-vec;
-    /// cleared by `visit_params` whenever the weights may have changed.
-    wt: OnceLock<Matrix>,
-    /// Lazily built `U^T` (`H x 4H`) for the backward `dh` mat-vec.
-    ut: OnceLock<Matrix>,
-    /// Lazily packed fused gate panel `[W | U | b]`
-    /// (`4H x (input_dim + H + 1)` in micro-panels): one packed mat-vec
-    /// over `[x | h_prev | 1]` yields all four gate pre-activations.
-    /// Cleared by `visit_params` like the transposes.
-    fused_wub: OnceLock<PackedA>,
-    /// Lazily packed `W` micro-panels for the batched gate GEMM.
-    wpack: OnceLock<PackedA>,
-    /// Lazily packed `U` micro-panels for the batched gate GEMM.
-    upack: OnceLock<PackedA>,
-}
+pub type LstmLayer = RecurrentLayer<Lstm>;
 
-// A clone starts with cold derived caches (transposes, packed panels):
-// clones are taken to perturb or archive weights, and a carried-over cache
-// would silently serve the *original* parameters if the clone's fields are
-// then mutated directly (crate-internal code can; `visit_params` is the
-// only public mutation path and invalidates explicitly).
-impl Clone for LstmLayer {
-    fn clone(&self) -> Self {
-        LstmLayer {
-            input_dim: self.input_dim,
-            hidden: self.hidden,
-            w: self.w.clone(),
-            u: self.u.clone(),
-            b: self.b.clone(),
-            wt: OnceLock::new(),
-            ut: OnceLock::new(),
-            fused_wub: OnceLock::new(),
-            wpack: OnceLock::new(),
-            upack: OnceLock::new(),
-        }
-    }
-}
+impl Cell for Lstm {
+    const GATES: usize = 4;
+    const CELL_STATE: bool = true;
 
-/// Gradients for one [`LstmLayer`], same shapes as the parameters.
-#[derive(Debug, Clone)]
-pub struct LstmGrads {
-    /// Gradient of the input weights.
-    pub dw: Matrix,
-    /// Gradient of the recurrent weights.
-    pub du: Matrix,
-    /// Gradient of the bias.
-    pub db: Matrix,
-}
-
-impl LstmGrads {
-    /// Zeroed gradients for a layer of the given dimensions.
-    pub fn zeros(input_dim: usize, hidden: usize) -> Self {
-        LstmGrads {
-            dw: Matrix::zeros(4 * hidden, input_dim),
-            du: Matrix::zeros(4 * hidden, hidden),
-            db: Matrix::zeros(4 * hidden, 1),
+    /// The standard unit forget-gate bias (TensorFlow's
+    /// `unit_forget_bias`): the forget block is rows `H..2H`.
+    fn init_bias(b: &mut Matrix, hidden: usize) {
+        for i in hidden..2 * hidden {
+            b[(i, 0)] = 1.0;
         }
     }
 
-    /// Accumulates another gradient set (for batch reduction).
-    pub fn accumulate(&mut self, other: &LstmGrads) {
-        crate::accumulate_matrix(&mut self.dw, &other.dw);
-        crate::accumulate_matrix(&mut self.du, &other.du);
-        crate::accumulate_matrix(&mut self.db, &other.db);
+    /// `aux` records `tanh(C_t)`.
+    #[inline]
+    fn step(layer: &LstmLayer, s: Step<'_>, clock: &mut GateClock) {
+        let h = layer.hidden;
+        // z = W x + U h_prev + b as one packed panel mat-vec (the
+        // "gate-matmul" telemetry section).
+        clock.time(|| layer.gate_step_fused(s.x, s.h_prev, s.gate_in, s.z));
+
+        // Gate blocks are contiguous ([i|f|o] then [g]), so the
+        // activations run as two slice-mapped passes the compiler can
+        // vectorize; per-element results match the scalar calls exactly.
+        let g_row = s.gates;
+        g_row.copy_from_slice(s.z);
+        sigmoid_map(&mut g_row[..3 * h]);
+        tanh_map(&mut g_row[3 * h..]);
+        for k in 0..h {
+            s.c[k] = g_row[h + k] * s.c_prev[k] + g_row[k] * g_row[3 * h + k];
+        }
+        let tc = s.aux;
+        tc.copy_from_slice(s.c);
+        tanh_map(tc);
+        for k in 0..h {
+            s.h[k] = g_row[2 * h + k] * tc[k];
+        }
     }
 
-    /// Scales all gradients (e.g. by `1/batch`).
-    pub fn scale(&mut self, alpha: f64) {
-        self.dw.scale(alpha);
-        self.du.scale(alpha);
-        self.db.scale(alpha);
-    }
-}
+    /// `dstate` carries the cell-state gradient `dC` backwards.
+    #[inline]
+    fn backward_step(layer: &LstmLayer, s: BackStep<'_>, grads: &mut LayerGrads) {
+        let h = layer.hidden;
+        let (i_gate, rest) = s.gates.split_at(h);
+        let (f_gate, rest) = rest.split_at(h);
+        let (o_gate, g_gate) = rest.split_at(h);
+        let (tanh_c, c_prev, dz, dc_next) = (s.aux, s.c_prev, s.dz, s.dstate);
 
-/// Everything the backward pass needs from a forward unroll, stored as flat
-/// strided buffers (`T` rows of fixed width each) so a reused cache performs
-/// zero allocations once grown.
-#[derive(Debug, Clone, Default)]
-pub struct LstmCache {
-    steps: usize,
-    input_dim: usize,
-    hidden: usize,
-    /// Input vectors, `T x input_dim`, row-major.
-    xs: Vec<f64>,
-    /// Hidden states, `(T + 1) x H`; row 0 is the seeded zero initial state.
-    hs: Vec<f64>,
-    /// Cell states, `(T + 1) x H`; row 0 is the zero initial state.
-    cs: Vec<f64>,
-    /// Post-activation gates per step, `T x 4H`, blocks `[i | f | o | g]`.
-    gates: Vec<f64>,
-    /// `tanh(C_t)` per step, `T x H`.
-    tanh_c: Vec<f64>,
-    /// Scratch for the fused gate input `[x_t | h_{t-1} | 1]`
-    /// (`input_dim + H + 1`), consumed by the packed gate mat-vec.
-    gate_in: Vec<f64>,
-}
+        // Total gradient into h_t: from above + from t+1's recurrence.
+        // dc_t: from h_t through o*tanh(C_t), plus carried dc_next.
+        for k in 0..h {
+            let dh = s.dh[k] + s.dh_next[k];
+            let dct = dh * o_gate[k] * tanh_deriv_from_output(tanh_c[k]) + dc_next[k];
+            let do_ = dh * tanh_c[k];
+            let di = dct * g_gate[k];
+            let df = dct * c_prev[k];
+            let dg = dct * i_gate[k];
 
-impl LstmCache {
-    /// The full hidden-state sequence `h_1 .. h_T` (excludes the initial
-    /// zero state) as one flat `T x H` row-major slice — the input to the
-    /// next stacked layer.
-    pub fn hidden_sequence(&self) -> &[f64] {
-        &self.hs[self.hidden..]
-    }
+            dz[k] = di * sigmoid_deriv_from_output(i_gate[k]);
+            dz[h + k] = df * sigmoid_deriv_from_output(f_gate[k]);
+            dz[2 * h + k] = do_ * sigmoid_deriv_from_output(o_gate[k]);
+            dz[3 * h + k] = dg * tanh_deriv_from_output(g_gate[k]);
 
-    /// Hidden state `h_{t+1}` for step `t` in `0..steps()`.
-    pub fn hidden_row(&self, t: usize) -> &[f64] {
-        &self.hs[(t + 1) * self.hidden..(t + 2) * self.hidden]
-    }
+            // Carry cell gradient to t-1.
+            dc_next[k] = dct * f_gate[k];
+        }
 
-    /// The final hidden state `h_T` fed to the dense head. For an empty
-    /// cache this is the seeded zero initial state.
-    pub fn last_hidden(&self) -> &[f64] {
-        &self.hs[self.steps * self.hidden..]
-    }
+        // Parameter gradients: outer products with x_t and h_prev.
+        for (r, &dzr) in dz.iter().enumerate() {
+            if dzr == 0.0 {
+                continue;
+            }
+            vecops::axpy(dzr, s.x, grads.dw.row_mut(r));
+            vecops::axpy(dzr, s.h_prev, grads.du.row_mut(r));
+            grads.db[(r, 0)] += dzr;
+        }
 
-    /// Number of unrolled steps.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    /// Hidden width `H` of the recorded unroll.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Resizes every buffer for a `steps`-long unroll, reusing capacity,
-    /// and seeds the initial state row with zeros. Rows `1..` are left as
-    /// garbage for the forward sweep to overwrite.
-    fn reset(&mut self, steps: usize, input_dim: usize, hidden: usize) {
-        self.steps = steps;
-        self.input_dim = input_dim;
-        self.hidden = hidden;
-        self.xs.resize(steps * input_dim, 0.0);
-        self.hs.resize((steps + 1) * hidden, 0.0);
-        self.cs.resize((steps + 1) * hidden, 0.0);
-        self.gates.resize(steps * 4 * hidden, 0.0);
-        self.tanh_c.resize(steps * hidden, 0.0);
-        self.gate_in.resize(input_dim + hidden + 1, 0.0);
-        self.hs[..hidden].fill(0.0);
-        self.cs[..hidden].fill(0.0);
+        // dx_t = W^T dz ; dh_prev = U^T dz — contiguous mat-vecs over
+        // the cached transposes instead of per-row strided axpys.
+        layer.w_transposed().matvec_into(dz, s.dx);
+        layer.u_transposed().matvec_into(dz, s.dh_next);
     }
 }
 
@@ -228,145 +151,6 @@ impl ReferenceLstmCache {
 }
 
 impl LstmLayer {
-    /// Creates a layer with Xavier-initialized weights and the standard
-    /// unit forget-gate bias (matches TensorFlow's `unit_forget_bias`).
-    pub fn new(input_dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
-        assert!(input_dim > 0 && hidden > 0, "LSTM dims must be positive");
-        let w = Matrix::xavier_uniform(4 * hidden, input_dim, rng);
-        let u = Matrix::xavier_uniform(4 * hidden, hidden, rng);
-        let mut b = Matrix::zeros(4 * hidden, 1);
-        // Forget-gate block is rows H..2H.
-        for i in hidden..2 * hidden {
-            b[(i, 0)] = 1.0;
-        }
-        LstmLayer {
-            input_dim,
-            hidden,
-            w,
-            u,
-            b,
-            wt: OnceLock::new(),
-            ut: OnceLock::new(),
-            fused_wub: OnceLock::new(),
-            wpack: OnceLock::new(),
-            upack: OnceLock::new(),
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Hidden-state size (the paper's cell-memory size `s`).
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Number of trainable scalars.
-    pub fn param_count(&self) -> usize {
-        4 * self.hidden * (self.input_dim + self.hidden + 1)
-    }
-
-    /// Input weights `W` (`4H x input_dim`, gate blocks `[i, f, o, g]`),
-    /// read-only — used by the fused batch kernel and snapshot fingerprints.
-    pub fn input_weights(&self) -> &Matrix {
-        &self.w
-    }
-
-    /// Recurrent weights `U` (`4H x H`), read-only.
-    pub fn recurrent_weights(&self) -> &Matrix {
-        &self.u
-    }
-
-    /// Bias `b` (`4H x 1`), read-only.
-    pub fn bias(&self) -> &Matrix {
-        &self.b
-    }
-
-    /// Visits `(parameter, gradient)` tensor pairs in a fixed order, used by
-    /// the optimizer. Invalidate-on-step: any visitor may mutate the
-    /// weights, so the cached transposes are dropped afterwards and the next
-    /// backward pass rebuilds them from the updated weights.
-    pub fn visit_params<'a>(
-        &'a mut self,
-        grads: &'a LstmGrads,
-        f: &mut impl FnMut(&mut Matrix, &Matrix),
-    ) {
-        f(&mut self.w, &grads.dw);
-        f(&mut self.u, &grads.du);
-        f(&mut self.b, &grads.db);
-        self.wt.take();
-        self.ut.take();
-        self.fused_wub.take();
-        self.wpack.take();
-        self.upack.take();
-    }
-
-    /// `W^T`, built on first use after each parameter update.
-    fn w_transposed(&self) -> &Matrix {
-        self.wt.get_or_init(|| self.w.transpose())
-    }
-
-    /// `U^T`, built on first use after each parameter update.
-    fn u_transposed(&self) -> &Matrix {
-        self.ut.get_or_init(|| self.u.transpose())
-    }
-
-    /// The fused gate panel `[W | U | b]` packed into micro-panels, built
-    /// on first use after each parameter update. One packed mat-vec of
-    /// this panel against `[x | h_prev | 1]` computes all four gate
-    /// pre-activations.
-    fn fused_gate_panel(&self) -> &PackedA {
-        self.fused_wub.get_or_init(|| {
-            let (h4, i_dim, h) = (4 * self.hidden, self.input_dim, self.hidden);
-            let width = i_dim + h + 1;
-            let mut flat = vec![0.0; h4 * width];
-            for (r, row) in flat.chunks_exact_mut(width).enumerate() {
-                row[..i_dim].copy_from_slice(self.w.row(r));
-                row[i_dim..i_dim + h].copy_from_slice(self.u.row(r));
-                row[i_dim + h] = self.b[(r, 0)];
-            }
-            PackedA::pack(&flat, h4, width)
-        })
-    }
-
-    /// `W` packed into micro-panels for the batched gate GEMM, built on
-    /// first use after each parameter update.
-    pub fn packed_input_weights(&self) -> &PackedA {
-        self.wpack.get_or_init(|| PackedA::from_matrix(&self.w))
-    }
-
-    /// `U` packed into micro-panels for the batched gate GEMM.
-    pub fn packed_recurrent_weights(&self) -> &PackedA {
-        self.upack.get_or_init(|| PackedA::from_matrix(&self.u))
-    }
-
-    /// Fused gate step: writes the `4H` pre-activations
-    /// `z = W x + U h_prev + b` as **one** packed mat-vec of the cached
-    /// `[W | U | b]` panel against `[x | h_prev | 1]` (assembled into
-    /// `gate_in`). Each `z` row is a single ascending dot over the
-    /// concatenated input, so results agree with the reference step's
-    /// three-term combine within 1e-9 relative (not bitwise — the split
-    /// points differ).
-    ///
-    /// # Panics
-    /// Panics on mismatched slice lengths.
-    pub fn gate_step_fused(
-        &self,
-        x: &[f64],
-        h_prev: &[f64],
-        gate_in: &mut [f64],
-        z: &mut [f64],
-    ) {
-        let (i_dim, h) = (self.input_dim, self.hidden);
-        assert_eq!(gate_in.len(), i_dim + h + 1, "gate_in length");
-        gate_in[..i_dim].copy_from_slice(x);
-        gate_in[i_dim..i_dim + h].copy_from_slice(h_prev);
-        gate_in[i_dim + h] = 1.0;
-        self.fused_gate_panel().matvec_into(gate_in, z);
-    }
-
     /// The pre-change gate step: per-row four-lane dots
     /// `z_r = dot4(W_r, x) + dot4(U_r, h_prev) + b_r`. Retained as the
     /// "before" kernel `ld-perfbench` times the fused step against and the
@@ -377,222 +161,6 @@ impl LstmLayer {
                 + vecops::dot4(self.u.row(r), h_prev)
                 + self.b[(r, 0)];
         }
-    }
-
-    /// Unrolls the layer over a flat `steps x input_dim` row-major input
-    /// starting from zero state, recording the cache for backprop.
-    /// Allocation-free once `z` (the `4H` pre-activation scratch) and the
-    /// cache have grown to size.
-    ///
-    /// # Panics
-    /// Panics if `xs.len() != steps * input_dim`.
-    pub fn forward_into(
-        &self,
-        xs: &[f64],
-        steps: usize,
-        z: &mut Vec<f64>,
-        cache: &mut LstmCache,
-    ) {
-        let h = self.hidden;
-        let i_dim = self.input_dim;
-        assert_eq!(xs.len(), steps * i_dim, "LSTM input dim mismatch");
-        cache.reset(steps, i_dim, h);
-        cache.xs.copy_from_slice(xs);
-        z.clear();
-        z.resize(4 * h, 0.0);
-
-        let timing = crate::sections::enabled();
-        let mut gate_nanos: u128 = 0;
-
-        let LstmCache {
-            xs: cxs,
-            hs,
-            cs,
-            gates,
-            tanh_c,
-            gate_in,
-            ..
-        } = cache;
-        for t in 0..steps {
-            let x = &cxs[t * i_dim..(t + 1) * i_dim];
-            // Borrow h_{t} read-only and h_{t+1} mutably from one buffer.
-            let (hs_head, hs_tail) = hs.split_at_mut((t + 1) * h);
-            let h_prev = &hs_head[t * h..];
-            let h_t = &mut hs_tail[..h];
-            let (cs_head, cs_tail) = cs.split_at_mut((t + 1) * h);
-            let c_prev = &cs_head[t * h..];
-            let c_t = &mut cs_tail[..h];
-            let g_row = &mut gates[t * 4 * h..(t + 1) * 4 * h];
-            let tc = &mut tanh_c[t * h..(t + 1) * h];
-
-            // z = W x + U h_prev + b as one packed panel mat-vec (the
-            // "gate-matmul" telemetry section).
-            // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the numerics")
-            let t0 = timing.then(std::time::Instant::now);
-            self.gate_step_fused(x, h_prev, gate_in, z);
-            if let Some(t0) = t0 {
-                gate_nanos += t0.elapsed().as_nanos();
-            }
-
-            // Gate blocks are contiguous ([i|f|o] then [g]), so the
-            // activations run as two slice-mapped passes the compiler can
-            // vectorize; per-element results match the scalar calls exactly.
-            g_row.copy_from_slice(z);
-            sigmoid_map(&mut g_row[..3 * h]);
-            tanh_map(&mut g_row[3 * h..]);
-            for k in 0..h {
-                c_t[k] = g_row[h + k] * c_prev[k] + g_row[k] * g_row[3 * h + k];
-            }
-            tc.copy_from_slice(c_t);
-            tanh_map(tc);
-            for k in 0..h {
-                h_t[k] = g_row[2 * h + k] * tc[k];
-            }
-        }
-        if timing {
-            crate::sections::add_gate_matmul(u64::try_from(gate_nanos).unwrap_or(u64::MAX));
-        }
-    }
-
-    /// Backpropagates through the unrolled layer without allocating.
-    ///
-    /// `dh_seq` is the flat `steps x H` loss gradient flowing into
-    /// `h_1..h_T` from above. Parameter gradients are *accumulated* into
-    /// `grads` (callers zero or carry a batch accumulator); `dxs` (flat
-    /// `steps x input_dim`) is overwritten with the input-sequence gradient.
-    /// `dz`/`dh_next`/`dc_next` are scratch buffers sized on entry.
-    ///
-    /// # Panics
-    /// Panics on mismatched `cache`, `dh_seq` or `dxs` shapes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_into(
-        &self,
-        cache: &LstmCache,
-        dh_seq: &[f64],
-        grads: &mut LstmGrads,
-        dxs: &mut [f64],
-        dz: &mut Vec<f64>,
-        dh_next: &mut Vec<f64>,
-        dc_next: &mut Vec<f64>,
-    ) {
-        let h = self.hidden;
-        let i_dim = self.input_dim;
-        let steps = cache.steps;
-        assert_eq!(cache.hidden, h, "cache hidden width mismatch");
-        assert_eq!(cache.input_dim, i_dim, "cache input dim mismatch");
-        assert_eq!(dh_seq.len(), steps * h, "dh sequence length mismatch");
-        assert_eq!(dxs.len(), steps * i_dim, "dxs length mismatch");
-        dz.clear();
-        dz.resize(4 * h, 0.0);
-        dh_next.clear();
-        dh_next.resize(h, 0.0);
-        dc_next.clear();
-        dc_next.resize(h, 0.0);
-        let wt = self.w_transposed();
-        let ut = self.u_transposed();
-
-        let timing = crate::sections::enabled();
-        // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the numerics")
-        let t0 = timing.then(std::time::Instant::now);
-
-        for t in (0..steps).rev() {
-            let g_row = &cache.gates[t * 4 * h..(t + 1) * 4 * h];
-            let (i_gate, rest) = g_row.split_at(h);
-            let (f_gate, rest) = rest.split_at(h);
-            let (o_gate, g_gate) = rest.split_at(h);
-            let tanh_c = &cache.tanh_c[t * h..(t + 1) * h];
-            // Rows `t` of hs/cs are the *previous* states (row 0 is h_0).
-            let c_prev = &cache.cs[t * h..(t + 1) * h];
-            let h_prev = &cache.hs[t * h..(t + 1) * h];
-            let x_t = &cache.xs[t * i_dim..(t + 1) * i_dim];
-            let dh_row = &dh_seq[t * h..(t + 1) * h];
-
-            // Total gradient into h_t: from above + from t+1's recurrence.
-            // dc_t: from h_t through o*tanh(C_t), plus carried dc_next.
-            for k in 0..h {
-                let dh = dh_row[k] + dh_next[k];
-                let dct = dh * o_gate[k] * tanh_deriv_from_output(tanh_c[k]) + dc_next[k];
-                let do_ = dh * tanh_c[k];
-                let di = dct * g_gate[k];
-                let df = dct * c_prev[k];
-                let dg = dct * i_gate[k];
-
-                dz[k] = di * sigmoid_deriv_from_output(i_gate[k]);
-                dz[h + k] = df * sigmoid_deriv_from_output(f_gate[k]);
-                dz[2 * h + k] = do_ * sigmoid_deriv_from_output(o_gate[k]);
-                dz[3 * h + k] = dg * tanh_deriv_from_output(g_gate[k]);
-
-                // Carry cell gradient to t-1.
-                dc_next[k] = dct * f_gate[k];
-            }
-
-            // Parameter gradients: outer products with x_t and h_prev.
-            for (r, &dzr) in dz.iter().enumerate() {
-                if dzr == 0.0 {
-                    continue;
-                }
-                vecops::axpy(dzr, x_t, grads.dw.row_mut(r));
-                vecops::axpy(dzr, h_prev, grads.du.row_mut(r));
-                grads.db[(r, 0)] += dzr;
-            }
-
-            // dx_t = W^T dz ; dh_prev = U^T dz — contiguous mat-vecs over
-            // the cached transposes instead of per-row strided axpys.
-            wt.matvec_into(dz, &mut dxs[t * i_dim..(t + 1) * i_dim]);
-            ut.matvec_into(dz, dh_next);
-        }
-
-        if let Some(t0) = t0 {
-            crate::sections::add_bptt(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-
-    /// Convenience wrapper over [`Self::forward_into`] for callers that
-    /// hold a nested-`Vec` sequence and do not reuse buffers (tests, small
-    /// one-off evaluations).
-    ///
-    /// # Panics
-    /// Panics if any input vector has the wrong dimension.
-    pub fn forward(&self, xs: &[Vec<f64>]) -> LstmCache {
-        let mut flat = Vec::with_capacity(xs.len() * self.input_dim);
-        for x in xs {
-            assert_eq!(x.len(), self.input_dim, "LSTM input dim mismatch");
-            flat.extend_from_slice(x);
-        }
-        let mut z = Vec::new();
-        let mut cache = LstmCache::default();
-        self.forward_into(&flat, xs.len(), &mut z, &mut cache);
-        cache
-    }
-
-    /// Convenience wrapper over [`Self::backward_into`] returning freshly
-    /// allocated gradients; `dh_seq[t]` is the loss gradient flowing into
-    /// `h_{t+1}` from above.
-    pub fn backward(&self, cache: &LstmCache, dh_seq: &[Vec<f64>]) -> (LstmGrads, Vec<Vec<f64>>) {
-        let h = self.hidden;
-        assert_eq!(dh_seq.len(), cache.steps(), "dh sequence length mismatch");
-        let mut flat = Vec::with_capacity(dh_seq.len() * h);
-        for d in dh_seq {
-            assert_eq!(d.len(), h, "dh width mismatch");
-            flat.extend_from_slice(d);
-        }
-        let mut grads = LstmGrads::zeros(self.input_dim, h);
-        let mut dxs_flat = vec![0.0; cache.steps() * self.input_dim];
-        let (mut dz, mut dh_next, mut dc_next) = (Vec::new(), Vec::new(), Vec::new());
-        self.backward_into(
-            cache,
-            &flat,
-            &mut grads,
-            &mut dxs_flat,
-            &mut dz,
-            &mut dh_next,
-            &mut dc_next,
-        );
-        let dxs = dxs_flat
-            .chunks(self.input_dim)
-            .map(<[f64]>::to_vec)
-            .collect();
-        (grads, dxs)
     }
 
     /// The pre-change forward pass, retained verbatim (per-step `Vec`
@@ -652,12 +220,12 @@ impl LstmLayer {
         &self,
         cache: &ReferenceLstmCache,
         dh_seq: &[Vec<f64>],
-    ) -> (LstmGrads, Vec<Vec<f64>>) {
+    ) -> (LayerGrads, Vec<Vec<f64>>) {
         let h = self.hidden;
         let t_len = cache.steps();
         assert_eq!(dh_seq.len(), t_len, "dh sequence length mismatch");
 
-        let mut grads = LstmGrads::zeros(self.input_dim, h);
+        let mut grads = self.zero_grads();
         let mut dxs = vec![vec![0.0; self.input_dim]; t_len];
 
         // Gradients carried backwards across time.
@@ -709,44 +277,6 @@ impl LstmLayer {
         }
 
         (grads, dxs)
-    }
-
-    /// Sum of squares of all parameter entries (for tests/regularization).
-    pub fn param_sum_squares(&self) -> f64 {
-        self.w.sum_squares() + self.u.sum_squares() + self.b.sum_squares()
-    }
-}
-
-// Hand-written (de)serialization: the vendored `serde_derive` has no
-// `#[serde(skip)]`, and the transpose caches are derived state that must
-// not be persisted. The field set and order match what the derive used to
-// emit, so pre-existing model snapshots keep loading.
-impl Serialize for LstmLayer {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (String::from("input_dim"), self.input_dim.to_value()),
-            (String::from("hidden"), self.hidden.to_value()),
-            (String::from("w"), self.w.to_value()),
-            (String::from("u"), self.u.to_value()),
-            (String::from("b"), self.b.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LstmLayer {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(LstmLayer {
-            input_dim: Deserialize::from_value(v.field("input_dim")?)?,
-            hidden: Deserialize::from_value(v.field("hidden")?)?,
-            w: Deserialize::from_value(v.field("w")?)?,
-            u: Deserialize::from_value(v.field("u")?)?,
-            b: Deserialize::from_value(v.field("b")?)?,
-            wt: OnceLock::new(),
-            ut: OnceLock::new(),
-            fused_wub: OnceLock::new(),
-            wpack: OnceLock::new(),
-            upack: OnceLock::new(),
-        })
     }
 }
 
@@ -804,13 +334,6 @@ mod tests {
             assert_eq!(layer.b[(5 + k, 0)], 1.0); // forget block
             assert_eq!(layer.b[(k, 0)], 0.0); // input block
         }
-    }
-
-    #[test]
-    fn param_count_formula() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let layer = LstmLayer::new(3, 7, &mut rng);
-        assert_eq!(layer.param_count(), 4 * 7 * (3 + 7 + 1));
     }
 
     /// The workspace kernels agree with the retained pre-change
@@ -872,58 +395,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// `visit_params` must drop the cached transposes: a backward pass,
-    /// then a weight update, then another backward pass has to use the
-    /// *new* weights for `dx`/`dh`.
-    #[test]
-    fn transpose_cache_invalidated_on_param_update() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut layer = LstmLayer::new(2, 3, &mut rng);
-        let xs = vec![vec![0.4, -0.2], vec![0.1, 0.8]];
-        let dh_seq = vec![vec![0.3, -0.1, 0.5]; 2];
-
-        // First backward builds the transpose caches.
-        let cache = layer.forward(&xs);
-        let (_, _) = layer.backward(&cache, &dh_seq);
-
-        // Update every parameter through the optimizer-facing visitor.
-        let zero = LstmGrads::zeros(2, 3);
-        layer.visit_params(&zero, &mut |p, _| {
-            for v in p.as_mut_slice() {
-                *v += 0.05;
-            }
-        });
-
-        // The next backward must agree with the reference path on the
-        // *updated* layer — it would not if stale transposes survived.
-        let cache = layer.forward(&xs);
-        let (g_fast, dx_fast) = layer.backward(&cache, &dh_seq);
-        let refr = layer.forward_reference(&xs);
-        let (g_ref, dx_ref) = layer.backward_reference(&refr, &dh_seq);
-        assert!(g_fast.dw.max_abs_diff(&g_ref.dw) <= 1e-9 * (1.0 + g_ref.dw.frobenius_norm()));
-        for t in 0..2 {
-            for d in 0..2 {
-                assert!((dx_fast[t][d] - dx_ref[t][d]).abs() <= 1e-9 * (1.0 + dx_ref[t][d].abs()));
-            }
-        }
-    }
-
-    #[test]
-    fn serde_roundtrip_skips_transpose_caches() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let layer = LstmLayer::new(2, 3, &mut rng);
-        // Build the transposes, then round-trip: the JSON must not carry
-        // them and the restored layer must behave identically.
-        let cache = layer.forward(&[vec![0.1, 0.2]]);
-        let _ = layer.backward(&cache, &[vec![1.0, 0.0, -1.0]]);
-        let json = serde_json::to_string(&layer).expect("serialize");
-        assert!(!json.contains("\"wt\""));
-        let back: LstmLayer = serde_json::from_str(&json).expect("deserialize");
-        let a = layer.forward(&[vec![0.3, -0.4]]);
-        let b = back.forward(&[vec![0.3, -0.4]]);
-        assert_eq!(a.last_hidden(), b.last_hidden());
     }
 
     /// Finite-difference gradient check over every parameter of a tiny LSTM.
@@ -1007,17 +478,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn grads_accumulate_and_scale() {
-        let mut a = LstmGrads::zeros(1, 2);
-        let mut b = LstmGrads::zeros(1, 2);
-        a.dw[(0, 0)] = 2.0;
-        b.dw[(0, 0)] = 3.0;
-        a.accumulate(&b);
-        assert_eq!(a.dw[(0, 0)], 5.0);
-        a.scale(0.5);
-        assert_eq!(a.dw[(0, 0)], 2.5);
     }
 }

@@ -11,8 +11,9 @@
 //! train-epoch cost and how the `kernel_equivalence` suite checks that
 //! `TrainReport` losses agree within tolerance.
 
+use ld_linalg::Matrix;
+
 use crate::forecaster::{ForecasterGrads, LstmForecaster};
-use crate::optim::Optimizer;
 use crate::trainer::Trainable;
 
 /// An [`LstmForecaster`] trained exclusively through the pre-change slow
@@ -41,13 +42,8 @@ impl Trainable for ReferenceLstmForecaster {
     fn clip(grads: &mut Self::Grads, max_norm: f64) -> bool {
         grads.clip_global_norm(max_norm)
     }
-    fn apply(&mut self, grads: &Self::Grads, opt: &mut dyn Optimizer) {
-        opt.begin_step();
-        let mut slot = 0usize;
-        self.0.visit_params(grads, &mut |p, g| {
-            opt.update(slot, p, g);
-            slot += 1;
-        });
+    fn visit_params(&mut self, grads: &Self::Grads, f: &mut impl FnMut(&mut Matrix, &Matrix)) {
+        self.0.visit_params(grads, f);
     }
     fn predict(&self, window: &[f64]) -> f64 {
         self.0.predict_reference(window)

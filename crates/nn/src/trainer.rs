@@ -2,12 +2,13 @@
 //! accumulation, global-norm clipping, and early stopping on a validation
 //! split.
 //!
-//! The loop is generic over [`Trainable`] so the stacked-LSTM forecaster and
-//! the feed-forward ablation baseline share one implementation. Per-batch
-//! gradients are computed sample-parallel with rayon (each worker folds its
-//! chunk into a local gradient accumulator, then accumulators reduce
-//! pairwise), which is the dominant cost of the whole framework — the
-//! Bayesian-optimization loop above trains hundreds of these models.
+//! The loop is generic over [`Trainable`] so the stacked recurrent
+//! forecasters (LSTM and GRU, one impl) and the feed-forward ablation
+//! baseline share one implementation. Per-batch gradients are computed
+//! sample-parallel with rayon (each worker folds its chunk into a local
+//! gradient accumulator, then accumulators reduce pairwise), which is the
+//! dominant cost of the whole framework — the Bayesian-optimization loop
+//! above trains hundreds of these models.
 
 use ld_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -15,8 +16,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
+use crate::forecaster::{ForecasterGrads, RecurrentForecaster};
 use crate::loss::mse;
 use crate::optim::Optimizer;
+use crate::recurrent::Cell;
 use crate::Sample;
 
 /// A model the [`Trainer`] can fit: cloneable (snapshots for early
@@ -46,23 +49,34 @@ pub trait Trainable: Clone + Send + Sync {
     /// Clips the global gradient norm in place. Returns whether clipping
     /// actually rescaled the gradients (telemetry counts activations).
     fn clip(grads: &mut Self::Grads, max_norm: f64) -> bool;
-    /// Applies one optimizer step with the given (already averaged) grads.
-    fn apply(&mut self, grads: &Self::Grads, opt: &mut dyn Optimizer);
+    /// Visits `(parameter, gradient)` tensor pairs in a fixed order: the
+    /// order numbers the optimizer's state slots.
+    fn visit_params(&mut self, grads: &Self::Grads, f: &mut impl FnMut(&mut Matrix, &Matrix));
+    /// Applies one optimizer step with the given (already averaged) grads,
+    /// the `n`-th visited tensor pair updating optimizer slot `n`.
+    fn apply(&mut self, grads: &Self::Grads, opt: &mut dyn Optimizer) {
+        opt.begin_step();
+        let mut slot = 0usize;
+        self.visit_params(grads, &mut |p, g| {
+            opt.update(slot, p, g);
+            slot += 1;
+        });
+    }
     /// Point prediction for a window.
     fn predict(&self, window: &[f64]) -> f64;
 }
 
-impl Trainable for crate::forecaster::LstmForecaster {
-    type Grads = crate::forecaster::ForecasterGrads;
+impl<C: Cell> Trainable for RecurrentForecaster<C> {
+    type Grads = ForecasterGrads;
 
     fn zero_grads(&self) -> Self::Grads {
-        crate::forecaster::LstmForecaster::zero_grads(self)
+        RecurrentForecaster::zero_grads(self)
     }
     fn sample_grads(&self, window: &[f64], target: f64) -> (f64, Self::Grads) {
-        crate::forecaster::LstmForecaster::sample_grads(self, window, target)
+        RecurrentForecaster::sample_grads(self, window, target)
     }
     fn sample_grads_into(&self, window: &[f64], target: f64, grads: &mut Self::Grads) -> f64 {
-        crate::forecaster::LstmForecaster::sample_grads_into(self, window, target, grads)
+        RecurrentForecaster::sample_grads_into(self, window, target, grads)
     }
     fn accumulate(into: &mut Self::Grads, other: &Self::Grads) {
         into.accumulate(other);
@@ -73,16 +87,11 @@ impl Trainable for crate::forecaster::LstmForecaster {
     fn clip(grads: &mut Self::Grads, max_norm: f64) -> bool {
         grads.clip_global_norm(max_norm)
     }
-    fn apply(&mut self, grads: &Self::Grads, opt: &mut dyn Optimizer) {
-        opt.begin_step();
-        let mut slot = 0usize;
-        self.visit_params(grads, &mut |p: &mut Matrix, g: &Matrix| {
-            opt.update(slot, p, g);
-            slot += 1;
-        });
+    fn visit_params(&mut self, grads: &Self::Grads, f: &mut impl FnMut(&mut Matrix, &Matrix)) {
+        RecurrentForecaster::visit_params(self, grads, f);
     }
     fn predict(&self, window: &[f64]) -> f64 {
-        crate::forecaster::LstmForecaster::predict(self, window)
+        RecurrentForecaster::predict(self, window)
     }
 }
 
@@ -107,13 +116,8 @@ impl Trainable for crate::mlp::MlpForecaster {
     fn clip(grads: &mut Self::Grads, max_norm: f64) -> bool {
         grads.clip_global_norm(max_norm)
     }
-    fn apply(&mut self, grads: &Self::Grads, opt: &mut dyn Optimizer) {
-        opt.begin_step();
-        let mut slot = 0usize;
-        self.visit_params(grads, &mut |p: &mut Matrix, g: &Matrix| {
-            opt.update(slot, p, g);
-            slot += 1;
-        });
+    fn visit_params(&mut self, grads: &Self::Grads, f: &mut impl FnMut(&mut Matrix, &Matrix)) {
+        crate::mlp::MlpForecaster::visit_params(self, grads, f);
     }
     fn predict(&self, window: &[f64]) -> f64 {
         crate::mlp::MlpForecaster::predict(self, window)
@@ -690,9 +694,8 @@ mod tests {
         fn clip(_grads: &mut Matrix, _max_norm: f64) -> bool {
             false
         }
-        fn apply(&mut self, grads: &Matrix, opt: &mut dyn Optimizer) {
-            opt.begin_step();
-            opt.update(0, &mut self.w, grads);
+        fn visit_params(&mut self, grads: &Matrix, f: &mut impl FnMut(&mut Matrix, &Matrix)) {
+            f(&mut self.w, grads);
         }
         fn predict(&self, _window: &[f64]) -> f64 {
             self.w[(0, 0)]

@@ -15,30 +15,28 @@
 
 use std::cell::RefCell;
 
-use crate::gru::GruCache;
-use crate::lstm::LstmCache;
+use crate::recurrent::LayerCache;
 
-/// Scratch buffers shared by the LSTM/GRU/MLP forecaster kernels.
+/// Scratch buffers shared by the recurrent and MLP forecaster kernels.
 ///
 /// Fields are crate-internal: the kernels size every buffer on entry
 /// (`clear` + `resize`), so a workspace carries no shape state between calls
-/// and one instance serves models of different architectures back to back.
+/// and one instance serves models of different cells and architectures
+/// back to back.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Per-layer forward caches for a stacked LSTM.
-    pub(crate) lstm_caches: Vec<LstmCache>,
-    /// Per-layer forward caches for a stacked GRU.
-    pub(crate) gru_caches: Vec<GruCache>,
-    /// Gate pre-activations for one timestep (`4H` for LSTM, unused by GRU).
+    /// Per-layer forward caches of a stacked recurrent forecaster, for
+    /// every cell.
+    pub(crate) caches: Vec<LayerCache>,
+    /// Gate pre-activations for one timestep (`GATES * H`).
     pub(crate) z: Vec<f64>,
-    /// Gate pre-activation gradients (`4H` for LSTM, `3H` for GRU).
+    /// Gate pre-activation gradients (`GATES * H`).
     pub(crate) dz: Vec<f64>,
     /// Hidden-state gradient carried backwards across time (`H`).
     pub(crate) dh_next: Vec<f64>,
-    /// Cell-state gradient carried backwards (LSTM) / next `dh_prev` (GRU).
-    pub(crate) dc_next: Vec<f64>,
-    /// Gradient w.r.t. the reset-scaled state `r . h_{t-1}` (GRU only, `H`).
-    pub(crate) drh: Vec<f64>,
+    /// The cell's own `H`-wide backward buffer: the LSTM's carried
+    /// cell-state gradient, the GRU's gradient w.r.t. `r . h_{t-1}`.
+    pub(crate) dstate: Vec<f64>,
     /// Gradient flowing into the current layer's hidden sequence (`T x H`).
     pub(crate) dseq_a: Vec<f64>,
     /// Gradient w.r.t. the current layer's inputs (`T x input_dim`); swapped
@@ -60,18 +58,11 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Ensures `n` per-layer LSTM caches exist (contents are reset by the
+    /// Ensures `n` per-layer caches exist (contents are reset by the
     /// forward kernel).
-    pub(crate) fn ensure_lstm_caches(&mut self, n: usize) {
-        if self.lstm_caches.len() < n {
-            self.lstm_caches.resize_with(n, LstmCache::default);
-        }
-    }
-
-    /// Ensures `n` per-layer GRU caches exist.
-    pub(crate) fn ensure_gru_caches(&mut self, n: usize) {
-        if self.gru_caches.len() < n {
-            self.gru_caches.resize_with(n, GruCache::default);
+    pub(crate) fn ensure_caches(&mut self, n: usize) {
+        if self.caches.len() < n {
+            self.caches.resize_with(n, LayerCache::default);
         }
     }
 }
@@ -107,11 +98,9 @@ mod tests {
     #[test]
     fn ensure_caches_grows_monotonically() {
         let mut ws = Workspace::new();
-        ws.ensure_lstm_caches(3);
-        assert_eq!(ws.lstm_caches.len(), 3);
-        ws.ensure_lstm_caches(1);
-        assert_eq!(ws.lstm_caches.len(), 3);
-        ws.ensure_gru_caches(2);
-        assert_eq!(ws.gru_caches.len(), 2);
+        ws.ensure_caches(3);
+        assert_eq!(ws.caches.len(), 3);
+        ws.ensure_caches(1);
+        assert_eq!(ws.caches.len(), 3);
     }
 }

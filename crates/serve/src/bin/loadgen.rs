@@ -22,7 +22,9 @@
 //! Modes: full (default, writes `BENCH_serve.json` + a provenance
 //! manifest) and `--smoke` (tiny counts, all checks, writes nothing unless
 //! `--out` is given — wired into `scripts/ci.sh`). `--check PATH` validates
-//! an existing document against the schema and exits.
+//! an existing document against the schema, then replays its batched pass
+//! (the document's seed, tenants, ticks and mode) and exits non-zero unless
+//! that recomputes the committed `response_digest` bit for bit.
 //!
 //! `--chaos` switches to the resilience soak: a fault-free baseline pass
 //! records every tenant's model-path answer bits, then two identically-
@@ -124,6 +126,7 @@ fn parse_args() -> Result<Cfg, i32> {
     let mut chaos_seed: Option<u64> = None;
     let mut out: Option<String> = None;
     let mut store_root = PathBuf::from("target/ld-serve-loadgen");
+    let mut check: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |what: &str| {
@@ -142,10 +145,7 @@ fn parse_args() -> Result<Cfg, i32> {
             }
             "--out" => out = Some(take("--out")),
             "--store" => store_root = PathBuf::from(take("--store")),
-            "--check" => {
-                let path = take("--check");
-                return Err(check_document(&path, validate_document, "BENCH_serve"));
-            }
+            "--check" => check = Some(take("--check")),
             "--check-resilience" => {
                 let path = take("--check-resilience");
                 return Err(check_document(
@@ -165,7 +165,9 @@ fn parse_args() -> Result<Cfg, i32> {
                      --top prints periodic ld-top interval summaries during the batched \
                      pass;\n--smoke runs tiny counts with every check and writes nothing \
                      unless --out is given;\n--check / --check-resilience validate an \
-                     existing document against its schema (exit 2 on violation);\n\
+                     existing document against its schema (exit 2 on violation), and \
+                     --check then replays the document's batched pass to recompute its \
+                     response_digest (exit 1 on a mismatch);\n\
                      LD_METRICS=1|PATH dumps the metrics snapshot (JSON + <path>.prom \
                      exposition, default metrics.json)"
                 );
@@ -176,6 +178,9 @@ fn parse_args() -> Result<Cfg, i32> {
                 return Err(2);
             }
         }
+    }
+    if let Some(path) = check {
+        return Err(check_serve_document(&path, store_root));
     }
     let (default_tenants, default_ticks) = match (smoke, chaos) {
         (true, false) => (24, 6),
@@ -248,6 +253,57 @@ fn check_document(path: &str, validate: fn(&str) -> Result<(), String>, what: &s
             eprintln!("{path}: INVALID {what} document: {why}");
             2
         }
+    }
+}
+
+/// `--check BENCH_serve.json`: the schema check, then a replay of the
+/// document's batched pass that must reproduce its `response_digest`. The
+/// digest hashes every answer's bits, so this proves training and batched
+/// serving still compute what the document was generated from.
+fn check_serve_document(path: &str, store_root: PathBuf) -> i32 {
+    let code = check_document(path, validate_document, "BENCH_serve");
+    if code != 0 {
+        return code;
+    }
+    // The schema check read and validated these fields.
+    let text = std::fs::read_to_string(path).expect("document was just read");
+    let doc: serde::Value = serde_json::from_str(&text).expect("document was just parsed");
+    let field = |key: &str| doc.field(key).expect("validated field");
+    let count = |key: &str| {
+        let v = field(key).as_u64().expect("validated integer");
+        usize::try_from(v).expect("count fits usize")
+    };
+    let mode = field("mode").as_str().expect("validated mode");
+    let want = field("response_digest").as_str().expect("validated digest");
+    let cfg = Cfg {
+        smoke: mode == "smoke",
+        chaos: false,
+        top: false,
+        tenants: count("tenants"),
+        ticks: count("ticks"),
+        seed: field("seed").as_u64().expect("validated seed"),
+        chaos_seed: 0,
+        out: None,
+        metrics_out: None,
+        store_root,
+    };
+    assert_eq!(count("families"), WorkloadKind::ALL.len(), "validated family count");
+    println!(
+        "{path}: replaying the batched pass ({} tenants x {} ticks, {mode}, seed {})",
+        cfg.tenants, cfg.ticks, cfg.seed
+    );
+    let families = train_family_models(&cfg);
+    let history_len = families[0].0.config().history_len;
+    let tenants = build_tenants(&cfg, &families);
+    let mut engine = batched_engine(&cfg, &tenants, &families);
+    let pass = run_pass(&mut engine, &tenants, cfg.ticks, history_len, None, 0);
+    let got = format!("{:016x}", response_digest(&pass.responses));
+    if got == want {
+        println!("{path}: response_digest {got} recomputed bit for bit");
+        0
+    } else {
+        eprintln!("{path}: response_digest MISMATCH: document {want}, replay {got}");
+        1
     }
 }
 
@@ -372,6 +428,27 @@ fn provision_all(
         let snap = ModelSnapshot::new(model, tenant.scaler, n);
         engine.provision(tenant.key.clone(), snap);
     }
+}
+
+/// The engine of the batched throughput pass: every tenant provisioned and
+/// resident, metrics plane on. Metrics are pure observers, so its response
+/// digest must still match the committed document — which is exactly the
+/// regression this arrangement guards.
+fn batched_engine(
+    cfg: &Cfg,
+    tenants: &[Tenant],
+    families: &[(LstmForecaster, Vec<f64>)],
+) -> ServeEngine {
+    let mut engine = engine_for(
+        ExecMode::Batched,
+        cfg.tenants.max(1),
+        cfg.tenants.max(1),
+        open_store(&cfg.store_root, "batched"),
+        Tracer::disabled(),
+    )
+    .with_metrics(Metrics::enabled());
+    provision_all(&mut engine, tenants, families);
+    engine
 }
 
 /// The deterministic request schedule: at tick `k`, every tenant asks for a
@@ -503,18 +580,7 @@ fn main() {
     provision_all(&mut serial_engine, &tenants, &families);
     let serial = run_pass(&mut serial_engine, &tenants, cfg.ticks, history_len, None, 0);
 
-    // The batched pass always runs with the metrics plane on: metrics are
-    // pure observers, so its response digest must still match the committed
-    // document — which is exactly the regression this arrangement guards.
-    let mut batched_engine = engine_for(
-        ExecMode::Batched,
-        cfg.tenants.max(1),
-        per_shard_full,
-        open_store(&cfg.store_root, "batched"),
-        Tracer::disabled(),
-    )
-    .with_metrics(Metrics::enabled());
-    provision_all(&mut batched_engine, &tenants, &families);
+    let mut batched_engine = batched_engine(&cfg, &tenants, &families);
     let mut slo = SloTracker::new(THROUGHPUT_SLO);
     let top_every = if cfg.top { (cfg.ticks / 6).max(1) } else { 0 };
     let batched = run_pass(

@@ -1,0 +1,86 @@
+//! CLI contract of `ld-loadgen --check`: the schema check, then a replay
+//! of the document's batched pass that must recompute its
+//! `response_digest`. Exit 0 when it does, 1 when the digest differs, 2 on
+//! a schema violation. Exercised against the real binary on a smoke
+//! document it writes itself, then on doctored copies of it.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn scratch() -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/ld-serve-loadgen-check");
+    fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn loadgen(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ld-loadgen"))
+        .args(args)
+        .output()
+        .expect("spawn ld-loadgen")
+}
+
+fn check(doc: &Path, store: &Path) -> Output {
+    loadgen(&[
+        "--store",
+        store.to_str().unwrap(),
+        "--check",
+        doc.to_str().unwrap(),
+    ])
+}
+
+fn describe(out: &Output) -> String {
+    format!(
+        "stdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    )
+}
+
+#[test]
+fn check_recomputes_the_response_digest() {
+    let dir = scratch();
+    let store = dir.join("store");
+    let doc = dir.join("smoke.json");
+    let run = loadgen(&[
+        "--smoke",
+        "--store",
+        store.to_str().unwrap(),
+        "--out",
+        doc.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "smoke run failed\n{}", describe(&run));
+
+    let out = check(&doc, &store);
+    assert_eq!(out.status.code(), Some(0), "{}", describe(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("recomputed bit for bit"));
+
+    // A well-formed digest the replay does not produce.
+    let text = fs::read_to_string(&doc).expect("read smoke document");
+    let digest_at = text.find("\"response_digest\": \"").expect("digest field") + 20;
+    let flipped = if &text[digest_at..=digest_at] == "0" { "1" } else { "0" };
+    let doctored = dir.join("doctored-digest.json");
+    fs::write(
+        &doctored,
+        format!("{}{flipped}{}", &text[..digest_at], &text[digest_at + 1..]),
+    )
+    .expect("write doctored document");
+    let out = check(&doctored, &store);
+    assert_eq!(out.status.code(), Some(1), "{}", describe(&out));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("MISMATCH"));
+
+    // Another seed replays another schedule, so the digest no longer holds.
+    let reseeded = dir.join("doctored-seed.json");
+    fs::write(&reseeded, text.replacen("\"seed\": 42", "\"seed\": 43", 1))
+        .expect("write reseeded document");
+    let out = check(&reseeded, &store);
+    assert_eq!(out.status.code(), Some(1), "{}", describe(&out));
+
+    // A schema violation still fails before any replay.
+    let broken = dir.join("doctored-schema.json");
+    fs::write(&broken, text.replacen("\"families\": 5", "\"families\": 4", 1))
+        .expect("write broken document");
+    let out = check(&broken, &store);
+    assert_eq!(out.status.code(), Some(2), "{}", describe(&out));
+}

@@ -26,6 +26,11 @@
 //!   digest pinned before the builder changed.
 //! - A full `Trainer::fit` run through the fast path vs the reference
 //!   trainer semantics: identical epoch count, losses within 1e-7 relative.
+//! - Both recurrent cells against their own past: a two-layer LSTM fit
+//!   (every epoch loss, held-out forecasts, JSON snapshot bytes) digested
+//!   **bitwise**, and a two-layer GRU fit's recorded values within 1e-9
+//!   per forward or gradient call and 1e-7 over the fit. Both were pinned
+//!   before the cells moved onto one recurrent engine.
 
 use ld_gp::gram;
 use ld_gp::{Kernel, KernelKind};
@@ -51,7 +56,7 @@ fn window(len: usize, rng: &mut StdRng) -> Vec<f64> {
 
 fn grad_matrices(g: &ForecasterGrads) -> Vec<&Matrix> {
     let mut out = Vec::new();
-    for layer in &g.lstm {
+    for layer in &g.layers {
         out.push(&layer.dw);
         out.push(&layer.du);
         out.push(&layer.db);
@@ -397,6 +402,122 @@ fn cloudinsight_walk_forward_matches_golden_digest() {
         }
     }
     assert_eq!(format!("{digest:016x}"), "c59d06a9de5dd210");
+}
+
+/// FNV-1a, folding `bytes` into `digest`.
+fn fnv1a(digest: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// A fixed, seasonal-plus-sawtooth series in `[0, 1]`.
+fn golden_series() -> Vec<f64> {
+    (0..120)
+        .map(|i| 0.5 + 0.35 * (i as f64 * 0.21).sin() + 0.1 * ((i * 7) % 11) as f64 / 11.0)
+        .collect()
+}
+
+/// The pinned recurrent fit: history 8, width 5, two stacked layers.
+fn golden_config() -> ForecasterConfig {
+    ForecasterConfig {
+        history_len: 8,
+        hidden_size: 5,
+        num_layers: 2,
+        seed: 23,
+    }
+}
+
+/// Fits `model` for five epochs with the production trainer and Adam.
+/// Returns every epoch's train and validation loss and the fitted model's
+/// forecasts over the held-out tail.
+fn golden_fit<M: ld_nn::trainer::Trainable>(model: &mut M) -> (Vec<f64>, Vec<f64>) {
+    let samples = make_windows(&golden_series(), 8);
+    let (train, rest) = samples.split_at(80);
+    let (val, test) = rest.split_at(16);
+    let trainer = Trainer::new(TrainOptions {
+        batch_size: 16,
+        max_epochs: 5,
+        patience: 0,
+        shuffle_seed: 5,
+        ..TrainOptions::default()
+    });
+    let report = trainer.fit(model, &mut Adam::new(AdamConfig::default()), train, val);
+    assert_eq!(report.epochs_run, 5);
+    let losses = report.train_losses.iter().chain(&report.val_losses).copied().collect();
+    let preds = test.iter().map(|s| model.predict(&s.window)).collect();
+    (losses, preds)
+}
+
+#[test]
+fn lstm_fit_matches_golden_digest() {
+    // The production LSTM path (workspace forward, fused gate step, BPTT
+    // over the cached transposes, the trainer's fixed-chunk batch
+    // reduction, Adam) digested bit for bit: every epoch loss, the fitted
+    // model's held-out forecasts, then its JSON snapshot bytes.
+    let mut model = LstmForecaster::new(golden_config());
+    let (losses, preds) = golden_fit(&mut model);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for v in losses.iter().chain(&preds) {
+        fnv1a(&mut digest, &v.to_bits().to_le_bytes());
+    }
+    fnv1a(&mut digest, model.to_json().as_bytes());
+    assert_eq!(format!("{digest:016x}"), "bd0abad505c6a448");
+}
+
+#[test]
+fn gru_fit_matches_golden_values() {
+    let mut model = ld_nn::GruForecaster::new(golden_config());
+    // One forward and one gradient call on the fresh model: 1e-9.
+    let probe = &golden_series()[..8];
+    let (loss, grads) = model.sample_grads(probe, 0.5);
+    let per_call = [model.predict(probe), loss, grads.global_norm()];
+    // A whole fit compounds per-call reordering over every step: 1e-7.
+    let (losses, preds) = golden_fit(&mut model);
+    let want_per_call = [0.10833249899943852, 0.15340343134002482, 1.9997821390658488];
+    // Five train-epoch losses, then five validation losses.
+    let want_losses = [
+        0.23061425040548605,
+        0.1790847723401221,
+        0.13600320360332935,
+        0.09969125923503123,
+        0.07584990148445456,
+        0.35286788681182285,
+        0.2803095415182009,
+        0.21798096191472238,
+        0.16664350992404095,
+        0.12373606353104102,
+    ];
+    let want_preds = [
+        0.44240126854740663,
+        0.4295121307126797,
+        0.41632792712273214,
+        0.39898812481914253,
+        0.37563223272957225,
+        0.354614489715969,
+        0.3318099441765713,
+        0.3062491079588824,
+        0.28776601855609685,
+        0.27193200947943447,
+        0.26619902540198154,
+        0.2645697215218955,
+        0.26466474230249565,
+        0.27421761268793965,
+        0.28771285572529853,
+        0.3022992682751084,
+    ];
+    for (i, (got, want)) in per_call.iter().zip(&want_per_call).enumerate() {
+        assert_rel(&format!("GRU per-call value {i}"), *got, *want, 1e-9);
+    }
+    assert_eq!(losses.len(), want_losses.len());
+    for (e, (got, want)) in losses.iter().zip(&want_losses).enumerate() {
+        assert_rel(&format!("GRU loss {e}"), *got, *want, 1e-7);
+    }
+    assert_eq!(preds.len(), want_preds.len());
+    for (j, (got, want)) in preds.iter().zip(&want_preds).enumerate() {
+        assert_rel(&format!("GRU held-out forecast {j}"), *got, *want, 1e-7);
+    }
 }
 
 #[test]
