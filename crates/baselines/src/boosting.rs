@@ -6,7 +6,7 @@
 //! by a learning rate.
 
 use crate::ml::Regressor;
-use crate::tree::{self, Columns, DecisionTree, SplitPolicy, TreeConfig};
+use crate::tree::{Columns, DecisionTree, SplitPolicy, TreeConfig};
 
 /// Gradient-boosting regressor.
 #[derive(Debug, Clone)]
@@ -67,13 +67,9 @@ impl Regressor for GradientBoosting {
         };
         // Every stage fits the same rows in the same order and only the
         // residuals change, so the layout, the ranks and the root node's
-        // sorted keys are built once. `None` routes every stage through the
-        // reference builder instead.
-        let shared = (!tree::reference_fit()).then(|| {
-            let cols = Columns::new(xs, true);
-            let root_keys = cols.root_keys();
-            (cols, root_keys)
-        });
+        // sorted keys are built once.
+        let cols = Columns::new(xs, true);
+        let root_keys = cols.root_keys();
         for stage in 0..self.n_stages {
             // Early exit when residuals are numerically dead.
             let sse: f64 = residuals.iter().map(|r| r * r).sum();
@@ -81,10 +77,7 @@ impl Regressor for GradientBoosting {
                 break;
             }
             let mut tree = DecisionTree::new(config, self.seed.wrapping_add(stage as u64));
-            match &shared {
-                Some((cols, root_keys)) => tree.fit_columns(cols, &residuals, Some(root_keys)),
-                None => tree.fit_reference(xs, &residuals),
-            }
+            tree.fit_columns(&cols, &residuals, Some(&root_keys));
             for (r, x) in residuals.iter_mut().zip(xs) {
                 *r -= self.learning_rate * tree.predict(x);
             }

@@ -71,13 +71,12 @@ pub struct CloudInsight {
     pub eval_window: usize,
     /// Member count at or above which the fit/predict pool sweeps run
     /// member-parallel — and only when more than one rayon worker exists:
-    /// on a single-thread pool the par_iter plumbing is pure overhead
-    /// (measured as the cloudinsight-window row dipping below 1x), so
+    /// on a single-thread pool the par_iter plumbing is pure overhead, so
     /// single-core hosts always sweep serially. Each worker owns one
     /// member and its own output slot, so results are bitwise identical
-    /// to the serial sweep — this is purely a performance knob
-    /// (`usize::MAX` forces serial, `0` lifts the size restriction).
-    pub parallel_threshold: usize,
+    /// to the serial sweep; the serial-vs-parallel test below forces each
+    /// sweep (`usize::MAX` serial, `0` parallel).
+    parallel_threshold: usize,
     errors: Vec<VecDeque<f64>>,
     /// Member predictions awaiting their actual, and the interval index
     /// they predicted.

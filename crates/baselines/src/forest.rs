@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::ml::Regressor;
-use crate::tree::{self, Columns, DecisionTree, SplitPolicy, TreeConfig};
+use crate::tree::{Columns, DecisionTree, SplitPolicy, TreeConfig};
 
 /// Forest flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +90,8 @@ impl Regressor for Forest {
         };
         let kind = self.kind;
         let seed = self.seed;
-        // Laid out (and, for best splits, ranked) once for all the trees;
-        // `None` routes every tree through the reference builder instead.
-        let shared =
-            (!tree::reference_fit()).then(|| Columns::new(xs, config.policy == SplitPolicy::Best));
+        // Laid out (and, for best splits, ranked) once for all the trees.
+        let cols = Columns::new(xs, config.policy == SplitPolicy::Best);
         self.trees = (0..self.n_trees)
             .into_par_iter()
             .map(|t| {
@@ -108,20 +106,10 @@ impl Regressor for Forest {
                         let n = xs.len();
                         let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
                         let by: Vec<f64> = rows.iter().map(|&i| ys[i]).collect();
-                        match &shared {
-                            // Bootstrap rows inherit their source row's ranks.
-                            Some(cols) => tree.fit_columns(&cols.gather(&rows), &by, None),
-                            None => {
-                                let bx: Vec<Vec<f64>> =
-                                    rows.iter().map(|&i| xs[i].clone()).collect();
-                                tree.fit_reference(&bx, &by);
-                            }
-                        }
+                        // Bootstrap rows inherit their source row's ranks.
+                        tree.fit_columns(&cols.gather(&rows), &by, None);
                     }
-                    ForestKind::ExtraTrees => match &shared {
-                        Some(cols) => tree.fit_columns(cols, ys, None),
-                        None => tree.fit_reference(xs, ys),
-                    },
+                    ForestKind::ExtraTrees => tree.fit_columns(&cols, ys, None),
                 }
                 tree
             })

@@ -16,32 +16,13 @@
 //! break by node position exactly as the reference's stable sort breaks
 //! them, every floating-point accumulation keeps its order, and the RNG
 //! draw sequence is untouched, so the fitted tree is **bitwise identical**
-//! to the retained reference builder — [`set_reference_fit`] routes every
-//! tree fit, ensemble members included, back to the reference path so
-//! tests and benchmarks can compare the two.
+//! to the retained index-sort reference builder, which only this module's
+//! tests compile and compare against.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::ml::Regressor;
-
-/// Process-wide toggle routing [`Regressor::fit`] for trees through the
-/// retained reference builder (per-node index-list sorts over the nested
-/// sample rows) instead of the rank-keyed builder. Benchmarks flip it to
-/// time the pre-change semantics; both builders grow bitwise identical
-/// trees, so this is never a correctness knob.
-static REFERENCE_FIT: AtomicBool = AtomicBool::new(false);
-
-/// Routes tree fits through the reference builder when `on`.
-pub fn set_reference_fit(on: bool) {
-    REFERENCE_FIT.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`set_reference_fit`] is on.
-pub(crate) fn reference_fit() -> bool {
-    REFERENCE_FIT.load(Ordering::Relaxed)
-}
 
 /// Split-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,9 +112,10 @@ impl DecisionTree {
         }
     }
 
-    /// Reference builder, retained verbatim for [`set_reference_fit`]:
-    /// each best-split scan clones and sorts the node's index list and
-    /// gathers features through the nested `xs` rows.
+    /// Reference builder, retained verbatim as the rank-keyed builder's
+    /// test oracle: each best-split scan clones and sorts the node's index
+    /// list and gathers features through the nested `xs` rows.
+    #[cfg(test)]
     fn build_reference(
         &mut self,
         xs: &[Vec<f64>],
@@ -272,9 +254,9 @@ impl DecisionTree {
     }
 
     /// Reference fit on the nested sample rows: the oracle the rank-keyed
-    /// builder is pinned to, and what [`set_reference_fit`] routes every
-    /// tree fit (ensemble members included) through.
-    pub(crate) fn fit_reference(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
+    /// builder is pinned to.
+    #[cfg(test)]
+    fn fit_reference(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
         assert_eq!(xs.len(), ys.len());
         self.nodes.clear();
         if xs.is_empty() {
@@ -326,7 +308,7 @@ impl DecisionTree {
     /// `+0.0` where the reference skips: a sum that starts at `+0.0` is
     /// never `-0.0`, so adding `+0.0` leaves its bits unchanged. The
     /// partition is the reference's Lomuto pass written branch-free. Trees
-    /// are bitwise identical to [`Self::build_reference`].
+    /// are bitwise identical to the reference builder's.
     fn build_flat(
         &mut self,
         fit: &FlatFit<'_>,
@@ -627,10 +609,6 @@ struct Scratch {
 
 impl Regressor for DecisionTree {
     fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
-        if reference_fit() {
-            self.fit_reference(xs, ys);
-            return;
-        }
         let cols = Columns::new(xs, self.config.policy == SplitPolicy::Best);
         self.fit_columns(&cols, ys, None);
     }

@@ -2,32 +2,20 @@
 //!
 //! The Bayesian optimizer refits its surrogate after each observation, so
 //! over a search the Gram build is evaluated hundreds of times on steadily
-//! growing `n`. The default path is [`build_packed`]: the per-point
-//! coordinate `Vec`s are packed into one contiguous `n x d` slab and the
-//! symmetric matrix is filled in blockwise lower-triangle tiles, keeping
-//! both tiles' coordinate strips L1-resident instead of pointer-chasing a
-//! heap allocation per pair. Past [`parallel_threshold`] training points —
-//! and only when more than one worker thread exists — the build is
-//! row-parallelized instead: each worker fills complete lower-triangle
-//! rows, then a serial sweep mirrors the strict lower triangle upward.
+//! growing `n`. From [`PACKED_MIN_POINTS`] training points on, [`build`]
+//! runs [`build_packed`]: the per-point coordinate `Vec`s are packed into
+//! one contiguous `n x d` slab and the symmetric matrix is filled in
+//! blockwise lower-triangle tiles, keeping both tiles' coordinate strips
+//! L1-resident instead of pointer-chasing a heap allocation per pair.
 //! Every entry is computed exactly once with the same squared-distance
 //! accumulation order and the same family formula as the retained
-//! [`build_serial`] reference, so all paths are **bitwise identical** —
+//! [`build_serial`] reference, so both paths are **bitwise identical** —
 //! not merely tolerance-equivalent — and fit results are independent of
 //! the dispatch.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 use ld_linalg::Matrix;
-use rayon::prelude::*;
 
 use crate::kernel::Kernel;
-
-/// Default point count above which the build parallelizes. Row `i` costs
-/// `O(i d)`, so small matrices lose more to thread setup than they gain.
-const DEFAULT_PARALLEL_THRESHOLD: usize = 192;
-
-static PARALLEL_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PARALLEL_THRESHOLD);
 
 /// Tile edge for [`build_packed`]. A 32x32 tile of pair distances touches
 /// at most `2 * 32 * d` packed coordinates — for the BO search spaces here
@@ -43,45 +31,17 @@ const BLOCK: usize = 32;
 /// takes over at n=16 (1.07x) and widens to 1.25x by n=256.
 const PACKED_MIN_POINTS: usize = 15;
 
-static REFERENCE_BUILD: AtomicBool = AtomicBool::new(false);
-
-/// Routes [`build`] to the serial reference sweep regardless of size or
-/// thread count. This is the perf-bench "before" configuration; results
-/// are bitwise identical either way, so it is purely a timing knob.
-pub fn set_reference_build(on: bool) {
-    REFERENCE_BUILD.store(on, Ordering::Relaxed);
-}
-
-/// Current parallelization threshold (training-point count).
-pub fn parallel_threshold() -> usize {
-    PARALLEL_THRESHOLD.load(Ordering::Relaxed)
-}
-
-/// Overrides the parallelization threshold process-wide. `usize::MAX`
-/// forces the serial path (the perfbench "before" configuration); `0`
-/// lifts the size restriction entirely (the parallel path still requires
-/// more than one worker thread). Results are bitwise identical either
-/// way — this is purely a performance knob.
-pub fn set_parallel_threshold(n: usize) {
-    PARALLEL_THRESHOLD.store(n, Ordering::Relaxed);
-}
-
 /// Builds `K + noise I` for the given kernel and training inputs. Below
 /// [`PACKED_MIN_POINTS`] the serial sweep wins (no slab copy to amortize);
-/// from there the default path is the blocked [`build_packed`] sweep; past
-/// [`parallel_threshold`] training points — and only when more than one
-/// worker thread exists — the row-parallel build takes over (the mirror
-/// sweep it needs only pays for itself with real workers). All paths are
+/// from there the blocked [`build_packed`] sweep runs. Both paths are
 /// bitwise identical, so dispatch never affects fit results. Public so
 /// the perf-bench harness can time the Gram hot section in isolation.
 pub fn build(kernel: &Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
     let timing = crate::sections::enabled();
     // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the fit")
     let t0 = timing.then(std::time::Instant::now);
-    let k = if REFERENCE_BUILD.load(Ordering::Relaxed) || x.len() < PACKED_MIN_POINTS {
+    let k = if x.len() < PACKED_MIN_POINTS {
         build_serial(kernel, x, noise)
-    } else if x.len() >= parallel_threshold() && rayon::current_num_threads() > 1 {
-        build_parallel(kernel, x, noise)
     } else {
         build_packed(kernel, x, noise)
     };
@@ -92,9 +52,9 @@ pub fn build(kernel: &Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
 }
 
 /// The pre-change serial build, retained as the reference path (and the
-/// small-`n` fast path: no thread setup). Public so the perf-bench
-/// harness and the cross-crate equivalence suite can pin the optimized
-/// paths against it directly.
+/// small-`n` fast path: no slab copy). Public so the perf-bench harness
+/// and the cross-crate equivalence suite can pin the packed path against
+/// it directly.
 pub fn build_serial(kernel: &Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
     let n = x.len();
     let mut k = Matrix::zeros(n, n);
@@ -202,32 +162,6 @@ pub fn build_packed(kernel: &Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
     k
 }
 
-/// Row-parallel symmetric build. Workers own disjoint row slices (rayon
-/// chunked rows), each filling its lower triangle `j <= i`; the upper
-/// triangle is mirrored serially afterwards. Deterministic: no entry is
-/// computed twice, and values match [`build_serial`] bitwise. Public for
-/// the same reason as [`build_serial`].
-pub fn build_parallel(kernel: &Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
-    let n = x.len();
-    let mut k = Matrix::zeros(n, n);
-    k.as_mut_slice()
-        .par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, row)| {
-            for j in 0..=i {
-                row[j] = kernel.eval(&x[i], &x[j]);
-            }
-            row[i] += noise;
-        });
-    for i in 0..n {
-        for j in 0..i {
-            let v = k[(i, j)];
-            k[(j, i)] = v;
-        }
-    }
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,21 +175,6 @@ mod tests {
                     .collect()
             })
             .collect()
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_bitwise() {
-        for (n, d) in [(1usize, 1usize), (7, 3), (40, 4), (65, 2)] {
-            let x = points(n, d);
-            let kernel = Kernel::new(KernelKind::Matern52, 1.3, 0.4);
-            let serial = build_serial(&kernel, &x, 1e-6);
-            let parallel = build_parallel(&kernel, &x, 1e-6);
-            assert_eq!(
-                serial.max_abs_diff(&parallel),
-                0.0,
-                "n={n} d={d}: parallel Gram differs from serial"
-            );
-        }
     }
 
     #[test]
@@ -285,17 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_knob_routes_to_serial_and_back() {
-        let x = points(20, 2);
-        let kernel = Kernel::new(KernelKind::Matern52, 1.1, 0.6);
-        let reference = build_serial(&kernel, &x, 1e-7);
-        set_reference_build(true);
-        assert_eq!(build(&kernel, &x, 1e-7).max_abs_diff(&reference), 0.0);
-        set_reference_build(false);
-        assert_eq!(build(&kernel, &x, 1e-7).max_abs_diff(&reference), 0.0);
-    }
-
-    #[test]
     fn empty_input_builds_empty_matrix() {
         let kernel = Kernel::new(KernelKind::Rbf, 1.0, 1.0);
         let k = build_packed(&kernel, &[], 1e-6);
@@ -303,23 +211,17 @@ mod tests {
     }
 
     #[test]
-    fn threshold_knob_round_trips() {
-        let orig = parallel_threshold();
-        set_parallel_threshold(7);
-        assert_eq!(parallel_threshold(), 7);
-        set_parallel_threshold(orig);
-        assert_eq!(parallel_threshold(), orig);
-    }
-
-    #[test]
     fn dispatcher_matches_serial_either_side_of_threshold() {
-        let x = points(30, 3);
         let kernel = Kernel::new(KernelKind::Rbf, 0.9, 0.25);
-        let reference = build_serial(&kernel, &x, 1e-8);
-        // Both dispatch outcomes produce the identical matrix, so exercise
-        // the build through whatever threshold is currently configured
-        // (other tests may race on the global knob) plus both forced paths.
-        assert_eq!(build(&kernel, &x, 1e-8).max_abs_diff(&reference), 0.0);
-        assert_eq!(build_parallel(&kernel, &x, 1e-8).max_abs_diff(&reference), 0.0);
+        // The last serial size, the first packed size, and one well past it.
+        for n in [PACKED_MIN_POINTS - 1, PACKED_MIN_POINTS, 30] {
+            let x = points(n, 3);
+            let reference = build_serial(&kernel, &x, 1e-8);
+            assert_eq!(
+                build(&kernel, &x, 1e-8).max_abs_diff(&reference),
+                0.0,
+                "n={n}"
+            );
+        }
     }
 }

@@ -9,8 +9,8 @@
 //!   predictive mean/variance, and the log marginal likelihood,
 //! - [`fit`]: hyperparameter selection by maximizing the log marginal
 //!   likelihood over a multi-resolution log-space grid,
-//! - [`gram`]: serial/row-parallel Gram construction (bitwise identical
-//!   paths; parallelism kicks in past a tunable point count),
+//! - [`gram`]: serial/packed Gram construction (bitwise identical paths;
+//!   the packed build takes over at a fixed, measured point count),
 //! - [`sections`]: opt-in nanosecond accounting for the Gram hot section.
 //!
 //! Targets are standardized internally so kernel hyperpriors are scale-free.

@@ -91,8 +91,8 @@ impl GpRegressor {
         };
         let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
 
-        // Gram matrix (row-parallel above the crate::gram threshold;
-        // bitwise identical to the serial build either way).
+        // Gram matrix (serial below the packed-build crossover, packed
+        // from there; bitwise identical to the serial build either way).
         let k = crate::gram::build(&kernel, x, noise);
 
         // Standard jitter schedule first; if the Gram matrix is so

@@ -45,19 +45,13 @@ pub(crate) fn add_cholesky(nanos: u64) {
     CHOLESKY_NANOS.fetch_add(nanos, Ordering::Relaxed);
 }
 
-/// Cumulative `(gram_build, cholesky)` nanoseconds since process start (or
-/// the last [`reset`]). Callers diff two snapshots to attribute a window.
+/// Cumulative `(gram_build, cholesky)` nanoseconds since process start.
+/// Callers diff two snapshots to attribute a window.
 pub fn totals() -> (u64, u64) {
     (
         GRAM_BUILD_NANOS.load(Ordering::Relaxed),
         CHOLESKY_NANOS.load(Ordering::Relaxed),
     )
-}
-
-/// Zeroes the counters (benchmark harness convenience).
-pub fn reset() {
-    GRAM_BUILD_NANOS.store(0, Ordering::Relaxed);
-    CHOLESKY_NANOS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

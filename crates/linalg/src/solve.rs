@@ -7,18 +7,6 @@
 //! numerical backend.
 
 use crate::{guard, Cholesky, LinalgError, Matrix, Result};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide toggle routing [`lstsq`] through [`lstsq_reference`]
-/// (transpose + explicit `A^T A` product) instead of the fused-accumulation
-/// fast path. Benchmarks flip it to time the pre-change semantics; both
-/// paths are bitwise identical, so this is never a correctness knob.
-static REFERENCE_LSTSQ: AtomicBool = AtomicBool::new(false);
-
-/// Routes [`lstsq`] through the reference normal-equations build when `on`.
-pub fn set_reference_lstsq(on: bool) {
-    REFERENCE_LSTSQ.store(on, Ordering::Relaxed);
-}
 
 /// Solves a general square system `A x = b` by Gaussian elimination with
 /// partial pivoting.
@@ -102,9 +90,6 @@ pub fn solve_square(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 /// workload segments produce them constantly) solvable; pass `0.0` for pure
 /// least squares on a well-conditioned design.
 pub fn lstsq(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
-    if REFERENCE_LSTSQ.load(Ordering::Relaxed) {
-        return lstsq_reference(a, b, ridge);
-    }
     if a.rows() != b.len() {
         return Err(LinalgError::ShapeMismatch {
             context: format!("lstsq: {} rows vs rhs {}", a.rows(), b.len()),
@@ -136,8 +121,7 @@ pub fn lstsq(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
 
 /// The pre-change [`lstsq`] semantics: materialize `A^T`, build `A^T A`
 /// with the naive streaming product, then solve. Retained as the bitwise
-/// reference the fused build is pinned against (and timed against by
-/// `ld-perfbench`).
+/// reference the fused build is pinned against.
 pub fn lstsq_reference(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
     if a.rows() != b.len() {
         return Err(LinalgError::ShapeMismatch {
@@ -303,14 +287,6 @@ mod tests {
                 assert_eq!(fast.len(), reference.len());
                 for (f, r) in fast.iter().zip(&reference) {
                     assert_eq!(f.to_bits(), r.to_bits(), "{rows}x{cols} ridge {ridge}");
-                }
-                // The process-wide knob routes the public entry point to
-                // the reference body.
-                set_reference_lstsq(true);
-                let via_knob = lstsq(&a, &b, ridge).unwrap();
-                set_reference_lstsq(false);
-                for (f, r) in via_knob.iter().zip(&reference) {
-                    assert_eq!(f.to_bits(), r.to_bits());
                 }
             }
         }

@@ -207,9 +207,10 @@ mod tests {
         let mut m = model.clone();
         m.visit_params(&grads, &mut |_p, g| analytic.extend_from_slice(g.as_slice()));
 
+        assert_eq!(analytic.len(), model.param_count());
         let zero = model.zero_grads();
         let eps = 1e-6;
-        for slot in 0..model.param_count() {
+        for (slot, &want) in analytic.iter().enumerate() {
             let mut plus = model.clone();
             let mut seen = 0;
             plus.visit_params(&zero, &mut |p, _| {
@@ -231,11 +232,7 @@ mod tests {
             let lp = (plus.predict(&w) - target).powi(2);
             let lm = (minus.predict(&w) - target).powi(2);
             let fd = (lp - lm) / (2.0 * eps);
-            assert!(
-                (fd - analytic[slot]).abs() < 1e-6,
-                "slot {slot}: fd {fd} vs {}",
-                analytic[slot]
-            );
+            assert!((fd - want).abs() < 1e-6, "slot {slot}: fd {fd} vs {want}");
         }
     }
 

@@ -51,20 +51,13 @@ pub(crate) fn add_bptt(nanos: u64) {
     BPTT_NANOS.fetch_add(nanos, Ordering::Relaxed);
 }
 
-/// Cumulative `(gate_matmul, bptt)` nanoseconds since process start (or the
-/// last [`reset`]). Callers diff two snapshots to attribute a window.
+/// Cumulative `(gate_matmul, bptt)` nanoseconds since process start.
+/// Callers diff two snapshots to attribute a window.
 pub fn totals() -> (u64, u64) {
     (
         GATE_MATMUL_NANOS.load(Ordering::Relaxed),
         BPTT_NANOS.load(Ordering::Relaxed),
     )
-}
-
-/// Zeroes both counters (benchmark harness convenience; not used by the
-/// trainer, which diffs snapshots instead).
-pub fn reset() {
-    GATE_MATMUL_NANOS.store(0, Ordering::Relaxed);
-    BPTT_NANOS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

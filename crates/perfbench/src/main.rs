@@ -1,20 +1,23 @@
 //! `ld-perfbench` — the reproducible perf-bench harness that seeds the
 //! repo's BENCH trajectory.
 //!
-//! Every named kernel is timed on two paths: the retained *reference*
-//! implementation ("before": allocating LSTM forward/backward, naive
-//! matmul, per-row gate dots, serial Gram build, reference least-squares
-//! council sweep) and the optimized implementation ("after":
-//! workspace-reusing LSTM kernels, packed register-tiled GEMM, fused gate
-//! step, blocked packed Gram, fused-lstsq council). Each run
-//! reports the median of `reps` timed repetitions taken after `warmup`
-//! discarded repetitions — medians because a shared CI box produces
-//! one-sided latency noise that a mean would absorb and a median rejects.
+//! Every named kernel is timed on two paths, each called by name: the
+//! retained *reference* implementation ("before": allocating LSTM
+//! forward/backward and reference trainer, naive matmul, per-row gate
+//! dots, serial Gram build) and the optimized implementation ("after":
+//! workspace-reusing LSTM kernels and trainer, packed register-tiled GEMM,
+//! fused gate step, the shipped serial-or-packed Gram dispatcher). The
+//! `metrics-overhead` row instead times one serving engine with its
+//! metrics plane on ("before") and off ("after"). Each run reports the
+//! median of `reps` timed repetitions taken after `warmup` discarded
+//! repetitions — medians because a shared CI box produces one-sided
+//! latency noise that a mean would absorb and a median rejects.
 //!
 //! Before anything is timed, every before/after pair is equivalence-checked
 //! (1e-9 relative for float paths, bitwise for the paths that guarantee it),
 //! so the harness can never publish a speedup between two computations that
-//! have silently drifted apart.
+//! have silently drifted apart. The CloudInsight walk-forward is timed end
+//! to end by the `ld-e2e` benchmark's `council` workload, not here.
 //!
 //! Modes:
 //! - full (default): realistic shapes; writes `BENCH_perf.json` (stable
@@ -23,8 +26,12 @@
 //!   JSON document is built and schema-checked, but nothing is written
 //!   unless `--out` is given. Wired into `scripts/ci.sh`.
 //!
-//! No external benchmark framework: the whole harness is the ~150 lines
-//! below, so its behavior is auditable and identical on every machine.
+//! No external benchmark framework: the whole harness is this one file, so
+//! its behavior is auditable and identical on every machine.
+//!
+//! Exit codes: 0 clean, 3 when `--compare` finds a regression, 2 on a usage
+//! error (unknown flag, missing or malformed flag value, unreadable or
+//! malformed baseline), reported before any row runs.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -32,14 +39,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use ld_api::{MinMaxScaler, Predictor};
-use ld_baselines::{tree, CloudInsight};
+use ld_api::MinMaxScaler;
 use ld_metrics::Metrics;
-use ld_bayesopt::{BayesianOptimizer, BoOptions, Dim, HyperOptimizer, ParamValue, SearchSpace};
 use ld_gp::gram;
 use ld_gp::{Kernel, KernelKind};
 use ld_linalg::pack::PackedA;
-use ld_linalg::{solve, Matrix};
+use ld_linalg::Matrix;
 use ld_nn::optim::{Adam, AdamConfig};
 use ld_nn::reference::ReferenceLstmForecaster;
 use ld_nn::{ForecasterConfig, LstmForecaster, Sample, TrainOptions, Trainer};
@@ -316,22 +321,14 @@ fn bench_gram_build(cfg: &Cfg) -> KernelResult {
         .map(|i| (0..d).map(|j| ((i * d + j) as f64 * 0.29).sin()).collect())
         .collect();
     let kernel = Kernel::new(KernelKind::Matern52, 1.2, 0.45);
-    // Packed and parallel builds must both be bitwise identical to the
-    // serial reference, and the shipped dispatcher (packed on single-core
-    // hosts, row-parallel past the point threshold) must agree with all
-    // of them.
+    // The packed build must be bitwise identical to the serial reference,
+    // and the shipped dispatcher must agree with both.
     let k_serial = gram::build_serial(&kernel, &x, 1e-6);
     let k_packed = gram::build_packed(&kernel, &x, 1e-6);
-    let k_parallel = gram::build_parallel(&kernel, &x, 1e-6);
     assert_eq!(
         k_serial.max_abs_diff(&k_packed),
         0.0,
         "gram-build: packed build is not bitwise identical to serial"
-    );
-    assert_eq!(
-        k_serial.max_abs_diff(&k_parallel),
-        0.0,
-        "gram-build: parallel build is not bitwise identical to serial"
     );
     assert_eq!(gram::build(&kernel, &x, 1e-6).max_abs_diff(&k_serial), 0.0);
     // Interleaved legs: both builds are pair-math-bound (an `exp` per
@@ -509,57 +506,19 @@ fn bench_fused_gate_step(cfg: &Cfg) -> KernelResult {
 }
 
 fn bench_bo_surrogate_gram(cfg: &Cfg) -> KernelResult {
-    let (budget, init, pool) = if cfg.smoke { (8, 3, 16) } else { (24, 6, 48) };
-    // The paper's Table III space (see `ld_core::space::paper_space`): the
-    // production tuner's surrogate is four-dimensional, so both the
-    // trajectory gate and the timed refit sequence use d=4 points.
-    let space = SearchSpace::new(vec![
-        Dim::int_log("hist_len", 1, 512),
-        Dim::int("c_size", 1, 100),
-        Dim::int("layers", 1, 5),
-        Dim::int_log("batch", 16, 1024),
-    ]);
-    let objective = |p: &[ParamValue]| {
-        let h = p[0].as_f64();
-        let c = p[1].as_f64();
-        let l = p[2].as_f64();
-        let b = p[3].as_f64();
-        (h.ln() - 3.0).powi(2)
-            + 0.02 * (c - 40.0).abs()
-            + 0.3 * l
-            + (b.ln() - 5.0).powi(2)
-            + 0.05 * (0.11 * c).sin()
-    };
-    let bo = BayesianOptimizer::new(BoOptions {
-        init_points: init,
-        candidate_pool: pool,
-        ..BoOptions::default()
-    });
-    // The Gram dispatch knob must never change the search trajectory:
-    // both configurations walk the identical observation sequence.
-    gram::set_reference_build(true);
-    let best_before = bo.optimize(&space, &objective, budget, 11).best().value;
-    gram::set_reference_build(false);
-    let best_after = bo.optimize(&space, &objective, budget, 11).best().value;
-    assert_eq!(
-        best_before.to_bits(),
-        best_after.to_bits(),
-        "bo-surrogate-gram: search trajectory changed with the Gram dispatch knob"
-    );
-    // What the knob toggles is the surrogate refit's Gram build — the
-    // Cholesky factor and solve around it are untouched by the dispatch
-    // (the gate above proves the whole search is bitwise invariant), so
-    // this row times exactly the Gram builds a production-budget search
-    // performs: one per refit, on the growing prefixes of a fixed
-    // observation set. The paper's tuner runs maxIters=100, growing the
-    // surrogate well past n=64; the range starts below the
+    // The Gram builds a production-budget search performs: one per
+    // surrogate refit, on the growing prefixes of a fixed observation set
+    // in the paper's four-dimensional Table III space (see
+    // `ld_core::space::paper_space`). The paper's tuner runs maxIters=100,
+    // growing the surrogate well past n=64; the range starts below the
     // `PACKED_MIN_POINTS` crossover so the shipped dispatcher's serial
-    // small-n choice is charged to the "after" leg. Timing whole
-    // `optimize` runs (or even whole `GpRegressor::fit`s) instead buries
-    // the Gram slice under candidate generation, acquisition sweeps and
-    // the factorization, and reads ~1.0x-with-noise regardless of the
-    // build. The range stays at full-search scale even in smoke mode —
-    // the sequence is sub-millisecond either way.
+    // small-n choice is charged to the "after" leg. "Before" is the serial
+    // reference build at every size. Timing whole `optimize` runs (or even
+    // whole `GpRegressor::fit`s) instead buries the Gram slice under
+    // candidate generation, acquisition sweeps and the factorization, and
+    // reads ~1.0x-with-noise regardless of the build. The range stays at
+    // full-search scale even in smoke mode — the sequence is
+    // sub-millisecond either way.
     let (lo, n_max) = (6usize, 64usize);
     let train_x: Vec<Vec<f64>> = (0..n_max)
         .map(|i| {
@@ -569,21 +528,31 @@ fn bench_bo_surrogate_gram(cfg: &Cfg) -> KernelResult {
         })
         .collect();
     let kernel = Kernel::default_matern52();
-    let builds = |reference: bool| {
-        gram::set_reference_build(reference);
+    // Every timed prefix must build the bitwise-identical matrix on both
+    // legs, so the surrogate fits (and the search) cannot tell them apart.
+    for n in lo..=n_max {
+        let x = &train_x[..n];
+        assert_eq!(
+            gram::build(&kernel, x, 1e-6).max_abs_diff(&gram::build_serial(&kernel, x, 1e-6)),
+            0.0,
+            "bo-surrogate-gram: n={n} dispatcher build is not bitwise identical to serial"
+        );
+    }
+    let builds = |build: fn(&Kernel, &[Vec<f64>], f64) -> Matrix| {
         for n in lo..=n_max {
-            black_box(gram::build(&kernel, &train_x[..n], 1e-6));
+            black_box(build(&kernel, &train_x[..n], 1e-6));
         }
     };
     let rounds = if cfg.smoke { 5 } else { 9 };
-    let (before, after) = interleaved_medians(rounds, || builds(true), || builds(false));
-    gram::set_reference_build(false);
+    let (before, after) = interleaved_medians(
+        rounds,
+        || builds(gram::build_serial),
+        || builds(gram::build),
+    );
     let n_builds = (n_max - lo + 1) as f64;
     KernelResult {
         name: "bo-surrogate-gram",
-        params: format!(
-            "gram builds for n={lo}..{n_max} growing refits, matern52 d=4 (per build; trajectory gate at budget={budget} pool={pool})"
-        ),
+        params: format!("gram builds for n={lo}..{n_max} growing refits, matern52 d=4 (per build)"),
         before_median_secs: before / n_builds,
         after_median_secs: after / n_builds,
     }
@@ -694,80 +663,6 @@ fn bench_metrics_overhead(cfg: &Cfg) -> KernelResult {
     }
 }
 
-fn bench_cloudinsight_window(cfg: &Cfg) -> KernelResult {
-    let (len, fit_to) = if cfg.smoke { (70, 50) } else { (220, 160) };
-    let data: Vec<f64> = (0..len)
-        .map(|i| 50.0 + 15.0 * ((i as f64) * 0.17).sin() + (i % 7) as f64)
-        .collect();
-    let run = |threshold: usize| -> Vec<f64> {
-        let mut ci = CloudInsight::new(5);
-        ci.parallel_threshold = threshold;
-        ci.fit(&data[..fit_to]);
-        (fit_to..len).map(|i| ci.predict(&data[..i])).collect()
-    };
-    // The window walk splits its time between the members' least-squares
-    // fits (six polynomial regressions plus AR/ARMA/ARIMA all call
-    // `solve::lstsq` per interval) and — dominating the row — the
-    // tree-ensemble refits (gradient boosting, random forest, extra
-    // trees). "Before" is the pre-change configuration: reference
-    // normal-equations build, reference per-node index-sort tree builder,
-    // and the serial member sweep. "After" is the shipped defaults: the
-    // fused streaming `lstsq` build, the rank-keyed tree builder,
-    // with the sweep going member-parallel only when the pool has real
-    // workers (single-core hosts sweep serially — the old behavior of
-    // paying rayon overhead on a one-thread pool is what dragged this row
-    // below 1x). All knobs are bitwise-neutral, so every interval must
-    // agree exactly across all configurations.
-    solve::set_reference_lstsq(true);
-    tree::set_reference_fit(true);
-    let reference = run(usize::MAX);
-    solve::set_reference_lstsq(false);
-    tree::set_reference_fit(false);
-    let shipped = run(16);
-    let parallel = run(0);
-    for (i, ((a, b), c)) in reference.iter().zip(&shipped).zip(&parallel).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "cloudinsight-window: interval {i} diverged ({a} vs {b})"
-        );
-        assert_eq!(
-            b.to_bits(),
-            c.to_bits(),
-            "cloudinsight-window: interval {i} sweep modes diverged"
-        );
-    }
-    // A single window walk is tens of milliseconds, so the two legs are
-    // timed interleaved: each round runs reference-then-shipped
-    // back-to-back, keeping host drift out of the ratio. "After" is the
-    // shipped default threshold (16 < 21 members).
-    let rounds = if cfg.smoke { 3 } else { 7 };
-    let (before, after) = interleaved_medians(
-        rounds,
-        || {
-            solve::set_reference_lstsq(true);
-            tree::set_reference_fit(true);
-            black_box(run(usize::MAX));
-        },
-        || {
-            solve::set_reference_lstsq(false);
-            tree::set_reference_fit(false);
-            black_box(run(16));
-        },
-    );
-    solve::set_reference_lstsq(false);
-    tree::set_reference_fit(false);
-    KernelResult {
-        name: "cloudinsight-window",
-        params: format!(
-            "21 members, fit {fit_to} + {} interval walk-forward",
-            len - fit_to
-        ),
-        before_median_secs: before,
-        after_median_secs: after,
-    }
-}
-
 /// Assembles the stable `BENCH_perf.json` document.
 fn to_document(cfg: &Cfg, results: &[KernelResult]) -> Value {
     Value::Object(vec![
@@ -817,7 +712,38 @@ fn validate_schema(text: &str, expected_kernels: usize) {
     }
 }
 
-/// Compares the current run against a committed baseline document.
+/// Parses a committed baseline document into its `(kernel, speedup)`
+/// entries. Called before any row runs, so a bad baseline is reported as a
+/// usage error rather than after minutes of timing.
+fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc: Value = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let version = doc
+        .field("schema_version")
+        .ok()
+        .and_then(Value::as_u64)
+        .ok_or("missing schema_version")?;
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version {version}, expected {SCHEMA_VERSION}"
+        ));
+    }
+    let Ok(Value::Array(kernels)) = doc.field("kernels") else {
+        return Err("kernels must be an array".to_string());
+    };
+    kernels
+        .iter()
+        .map(|k| {
+            let name = k.field("name").ok().and_then(Value::as_str);
+            let speedup = k.field("speedup").ok().and_then(Value::as_f64);
+            match (name, speedup) {
+                (Some(name), Some(speedup)) => Ok((name.to_string(), speedup)),
+                _ => Err("every kernel entry needs a name and a numeric speedup".to_string()),
+            }
+        })
+        .collect()
+}
+
+/// Compares the current run against a committed baseline's entries.
 ///
 /// Kernels are matched by name; entries present on only one side are
 /// reported and skipped (smoke shapes rename the matmul kernel, so a
@@ -828,35 +754,7 @@ fn validate_schema(text: &str, expected_kernels: usize) {
 /// `current_speedup * tolerance < baseline_speedup`.
 ///
 /// Returns the number of regressions.
-fn compare_against(baseline_text: &str, results: &[KernelResult], tolerance: f64) -> usize {
-    let doc: Value = serde_json::from_str(baseline_text).expect("baseline must parse as JSON");
-    let version = doc
-        .field("schema_version")
-        .ok()
-        .and_then(Value::as_u64)
-        .expect("baseline schema_version");
-    assert_eq!(version, SCHEMA_VERSION, "baseline schema_version mismatch");
-    let Ok(Value::Array(kernels)) = doc.field("kernels") else {
-        panic!("baseline kernels must be an array");
-    };
-    let baseline: Vec<(String, f64)> = kernels
-        .iter()
-        .map(|k| {
-            let name = k
-                .field("name")
-                .ok()
-                .and_then(Value::as_str)
-                .expect("baseline kernel name")
-                .to_string();
-            let speedup = k
-                .field("speedup")
-                .ok()
-                .and_then(Value::as_f64)
-                .expect("baseline kernel speedup");
-            (name, speedup)
-        })
-        .collect();
-
+fn compare_against(baseline: &[(String, f64)], results: &[KernelResult], tolerance: f64) -> usize {
     println!(
         "\n{:<22} {:>10} {:>10} {:>10}  verdict (tolerance {tolerance}x)",
         "kernel", "baseline", "current", "ratio"
@@ -882,7 +780,7 @@ fn compare_against(baseline_text: &str, results: &[KernelResult], tolerance: f64
             if regressed { "REGRESSION" } else { "ok" }
         );
     }
-    for (name, _) in &baseline {
+    for (name, _) in baseline {
         if !results.iter().any(|r| r.name == *name) {
             println!("{name:<22} (in baseline, not measured this run)");
         }
@@ -890,7 +788,25 @@ fn compare_against(baseline_text: &str, results: &[KernelResult], tolerance: f64
     regressions
 }
 
-fn parse_args() -> Cfg {
+/// Reports a usage error and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("ld-perfbench: {msg}");
+    std::process::exit(2);
+}
+
+/// Parses `flag`'s value, naming the flag and the expected form on failure.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<String>,
+    expected: &str,
+) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: expected {expected}, got {value:?}"))
+}
+
+fn parse_args() -> Result<Cfg, String> {
     let mut smoke = false;
     let mut warmup: Option<usize> = None;
     let mut reps: Option<usize> = None;
@@ -899,22 +815,19 @@ fn parse_args() -> Cfg {
     let mut tolerance: f64 = 2.5;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut take = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
-        };
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--warmup" => warmup = Some(take("--warmup").parse().expect("--warmup: integer")),
-            "--reps" => reps = Some(take("--reps").parse().expect("--reps: integer")),
-            "--out" => out = Some(take("--out")),
-            "--compare" => compare = Some(take("--compare")),
+            "--warmup" => warmup = Some(flag_value("--warmup", args.next(), "an integer")?),
+            "--reps" => reps = Some(flag_value("--reps", args.next(), "an integer")?),
+            "--out" => out = Some(flag_value("--out", args.next(), "a path")?),
+            "--compare" => compare = Some(flag_value("--compare", args.next(), "a path")?),
             "--tolerance" => {
-                tolerance = take("--tolerance").parse().expect("--tolerance: float");
-                assert!(
-                    tolerance.is_finite() && tolerance >= 1.0,
-                    "--tolerance must be >= 1.0"
-                );
+                tolerance = flag_value("--tolerance", args.next(), "a number")?;
+                if !(tolerance.is_finite() && tolerance >= 1.0) {
+                    return Err(format!(
+                        "--tolerance must be a finite number >= 1.0, got {tolerance}"
+                    ));
+                }
             }
             "--help" | "-h" => {
                 println!(
@@ -922,18 +835,16 @@ fn parse_args() -> Cfg {
                      [--compare BASELINE.json] [--tolerance F]\n\
                      full mode writes BENCH_perf.json; --smoke asserts equivalence on tiny shapes;\n\
                      --compare gates per-kernel speedup ratios against a committed baseline\n\
-                     (regression when current_speedup * tolerance < baseline_speedup; exit 3)"
+                     (regression when current_speedup * tolerance < baseline_speedup; exit 3);\n\
+                     usage errors, including an unreadable or malformed baseline, exit 2"
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
     let (default_warmup, default_reps) = if smoke { (1, 3) } else { (2, 9) };
-    Cfg {
+    Ok(Cfg {
         smoke,
         warmup: warmup.unwrap_or(default_warmup),
         reps: reps.unwrap_or(default_reps),
@@ -941,11 +852,18 @@ fn parse_args() -> Cfg {
         out: out.or_else(|| (!smoke).then(|| "BENCH_perf.json".to_string())),
         compare,
         tolerance,
-    }
+    })
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = parse_args().unwrap_or_else(|e| usage_error(&e));
+    let baseline = cfg.compare.as_deref().map(|path| {
+        let entries = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))
+            .and_then(|text| parse_baseline(&text).map_err(|e| format!("baseline {path}: {e}")))
+            .unwrap_or_else(|e| usage_error(&e));
+        (path, entries)
+    });
     let mut results = vec![
         bench_lstm_forward(&cfg),
         bench_lstm_bptt(&cfg),
@@ -959,7 +877,6 @@ fn main() {
     results.push(bench_packed_gemm(&cfg));
     results.push(bench_fused_gate_step(&cfg));
     results.push(bench_bo_surrogate_gram(&cfg));
-    results.push(bench_cloudinsight_window(&cfg));
     results.push(bench_metrics_overhead(&cfg));
 
     println!(
@@ -1006,10 +923,8 @@ fn main() {
         None => println!("smoke mode: equivalence + schema checks passed, nothing written"),
     }
 
-    if let Some(baseline_path) = &cfg.compare {
-        let baseline_text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let regressions = compare_against(&baseline_text, &results, cfg.tolerance);
+    if let Some((baseline_path, baseline)) = &baseline {
+        let regressions = compare_against(baseline, &results, cfg.tolerance);
         if regressions > 0 {
             eprintln!("{regressions} kernel(s) regressed vs {baseline_path}");
             std::process::exit(3);

@@ -1,10 +1,11 @@
 //! CLI contract of `ld-perfbench --compare`: exit 0 when the current run
 //! holds the baseline, exit 3 when any kernel regresses past tolerance,
-//! exit 2 on usage errors. Exercised end-to-end against the real binary
-//! in `--smoke` mode with doctored baselines.
+//! exit 2 on usage errors (bad flags or flag values, an unreadable or
+//! malformed baseline). Exercised end-to-end against the real binary in
+//! `--smoke` mode with doctored baselines.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bench_bin() -> &'static str {
@@ -31,7 +32,7 @@ fn write_baseline(name: &str, kernels: &[(&str, f64)]) -> PathBuf {
     path
 }
 
-fn run_compare(baseline: &PathBuf, tolerance: &str) -> std::process::Output {
+fn run_compare(baseline: &Path, tolerance: &str) -> std::process::Output {
     Command::new(bench_bin())
         .args([
             "--smoke",
@@ -100,11 +101,28 @@ fn generous_tolerance_waives_a_regression() {
 
 #[test]
 fn unknown_flag_exits_2() {
-    let out = Command::new(bench_bin())
-        .arg("--definitely-not-a-flag")
-        .output()
-        .expect("spawn ld-perfbench");
-    assert_eq!(out.status.code(), Some(2));
+    let missing = scratch("no-such-baseline.json");
+    let _ = fs::remove_file(&missing);
+    let missing = missing.to_str().unwrap();
+    for args in [
+        &["--definitely-not-a-flag"][..],
+        &["--smoke", "--tolerance", "0.5"],
+        &["--smoke", "--tolerance", "nan"],
+        &["--smoke", "--reps", "x"],
+        &["--smoke", "--compare"],
+        &["--smoke", "--compare", missing],
+    ] {
+        let out = Command::new(bench_bin())
+            .args(args)
+            .output()
+            .expect("spawn ld-perfbench");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
@@ -112,7 +130,10 @@ fn malformed_baseline_is_a_usage_error() {
     let path = scratch("garbage.json");
     fs::write(&path, "{not json").expect("write garbage");
     let out = run_compare(&path, "1.0");
-    let code = out.status.code();
-    assert_ne!(code, Some(0), "garbage baseline must not pass the gate");
-    assert_ne!(code, Some(3), "parse failure is not a perf regression");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -4,7 +4,8 @@
 # (kernel equivalence asserts + bench schema check), the loadgen replays
 # (BENCH_serve.json's response digest recomputed), the ld-lint static-analysis
 # gate (report left in target/lint-report.json), and a warning-free
-# clippy pass. Run from the repository root:
+# clippy pass over every target (tests, examples and benches included).
+# Run from the repository root:
 #
 #     ./scripts/ci.sh
 #
@@ -29,12 +30,12 @@ echo "=== ld-perfbench --smoke (kernel equivalence + bench schema + regression g
 # the remaining run-to-run noise is leg-local jitter. 1.8 leaves margin
 # while still failing on any real kernel regression.
 #
-# The gate runs on the first CPU this script may use. The train-epoch and
-# cloudinsight-window rows time rayon-parallel code (trainer mini-batches,
-# council member sweeps), and on more than one core the vendored rayon
-# shim spawns eight scoped threads per parallel call. Unpinned on a 2-vCPU
-# host, train-epoch read 0.27x to 3.5x of its baseline and the gate failed
-# 8 of 60 runs; pinned, it failed none of 40. On one core the shim runs its
+# The gate runs on the first CPU this script may use. At smoke shapes the
+# train-epoch row is the only one that times rayon-parallel code (trainer
+# mini-batches), and on more than one core the vendored rayon shim spawns
+# eight scoped threads per parallel call. Unpinned on a 2-vCPU host,
+# train-epoch read 0.27x to 3.5x of its baseline and the gate failed 8 of
+# 60 runs; pinned, it failed none of 40. On one core the shim runs its
 # chunks inline. ld-perfbench forbids `unsafe`, so it cannot pin itself.
 first_cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[-,].*//')
 taskset -c "$first_cpu" cargo run -q --release -p ld-perfbench -- --smoke --compare BENCH_perf.json --tolerance 1.8
@@ -78,7 +79,7 @@ if [ -f ld-lint.baseline.json ]; then
     echo "ci.sh: warning: ld-lint.baseline.json exists again — the debt ledger was burned to zero, keep it that way" >&2
 fi
 
-echo "=== cargo clippy --workspace -- -D warnings ==="
-cargo clippy --workspace -- -D warnings
+echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "ci.sh: all green"

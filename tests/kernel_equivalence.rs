@@ -1,9 +1,10 @@
 //! Cross-crate equivalence gates for the allocation-free compute kernels.
 //!
 //! Every optimized hot path in the workspace retains its pre-change
-//! reference implementation; this suite pins the two together from outside
-//! the owning crates, at the same tolerances `ld-perfbench` asserts before
-//! it times anything:
+//! reference implementation as a function called by name, or a digest
+//! recorded with it; this suite pins the two together from outside the
+//! owning crates, at the same tolerances `ld-perfbench` asserts before it
+//! times anything:
 //!
 //! - LSTM forward and BPTT: fast workspace kernels vs the allocating
 //!   reference paths, 1e-9 relative.
@@ -17,13 +18,15 @@
 //! - The fused LSTM gate step (one packed `[W | U | b]` mat-vec) vs the
 //!   per-row three-term reference step: 1e-9 relative; the batched fused
 //!   inference path vs `predict_reference`: **bitwise**.
-//! - Packed-panel and row-parallel Gram builds vs the serial build:
-//!   **bitwise**.
-//! - The rank-keyed CART tree builder vs the retained index-sort reference
-//!   builder (every council member's own forecasts, the tree, forest and
-//!   boosting members among them, on a continuous and a tie-heavy integer
-//!   series): **bitwise**; and the whole council's walk-forward against a
-//!   digest pinned before the builder changed.
+//! - The packed-panel Gram build and the shipped `gram::build` dispatcher
+//!   vs the serial build: **bitwise**.
+//! - Every council member's own forecasts (the rank-keyed CART tree,
+//!   forest and boosting members among them) on a continuous and a
+//!   tie-heavy integer series, against digests recorded with the
+//!   index-sort reference tree builder: **bitwise**; and the whole
+//!   council's walk-forward against a digest pinned before the builder
+//!   changed. The tree-by-tree comparison with that reference builder is
+//!   `ld-baselines`' own unit test, where the builder now lives.
 //! - A full `Trainer::fit` run through the fast path vs the reference
 //!   trainer semantics: identical epoch count, losses within 1e-7 relative.
 //! - Both recurrent cells against their own past: a two-layer LSTM fit
@@ -328,16 +331,19 @@ fn packed_gram_matches_serial_bitwise() {
         let serial = gram::build_serial(&kernel, &x, 1e-6);
         let packed = gram::build_packed(&kernel, &x, 1e-6);
         assert_eq!(serial.max_abs_diff(&packed), 0.0, "n={n}");
+        // The shipped dispatcher agrees with both, wherever it routes.
+        let built = gram::build(&kernel, &x, 1e-6);
+        assert_eq!(serial.max_abs_diff(&built), 0.0, "n={n}: dispatcher");
     }
 }
 
 #[test]
-fn tree_ensembles_match_reference_builder_bitwise() {
-    // The rank-keyed tree builder must grow the identical ensembles the
-    // retained index-sort builder grows — same splits, thresholds, and
-    // leaves — through every Table II tree member. Each council member's
-    // own forecasts are compared: the council reports only the forecast of
-    // the member it has selected, which is rarely a tree.
+fn tree_ensembles_match_golden_digests() {
+    // Every Table II member's own forecasts, the tree, forest and boosting
+    // members among them, digested bit for bit in pool order and pinned to
+    // the values the retained index-sort tree builder produced. The council
+    // reports only the forecast of the member it has selected, which is
+    // rarely a tree, so each member is fitted and walked on its own.
     use ld_api::Predictor as _;
     let sine: Vec<f64> = (0..120)
         .map(|i| 40.0 + 12.0 * ((i as f64) * 0.21).sin() + (i % 5) as f64)
@@ -350,29 +356,19 @@ fn tree_ensembles_match_reference_builder_bitwise() {
     let counts: Vec<f64> = (0..120)
         .map(|i| (2 + (i / 3) % 4 + (i * 5 % 7) / 4) as f64)
         .collect();
-    for (series, data) in [("sine", &sine), ("counts", &counts)] {
-        let run = |reference: bool| -> Vec<(String, Vec<f64>)> {
-            ld_baselines::tree::set_reference_fit(reference);
-            let out = ld_baselines::cloudinsight::table2_pool(5)
-                .into_iter()
-                .map(|mut member| {
-                    member.fit(&data[..90]);
-                    let preds = (90..120).map(|i| member.predict(&data[..i])).collect();
-                    (member.name(), preds)
-                })
-                .collect();
-            ld_baselines::tree::set_reference_fit(false);
-            out
-        };
-        for ((member, fast), (_, reference)) in run(false).iter().zip(&run(true)) {
-            for (i, (f, r)) in fast.iter().zip(reference).enumerate() {
-                assert_eq!(
-                    f.to_bits(),
-                    r.to_bits(),
-                    "{member} on {series}, interval {i}: {f} vs {r}"
-                );
+    for (series, data, want) in [
+        ("sine", &sine, "08b39517224a759c"),
+        ("counts", &counts, "2abb01e63d32be3f"),
+    ] {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for mut member in ld_baselines::cloudinsight::table2_pool(5) {
+            member.fit(&data[..90]);
+            for i in 90..120 {
+                let forecast = member.predict(&data[..i]);
+                fnv1a(&mut digest, &forecast.to_bits().to_le_bytes());
             }
         }
+        assert_eq!(format!("{digest:016x}"), want, "{series}");
     }
 }
 
@@ -381,8 +377,8 @@ fn cloudinsight_walk_forward_matches_golden_digest() {
     // The council's forecasts over one LD_FAST-capped (last 400 intervals)
     // AZ-30min trace, digested bit for bit and pinned to the value the
     // sort-based tree builder and the full-matrix SVR kernel build
-    // produced. Unlike the test above this needs no reference toggle, so
-    // it also covers members without one (the SVRs).
+    // produced. Unlike the test above it walks the council itself, so it
+    // also covers member selection.
     use ld_api::Predictor as _;
     let full = ld_traces::TraceConfig {
         kind: ld_traces::WorkloadKind::Azure,
@@ -518,20 +514,6 @@ fn gru_fit_matches_golden_values() {
     for (j, (got, want)) in preds.iter().zip(&want_preds).enumerate() {
         assert_rel(&format!("GRU held-out forecast {j}"), *got, *want, 1e-7);
     }
-}
-
-#[test]
-fn parallel_gram_matches_serial_bitwise() {
-    let mut rng = StdRng::seed_from_u64(0xE0_05);
-    let x: Vec<Vec<f64>> = (0..60)
-        .map(|_| (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect())
-        .collect();
-    let kernel = Kernel::new(KernelKind::Matern52, 1.1, 0.5);
-    let serial = gram::build_serial(&kernel, &x, 1e-6);
-    let parallel = gram::build_parallel(&kernel, &x, 1e-6);
-    assert_eq!(serial.max_abs_diff(&parallel), 0.0);
-    // The shipped dispatcher agrees with both, wherever it routes.
-    assert_eq!(gram::build(&kernel, &x, 1e-6).max_abs_diff(&serial), 0.0);
 }
 
 #[test]
