@@ -122,7 +122,8 @@ pub fn lstsq(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
 /// The pre-change [`lstsq`] semantics: materialize `A^T`, build `A^T A`
 /// with the naive streaming product, then solve. Retained as the bitwise
 /// reference the fused build is pinned against.
-pub fn lstsq_reference(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
+#[cfg(test)]
+fn lstsq_reference(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
     if a.rows() != b.len() {
         return Err(LinalgError::ShapeMismatch {
             context: format!("lstsq: {} rows vs rhs {}", a.rows(), b.len()),

@@ -1,6 +1,6 @@
 //! A recursive-descent parser over [`crate::lexer`]'s token stream.
 //!
-//! The token engine (PR 3) reasons about the workspace as a flat token
+//! The token rules reason about the workspace as a flat token
 //! stream, which is exact about *what is code* but blind to *structure*: it
 //! cannot tell which expression a cast applies to, which closure a mutation
 //! lives in, or which function an unwrap is reachable from. This module
@@ -17,12 +17,11 @@
 //!    [`FileAst::errors`]. The golden test asserts `errors` is empty for
 //!    every workspace source file.
 //! 2. **Coverage-tracked**: every token the parser consumed as expression
-//!    *structure* is marked in [`FileAst::covered`]. The AST engine re-runs
-//!    the legacy token matchers over *uncovered* tokens only (macro bodies,
-//!    attributes, types, signatures, skipped items), which is what keeps
-//!    the AST engine's legacy-rule output identical to the token engine's:
-//!    structural contexts are matched on the AST, lexical contexts fall
-//!    back to the oracle's own patterns.
+//!    *structure* is marked in [`FileAst::covered`]. Uncovered tokens
+//!    (macro bodies, attributes, types, signatures, skipped items) are
+//!    invisible to the semantic rules; the token rules still see them,
+//!    because their matchers run over every token. The golden test keeps a
+//!    workspace-wide coverage floor so items are not silently skipped.
 //! 3. **Span-exact**: expressions carry half-open token-index spans, and
 //!    tokens carry byte offsets, so `--fix` can splice rewrites without
 //!    re-lexing.

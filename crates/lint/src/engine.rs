@@ -1,50 +1,15 @@
 //! Scan orchestration: file discovery, test-span detection, suppression
-//! directives, baseline matching, and violation assembly.
+//! directives, and violation assembly.
 
 use crate::lexer::{self, DirectiveComment, Token, TokenKind};
 use crate::rules::{self, FileContext, RawViolation};
 use crate::{ast, semantic};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-/// Which analysis engine produces violations.
-///
-/// `Ast` is the default: structural rules run over the parsed AST (with a
-/// token-matcher fallback restricted to tokens the parser consumed
-/// opaquely, e.g. macro bodies), purely lexical rules keep their token
-/// matchers, and the four semantic rules (dataflow / call-graph analyses)
-/// run. `Token` is the legacy engine kept as a differential oracle: the
-/// original token matchers only, semantic rules skipped. Both engines must
-/// report identical violation sets for the legacy six rules — the
-/// differential test enforces this workspace-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// AST + dataflow engine (default).
-    #[default]
-    Ast,
-    /// Legacy token-window engine (differential oracle).
-    Token,
-}
-
-impl EngineKind {
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Ast => "ast",
-            EngineKind::Token => "token",
-        }
-    }
-
-    /// Whether this engine executes `rule` at all (semantic rules need the
-    /// AST engine). Suppressions of unexecuted rules are never stale.
-    fn executes(self, rule: &rules::Rule) -> bool {
-        !rule.semantic || self == EngineKind::Ast
-    }
-}
-
 /// A fully-resolved violation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Violation {
     /// Path relative to the workspace root, `/`-separated.
     pub file: String,
@@ -56,31 +21,14 @@ pub struct Violation {
     pub message: String,
     /// How to fix it.
     pub hint: String,
-    /// The offending source line, trimmed (also the baseline fingerprint).
-    pub snippet: String,
-    /// True if a baseline entry absorbed this violation.
-    pub baselined: bool,
-}
-
-/// One baseline entry: a known pre-existing violation the gate tolerates.
-///
-/// Entries are fingerprinted by `(file, rule, snippet)` rather than line
-/// numbers so unrelated edits above a baselined site do not invalidate the
-/// baseline. Identical lines in one file consume one entry each.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BaselineEntry {
-    /// Path relative to the workspace root.
-    pub file: String,
-    /// Rule id.
-    pub rule: String,
-    /// Trimmed source line of the tolerated violation.
+    /// The offending source line, trimmed.
     pub snippet: String,
 }
 
 /// A suppression directive that silenced nothing in this scan. Stale
 /// allows are dead opt-outs: the hazard they excused is gone, so the
 /// directive must go too (`--deny` fails on them).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StaleSuppression {
     /// Path relative to the workspace root.
     pub file: String,
@@ -93,32 +41,15 @@ pub struct StaleSuppression {
 /// Outcome of a workspace scan.
 #[derive(Debug, Default)]
 pub struct ScanReport {
-    /// Engine that produced the report.
-    pub engine: EngineKind,
-    /// All violations, including baselined ones (`baselined` set).
+    /// Violations no directive silenced (`--deny` fails on any).
     pub violations: Vec<Violation>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Violations silenced by inline `ld-lint: allow` directives.
     pub suppressed: usize,
-    /// Baseline entries that matched nothing (stale — safe to delete).
-    pub stale_baseline: Vec<BaselineEntry>,
     /// Suppression directives that silenced nothing (stale — must be
-    /// removed; `--deny` fails on them). Only directives for rules the
-    /// engine actually executed are considered.
+    /// removed; `--deny` fails on them).
     pub stale_suppressions: Vec<StaleSuppression>,
-}
-
-impl ScanReport {
-    /// Violations the gate fails on: neither suppressed nor baselined.
-    pub fn active(&self) -> impl Iterator<Item = &Violation> {
-        self.violations.iter().filter(|v| !v.baselined)
-    }
-
-    /// Count of gate-failing violations.
-    pub fn active_count(&self) -> usize {
-        self.active().count()
-    }
 }
 
 /// Finds the workspace root by walking up from `start` until a `Cargo.toml`
@@ -138,18 +69,14 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Lists every `crates/*/src/**/*.rs` file under `root`, sorted for
-/// deterministic report order.
+/// Lists every `.rs` file under the root package's `src/` and under each
+/// `crates/*/src/`, sorted for deterministic report order.
 pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let Ok(entries) = std::fs::read_dir(&crates_dir) else {
-        return files;
-    };
-    for entry in entries.flatten() {
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files);
+    collect_rs(&root.join("src"), &mut files);
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for entry in entries.flatten() {
+            collect_rs(&entry.path().join("src"), &mut files);
         }
     }
     files.sort();
@@ -223,7 +150,6 @@ fn parse_suppressions(
                 message,
                 hint: "ld-lint: allow(<rule>, \"<justification>\")".into(),
                 snippet: snippet_at(lines, d.line),
-                baselined: false,
             });
         }
     }
@@ -241,7 +167,7 @@ fn snippet_at(lines: &[&str], line: u32) -> String {
 /// `#[test]` or `#[cfg(test)]` (including `#[cfg(all(test, ...))]`), from
 /// the attribute through the end of the item's `{ ... }` body (or its
 /// terminating `;`).
-pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
+fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -315,7 +241,7 @@ fn skip_group(tokens: &[Token], open: usize) -> usize {
 /// Result of scanning one file.
 #[derive(Debug, Default)]
 pub struct FileScan {
-    /// Resolved violations (baseline matching happens in the caller).
+    /// Violations no directive silenced.
     pub violations: Vec<Violation>,
     /// Count silenced by inline `ld-lint: allow` directives.
     pub suppressed: usize,
@@ -331,79 +257,45 @@ fn suppression_covers(allowed: &str, rule: &str) -> bool {
     allowed == rule || (allowed == "unwrap-in-core" && rule == "panic-path")
 }
 
+/// Builds the rule context for one file from `rel_path`, its `/`-separated
+/// path relative to the workspace root: the crate is the directory under
+/// `crates/` (empty for the root package's `src/`), and test spans come
+/// from the tokens. The scanner and the `--fix` planner both start here, so
+/// they agree on which crate-scoped rules apply to a file.
+pub fn file_context<'a>(rel_path: &'a str, tokens: &'a [Token]) -> FileContext<'a> {
+    FileContext {
+        rel_path,
+        crate_name: rel_path
+            .strip_prefix("crates/")
+            .and_then(|r| r.split('/').next())
+            .unwrap_or(""),
+        file_name: rel_path.rsplit('/').next().unwrap_or(rel_path),
+        tokens,
+        test_spans: test_spans(tokens),
+    }
+}
+
 /// Scans one file's source text. `rel_path` must be the `/`-separated path
-/// relative to the workspace root (it determines crate allow-lists and
-/// baseline keys).
-pub fn scan_source(rel_path: &str, source: &str, engine: EngineKind) -> FileScan {
+/// relative to the workspace root (it decides which crate-scoped rules
+/// apply).
+pub fn scan_source(rel_path: &str, source: &str) -> FileScan {
     let lexed = lexer::lex(source);
     let lines: Vec<&str> = source.lines().collect();
-    let spans = test_spans(&lexed.tokens);
-    let crate_name = rel_path
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("");
-    let file_name = rel_path.rsplit('/').next().unwrap_or(rel_path);
-    let ctx = FileContext {
-        rel_path,
-        crate_name,
-        file_name,
-        tokens: &lexed.tokens,
-        test_spans: &spans,
-    };
+    let ctx = file_context(rel_path, &lexed.tokens);
     let (sups, mut violations) = parse_suppressions(rel_path, &lexed.directives, &lines);
     let mut sup_used = vec![false; sups.len()];
     let mut suppressed = 0usize;
 
-    // Collect raw (rule id, violation) pairs from whichever engine is
-    // active, then resolve test-span filtering and suppressions uniformly.
+    // The token rules' matchers run over every token, macro bodies
+    // included; the parse tree serves only the semantic rules. Test-span
+    // filtering and suppressions then apply uniformly.
     let mut raws: Vec<(&'static str, RawViolation)> = Vec::new();
-    match engine {
-        EngineKind::Token => {
-            for rule in rules::all_rules() {
-                if rule.semantic {
-                    continue;
-                }
-                for raw in (rule.check)(&ctx) {
-                    raws.push((rule.id, raw));
-                }
-            }
-        }
-        EngineKind::Ast => {
-            let parsed = ast::parse(&lexed.tokens);
-            // Purely lexical rules keep their token matchers: their
-            // anchors (string scans, attribute windows) have no AST
-            // counterpart and both engines must agree on them trivially.
-            for rule in rules::all_rules() {
-                if rule.semantic || STRUCTURAL_LEGACY.contains(&rule.id) {
-                    continue;
-                }
-                for raw in (rule.check)(&ctx) {
-                    raws.push((rule.id, raw));
-                }
-            }
-            // Structural legacy rules: AST re-expressions over parsed
-            // expression structure, plus the token matchers restricted to
-            // anchors the parser consumed opaquely (macro bodies,
-            // attributes) so coverage gaps cannot drop violations.
-            for (id, _tok, raw) in semantic::ast_legacy_checks(&ctx, &parsed) {
-                raws.push((id, raw));
-            }
-            for (id, anchored) in [
-                ("float-ord", rules::float_ord_anchored(&ctx)),
-                ("nan-compare", rules::nan_compare_anchored(&ctx)),
-                ("lossy-cast", rules::lossy_cast_anchored(&ctx)),
-            ] {
-                for (tok, raw) in anchored {
-                    if !parsed.covered.get(tok).copied().unwrap_or(false) {
-                        raws.push((id, raw));
-                    }
-                }
-            }
-            for (id, raw) in semantic::semantic_checks(&ctx, &parsed) {
-                raws.push((id, raw));
-            }
+    for rule in rules::all_rules() {
+        for raw in (rule.check)(&ctx) {
+            raws.push((rule.id, raw));
         }
     }
+    raws.extend(semantic::semantic_checks(&ctx, &ast::parse(&lexed.tokens)));
 
     let mut seen: BTreeSet<(&'static str, u32, String)> = BTreeSet::new();
     for (id, raw) in raws {
@@ -431,7 +323,6 @@ pub fn scan_source(rel_path: &str, source: &str, engine: EngineKind) -> FileScan
             message: raw.message,
             hint: rule.fix_hint.to_string(),
             snippet: snippet_at(&lines, raw.line),
-            baselined: false,
         });
     }
     violations.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
@@ -439,11 +330,7 @@ pub fn scan_source(rel_path: &str, source: &str, engine: EngineKind) -> FileScan
     let stale_suppressions = sups
         .iter()
         .zip(&sup_used)
-        .filter(|(s, used)| {
-            !**used
-                && rules::rule_by_id(&s.rule).is_some_and(|r| engine.executes(r))
-                && !line_in_test_code(&ctx, s.line)
-        })
+        .filter(|(s, used)| !**used && !line_in_test_code(&ctx, s.line))
         .map(|(s, _)| StaleSuppression {
             file: rel_path.to_string(),
             line: s.line,
@@ -458,10 +345,6 @@ pub fn scan_source(rel_path: &str, source: &str, engine: EngineKind) -> FileScan
     }
 }
 
-/// Legacy rules with AST re-expressions (everything else lexical keeps its
-/// token matcher under both engines).
-const STRUCTURAL_LEGACY: &[&str] = &["float-ord", "nan-compare", "lossy-cast"];
-
 /// Whether any token on `line` falls inside a test span. Rules report the
 /// line of their anchor token; mapping back through token indices keeps the
 /// rule API line-based while test spans stay index-based.
@@ -473,25 +356,11 @@ fn line_in_test_code(ctx: &FileContext<'_>, line: u32) -> bool {
         .any(|(i, _)| ctx.in_test_code(i))
 }
 
-/// Scans every workspace source file under `root` and resolves the
-/// baseline. Violations matching a baseline entry are kept in the report
-/// but marked `baselined`; unmatched entries are reported as stale.
-///
-/// `changed` optionally restricts the scan to a set of `/`-separated
-/// workspace-relative paths (`--changed-files`); baseline entries for
-/// files outside the set are not reported stale (they were not checked).
-pub fn scan_workspace(
-    root: &Path,
-    baseline: &[BaselineEntry],
-    engine: EngineKind,
-    changed: Option<&BTreeSet<String>>,
-) -> ScanReport {
-    let mut report = ScanReport {
-        engine,
-        ..ScanReport::default()
-    };
-    let mut remaining: Vec<Option<&BaselineEntry>> = baseline.iter().map(Some).collect();
-    let mut scanned_files: BTreeSet<String> = BTreeSet::new();
+/// Scans every workspace source file under `root`. `changed` optionally
+/// restricts the scan to a set of `/`-separated workspace-relative paths
+/// (`--changed-files`).
+pub fn scan_workspace(root: &Path, changed: Option<&BTreeSet<String>>) -> ScanReport {
+    let mut report = ScanReport::default();
     for path in workspace_sources(root) {
         let rel = path
             .strip_prefix(root)
@@ -507,53 +376,10 @@ pub fn scan_workspace(
             continue;
         };
         report.files_scanned += 1;
-        scanned_files.insert(rel.clone());
-        let mut scan = scan_source(&rel, &source, engine);
+        let mut scan = scan_source(&rel, &source);
         report.suppressed += scan.suppressed;
         report.stale_suppressions.append(&mut scan.stale_suppressions);
-        for v in &mut scan.violations {
-            let slot = remaining.iter_mut().find(|slot| {
-                slot.is_some_and(|b| b.file == v.file && b.rule == v.rule && b.snippet == v.snippet)
-            });
-            if let Some(slot) = slot {
-                *slot = None;
-                v.baselined = true;
-            }
-        }
         report.violations.extend(scan.violations);
     }
-    report.stale_baseline = remaining
-        .into_iter()
-        .flatten()
-        // Under --changed-files, only entries for files that were actually
-        // rescanned can be judged stale (a full scan judges all of them,
-        // including entries for deleted files).
-        .filter(|b| changed.is_none() || scanned_files.contains(&b.file))
-        .cloned()
-        .collect();
     report
-}
-
-/// Loads a baseline file; a missing file is an empty baseline.
-pub fn load_baseline(path: &Path) -> Result<Vec<BaselineEntry>, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => serde_json::from_str(&text)
-            .map_err(|e| format!("malformed baseline {}: {e:?}", path.display())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("cannot read baseline {}: {e}", path.display())),
-    }
-}
-
-/// Serializes the active (non-baselined) violations of `report` as a fresh
-/// baseline.
-pub fn render_baseline(report: &ScanReport) -> String {
-    let entries: Vec<BaselineEntry> = report
-        .active()
-        .map(|v| BaselineEntry {
-            file: v.file.clone(),
-            rule: v.rule.clone(),
-            snippet: v.snippet.clone(),
-        })
-        .collect();
-    serde_json::to_string_pretty(&entries).unwrap_or_else(|_| "[]".into())
 }

@@ -1,9 +1,9 @@
 //! Machine-applicable fixes (`ld-lint --fix`).
 //!
 //! A fix is a byte-range edit derived from the AST, proposed only where an
-//! *active* violation exists (suppressed and baselined sites are left
-//! alone — their justification is a human decision the tool must not
-//! override). Two rewrites are machine-applicable today:
+//! *active* violation exists (suppressed sites are left alone — their
+//! justification is a human decision the tool must not override). Two
+//! rewrites are machine-applicable today:
 //!
 //! - `float-ord`: `a.partial_cmp(b).unwrap()` → `a.total_cmp(b)` — the
 //!   exact replacement the rule's fix hint prescribes. Only the `.unwrap()`
@@ -229,14 +229,7 @@ mod tests {
 
     fn plan(src: &str) -> (Vec<Edit>, String) {
         let lexed = lexer::lex(src);
-        let spans = engine::test_spans(&lexed.tokens);
-        let ctx = FileContext {
-            rel_path: "crates/x/src/lib.rs",
-            crate_name: "x",
-            file_name: "lib.rs",
-            tokens: &lexed.tokens,
-            test_spans: &spans,
-        };
+        let ctx = engine::file_context("crates/x/src/lib.rs", &lexed.tokens);
         let parsed = ast::parse(&lexed.tokens);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
         let edits = plan_fixes(&ctx, &parsed, src, &|_, _| true);
@@ -284,14 +277,7 @@ mod tests {
     fn wanted_filter_gates_proposals() {
         let src = "pub fn f(x: f64) -> usize {\n    x.round() as usize\n}\n";
         let lexed = lexer::lex(src);
-        let spans = engine::test_spans(&lexed.tokens);
-        let ctx = FileContext {
-            rel_path: "crates/x/src/lib.rs",
-            crate_name: "x",
-            file_name: "lib.rs",
-            tokens: &lexed.tokens,
-            test_spans: &spans,
-        };
+        let ctx = engine::file_context("crates/x/src/lib.rs", &lexed.tokens);
         let parsed = ast::parse(&lexed.tokens);
         let edits = plan_fixes(&ctx, &parsed, src, &|_, _| false);
         assert!(edits.is_empty());

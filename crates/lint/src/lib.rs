@@ -12,13 +12,19 @@
 //! - [`lexer`]: a small from-scratch Rust lexer (the sandbox has no
 //!   registry access, so no `syn`) that is exact about literals and
 //!   comments, so rules never fire inside strings,
-//! - [`rules`]: the invariant catalog — `float-ord`, `nan-compare`,
-//!   `determinism`, `unwrap-in-core`, `lossy-cast`, `unsafe-block` — each
-//!   with an `--explain` rationale tied to the framework's fault model,
-//! - [`engine`]: file discovery over `crates/*/src/**/*.rs`, test-span
-//!   detection, inline suppressions
+//! - [`rules`]: the invariant catalog — six token rules (`float-ord`,
+//!   `nan-compare`, `determinism`, `unwrap-in-core`, `lossy-cast`,
+//!   `unsafe-block`) whose matchers run over every token, and four semantic
+//!   rules — each with an `--explain` rationale tied to the framework's
+//!   fault model,
+//! - [`ast`], [`dataflow`], [`semantic`]: a coverage-tracked parser and a
+//!   per-function dataflow pass that serve only the semantic rules
+//!   (`determinism-taint`, `panic-path`, `range-cast`, `rayon-capture`) and
+//!   [`fix`]'s machine-applicable rewrites,
+//! - [`engine`]: file discovery over `src/**/*.rs` and
+//!   `crates/*/src/**/*.rs`, test-span detection, and inline suppressions
 //!   (`// ld-lint: allow(<rule>, "<justification>")` — the justification
-//!   is mandatory), and a snippet-fingerprinted baseline,
+//!   is mandatory, and a directive that silences nothing fails `--deny`),
 //! - [`report`]: human and JSON rendering.
 //!
 //! The binary (`cargo run -p ld-lint -- --deny`) gates CI; the library API
@@ -34,7 +40,7 @@ pub mod rules;
 pub mod semantic;
 
 pub use engine::{
-    find_workspace_root, load_baseline, render_baseline, scan_source, scan_workspace,
-    BaselineEntry, EngineKind, FileScan, ScanReport, StaleSuppression, Violation,
+    find_workspace_root, scan_source, scan_workspace, FileScan, ScanReport, StaleSuppression,
+    Violation,
 };
 pub use rules::{all_rules, rule_by_id, Rule};

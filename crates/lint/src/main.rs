@@ -3,19 +3,16 @@
 //! CLI front-end for the workspace static analyzer.
 //!
 //! ```text
-//! ld-lint [--deny] [--format human|json] [--engine ast|token]
-//!         [--baseline PATH] [--write-baseline] [--explain RULE]
+//! ld-lint [--deny] [--format human|json] [--explain RULE]
 //!         [--root PATH] [--list] [--changed-files PATHS]
 //!         [--fix] [--dry-run] [--check-report PATH]
 //! ```
 //!
 //! Exit status: `0` when the scan is clean (or `--deny` was not given),
-//! `1` when `--deny` is set and any non-baselined, non-suppressed
-//! violation — or a stale suppression, or a stale baseline entry —
-//! exists, `2` on usage or I/O errors.
+//! `1` when `--deny` is set and any unsuppressed violation — or a stale
+//! suppression — exists, `2` on usage or I/O errors.
 
 use ld_lint::{engine, fix, report, rules};
-use ld_lint::engine::EngineKind;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -23,9 +20,6 @@ use std::process::ExitCode;
 struct Options {
     deny: bool,
     json: bool,
-    engine: EngineKind,
-    baseline_path: Option<PathBuf>,
-    write_baseline: bool,
     explain: Option<String>,
     list: bool,
     root: Option<PathBuf>,
@@ -35,17 +29,13 @@ struct Options {
     check_report: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: ld-lint [--deny] [--format human|json] [--engine ast|token] \
-[--baseline PATH] [--write-baseline] [--explain RULE] [--root PATH] [--list] \
-[--changed-files P1,P2,...] [--fix] [--dry-run] [--check-report PATH]";
+const USAGE: &str = "usage: ld-lint [--deny] [--format human|json] [--explain RULE] \
+[--root PATH] [--list] [--changed-files P1,P2,...] [--fix] [--dry-run] [--check-report PATH]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         deny: false,
         json: false,
-        engine: EngineKind::Ast,
-        baseline_path: None,
-        write_baseline: false,
         explain: None,
         list: false,
         root: None,
@@ -58,7 +48,6 @@ fn parse_args() -> Result<Options, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => opts.deny = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--list" => opts.list = true,
             "--fix" => opts.fix = true,
             "--dry-run" => opts.dry_run = true,
@@ -67,15 +56,6 @@ fn parse_args() -> Result<Options, String> {
                 Some("json") => opts.json = true,
                 other => return Err(format!("--format expects human|json, got {other:?}")),
             },
-            "--engine" => match args.next().as_deref() {
-                Some("ast") => opts.engine = EngineKind::Ast,
-                Some("token") => opts.engine = EngineKind::Token,
-                other => return Err(format!("--engine expects ast|token, got {other:?}")),
-            },
-            "--baseline" => {
-                opts.baseline_path =
-                    Some(args.next().ok_or("--baseline expects a path")?.into());
-            }
             "--explain" => {
                 opts.explain = Some(args.next().ok_or("--explain expects a rule id")?);
             }
@@ -104,9 +84,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.dry_run && !opts.fix {
         return Err("--dry-run only makes sense with --fix".into());
-    }
-    if opts.fix && opts.engine == EngineKind::Token {
-        return Err("--fix needs the AST engine (drop --engine token)".into());
     }
     Ok(opts)
 }
@@ -173,7 +150,7 @@ fn run_fix(root: &Path, scan: &engine::ScanReport, dry_run: bool) -> Option<usiz
     // Active violations by file, as (rule, line) pairs the planner checks.
     let mut by_file: std::collections::BTreeMap<&str, Vec<(&str, u32)>> =
         std::collections::BTreeMap::new();
-    for v in scan.active() {
+    for v in &scan.violations {
         by_file.entry(&v.file).or_default().push((&v.rule, v.line));
     }
     let mut total = 0usize;
@@ -187,18 +164,7 @@ fn run_fix(root: &Path, scan: &engine::ScanReport, dry_run: bool) -> Option<usiz
             }
         };
         let lexed = lexer::lex(&source);
-        let spans = engine::test_spans(&lexed.tokens);
-        let crate_name = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("");
-        let ctx = rules::FileContext {
-            rel_path: rel,
-            crate_name,
-            file_name: rel.rsplit('/').next().unwrap_or(rel),
-            tokens: &lexed.tokens,
-            test_spans: &spans,
-        };
+        let ctx = engine::file_context(rel, &lexed.tokens);
         let parsed = ast::parse(&lexed.tokens);
         let edits = fix::plan_fixes(&ctx, &parsed, &source, &|rule, line| {
             sites.iter().any(|(r, l)| *r == rule && *l == line)
@@ -247,48 +213,12 @@ fn main() -> ExitCode {
         eprintln!("ld-lint: no workspace root found above {}", cwd.display());
         return ExitCode::from(2);
     };
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| root.join("ld-lint.baseline.json"));
-    let baseline = if opts.write_baseline {
-        Vec::new() // regenerate from scratch
-    } else {
-        match engine::load_baseline(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("ld-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    if !baseline.is_empty() {
-        eprintln!(
-            "ld-lint: warning: baseline {} carries {} tolerated violation(s) — burn it down",
-            baseline_path.display(),
-            baseline.len()
-        );
-    }
     let changed: Option<BTreeSet<String>> = opts
         .changed_files
         .as_ref()
         .map(|fs| fs.iter().cloned().collect());
 
-    let scan = engine::scan_workspace(&root, &baseline, opts.engine, changed.as_ref());
-
-    if opts.write_baseline {
-        let rendered = engine::render_baseline(&scan);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("ld-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "ld-lint: wrote {} entry(ies) to {}",
-            scan.active_count(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
+    let scan = engine::scan_workspace(&root, changed.as_ref());
 
     if opts.fix {
         let Some(n) = run_fix(&root, &scan, opts.dry_run) else {
@@ -301,7 +231,7 @@ fn main() -> ExitCode {
         eprintln!("ld-lint: applied {n} fix(es)");
         // Fall through and report on the post-fix tree so the exit status
         // reflects what is still broken.
-        let rescan = engine::scan_workspace(&root, &baseline, opts.engine, changed.as_ref());
+        let rescan = engine::scan_workspace(&root, changed.as_ref());
         print!("{}", report::render_human(&rescan));
         return if opts.deny && gate_fails(&rescan) {
             ExitCode::FAILURE
@@ -316,7 +246,7 @@ fn main() -> ExitCode {
         // redirected to a report file.
         eprint!("{}", report::render_summary(&scan));
         if opts.deny && gate_fails(&scan) {
-            for v in scan.active() {
+            for v in &scan.violations {
                 eprintln!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
             }
             for s in &scan.stale_suppressions {
@@ -334,8 +264,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Whether `--deny` fails: active violations, stale suppressions, or stale
-/// baseline entries.
+/// Whether `--deny` fails: unsuppressed violations or stale suppressions.
 fn gate_fails(scan: &engine::ScanReport) -> bool {
-    scan.active_count() > 0 || !scan.stale_suppressions.is_empty() || !scan.stale_baseline.is_empty()
+    !scan.violations.is_empty() || !scan.stale_suppressions.is_empty()
 }

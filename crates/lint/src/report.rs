@@ -3,30 +3,21 @@
 use crate::engine::ScanReport;
 use serde::Serialize;
 
-/// JSON schema version of [`render_json`]. Bumped to 2 when the envelope
-/// gained `engine` and `stale_suppressions` and renamed `version` to
-/// `schema_version`.
-pub const SCHEMA_VERSION: u32 = 2;
+/// JSON schema version of [`render_json`]. Bumped to 3 when the envelope
+/// dropped `engine` and the baseline keys (`baselined`,
+/// `stale_baseline`).
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Renders the report for terminals: `file:line: [rule] message` plus a fix
 /// hint, grouped in file/line order, with a one-line summary.
 pub fn render_human(report: &ScanReport) -> String {
     let mut out = String::new();
     for v in &report.violations {
-        if v.baselined {
-            continue;
-        }
         out.push_str(&format!("{}:{}: [{}] {}\n", v.file, v.line, v.rule, v.message));
         if !v.snippet.is_empty() {
             out.push_str(&format!("    | {}\n", v.snippet));
         }
         out.push_str(&format!("    = hint: {}\n", v.hint));
-    }
-    for stale in &report.stale_baseline {
-        out.push_str(&format!(
-            "note: stale baseline entry ({} / {}) no longer matches — remove it: {}\n",
-            stale.file, stale.rule, stale.snippet
-        ));
     }
     for stale in &report.stale_suppressions {
         out.push_str(&format!(
@@ -41,14 +32,10 @@ pub fn render_human(report: &ScanReport) -> String {
 /// The one-line summary shared by both formats.
 pub fn render_summary(report: &ScanReport) -> String {
     format!(
-        "ld-lint[{}]: {} file(s), {} violation(s) ({} baselined, {} suppressed, \
-         {} stale baseline, {} stale suppression(s))\n",
-        report.engine.name(),
+        "ld-lint: {} file(s), {} violation(s) ({} suppressed, {} stale suppression(s))\n",
         report.files_scanned,
-        report.active_count(),
-        report.violations.iter().filter(|v| v.baselined).count(),
+        report.violations.len(),
         report.suppressed,
-        report.stale_baseline.len(),
         report.stale_suppressions.len(),
     )
 }
@@ -57,9 +44,7 @@ pub fn render_summary(report: &ScanReport) -> String {
 struct JsonSummary {
     files_scanned: usize,
     active: usize,
-    baselined: usize,
     suppressed: usize,
-    stale_baseline: usize,
     stale_suppressions: usize,
 }
 
@@ -68,26 +53,21 @@ struct JsonSummary {
 #[derive(Serialize)]
 struct JsonReport {
     schema_version: u32,
-    engine: String,
     violations: Vec<crate::engine::Violation>,
     stale_suppressions: Vec<crate::engine::StaleSuppression>,
     summary: JsonSummary,
 }
 
-/// Renders the full report (including baselined violations, which carry
-/// `"baselined": true`) as pretty JSON for machine consumption in CI.
+/// Renders the full report as pretty JSON for machine consumption in CI.
 pub fn render_json(report: &ScanReport) -> String {
     let json = JsonReport {
         schema_version: SCHEMA_VERSION,
-        engine: report.engine.name().to_string(),
         violations: report.violations.clone(),
         stale_suppressions: report.stale_suppressions.clone(),
         summary: JsonSummary {
             files_scanned: report.files_scanned,
-            active: report.active_count(),
-            baselined: report.violations.iter().filter(|v| v.baselined).count(),
+            active: report.violations.len(),
             suppressed: report.suppressed,
-            stale_baseline: report.stale_baseline.len(),
             stale_suppressions: report.stale_suppressions.len(),
         },
     };
@@ -115,11 +95,6 @@ pub fn check_report(text: &str) -> Vec<String> {
         )),
         None => problems.push("missing numeric `schema_version`".into()),
     }
-    match value.get("engine").and_then(|v| v.as_str()) {
-        Some("ast") | Some("token") => {}
-        Some(other) => problems.push(format!("unknown engine `{other}`")),
-        None => problems.push("missing string `engine`".into()),
-    }
     match value.get("violations").and_then(|v| v.as_array()) {
         Some(vs) => {
             for (i, v) in vs.iter().enumerate() {
@@ -127,7 +102,7 @@ pub fn check_report(text: &str) -> Vec<String> {
                     problems.push(format!("violations[{i}] is not an object"));
                     continue;
                 }
-                for key in ["file", "line", "rule", "message", "hint", "snippet", "baselined"] {
+                for key in ["file", "line", "rule", "message", "hint", "snippet"] {
                     if v.get(key).is_none() {
                         problems.push(format!("violations[{i}] missing `{key}`"));
                     }
@@ -144,9 +119,7 @@ pub fn check_report(text: &str) -> Vec<String> {
             for key in [
                 "files_scanned",
                 "active",
-                "baselined",
                 "suppressed",
-                "stale_baseline",
                 "stale_suppressions",
             ] {
                 if s.get(key).and_then(|v| v.as_u64()).is_none() {
@@ -177,7 +150,20 @@ mod tests {
             problems.iter().any(|p| p.contains("schema_version")),
             "{problems:?}"
         );
-        assert!(problems.iter().any(|p| p.contains("engine")), "{problems:?}");
+        assert!(problems.iter().any(|p| p.contains("summary")), "{problems:?}");
         assert!(check_report("not json").len() == 1);
+    }
+
+    #[test]
+    fn schema_check_rejects_a_v2_report() {
+        let v2 = r#"{
+            "schema_version": 2,
+            "engine": "ast",
+            "violations": [],
+            "stale_suppressions": [],
+            "summary": {"files_scanned": 135, "active": 0, "baselined": 0,
+                        "suppressed": 25, "stale_baseline": 0, "stale_suppressions": 0}
+        }"#;
+        assert_eq!(check_report(v2), ["schema_version is 2, expected 3"]);
     }
 }

@@ -1,7 +1,9 @@
 //! The rule catalog: each invariant the workspace enforces statically.
 //!
-//! Every rule is a token-pattern matcher over the output of
-//! [`crate::lexer`]. Rules are deliberately narrow — they target the bug
+//! Six rules are token-pattern matchers over the output of
+//! [`crate::lexer`], run over every token of a file (macro bodies
+//! included); the four `semantic` rules are driven by [`crate::semantic`]
+//! instead. Rules are deliberately narrow — they target the bug
 //! classes this codebase has actually hit (NaN-poisoned float orderings,
 //! wall-clock reads in deterministic paths, panicking unwraps in numeric
 //! kernels) rather than attempting general Rust semantics. Each rule
@@ -10,8 +12,8 @@
 
 use crate::lexer::{Token, TokenKind};
 
-/// A violation as produced by a rule, before suppression/baseline
-/// resolution (the engine fills in file, rule id, and hint).
+/// A violation as produced by a rule, before suppression resolution (the
+/// engine fills in file, rule id, and hint).
 #[derive(Debug, Clone)]
 pub struct RawViolation {
     /// 1-based source line.
@@ -24,7 +26,8 @@ pub struct RawViolation {
 pub struct FileContext<'a> {
     /// Path relative to the workspace root, `/`-separated.
     pub rel_path: &'a str,
-    /// The crate directory name under `crates/` (e.g. `linalg`).
+    /// The crate directory name under `crates/` (e.g. `linalg`); empty for
+    /// the root package's `src/`.
     pub crate_name: &'a str,
     /// File name (e.g. `config.rs`).
     pub file_name: &'a str,
@@ -32,7 +35,7 @@ pub struct FileContext<'a> {
     pub tokens: &'a [Token],
     /// Half-open token-index ranges covered by `#[cfg(test)]` / `#[test]`
     /// items.
-    pub test_spans: &'a [(usize, usize)],
+    pub test_spans: Vec<(usize, usize)>,
 }
 
 impl FileContext<'_> {
@@ -44,7 +47,7 @@ impl FileContext<'_> {
 
 /// A static-analysis rule.
 pub struct Rule {
-    /// Stable rule id (used in reports, suppressions, and the baseline).
+    /// Stable rule id (used in reports and suppressions).
     pub id: &'static str,
     /// One-line description for the catalog listing.
     pub summary: &'static str,
@@ -55,9 +58,9 @@ pub struct Rule {
     /// Whether violations inside `#[cfg(test)]` / `#[test]` code are
     /// ignored.
     pub skip_tests: bool,
-    /// Whether the rule needs the AST + dataflow engine
-    /// ([`crate::semantic`]). Semantic rules have a no-op token matcher and
-    /// are skipped entirely under `--engine=token`.
+    /// Whether the rule is an AST + dataflow analysis run by
+    /// [`crate::semantic`] rather than a token matcher. Semantic rules have
+    /// a no-op `check`.
     pub semantic: bool,
     /// The token matcher (no-op for semantic rules).
     pub check: fn(&FileContext<'_>) -> Vec<RawViolation>,
@@ -171,8 +174,8 @@ upstream turns into index 0 — not a crash, a *wrong answer* (reading the wrong
 percentile, provisioning 0 VMs). This rule flags the float-derived forms the
 lexer can prove (`.round()/.floor()/.ceil()/.trunc() as <int>` and float
 literals cast to ints); prefer `.clamp(lo, hi)` on the float and an
-`is_finite` check before the cast, or keep the baseline entry if the value is
-bounded by construction.",
+`is_finite` check before the cast, or carry an inline allow with the proof if
+the value is bounded by construction.",
             skip_tests: true,
             semantic: false,
             check: check_lossy_cast,
@@ -328,13 +331,6 @@ fn is_ident(t: &Token, s: &str) -> bool {
 }
 
 fn check_float_ord(ctx: &FileContext<'_>) -> Vec<RawViolation> {
-    float_ord_anchored(ctx).into_iter().map(|(_, v)| v).collect()
-}
-
-/// `float-ord` matcher with the anchor token index of each hit (the
-/// `partial_cmp` identifier). The AST engine uses the anchors to fall back
-/// to this matcher only on tokens the parser consumed opaquely.
-pub(crate) fn float_ord_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViolation)> {
     let toks = ctx.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -350,31 +346,19 @@ pub(crate) fn float_ord_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViolat
             continue;
         };
         if is_punct(dot, ".") && (is_ident(call, "unwrap") || is_ident(call, "unwrap_or")) {
-            out.push((
-                i,
-                RawViolation {
-                    line: toks[i].line,
-                    message: float_ord_message(&call.text),
-                },
-            ));
+            out.push(RawViolation {
+                line: toks[i].line,
+                message: format!(
+                    "float comparator `partial_cmp(..).{}(..)` panics or degrades on NaN",
+                    call.text
+                ),
+            });
         }
     }
     out
 }
 
-/// Shared `float-ord` message so the token and AST engines stay literally
-/// identical.
-pub(crate) fn float_ord_message(unwrap_method: &str) -> String {
-    format!("float comparator `partial_cmp(..).{unwrap_method}(..)` panics or degrades on NaN")
-}
-
 fn check_nan_compare(ctx: &FileContext<'_>) -> Vec<RawViolation> {
-    nan_compare_anchored(ctx).into_iter().map(|(_, v)| v).collect()
-}
-
-/// `nan-compare` matcher with the anchor token index (the `==`/`!=`
-/// operator) of each hit.
-pub(crate) fn nan_compare_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViolation)> {
     let toks = ctx.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -389,13 +373,12 @@ pub(crate) fn nan_compare_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViol
             && toks.get(i + 3).map(|t| is_ident(t, "NAN")) == Some(true);
         let nan_left = i >= 1 && is_ident(&toks[i - 1], "NAN");
         if nan_right || nan_left {
-            out.push((
-                i,
-                RawViolation {
-                    line: toks[i].line,
-                    message: nan_const_message(op),
-                },
-            ));
+            out.push(RawViolation {
+                line: toks[i].line,
+                message: format!(
+                    "comparison `{op}` with NAN is constant (NaN never compares equal)"
+                ),
+            });
             continue;
         }
         // `x != x` / `x == x` on a bare identifier (the hand-rolled NaN test).
@@ -406,26 +389,14 @@ pub(crate) fn nan_compare_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViol
             && !(i >= 2 && is_punct(&toks[i - 2], "."))
             && toks.get(i + 2).map(|t| is_punct(t, ".")) != Some(true)
         {
-            out.push((
-                i,
-                RawViolation {
-                    line: toks[i].line,
-                    message: self_compare_message(&toks[i - 1].text, op),
-                },
-            ));
+            let x = &toks[i - 1].text;
+            out.push(RawViolation {
+                line: toks[i].line,
+                message: format!("self-comparison `{x} {op} {x}` is a hand-rolled NaN test"),
+            });
         }
     }
     out
-}
-
-/// Shared `nan-compare` message for NAN-constant comparisons.
-pub(crate) fn nan_const_message(op: &str) -> String {
-    format!("comparison `{op}` with NAN is constant (NaN never compares equal)")
-}
-
-/// Shared `nan-compare` message for `x != x` self-comparisons.
-pub(crate) fn self_compare_message(x: &str, op: &str) -> String {
-    format!("self-comparison `{x} {op} {x}` is a hand-rolled NaN test")
 }
 
 fn check_determinism(ctx: &FileContext<'_>) -> Vec<RawViolation> {
@@ -495,12 +466,6 @@ fn check_unwrap_in_core(ctx: &FileContext<'_>) -> Vec<RawViolation> {
 }
 
 fn check_lossy_cast(ctx: &FileContext<'_>) -> Vec<RawViolation> {
-    lossy_cast_anchored(ctx).into_iter().map(|(_, v)| v).collect()
-}
-
-/// `lossy-cast` matcher with the anchor token index (the `as` keyword) of
-/// each hit.
-pub(crate) fn lossy_cast_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViolation)> {
     let toks = ctx.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -513,13 +478,10 @@ pub(crate) fn lossy_cast_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViola
         }
         // Float literal cast: `1.5 as usize`.
         if i >= 1 && toks[i - 1].kind == TokenKind::Float {
-            out.push((
-                i,
-                RawViolation {
-                    line: toks[i].line,
-                    message: float_literal_cast_message(&ty.text),
-                },
-            ));
+            out.push(RawViolation {
+                line: toks[i].line,
+                message: format!("float literal cast `as {}` truncates", ty.text),
+            });
             continue;
         }
         // `.round() as usize` and friends: `<m> ( ) as <int>` with a `.`
@@ -531,26 +493,17 @@ pub(crate) fn lossy_cast_anchored(ctx: &FileContext<'_>) -> Vec<(usize, RawViola
             && FLOAT_PRODUCING_METHODS.contains(&toks[i - 3].text.as_str())
             && is_punct(&toks[i - 4], ".")
         {
-            out.push((
-                i,
-                RawViolation {
-                    line: toks[i].line,
-                    message: float_method_cast_message(&toks[i - 3].text, &ty.text),
-                },
-            ));
+            out.push(RawViolation {
+                line: toks[i].line,
+                message: format!(
+                    "float-derived cast `.{}() as {}` maps NaN to 0 and saturates infinities",
+                    toks[i - 3].text,
+                    ty.text
+                ),
+            });
         }
     }
     out
-}
-
-/// Shared `lossy-cast` message for float-literal casts.
-pub(crate) fn float_literal_cast_message(ty: &str) -> String {
-    format!("float literal cast `as {ty}` truncates")
-}
-
-/// Shared `lossy-cast` message for `.round() as <int>`-style casts.
-pub(crate) fn float_method_cast_message(method: &str, ty: &str) -> String {
-    format!("float-derived cast `.{method}() as {ty}` maps NaN to 0 and saturates infinities")
 }
 
 fn check_unsafe_block(ctx: &FileContext<'_>) -> Vec<RawViolation> {

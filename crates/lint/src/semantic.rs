@@ -1,32 +1,19 @@
 //! Semantic rules: AST + dataflow analyses over [`crate::ast`] and
 //! [`crate::dataflow`].
 //!
-//! Two families live here:
-//!
-//! 1. **Semantic rules** (`determinism-taint`, `panic-path`, `range-cast`,
-//!    `rayon-capture`): an abstract interpreter ([`Interp`]) runs a forward
-//!    dataflow fixpoint per function, tracking a nondeterminism-taint
-//!    bitset and a float `[lo, hi]` / may-be-NaN abstraction per variable,
-//!    then a collection pass walks each CFG node under its stabilized
-//!    entry environment and records findings (tainted sink calls, unproved
-//!    float→int casts). `panic-path` and `rayon-capture` are structural
-//!    AST walks (call-graph reachability, closure capture analysis) that
-//!    need no value facts.
-//!
-//! 2. **AST re-expressions of the structural legacy rules** (`float-ord`,
-//!    `nan-compare`, `lossy-cast`): the same violations the token matchers
-//!    produce, derived from expression structure and anchored at the same
-//!    tokens (`method_tok` / `op_tok` / `as_tok`) so messages and lines are
-//!    literally identical. The engine unions these with the token matchers
-//!    restricted to tokens the parser consumed opaquely (macro bodies,
-//!    attributes), which keeps the two engines in exact agreement — the
-//!    differential test enforces it workspace-wide.
+//! `determinism-taint` and `range-cast` run an abstract interpreter
+//! ([`Interp`]): a forward dataflow fixpoint per function tracks a
+//! nondeterminism-taint bitset and a float `[lo, hi]` / may-be-NaN
+//! abstraction per variable, then a collection pass walks each CFG node
+//! under its stabilized entry environment and records findings (tainted
+//! sink calls, unproved float→int casts). `panic-path` and `rayon-capture`
+//! are structural AST walks (call-graph reachability, closure capture
+//! analysis) that need no value facts.
 
 use crate::ast::{
     self, Block, Expr, ExprKind, FileAst, FnItem, Pat, Stmt, TokSpan, TypeClass, UnOp,
 };
 use crate::dataflow::{build_cfg, solve, AbsVal, Env, Node, Taint, Transfer, ENTRY, EXIT};
-use crate::lexer::TokenKind;
 use crate::rules::{self, FileContext, RawViolation};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -1598,188 +1585,6 @@ fn check_closure_mutations(
     });
 }
 
-// ---------------------------------------------------------------------------
-// AST re-expressions of the structural legacy rules
-// ---------------------------------------------------------------------------
-
-/// Produces `float-ord` / `nan-compare` / `lossy-cast` violations from the
-/// AST, token-identical to the legacy matchers, each with its anchor
-/// token. The engine unions these with the token matchers restricted to
-/// uncovered tokens.
-pub fn ast_legacy_checks(
-    ctx: &FileContext<'_>,
-    ast: &FileAst,
-) -> Vec<(&'static str, usize, RawViolation)> {
-    let mut out = Vec::new();
-    for item in &ast.items {
-        ast::walk_item_exprs(item, &mut |e| {
-            ast_float_ord(ctx, e, &mut out);
-            ast_nan_compare(ctx, e, &mut out);
-            ast_lossy_cast(ctx, e, &mut out);
-        });
-    }
-    out
-}
-
-fn ast_float_ord(
-    ctx: &FileContext<'_>,
-    e: &Expr,
-    out: &mut Vec<(&'static str, usize, RawViolation)>,
-) {
-    let ExprKind::MethodCall { recv, method, .. } = &e.kind else {
-        return;
-    };
-    if method != "unwrap" && method != "unwrap_or" {
-        return;
-    }
-    let anchor = match &recv.kind {
-        ExprKind::MethodCall {
-            method: inner,
-            method_tok,
-            ..
-        } if inner == "partial_cmp" => Some(*method_tok),
-        ExprKind::Call { callee, .. } => match &callee.kind {
-            ExprKind::Path(segs) if segs.last().map(|s| s.as_str()) == Some("partial_cmp") => {
-                let tok = callee.span.1.saturating_sub(1);
-                if ctx
-                    .tokens
-                    .get(tok)
-                    .map(|t| t.kind == TokenKind::Ident && t.text == "partial_cmp")
-                    == Some(true)
-                {
-                    Some(tok)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        },
-        _ => None,
-    };
-    if let Some(tok) = anchor {
-        out.push((
-            "float-ord",
-            tok,
-            RawViolation {
-                line: ctx.tokens[tok].line,
-                message: rules::float_ord_message(method),
-            },
-        ));
-    }
-}
-
-fn ast_nan_compare(
-    ctx: &FileContext<'_>,
-    e: &Expr,
-    out: &mut Vec<(&'static str, usize, RawViolation)>,
-) {
-    let ExprKind::Binary {
-        op,
-        op_tok,
-        lhs,
-        rhs,
-    } = &e.kind
-    else {
-        return;
-    };
-    if !matches!(op, ast::BinOp::Eq | ast::BinOp::Ne) {
-        return;
-    }
-    let op_text = if matches!(op, ast::BinOp::Eq) {
-        "=="
-    } else {
-        "!="
-    };
-    let nan_right = matches!(
-        &rhs.kind,
-        ExprKind::Path(segs)
-            if segs.len() == 2
-                && (segs[0] == "f64" || segs[0] == "f32")
-                && segs[1] == "NAN"
-    ) && rhs.span.0 == op_tok + 1;
-    let nan_left = match &lhs.kind {
-        ExprKind::Path(segs) => segs.last().map(|s| s.as_str()) == Some("NAN"),
-        ExprKind::Field { name, .. } => name == "NAN",
-        _ => false,
-    } && lhs.span.1 == *op_tok;
-    if nan_right || nan_left {
-        out.push((
-            "nan-compare",
-            *op_tok,
-            RawViolation {
-                line: ctx.tokens[*op_tok].line,
-                message: rules::nan_const_message(op_text),
-            },
-        ));
-        return;
-    }
-    // `x != x` on bare single-segment paths, mirroring the token matcher's
-    // "ident directly on both sides, no adjacent dots" shape.
-    if let (ExprKind::Path(a), ExprKind::Path(b)) = (&lhs.kind, &rhs.kind) {
-        if a.len() == 1
-            && b.len() == 1
-            && a[0] == b[0]
-            && lhs.span.1 == *op_tok
-            && rhs.span.0 == op_tok + 1
-            && lhs.span.1 - lhs.span.0 == 1
-            && rhs.span.1 - rhs.span.0 == 1
-        {
-            out.push((
-                "nan-compare",
-                *op_tok,
-                RawViolation {
-                    line: ctx.tokens[*op_tok].line,
-                    message: rules::self_compare_message(&a[0], op_text),
-                },
-            ));
-        }
-    }
-}
-
-fn ast_lossy_cast(
-    ctx: &FileContext<'_>,
-    e: &Expr,
-    out: &mut Vec<(&'static str, usize, RawViolation)>,
-) {
-    let ExprKind::Cast { expr, as_tok, ty } = &e.kind else {
-        return;
-    };
-    let Some(ty_tok) = ctx.tokens.get(ty.0) else {
-        return;
-    };
-    if ty_tok.kind != TokenKind::Ident || !rules::INT_TYPES.contains(&ty_tok.text.as_str()) {
-        return;
-    }
-    // Float literal directly before `as` (no parens in between).
-    if matches!(expr.kind, ExprKind::FloatLit(_)) && expr.span.1 == *as_tok {
-        out.push((
-            "lossy-cast",
-            *as_tok,
-            RawViolation {
-                line: ctx.tokens[*as_tok].line,
-                message: rules::float_literal_cast_message(&ty_tok.text),
-            },
-        ));
-        return;
-    }
-    // `.round() as <int>` with the call's `)` directly before `as`.
-    if let ExprKind::MethodCall { method, args, .. } = &expr.kind {
-        if args.is_empty()
-            && rules::FLOAT_PRODUCING_METHODS.contains(&method.as_str())
-            && expr.span.1 == *as_tok
-        {
-            out.push((
-                "lossy-cast",
-                *as_tok,
-                RawViolation {
-                    line: ctx.tokens[*as_tok].line,
-                    message: rules::float_method_cast_message(method, &ty_tok.text),
-                },
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1788,14 +1593,8 @@ mod tests {
 
     fn run_semantic(crate_name: &str, src: &str) -> Vec<(&'static str, RawViolation)> {
         let lexed = lexer::lex(src);
-        let spans = engine::test_spans(&lexed.tokens);
-        let ctx = FileContext {
-            rel_path: "crates/x/src/lib.rs",
-            crate_name,
-            file_name: "lib.rs",
-            tokens: &lexed.tokens,
-            test_spans: &spans,
-        };
+        let rel_path = format!("crates/{crate_name}/src/lib.rs");
+        let ctx = engine::file_context(&rel_path, &lexed.tokens);
         let parsed = ast::parse(&lexed.tokens);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
         semantic_checks(&ctx, &parsed)
@@ -1938,43 +1737,5 @@ mod tests {
              }\n",
         );
         assert_eq!(rule_lines(&vs, "rayon-capture"), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn ast_legacy_matches_token_matchers() {
-        let src = "pub fn f(xs: &mut [f64], y: f64) -> bool {\n\
-                   \x20   xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
-                   \x20   let z = y.round() as usize;\n\
-                   \x20   y != y && z > 0\n\
-                   }\n";
-        let lexed = lexer::lex(src);
-        let spans = engine::test_spans(&lexed.tokens);
-        let ctx = FileContext {
-            rel_path: "crates/x/src/lib.rs",
-            crate_name: "x",
-            file_name: "lib.rs",
-            tokens: &lexed.tokens,
-            test_spans: &spans,
-        };
-        let parsed = ast::parse(&lexed.tokens);
-        assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        let mut ast_hits: Vec<(String, u32, String)> = ast_legacy_checks(&ctx, &parsed)
-            .into_iter()
-            .map(|(r, _, v)| (r.to_string(), v.line, v.message))
-            .collect();
-        let mut tok_hits: Vec<(String, u32, String)> = Vec::new();
-        for (rule, anchored) in [
-            ("float-ord", rules::float_ord_anchored(&ctx)),
-            ("nan-compare", rules::nan_compare_anchored(&ctx)),
-            ("lossy-cast", rules::lossy_cast_anchored(&ctx)),
-        ] {
-            for (_, v) in anchored {
-                tok_hits.push((rule.to_string(), v.line, v.message));
-            }
-        }
-        ast_hits.sort();
-        tok_hits.sort();
-        assert_eq!(ast_hits, tok_hits);
-        assert_eq!(ast_hits.len(), 3);
     }
 }

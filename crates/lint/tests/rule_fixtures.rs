@@ -1,34 +1,23 @@
-//! Per-rule positive/negative fixtures for the legacy six rules: every
-//! rule must fire on the exact pattern it documents and stay silent on the
-//! sanctioned alternative. Each fixture scans under BOTH engines and
-//! asserts they agree on the legacy rules — a per-pattern differential
-//! check on top of the workspace-wide one.
+//! Per-rule positive/negative fixtures for the six token rules: every rule
+//! must fire on the exact pattern it documents and stay silent on the
+//! sanctioned alternative.
 
-use ld_lint::engine::EngineKind;
 use ld_lint::{rule_by_id, scan_source};
 
-fn legacy_rules(rel_path: &str, src: &str, engine: EngineKind) -> Vec<(u32, String)> {
-    scan_source(rel_path, src, engine)
+/// Token rule ids firing on `src` when scanned at `rel_path`, in source
+/// order.
+fn fired(rel_path: &str, src: &str) -> Vec<String> {
+    scan_source(rel_path, src)
         .violations
         .into_iter()
         .filter(|v| rule_by_id(&v.rule).is_none_or(|r| !r.semantic))
-        .map(|v| (v.line, v.rule))
+        .map(|v| v.rule)
         .collect()
 }
 
-/// Legacy rule ids firing on `src` when scanned at `rel_path`, in source
-/// order, identical under both engines.
-fn fired(rel_path: &str, src: &str) -> Vec<String> {
-    let ast = legacy_rules(rel_path, src, EngineKind::Ast);
-    let token = legacy_rules(rel_path, src, EngineKind::Token);
-    assert_eq!(ast, token, "engines disagree on the legacy rules");
-    token.into_iter().map(|(_, rule)| rule).collect()
-}
-
-/// Suppressed-violation count for `src` at `rel_path` (token engine, so
-/// counts cover exactly the legacy rules).
+/// Suppressed-violation count for `src` at `rel_path`.
 fn suppressed(rel_path: &str, src: &str) -> usize {
-    scan_source(rel_path, src, EngineKind::Token).suppressed
+    scan_source(rel_path, src).suppressed
 }
 
 const NEUTRAL: &str = "crates/autoscale/src/policy.rs";
@@ -53,6 +42,17 @@ fn float_ord_fires_inside_max_by_with_tuple_access() {
     // `.0.partial_cmp` exercises the tuple-index lexing path.
     let src = "fn f(v: &[(f64, usize)]) { v.iter().max_by(|a, b| a.0.partial_cmp(&b.0).unwrap()); }";
     assert_eq!(fired(NEUTRAL, src), ["float-ord"]);
+}
+
+#[test]
+fn float_ord_fires_inside_macro_bodies() {
+    // Macro arguments are opaque to the parser; the token matcher still
+    // sees them.
+    let src = "fn f(a: f64, b: f64) -> String {\n\
+               assert!(a.partial_cmp(&b).unwrap().is_le());\n\
+               let _v = vec![a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)];\n\
+               format!(\"{:?}\", b.partial_cmp(&a).unwrap())\n}";
+    assert_eq!(fired(NEUTRAL, src), ["float-ord", "float-ord", "float-ord"]);
 }
 
 #[test]
@@ -95,6 +95,19 @@ fn nan_compare_fires_on_nan_on_left() {
 fn nan_compare_fires_on_self_comparison_idiom() {
     let src = "fn f(x: f64) -> bool { x != x }";
     assert_eq!(fired(NEUTRAL, src), ["nan-compare"]);
+}
+
+#[test]
+fn nan_compare_fires_inside_macro_bodies() {
+    let src = "use std::f64::NAN;\n\
+               fn f(x: f64) -> String {\n\
+               assert!(x != f64::NAN);\n\
+               let _v = vec![x == x];\n\
+               format!(\"{}\", NAN == x)\n}";
+    assert_eq!(
+        fired(NEUTRAL, src),
+        ["nan-compare", "nan-compare", "nan-compare"]
+    );
 }
 
 #[test]
@@ -199,6 +212,18 @@ fn lossy_cast_fires_on_rounded_float_cast() {
 fn lossy_cast_fires_on_float_literal_cast() {
     let src = "fn f() -> i64 { 2.75 as i64 }";
     assert_eq!(fired(NEUTRAL, src), ["lossy-cast"]);
+}
+
+#[test]
+fn lossy_cast_fires_inside_macro_bodies() {
+    let src = "fn f(x: f64) -> String {\n\
+               assert!(x.round() as usize > 0);\n\
+               let _v = vec![2.5 as u32];\n\
+               format!(\"{}\", x.floor() as i64)\n}";
+    assert_eq!(
+        fired(NEUTRAL, src),
+        ["lossy-cast", "lossy-cast", "lossy-cast"]
+    );
 }
 
 #[test]

@@ -1,16 +1,14 @@
 //! Positive / negative / suppressed fixtures for the four semantic rules
 //! (determinism-taint, panic-path, range-cast, rayon-capture), exercised
-//! through the full `scan_source` pipeline so suppression directives,
-//! test-span filtering and engine gating all apply — unlike the analyzer
-//! unit tests in `semantic.rs`, which call the checker directly.
+//! through the full `scan_source` pipeline so suppression directives and
+//! test-span filtering apply — unlike the analyzer unit tests in
+//! `semantic.rs`, which call the checker directly.
 
-use ld_lint::engine::EngineKind;
 use ld_lint::scan_source;
 
-/// Rules firing on `src` at `rel_path` under the AST engine, in source
-/// order.
+/// Rules firing on `src` at `rel_path`, in source order.
 fn fired(rel_path: &str, src: &str) -> Vec<String> {
-    scan_source(rel_path, src, EngineKind::Ast)
+    scan_source(rel_path, src)
         .violations
         .into_iter()
         .map(|v| v.rule)
@@ -18,7 +16,7 @@ fn fired(rel_path: &str, src: &str) -> Vec<String> {
 }
 
 fn suppressed(rel_path: &str, src: &str) -> usize {
-    scan_source(rel_path, src, EngineKind::Ast).suppressed
+    scan_source(rel_path, src).suppressed
 }
 
 // `core` is subject to determinism-taint, range-cast and rayon-capture;
@@ -175,24 +173,4 @@ fn rayon_capture_suppressible_with_directive() {
     }\n";
     assert!(fired(CORE, src).is_empty());
     assert_eq!(suppressed(CORE, src), 1);
-}
-
-// ------------------------------------------------------------ engine gating
-
-#[test]
-fn token_engine_skips_semantic_rules_entirely() {
-    for (path, src) in [
-        (CORE, HASH_ITER_INTO_SEED),
-        (SERVE, REACHABLE_UNWRAP),
-        (CORE, CAPTURED_PUSH),
-    ] {
-        let scan = scan_source(path, src, EngineKind::Token);
-        assert!(
-            scan.violations.is_empty(),
-            "token engine produced {:?} for {path}",
-            scan.violations
-        );
-        // The unused semantic suppressions must not read as stale either.
-        assert!(scan.stale_suppressions.is_empty());
-    }
 }

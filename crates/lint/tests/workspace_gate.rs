@@ -1,13 +1,12 @@
-//! Tier-1 gate: the workspace itself must scan clean — no baseline debt,
-//! no stale suppressions — and the CLI must enforce that with its exit
-//! code.
+//! Tier-1 gate: the workspace itself must scan clean — no violations, no
+//! stale suppressions — and the CLI must enforce that with its exit code.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ld_lint::engine::EngineKind;
-use ld_lint::{find_workspace_root, load_baseline, scan_workspace};
+use ld_lint::{find_workspace_root, scan_workspace};
 
 fn workspace_root() -> PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -17,24 +16,18 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn workspace_is_clean_without_any_baseline() {
     let root = workspace_root();
-    let baseline =
-        load_baseline(&root.join("ld-lint.baseline.json")).expect("baseline parses");
-    let report = scan_workspace(&root, &baseline, EngineKind::Ast, None);
+    let report = scan_workspace(&root, None);
     assert!(report.files_scanned > 50, "scan saw only {} files", report.files_scanned);
 
     let active: Vec<String> = report
-        .active()
+        .violations
+        .iter()
         .map(|v| format!("{}:{} [{}] {}", v.file, v.line, v.rule, v.message))
         .collect();
     assert!(
         active.is_empty(),
         "workspace has active violations:\n{}",
         active.join("\n")
-    );
-    assert!(
-        report.stale_baseline.is_empty(),
-        "baseline entries no longer match any violation (delete them):\n{:?}",
-        report.stale_baseline
     );
     assert!(
         report.stale_suppressions.is_empty(),
@@ -44,16 +37,35 @@ fn workspace_is_clean_without_any_baseline() {
 }
 
 #[test]
-fn baseline_debt_is_fully_burned_down() {
-    // The lossy-cast baseline reached zero: every entry was replaced by a
-    // guarded `ld_api::num` conversion and the baseline file deleted. It
-    // must not quietly come back.
+fn changed_files_scan_reaches_the_root_package() {
+    // The root package's `src/` is linted like any crate, so its
+    // suppression directives are checked for staleness too.
     let root = workspace_root();
-    let path = root.join("ld-lint.baseline.json");
+    let changed = BTreeSet::from(["src/bin/ld-cli.rs".to_string()]);
+    let report = scan_workspace(&root, Some(&changed));
+    assert_eq!(report.files_scanned, 1);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(
-        !path.exists(),
-        "ld-lint.baseline.json exists again — fix new violations instead of baselining them"
+        report.stale_suppressions.is_empty(),
+        "{:?}",
+        report.stale_suppressions
     );
+}
+
+#[test]
+fn removed_flags_are_unknown_arguments() {
+    for args in [
+        &["--engine", "token"][..],
+        &["--baseline", "x.json"],
+        &["--write-baseline"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ld-lint"))
+            .args(args)
+            .output()
+            .expect("ld-lint binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    }
 }
 
 #[test]
@@ -113,7 +125,7 @@ fn cli_deny_fails_on_a_seeded_violation() {
     let payload = String::from_utf8_lossy(&json_out.stdout);
     assert!(payload.contains("\"float-ord\""), "json names the rule:\n{payload}");
     assert!(
-        payload.contains("\"schema_version\": 2"),
+        payload.contains("\"schema_version\": 3"),
         "json carries the schema version:\n{payload}"
     );
 }

@@ -3,7 +3,8 @@
 # the ld-e2e benchmark's smoke suite, the ld-perfbench smoke run on one CPU
 # (kernel equivalence asserts + bench schema check), the loadgen replays
 # (BENCH_serve.json's response digest recomputed), the ld-lint static-analysis
-# gate (report left in target/lint-report.json), and a warning-free
+# gate (schema v3 report left in target/lint-report.json and validated, plus
+# the zero-edit --fix --dry-run check), and a warning-free
 # clippy pass over every target (tests, examples and benches included).
 # Run from the repository root:
 #
@@ -62,7 +63,7 @@ rm -f target/ci-trace.json target/ci-trace.json.folded target/ci-trace.json.mani
 LD_FAST=1 LD_TRACE=target/ci-trace.json cargo run -q --release -p ld-bench --bin fig6_workflow > /dev/null
 cargo run -q --release --bin ld-cli -- trace-validate target/ci-trace.json target/ci-trace.json.manifest.json
 
-echo "=== ld-lint --deny (static analysis gate, schema_version 2) ==="
+echo "=== ld-lint --deny (static analysis gate, schema_version 3) ==="
 mkdir -p target
 cargo run -q -p ld-lint -- --deny --format json > target/lint-report.json
 cargo run -q -p ld-lint -- --check-report target/lint-report.json
@@ -74,10 +75,6 @@ case "$fix_out" in
     *"0 fix(es) available"*) ;;
     *) echo "ci.sh: --fix --dry-run proposed edits on a supposedly clean tree" >&2; exit 1 ;;
 esac
-
-if [ -f ld-lint.baseline.json ]; then
-    echo "ci.sh: warning: ld-lint.baseline.json exists again — the debt ledger was burned to zero, keep it that way" >&2
-fi
 
 echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
 cargo clippy --workspace --all-targets -- -D warnings
