@@ -28,4 +28,4 @@ pub mod vm;
 
 pub use report::AutoscaleReport;
 pub use policy::{CostModel, ProvisioningPolicy};
-pub use sim::{simulate, simulate_traced, simulate_with_telemetry, SimConfig};
+pub use sim::{simulate, simulate_traced, SimConfig};

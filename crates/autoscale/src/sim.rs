@@ -58,42 +58,21 @@ pub fn simulate(
     series: &Series,
     config: &SimConfig,
 ) -> AutoscaleReport {
-    simulate_with_telemetry(
-        predictor,
-        series,
-        config,
-        &ld_telemetry::Telemetry::disabled(),
-    )
+    simulate_traced(predictor, series, config, &ld_telemetry::Tracer::disabled())
 }
 
-/// [`simulate`] with telemetry: each simulated interval records a scaling
-/// decision event under the `"autoscale"` scope (predicted vs. actual VM
-/// counts, on-demand spin-ups, idle VMs, SLA violations), plus aggregate
-/// counters. The simulation itself is unchanged.
-pub fn simulate_with_telemetry(
-    predictor: &mut dyn Predictor,
-    series: &Series,
-    config: &SimConfig,
-    telemetry: &ld_telemetry::Telemetry,
-) -> AutoscaleReport {
-    simulate_traced(
-        predictor,
-        series,
-        config,
-        telemetry,
-        &ld_telemetry::Tracer::disabled(),
-    )
-}
-
-/// [`simulate_with_telemetry`] with span tracing: the run nests an
-/// `autoscale.simulate` root over a `fit` span and one `interval#i` span
-/// per simulated interval. Interval spans are keyed by the interval index,
-/// so the traced tree is deterministic for a given series and config.
+/// [`simulate`] with a tracer: the run nests an `autoscale.simulate` root
+/// over a `fit` span and one `interval#i` span per simulated interval.
+/// Interval spans are keyed by the interval index, so the traced tree is
+/// deterministic for a given series and config. Each interval also records
+/// a scaling-decision event under the `"autoscale/<predictor name>"` scope
+/// (predicted vs. actual VM counts, on-demand spin-ups, idle VMs, SLA
+/// violations), so simulations of different predictors on one tracer never
+/// collide, plus aggregate counters. The simulation itself is unchanged.
 pub fn simulate_traced(
     predictor: &mut dyn Predictor,
     series: &Series,
     config: &SimConfig,
-    telemetry: &ld_telemetry::Telemetry,
     tracer: &ld_telemetry::Tracer,
 ) -> AutoscaleReport {
     assert!(
@@ -102,13 +81,15 @@ pub fn simulate_traced(
         config.test_start,
         series.len()
     );
-    let _sim_span = telemetry.span("autoscale.simulate");
     let sim_guard = tracer.span("autoscale.simulate");
     let sim_tracer = sim_guard.tracer();
     {
         let _fit_guard = sim_tracer.span("fit");
         predictor.fit(&series.values[..config.test_start]);
     }
+    let scope = tracer
+        .is_enabled()
+        .then(|| format!("autoscale/{}", predictor.name()));
 
     let mut intervals = Vec::with_capacity(series.len() - config.test_start);
     for i in config.test_start..series.len() {
@@ -148,12 +129,12 @@ pub fn simulate_traced(
             }
         }
 
-        if telemetry.is_enabled() {
-            telemetry.incr("autoscale.intervals");
-            telemetry.add("autoscale.on_demand_vms", on_demand as u64);
-            telemetry.add("autoscale.idle_vms", idle_vms as u64);
-            telemetry.add("autoscale.sla_violations", sla_violations as u64);
-            telemetry.record_with("autoscale", "interval", i as u64, |e| {
+        if let Some(scope) = &scope {
+            tracer.incr("autoscale.intervals");
+            tracer.add("autoscale.on_demand_vms", on_demand as u64);
+            tracer.add("autoscale.idle_vms", idle_vms as u64);
+            tracer.add("autoscale.sla_violations", sla_violations as u64);
+            tracer.record_with(scope, "interval", i as u64, |e| {
                 e.int("predicted", predicted as u64)
                     .int("actual", actual as u64)
                     .int("on_demand_vms", on_demand as u64)
@@ -340,5 +321,37 @@ mod tests {
         assert_eq!(report.intervals[0].actual, 0);
         assert_eq!(report.intervals[0].mean_turnaround_secs, 0.0);
         assert_eq!(report.intervals[0].idle_vms, 2);
+    }
+
+    #[test]
+    fn predictors_sharing_a_tracer_record_disjoint_interval_scopes() {
+        let s = series();
+        let values = s.values.clone();
+        let config = SimConfig {
+            test_start: 2,
+            ..SimConfig::default()
+        };
+        let tracer = ld_telemetry::Tracer::enabled();
+        let fixed = simulate_traced(&mut Fixed(10.0), &s, &config, &tracer);
+        let oracle = simulate_traced(&mut Oracle(&values), &s, &config, &tracer);
+        let events = tracer.events();
+        let simulated = s.len() - config.test_start;
+        for (scope, report) in [("autoscale/fixed", &fixed), ("autoscale/oracle", &oracle)] {
+            let intervals = events.events_of(scope, "interval");
+            assert_eq!(intervals.len(), simulated, "{scope}");
+            for (event, record) in intervals.iter().zip(&report.intervals) {
+                assert_eq!(
+                    event.num("predicted"),
+                    Some(record.predicted as f64),
+                    "{scope}"
+                );
+            }
+        }
+        assert_eq!(
+            events.events.len(),
+            2 * simulated,
+            "no event outside the two scopes"
+        );
+        assert_eq!(events.counter("autoscale.intervals"), 2 * simulated as u64);
     }
 }

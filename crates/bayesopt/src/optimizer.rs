@@ -43,17 +43,9 @@ pub struct Trial {
 /// evaluation becomes a finite penalized observation instead of unwinding
 /// through (and killing) the whole search. `catch_unwind` is the last-resort
 /// guard — well-behaved objectives report failure by returning a
-/// non-finite value or a penalty themselves.
-fn eval_isolated(objective: Objective<'_>, params: &[ParamValue]) -> (f64, bool) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| objective(params))) {
-        Ok(v) if v.is_finite() => (v, false),
-        _ => (FAILURE_PENALTY, true),
-    }
-}
-
-/// [`eval_isolated`] for tracer-aware objectives: the supplied tracer is
-/// scoped to this trial's span, so spans opened inside the objective
-/// (training epochs, batches) nest under the trial.
+/// non-finite value or a penalty themselves. The supplied tracer is scoped
+/// to this trial's span, so spans opened inside the objective (training
+/// epochs, batches) nest under the trial.
 fn eval_isolated_traced(
     objective: TracedObjective<'_>,
     params: &[ParamValue],
@@ -122,8 +114,9 @@ pub type Objective<'a> = &'a (dyn Fn(&[ParamValue]) -> f64 + Sync);
 
 /// A black-box objective that also receives a [`Tracer`] scoped to its
 /// trial, so spans opened inside the evaluation nest under the search tree.
-/// The tracer is disabled unless the optimizer was given one via
-/// [`BayesianOptimizer::with_tracer`].
+/// The tracer is disabled unless the search was given an enabled one
+/// ([`BayesianOptimizer::with_tracer`], or the `tracer` argument of
+/// [`RandomSearch::optimize_traced`] / [`GridSearch::optimize_traced`]).
 pub type TracedObjective<'a> = &'a (dyn Fn(&[ParamValue], &Tracer) -> f64 + Sync);
 
 /// Common interface over the three search strategies.
@@ -173,7 +166,6 @@ impl Default for BoOptions {
 #[derive(Debug, Clone, Default)]
 pub struct BayesianOptimizer {
     opts: BoOptions,
-    telemetry: ld_telemetry::Telemetry,
     tracer: Tracer,
 }
 
@@ -184,25 +176,17 @@ impl BayesianOptimizer {
         assert!(opts.candidate_pool >= 1, "need a non-empty candidate pool");
         BayesianOptimizer {
             opts,
-            telemetry: ld_telemetry::Telemetry::disabled(),
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Attaches a telemetry handle: per-iteration events (candidate
-    /// fingerprint, acquisition score, incumbent) land under the
-    /// `"bayesopt"` scope, surrogate fits under the
-    /// `"bayesopt.surrogate_fit"` timer.
-    pub fn with_telemetry(mut self, telemetry: ld_telemetry::Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Attaches a span tracer (usually already scoped to the enclosing
-    /// search). Initial-design trials open `init#i` spans, surrogate
-    /// iterations `iter#k` spans with `surrogate_fit` / `propose` /
-    /// `evaluate` children; the trial-scoped tracer is handed to
-    /// [`TracedObjective`] evaluations so candidate training nests below.
+    /// Attaches a tracer (usually already scoped to the enclosing search).
+    /// Initial-design trials open `init#i` spans, surrogate iterations
+    /// `iter#k` spans with `surrogate_fit` / `propose` / `evaluate`
+    /// children; the trial-scoped tracer is handed to [`TracedObjective`]
+    /// evaluations so candidate training nests below. Per-trial events
+    /// (candidate fingerprint, acquisition score, incumbent) land under the
+    /// `"bayesopt"` scope.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -213,13 +197,13 @@ impl BayesianOptimizer {
         &self.opts
     }
 
-    /// Records one completed trial as a telemetry event.
+    /// Records one completed trial as an event.
     fn record_trial(&self, index: usize, trial: &Trial, incumbent: f64, phase: &str, ei: Option<f64>) {
-        self.telemetry.incr("bayesopt.trials");
+        self.tracer.incr("bayesopt.trials");
         if trial.failed {
-            self.telemetry.incr("bayesopt.failed_trials");
+            self.tracer.incr("bayesopt.failed_trials");
         }
-        self.telemetry
+        self.tracer
             .record_with("bayesopt", "trial", index as u64, |e| {
                 e.text("params", fingerprint(&trial.params))
                     .num("value", trial.value)
@@ -234,15 +218,13 @@ impl BayesianOptimizer {
             });
     }
 
-    /// Fits the GP surrogate under the `bayesopt.surrogate_fit` timer and,
-    /// when telemetry or tracing is enabled, arms the `ld-gp` section
-    /// counters so the Gram-construction and Cholesky shares of the fit
-    /// land in the `gp.gram_build` / `gp.cholesky` timers and as
-    /// `gram_build` / `cholesky` child spans under `surrogate_fit`
-    /// (approximate attribution: the counters are process-global, so
-    /// concurrent armed fits interleave). Surrogate failures are counted
-    /// here; the caller degrades to random sampling on `None` instead of
-    /// aborting the search.
+    /// Fits the GP surrogate under a `surrogate_fit` span and, when tracing
+    /// is enabled, arms the `ld-gp` section counters so the
+    /// Gram-construction and Cholesky shares of the fit land as
+    /// `gram_build` / `cholesky` child spans (approximate attribution: the
+    /// counters are process-global, so concurrent armed fits interleave).
+    /// Surrogate failures are counted here; the caller degrades to random
+    /// sampling on `None` instead of aborting the search.
     fn timed_surrogate_fit(
         &self,
         tracer: &Tracer,
@@ -250,32 +232,29 @@ impl BayesianOptimizer {
         ys: &[f64],
         opts: FitOptions,
     ) -> Option<ld_gp::GpRegressor> {
-        let armed = (self.telemetry.is_enabled() || tracer.is_enabled())
+        let armed = tracer
+            .is_enabled()
             .then(|| (ld_gp::sections::activate(), ld_gp::sections::totals()));
         let fit_span = tracer.span("surrogate_fit");
-        let fitted = self
-            .telemetry
-            .time("bayesopt.surrogate_fit", || fit_auto(xs, ys, opts).ok());
+        let fitted = fit_auto(xs, ys, opts).ok();
         if let Some((_guard, (gram0, chol0))) = armed {
             let (gram1, chol1) = ld_gp::sections::totals();
             let gram = gram1.saturating_sub(gram0);
             let chol = chol1.saturating_sub(chol0);
-            self.telemetry.observe_secs("gp.gram_build", gram as f64 / 1e9);
-            self.telemetry.observe_secs("gp.cholesky", chol as f64 / 1e9);
             let inside = fit_span.tracer();
             inside.record_span("gram_build", 0, gram, chol);
             inside.record_span("cholesky", 0, chol, 0);
         }
         drop(fit_span);
         if fitted.is_none() {
-            self.telemetry.incr("bayesopt.surrogate_failures");
+            self.tracer.incr("bayesopt.surrogate_failures");
         }
         fitted
     }
 
     /// True once `deadline_secs` has elapsed since `start`; counts the stop
-    /// in telemetry the first time it fires. `start` is `None` exactly when
-    /// no deadline is configured.
+    /// the first time it fires. `start` is `None` exactly when no deadline
+    /// is configured.
     fn deadline_hit(&self, start: Option<std::time::Instant>) -> bool {
         let (Some(start), Some(limit)) = (start, self.opts.deadline_secs) else {
             return false;
@@ -283,7 +262,7 @@ impl BayesianOptimizer {
         if start.elapsed().as_secs_f64() < limit {
             return false;
         }
-        self.telemetry.incr("bayesopt.deadline_stops");
+        self.tracer.incr("bayesopt.deadline_stops");
         true
     }
 }
@@ -326,7 +305,6 @@ impl BayesianOptimizer {
         seed: u64,
     ) -> OptResult {
         assert!(budget >= 1, "budget must be >= 1");
-        let _opt_span = self.telemetry.span("bayesopt.optimize");
         let mut rng = StdRng::seed_from_u64(seed);
         let init_n = self.opts.init_points.min(budget);
         // The clock is only read when a deadline is configured, so
@@ -356,9 +334,9 @@ impl BayesianOptimizer {
             })
             .collect();
 
-        // Telemetry for the initial design is recorded here, after the
+        // Events for the initial design are recorded here, after the
         // ordered collect, so event keys never depend on worker scheduling.
-        if self.telemetry.is_enabled() {
+        if self.tracer.is_enabled() {
             let mut running_best = f64::INFINITY;
             for (i, t) in trials.iter().enumerate() {
                 running_best = running_best.min(t.value);
@@ -427,7 +405,7 @@ impl BayesianOptimizer {
             }
 
             // Pick the best not-yet-evaluated candidate by acquisition score,
-            // keeping the winner's score for telemetry.
+            // keeping the winner's score for the trial event.
             let chosen: Option<(Vec<f64>, f64)> = match &gp {
                 Some(gp) => {
                     let mut scored: Vec<(f64, &Vec<f64>)> = pool
@@ -478,7 +456,7 @@ impl BayesianOptimizer {
                 value,
                 failed,
             });
-            if self.telemetry.is_enabled() {
+            if self.tracer.is_enabled() {
                 let index = trials.len() - 1;
                 let incumbent = trials
                     .iter()
@@ -528,7 +506,6 @@ impl BayesianOptimizer {
         q: usize,
     ) -> OptResult {
         assert!(budget >= 1 && q >= 1, "budget and q must be >= 1");
-        let _opt_span = self.telemetry.span("bayesopt.optimize_batched");
         let mut rng = StdRng::seed_from_u64(seed);
         let init_n = self.opts.init_points.min(budget);
         // ld-lint: allow(determinism, "opt-in deadline budget: bounds how many trials run, never what a trial computes")
@@ -551,7 +528,7 @@ impl BayesianOptimizer {
                 }
             })
             .collect();
-        if self.telemetry.is_enabled() {
+        if self.tracer.is_enabled() {
             let mut running_best = f64::INFINITY;
             for (i, t) in trials.iter().enumerate() {
                 running_best = running_best.min(t.value);
@@ -639,7 +616,7 @@ impl BayesianOptimizer {
                     }
                 })
                 .collect();
-            if self.telemetry.is_enabled() {
+            if self.tracer.is_enabled() {
                 let base = trials.len();
                 let mut running_best = trials
                     .iter()
@@ -669,23 +646,25 @@ impl HyperOptimizer for RandomSearch {
         budget: usize,
         seed: u64,
     ) -> OptResult {
+        self.optimize_traced(space, &|p, _| objective(p), budget, seed, &Tracer::disabled())
+    }
+}
+
+impl RandomSearch {
+    /// [`HyperOptimizer::optimize`] with a tracer-aware objective: trial
+    /// `i` runs under a `trial#i` span of `tracer` (see [`evaluate_design`]).
+    pub fn optimize_traced(
+        &self,
+        space: &SearchSpace,
+        objective: TracedObjective<'_>,
+        budget: usize,
+        seed: u64,
+        tracer: &Tracer,
+    ) -> OptResult {
         assert!(budget >= 1, "budget must be >= 1");
         let mut rng = StdRng::seed_from_u64(seed);
         let units: Vec<Vec<f64>> = (0..budget).map(|_| space.sample_unit(&mut rng)).collect();
-        let trials: Vec<Trial> = units
-            .into_par_iter()
-            .map(|unit| {
-                let params = space.decode(&unit);
-                let (value, failed) = eval_isolated(objective, &params);
-                Trial {
-                    params,
-                    unit,
-                    value,
-                    failed,
-                }
-            })
-            .collect();
-        OptResult::from_trials(trials)
+        evaluate_design(space, units, objective, tracer)
     }
 }
 
@@ -700,7 +679,23 @@ impl HyperOptimizer for GridSearch {
         space: &SearchSpace,
         objective: Objective<'_>,
         budget: usize,
+        seed: u64,
+    ) -> OptResult {
+        self.optimize_traced(space, &|p, _| objective(p), budget, seed, &Tracer::disabled())
+    }
+}
+
+impl GridSearch {
+    /// [`HyperOptimizer::optimize`] with a tracer-aware objective: grid
+    /// point `i` runs under a `trial#i` span of `tracer` (see
+    /// [`evaluate_design`]). The grid is deterministic; `seed` is unused.
+    pub fn optimize_traced(
+        &self,
+        space: &SearchSpace,
+        objective: TracedObjective<'_>,
+        budget: usize,
         _seed: u64,
+        tracer: &Tracer,
     ) -> OptResult {
         assert!(budget >= 1, "budget must be >= 1");
         let d = space.ndims();
@@ -745,22 +740,37 @@ impl HyperOptimizer for GridSearch {
                 u
             })
             .collect();
-
-        let trials: Vec<Trial> = units
-            .into_par_iter()
-            .map(|unit| {
-                let params = space.decode(&unit);
-                let (value, failed) = eval_isolated(objective, &params);
-                Trial {
-                    params,
-                    unit,
-                    value,
-                    failed,
-                }
-            })
-            .collect();
-        OptResult::from_trials(trials)
+        evaluate_design(space, units, objective, tracer)
     }
+}
+
+/// Evaluates a fixed design rayon-parallel, point `i` under a `trial#i`
+/// span of `tracer`. Span indices come from the design position, not worker
+/// order, so the span tree is deterministic under any rayon schedule.
+fn evaluate_design(
+    space: &SearchSpace,
+    units: Vec<Vec<f64>>,
+    objective: TracedObjective<'_>,
+    tracer: &Tracer,
+) -> OptResult {
+    let trials: Vec<Trial> = units
+        .into_iter()
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(i, unit)| {
+            let params = space.decode(&unit);
+            let guard = tracer.span_at("trial", i as u64);
+            let (value, failed) = eval_isolated_traced(objective, &params, &guard.tracer());
+            Trial {
+                params,
+                unit,
+                value,
+                failed,
+            }
+        })
+        .collect();
+    OptResult::from_trials(trials)
 }
 
 #[cfg(test)]

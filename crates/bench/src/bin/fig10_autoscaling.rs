@@ -12,8 +12,7 @@ use ld_bench::render::print_table;
 use ld_bench::runner::traced_baseline_lineup;
 use ld_bench::scale::ExperimentScale;
 use ld_bench::telemetry_env::{
-    dump_manifest, dump_metrics, dump_telemetry, dump_trace, faults_from_env, metrics_from_env,
-    telemetry_from_env, trace_from_env,
+    dump_metrics, dump_trace, faults_from_env, metrics_from_env, trace_from_env,
 };
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::LoadDynamics;
@@ -21,7 +20,6 @@ use loaddynamics::LoadDynamics;
 fn main() {
     let scale = ExperimentScale::from_env();
     faults_from_env();
-    let (telemetry, telemetry_out) = telemetry_from_env();
     let (tracer, trace_out) = trace_from_env();
     let (metrics, metrics_out) = metrics_from_env();
     println!("=== Fig. 10: auto-scaling with different prediction techniques (Azure, 60-min) ===");
@@ -46,18 +44,13 @@ fn main() {
     let mut rows = Vec::new();
 
     // LoadDynamics (optimize on train+val, simulate over test intervals).
-    // Telemetry (when LD_TELEMETRY is set) covers both the optimization and
-    // the per-interval scaling decisions of the LoadDynamics run.
+    // The tracer (when LD_TRACE is set) covers the optimization and every
+    // predictor's scaling decisions, each under its own event scope.
     eprintln!("[fig10] optimizing LoadDynamics ...");
-    let framework = LoadDynamics::new(
-        scale
-            .framework_config(0)
-            .with_telemetry(telemetry.clone())
-            .with_tracer(tracer.clone()),
-    );
+    let framework = LoadDynamics::new(scale.framework_config(0).with_tracer(tracer.clone()));
     let outcome = framework.optimize(&series);
     let mut ld: Box<dyn Predictor> = Box::new(outcome.predictor);
-    let report = simulate_traced(ld.as_mut(), &series, &sim_config, &telemetry, &tracer);
+    let report = simulate_traced(ld.as_mut(), &series, &sim_config, &tracer);
     metrics.incr("fig10.predictors_total");
     metrics.add("fig10.on_demand_vms_total", report.on_demand_vm_count() as u64);
     metrics.add("fig10.idle_vms_total", report.idle_vm_count() as u64);
@@ -75,7 +68,6 @@ fn main() {
     ]);
 
     // CloudInsight and Wood (CloudScale dropped, as in the paper).
-    let untraced_telemetry = ld_telemetry::Telemetry::disabled();
     for (b, mut baseline) in traced_baseline_lineup(0, &tracer).into_iter().enumerate() {
         if baseline.name() == "CloudScale" {
             continue;
@@ -84,13 +76,7 @@ fn main() {
         // Baseline sims nest under `baseline#<lineup index>` so their
         // interval spans never collide with the LoadDynamics run's.
         let baseline_tracer = tracer.scoped("baseline", b as u64);
-        let report = simulate_traced(
-            baseline.as_mut(),
-            &series,
-            &sim_config,
-            &untraced_telemetry,
-            &baseline_tracer,
-        );
+        let report = simulate_traced(baseline.as_mut(), &series, &sim_config, &baseline_tracer);
         metrics.incr("fig10.predictors_total");
         metrics.add("fig10.on_demand_vms_total", report.on_demand_vm_count() as u64);
         metrics.add("fig10.idle_vms_total", report.idle_vm_count() as u64);
@@ -124,20 +110,16 @@ fn main() {
          (lowest turnaround, driven by the lowest under-provisioning rate) and\n\
          wastes the fewest idle VMs (lowest over-provisioning rate)."
     );
-    dump_telemetry(&telemetry, &telemetry_out);
-    let snapshot = dump_trace(&tracer, &trace_out);
     dump_metrics(&metrics, &metrics_out);
-    dump_manifest(
+    dump_trace(
+        &tracer,
+        &trace_out,
         ld_telemetry::RunManifest::new("fig10_autoscaling")
             .seed(0)
             .config("workload", "azure-60min-x0.6")
             .config("scale", format!("{scale:?}"))
             .config("test_start", sim_config.test_start)
             .config("selected_hyperparams", outcome.hyperparams),
-        &trace_out,
-        snapshot.as_ref(),
-        &telemetry,
-        &telemetry_out,
         &metrics,
         &metrics_out,
     );

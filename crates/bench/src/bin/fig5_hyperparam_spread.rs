@@ -10,9 +10,7 @@ use ld_api::Partition;
 use ld_bayesopt::SearchSpace;
 use ld_bench::render::print_table;
 use ld_bench::scale::ExperimentScale;
-use ld_bench::telemetry_env::{
-    dump_manifest, dump_metrics, dump_trace, metrics_from_env, trace_from_env,
-};
+use ld_bench::telemetry_env::{dump_metrics, dump_trace, metrics_from_env, trace_from_env};
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{evaluate_hyperparams_traced, HyperParams};
 use rand::rngs::StdRng;
@@ -55,7 +53,6 @@ fn main() {
     // identical whichever worker evaluates which candidate.
     let sweep_guard = tracer.span("fig5.sweep");
     let sweep_tracer = sweep_guard.tracer();
-    let untraced_telemetry = ld_telemetry::Telemetry::disabled();
     let indexed: Vec<(usize, HyperParams)> = candidates.iter().copied().enumerate().collect();
     let mut mapes: Vec<(HyperParams, f64)> = indexed
         .into_par_iter()
@@ -67,7 +64,6 @@ fn main() {
                 hp,
                 &budget,
                 0,
-                &untraced_telemetry,
                 &candidate_guard.tracer(),
             );
             (hp, out.val_mape)
@@ -111,18 +107,15 @@ fn main() {
         "\nExpected shape (paper Fig. 5): a large spread — choosing good\n\
          hyperparameters cuts the error by ~3x versus a poor choice."
     );
-    let snapshot = dump_trace(&tracer, &trace_out);
     dump_metrics(&metrics, &metrics_out);
-    dump_manifest(
+    dump_trace(
+        &tracer,
+        &trace_out,
         ld_telemetry::RunManifest::new("fig5_hyperparam_spread")
             .seed(5)
             .config("workload", "google-30min")
             .config("scale", format!("{scale:?}"))
             .config("n_models", n_models),
-        &trace_out,
-        snapshot.as_ref(),
-        &untraced_telemetry,
-        &None,
         &metrics,
         &metrics_out,
     );

@@ -10,8 +10,7 @@ use ld_api::{walk_forward, Partition};
 use ld_bench::render::print_table;
 use ld_bench::scale::ExperimentScale;
 use ld_bench::telemetry_env::{
-    dump_manifest, dump_metrics, dump_telemetry, dump_trace, faults_from_env, metrics_from_env,
-    telemetry_from_env, trace_from_env,
+    dump_metrics, dump_trace, faults_from_env, metrics_from_env, trace_from_env,
 };
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{HyperParams, LoadDynamics};
@@ -19,7 +18,6 @@ use loaddynamics::{HyperParams, LoadDynamics};
 fn main() {
     let scale = ExperimentScale::from_env();
     faults_from_env();
-    let (telemetry, telemetry_out) = telemetry_from_env();
     let (tracer, trace_out) = trace_from_env();
     let (metrics, metrics_out) = metrics_from_env();
     println!("=== Fig. 6/7: the self-optimization workflow, traced (LCG 30-min) ===");
@@ -48,12 +46,7 @@ fn main() {
         series.len()
     );
 
-    let framework = LoadDynamics::new(
-        scale
-            .framework_config(0)
-            .with_telemetry(telemetry.clone())
-            .with_tracer(tracer.clone()),
-    );
+    let framework = LoadDynamics::new(scale.framework_config(0).with_tracer(tracer.clone()));
     let outcome = framework.optimize(&series);
 
     println!("--- Fig. 6 steps 1-4: train / validate / propose / select ---");
@@ -92,20 +85,16 @@ fn main() {
         "fig6.test_mape_bp",
         ld_api::num::to_count(result.mape() * 100.0) as u64,
     );
-    dump_telemetry(&telemetry, &telemetry_out);
-    let snapshot = dump_trace(&tracer, &trace_out);
     dump_metrics(&metrics, &metrics_out);
-    dump_manifest(
+    dump_trace(
+        &tracer,
+        &trace_out,
         ld_telemetry::RunManifest::new("fig6_workflow")
             .seed(0)
             .config("workload", "lcg-30min")
             .config("scale", format!("{scale:?}"))
             .config("selected_hyperparams", outcome.hyperparams)
             .config("test_mape_pct", format!("{:.4}", result.mape())),
-        &trace_out,
-        snapshot.as_ref(),
-        &telemetry,
-        &telemetry_out,
         &metrics,
         &metrics_out,
     );

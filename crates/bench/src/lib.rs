@@ -17,4 +17,3 @@ pub mod telemetry_env;
 pub use render::{print_table, sparkline};
 pub use runner::{baseline_lineup, run_loaddynamics, run_predictor, ExperimentResult};
 pub use scale::ExperimentScale;
-pub use telemetry_env::{dump_telemetry, telemetry_from_env};

@@ -99,7 +99,6 @@ impl ExperimentScale {
             budget: self.budget(),
             seed,
             strategy: SearchStrategy::default(),
-            telemetry: ld_telemetry::Telemetry::disabled(),
             tracer: ld_telemetry::Tracer::disabled(),
             deadline_secs: None,
         }

@@ -2,9 +2,7 @@
 //! final walk-forward predictor.
 
 use ld_api::{walk_forward_range, FrameworkError, Partition, Predictor, Series};
-use ld_bayesopt::{
-    BayesianOptimizer, BoOptions, GridSearch, HyperOptimizer, OptResult, RandomSearch, SearchSpace,
-};
+use ld_bayesopt::{BayesianOptimizer, BoOptions, GridSearch, OptResult, RandomSearch, SearchSpace};
 use ld_nn::LstmForecaster;
 
 use crate::hyperparams::HyperParams;
@@ -46,14 +44,10 @@ pub struct FrameworkConfig {
     pub seed: u64,
     /// Search strategy.
     pub strategy: SearchStrategy,
-    /// Telemetry sink for the search and training hot loops. Disabled by
-    /// default: recording methods become single-branch no-ops and the
-    /// framework's outputs are identical to an uninstrumented build.
-    pub telemetry: ld_telemetry::Telemetry,
-    /// Span tracer for the search/training hierarchy. Disabled by default
-    /// with the same zero-overhead contract as `telemetry`: span methods
-    /// become no-ops and the framework's outputs are bitwise identical to
-    /// an untraced run.
+    /// Tracer for the search/training hierarchy: spans, counters and
+    /// events. Disabled by default: recording methods become single-branch
+    /// no-ops and the framework's outputs are bitwise identical to an
+    /// untraced run.
     pub tracer: ld_telemetry::Tracer,
     /// Wall-clock deadline for the hyperparameter search, in seconds,
     /// mirroring the paper's 3-hour per-configuration budget. Applied to
@@ -77,7 +71,6 @@ impl FrameworkConfig {
             budget: TrainBudget::default(),
             seed,
             strategy: SearchStrategy::default(),
-            telemetry: ld_telemetry::Telemetry::disabled(),
             tracer: ld_telemetry::Tracer::disabled(),
             // The paper's Section IV budget: three hours per configuration.
             deadline_secs: Some(3.0 * 3600.0),
@@ -97,20 +90,12 @@ impl FrameworkConfig {
                 init_points: 3,
                 ..BoOptions::default()
             }),
-            telemetry: ld_telemetry::Telemetry::disabled(),
             tracer: ld_telemetry::Tracer::disabled(),
             deadline_secs: None,
         }
     }
 
-    /// Returns the same configuration with telemetry enabled (or replaced).
-    pub fn with_telemetry(mut self, telemetry: ld_telemetry::Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Returns the same configuration with span tracing enabled (or
-    /// replaced).
+    /// Returns the same configuration with tracing enabled (or replaced).
     pub fn with_tracer(mut self, tracer: ld_telemetry::Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -205,37 +190,24 @@ impl LoadDynamics {
         let values = &series.values;
         let budget = self.config.budget;
         let seed = self.config.seed;
-        let telemetry = &self.config.telemetry;
-        // ld-lint: allow(determinism, "opt-in telemetry timer; timing is observed, never fed back into the search")
-        let optimize_start = telemetry.is_enabled().then(std::time::Instant::now);
+        let tracer = &self.config.tracer;
 
         // Root of the span hierarchy: everything in the Fig. 6 workflow —
         // init design, BO iterations, candidate training and the final
         // retrain — nests under `search`.
-        let search_guard = self.config.tracer.span("search");
+        let search_guard = tracer.span("search");
         let search_tracer = search_guard.tracer();
 
         // Fig. 6 steps 1-3, iterated maxIters times by the chosen search.
         // The second argument is the trial-scoped tracer handed down by the
-        // optimizer (disabled for the untraced Random/Grid strategies).
+        // optimizer, so every strategy's candidates record under `search`.
         let objective = move |params: &[ld_bayesopt::ParamValue],
                               trial_tracer: &ld_telemetry::Tracer|
               -> f64 {
             let hp = HyperParams::from_params(params);
-            evaluate_hyperparams_traced(
-                values,
-                partition,
-                hp,
-                &budget,
-                seed,
-                telemetry,
-                trial_tracer,
-            )
-            .val_mape
+            evaluate_hyperparams_traced(values, partition, hp, &budget, seed, trial_tracer)
+                .val_mape
         };
-        let untraced = ld_telemetry::Tracer::disabled();
-        let plain_objective =
-            move |params: &[ld_bayesopt::ParamValue]| -> f64 { objective(params, &untraced) };
         let trials = match &self.config.strategy {
             SearchStrategy::Bayesian(opts) => {
                 let mut bo_opts = *opts;
@@ -243,33 +215,34 @@ impl LoadDynamics {
                     bo_opts.deadline_secs = self.config.deadline_secs;
                 }
                 BayesianOptimizer::new(bo_opts)
-                    .with_telemetry(telemetry.clone())
                     .with_tracer(search_tracer.clone())
                     .optimize_traced(&self.config.space, &objective, self.config.max_iters, seed)
             }
-            SearchStrategy::Random => RandomSearch.optimize(
+            SearchStrategy::Random => RandomSearch.optimize_traced(
                 &self.config.space,
-                &plain_objective,
+                &objective,
                 self.config.max_iters,
                 seed,
+                &search_tracer,
             ),
-            SearchStrategy::Grid => GridSearch.optimize(
+            SearchStrategy::Grid => GridSearch.optimize_traced(
                 &self.config.space,
-                &plain_objective,
+                &objective,
                 self.config.max_iters,
                 seed,
+                &search_tracer,
             ),
         };
 
         // Strategy-agnostic trial history: one event per candidate in
         // evaluation order (the optimizers return an ordered history, so
         // these keys are deterministic regardless of evaluation threading).
-        if telemetry.is_enabled() {
+        if tracer.is_enabled() {
             let mut incumbent = f64::INFINITY;
             for (i, trial) in trials.trials.iter().enumerate() {
                 incumbent = incumbent.min(trial.value);
                 let hp = HyperParams::from_params(&trial.params);
-                telemetry.record_with("search", "trial", i as u64, |e| {
+                tracer.record_with("search", "trial", i as u64, |e| {
                     e.text("hyperparams", hp.to_string())
                         .num("val_mape", trial.value)
                         .num("incumbent", incumbent);
@@ -289,7 +262,6 @@ impl LoadDynamics {
             hyperparams,
             &budget,
             seed,
-            telemetry,
             &retrain_guard.tracer(),
         );
         drop(retrain_guard);
@@ -314,8 +286,8 @@ impl LoadDynamics {
             ),
             None => {
                 let (kind, mape) = select_fallback(series, partition);
-                telemetry.incr("framework.fallback");
-                telemetry.record_with("framework", "fallback", 0, |e| {
+                tracer.incr("framework.fallback");
+                tracer.record_with("framework", "fallback", 0, |e| {
                     e.text("series", series.name.clone())
                         .text("baseline", kind.label())
                         .num("val_mape", mape);
@@ -330,17 +302,12 @@ impl LoadDynamics {
             }
         };
 
-        if let Some(start) = optimize_start {
-            let wall = start.elapsed().as_secs_f64();
-            telemetry.observe_secs("framework.optimize", wall);
-            telemetry.record_with("framework", "optimize", 0, |e| {
-                e.text("series", series.name.clone())
-                    .text("selected", hyperparams.to_string())
-                    .num("val_mape", val_mape)
-                    .int("trials", trials.trials.len() as u64)
-                    .num("wall_secs", wall);
-            });
-        }
+        tracer.record_with("framework", "optimize", 0, |e| {
+            e.text("series", series.name.clone())
+                .text("selected", hyperparams.to_string())
+                .num("val_mape", val_mape)
+                .int("trials", trials.trials.len() as u64);
+        });
 
         OptimizationOutcome {
             predictor,

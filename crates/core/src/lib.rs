@@ -48,9 +48,7 @@ pub use framework::{
     SearchStrategy,
 };
 pub use hyperparams::HyperParams;
-pub use pipeline::{
-    evaluate_hyperparams, evaluate_hyperparams_traced, evaluate_hyperparams_with, TrainBudget,
-};
+pub use pipeline::{evaluate_hyperparams, evaluate_hyperparams_traced, TrainBudget};
 pub use space::{facebook_space, paper_space, scaled_space};
 
 /// Holds off the tests that install a process-global fault plan, and

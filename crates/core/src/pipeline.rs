@@ -94,66 +94,38 @@ pub fn evaluate_hyperparams(
     budget: &TrainBudget,
     seed: u64,
 ) -> EvalOutcome {
-    evaluate_hyperparams_with(
-        values,
-        partition,
-        hp,
-        budget,
-        seed,
-        &ld_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`evaluate_hyperparams`] with telemetry: the candidate's wall time and
-/// validation MAPE are recorded under the `"candidate/<hyperparams>"`
-/// scope, and the inner training loop reports per-epoch events under
-/// `"trainer/<hyperparams>"`. The hyperparameter fingerprint — not arrival
-/// order — keys every event, so concurrent candidate evaluations produce
-/// deterministically ordered snapshots.
-pub fn evaluate_hyperparams_with(
-    values: &[f64],
-    partition: &Partition,
-    hp: HyperParams,
-    budget: &TrainBudget,
-    seed: u64,
-    telemetry: &ld_telemetry::Telemetry,
-) -> EvalOutcome {
     evaluate_hyperparams_traced(
         values,
         partition,
         hp,
         budget,
         seed,
-        telemetry,
         &ld_telemetry::Tracer::disabled(),
     )
 }
 
-/// [`evaluate_hyperparams_with`] with span tracing: the candidate's
-/// training opens a `train` span under the supplied tracer (usually already
-/// scoped to the search trial), with per-epoch children recorded by the
-/// trainer.
-#[allow(clippy::too_many_arguments)]
+/// [`evaluate_hyperparams`] with a tracer: the candidate's training opens a
+/// `train` span under the supplied tracer (usually already scoped to the
+/// search trial), with per-epoch children recorded by the trainer. The
+/// candidate's validation MAPE is recorded under the
+/// `"candidate/<hyperparams>"` event scope and its training epochs under
+/// `"trainer/<hyperparams>"`. The hyperparameter fingerprint — not arrival
+/// order — keys every event, so concurrent candidate evaluations produce
+/// deterministically ordered snapshots.
 pub fn evaluate_hyperparams_traced(
     values: &[f64],
     partition: &Partition,
     hp: HyperParams,
     budget: &TrainBudget,
     seed: u64,
-    telemetry: &ld_telemetry::Telemetry,
     tracer: &ld_telemetry::Tracer,
 ) -> EvalOutcome {
-    // ld-lint: allow(determinism, "opt-in telemetry timer; timing is observed, never fed back into the evaluation")
-    let eval_start = telemetry.is_enabled().then(std::time::Instant::now);
-    let outcome = evaluate_hyperparams_inner(values, partition, hp, budget, seed, telemetry, tracer);
-    if let Some(start) = eval_start {
-        let wall = start.elapsed().as_secs_f64();
-        telemetry.incr("framework.candidate_evals");
-        telemetry.observe_secs("framework.candidate_eval", wall);
-        telemetry.record_with(&format!("candidate/{hp}"), "eval", 0, |e| {
+    let outcome = evaluate_hyperparams_inner(values, partition, hp, budget, seed, tracer);
+    if tracer.is_enabled() {
+        tracer.incr("framework.candidate_evals");
+        tracer.record_with(&format!("candidate/{hp}"), "eval", 0, |e| {
             e.num("val_mape", outcome.val_mape)
-                .flag("feasible", outcome.model.is_some())
-                .num("wall_secs", wall);
+                .flag("feasible", outcome.model.is_some());
         });
     }
     outcome
@@ -176,7 +148,6 @@ fn evaluate_hyperparams_inner(
     hp: HyperParams,
     budget: &TrainBudget,
     seed: u64,
-    telemetry: &ld_telemetry::Telemetry,
     tracer: &ld_telemetry::Tracer,
 ) -> EvalOutcome {
     let scaler = MinMaxScaler::fit(partition.train(values));
@@ -215,13 +186,10 @@ fn evaluate_hyperparams_inner(
         lr_decay: 1.0,
         max_divergence_retries: 3,
     });
-    if telemetry.is_enabled() {
-        trainer = trainer.with_telemetry(telemetry.clone(), format!("trainer/{hp}"));
-    }
     // The trainer opens epoch/batch children beneath the `train` span.
     let train_guard = tracer.span("train");
     if tracer.is_enabled() {
-        trainer = trainer.with_tracer(train_guard.tracer());
+        trainer = trainer.with_tracer(train_guard.tracer(), format!("trainer/{hp}"));
     }
     if ld_faultinject::is_active() {
         trainer = trainer.with_fault_key(fault_key(hp, seed));
@@ -233,7 +201,7 @@ fn evaluate_hyperparams_inner(
         // The watchdog exhausted its rollback budget: treat the candidate
         // exactly like an infeasible one, so the search steers away instead
         // of crashing or trusting garbage weights.
-        telemetry.incr("pipeline.diverged_trials");
+        tracer.incr("pipeline.diverged_trials");
         return EvalOutcome {
             val_mape: INFEASIBLE_MAPE,
             model: None,
@@ -252,7 +220,7 @@ fn evaluate_hyperparams_inner(
         .collect();
     let val_mape = metrics::mape(&preds, &actuals);
     if !val_mape.is_finite() {
-        telemetry.incr("pipeline.nonfinite_mape");
+        tracer.incr("pipeline.nonfinite_mape");
         return EvalOutcome {
             val_mape: INFEASIBLE_MAPE,
             model: None,

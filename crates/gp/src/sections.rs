@@ -2,9 +2,10 @@
 //! hot sections.
 //!
 //! Mirrors `ld-nn`'s kernel sections: process-global atomic counters armed
-//! by an RAII [`SectionGuard`]. The Bayesian optimizer (and `ld-perfbench`)
-//! arm a guard around surrogate fits and diff [`totals`] snapshots into
-//! telemetry, so the clock is never read unless a caller opted in. Timing
+//! by an RAII [`SectionGuard`]. A traced Bayesian optimizer (and
+//! `ld-perfbench`) arm a guard around surrogate fits and diff [`totals`]
+//! snapshots into the trace's synthetic `gram_build` / `cholesky` leaf
+//! spans, so the clock is never read unless a caller opted in. Timing
 //! is observed, never fed back into the numerics, so determinism of the fit
 //! results is unaffected; concurrent armed fits interleave into the global
 //! totals (approximate attribution, which is all the benchmark cross-checks

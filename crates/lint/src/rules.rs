@@ -136,7 +136,7 @@ trace, the same BO trial sequence, the same selected hyperparameters. Any
 `Instant::now()`, `SystemTime`, or `std::env::var` in the train/search path is
 a hidden input that can change results between runs or machines — the seeding
 and ordering bugs that silently corrupt reported accuracy in published
-reproductions. Telemetry (opt-in timers), fault injection (env-keyed plans),
+reproductions. ld-telemetry (span timestamps), fault injection (env-keyed plans),
 the bench harness (experiment knobs), and the linter itself are allow-listed;
 deliberate uses elsewhere (e.g. a wall-clock search deadline that only bounds
 *how many* trials run, never *which result a trial produces*) must carry an

@@ -25,7 +25,7 @@
 //! - [`workspace`]: reusable scratch arenas that make the forward/backward
 //!   hot loops allocation-free,
 //! - [`sections`]: opt-in nanosecond accounting for the gate-matmul and
-//!   BPTT kernel sections (drained into telemetry by the trainer),
+//!   BPTT kernel sections (drained into trace spans by the trainer),
 //! - [`reference`]: the retained pre-change compute paths, used as the
 //!   equivalence oracle for the optimized kernels.
 //!

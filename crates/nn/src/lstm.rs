@@ -56,7 +56,7 @@ impl Cell for Lstm {
     fn step(layer: &LstmLayer, s: Step<'_>, clock: &mut GateClock) {
         let h = layer.hidden;
         // z = W x + U h_prev + b as one packed panel mat-vec (the
-        // "gate-matmul" telemetry section).
+        // "gate-matmul" kernel section).
         clock.time(|| layer.gate_step_fused(s.x, s.h_prev, s.gate_in, s.z));
 
         // Gate blocks are contiguous ([i|f|o] then [g]), so the

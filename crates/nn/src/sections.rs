@@ -1,19 +1,20 @@
 //! Opt-in nanosecond accounting for the kernel hot sections.
 //!
-//! The trainer's `with_telemetry` knob (and `ld-perfbench`) want to know how
-//! much wall time the two dominant inner sections consume — the gate
-//! pre-activation mat-vecs of the forward unroll ("gate-matmul") and the
-//! reverse sweep ("bptt") — without paying any cost when telemetry is off.
-//! The counters here are process-global atomics: a [`SectionGuard`] arms
-//! them for the duration of a fit, the kernels accumulate elapsed nanos
-//! while at least one guard is live, and the trainer drains before/after
-//! totals into `Telemetry::observe_secs`.
+//! A traced trainer (`Trainer::with_tracer`) and `ld-perfbench` want to
+//! know how much wall time the two dominant inner sections consume — the
+//! gate pre-activation mat-vecs of the forward unroll ("gate-matmul") and
+//! the reverse sweep ("bptt") — without paying any cost when tracing is
+//! off. The counters here are process-global atomics: a [`SectionGuard`]
+//! arms them for the duration of a fit, the kernels accumulate elapsed
+//! nanos while at least one guard is live, and the trainer diffs
+//! before/after totals around each batch into the trace's synthetic
+//! `forward` / `bptt` leaf spans.
 //!
 //! Timing is observed, never fed back into training, so determinism of the
-//! numeric results is unaffected. When several telemetry-enabled fits run
-//! concurrently the global totals interleave — the per-fit deltas are then
-//! approximate attribution, which is fine for the benchmarking cross-checks
-//! these sections exist for.
+//! numeric results is unaffected. When several traced fits run
+//! concurrently the global totals interleave — the per-batch deltas are
+//! then approximate attribution, which is fine for the benchmarking
+//! cross-checks these sections exist for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -47,7 +47,7 @@ pub trait Trainable: Clone + Send + Sync {
     /// Scales gradients in place.
     fn scale(grads: &mut Self::Grads, alpha: f64);
     /// Clips the global gradient norm in place. Returns whether clipping
-    /// actually rescaled the gradients (telemetry counts activations).
+    /// actually rescaled the gradients (the tracer counts activations).
     fn clip(grads: &mut Self::Grads, max_norm: f64) -> bool;
     /// Visits `(parameter, gradient)` tensor pairs in a fixed order: the
     /// order numbers the optimizer's state slots.
@@ -193,9 +193,9 @@ pub struct TrainReport {
 #[derive(Debug, Clone, Default)]
 pub struct Trainer {
     opts: TrainOptions,
-    telemetry: ld_telemetry::Telemetry,
-    scope: String,
     tracer: ld_telemetry::Tracer,
+    /// Scope of the epoch / fit events recorded through `tracer`.
+    scope: String,
     /// Deterministic key for the fault-injection `nan_loss` site; `None`
     /// leaves injection off for this trainer even when the harness is
     /// active.
@@ -209,9 +209,8 @@ impl Trainer {
         assert!(opts.max_epochs > 0, "max_epochs must be >= 1");
         Trainer {
             opts,
-            telemetry: ld_telemetry::Telemetry::disabled(),
-            scope: String::new(),
             tracer: ld_telemetry::Tracer::disabled(),
+            scope: String::new(),
             fault_key: None,
         }
     }
@@ -225,27 +224,18 @@ impl Trainer {
         self
     }
 
-    /// Attaches a telemetry handle; per-epoch events are recorded under
-    /// `scope` (e.g. a hyperparameter fingerprint, so concurrent candidate
-    /// trainings stay distinguishable and deterministically ordered).
-    pub fn with_telemetry(
-        mut self,
-        telemetry: ld_telemetry::Telemetry,
-        scope: impl Into<String>,
-    ) -> Self {
-        self.telemetry = telemetry;
-        self.scope = scope.into();
-        self
-    }
-
-    /// Attaches a span tracer (usually already scoped to the candidate's
-    /// trial span). Each [`Trainer::fit`] records `epoch#e` spans with
-    /// `batch#b` / `validate` children; batches additionally carry
-    /// synthetic `forward` / `bptt` leaves attributed from the kernel
-    /// section counters (approximate under concurrent candidate trainings,
-    /// which share the process-global counters).
-    pub fn with_tracer(mut self, tracer: ld_telemetry::Tracer) -> Self {
+    /// Attaches a tracer (usually already scoped to the candidate's trial
+    /// span). Each [`Trainer::fit`] records `epoch#e` spans with `batch#b`
+    /// / `validate` children; batches additionally carry synthetic
+    /// `forward` / `bptt` leaves attributed from the kernel section
+    /// counters (approximate under concurrent candidate trainings, which
+    /// share the process-global counters). Per-epoch and per-fit events are
+    /// recorded under `scope` (e.g. a hyperparameter fingerprint, so
+    /// concurrent candidate trainings stay distinguishable and
+    /// deterministically ordered).
+    pub fn with_tracer(mut self, tracer: ld_telemetry::Tracer, scope: impl Into<String>) -> Self {
         self.tracer = tracer;
+        self.scope = scope.into();
         self
     }
 
@@ -300,15 +290,11 @@ impl Trainer {
                 && ld_faultinject::fault_hit(ld_faultinject::FaultSite::NanLoss, k)
         });
 
-        let telemetry_on = self.telemetry.is_enabled();
         let trace_on = self.tracer.is_enabled();
-        // ld-lint: allow(determinism, "opt-in telemetry timer; timing is observed, never fed back into training")
-        let fit_start = telemetry_on.then(std::time::Instant::now);
         // Arm the kernel section timers (gate-matmul / bptt nanos) for the
-        // duration of this fit; snapshots are diffed at the end (telemetry)
-        // and per batch (trace forward/bptt leaves).
-        let _sections_guard = (telemetry_on || trace_on).then(crate::sections::activate);
-        let sections_before = telemetry_on.then(crate::sections::totals);
+        // duration of this fit; snapshots are diffed per batch into the
+        // trace's forward/bptt leaves.
+        let _sections_guard = trace_on.then(crate::sections::activate);
 
         for epoch in 0..self.opts.max_epochs {
             let epoch_guard = self.tracer.span_at("epoch", epoch as u64);
@@ -321,8 +307,6 @@ impl Trainer {
             let mut epoch_loss_sum = 0.0;
             let mut batches = 0u64;
             let mut clipped_batches = 0u64;
-            // ld-lint: allow(determinism, "opt-in telemetry timer; timing is observed, never fed back into training")
-            let epoch_start = telemetry_on.then(std::time::Instant::now);
 
             for (b, chunk) in order.chunks(self.opts.batch_size).enumerate() {
                 let batch_guard = epoch_tracer.span_at("batch", b as u64);
@@ -390,14 +374,12 @@ impl Trainer {
             };
 
             if !train_mse.is_finite() || !monitored.is_finite() {
-                if telemetry_on {
-                    self.telemetry.incr("trainer.divergence_events");
-                    self.telemetry
+                if trace_on {
+                    self.tracer.incr("trainer.divergence_events");
+                    self.tracer
                         .record_with(&self.scope, "divergence", epoch as u64, |e| {
-                            e.int("rollbacks_used", rollbacks as u64).flag(
-                                "retry",
-                                rollbacks < self.opts.max_divergence_retries,
-                            );
+                            e.int("rollbacks_used", rollbacks as u64)
+                                .flag("retry", rollbacks < self.opts.max_divergence_retries);
                         });
                 }
                 if rollbacks >= self.opts.max_divergence_retries {
@@ -405,9 +387,7 @@ impl Trainer {
                     break;
                 }
                 rollbacks += 1;
-                if telemetry_on {
-                    self.telemetry.incr("trainer.watchdog_rollbacks");
-                }
+                self.tracer.incr("trainer.watchdog_rollbacks");
                 // Restore the last known-good weights (the initial ones if
                 // no epoch finished finite yet), drop moment estimates that
                 // may have absorbed non-finite gradients, and retreat the
@@ -419,18 +399,14 @@ impl Trainer {
                 continue;
             }
 
-            if telemetry_on {
-                self.telemetry.incr("trainer.epochs");
-                self.telemetry.add("trainer.clip_activations", clipped_batches);
-                self.telemetry
+            if trace_on {
+                self.tracer.incr("trainer.epochs");
+                self.tracer.add("trainer.clip_activations", clipped_batches);
+                self.tracer
                     .record_with(&self.scope, "epoch", epoch as u64, |e| {
                         e.num("train_mse", train_mse)
                             .int("batches", batches)
-                            .int("clipped_batches", clipped_batches)
-                            .num(
-                                "wall_secs",
-                                epoch_start.map_or(0.0, |s| s.elapsed().as_secs_f64()),
-                            );
+                            .int("clipped_batches", clipped_batches);
                         if !val.is_empty() {
                             e.num("val_mse", monitored);
                         }
@@ -451,20 +427,11 @@ impl Trainer {
         }
 
         *model = best_model;
-        if let Some(start) = fit_start {
-            let wall = start.elapsed().as_secs_f64();
-            self.telemetry.observe_secs("trainer.fit", wall);
-            if let Some((gate0, bptt0)) = sections_before {
-                let (gate1, bptt1) = crate::sections::totals();
-                self.telemetry
-                    .observe_secs("nn.gate_matmul", gate1.saturating_sub(gate0) as f64 / 1e9);
-                self.telemetry
-                    .observe_secs("nn.bptt", bptt1.saturating_sub(bptt0) as f64 / 1e9);
-            }
+        if trace_on {
             if diverged {
-                self.telemetry.incr("trainer.diverged_runs");
+                self.tracer.incr("trainer.diverged_runs");
             }
-            self.telemetry.record_with(&self.scope, "fit", 0, |e| {
+            self.tracer.record_with(&self.scope, "fit", 0, |e| {
                 e.int("epochs_run", epochs_run as u64)
                     .num("best_loss", best_loss)
                     .flag("early_stopped", early_stopped)
@@ -479,8 +446,7 @@ impl Trainer {
                         } else {
                             "max_epochs"
                         },
-                    )
-                    .num("wall_secs", wall);
+                    );
             });
         }
         TrainReport {

@@ -196,8 +196,8 @@ fn parse_args() -> Result<Cfg, i32> {
         .ok()
         .and_then(|s| s.trim().parse().ok());
     let default_out = if chaos { "BENCH_resilience.json" } else { "BENCH_serve.json" };
-    // Opt-in metrics dump mirroring LD_TELEMETRY / LD_TRACE: "1" means the
-    // default path, anything else is the path.
+    // Opt-in metrics dump mirroring LD_TRACE: "1" means the default path,
+    // anything else is the path.
     // ld-lint: allow(determinism, "pure-observer metrics dump knob; captured in the run manifest")
     let metrics_out = std::env::var("LD_METRICS")
         .ok()

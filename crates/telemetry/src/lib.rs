@@ -1,38 +1,38 @@
-//! Zero-overhead-when-off telemetry for the LoadDynamics hot loops.
+//! One instrumentation handle for the LoadDynamics hot loops.
 //!
 //! The framework's cost is concentrated in two nested loops — the Bayesian
 //! search over hyperparameters and, inside each candidate evaluation, the
-//! mini-batch training loop. This crate instruments both without changing
-//! their behavior:
+//! mini-batch training loop. A [`Tracer`] observes both without changing
+//! their behavior, recording three things into one shared registry:
 //!
-//! - **Counters** — monotone totals ("epochs run", "gradient clips fired").
-//! - **Timers** — aggregated wall-clock spans ("surrogate fit", "candidate
-//!   evaluation"), recorded as `count` + `total_secs`.
-//! - **Events** — structured per-epoch / per-iteration records with a small
-//!   set of typed fields.
+//! - **Spans** — timed regions of the search/training hierarchy
+//!   (`search / iter#3 / evaluate / train / epoch#7`), the only source of
+//!   wall-clock attribution; see [`trace`].
+//! - **Counters** — monotone totals ("epochs run", "gradient clips fired"),
+//!   via [`Tracer::add`] / [`Tracer::incr`].
+//! - **Events** — structured per-epoch / per-trial records with a small set
+//!   of typed fields, via [`Tracer::record_with`].
 //!
-//! A [`Telemetry`] handle is either *enabled* (an `Arc` around shared,
-//! mutex-protected storage — cheap to clone into rayon closures) or
-//! *disabled* (the default: every method returns immediately without
-//! locking or allocating, so instrumented code paths cost one branch).
+//! A default handle is *disabled*: every method returns immediately without
+//! locking, allocating or reading the clock, so instrumented code paths
+//! cost one branch. An enabled handle is an `Arc` around the registry,
+//! cheap to clone into rayon closures.
 //!
 //! # Determinism
 //!
-//! Events carry *logical* sort keys — a scope string (e.g.
-//! `"trainer/n=8 c=4 l=1 b=32"`), a kind, and an index (epoch or iteration
-//! number) — and [`Telemetry::snapshot`] orders by those keys plus the
-//! field contents, never by arrival order. Two runs that perform the same
-//! logical work therefore produce identically-ordered snapshots even when
-//! worker threads interleave differently. (Timer *values* are wall-clock
-//! measurements and naturally vary run to run; their ordering is by name
-//! and stable.)
+//! Counters and events carry no wall-clock values. Events are keyed by a
+//! *logical* scope string (e.g. `"trainer/n=8 c=4 l=1 b=32"`), a kind, and
+//! an index (epoch or iteration number), and [`Tracer::events`] orders by
+//! those keys plus the field contents, never by arrival order. Two runs
+//! that perform the same logical work therefore produce byte-identical
+//! event snapshots even when worker threads interleave differently.
 //!
 //! # JSON schema
 //!
-//! [`Snapshot`] serializes to `{"counters": [...], "timers": [...],
-//! "events": [...]}` — see the README for the full schema. It also
-//! deserializes, so snapshots written by the CLI and bench binaries can be
-//! post-processed by the same crate.
+//! [`Snapshot`] serializes to `{"counters": [...], "events": [...]}` — the
+//! `<trace>.events.json` artifact written beside a Chrome trace; see the
+//! README for the full schema. It also deserializes, and
+//! [`validate_events`] schema-checks a written file.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -45,179 +45,12 @@ pub use trace::{
     validate_chrome_trace, validate_folded, SpanGuard, SpanRecord, TraceSnapshot, Tracer,
 };
 
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
-
-/// Shared storage behind an enabled [`Telemetry`] handle.
-#[derive(Default)]
-struct Registry {
-    counters: Mutex<std::collections::BTreeMap<String, u64>>,
-    timers: Mutex<std::collections::BTreeMap<String, TimerAgg>>,
-    events: Mutex<Vec<EventRecord>>,
-}
-
-#[derive(Default, Clone, Copy)]
-struct TimerAgg {
-    count: u64,
-    total_secs: f64,
-}
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks a registry mutex, recovering from poisoning (a panic in another
-/// thread must not cascade into the telemetry consumer).
+/// thread must not cascade into the observer).
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// A cheap-to-clone telemetry handle. Disabled by default; every recording
-/// method on a disabled handle is a no-op that neither locks nor allocates.
-#[derive(Clone, Default)]
-pub struct Telemetry {
-    inner: Option<Arc<Registry>>,
-}
-
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.inner.is_some() {
-            "Telemetry(enabled)"
-        } else {
-            "Telemetry(disabled)"
-        })
-    }
-}
-
-impl Telemetry {
-    /// A live handle: recordings accumulate in shared storage.
-    pub fn enabled() -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Registry::default())),
-        }
-    }
-
-    /// The default no-op handle.
-    pub fn disabled() -> Self {
-        Telemetry::default()
-    }
-
-    /// Whether this handle records anything. Instrumented code can use this
-    /// to skip building expensive arguments.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Adds `n` to the named counter.
-    pub fn add(&self, name: &str, n: u64) {
-        let Some(reg) = &self.inner else { return };
-        *lock(&reg.counters).entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Increments the named counter by one.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Folds an explicit duration into the named timer aggregate.
-    pub fn observe_secs(&self, name: &str, secs: f64) {
-        let Some(reg) = &self.inner else { return };
-        let mut timers = lock(&reg.timers);
-        let agg = timers.entry(name.to_string()).or_default();
-        agg.count += 1;
-        agg.total_secs += secs;
-    }
-
-    /// Times a closure under the named timer and returns its result.
-    pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        if self.inner.is_none() {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        self.observe_secs(name, start.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Starts a guard that records its lifetime under the named timer when
-    /// dropped. On a disabled handle the guard is inert.
-    pub fn span(&self, name: &str) -> Span {
-        Span {
-            inner: self
-                .inner
-                .as_ref()
-                .map(|_| (self.clone(), name.to_string(), Instant::now())),
-        }
-    }
-
-    /// Records a structured event. `scope`/`kind`/`index` are the logical
-    /// sort key; the closure populates fields and only runs when enabled.
-    pub fn record_with(
-        &self,
-        scope: &str,
-        kind: &str,
-        index: u64,
-        build: impl FnOnce(&mut EventBuilder),
-    ) {
-        let Some(reg) = &self.inner else { return };
-        let mut builder = EventBuilder { fields: Vec::new() };
-        build(&mut builder);
-        lock(&reg.events).push(EventRecord {
-            scope: scope.to_string(),
-            kind: kind.to_string(),
-            index,
-            fields: builder.fields,
-        });
-    }
-
-    /// A deterministic snapshot of everything recorded so far: counters and
-    /// timers sorted by name, events by (scope, kind, index, fields).
-    pub fn snapshot(&self) -> Snapshot {
-        let Some(reg) = &self.inner else {
-            return Snapshot::default();
-        };
-        let counters = lock(&reg.counters)
-            .iter()
-            .map(|(name, &value)| CounterRecord {
-                name: name.clone(),
-                value,
-            })
-            .collect();
-        let timers = lock(&reg.timers)
-            .iter()
-            .map(|(name, agg)| TimerRecord {
-                name: name.clone(),
-                count: agg.count,
-                total_secs: agg.total_secs,
-            })
-            .collect();
-        let mut events: Vec<EventRecord> = lock(&reg.events).clone();
-        events.sort_by(EventRecord::logical_cmp);
-        Snapshot {
-            counters,
-            timers,
-            events,
-        }
-    }
-
-    /// The current snapshot as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.snapshot()).expect("telemetry serialization")
-    }
-
-    /// Writes the current snapshot to a file as JSON.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// Timer guard returned by [`Telemetry::span`].
-pub struct Span {
-    inner: Option<(Telemetry, String, Instant)>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((tel, name, start)) = self.inner.take() {
-            tel.observe_secs(&name, start.elapsed().as_secs_f64());
-        }
-    }
 }
 
 /// Accumulates the typed fields of one event.
@@ -233,10 +66,16 @@ impl EventBuilder {
         });
     }
 
-    /// Adds a floating-point field.
+    /// Adds a floating-point field. JSON has no literal for a non-finite
+    /// number, so one (a diverged fit's `best_loss`, say) is recorded as
+    /// text (`inf`, `-inf`, `NaN`) and every events file parses back.
     pub fn num(&mut self, name: &str, value: f64) -> &mut Self {
-        self.push(name, FieldValue::Num { value });
-        self
+        if value.is_finite() {
+            self.push(name, FieldValue::Num { value });
+            self
+        } else {
+            self.text(name, value.to_string())
+        }
     }
 
     /// Adds an unsigned integer field.
@@ -270,17 +109,6 @@ pub struct CounterRecord {
     pub name: String,
     /// Accumulated total.
     pub value: u64,
-}
-
-/// One aggregated timer in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TimerRecord {
-    /// Timer name.
-    pub name: String,
-    /// Number of spans folded in.
-    pub count: u64,
-    /// Total wall-clock seconds across all spans.
-    pub total_secs: f64,
 }
 
 /// One structured event in a [`Snapshot`].
@@ -351,7 +179,7 @@ impl Field {
 /// A typed event field value.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum FieldValue {
-    /// Floating-point measurement.
+    /// Finite floating-point measurement.
     Num {
         /// The value.
         value: f64,
@@ -395,21 +223,25 @@ impl FieldValue {
     }
 }
 
-/// An immutable, deterministically-ordered dump of a [`Telemetry`] handle.
+/// An immutable, deterministically-ordered dump of a [`Tracer`]'s counters
+/// and events (see [`Tracer::events`]).
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Snapshot {
     /// All counters, sorted by name.
     pub counters: Vec<CounterRecord>,
-    /// All timers, sorted by name.
-    pub timers: Vec<TimerRecord>,
     /// All events, sorted by (scope, kind, index, fields).
     pub events: Vec<EventRecord>,
 }
 
 impl Snapshot {
-    /// Parses a snapshot previously produced by [`Telemetry::to_json`].
+    /// Parses a snapshot previously produced by [`Snapshot::to_json`].
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
+    }
+
+    /// Pretty-printed JSON: the `<trace>.events.json` artifact.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("events serialization")
     }
 
     /// The value of a counter, or 0 when absent.
@@ -418,11 +250,6 @@ impl Snapshot {
             .iter()
             .find(|c| c.name == name)
             .map_or(0, |c| c.value)
-    }
-
-    /// The named timer aggregate, if recorded.
-    pub fn timer(&self, name: &str) -> Option<&TimerRecord> {
-        self.timers.iter().find(|t| t.name == name)
     }
 
     /// All events with the given scope and kind, in index order.
@@ -434,88 +261,63 @@ impl Snapshot {
     }
 }
 
+/// Validates an events file as produced by [`Snapshot::to_json`]: a
+/// `counters` array with unique non-empty names in sorted order, and an
+/// `events` array of typed records with non-empty scopes and kinds, sorted
+/// by `(scope, kind, index)`. Returns the event count.
+pub fn validate_events(json: &str) -> Result<usize, String> {
+    let snapshot = Snapshot::from_json(json).map_err(|e| format!("not an events snapshot: {e}"))?;
+    if snapshot.counters.iter().any(|c| c.name.is_empty()) {
+        return Err("counter with an empty name".into());
+    }
+    if let Some(w) = snapshot
+        .counters
+        .windows(2)
+        .find(|w| w[0].name >= w[1].name)
+    {
+        return Err(format!(
+            "counter `{}` is duplicated or out of order",
+            w[1].name
+        ));
+    }
+    if let Some(i) = snapshot
+        .events
+        .iter()
+        .position(|e| e.scope.is_empty() || e.kind.is_empty())
+    {
+        return Err(format!("event {i} has an empty scope or kind"));
+    }
+    let key = |e: &EventRecord| (e.scope.clone(), e.kind.clone(), e.index);
+    if let Some(i) = snapshot
+        .events
+        .windows(2)
+        .position(|w| key(&w[0]) > key(&w[1]))
+    {
+        return Err(format!(
+            "event {} is out of (scope, kind, index) order",
+            i + 1
+        ));
+    }
+    Ok(snapshot.events.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_records_nothing() {
-        let tel = Telemetry::disabled();
-        assert!(!tel.is_enabled());
-        tel.add("c", 5);
-        tel.observe_secs("t", 1.0);
-        let mut built = false;
-        tel.record_with("s", "k", 0, |_| built = true);
-        assert!(!built, "field builder must not run when disabled");
-        let out = tel.time("t", || 42);
-        assert_eq!(out, 42);
-        drop(tel.span("t"));
-        let snap = tel.snapshot();
-        assert_eq!(snap, Snapshot::default());
-    }
-
-    #[test]
-    fn counters_and_timers_aggregate() {
-        let tel = Telemetry::enabled();
-        tel.incr("epochs");
-        tel.add("epochs", 3);
-        tel.observe_secs("fit", 0.5);
-        tel.observe_secs("fit", 0.25);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("epochs"), 4);
-        let fit = snap.timer("fit").unwrap();
-        assert_eq!(fit.count, 2);
-        assert!((fit.total_secs - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concurrent_recording_yields_a_stable_sorted_snapshot() {
-        // Record the same logical events from many threads in scrambled
-        // per-thread orders; the snapshot must come out identical each time.
-        let record_all = || {
-            let tel = Telemetry::enabled();
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let tel = tel.clone();
-                    s.spawn(move || {
-                        for i in 0..25u64 {
-                            let idx = (i * 7 + t * 13) % 25;
-                            tel.record_with(&format!("scope{}", idx % 3), "step", idx, |e| {
-                                e.int("thread_sum", 6).num("x", idx as f64);
-                            });
-                            tel.incr("total");
-                        }
-                    });
-                }
-            });
-            tel.snapshot()
-        };
-        let a = record_all();
-        let b = record_all();
-        assert_eq!(a, b);
-        assert_eq!(a.counter("total"), 100);
-        // Sorted by (scope, kind, index).
-        for w in a.events.windows(2) {
-            assert_ne!(
-                EventRecord::logical_cmp(&w[0], &w[1]),
-                std::cmp::Ordering::Greater
-            );
-        }
-    }
-
-    #[test]
     fn snapshot_json_roundtrip() {
-        let tel = Telemetry::enabled();
-        tel.add("clips", 7);
-        tel.observe_secs("surrogate_fit", 0.125);
-        tel.record_with("trainer/n=8", "epoch", 0, |e| {
+        let tr = Tracer::enabled();
+        tr.add("clips", 7);
+        tr.record_with("trainer/n=8", "epoch", 0, |e| {
             e.num("train_mse", 0.5)
                 .int("batches", 12)
                 .text("stop", "patience")
                 .flag("clipped", true);
         });
-        let snap = tel.snapshot();
-        let json = tel.to_json();
+        let snap = tr.events();
+        let json = snap.to_json();
+        assert_eq!(validate_events(&json), Ok(1));
         let restored = Snapshot::from_json(&json).unwrap();
         assert_eq!(snap, restored);
         // Field accessors survive the roundtrip.
@@ -532,23 +334,25 @@ mod tests {
     }
 
     #[test]
-    fn span_guard_times_its_scope() {
-        let tel = Telemetry::enabled();
-        {
-            let _guard = tel.span("scoped");
-            std::hint::black_box(());
+    fn non_finite_numbers_are_recorded_as_text() {
+        let tr = Tracer::enabled();
+        tr.record_with("trainer/n=8", "fit", 0, |e| {
+            e.num("best_loss", f64::INFINITY)
+                .num("low", f64::NEG_INFINITY)
+                .num("val_mse", f64::NAN)
+                .num("train_mse", 0.25);
+        });
+        let json = tr.events().to_json();
+        assert_eq!(validate_events(&json), Ok(1));
+        let restored = Snapshot::from_json(&json).unwrap();
+        let fit = restored.events_of("trainer/n=8", "fit")[0];
+        for (name, text) in [("best_loss", "inf"), ("low", "-inf"), ("val_mse", "NaN")] {
+            assert_eq!(
+                fit.field(name),
+                Some(&FieldValue::Text { value: text.into() }),
+                "{name}"
+            );
         }
-        let snap = tel.snapshot();
-        let t = snap.timer("scoped").unwrap();
-        assert_eq!(t.count, 1);
-        assert!(t.total_secs >= 0.0);
-    }
-
-    #[test]
-    fn clones_share_storage() {
-        let tel = Telemetry::enabled();
-        let clone = tel.clone();
-        clone.incr("shared");
-        assert_eq!(tel.snapshot().counter("shared"), 1);
+        assert_eq!(fit.num("train_mse"), Some(0.25));
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Every experiment or bench run can stamp a small JSON manifest answering
 //! "what exactly produced this artifact": the tool, the workspace version,
-//! the seeds, the effective configuration, the fault-injection / telemetry
-//! environment knobs that were live, and the paths of any telemetry or
-//! trace snapshots written alongside. Manifests are plain data — they
+//! the seeds, the effective configuration, the fault-injection / tracing
+//! environment knobs that were live, and the paths of any trace, events or
+//! metrics artifacts written alongside. Manifests are plain data — they
 //! deserialize with [`RunManifest::from_json`] so post-processing scripts
 //! and the CI schema gate use the same definitions.
 
@@ -20,7 +20,6 @@ pub const CAPTURED_ENV_KEYS: &[&str] = &[
     "LD_FAULT",
     "LD_FAULT_SEED",
     "LD_CHAOS_SEED",
-    "LD_TELEMETRY",
     "LD_TRACE",
     "LD_METRICS",
     "LD_FAST",
@@ -52,14 +51,14 @@ pub struct RunManifest {
     /// Captured environment knobs (only keys that were set; see
     /// [`CAPTURED_ENV_KEYS`]).
     pub env: Vec<ManifestEntry>,
-    /// Paths of artifacts written by the run (telemetry / trace snapshots,
-    /// figures), keyed by kind.
+    /// Paths of artifacts written by the run (trace, events and metrics
+    /// snapshots, figures), keyed by kind.
     pub outputs: Vec<ManifestEntry>,
     /// Span count of the attached trace snapshot (0 when tracing was off).
     pub trace_spans: u64,
     /// Root-span count of the attached trace snapshot.
     pub trace_roots: u64,
-    /// Event count of the attached telemetry snapshot (0 when telemetry was
+    /// Event count of the attached events snapshot (0 when tracing was
     /// off).
     pub telemetry_events: u64,
     /// Distinct metric names in the attached metrics snapshot (0 when the
@@ -106,7 +105,7 @@ impl RunManifest {
     }
 
     /// Appends an output-artifact path under the given kind
-    /// (`"trace_chrome"`, `"trace_folded"`, `"telemetry"`, ...).
+    /// (`"chrome_trace"`, `"folded"`, `"events"`, ...).
     pub fn output(mut self, kind: &str, path: impl std::fmt::Display) -> Self {
         self.outputs.push(ManifestEntry {
             key: kind.to_string(),
@@ -135,7 +134,8 @@ impl RunManifest {
         self
     }
 
-    /// Summarizes a telemetry snapshot into the manifest.
+    /// Summarizes an events snapshot ([`crate::Tracer::events`]) into the
+    /// manifest.
     pub fn with_telemetry_summary(mut self, snapshot: &Snapshot) -> Self {
         self.telemetry_events = snapshot.events.len() as u64;
         self
@@ -201,15 +201,13 @@ impl RunManifest {
 mod tests {
     use super::*;
     use crate::trace::Tracer;
-    use crate::Telemetry;
 
     #[test]
     fn manifest_roundtrip_and_validation() {
-        let tel = Telemetry::enabled();
-        tel.record_with("s", "k", 0, |e| {
+        let tr = Tracer::enabled();
+        tr.record_with("s", "k", 0, |e| {
             e.int("x", 1);
         });
-        let tr = Tracer::enabled();
         drop(tr.span("root"));
         let manifest = RunManifest::new("ld-cli")
             .seed(42)
@@ -217,7 +215,7 @@ mod tests {
             .config("series_len", 600)
             .output("trace_chrome", "out/trace.json")
             .with_trace_summary(&tr.snapshot())
-            .with_telemetry_summary(&tel.snapshot())
+            .with_telemetry_summary(&tr.events())
             .with_metrics_summary(3, 17);
         manifest.validate().unwrap();
         assert_eq!(manifest.trace_spans, 1);

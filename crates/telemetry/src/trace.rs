@@ -1,16 +1,16 @@
 //! Hierarchical span tracing for the LoadDynamics hot loops.
 //!
-//! The flat counters/timers in the crate root summarize *how much* time a
-//! run spent per stage; spans explain *where in the call tree* it went. A
-//! [`Tracer`] is a cheap-to-clone handle carrying a logical *scope path*
+//! A [`Tracer`] is a cheap-to-clone handle carrying a logical *scope path*
 //! (`search / iter#3 / evaluate / epoch#7 / batch#2`). Opening a span
 //! extends the path and times the enclosed region with an RAII
 //! [`SpanGuard`]; the guard exposes a child [`Tracer`] so nested stages
 //! attach below their parent no matter which rayon worker executes them.
+//! Every handle derived from one root shares that root's registry, which
+//! also holds the run's counters and events (see the crate docs).
 //!
-//! Like [`Telemetry`](crate::Telemetry), a default handle is *disabled*:
-//! every method is a no-op that neither locks, allocates, nor reads the
-//! clock, so instrumented code paths cost one branch.
+//! A default handle is *disabled*: every method is a no-op that neither
+//! locks, allocates, nor reads the clock, so instrumented code paths cost
+//! one branch.
 //!
 //! # Determinism
 //!
@@ -30,11 +30,13 @@
 //!   in Perfetto / `chrome://tracing`.
 //! - [`TraceSnapshot::to_folded`] — folded-stack lines
 //!   (`search;iter#0;surrogate_fit 1234`) for `flamegraph.pl` / inferno.
+//! - [`Tracer::events`] — the counters and events as a [`Snapshot`].
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::lock;
+use crate::{lock, CounterRecord, EventBuilder, EventRecord, Snapshot};
 
 /// Shared storage behind an enabled [`Tracer`].
 struct TraceRegistry {
@@ -44,6 +46,8 @@ struct TraceRegistry {
     /// Registration-order thread ids: position in this vec is the `tid`
     /// stamped on spans recorded by that thread.
     threads: Mutex<Vec<std::thread::ThreadId>>,
+    counters: Mutex<BTreeMap<String, u64>>,
+    events: Mutex<Vec<EventRecord>>,
 }
 
 impl TraceRegistry {
@@ -52,6 +56,8 @@ impl TraceRegistry {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
+            counters: Mutex::new(BTreeMap::new()),
+            events: Mutex::new(Vec::new()),
         }
     }
 
@@ -261,6 +267,57 @@ impl Tracer {
         let mut spans: Vec<SpanRecord> = lock(&reg.spans).clone();
         spans.sort_by(SpanRecord::logical_cmp);
         TraceSnapshot { spans }
+    }
+
+    /// Adds `n` to the named counter.
+    pub fn add(&self, name: &str, n: u64) {
+        let Some(reg) = &self.inner else { return };
+        *lock(&reg.counters).entry(name.to_string()).or_insert(0) += n;
+    }
+
+    /// Increments the named counter by one.
+    pub fn incr(&self, name: &str) {
+        self.add(name, 1);
+    }
+
+    /// Records a structured event. `scope`/`kind`/`index` are the logical
+    /// sort key, independent of this handle's span path; the closure
+    /// populates fields and only runs when enabled.
+    pub fn record_with(
+        &self,
+        scope: &str,
+        kind: &str,
+        index: u64,
+        build: impl FnOnce(&mut EventBuilder),
+    ) {
+        let Some(reg) = &self.inner else { return };
+        let mut builder = EventBuilder { fields: Vec::new() };
+        build(&mut builder);
+        lock(&reg.events).push(EventRecord {
+            scope: scope.to_string(),
+            kind: kind.to_string(),
+            index,
+            fields: builder.fields,
+        });
+    }
+
+    /// A deterministic snapshot of the counters and events recorded so far
+    /// through any handle sharing this registry: counters sorted by name,
+    /// events by (scope, kind, index, fields).
+    pub fn events(&self) -> Snapshot {
+        let Some(reg) = &self.inner else {
+            return Snapshot::default();
+        };
+        let counters = lock(&reg.counters)
+            .iter()
+            .map(|(name, &value)| CounterRecord {
+                name: name.clone(),
+                value,
+            })
+            .collect();
+        let mut events: Vec<EventRecord> = lock(&reg.events).clone();
+        events.sort_by(EventRecord::logical_cmp);
+        Snapshot { counters, events }
     }
 }
 
@@ -487,6 +544,59 @@ mod tests {
         tr.record_span("synthetic", 0, 10, 0);
         assert_eq!(tr.snapshot(), TraceSnapshot::default());
         assert!(tr.scoped("x", 1).path.is_empty());
+        tr.add("c", 5);
+        let mut built = false;
+        tr.record_with("s", "k", 0, |_| built = true);
+        assert!(!built, "field builder must not run when disabled");
+        assert_eq!(tr.events(), Snapshot::default());
+    }
+
+    #[test]
+    fn counters_aggregate_across_scoped_handles() {
+        let tr = Tracer::enabled();
+        tr.incr("epochs");
+        let guard = tr.span("fit");
+        guard.tracer().add("epochs", 3);
+        guard.tracer().scoped("inner", 1).incr("shared");
+        drop(guard);
+        let snap = tr.events();
+        assert_eq!(snap.counter("epochs"), 4);
+        assert_eq!(snap.counter("shared"), 1);
+        assert_eq!(snap.counter("absent"), 0);
+    }
+
+    #[test]
+    fn concurrent_events_yield_a_stable_sorted_snapshot() {
+        // Record the same logical events from many threads in scrambled
+        // per-thread orders; the snapshot must come out identical each time.
+        let record_all = || {
+            let tr = Tracer::enabled();
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let tr = tr.clone();
+                    s.spawn(move || {
+                        for i in 0..25u64 {
+                            let idx = (i * 7 + t * 13) % 25;
+                            tr.record_with(&format!("scope{}", idx % 3), "step", idx, |e| {
+                                e.int("thread_sum", 6).num("x", idx as f64);
+                            });
+                            tr.incr("total");
+                        }
+                    });
+                }
+            });
+            tr.events()
+        };
+        let a = record_all();
+        let b = record_all();
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.counter("total"), 100);
+        for w in a.events.windows(2) {
+            assert_ne!(
+                EventRecord::logical_cmp(&w[0], &w[1]),
+                std::cmp::Ordering::Greater
+            );
+        }
     }
 
     #[test]

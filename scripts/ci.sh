@@ -57,10 +57,14 @@ cargo run -q --release -p ld-serve --bin ld-loadgen -- --chaos --smoke --out tar
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience target/ci-resilience.json
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience BENCH_resilience.json
 
-echo "=== traced fig6 smoke run (span tracing + run-manifest validation) ==="
+echo "=== traced fig6 smoke run (spans, events and run-manifest validation) ==="
 mkdir -p target
-rm -f target/ci-trace.json target/ci-trace.json.folded target/ci-trace.json.manifest.json
+rm -f target/ci-trace.json target/ci-trace.json.folded target/ci-trace.json.events.json \
+    target/ci-trace.json.manifest.json
 LD_FAST=1 LD_TRACE=target/ci-trace.json cargo run -q --release -p ld-bench --bin fig6_workflow > /dev/null
+# The manifest lists the folded stacks and the events file, so both must
+# exist and validate, and its span and event totals must match the files.
+test -s target/ci-trace.json.events.json || { echo "ci.sh: fig6 wrote no events file" >&2; exit 1; }
 cargo run -q --release --bin ld-cli -- trace-validate target/ci-trace.json target/ci-trace.json.manifest.json
 
 echo "=== ld-lint --deny (static analysis gate, schema_version 3) ==="

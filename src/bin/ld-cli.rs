@@ -2,30 +2,32 @@
 //!
 //! ```text
 //! ld-cli generate <config> <out.txt>          generate a paper workload trace
-//! ld-cli optimize <trace.txt> [--fast]        tune a predictor, print hyperparameters
-//! ld-cli predict  <trace.txt> [horizon]       tune + forecast the next intervals
-//! ld-cli evaluate <trace.txt>                 walk-forward MAPE of LoadDynamics + baselines
+//! ld-cli optimize <trace.txt> [--fast] [flags]  tune a predictor, print hyperparameters
+//! ld-cli predict  <trace.txt> [horizon] [flags]  tune + forecast the next intervals
+//! ld-cli evaluate <trace.txt> [flags]         walk-forward MAPE of LoadDynamics + baselines
 //! ld-cli list                                 list the 14 paper workload configurations
 //! ```
 //!
-//! `optimize`, `predict` and `evaluate` additionally accept
-//! `--telemetry[=PATH]`: the train/search hot loops record per-epoch and
-//! per-iteration telemetry, dumped as JSON to `PATH` (default
-//! `telemetry.json`) — see the README for the schema. They also accept
-//! `--trace-out[=PATH]`: the search/train hierarchy is recorded as spans
-//! and exported as Chrome trace-event JSON at `PATH` (default
-//! `trace.json`), folded flamegraph stacks at `PATH.folded`, and a
-//! run-provenance manifest at `PATH.manifest.json`.
+//! `optimize` accepts `--fast`: the laptop-scale search whatever the
+//! series length. `optimize`, `predict` and `evaluate` accept two flags:
+//!
+//! - `--trace-out[=PATH]`: the run is observed by one tracer, and four
+//!   artifacts are written: Chrome trace-event JSON of the search/train
+//!   spans at `PATH` (default `trace.json`), folded flamegraph stacks at
+//!   `PATH.folded`, the counters and events at `PATH.events.json` (see the
+//!   README for the schema), and a run-provenance manifest at
+//!   `PATH.manifest.json`.
+//! - `--metrics[=PATH]` (or the `LD_METRICS` environment knob): counters
+//!   and log-linear histograms of the run (trials, validation MAPE,
+//!   baseline errors) are dumped as schema-checked JSON at `PATH` (default
+//!   `metrics.json`) plus a Prometheus text exposition at `PATH.prom`.
+//!
+//! Any other `--` argument is a usage error (exit 2), as is `--fast` for
+//! any command but `optimize` and any flag for the other commands.
 //!
 //! `ld-cli trace-validate <trace.json> [manifest.json]` schema-checks the
-//! emitted artifacts (used by CI).
-//!
-//! `optimize`, `predict` and `evaluate` also accept `--metrics[=PATH]`
-//! (or the `LD_METRICS` environment knob): counters and log-linear
-//! histograms of the run (trials, validation MAPE, baseline errors) are
-//! dumped as schema-checked JSON at `PATH` (default `metrics.json`) plus
-//! a Prometheus text exposition at `PATH.prom`. `ld-cli metrics-validate
-//! <metrics.json> [exposition.prom]` schema-checks those artifacts.
+//! trace artifacts and `ld-cli metrics-validate <metrics.json>
+//! [exposition.prom]` the metrics artifacts (CI gates on both).
 //!
 //! Traces are plain text (`ld_api::Series::to_text` format): an optional
 //! `# name interval_mins=N` header, then one JAR per line.
@@ -33,74 +35,114 @@
 use ld_api::{predict_horizon, walk_forward, Partition, Predictor, Series};
 use ld_baselines::{CloudInsight, CloudScale, WoodPredictor};
 use ld_metrics::Metrics;
-use ld_telemetry::{RunManifest, Telemetry, TraceSnapshot, Tracer};
+use ld_telemetry::{RunManifest, Tracer};
 use ld_traces::all_configurations;
 use loaddynamics::{FrameworkConfig, LoadDynamics};
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  ld-cli generate <config> <out.txt>\n  \
-         ld-cli optimize <trace.txt> [--fast] [--telemetry[=PATH]] [--trace-out[=PATH]]\n  \
-         ld-cli predict <trace.txt> [horizon] [--telemetry[=PATH]] [--trace-out[=PATH]]\n  \
-         ld-cli evaluate <trace.txt> [--telemetry[=PATH]] [--trace-out[=PATH]]\n  \
+         ld-cli optimize <trace.txt> [--fast] [flags]\n  \
+         ld-cli predict <trace.txt> [horizon] [flags]\n  \
+         ld-cli evaluate <trace.txt> [flags]\n  \
          ld-cli trace-validate <trace.json> [manifest.json]\n  \
          ld-cli metrics-validate <metrics.json> [exposition.prom]\n  ld-cli list\n\n\
-         optimize/predict/evaluate also accept --metrics[=PATH] (or LD_METRICS=1|PATH)"
+         flag for optimize:\n  \
+         --fast               laptop-scale search whatever the series length\n\n\
+         flags for optimize/predict/evaluate:\n  \
+         --trace-out[=PATH]   spans, counters and events: PATH (default trace.json),\n                       \
+         PATH.folded, PATH.events.json and PATH.manifest.json\n  \
+         --metrics[=PATH]     metrics at PATH (default metrics.json) and PATH.prom;\n                       \
+         LD_METRICS=1|PATH does the same"
     );
     std::process::exit(2);
 }
 
-/// Parses `--telemetry` / `--telemetry=PATH` into an output path.
-fn telemetry_path(args: &[String]) -> Option<String> {
-    args.iter().find_map(|a| {
-        if a == "--telemetry" {
-            Some("telemetry.json".to_string())
-        } else {
-            a.strip_prefix("--telemetry=").map(str::to_string)
+/// The flags `optimize`, `predict` and `evaluate` accept (`fast` is
+/// `optimize`'s alone).
+#[derive(Default)]
+struct Flags {
+    fast: bool,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+}
+
+impl Flags {
+    /// An enabled tracer when `--trace-out` was given.
+    fn tracer(&self) -> Tracer {
+        self.trace_out
+            .as_ref()
+            .map_or_else(Tracer::disabled, |_| Tracer::enabled())
+    }
+
+    /// An enabled metrics registry when `--metrics` (or `LD_METRICS`) was
+    /// given.
+    fn metrics(&self) -> Metrics {
+        self.metrics_out
+            .as_ref()
+            .map_or_else(Metrics::disabled, |_| Metrics::enabled())
+    }
+
+    /// Writes the requested metrics and trace artifacts of a finished run.
+    fn dump(&self, tracer: &Tracer, metrics: &Metrics, tool: &str, config: &[(&str, String)]) {
+        if let Some(out) = &self.metrics_out {
+            dump_metrics(metrics, out);
         }
-    })
-}
-
-/// Parses `--trace-out` / `--trace-out=PATH` into a Chrome-trace path.
-fn trace_out_path(args: &[String]) -> Option<String> {
-    args.iter().find_map(|a| {
-        if a == "--trace-out" {
-            Some("trace.json".to_string())
-        } else {
-            a.strip_prefix("--trace-out=").map(str::to_string)
+        if let Some(out) = &self.trace_out {
+            dump_trace(
+                tracer,
+                out,
+                tool,
+                config,
+                metrics,
+                self.metrics_out.as_deref(),
+            );
         }
-    })
+    }
 }
 
-/// Parses `--metrics` / `--metrics=PATH` into a metrics-dump path, falling
-/// back to the `LD_METRICS` environment knob (`1` → `metrics.json`, any
-/// other value is taken as the path) so wrappers can enable metrics
-/// without editing command lines.
-fn metrics_out_path(args: &[String]) -> Option<String> {
-    args.iter()
-        .find_map(|a| {
-            if a == "--metrics" {
-                Some("metrics.json".to_string())
-            } else {
-                a.strip_prefix("--metrics=").map(str::to_string)
-            }
-        })
-        .or_else(|| {
-            // ld-lint: allow(determinism, "pure-observer metrics dump knob; captured in the run manifest")
-            std::env::var("LD_METRICS")
-                .ok()
-                .filter(|v| !v.is_empty())
-                .map(|v| if v == "1" { "metrics.json".to_string() } else { v })
-        })
-}
-
-/// Writes the snapshot and tells the user where it went.
-fn dump_telemetry(telemetry: &Telemetry, path: &str) {
-    telemetry.write_json(path).unwrap_or_else(|e| {
-        eprintln!("cannot write telemetry to {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("telemetry written to {path}");
+/// Splits the arguments after `command` into positionals and [`Flags`],
+/// exiting with the usage text on any `--` argument `command` does not
+/// take. `--metrics` falls back to the `LD_METRICS` environment knob (`1`
+/// → `metrics.json`, any other value is taken as the path) so wrappers can
+/// enable metrics without editing command lines.
+fn parse_args<'a>(command: &str, args: &'a [String]) -> (Vec<&'a str>, Flags) {
+    let runs = matches!(command, "optimize" | "predict" | "evaluate");
+    let mut positional = Vec::new();
+    let mut flags = Flags::default();
+    for arg in args {
+        let arg = arg.as_str();
+        if command == "optimize" && arg == "--fast" {
+            flags.fast = true;
+        } else if runs && arg == "--trace-out" {
+            flags.trace_out = Some("trace.json".to_string());
+        } else if let Some(path) = arg.strip_prefix("--trace-out=").filter(|_| runs) {
+            flags.trace_out = Some(path.to_string());
+        } else if runs && arg == "--metrics" {
+            flags.metrics_out = Some("metrics.json".to_string());
+        } else if let Some(path) = arg.strip_prefix("--metrics=").filter(|_| runs) {
+            flags.metrics_out = Some(path.to_string());
+        } else if arg.starts_with("--") {
+            eprintln!("unknown flag `{arg}`");
+            usage();
+        } else {
+            positional.push(arg);
+        }
+    }
+    if runs && flags.metrics_out.is_none() {
+        // ld-lint: allow(determinism, "pure-observer metrics dump knob; captured in the run manifest")
+        flags.metrics_out = std::env::var("LD_METRICS")
+            .ok()
+            .filter(|v| !v.is_empty())
+            .map(|v| {
+                if v == "1" {
+                    "metrics.json".to_string()
+                } else {
+                    v
+                }
+            });
+    }
+    (positional, flags)
 }
 
 fn write_or_die(path: &str, contents: &str, what: &str) {
@@ -123,46 +165,39 @@ fn dump_metrics(metrics: &Metrics, path: &str) {
     write_or_die(&format!("{path}.prom"), &prom, "metrics exposition");
 }
 
-/// The optional observer planes a command ran with, bundled for manifest
-/// stamping.
-struct Observers<'a> {
-    telemetry: &'a Telemetry,
-    telemetry_out: Option<&'a str>,
-    metrics: &'a Metrics,
-    metrics_out: Option<&'a str>,
-}
-
-/// Writes the Chrome trace at `path`, the folded stacks at `path.folded`
-/// and the run manifest at `path.manifest.json`.
+/// Writes the Chrome trace at `path`, the folded stacks at `path.folded`,
+/// the counters and events at `path.events.json` and the run manifest at
+/// `path.manifest.json`.
 fn dump_trace(
     tracer: &Tracer,
     path: &str,
     tool: &str,
     config: &[(&str, String)],
-    observers: &Observers<'_>,
+    metrics: &Metrics,
+    metrics_out: Option<&str>,
 ) {
-    let snapshot: TraceSnapshot = tracer.snapshot();
+    let snapshot = tracer.snapshot();
+    let events = tracer.events();
+    let folded = format!("{path}.folded");
+    let events_path = format!("{path}.events.json");
     write_or_die(path, &snapshot.to_chrome_trace(), "chrome trace");
-    write_or_die(&format!("{path}.folded"), &snapshot.to_folded(), "folded stacks");
+    write_or_die(&folded, &snapshot.to_folded(), "folded stacks");
+    write_or_die(&events_path, &events.to_json(), "events");
     let mut manifest = RunManifest::new(tool)
         .seed(0)
         .capture_env()
         .with_trace_summary(&snapshot)
+        .with_telemetry_summary(&events)
         .output("chrome_trace", path)
-        .output("folded", format!("{path}.folded"));
+        .output("folded", folded)
+        .output("events", events_path);
     for (key, value) in config {
         manifest = manifest.config(key, value);
     }
-    if observers.telemetry.is_enabled() {
-        manifest = manifest.with_telemetry_summary(&observers.telemetry.snapshot());
-        if let Some(tpath) = observers.telemetry_out {
-            manifest = manifest.output("telemetry", tpath);
-        }
-    }
-    if observers.metrics.is_enabled() {
-        let snapshot = observers.metrics.snapshot();
+    if metrics.is_enabled() {
+        let snapshot = metrics.snapshot();
         manifest = manifest.with_metrics_summary(snapshot.series(), snapshot.observations());
-        if let Some(mpath) = observers.metrics_out {
+        if let Some(mpath) = metrics_out {
             manifest = manifest
                 .output("metrics", mpath)
                 .output("metrics_exposition", format!("{mpath}.prom"));
@@ -186,12 +221,7 @@ fn read_series(path: &str) -> Series {
     })
 }
 
-fn framework(
-    series_len: usize,
-    fast: bool,
-    telemetry: &Telemetry,
-    tracer: &Tracer,
-) -> LoadDynamics {
+fn framework(series_len: usize, fast: bool, tracer: &Tracer) -> LoadDynamics {
     // Scale effort to the series size unless --fast is given.
     let config = if fast || series_len < 600 {
         FrameworkConfig::fast_preset(0)
@@ -208,11 +238,7 @@ fn framework(
         };
         c
     };
-    LoadDynamics::new(
-        config
-            .with_telemetry(telemetry.clone())
-            .with_tracer(tracer.clone()),
-    )
+    LoadDynamics::new(config.with_tracer(tracer.clone()))
 }
 
 fn cmd_generate(label: &str, out: &str) {
@@ -251,13 +277,7 @@ fn record_search_metrics(metrics: &Metrics, outcome: &loaddynamics::Optimization
     );
 }
 
-fn cmd_optimize(
-    path: &str,
-    fast: bool,
-    telemetry_out: Option<&str>,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-) {
+fn cmd_optimize(path: &str, flags: &Flags) {
     let series = read_series(path);
     println!(
         "optimizing on {} ({} intervals, {} min each)...",
@@ -265,54 +285,32 @@ fn cmd_optimize(
         series.len(),
         series.interval_mins
     );
-    let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
-    let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
-    let metrics = metrics_out.map_or_else(Metrics::disabled, |_| Metrics::enabled());
-    let outcome = framework(series.len(), fast, &telemetry, &tracer).optimize(&series);
+    let tracer = flags.tracer();
+    let metrics = flags.metrics();
+    let outcome = framework(series.len(), flags.fast, &tracer).optimize(&series);
     record_search_metrics(&metrics, &outcome);
     println!("selected hyperparameters: {}", outcome.hyperparams);
     println!("cross-validation MAPE:    {:.2}%", outcome.val_mape);
     println!("trials evaluated:         {}", outcome.trials.trials.len());
-    if let Some(out) = telemetry_out {
-        dump_telemetry(&telemetry, out);
-    }
-    if let Some(out) = metrics_out {
-        dump_metrics(&metrics, out);
-    }
-    if let Some(out) = trace_out {
-        dump_trace(
-            &tracer,
-            out,
-            "ld-cli optimize",
-            &[
-                ("trace", path.to_string()),
-                ("series", series.name.clone()),
-                ("fast", fast.to_string()),
-                ("selected_hyperparams", outcome.hyperparams.to_string()),
-                ("val_mape_pct", format!("{:.4}", outcome.val_mape)),
-            ],
-            &Observers {
-                telemetry: &telemetry,
-                telemetry_out,
-                metrics: &metrics,
-                metrics_out,
-            },
-        );
-    }
+    flags.dump(
+        &tracer,
+        &metrics,
+        "ld-cli optimize",
+        &[
+            ("trace", path.to_string()),
+            ("series", series.name.clone()),
+            ("fast", flags.fast.to_string()),
+            ("selected_hyperparams", outcome.hyperparams.to_string()),
+            ("val_mape_pct", format!("{:.4}", outcome.val_mape)),
+        ],
+    );
 }
 
-fn cmd_predict(
-    path: &str,
-    horizon: usize,
-    telemetry_out: Option<&str>,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-) {
+fn cmd_predict(path: &str, horizon: usize, flags: &Flags) {
     let series = read_series(path);
-    let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
-    let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
-    let metrics = metrics_out.map_or_else(Metrics::disabled, |_| Metrics::enabled());
-    let outcome = framework(series.len(), false, &telemetry, &tracer).optimize(&series);
+    let tracer = flags.tracer();
+    let metrics = flags.metrics();
+    let outcome = framework(series.len(), false, &tracer).optimize(&series);
     record_search_metrics(&metrics, &outcome);
     eprintln!(
         "tuned {} (val MAPE {:.1}%)",
@@ -326,49 +324,29 @@ fn cmd_predict(
         println!("t+{}: {:.1}", k + 1, p);
         metrics.observe("cli.predicted_jars", ld_api::num::to_count(*p) as u64);
     }
-    if let Some(out) = telemetry_out {
-        dump_telemetry(&telemetry, out);
-    }
-    if let Some(out) = metrics_out {
-        dump_metrics(&metrics, out);
-    }
-    if let Some(out) = trace_out {
-        dump_trace(
-            &tracer,
-            out,
-            "ld-cli predict",
-            &[
-                ("trace", path.to_string()),
-                ("series", series.name.clone()),
-                ("horizon", horizon.to_string()),
-                ("selected_hyperparams", hyperparams.to_string()),
-            ],
-            &Observers {
-                telemetry: &telemetry,
-                telemetry_out,
-                metrics: &metrics,
-                metrics_out,
-            },
-        );
-    }
+    flags.dump(
+        &tracer,
+        &metrics,
+        "ld-cli predict",
+        &[
+            ("trace", path.to_string()),
+            ("series", series.name.clone()),
+            ("horizon", horizon.to_string()),
+            ("selected_hyperparams", hyperparams.to_string()),
+        ],
+    );
 }
 
-fn cmd_evaluate(
-    path: &str,
-    telemetry_out: Option<&str>,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-) {
+fn cmd_evaluate(path: &str, flags: &Flags) {
     let series = read_series(path);
     let partition = Partition::paper_default(series.len());
     println!(
         "walk-forward over the last {} intervals:",
         series.len() - partition.val_end
     );
-    let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
-    let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
-    let metrics = metrics_out.map_or_else(Metrics::disabled, |_| Metrics::enabled());
-    let outcome = framework(series.len(), false, &telemetry, &tracer).optimize(&series);
+    let tracer = flags.tracer();
+    let metrics = flags.metrics();
+    let outcome = framework(series.len(), false, &tracer).optimize(&series);
     record_search_metrics(&metrics, &outcome);
     let hyperparams = outcome.hyperparams;
     let mut rows: Vec<(String, f64)> = Vec::new();
@@ -394,30 +372,16 @@ fn cmd_evaluate(
             ld_api::num::to_count(*mape * 100.0) as u64,
         );
     }
-    if let Some(out) = telemetry_out {
-        dump_telemetry(&telemetry, out);
-    }
-    if let Some(out) = metrics_out {
-        dump_metrics(&metrics, out);
-    }
-    if let Some(out) = trace_out {
-        dump_trace(
-            &tracer,
-            out,
-            "ld-cli evaluate",
-            &[
-                ("trace", path.to_string()),
-                ("series", series.name.clone()),
-                ("selected_hyperparams", hyperparams.to_string()),
-            ],
-            &Observers {
-                telemetry: &telemetry,
-                telemetry_out,
-                metrics: &metrics,
-                metrics_out,
-            },
-        );
-    }
+    flags.dump(
+        &tracer,
+        &metrics,
+        "ld-cli evaluate",
+        &[
+            ("trace", path.to_string()),
+            ("series", series.name.clone()),
+            ("selected_hyperparams", hyperparams.to_string()),
+        ],
+    );
 }
 
 fn cmd_list() {
@@ -433,49 +397,78 @@ fn read_or_die(path: &str) -> String {
     })
 }
 
-/// Schema-checks a Chrome trace emitted by `--trace-out` (plus its folded
-/// sibling when present) and, optionally, a run manifest. Exits nonzero
-/// on the first violation — CI gates on this.
+/// Reads `path` and runs `validate` over it, exiting 1 with a message
+/// naming the artifact on any failure. Returns the validator's count.
+fn validate_file(path: &str, what: &str, validate: fn(&str) -> Result<usize, String>) -> usize {
+    validate(&read_or_die(path)).unwrap_or_else(|e| {
+        eprintln!("{path}: invalid {what}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Schema-checks a Chrome trace emitted by `--trace-out`, its `.folded`
+/// and `.events.json` siblings and, optionally, its run manifest. A
+/// sibling is checked when present; one whose kind (`folded`, `events`)
+/// the manifest lists must also exist, and the manifest's span and event
+/// totals must match the files. Siblings are found next to the trace, not
+/// at the manifest's recorded paths, so a moved artifact set still
+/// validates. Exits nonzero on the first violation — CI gates on this.
 fn cmd_trace_validate(trace_path: &str, manifest_path: Option<&str>) {
-    let events = match ld_telemetry::validate_chrome_trace(&read_or_die(trace_path)) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("{trace_path}: invalid chrome trace: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{trace_path}: valid chrome trace, {events} events");
-    let folded_path = format!("{trace_path}.folded");
-    if std::path::Path::new(&folded_path).exists() {
-        match ld_telemetry::validate_folded(&read_or_die(&folded_path)) {
-            Ok(n) => println!("{folded_path}: valid folded stacks, {n} lines"),
-            Err(e) => {
-                eprintln!("{folded_path}: invalid folded stacks: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(manifest_path) = manifest_path {
-        let manifest = RunManifest::from_json(&read_or_die(manifest_path)).unwrap_or_else(|e| {
-            eprintln!("{manifest_path}: not a run manifest: {e}");
+    let spans = validate_file(
+        trace_path,
+        "chrome trace",
+        ld_telemetry::validate_chrome_trace,
+    );
+    println!("{trace_path}: valid chrome trace, {spans} events");
+    let manifest = manifest_path.map(|path| {
+        let manifest = RunManifest::from_json(&read_or_die(path)).unwrap_or_else(|e| {
+            eprintln!("{path}: not a run manifest: {e}");
             std::process::exit(1);
         });
         if let Err(e) = manifest.validate() {
-            eprintln!("{manifest_path}: invalid run manifest: {e}");
+            eprintln!("{path}: invalid run manifest: {e}");
             std::process::exit(1);
         }
-        if manifest.trace_spans != events as u64 {
-            eprintln!(
-                "{manifest_path}: manifest records {} trace spans but the chrome trace has {events} events",
-                manifest.trace_spans
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "{manifest_path}: valid run manifest (tool `{}`, {} spans, {} roots)",
-            manifest.tool, manifest.trace_spans, manifest.trace_roots
-        );
+        manifest
+    });
+    let artifact = |kind: &str, suffix: &str| {
+        let sibling = format!("{trace_path}{suffix}");
+        let listed = manifest
+            .as_ref()
+            .is_some_and(|m| m.output_path(kind).is_some());
+        (listed || std::path::Path::new(&sibling).exists()).then_some(sibling)
+    };
+    if let Some(folded) = artifact("folded", ".folded") {
+        let lines = validate_file(&folded, "folded stacks", ld_telemetry::validate_folded);
+        println!("{folded}: valid folded stacks, {lines} lines");
     }
+    let events = artifact("events", ".events.json").map(|path| {
+        let events = validate_file(&path, "events", ld_telemetry::validate_events);
+        println!("{path}: valid events, {events} events");
+        events
+    });
+    let (Some(manifest_path), Some(manifest)) = (manifest_path, manifest) else {
+        return;
+    };
+    if manifest.trace_spans != spans as u64 {
+        eprintln!(
+            "{manifest_path}: manifest records {} trace spans but the chrome trace has {spans} events",
+            manifest.trace_spans
+        );
+        std::process::exit(1);
+    }
+    if manifest.telemetry_events != events.unwrap_or(0) as u64 {
+        eprintln!(
+            "{manifest_path}: manifest records {} events but its events artifact has {}",
+            manifest.telemetry_events,
+            events.map_or("none".to_string(), |n| n.to_string())
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "{manifest_path}: valid run manifest (tool `{}`, {} spans, {} roots, {} events)",
+        manifest.tool, manifest.trace_spans, manifest.trace_roots, manifest.telemetry_events
+    );
 }
 
 /// Schema-checks a metrics JSON dump and, optionally, its Prometheus text
@@ -504,45 +497,29 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Opt-in fault injection for resilience drills (LD_FAULT / LD_FAULT_SEED).
     ld_faultinject::activate_from_env(0);
-    let telemetry_out = telemetry_path(&args);
-    let trace_out = trace_out_path(&args);
-    let metrics_out = metrics_out_path(&args);
-    match args.first().map(String::as_str) {
-        Some("generate") if args.len() == 3 => cmd_generate(&args[1], &args[2]),
-        Some("optimize") if args.len() >= 2 => cmd_optimize(
-            &args[1],
-            args.iter().any(|a| a == "--fast"),
-            telemetry_out.as_deref(),
-            trace_out.as_deref(),
-            metrics_out.as_deref(),
-        ),
-        Some("predict") if args.len() >= 2 => {
-            let horizon = args
-                .get(2)
+    let Some((command, rest)) = args.split_first() else {
+        usage()
+    };
+    let (positional, flags) = parse_args(command, rest);
+    match (command.as_str(), positional.as_slice()) {
+        ("generate", [label, out]) => cmd_generate(label, out),
+        ("optimize", [path]) => cmd_optimize(path, &flags),
+        ("predict", [path, rest @ ..]) if rest.len() <= 1 => {
+            let horizon = rest
+                .first()
                 .and_then(|h| h.parse().ok())
                 .unwrap_or(3usize)
                 .clamp(1, 1000);
-            cmd_predict(
-                &args[1],
-                horizon,
-                telemetry_out.as_deref(),
-                trace_out.as_deref(),
-                metrics_out.as_deref(),
-            )
+            cmd_predict(path, horizon, &flags)
         }
-        Some("evaluate") if args.len() >= 2 => cmd_evaluate(
-            &args[1],
-            telemetry_out.as_deref(),
-            trace_out.as_deref(),
-            metrics_out.as_deref(),
-        ),
-        Some("trace-validate") if args.len() >= 2 => {
-            cmd_trace_validate(&args[1], args.get(2).map(String::as_str))
+        ("evaluate", [path]) => cmd_evaluate(path, &flags),
+        ("trace-validate", [trace, rest @ ..]) if rest.len() <= 1 => {
+            cmd_trace_validate(trace, rest.first().copied())
         }
-        Some("metrics-validate") if args.len() >= 2 => {
-            cmd_metrics_validate(&args[1], args.get(2).map(String::as_str))
+        ("metrics-validate", [metrics, rest @ ..]) if rest.len() <= 1 => {
+            cmd_metrics_validate(metrics, rest.first().copied())
         }
-        Some("list") => cmd_list(),
+        ("list", []) => cmd_list(),
         _ => usage(),
     }
 }

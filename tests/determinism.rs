@@ -1,10 +1,10 @@
 //! Seeded-determinism regression: a LoadDynamics run is a pure function of
 //! `(series, config)`. The same seed must reproduce the same selected
-//! hyperparameters and bitwise-identical predictions, and enabling
-//! telemetry must not perturb any of it.
+//! hyperparameters and bitwise-identical predictions, and enabling the
+//! tracer (spans, counters and events) must not perturb any of it.
 
 use ld_api::{Predictor, Series};
-use ld_telemetry::Telemetry;
+use ld_telemetry::Tracer;
 use loaddynamics::{FrameworkConfig, LoadDynamics, OptimizationOutcome};
 
 fn seasonal_series(len: usize) -> Series {
@@ -17,11 +17,11 @@ fn seasonal_series(len: usize) -> Series {
     )
 }
 
-fn run(seed: u64, telemetry: Option<Telemetry>) -> OptimizationOutcome {
+fn run(seed: u64, tracer: Option<Tracer>) -> OptimizationOutcome {
     let mut config = FrameworkConfig::fast_preset(seed);
     config.max_iters = 4;
-    if let Some(telemetry) = telemetry {
-        config = config.with_telemetry(telemetry);
+    if let Some(tracer) = tracer {
+        config = config.with_tracer(tracer);
     }
     LoadDynamics::new(config).optimize(&seasonal_series(220))
 }
@@ -56,5 +56,8 @@ fn enabling_telemetry_does_not_perturb_the_run() {
     // Acceptance check for the instrumentation: recording must be purely
     // observational, so an observed run matches an unobserved one bit for
     // bit.
-    assert_identical(run(3, None), run(3, Some(Telemetry::enabled())));
+    let tracer = Tracer::enabled();
+    assert_identical(run(3, None), run(3, Some(tracer.clone())));
+    assert!(!tracer.snapshot().spans.is_empty());
+    assert!(!tracer.events().events.is_empty());
 }

@@ -1,15 +1,15 @@
 //! Fault-injection acceptance tests: the full self-optimization workflow
 //! under deterministic injected failures (NaN training losses, a forced
 //! Cholesky breakdown in the GP surrogate, corrupted trace values) must
-//! finish without panicking, record what failed in telemetry, and still
-//! hand back a usable finite-MAPE predictor.
+//! finish without panicking, record what failed in the tracer's counters
+//! and events, and still hand back a usable finite-MAPE predictor.
 //!
 //! Fault plans are process-global, so every test serializes on
 //! [`ld_faultinject::test_lock`] and uninstalls its plan before asserting.
 
 use ld_api::{Predictor, Series};
 use ld_faultinject::{install, reset, test_lock, FaultConfig, FaultSite};
-use ld_telemetry::Telemetry;
+use ld_telemetry::Tracer;
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{FrameworkConfig, LoadDynamics, OptimizationOutcome};
 
@@ -33,8 +33,8 @@ fn faulted_plan() -> FaultConfig {
         .with_site(FaultSite::CholeskyFail, 1.0, Some(1))
 }
 
-fn run_faulted(telemetry: Telemetry) -> OptimizationOutcome {
-    let mut config = FrameworkConfig::fast_preset(7).with_telemetry(telemetry);
+fn run_faulted(tracer: Tracer) -> OptimizationOutcome {
+    let mut config = FrameworkConfig::fast_preset(7).with_tracer(tracer);
     config.max_iters = MAX_ITERS;
     LoadDynamics::new(config).optimize(&seasonal_series(240))
 }
@@ -43,8 +43,8 @@ fn run_faulted(telemetry: Telemetry) -> OptimizationOutcome {
 fn search_survives_nan_losses_and_a_cholesky_failure() {
     let _guard = test_lock();
     install(faulted_plan());
-    let telemetry = Telemetry::enabled();
-    let outcome = run_faulted(telemetry.clone());
+    let tracer = Tracer::enabled();
+    let outcome = run_faulted(tracer.clone());
     reset();
 
     // The search completed its full budget and produced a usable model.
@@ -55,7 +55,7 @@ fn search_survives_nan_losses_and_a_cholesky_failure() {
     let pred = predictor.predict(&series.values[..200]);
     assert!(pred.is_finite() && pred >= 0.0, "prediction {pred}");
 
-    let snap = telemetry.snapshot();
+    let snap = tracer.events();
     // Divergent trials were detected, penalized, and recorded — not
     // silently swallowed and not fatal.
     assert!(
@@ -75,9 +75,9 @@ fn search_survives_nan_losses_and_a_cholesky_failure() {
 fn faulted_search_is_deterministic() {
     let _guard = test_lock();
     install(faulted_plan());
-    let a = run_faulted(Telemetry::disabled());
+    let a = run_faulted(Tracer::disabled());
     install(faulted_plan());
-    let b = run_faulted(Telemetry::disabled());
+    let b = run_faulted(Tracer::disabled());
     reset();
 
     assert_eq!(a.hyperparams, b.hyperparams);
@@ -92,8 +92,8 @@ fn faulted_search_is_deterministic() {
 fn total_divergence_degrades_to_baseline_fallback() {
     let _guard = test_lock();
     install(FaultConfig::new(3).with_site(FaultSite::NanLoss, 1.0, None));
-    let telemetry = Telemetry::enabled();
-    let mut config = FrameworkConfig::fast_preset(3).with_telemetry(telemetry.clone());
+    let tracer = Tracer::enabled();
+    let mut config = FrameworkConfig::fast_preset(3).with_tracer(tracer.clone());
     config.max_iters = 4;
     let series = seasonal_series(240);
     let outcome = LoadDynamics::new(config).optimize(&series);
@@ -102,9 +102,15 @@ fn total_divergence_degrades_to_baseline_fallback() {
     assert!(outcome.predictor.is_fallback());
     assert!(outcome.predictor.fallback_name().is_some());
     assert!(outcome.val_mape.is_finite());
-    let snap = telemetry.snapshot();
+    let snap = tracer.events();
     assert_eq!(snap.counter("framework.fallback"), 1);
     assert!(snap.counter("pipeline.diverged_trials") >= 4);
+    // Every fit diverged, so `best_loss` is infinite; the events file must
+    // still parse and validate.
+    assert_eq!(
+        ld_telemetry::validate_events(&snap.to_json()),
+        Ok(snap.events.len())
+    );
 
     // The degraded predictor still walks forward with finite forecasts.
     let mut predictor = outcome.predictor;

@@ -1,12 +1,12 @@
-//! Integration: the telemetry subsystem observing a full fast-preset
-//! LoadDynamics run (the Fig. 6 workflow). Checks the whole recording
-//! chain — trainer epochs, candidate evaluations, Bayesian-optimizer
-//! trials, the strategy-agnostic search history, and the framework
-//! summary — plus the JSON export.
+//! Integration: the tracer's counters and events observing a full
+//! fast-preset LoadDynamics run (the Fig. 6 workflow). Checks the whole
+//! recording chain — trainer epochs, candidate evaluations,
+//! Bayesian-optimizer trials, the strategy-agnostic search history, and
+//! the framework summary — plus the JSON export.
 
 use ld_api::Series;
-use ld_telemetry::{Snapshot, Telemetry};
-use loaddynamics::{FrameworkConfig, LoadDynamics};
+use ld_telemetry::{validate_events, Snapshot, Tracer};
+use loaddynamics::{FrameworkConfig, LoadDynamics, SearchStrategy};
 
 const MAX_ITERS: usize = 5;
 
@@ -20,15 +20,19 @@ fn seasonal_series(len: usize) -> Series {
     )
 }
 
-/// Runs the fast-preset workflow with telemetry enabled and returns the
-/// recorded snapshot.
-fn optimized_snapshot(seed: u64) -> Snapshot {
-    let telemetry = Telemetry::enabled();
-    let mut config = FrameworkConfig::fast_preset(seed).with_telemetry(telemetry.clone());
+/// Runs the fast-preset workflow with an enabled tracer and returns it.
+fn optimized_run(seed: u64) -> Tracer {
+    let tracer = Tracer::enabled();
+    let mut config = FrameworkConfig::fast_preset(seed).with_tracer(tracer.clone());
     config.max_iters = MAX_ITERS;
     let outcome = LoadDynamics::new(config).optimize(&seasonal_series(240));
     assert!(outcome.val_mape.is_finite());
-    telemetry.snapshot()
+    tracer
+}
+
+/// The counters and events of [`optimized_run`].
+fn optimized_snapshot(seed: u64) -> Snapshot {
+    optimized_run(seed).events()
 }
 
 #[test]
@@ -65,7 +69,8 @@ fn incumbent_trajectory_is_monotone_non_increasing() {
 
 #[test]
 fn trainer_epochs_record_finite_losses() {
-    let snap = optimized_snapshot(12);
+    let tracer = optimized_run(12);
+    let snap = tracer.events();
     let epochs: Vec<_> = snap
         .events
         .iter()
@@ -104,14 +109,18 @@ fn trainer_epochs_record_finite_losses() {
         snap.counter("framework.candidate_evals"),
         MAX_ITERS as u64 + 1
     );
-    assert!(snap.timer("trainer.fit").map_or(0, |t| t.count) >= 1);
+    // Each fit's wall time is its `train` span.
+    let trace = tracer.snapshot();
+    assert!(trace.spans.iter().any(|s| s.leaf() == "train"));
 }
 
 #[test]
 fn snapshot_exports_valid_json_with_framework_summary() {
-    let snap = optimized_snapshot(13);
+    let tracer = optimized_run(13);
+    let snap = tracer.events();
     // Re-parse via the same JSON path the CLI / bench binaries use.
-    let json = serde_json::to_string_pretty(&snap).unwrap();
+    let json = snap.to_json();
+    assert_eq!(validate_events(&json), Ok(snap.events.len()));
     let parsed = Snapshot::from_json(&json).unwrap();
     assert_eq!(parsed.counters, snap.counters);
     assert_eq!(parsed.events, snap.events);
@@ -120,29 +129,61 @@ fn snapshot_exports_valid_json_with_framework_summary() {
     assert_eq!(summary.len(), 1);
     assert_eq!(summary[0].num("trials").unwrap() as usize, MAX_ITERS);
     assert!(summary[0].field("selected").is_some());
-    assert_eq!(parsed.timer("framework.optimize").unwrap().count, 1);
+    // The run's wall time is its one `search` root span.
+    let trace = tracer.snapshot();
+    assert_eq!(trace.root_count(), 1);
+    assert_eq!(
+        trace
+            .spans_with_prefix("search")
+            .iter()
+            .filter(|s| s.path.len() == 1)
+            .count(),
+        1
+    );
 }
 
 #[test]
 fn identical_runs_record_identical_logical_telemetry() {
-    // Two runs with the same seed must agree on everything except wall
-    // clock: same counters, same event keys, same non-timing payloads.
-    let strip_times = |snap: &Snapshot| -> Vec<String> {
-        snap.events
-            .iter()
-            .map(|e| {
-                let fields: Vec<String> = e
-                    .fields
-                    .iter()
-                    .filter(|f| !f.name.contains("secs"))
-                    .map(|f| format!("{}={:?}", f.name, f.value))
-                    .collect();
-                format!("{}/{}/{} {}", e.scope, e.kind, e.index, fields.join(" "))
-            })
-            .collect()
-    };
+    // Events carry no wall-clock fields, so two runs with the same seed
+    // must write byte-identical counters and events.
     let a = optimized_snapshot(14);
     let b = optimized_snapshot(14);
+    assert!(!a.events.is_empty());
     assert_eq!(a.counters, b.counters);
-    assert_eq!(strip_times(&a), strip_times(&b));
+    assert_eq!(a.to_json(), b.to_json());
+}
+
+#[test]
+fn grid_search_candidates_record_through_the_tracer() {
+    let tracer = Tracer::enabled();
+    let mut config = FrameworkConfig::fast_preset(15).with_tracer(tracer.clone());
+    config.max_iters = MAX_ITERS;
+    config.strategy = SearchStrategy::Grid;
+    let outcome = LoadDynamics::new(config).optimize(&seasonal_series(240));
+    assert!(outcome.val_mape.is_finite());
+    let snap = tracer.events();
+    // maxIters grid points plus the final retrain of the winner.
+    assert_eq!(
+        snap.counter("framework.candidate_evals"),
+        MAX_ITERS as u64 + 1
+    );
+    assert_eq!(snap.events_of("search", "trial").len(), MAX_ITERS);
+    assert!(snap
+        .events
+        .iter()
+        .any(|e| e.kind == "fit" && e.scope.starts_with("trainer/")));
+    assert!(snap.counter("trainer.epochs") > 0);
+    // Each grid point runs under its own `search/trial#i` span, with its
+    // training nested below.
+    let trace = tracer.snapshot();
+    let trial_spans = trace
+        .spans
+        .iter()
+        .filter(|s| s.path.len() == 2 && s.path[1].name == "trial")
+        .count();
+    assert_eq!(trial_spans, MAX_ITERS);
+    assert!(trace
+        .spans
+        .iter()
+        .any(|s| s.leaf() == "train" && s.path.len() > 2 && s.path[1].name == "trial"));
 }

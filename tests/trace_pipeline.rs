@@ -6,7 +6,7 @@
 
 use ld_api::Series;
 use ld_telemetry::{
-    validate_chrome_trace, validate_folded, RunManifest, TraceSnapshot, Tracer,
+    validate_chrome_trace, validate_events, validate_folded, RunManifest, TraceSnapshot, Tracer,
 };
 use loaddynamics::{FrameworkConfig, LoadDynamics, OptimizationOutcome};
 
@@ -113,6 +113,52 @@ fn malformed_exports_are_rejected() {
     assert!(validate_folded("").is_err());
     assert!(validate_folded("stack notanumber\n").is_err());
     assert!(validate_folded("a;;b 10\n").is_err());
+    assert!(validate_events("not json").is_err());
+    assert!(
+        validate_events(r#"{"counters": []}"#).is_err(),
+        "an events file needs an events array"
+    );
+    assert!(
+        validate_events(
+            r#"{"counters": [{"name": "b", "value": 1}, {"name": "a", "value": 2}], "events": []}"#
+        )
+        .is_err(),
+        "counters must be sorted by name"
+    );
+    assert!(
+        validate_events(
+            r#"{"counters": [{"name": "a", "value": 1}, {"name": "a", "value": 2}], "events": []}"#
+        )
+        .is_err(),
+        "counter names must be unique"
+    );
+    let event = |scope: &str, value: &str| {
+        format!(
+            r#"{{"scope": "{scope}", "kind": "epoch", "index": 0, "fields": [{{"name": "x", "value": {value}}}]}}"#
+        )
+    };
+    let events = |list: &[String]| format!(r#"{{"counters": [], "events": [{}]}}"#, list.join(","));
+    let num = r#"{"Num": {"value": 0.5}}"#;
+    assert_eq!(
+        validate_events(&events(&[event("a", num), event("b", num)])),
+        Ok(2)
+    );
+    assert!(
+        validate_events(&events(&[event("", num)])).is_err(),
+        "events need a scope"
+    );
+    assert!(
+        validate_events(&events(&[event("b", num), event("a", num)])).is_err(),
+        "events must be in logical order"
+    );
+    assert!(
+        validate_events(&events(&[event("a", r#"{"Bogus": {"value": 1}}"#)])).is_err(),
+        "field values must be typed"
+    );
+    assert!(
+        validate_events(&events(&[event("a", "0.5")])).is_err(),
+        "field values must be tagged"
+    );
 }
 
 #[test]
