@@ -218,40 +218,6 @@ impl BayesianOptimizer {
             });
     }
 
-    /// Fits the GP surrogate under a `surrogate_fit` span and, when tracing
-    /// is enabled, arms the `ld-gp` section counters so the
-    /// Gram-construction and Cholesky shares of the fit land as
-    /// `gram_build` / `cholesky` child spans (approximate attribution: the
-    /// counters are process-global, so concurrent armed fits interleave).
-    /// Surrogate failures are counted here; the caller degrades to random
-    /// sampling on `None` instead of aborting the search.
-    fn timed_surrogate_fit(
-        &self,
-        tracer: &Tracer,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        opts: FitOptions,
-    ) -> Option<ld_gp::GpRegressor> {
-        let armed = tracer
-            .is_enabled()
-            .then(|| (ld_gp::sections::activate(), ld_gp::sections::totals()));
-        let fit_span = tracer.span("surrogate_fit");
-        let fitted = fit_auto(xs, ys, opts).ok();
-        if let Some((_guard, (gram0, chol0))) = armed {
-            let (gram1, chol1) = ld_gp::sections::totals();
-            let gram = gram1.saturating_sub(gram0);
-            let chol = chol1.saturating_sub(chol0);
-            let inside = fit_span.tracer();
-            inside.record_span("gram_build", 0, gram, chol);
-            inside.record_span("cholesky", 0, chol, 0);
-        }
-        drop(fit_span);
-        if fitted.is_none() {
-            self.tracer.incr("bayesopt.surrogate_failures");
-        }
-        fitted
-    }
-
     /// True once `deadline_secs` has elapsed since `start`; counts the stop
     /// the first time it fires. `start` is `None` exactly when no deadline
     /// is configured.
@@ -361,18 +327,19 @@ impl BayesianOptimizer {
             let ys: Vec<f64> = trials.iter().map(|t| t.value).collect();
             let finite = ys.iter().all(|v| v.is_finite());
             let gp = if finite {
+                let _fit_span = iter_tracer.span("surrogate_fit");
+                let opts = FitOptions {
+                    grid: 5,
+                    levels: 2,
+                    ..FitOptions::default()
+                };
                 // Surrogate recovery on `None`: the next proposal degrades
                 // to a random unseen point instead of aborting the search.
-                self.timed_surrogate_fit(
-                    &iter_tracer,
-                    &xs,
-                    &ys,
-                    FitOptions {
-                        grid: 5,
-                        levels: 2,
-                        ..FitOptions::default()
-                    },
-                )
+                let fitted = fit_auto(&xs, &ys, opts).ok();
+                if fitted.is_none() {
+                    self.tracer.incr("bayesopt.surrogate_failures");
+                }
+                fitted
             } else {
                 None
             };
@@ -471,164 +438,6 @@ impl BayesianOptimizer {
             }
         }
 
-        OptResult::from_trials(trials)
-    }
-}
-
-impl BayesianOptimizer {
-    /// Batched Bayesian optimization with the *constant liar* heuristic
-    /// (Ginsbourger et al. 2010): per round, `q` candidates are proposed by
-    /// repeatedly maximizing EI while pretending each pending candidate
-    /// already returned the incumbent value, then all `q` are evaluated
-    /// concurrently. On a 16-core machine (the paper's testbed) this keeps
-    /// every core busy training LSTMs while preserving most of sequential
-    /// BO's sample efficiency.
-    pub fn optimize_batched(
-        &self,
-        space: &SearchSpace,
-        objective: Objective<'_>,
-        budget: usize,
-        seed: u64,
-        q: usize,
-    ) -> OptResult {
-        self.optimize_batched_traced(space, &|p, _| objective(p), budget, seed, q)
-    }
-
-    /// [`BayesianOptimizer::optimize_batched`] with a tracer-aware
-    /// objective; rounds open `round#r` spans with `surrogate_fit` and
-    /// per-candidate `evaluate#k` children.
-    pub fn optimize_batched_traced(
-        &self,
-        space: &SearchSpace,
-        objective: TracedObjective<'_>,
-        budget: usize,
-        seed: u64,
-        q: usize,
-    ) -> OptResult {
-        assert!(budget >= 1 && q >= 1, "budget and q must be >= 1");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let init_n = self.opts.init_points.min(budget);
-        // ld-lint: allow(determinism, "opt-in deadline budget: bounds how many trials run, never what a trial computes")
-        let search_start = self.opts.deadline_secs.map(|_| std::time::Instant::now());
-        let init_units: Vec<Vec<f64>> = (0..init_n).map(|_| space.sample_unit(&mut rng)).collect();
-        let mut trials: Vec<Trial> = init_units
-            .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(i, unit)| {
-                let params = space.decode(&unit);
-                let guard = self.tracer.span_at("init", i as u64);
-                let (value, failed) = eval_isolated_traced(objective, &params, &guard.tracer());
-                Trial {
-                    params,
-                    unit,
-                    value,
-                    failed,
-                }
-            })
-            .collect();
-        if self.tracer.is_enabled() {
-            let mut running_best = f64::INFINITY;
-            for (i, t) in trials.iter().enumerate() {
-                running_best = running_best.min(t.value);
-                self.record_trial(i, t, running_best, "init", None);
-            }
-        }
-        let mut seen: std::collections::HashSet<String> =
-            trials.iter().map(|t| fingerprint(&t.params)).collect();
-
-        let mut round_no = 0u64;
-        while trials.len() < budget {
-            if self.deadline_hit(search_start) {
-                break;
-            }
-            let round_guard = self.tracer.span_at("round", round_no);
-            let round_tracer = round_guard.tracer();
-            round_no += 1;
-            let round = q.min(budget - trials.len());
-            // Observations plus constant-liar pseudo-observations.
-            let mut xs: Vec<Vec<f64>> = trials.iter().map(|t| t.unit.clone()).collect();
-            let mut ys: Vec<f64> = trials.iter().map(|t| t.value).collect();
-            let lie = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mut batch: Vec<Vec<f64>> = Vec::with_capacity(round);
-
-            for _ in 0..round {
-                let gp = if ys.iter().all(|v| v.is_finite()) {
-                    self.timed_surrogate_fit(
-                        &round_tracer,
-                        &xs,
-                        &ys,
-                        FitOptions {
-                            grid: 4,
-                            levels: 1,
-                            ..FitOptions::default()
-                        },
-                    )
-                } else {
-                    None
-                };
-                let f_best = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-                let pool: Vec<Vec<f64>> = (0..self.opts.candidate_pool)
-                    .map(|_| space.sample_unit(&mut rng))
-                    .collect();
-                let next = match &gp {
-                    Some(gp) => {
-                        let mut scored: Vec<(f64, &Vec<f64>)> = pool
-                            .iter()
-                            .map(|u| {
-                                let (m, v) = gp.predict(u);
-                                (self.opts.acquisition.score(m, v.sqrt(), f_best), u)
-                            })
-                            .collect();
-                        scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-                        scored
-                            .iter()
-                            .map(|(_, u)| (*u).clone())
-                            .find(|u| !seen.contains(&fingerprint(&space.decode(u))))
-                    }
-                    None => None,
-                }
-                .unwrap_or_else(|| space.sample_unit(&mut rng));
-                seen.insert(fingerprint(&space.decode(&next)));
-                xs.push(next.clone());
-                ys.push(lie); // the constant lie
-                batch.push(next);
-            }
-
-            // Evaluate the whole batch concurrently. Span indices are the
-            // batch positions, deterministic under any rayon schedule.
-            let evaluated: Vec<Trial> = batch
-                .into_iter()
-                .enumerate()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|(k, unit)| {
-                    let params = space.decode(&unit);
-                    let guard = round_tracer.span_at("evaluate", k as u64);
-                    let (value, failed) =
-                        eval_isolated_traced(objective, &params, &guard.tracer());
-                    Trial {
-                        params,
-                        unit,
-                        value,
-                        failed,
-                    }
-                })
-                .collect();
-            if self.tracer.is_enabled() {
-                let base = trials.len();
-                let mut running_best = trials
-                    .iter()
-                    .map(|t| t.value)
-                    .fold(f64::INFINITY, f64::min);
-                for (k, t) in evaluated.iter().enumerate() {
-                    running_best = running_best.min(t.value);
-                    self.record_trial(base + k, t, running_best, "batch", None);
-                }
-            }
-            trials.extend(evaluated);
-        }
         OptResult::from_trials(trials)
     }
 }
@@ -897,35 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_bo_finds_near_optimum() {
-        let bo = BayesianOptimizer::default();
-        let res = bo.optimize_batched(&bowl_space(), &bowl, 40, 7, 4);
-        assert_eq!(res.trials.len(), 40);
-        assert!(
-            res.best().value < 0.6,
-            "batched BO best {:?} = {}",
-            res.best().params,
-            res.best().value
-        );
-    }
-
-    #[test]
-    fn batched_bo_respects_budget_with_ragged_last_round() {
-        let bo = BayesianOptimizer::default();
-        // 5 init + batches of 4 cannot divide 11 evenly.
-        let res = bo.optimize_batched(&bowl_space(), &bowl, 11, 0, 4);
-        assert_eq!(res.trials.len(), 11);
-    }
-
-    #[test]
-    fn batched_bo_q1_behaves_like_a_sequential_search() {
-        let bo = BayesianOptimizer::default();
-        let res = bo.optimize_batched(&bowl_space(), &bowl, 20, 3, 1);
-        assert_eq!(res.trials.len(), 20);
-        assert!(res.best().value < 1.5, "best {}", res.best().value);
-    }
-
-    #[test]
     fn nan_objective_becomes_penalized_failure() {
         let bo = BayesianOptimizer::default();
         // Even-valued `a` fails: roughly half the space is a failure region.
@@ -963,8 +743,6 @@ mod tests {
         let res = bo.optimize(&bowl_space(), &obj, 20, 2);
         assert_eq!(res.trials.len(), 20);
         assert!(res.trials.iter().all(|t| t.value.is_finite()));
-        let res_batched = bo.optimize_batched(&bowl_space(), &obj, 12, 2, 4);
-        assert_eq!(res_batched.trials.len(), 12);
         let res_rs = RandomSearch.optimize(&bowl_space(), &obj, 10, 2);
         assert!(res_rs.trials.iter().all(|t| t.value.is_finite()));
         let res_gs = GridSearch.optimize(&bowl_space(), &obj, 10, 0);
@@ -990,8 +768,6 @@ mod tests {
         let res = bo.optimize(&bowl_space(), &bowl, 1000, 1);
         // An already-expired deadline still runs the initial design but no
         // surrogate iterations.
-        assert_eq!(res.trials.len(), BoOptions::default().init_points);
-        let res = bo.optimize_batched(&bowl_space(), &bowl, 1000, 1, 4);
         assert_eq!(res.trials.len(), BoOptions::default().init_points);
     }
 

@@ -11,9 +11,7 @@ use ld_autoscale::{simulate_traced, SimConfig};
 use ld_bench::render::print_table;
 use ld_bench::runner::traced_baseline_lineup;
 use ld_bench::scale::ExperimentScale;
-use ld_bench::telemetry_env::{
-    dump_metrics, dump_trace, faults_from_env, metrics_from_env, trace_from_env,
-};
+use ld_bench::telemetry_env::{dump_trace, faults_from_env, trace_from_env};
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::LoadDynamics;
 
@@ -21,7 +19,6 @@ fn main() {
     let scale = ExperimentScale::from_env();
     faults_from_env();
     let (tracer, trace_out) = trace_from_env();
-    let (metrics, metrics_out) = metrics_from_env();
     println!("=== Fig. 10: auto-scaling with different prediction techniques (Azure, 60-min) ===");
     println!("(scale: {scale:?})\n");
 
@@ -51,13 +48,9 @@ fn main() {
     let outcome = framework.optimize(&series);
     let mut ld: Box<dyn Predictor> = Box::new(outcome.predictor);
     let report = simulate_traced(ld.as_mut(), &series, &sim_config, &tracer);
-    metrics.incr("fig10.predictors_total");
-    metrics.add("fig10.on_demand_vms_total", report.on_demand_vm_count() as u64);
-    metrics.add("fig10.idle_vms_total", report.idle_vm_count() as u64);
-    metrics.observe(
-        "fig10.turnaround_centisecs",
-        ld_api::num::to_count(report.avg_turnaround_secs() * 100.0) as u64,
-    );
+    // Per-predictor turnaround, stamped into the manifest: the interval
+    // events hold VM counts but no turnaround.
+    let mut turnarounds = vec![("LoadDynamics".to_string(), report.avg_turnaround_secs())];
     rows.push(vec![
         "LoadDynamics".to_string(),
         format!("{:.1}", report.avg_turnaround_secs()),
@@ -77,13 +70,7 @@ fn main() {
         // interval spans never collide with the LoadDynamics run's.
         let baseline_tracer = tracer.scoped("baseline", b as u64);
         let report = simulate_traced(baseline.as_mut(), &series, &sim_config, &baseline_tracer);
-        metrics.incr("fig10.predictors_total");
-        metrics.add("fig10.on_demand_vms_total", report.on_demand_vm_count() as u64);
-        metrics.add("fig10.idle_vms_total", report.idle_vm_count() as u64);
-        metrics.observe(
-            "fig10.turnaround_centisecs",
-            ld_api::num::to_count(report.avg_turnaround_secs() * 100.0) as u64,
-        );
+        turnarounds.push((baseline.name(), report.avg_turnaround_secs()));
         rows.push(vec![
             baseline.name(),
             format!("{:.1}", report.avg_turnaround_secs()),
@@ -110,17 +97,14 @@ fn main() {
          (lowest turnaround, driven by the lowest under-provisioning rate) and\n\
          wastes the fewest idle VMs (lowest over-provisioning rate)."
     );
-    dump_metrics(&metrics, &metrics_out);
-    dump_trace(
-        &tracer,
-        &trace_out,
-        ld_telemetry::RunManifest::new("fig10_autoscaling")
-            .seed(0)
-            .config("workload", "azure-60min-x0.6")
-            .config("scale", format!("{scale:?}"))
-            .config("test_start", sim_config.test_start)
-            .config("selected_hyperparams", outcome.hyperparams),
-        &metrics,
-        &metrics_out,
-    );
+    let manifest = ld_telemetry::RunManifest::new("fig10_autoscaling")
+        .seed(0)
+        .config("workload", "azure-60min-x0.6")
+        .config("scale", format!("{scale:?}"))
+        .config("test_start", sim_config.test_start)
+        .config("selected_hyperparams", outcome.hyperparams);
+    let manifest = turnarounds.iter().fold(manifest, |m, (name, secs)| {
+        m.config(&format!("turnaround_secs.{name}"), format!("{secs:.4}"))
+    });
+    dump_trace(&tracer, &trace_out, manifest);
 }

@@ -10,7 +10,7 @@ use ld_api::Partition;
 use ld_bayesopt::SearchSpace;
 use ld_bench::render::print_table;
 use ld_bench::scale::ExperimentScale;
-use ld_bench::telemetry_env::{dump_metrics, dump_trace, metrics_from_env, trace_from_env};
+use ld_bench::telemetry_env::{dump_trace, trace_from_env};
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{evaluate_hyperparams_traced, HyperParams};
 use rand::rngs::StdRng;
@@ -20,7 +20,6 @@ use rayon::prelude::*;
 fn main() {
     let scale = ExperimentScale::from_env();
     let (tracer, trace_out) = trace_from_env();
-    let (metrics, metrics_out) = metrics_from_env();
     let n_models = match scale {
         ExperimentScale::Standard => 100,
         ExperimentScale::Fast => 12,
@@ -70,16 +69,8 @@ fn main() {
         })
         .collect();
     drop(sweep_guard);
-    let drawn = mapes.len() as u64;
     mapes.retain(|(_, m)| m.is_finite() && *m < 1e5);
     mapes.sort_by(|a, b| a.1.total_cmp(&b.1));
-    metrics.add("fig5.candidates_total", drawn);
-    metrics.add("fig5.candidates_diverged_total", drawn - mapes.len() as u64);
-    for (_, mape) in &mapes {
-        // MAPE in basis points so the log-linear buckets resolve the
-        // single-digit-percent region the best configs live in.
-        metrics.observe("fig5.val_mape_bp", ld_api::num::to_count(*mape * 100.0) as u64);
-    }
 
     // Print the sorted curve as deciles plus best/worst configs.
     let mut rows = Vec::new();
@@ -107,7 +98,6 @@ fn main() {
         "\nExpected shape (paper Fig. 5): a large spread — choosing good\n\
          hyperparameters cuts the error by ~3x versus a poor choice."
     );
-    dump_metrics(&metrics, &metrics_out);
     dump_trace(
         &tracer,
         &trace_out,
@@ -116,7 +106,5 @@ fn main() {
             .config("workload", "google-30min")
             .config("scale", format!("{scale:?}"))
             .config("n_models", n_models),
-        &metrics,
-        &metrics_out,
     );
 }

@@ -9,9 +9,7 @@
 use ld_api::{walk_forward, Partition};
 use ld_bench::render::print_table;
 use ld_bench::scale::ExperimentScale;
-use ld_bench::telemetry_env::{
-    dump_metrics, dump_trace, faults_from_env, metrics_from_env, trace_from_env,
-};
+use ld_bench::telemetry_env::{dump_trace, faults_from_env, trace_from_env};
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{HyperParams, LoadDynamics};
 
@@ -19,7 +17,6 @@ fn main() {
     let scale = ExperimentScale::from_env();
     faults_from_env();
     let (tracer, trace_out) = trace_from_env();
-    let (metrics, metrics_out) = metrics_from_env();
     println!("=== Fig. 6/7: the self-optimization workflow, traced (LCG 30-min) ===");
     println!("(scale: {scale:?})\n");
 
@@ -53,11 +50,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut incumbent = f64::INFINITY;
     for (i, trial) in outcome.trials.trials.iter().enumerate() {
-        metrics.incr("fig6.trials_total");
-        if trial.value < incumbent {
-            metrics.incr("fig6.incumbent_improvements_total");
-        }
-        metrics.observe("fig6.val_mape_bp", ld_api::num::to_count(trial.value * 100.0) as u64);
         incumbent = incumbent.min(trial.value);
         rows.push(vec![
             format!("{}", i + 1),
@@ -80,12 +72,6 @@ fn main() {
         result.mape(),
         result.preds.len()
     );
-    metrics.gauge_set("fig6.test_intervals", result.preds.len() as u64);
-    metrics.gauge_set(
-        "fig6.test_mape_bp",
-        ld_api::num::to_count(result.mape() * 100.0) as u64,
-    );
-    dump_metrics(&metrics, &metrics_out);
     dump_trace(
         &tracer,
         &trace_out,
@@ -94,8 +80,7 @@ fn main() {
             .config("workload", "lcg-30min")
             .config("scale", format!("{scale:?}"))
             .config("selected_hyperparams", outcome.hyperparams)
-            .config("test_mape_pct", format!("{:.4}", result.mape())),
-        &metrics,
-        &metrics_out,
+            .config("test_mape_pct", format!("{:.4}", result.mape()))
+            .config("test_intervals", result.preds.len()),
     );
 }

@@ -37,18 +37,11 @@ const PACKED_MIN_POINTS: usize = 15;
 /// bitwise identical, so dispatch never affects fit results. Public so
 /// the perf-bench harness can time the Gram hot section in isolation.
 pub fn build(kernel: &Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
-    let timing = crate::sections::enabled();
-    // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the fit")
-    let t0 = timing.then(std::time::Instant::now);
-    let k = if x.len() < PACKED_MIN_POINTS {
+    if x.len() < PACKED_MIN_POINTS {
         build_serial(kernel, x, noise)
     } else {
         build_packed(kernel, x, noise)
-    };
-    if let Some(t0) = t0 {
-        crate::sections::add_gram_build(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
-    k
 }
 
 /// The pre-change serial build, retained as the reference path (and the

@@ -10,8 +10,7 @@
 //! - [`fit`]: hyperparameter selection by maximizing the log marginal
 //!   likelihood over a multi-resolution log-space grid,
 //! - [`gram`]: serial/packed Gram construction (bitwise identical paths;
-//!   the packed build takes over at a fixed, measured point count),
-//! - [`sections`]: opt-in nanosecond accounting for the Gram hot section.
+//!   the packed build takes over at a fixed, measured point count).
 //!
 //! Targets are standardized internally so kernel hyperpriors are scale-free.
 
@@ -22,7 +21,6 @@ pub mod fit;
 pub mod gram;
 pub mod kernel;
 pub mod regressor;
-pub mod sections;
 
 pub use kernel::{Kernel, KernelKind};
 pub use regressor::{GpError, GpRegressor};

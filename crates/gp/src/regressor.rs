@@ -101,9 +101,6 @@ impl GpRegressor {
         // larger starting jitter before reporting failure — a slightly
         // over-regularized surrogate still ranks candidates, while an abort
         // would cost the optimizer its whole model.
-        let timing = crate::sections::enabled();
-        // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the fit")
-        let t0 = timing.then(std::time::Instant::now);
         let chol = Cholesky::factor_with_jitter(&k, 1e-10, 12)
             .or_else(|e| match e {
                 LinalgError::NotPositiveDefinite { .. } => {
@@ -112,9 +109,6 @@ impl GpRegressor {
                 other => Err(other),
             })
             .map_err(|_| GpError::NumericalFailure)?;
-        if let Some(t0) = t0 {
-            crate::sections::add_cholesky(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
         let alpha = chol.solve(&ys).map_err(|_| GpError::NumericalFailure)?;
 
         let log_marginal = -0.5 * vecops::dot(&ys, &alpha)

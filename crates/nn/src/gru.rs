@@ -19,7 +19,7 @@
 use ld_linalg::{vecops, Matrix};
 
 use crate::activation::{sigmoid, sigmoid_deriv_from_output, tanh, tanh_deriv_from_output};
-use crate::recurrent::{BackStep, Cell, GateClock, LayerGrads, RecurrentLayer, Step};
+use crate::recurrent::{BackStep, Cell, LayerGrads, RecurrentLayer, Step};
 
 /// The GRU cell: three gates `[z, r, n]` and no memory state beside `h`.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +37,7 @@ impl Cell for Gru {
 
     /// `aux` records the reset-scaled state `r_t . h_{t-1}`.
     #[inline]
-    fn step(layer: &GruLayer, s: Step<'_>, _clock: &mut GateClock) {
+    fn step(layer: &GruLayer, s: Step<'_>) {
         let h = layer.hidden;
         let (w, u, b) = (&layer.w, &layer.u, &layer.b);
         let (g_row, rh_row) = (s.gates, s.aux);

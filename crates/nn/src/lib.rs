@@ -24,8 +24,6 @@
 //!   clipping and early stopping on a validation split,
 //! - [`workspace`]: reusable scratch arenas that make the forward/backward
 //!   hot loops allocation-free,
-//! - [`sections`]: opt-in nanosecond accounting for the gate-matmul and
-//!   BPTT kernel sections (drained into trace spans by the trainer),
 //! - [`reference`]: the retained pre-change compute paths, used as the
 //!   equivalence oracle for the optimized kernels.
 //!
@@ -46,7 +44,6 @@ pub mod mlp;
 pub mod optim;
 pub mod recurrent;
 pub mod reference;
-pub mod sections;
 pub mod trainer;
 pub mod workspace;
 

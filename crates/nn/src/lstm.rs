@@ -30,7 +30,7 @@ use ld_linalg::{vecops, Matrix};
 use crate::activation::{
     sigmoid, sigmoid_deriv_from_output, sigmoid_map, tanh, tanh_deriv_from_output, tanh_map,
 };
-use crate::recurrent::{BackStep, Cell, GateClock, LayerGrads, RecurrentLayer, Step};
+use crate::recurrent::{BackStep, Cell, LayerGrads, RecurrentLayer, Step};
 
 /// The LSTM cell: four gates `[i, f, o, g]` and a memory state `C_t`.
 #[derive(Debug, Clone, Copy)]
@@ -53,11 +53,10 @@ impl Cell for Lstm {
 
     /// `aux` records `tanh(C_t)`.
     #[inline]
-    fn step(layer: &LstmLayer, s: Step<'_>, clock: &mut GateClock) {
+    fn step(layer: &LstmLayer, s: Step<'_>) {
         let h = layer.hidden;
-        // z = W x + U h_prev + b as one packed panel mat-vec (the
-        // "gate-matmul" kernel section).
-        clock.time(|| layer.gate_step_fused(s.x, s.h_prev, s.gate_in, s.z));
+        // z = W x + U h_prev + b as one packed panel mat-vec.
+        layer.gate_step_fused(s.x, s.h_prev, s.gate_in, s.z);
 
         // Gate blocks are contiguous ([i|f|o] then [g]), so the
         // activations run as two slice-mapped passes the compiler can

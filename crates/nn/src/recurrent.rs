@@ -45,9 +45,8 @@ pub trait Cell: Copy + Send + Sync {
     fn init_bias(b: &mut Matrix, hidden: usize);
 
     /// One forward step: fills `s.gates`, `s.aux`, `s.c` and `s.h` from
-    /// `s.x`, `s.h_prev` and `s.c_prev`. Gate pre-activation mat-vecs go
-    /// through `clock` so the opt-in "gate-matmul" section can time them.
-    fn step(layer: &RecurrentLayer<Self>, s: Step<'_>, clock: &mut GateClock);
+    /// `s.x`, `s.h_prev` and `s.c_prev`.
+    fn step(layer: &RecurrentLayer<Self>, s: Step<'_>);
 
     /// One backward step: *accumulates* the step's parameter gradients into
     /// `grads`, overwrites `s.dx`, and replaces `s.dh_next` (the gradient
@@ -102,41 +101,6 @@ pub struct BackStep<'a> {
     /// The cell's own `H`-wide buffer, zeroed before the sweep and kept
     /// across steps (the LSTM carries its cell-state gradient in it).
     pub dstate: &'a mut [f64],
-}
-
-/// Opt-in timer of the "gate-matmul" kernel section
-/// ([`crate::sections`]); reads no clock unless a section guard is live.
-#[derive(Debug)]
-pub struct GateClock {
-    on: bool,
-    nanos: u128,
-}
-
-impl GateClock {
-    fn start() -> Self {
-        GateClock {
-            on: crate::sections::enabled(),
-            nanos: 0,
-        }
-    }
-
-    /// Runs `f`, charging its wall time to the gate-matmul section.
-    #[inline]
-    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the numerics")
-        let t0 = self.on.then(std::time::Instant::now);
-        let out = f();
-        if let Some(t0) = t0 {
-            self.nanos += t0.elapsed().as_nanos();
-        }
-        out
-    }
-
-    fn finish(self) {
-        if self.on {
-            crate::sections::add_gate_matmul(u64::try_from(self.nanos).unwrap_or(u64::MAX));
-        }
-    }
 }
 
 /// One recurrent layer of cell `C`, unrolled over a window.
@@ -444,7 +408,6 @@ impl<C: Cell> RecurrentLayer<C> {
         z.clear();
         z.resize(gh, 0.0);
 
-        let mut clock = GateClock::start();
         let LayerCache {
             xs: cxs,
             hs,
@@ -469,9 +432,8 @@ impl<C: Cell> RecurrentLayer<C> {
                 gate_in,
                 z,
             };
-            C::step(self, step, &mut clock);
+            C::step(self, step);
         }
-        clock.finish();
     }
 
     /// Backpropagates through the unrolled layer without allocating.
@@ -508,10 +470,6 @@ impl<C: Cell> RecurrentLayer<C> {
             buf.resize(len, 0.0);
         }
 
-        let timing = crate::sections::enabled();
-        // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the numerics")
-        let t0 = timing.then(std::time::Instant::now);
-
         for t in (0..steps).rev() {
             // Rows `t` of hs/cs are the *previous* states (row 0 is h_0).
             let step = BackStep {
@@ -527,10 +485,6 @@ impl<C: Cell> RecurrentLayer<C> {
                 dstate,
             };
             C::backward_step(self, step, grads);
-        }
-
-        if let Some(t0) = t0 {
-            crate::sections::add_bptt(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
     }
 

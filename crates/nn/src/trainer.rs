@@ -225,11 +225,8 @@ impl Trainer {
     }
 
     /// Attaches a tracer (usually already scoped to the candidate's trial
-    /// span). Each [`Trainer::fit`] records `epoch#e` spans with `batch#b`
-    /// / `validate` children; batches additionally carry synthetic
-    /// `forward` / `bptt` leaves attributed from the kernel section
-    /// counters (approximate under concurrent candidate trainings, which
-    /// share the process-global counters). Per-epoch and per-fit events are
+    /// span). Each [`Trainer::fit`] records `epoch#e` spans with leaf
+    /// `batch#b` and `validate` children. Per-epoch and per-fit events are
     /// recorded under `scope` (e.g. a hyperparameter fingerprint, so
     /// concurrent candidate trainings stay distinguishable and
     /// deterministically ordered).
@@ -291,10 +288,6 @@ impl Trainer {
         });
 
         let trace_on = self.tracer.is_enabled();
-        // Arm the kernel section timers (gate-matmul / bptt nanos) for the
-        // duration of this fit; snapshots are diffed per batch into the
-        // trace's forward/bptt leaves.
-        let _sections_guard = trace_on.then(crate::sections::activate);
 
         for epoch in 0..self.opts.max_epochs {
             let epoch_guard = self.tracer.span_at("epoch", epoch as u64);
@@ -309,8 +302,7 @@ impl Trainer {
             let mut clipped_batches = 0u64;
 
             for (b, chunk) in order.chunks(self.opts.batch_size).enumerate() {
-                let batch_guard = epoch_tracer.span_at("batch", b as u64);
-                let batch_sections = trace_on.then(crate::sections::totals);
+                let _batch_guard = epoch_tracer.span_at("batch", b as u64);
                 let (loss_sum, mut grads) = chunk
                     .par_iter()
                     .fold(
@@ -344,17 +336,6 @@ impl Trainer {
                     clipped_batches += 1;
                 }
                 model.apply(&grads, opt);
-                // Attribute the batch's kernel time to synthetic
-                // forward/bptt leaves (approximate: the counters are
-                // process-global, so concurrent trainings interleave).
-                if let Some((gate0, bptt0)) = batch_sections {
-                    let (gate1, bptt1) = crate::sections::totals();
-                    let gate = gate1.saturating_sub(gate0);
-                    let bptt = bptt1.saturating_sub(bptt0);
-                    let inside = batch_guard.tracer();
-                    inside.record_span("forward", 0, gate, bptt);
-                    inside.record_span("bptt", 0, bptt, 0);
-                }
             }
 
             let train_mse = if inject_nan {

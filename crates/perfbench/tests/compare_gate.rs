@@ -100,6 +100,23 @@ fn generous_tolerance_waives_a_regression() {
 }
 
 #[test]
+fn costlier_metrics_plane_than_baseline_exits_3() {
+    // The metrics-overhead row times the plane off as "before" and on as
+    // "after", so its speedup is below 1 by the plane's cost. A baseline
+    // recording a free plane (1.0) at tolerance 1.0 must fail on any real
+    // overhead: the smoke shape measures the plane at 1.1x and up.
+    let baseline = write_baseline("free-metrics-plane.json", &[("metrics-overhead", 1.0)]);
+    let out = run_compare(&baseline, "1.0");
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn unknown_flag_exits_2() {
     let missing = scratch("no-such-baseline.json");
     let _ = fs::remove_file(&missing);

@@ -32,14 +32,17 @@
 //! [`Snapshot`] serializes to `{"counters": [...], "events": [...]}` — the
 //! `<trace>.events.json` artifact written beside a Chrome trace; see the
 //! README for the full schema. It also deserializes, and
-//! [`validate_events`] schema-checks a written file.
+//! [`validate_events`] schema-checks a written file. [`artifacts`] names
+//! and writes a traced run's four files.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+pub mod artifacts;
 pub mod manifest;
 pub mod trace;
 
+pub use artifacts::{write_trace_artifacts, Artifact};
 pub use manifest::{ManifestEntry, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use trace::{
     validate_chrome_trace, validate_folded, SpanGuard, SpanRecord, TraceSnapshot, Tracer,

@@ -15,13 +15,14 @@ use crate::Snapshot;
 /// changes to the field set.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 
-/// Environment knobs captured by [`RunManifest::capture_env`].
+/// Environment knobs captured by [`RunManifest::capture_env`]. Only
+/// `ld-loadgen` reads `LD_METRICS`, and its manifests list the metrics
+/// artifacts it names under `outputs`, so it is not captured here.
 pub const CAPTURED_ENV_KEYS: &[&str] = &[
     "LD_FAULT",
     "LD_FAULT_SEED",
     "LD_CHAOS_SEED",
     "LD_TRACE",
-    "LD_METRICS",
     "LD_FAST",
 ];
 

@@ -242,10 +242,9 @@ impl Tracer {
         }
     }
 
-    /// Records a synthetic leaf span under the current scope whose interval
-    /// ended `ago_ns` nanoseconds before now and lasted `dur_ns`. Used to
-    /// attribute section-counter deltas (forward/BPTT, Gram/Cholesky) that
-    /// are measured by atomics rather than guards.
+    /// Records a leaf span under the current scope whose interval ended
+    /// `ago_ns` nanoseconds before now and lasted `dur_ns`, for a region
+    /// timed without a guard (fixed-duration test fixtures, for one).
     pub fn record_span(&self, name: &str, index: u64, dur_ns: u64, ago_ns: u64) {
         let Some(reg) = &self.inner else { return };
         let end_ns = reg.elapsed_ns().saturating_sub(ago_ns);

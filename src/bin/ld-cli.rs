@@ -9,33 +9,28 @@
 //! ```
 //!
 //! `optimize` accepts `--fast`: the laptop-scale search whatever the
-//! series length. `optimize`, `predict` and `evaluate` accept two flags:
-//!
-//! - `--trace-out[=PATH]`: the run is observed by one tracer, and four
-//!   artifacts are written: Chrome trace-event JSON of the search/train
-//!   spans at `PATH` (default `trace.json`), folded flamegraph stacks at
-//!   `PATH.folded`, the counters and events at `PATH.events.json` (see the
-//!   README for the schema), and a run-provenance manifest at
-//!   `PATH.manifest.json`.
-//! - `--metrics[=PATH]` (or the `LD_METRICS` environment knob): counters
-//!   and log-linear histograms of the run (trials, validation MAPE,
-//!   baseline errors) are dumped as schema-checked JSON at `PATH` (default
-//!   `metrics.json`) plus a Prometheus text exposition at `PATH.prom`.
+//! series length. `optimize`, `predict` and `evaluate` accept one flag,
+//! `--trace-out[=PATH]`: the run is observed by one tracer, and four
+//! artifacts are written: Chrome trace-event JSON of the search/train spans
+//! at `PATH` (default `trace.json`), folded flamegraph stacks at
+//! `PATH.folded`, the counters and events at `PATH.events.json` (see the
+//! README for the schema), and a run-provenance manifest at
+//! `PATH.manifest.json`.
 //!
 //! Any other `--` argument is a usage error (exit 2), as is `--fast` for
 //! any command but `optimize` and any flag for the other commands.
 //!
 //! `ld-cli trace-validate <trace.json> [manifest.json]` schema-checks the
 //! trace artifacts and `ld-cli metrics-validate <metrics.json>
-//! [exposition.prom]` the metrics artifacts (CI gates on both).
+//! [exposition.prom]` the metrics artifacts `ld-loadgen` writes (CI gates
+//! on both).
 //!
 //! Traces are plain text (`ld_api::Series::to_text` format): an optional
 //! `# name interval_mins=N` header, then one JAR per line.
 
 use ld_api::{predict_horizon, walk_forward, Partition, Predictor, Series};
 use ld_baselines::{CloudInsight, CloudScale, WoodPredictor};
-use ld_metrics::Metrics;
-use ld_telemetry::{RunManifest, Tracer};
+use ld_telemetry::{Artifact, RunManifest, Tracer};
 use ld_traces::all_configurations;
 use loaddynamics::{FrameworkConfig, LoadDynamics};
 
@@ -49,11 +44,9 @@ fn usage() -> ! {
          ld-cli metrics-validate <metrics.json> [exposition.prom]\n  ld-cli list\n\n\
          flag for optimize:\n  \
          --fast               laptop-scale search whatever the series length\n\n\
-         flags for optimize/predict/evaluate:\n  \
+         flag for optimize/predict/evaluate:\n  \
          --trace-out[=PATH]   spans, counters and events: PATH (default trace.json),\n                       \
-         PATH.folded, PATH.events.json and PATH.manifest.json\n  \
-         --metrics[=PATH]     metrics at PATH (default metrics.json) and PATH.prom;\n                       \
-         LD_METRICS=1|PATH does the same"
+         PATH.folded, PATH.events.json and PATH.manifest.json"
     );
     std::process::exit(2);
 }
@@ -64,7 +57,6 @@ fn usage() -> ! {
 struct Flags {
     fast: bool,
     trace_out: Option<String>,
-    metrics_out: Option<String>,
 }
 
 impl Flags {
@@ -75,37 +67,28 @@ impl Flags {
             .map_or_else(Tracer::disabled, |_| Tracer::enabled())
     }
 
-    /// An enabled metrics registry when `--metrics` (or `LD_METRICS`) was
-    /// given.
-    fn metrics(&self) -> Metrics {
-        self.metrics_out
-            .as_ref()
-            .map_or_else(Metrics::disabled, |_| Metrics::enabled())
-    }
-
-    /// Writes the requested metrics and trace artifacts of a finished run.
-    fn dump(&self, tracer: &Tracer, metrics: &Metrics, tool: &str, config: &[(&str, String)]) {
-        if let Some(out) = &self.metrics_out {
-            dump_metrics(metrics, out);
+    /// Writes the trace artifacts of a finished run when `--trace-out` was
+    /// given, exiting 1 if any write fails.
+    fn dump(&self, tracer: &Tracer, tool: &str, config: &[(&str, String)]) {
+        let Some(path) = &self.trace_out else {
+            return;
+        };
+        let manifest = config
+            .iter()
+            .fold(RunManifest::new(tool).seed(0), |m, (key, value)| {
+                m.config(key, value)
+            });
+        if let Err(e) = ld_telemetry::write_trace_artifacts(tracer, path, manifest) {
+            eprintln!("cannot write trace artifacts to {path}: {e}");
+            std::process::exit(1);
         }
-        if let Some(out) = &self.trace_out {
-            dump_trace(
-                tracer,
-                out,
-                tool,
-                config,
-                metrics,
-                self.metrics_out.as_deref(),
-            );
-        }
+        eprintln!("trace artifacts written to {path} and its siblings");
     }
 }
 
 /// Splits the arguments after `command` into positionals and [`Flags`],
 /// exiting with the usage text on any `--` argument `command` does not
-/// take. `--metrics` falls back to the `LD_METRICS` environment knob (`1`
-/// → `metrics.json`, any other value is taken as the path) so wrappers can
-/// enable metrics without editing command lines.
+/// take.
 fn parse_args<'a>(command: &str, args: &'a [String]) -> (Vec<&'a str>, Flags) {
     let runs = matches!(command, "optimize" | "predict" | "evaluate");
     let mut positional = Vec::new();
@@ -118,10 +101,6 @@ fn parse_args<'a>(command: &str, args: &'a [String]) -> (Vec<&'a str>, Flags) {
             flags.trace_out = Some("trace.json".to_string());
         } else if let Some(path) = arg.strip_prefix("--trace-out=").filter(|_| runs) {
             flags.trace_out = Some(path.to_string());
-        } else if runs && arg == "--metrics" {
-            flags.metrics_out = Some("metrics.json".to_string());
-        } else if let Some(path) = arg.strip_prefix("--metrics=").filter(|_| runs) {
-            flags.metrics_out = Some(path.to_string());
         } else if arg.starts_with("--") {
             eprintln!("unknown flag `{arg}`");
             usage();
@@ -129,85 +108,7 @@ fn parse_args<'a>(command: &str, args: &'a [String]) -> (Vec<&'a str>, Flags) {
             positional.push(arg);
         }
     }
-    if runs && flags.metrics_out.is_none() {
-        // ld-lint: allow(determinism, "pure-observer metrics dump knob; captured in the run manifest")
-        flags.metrics_out = std::env::var("LD_METRICS")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(|v| {
-                if v == "1" {
-                    "metrics.json".to_string()
-                } else {
-                    v
-                }
-            });
-    }
     (positional, flags)
-}
-
-fn write_or_die(path: &str, contents: &str, what: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| {
-        eprintln!("cannot write {what} to {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("{what} written to {path}");
-}
-
-/// Writes the metrics snapshot as schema-checked JSON at `path` and a
-/// Prometheus text exposition at `path.prom`.
-fn dump_metrics(metrics: &Metrics, path: &str) {
-    let snapshot = metrics.snapshot();
-    let json = ld_metrics::to_metrics_json(&snapshot);
-    ld_metrics::validate_metrics_json(&json).expect("metrics dump must pass its own validator");
-    write_or_die(path, &json, "metrics");
-    let prom = ld_metrics::to_prometheus(&snapshot);
-    ld_metrics::validate_exposition(&prom).expect("exposition must pass its own validator");
-    write_or_die(&format!("{path}.prom"), &prom, "metrics exposition");
-}
-
-/// Writes the Chrome trace at `path`, the folded stacks at `path.folded`,
-/// the counters and events at `path.events.json` and the run manifest at
-/// `path.manifest.json`.
-fn dump_trace(
-    tracer: &Tracer,
-    path: &str,
-    tool: &str,
-    config: &[(&str, String)],
-    metrics: &Metrics,
-    metrics_out: Option<&str>,
-) {
-    let snapshot = tracer.snapshot();
-    let events = tracer.events();
-    let folded = format!("{path}.folded");
-    let events_path = format!("{path}.events.json");
-    write_or_die(path, &snapshot.to_chrome_trace(), "chrome trace");
-    write_or_die(&folded, &snapshot.to_folded(), "folded stacks");
-    write_or_die(&events_path, &events.to_json(), "events");
-    let mut manifest = RunManifest::new(tool)
-        .seed(0)
-        .capture_env()
-        .with_trace_summary(&snapshot)
-        .with_telemetry_summary(&events)
-        .output("chrome_trace", path)
-        .output("folded", folded)
-        .output("events", events_path);
-    for (key, value) in config {
-        manifest = manifest.config(key, value);
-    }
-    if metrics.is_enabled() {
-        let snapshot = metrics.snapshot();
-        manifest = manifest.with_metrics_summary(snapshot.series(), snapshot.observations());
-        if let Some(mpath) = metrics_out {
-            manifest = manifest
-                .output("metrics", mpath)
-                .output("metrics_exposition", format!("{mpath}.prom"));
-        }
-    }
-    if let Err(e) = manifest.validate() {
-        eprintln!("run manifest failed validation ({e}); writing anyway");
-    }
-    let manifest_path = format!("{path}.manifest.json");
-    write_or_die(&manifest_path, &manifest.to_json(), "run manifest");
 }
 
 fn read_series(path: &str) -> Series {
@@ -259,24 +160,6 @@ fn cmd_generate(label: &str, out: &str) {
     );
 }
 
-/// Records the search outcome on the metrics registry: one counter tick
-/// per trial, the per-trial validation MAPE distribution in basis points
-/// (log-linear buckets resolve the single-digit-percent region), and the
-/// selected model's error as a gauge.
-fn record_search_metrics(metrics: &Metrics, outcome: &loaddynamics::OptimizationOutcome) {
-    for trial in &outcome.trials.trials {
-        metrics.incr("cli.trials_total");
-        metrics.observe(
-            "cli.val_mape_bp",
-            ld_api::num::to_count(trial.value * 100.0) as u64,
-        );
-    }
-    metrics.gauge_set(
-        "cli.selected_val_mape_bp",
-        ld_api::num::to_count(outcome.val_mape * 100.0) as u64,
-    );
-}
-
 fn cmd_optimize(path: &str, flags: &Flags) {
     let series = read_series(path);
     println!(
@@ -286,15 +169,12 @@ fn cmd_optimize(path: &str, flags: &Flags) {
         series.interval_mins
     );
     let tracer = flags.tracer();
-    let metrics = flags.metrics();
     let outcome = framework(series.len(), flags.fast, &tracer).optimize(&series);
-    record_search_metrics(&metrics, &outcome);
     println!("selected hyperparameters: {}", outcome.hyperparams);
     println!("cross-validation MAPE:    {:.2}%", outcome.val_mape);
     println!("trials evaluated:         {}", outcome.trials.trials.len());
     flags.dump(
         &tracer,
-        &metrics,
         "ld-cli optimize",
         &[
             ("trace", path.to_string()),
@@ -309,9 +189,7 @@ fn cmd_optimize(path: &str, flags: &Flags) {
 fn cmd_predict(path: &str, horizon: usize, flags: &Flags) {
     let series = read_series(path);
     let tracer = flags.tracer();
-    let metrics = flags.metrics();
     let outcome = framework(series.len(), false, &tracer).optimize(&series);
-    record_search_metrics(&metrics, &outcome);
     eprintln!(
         "tuned {} (val MAPE {:.1}%)",
         outcome.hyperparams, outcome.val_mape
@@ -319,14 +197,11 @@ fn cmd_predict(path: &str, horizon: usize, flags: &Flags) {
     let hyperparams = outcome.hyperparams;
     let mut predictor = outcome.predictor;
     let preds = predict_horizon(&mut predictor, &series.values, horizon);
-    metrics.add("cli.predictions_total", preds.len() as u64);
     for (k, p) in preds.iter().enumerate() {
         println!("t+{}: {:.1}", k + 1, p);
-        metrics.observe("cli.predicted_jars", ld_api::num::to_count(*p) as u64);
     }
     flags.dump(
         &tracer,
-        &metrics,
         "ld-cli predict",
         &[
             ("trace", path.to_string()),
@@ -345,9 +220,7 @@ fn cmd_evaluate(path: &str, flags: &Flags) {
         series.len() - partition.val_end
     );
     let tracer = flags.tracer();
-    let metrics = flags.metrics();
     let outcome = framework(series.len(), false, &tracer).optimize(&series);
-    record_search_metrics(&metrics, &outcome);
     let hyperparams = outcome.hyperparams;
     let mut rows: Vec<(String, f64)> = Vec::new();
     let mut ld: Box<dyn Predictor> = Box::new(outcome.predictor);
@@ -366,15 +239,9 @@ fn cmd_evaluate(path: &str, flags: &Flags) {
     }
     for (name, mape) in &rows {
         println!("  {name:<14} MAPE {mape:>7.2}%");
-        metrics.incr("cli.predictors_total");
-        metrics.observe(
-            "cli.walkforward_mape_bp",
-            ld_api::num::to_count(*mape * 100.0) as u64,
-        );
     }
     flags.dump(
         &tracer,
-        &metrics,
         "ld-cli evaluate",
         &[
             ("trace", path.to_string()),
@@ -431,18 +298,18 @@ fn cmd_trace_validate(trace_path: &str, manifest_path: Option<&str>) {
         }
         manifest
     });
-    let artifact = |kind: &str, suffix: &str| {
-        let sibling = format!("{trace_path}{suffix}");
+    let artifact = |artifact: Artifact| {
+        let sibling = artifact.path(trace_path);
         let listed = manifest
             .as_ref()
-            .is_some_and(|m| m.output_path(kind).is_some());
+            .is_some_and(|m| m.output_path(artifact.kind()).is_some());
         (listed || std::path::Path::new(&sibling).exists()).then_some(sibling)
     };
-    if let Some(folded) = artifact("folded", ".folded") {
+    if let Some(folded) = artifact(Artifact::Folded) {
         let lines = validate_file(&folded, "folded stacks", ld_telemetry::validate_folded);
         println!("{folded}: valid folded stacks, {lines} lines");
     }
-    let events = artifact("events", ".events.json").map(|path| {
+    let events = artifact(Artifact::Events).map(|path| {
         let events = validate_file(&path, "events", ld_telemetry::validate_events);
         println!("{path}: valid events, {events} events");
         events

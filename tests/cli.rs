@@ -9,7 +9,6 @@ use std::process::Output;
 fn ld_cli(args: &[&str]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_ld-cli"))
         .args(args)
-        .env_remove("LD_METRICS")
         .env_remove("LD_FAULT")
         .output()
         .expect("ld-cli runs")
@@ -54,7 +53,7 @@ fn unknown_flag_exits_2_with_usage() {
 
 #[test]
 fn removed_telemetry_flag_exits_2() {
-    for flag in ["--telemetry", "--telemetry=t.json"] {
+    for flag in ["--telemetry", "--telemetry=t.json", "--metrics", "--metrics=m.json"] {
         let out = ld_cli(&["optimize", "missing.txt", "--fast", flag]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(stderr(&out).contains("usage:"), "{flag}: {}", stderr(&out));
