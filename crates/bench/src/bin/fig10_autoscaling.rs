@@ -11,13 +11,13 @@ use ld_autoscale::{simulate_traced, SimConfig};
 use ld_bench::render::print_table;
 use ld_bench::runner::traced_baseline_lineup;
 use ld_bench::scale::ExperimentScale;
-use ld_bench::telemetry_env::{dump_trace, faults_from_env, trace_from_env};
+use ld_telemetry::artifacts::{dump_trace, trace_from_env};
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::LoadDynamics;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    faults_from_env();
+    ld_faultinject::activate_from_env(0);
     let (tracer, trace_out) = trace_from_env();
     println!("=== Fig. 10: auto-scaling with different prediction techniques (Azure, 60-min) ===");
     println!("(scale: {scale:?})\n");

@@ -10,7 +10,7 @@ use ld_api::Partition;
 use ld_bayesopt::SearchSpace;
 use ld_bench::render::print_table;
 use ld_bench::scale::ExperimentScale;
-use ld_bench::telemetry_env::{dump_trace, trace_from_env};
+use ld_telemetry::artifacts::{dump_trace, trace_from_env};
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{evaluate_hyperparams_traced, HyperParams};
 use rand::rngs::StdRng;

@@ -12,7 +12,6 @@
 pub mod render;
 pub mod runner;
 pub mod scale;
-pub mod telemetry_env;
 
 pub use render::{print_table, sparkline};
 pub use runner::{baseline_lineup, run_loaddynamics, run_predictor, ExperimentResult};

@@ -1,139 +1,8 @@
-//! Exporters for [`MetricsSnapshot`]: Prometheus text exposition and a
-//! schema-checked JSON document. Both come with validators in the
-//! `validate_chrome_trace` style — parse the emitted text back and
-//! reject anything structurally off, so CI can gate the artifacts.
+//! Prometheus text exposition of a tracer's [`Snapshot`], with a validator
+//! in the `validate_chrome_trace` style — parse the emitted text back and
+//! reject anything structurally off, so CI can gate the artifact.
 
-use crate::histogram::HistogramSnapshot;
-use crate::MetricsSnapshot;
-use serde::Value;
-
-/// Version stamped into every JSON snapshot; bump when the document
-/// shape changes.
-pub const METRICS_SCHEMA_VERSION: u64 = 1;
-
-/// Pretty-printed JSON document for a snapshot. Deterministic: the
-/// snapshot is already name-sorted and the serializer preserves field
-/// and element order.
-#[must_use]
-pub fn to_metrics_json(snapshot: &MetricsSnapshot) -> String {
-    serde_json::to_string_pretty(snapshot).expect("metrics snapshot serializes")
-}
-
-/// Schema-checks a metrics JSON document. Returns the total series count
-/// on success.
-pub fn validate_metrics_json(text: &str) -> Result<usize, String> {
-    let doc: Value = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .ok_or("missing schema_version")?;
-    if version != METRICS_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != expected {METRICS_SCHEMA_VERSION}"
-        ));
-    }
-    let mut series = 0usize;
-    for section in ["counters", "gauges", "histograms"] {
-        let entries = doc
-            .get(section)
-            .ok_or_else(|| format!("missing section `{section}`"))?
-            .as_array()
-            .ok_or_else(|| format!("section `{section}` is not an array"))?;
-        let mut last_name: Option<&str> = None;
-        for (i, entry) in entries.iter().enumerate() {
-            let name = entry
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{section}[{i}] missing name"))?;
-            if name.is_empty() {
-                return Err(format!("{section}[{i}] has an empty name"));
-            }
-            if last_name.is_some_and(|prev| prev >= name) {
-                return Err(format!(
-                    "{section}[{i}] `{name}` breaks strict name ordering"
-                ));
-            }
-            last_name = Some(name);
-            match section {
-                "counters" => {
-                    entry
-                        .get("value")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("counter `{name}` missing integer value"))?;
-                }
-                "gauges" => {
-                    let value = entry
-                        .get("value")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("gauge `{name}` missing integer value"))?;
-                    let peak = entry
-                        .get("peak")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("gauge `{name}` missing integer peak"))?;
-                    if peak < value {
-                        return Err(format!("gauge `{name}` peak {peak} < value {value}"));
-                    }
-                }
-                _ => validate_histogram_entry(name, entry)?,
-            }
-            series += 1;
-        }
-    }
-    Ok(series)
-}
-
-fn validate_histogram_entry(name: &str, entry: &Value) -> Result<(), String> {
-    let field = |key: &str| -> Result<u64, String> {
-        entry
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("histogram `{name}` missing integer `{key}`"))
-    };
-    let count = field("count")?;
-    let (min, max) = (field("min")?, field("max")?);
-    let (p50, p95, p99) = (field("p50")?, field("p95")?, field("p99")?);
-    field("sum")?;
-    if count > 0 && min > max {
-        return Err(format!("histogram `{name}` min {min} > max {max}"));
-    }
-    if !(p50 <= p95 && p95 <= p99) {
-        return Err(format!(
-            "histogram `{name}` quantiles not monotone: p50={p50} p95={p95} p99={p99}"
-        ));
-    }
-    let buckets = entry
-        .get("buckets")
-        .ok_or_else(|| format!("histogram `{name}` missing buckets"))?
-        .as_array()
-        .ok_or_else(|| format!("histogram `{name}` buckets is not an array"))?;
-    let mut total = 0u64;
-    let mut last_hi: Option<u64> = None;
-    for (i, b) in buckets.iter().enumerate() {
-        let get = |key: &str| -> Result<u64, String> {
-            b.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("histogram `{name}` bucket {i} missing `{key}`"))
-        };
-        let (lo, hi, c) = (get("lo")?, get("hi")?, get("count")?);
-        if lo > hi {
-            return Err(format!("histogram `{name}` bucket {i} has lo {lo} > hi {hi}"));
-        }
-        if c == 0 {
-            return Err(format!("histogram `{name}` bucket {i} is empty"));
-        }
-        if last_hi.is_some_and(|prev| prev >= lo) {
-            return Err(format!("histogram `{name}` bucket {i} overlaps its predecessor"));
-        }
-        last_hi = Some(hi);
-        total = total.saturating_add(c);
-    }
-    if total != count {
-        return Err(format!(
-            "histogram `{name}` bucket counts sum to {total}, count says {count}"
-        ));
-    }
-    Ok(())
-}
+use ld_telemetry::{HistogramSnapshot, Snapshot};
 
 /// Maps a metric name onto the Prometheus name charset.
 fn sanitize(name: &str) -> String {
@@ -167,11 +36,12 @@ fn push_histogram(out: &mut String, h: &HistogramSnapshot) {
     let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
-/// Prometheus text exposition (format 0.0.4) for a snapshot. Gauges emit
-/// a `<name>_peak` sibling gauge; histograms emit cumulative `le`
-/// buckets over the non-empty log-linear buckets plus the `+Inf` total.
+/// Prometheus text exposition (format 0.0.4) for a snapshot's counters,
+/// gauges and histograms (events have no exposition form). Gauges emit a
+/// `<name>_peak` sibling gauge; histograms emit cumulative `le` buckets
+/// over the non-empty log-linear buckets plus the `+Inf` total.
 #[must_use]
-pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
+pub fn to_prometheus(snapshot: &Snapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for c in &snapshot.counters {
@@ -331,38 +201,20 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::Metrics;
+    use ld_telemetry::Tracer;
 
     use super::*;
 
-    fn sample() -> MetricsSnapshot {
-        let m = Metrics::enabled();
-        m.add("serve.requests_total", 42);
-        m.incr("serve.shed_total");
-        m.gauge_set("serve.queue-depth", 7);
-        m.gauge_set("serve.queue-depth", 3);
+    fn sample() -> Snapshot {
+        let tr = Tracer::enabled();
+        tr.add("serve.requests_total", 42);
+        tr.incr("serve.shed_total");
+        tr.gauge("serve.queue-depth", 7);
+        tr.gauge("serve.queue-depth", 3);
         for v in [1u64, 2, 3, 10, 100, 1000, 1000, 65_000] {
-            m.observe("serve.batch_size", v);
+            tr.observe("serve.batch_size", v);
         }
-        m.snapshot()
-    }
-
-    #[test]
-    fn json_round_trips_its_validator() {
-        let text = to_metrics_json(&sample());
-        let series = validate_metrics_json(&text).expect("emitted JSON validates");
-        assert_eq!(series, 4);
-    }
-
-    #[test]
-    fn json_validator_rejects_tampering() {
-        let good = to_metrics_json(&sample());
-        assert!(validate_metrics_json(&good.replace("\"schema_version\": 1", "\"schema_version\": 9")).is_err());
-        assert!(validate_metrics_json("{}").is_err());
-        assert!(validate_metrics_json("not json").is_err());
-        // Break the histogram count/buckets reconciliation.
-        let broken = good.replace("\"count\": 8", "\"count\": 9");
-        assert!(validate_metrics_json(&broken).is_err());
+        tr.events()
     }
 
     #[test]

@@ -1,395 +1,28 @@
-//! `ld-metrics` — a deterministic, low-overhead metrics plane for the
-//! serving stack.
+//! `ld-metrics` — the serving stack's readers of the one observability
+//! plane.
 //!
-//! Mirrors the `ld-telemetry` handle idiom: [`Metrics`] is a cheap
-//! clonable handle over an optional shared registry. Disabled (the
-//! default) every recording call is a single branch on `None`, so an
-//! uninstrumented run stays bitwise identical to a metrics-off run —
-//! the pure-observer contract `ld-loadgen` and `ld-perfbench` assert.
+//! The serving engine records its `serve.*` counters, gauges and
+//! histograms through the same [`ld_telemetry::Tracer`] that holds its
+//! spans and events; this crate holds no registry of its own. It keeps
+//! what reads or scores those records:
 //!
-//! Determinism contract (see DESIGN.md "Metrics determinism contract"):
+//! * [`export`] — the Prometheus text exposition of a tracer's
+//!   [`ld_telemetry::Snapshot`] and its validator;
+//! * [`slo`] — the logical-tick SLO tracker with multi-window burn-rate
+//!   alerts;
+//! * [`profile`] — the span profiler that folds a trace into a self-time
+//!   table.
 //!
-//! * This crate performs **no clock, environment, or thread-identity
-//!   reads**. Every recorded value is supplied by the caller; callers
-//!   that record wall-clock durations must name the metric with a
-//!   `_ns` / `_us` / `_secs` suffix so [`MetricsSnapshot::deterministic`]
-//!   can project them out of byte-compared artifacts.
-//! * The registry is sharded by metric *name* (FNV-1a), so a metric
-//!   lives in exactly one shard and snapshots — taken shard 0..N in
-//!   index order, then merged name-ascending — are independent of
-//!   recording interleavings.
-//! * Histograms use a fixed log-linear bucket layout
-//!   ([`histogram::bucket_index`] is a pure function of the value), so
-//!   equal multisets of observations give identical snapshots and merge
-//!   is exact element-wise addition.
+//! Like the tracer, nothing here reads a clock or the environment: every
+//! value is supplied by the caller.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod export;
-pub mod histogram;
 pub mod profile;
 pub mod slo;
 
-pub use export::{
-    to_metrics_json, to_prometheus, validate_exposition, validate_metrics_json,
-    METRICS_SCHEMA_VERSION,
-};
-pub use histogram::{Histogram, HistogramBucket, HistogramSnapshot};
+pub use export::{to_prometheus, validate_exposition};
 pub use profile::{ProfileEntry, SpanProfile};
 pub use slo::{BurnAlert, SloConfig, SloStatus, SloTracker};
-
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Number of name-hash shards. Fixed so shard assignment — and therefore
-/// lock contention structure — never depends on runtime conditions.
-const SHARDS: usize = 8;
-
-/// Recovers the guard from a poisoned mutex: metric state is plain data,
-/// valid even if a panicking thread abandoned it mid-update.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// FNV-1a over the metric name; stable across runs and platforms.
-fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % SHARDS as u64) as usize
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct Gauge {
-    value: u64,
-    peak: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-#[derive(Debug, Default)]
-struct Registry {
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl Registry {
-    fn new() -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-        }
-    }
-}
-
-/// Handle to a metrics registry; cloning shares the registry. The
-/// disabled handle records nothing and costs one branch per call.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    inner: Option<Arc<Registry>>,
-}
-
-impl Metrics {
-    /// A recording handle backed by a fresh registry.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Self {
-            inner: Some(Arc::new(Registry::new())),
-        }
-    }
-
-    /// The no-op handle.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    fn with_shard(&self, name: &str, f: impl FnOnce(&mut Shard)) {
-        if let Some(registry) = &self.inner {
-            f(&mut lock(&registry.shards[shard_of(name)]));
-        }
-    }
-
-    /// Adds `n` to a monotonic counter.
-    pub fn add(&self, name: &str, n: u64) {
-        self.with_shard(name, |s| {
-            let c = s.counters.entry(name.to_string()).or_insert(0);
-            *c = c.saturating_add(n);
-        });
-    }
-
-    /// Increments a monotonic counter by one.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Sets a gauge to `v`, tracking the peak value ever set.
-    pub fn gauge_set(&self, name: &str, v: u64) {
-        self.with_shard(name, |s| {
-            let g = s.gauges.entry(name.to_string()).or_default();
-            g.value = v;
-            g.peak = g.peak.max(v);
-        });
-    }
-
-    /// Records one observation into a log-linear histogram.
-    pub fn observe(&self, name: &str, v: u64) {
-        self.with_shard(name, |s| {
-            s.histograms.entry(name.to_string()).or_default().record(v);
-        });
-    }
-
-    /// Consistent point-in-time snapshot: shards visited in index order,
-    /// entries merged into name-ascending maps. Because a name maps to
-    /// exactly one shard the merge is a disjoint union; the fold is
-    /// written as a merge anyway so the shape matches the associative
-    /// histogram merge the tests pin.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, Gauge> = BTreeMap::new();
-        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-        if let Some(registry) = &self.inner {
-            for shard in &registry.shards {
-                let shard = lock(shard);
-                for (name, &v) in &shard.counters {
-                    let c = counters.entry(name.clone()).or_insert(0);
-                    *c = c.saturating_add(v);
-                }
-                for (name, &g) in &shard.gauges {
-                    let dst = gauges.entry(name.clone()).or_default();
-                    dst.value = g.value;
-                    dst.peak = dst.peak.max(g.peak);
-                }
-                for (name, h) in &shard.histograms {
-                    histograms.entry(name.clone()).or_default().merge(h);
-                }
-            }
-        }
-        MetricsSnapshot {
-            schema_version: METRICS_SCHEMA_VERSION,
-            counters: counters
-                .into_iter()
-                .map(|(name, value)| CounterValue { name, value })
-                .collect(),
-            gauges: gauges
-                .into_iter()
-                .map(|(name, g)| GaugeValue {
-                    name,
-                    value: g.value,
-                    peak: g.peak,
-                })
-                .collect(),
-            histograms: histograms
-                .into_iter()
-                .map(|(name, h)| h.snapshot(&name))
-                .collect(),
-        }
-    }
-}
-
-/// A counter at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterValue {
-    pub name: String,
-    pub value: u64,
-}
-
-/// A gauge at snapshot time: last value set plus the peak ever set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GaugeValue {
-    pub name: String,
-    pub value: u64,
-    pub peak: u64,
-}
-
-/// Names carrying wall-clock quantities, excluded from byte-compared
-/// artifacts. The suffix convention is the whole contract: callers that
-/// record time name the metric accordingly.
-#[must_use]
-pub fn is_wall_clock_name(name: &str) -> bool {
-    name.ends_with("_ns") || name.ends_with("_us") || name.ends_with("_secs")
-}
-
-/// Immutable, name-sorted view of a registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    pub schema_version: u64,
-    pub counters: Vec<CounterValue>,
-    pub gauges: Vec<GaugeValue>,
-    pub histograms: Vec<HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    }
-
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<&GaugeValue> {
-        self.gauges.iter().find(|g| g.name == name)
-    }
-
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Total distinct series (for manifest summaries).
-    #[must_use]
-    pub fn series(&self) -> u64 {
-        (self.counters.len() + self.gauges.len() + self.histograms.len()) as u64
-    }
-
-    /// Total recorded points: counter totals plus histogram observation
-    /// counts (gauges are last-write state, not events).
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        let c: u64 = self
-            .counters
-            .iter()
-            .fold(0, |a, c| a.saturating_add(c.value));
-        self.histograms
-            .iter()
-            .fold(c, |a, h| a.saturating_add(h.count))
-    }
-
-    /// Projection with every wall-clock series removed — the form two
-    /// identical-seed runs must agree on byte-for-byte.
-    #[must_use]
-    pub fn deterministic(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            schema_version: self.schema_version,
-            counters: self
-                .counters
-                .iter()
-                .filter(|c| !is_wall_clock_name(&c.name))
-                .cloned()
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|g| !is_wall_clock_name(&g.name))
-                .cloned()
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|h| !is_wall_clock_name(&h.name))
-                .cloned()
-                .collect(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_handle_records_nothing() {
-        let m = Metrics::disabled();
-        m.incr("a");
-        m.add("a", 10);
-        m.gauge_set("g", 5);
-        m.observe("h", 123);
-        let s = m.snapshot();
-        assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
-        assert_eq!(s.series(), 0);
-    }
-
-    #[test]
-    fn snapshot_is_name_sorted_and_complete() {
-        let m = Metrics::enabled();
-        // Names chosen to land in different shards.
-        for name in ["zeta", "alpha", "mid.dle", "serve.q", "a.b.c"] {
-            m.incr(name);
-            m.incr(name);
-        }
-        m.gauge_set("g.depth", 3);
-        m.gauge_set("g.depth", 1);
-        m.observe("h.lat", 10);
-        let s = m.snapshot();
-        let names: Vec<&str> = s.counters.iter().map(|c| c.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-        assert_eq!(s.counter("zeta"), 2);
-        let g = s.gauge("g.depth").expect("gauge recorded");
-        assert_eq!((g.value, g.peak), (1, 3));
-        assert_eq!(s.histogram("h.lat").expect("histogram recorded").count, 1);
-        assert_eq!(s.series(), 7);
-        assert_eq!(s.observations(), 11);
-    }
-
-    #[test]
-    fn identical_recordings_snapshot_identically() {
-        let run = || {
-            let m = Metrics::enabled();
-            for i in 0..200u64 {
-                m.incr("req.total");
-                m.observe("req.latency_ticks", i % 17);
-                m.gauge_set("q.depth", i % 5);
-            }
-            m.snapshot()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn deterministic_projection_strips_wall_clock_series() {
-        let m = Metrics::enabled();
-        m.incr("serve.requests_total");
-        m.observe("loadgen.tick_ns", 1_000_000);
-        m.add("pass.elapsed_secs", 3);
-        m.gauge_set("io.write_us", 9);
-        let d = m.snapshot().deterministic();
-        assert_eq!(d.counters.len(), 1);
-        assert!(d.gauges.is_empty());
-        assert!(d.histograms.is_empty());
-        assert_eq!(d.counter("serve.requests_total"), 1);
-    }
-
-    #[test]
-    fn clones_share_the_registry() {
-        let m = Metrics::enabled();
-        let c = m.clone();
-        c.incr("shared");
-        assert_eq!(m.snapshot().counter("shared"), 1);
-    }
-
-    #[test]
-    fn concurrent_recording_is_stable() {
-        let m = Metrics::enabled();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let h = m.clone();
-                scope.spawn(move || {
-                    for i in 0..1000u64 {
-                        h.incr("t.count");
-                        h.observe("t.hist", i);
-                    }
-                });
-            }
-        });
-        let s = m.snapshot();
-        assert_eq!(s.counter("t.count"), 4000);
-        assert_eq!(s.histogram("t.hist").expect("hist").count, 4000);
-    }
-}

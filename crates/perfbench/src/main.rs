@@ -7,9 +7,9 @@
 //! dots, serial Gram build) and the optimized implementation ("after":
 //! workspace-reusing LSTM kernels and trainer, packed register-tiled GEMM,
 //! fused gate step, the shipped serial-or-packed Gram dispatcher). The
-//! `metrics-overhead` row instead times one serving engine with its
-//! metrics plane off ("before") and on ("after"), so its speedup is below
-//! 1 by the plane's cost and falls when that cost grows. Each run reports the
+//! `observe-overhead` row instead times one serving engine with its
+//! tracer off ("before") and on ("after"), so its speedup is below 1 by
+//! the observability plane's cost and falls when that cost grows. Each run reports the
 //! median of `reps` timed repetitions taken after `warmup` discarded
 //! repetitions — medians because a shared CI box produces one-sided
 //! latency noise that a mean would absorb and a median rejects.
@@ -41,7 +41,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ld_api::MinMaxScaler;
-use ld_metrics::Metrics;
 use ld_gp::gram;
 use ld_gp::{Kernel, KernelKind};
 use ld_linalg::pack::PackedA;
@@ -559,16 +558,17 @@ fn bench_bo_surrogate_gram(cfg: &Cfg) -> KernelResult {
     }
 }
 
-fn bench_metrics_overhead(cfg: &Cfg) -> KernelResult {
-    // Cost of the ld-metrics plane on the serving hot path. "Before" runs
-    // a batched multi-tenant tick loop with the engine's metrics plane OFF,
-    // "after" runs the identical schedule with the plane ON (sharded
-    // counters plus log-linear histograms updated per request). The plane
-    // is a pure observer, so before anything is timed both engines replay
-    // one full schedule and their response streams must agree bitwise
-    // (digest equality); the timed ratio is then exactly the bookkeeping
-    // overhead. Its "speedup" is off/on, below 1 by the overhead, so a
-    // costlier plane lowers it and the `--compare` gate fails on that.
+fn bench_observe_overhead(cfg: &Cfg) -> KernelResult {
+    // Cost of the one observability plane on the serving hot path.
+    // "Before" runs a batched multi-tenant tick loop with the engine's
+    // tracer OFF, "after" runs the identical schedule with it ON (tick,
+    // resolve, batch and per-request spans plus the `serve.*` counters,
+    // gauges and log-linear histograms). The tracer is a pure observer, so
+    // before anything is timed both engines replay one full schedule and
+    // their response streams must agree bitwise (digest equality); the
+    // timed ratio is then exactly the recording overhead. Its "speedup" is
+    // off/on, below 1 by the overhead, so a costlier plane lowers it and
+    // the `--compare` gate fails on that.
     let (tenant_count, ticks) = if cfg.smoke { (8, 12) } else { (24, 40) };
     let hist = 8;
     let model = LstmForecaster::new(ForecasterConfig {
@@ -588,7 +588,7 @@ fn bench_metrics_overhead(cfg: &Cfg) -> KernelResult {
     let keys: Vec<ClientKey> = (0..tenant_count)
         .map(|t| ClientKey::new(format!("tenant-{t:03}"), "bench"))
         .collect();
-    let build_engine = |phase: &str, metrics: Metrics| -> ServeEngine {
+    let build_engine = |phase: &str, tracer: Tracer| -> ServeEngine {
         let store = SnapshotStore::open(format!("target/ld-perfbench-store/{phase}"))
             .expect("open snapshot store");
         store.clear().expect("clear snapshot store");
@@ -603,17 +603,16 @@ fn bench_metrics_overhead(cfg: &Cfg) -> KernelResult {
                 lifecycle: LifecycleConfig::default(),
             },
             store,
-            Tracer::disabled(),
-        )
-        .with_metrics(metrics);
+            tracer,
+        );
         for (t, key) in keys.iter().enumerate() {
             let scaler = MinMaxScaler::fit(&streams[t]);
             engine.provision(key.clone(), ModelSnapshot::new(model.clone(), scaler, hist));
         }
         engine
     };
-    let mut engine_on = build_engine("metrics-on", Metrics::enabled());
-    let mut engine_off = build_engine("metrics-off", Metrics::disabled());
+    let mut engine_on = build_engine("observe-on", Tracer::enabled());
+    let mut engine_off = build_engine("observe-off", Tracer::disabled());
     let run_round = |engine: &mut ServeEngine| {
         let mut responses = Vec::with_capacity(tenant_count * ticks);
         for tick in 0..ticks {
@@ -632,15 +631,16 @@ fn bench_metrics_overhead(cfg: &Cfg) -> KernelResult {
     assert_eq!(
         response_digest(&on),
         response_digest(&off),
-        "metrics-overhead: metrics plane changed the response stream"
+        "observe-overhead: tracing changed the response stream"
     );
     assert!(
-        engine_on.metrics().snapshot().observations() > 0,
-        "metrics-overhead: the ON leg recorded no observations"
+        !engine_on.tracer().snapshot().spans.is_empty()
+            && engine_on.tracer().events().counter("serve.responses_total") > 0,
+        "observe-overhead: the ON leg recorded no spans or no serve.responses_total"
     );
     assert!(
-        !engine_off.metrics().is_enabled(),
-        "metrics-overhead: the OFF leg has a live metrics plane"
+        !engine_off.tracer().is_enabled(),
+        "observe-overhead: the OFF leg has a live tracer"
     );
     // Both engines keep replaying the same schedule, so cache/lifecycle
     // state evolves identically on the two legs round by round.
@@ -656,9 +656,9 @@ fn bench_metrics_overhead(cfg: &Cfg) -> KernelResult {
     );
     let per_tick = ticks as f64;
     KernelResult {
-        name: "metrics-overhead",
+        name: "observe-overhead",
         params: format!(
-            "tenants={tenant_count} ticks={ticks} batched engine (before=metrics off, after=on; per tick)"
+            "tenants={tenant_count} ticks={ticks} batched engine (before=tracer off, after=on; per tick)"
         ),
         before_median_secs: before / per_tick,
         after_median_secs: after / per_tick,
@@ -879,7 +879,7 @@ fn main() {
     results.push(bench_packed_gemm(&cfg));
     results.push(bench_fused_gate_step(&cfg));
     results.push(bench_bo_surrogate_gram(&cfg));
-    results.push(bench_metrics_overhead(&cfg));
+    results.push(bench_observe_overhead(&cfg));
 
     println!(
         "{:<22} {:>14} {:>14} {:>9}",

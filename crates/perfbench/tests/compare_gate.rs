@@ -101,11 +101,12 @@ fn generous_tolerance_waives_a_regression() {
 
 #[test]
 fn costlier_metrics_plane_than_baseline_exits_3() {
-    // The metrics-overhead row times the plane off as "before" and on as
-    // "after", so its speedup is below 1 by the plane's cost. A baseline
-    // recording a free plane (1.0) at tolerance 1.0 must fail on any real
-    // overhead: the smoke shape measures the plane at 1.1x and up.
-    let baseline = write_baseline("free-metrics-plane.json", &[("metrics-overhead", 1.0)]);
+    // The observe-overhead row times the engine's tracer off as "before"
+    // and on as "after", so its speedup is below 1 by the plane's cost. A
+    // baseline recording a free plane (1.0) at tolerance 1.0 must fail on
+    // any real overhead: a span per tick, group and request plus the
+    // `serve.*` series cost far more than timing noise at the smoke shape.
+    let baseline = write_baseline("free-observe-plane.json", &[("observe-overhead", 1.0)]);
     let out = run_compare(&baseline, "1.0");
     assert_eq!(
         out.status.code(),

@@ -2,7 +2,7 @@
 //! in a schema every downstream consumer (CI, plots, regression gates) can
 //! rely on.
 
-use ld_metrics::HistogramBucket;
+use ld_telemetry::HistogramBucket;
 use serde::Value;
 
 /// Bump when the shape of `BENCH_serve.json` changes.

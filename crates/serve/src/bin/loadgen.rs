@@ -11,8 +11,9 @@
 //!    number. Every serial/batched response pair is equivalence-checked to
 //!    1e-9 relative before any timing is trusted.
 //! 3. **Determinism**: two identically-seeded traced runs must produce
-//!    bitwise-identical response streams (FNV digest) and identical
-//!    logical span trees.
+//!    bitwise-identical response streams (FNV digest), identical logical
+//!    span trees and byte-identical events snapshots; an untraced third
+//!    run must produce the same digest (tracing is a pure observer).
 //! 4. **Overload**: a half-capacity admission queue sheds deterministically;
 //!    the shed rate is recorded and no request may be both shed and
 //!    answered.
@@ -33,8 +34,15 @@
 //! NaN-poisoned batches, burst overload) and must (a) answer or explicitly
 //! shed every request — availability ≥ 99%, no hangs, (b) leave every
 //! unaffected tenant's model-path bits identical to the baseline, and
-//! (c) agree bitwise with each other (digest + span tree). The result is
-//! the schema-checked `BENCH_resilience.json`.
+//! (c) agree bitwise with each other (digest + span tree + events). The
+//! result is the schema-checked `BENCH_resilience.json`.
+//!
+//! Observability is the one `LD_TRACE` knob: set, the batched throughput
+//! pass (under `--chaos`, the first chaos pass) runs traced and writes its
+//! artifact set — Chrome trace, `.folded`, `.events.json` with the
+//! engine's `serve.*` counters, gauges, histograms and events,
+//! `.manifest.json`, and the same series as a Prometheus exposition at
+//! `.prom`. Unset, that pass runs untraced.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -48,7 +56,7 @@ use std::time::Instant;
 
 use ld_api::MinMaxScaler;
 use ld_faultinject::chaos::ChaosSchedule;
-use ld_metrics::{Metrics, SloConfig, SloTracker, SpanProfile};
+use ld_metrics::{SloConfig, SloTracker, SpanProfile};
 use ld_nn::{
     make_windows, Adam, AdamConfig, ForecasterConfig, LstmForecaster, TrainOptions, Trainer,
 };
@@ -58,7 +66,8 @@ use ld_serve::{
     ResilienceBenchReport, Response, ServeEngine, ServeBenchReport, ServeStats, SnapshotStore,
     SupervisorConfig,
 };
-use ld_telemetry::{validate_chrome_trace, RunManifest, Tracer};
+use ld_telemetry::artifacts::{dump_trace, trace_from_env};
+use ld_telemetry::{validate_chrome_trace, Artifact, Histogram, RunManifest, Tracer};
 use ld_traces::{TraceConfig, WorkloadKind};
 
 /// Observations each tenant has accumulated before the first tick.
@@ -77,7 +86,6 @@ struct Cfg {
     seed: u64,
     chaos_seed: u64,
     out: Option<String>,
-    metrics_out: Option<String>,
     store_root: PathBuf,
 }
 
@@ -168,8 +176,9 @@ fn parse_args() -> Result<Cfg, i32> {
                      existing document against its schema (exit 2 on violation), and \
                      --check then replays the document's batched pass to recompute its \
                      response_digest (exit 1 on a mismatch);\n\
-                     LD_METRICS=1|PATH dumps the metrics snapshot (JSON + <path>.prom \
-                     exposition, default metrics.json)"
+                     LD_TRACE=1|PATH traces the batched pass (--chaos: the first chaos \
+                     pass) and writes PATH (default trace.json), PATH.folded, \
+                     PATH.events.json, PATH.manifest.json and the PATH.prom exposition"
                 );
                 return Err(0);
             }
@@ -196,13 +205,6 @@ fn parse_args() -> Result<Cfg, i32> {
         .ok()
         .and_then(|s| s.trim().parse().ok());
     let default_out = if chaos { "BENCH_resilience.json" } else { "BENCH_serve.json" };
-    // Opt-in metrics dump mirroring LD_TRACE: "1" means the default path,
-    // anything else is the path.
-    // ld-lint: allow(determinism, "pure-observer metrics dump knob; captured in the run manifest")
-    let metrics_out = std::env::var("LD_METRICS")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(|v| if v == "1" { "metrics.json".to_string() } else { v });
     Ok(Cfg {
         smoke,
         chaos,
@@ -214,24 +216,37 @@ fn parse_args() -> Result<Cfg, i32> {
             .or(env_chaos_seed)
             .unwrap_or(seed ^ 0xCA05_CA05_CA05_CA05),
         out: out.or_else(|| (!smoke).then(|| default_out.to_string())),
-        metrics_out,
         store_root,
     })
 }
 
-/// Writes the full metrics snapshot as schema-checked JSON at `path` and
-/// the Prometheus text exposition at `<path>.prom`, both validated first:
-/// the bench must never publish a snapshot its own validators reject.
-fn dump_metrics_files(metrics: &Metrics, path: &str) {
-    let snapshot = metrics.snapshot();
-    let json = ld_metrics::to_metrics_json(&snapshot);
-    ld_metrics::validate_metrics_json(&json).expect("metrics snapshot must validate");
-    std::fs::write(path, json + "\n").expect("write metrics json");
-    let exposition = ld_metrics::to_prometheus(&snapshot);
-    ld_metrics::validate_exposition(&exposition).expect("metrics exposition must validate");
-    let prom = format!("{path}.prom");
-    std::fs::write(&prom, exposition).expect("write metrics exposition");
-    println!("wrote {path} and {prom}");
+/// The provenance every manifest of this run starts from.
+fn run_manifest(cfg: &Cfg, mode: &str) -> RunManifest {
+    RunManifest::new("ld-loadgen")
+        .seed(cfg.seed)
+        .config("mode", mode)
+        .config("tenants", cfg.tenants)
+        .config("ticks", cfg.ticks)
+        .config("families", WorkloadKind::ALL.len())
+}
+
+/// Writes a traced pass's artifact set when `LD_TRACE` asked for one: the
+/// Prometheus exposition of its series, validated first (the bench must
+/// never publish an artifact its own validator rejects) and listed in the
+/// manifest, then the trace, folded stacks, events and manifest.
+fn dump_traced_pass(tracer: &Tracer, trace_out: &Option<String>, manifest: RunManifest) {
+    let Some(path) = trace_out else {
+        return;
+    };
+    let exposition = ld_metrics::to_prometheus(&tracer.events());
+    ld_metrics::validate_exposition(&exposition).expect("exposition must validate");
+    let prom = Artifact::Exposition.path(path);
+    std::fs::write(&prom, exposition).expect("write exposition");
+    dump_trace(
+        tracer,
+        trace_out,
+        manifest.output(Artifact::Exposition.kind(), prom),
+    );
 }
 
 /// Shared `--check*` handler: validate `path` with `validate`, report, and
@@ -284,7 +299,6 @@ fn check_serve_document(path: &str, store_root: PathBuf) -> i32 {
         seed: field("seed").as_u64().expect("validated seed"),
         chaos_seed: 0,
         out: None,
-        metrics_out: None,
         store_root,
     };
     assert_eq!(count("families"), WorkloadKind::ALL.len(), "validated family count");
@@ -295,7 +309,7 @@ fn check_serve_document(path: &str, store_root: PathBuf) -> i32 {
     let families = train_family_models(&cfg);
     let history_len = families[0].0.config().history_len;
     let tenants = build_tenants(&cfg, &families);
-    let mut engine = batched_engine(&cfg, &tenants, &families);
+    let mut engine = batched_engine(&cfg, &tenants, &families, Tracer::disabled());
     let pass = run_pass(&mut engine, &tenants, cfg.ticks, history_len, None, 0);
     let got = format!("{:016x}", response_digest(&pass.responses));
     if got == want {
@@ -431,22 +445,21 @@ fn provision_all(
 }
 
 /// The engine of the batched throughput pass: every tenant provisioned and
-/// resident, metrics plane on. Metrics are pure observers, so its response
-/// digest must still match the committed document — which is exactly the
-/// regression this arrangement guards.
+/// resident, observed by `tracer`. Tracing is a pure observer, so the
+/// response digest is the same whether or not `LD_TRACE` traces the pass.
 fn batched_engine(
     cfg: &Cfg,
     tenants: &[Tenant],
     families: &[(LstmForecaster, Vec<f64>)],
+    tracer: Tracer,
 ) -> ServeEngine {
     let mut engine = engine_for(
         ExecMode::Batched,
         cfg.tenants.max(1),
         cfg.tenants.max(1),
         open_store(&cfg.store_root, "batched"),
-        Tracer::disabled(),
-    )
-    .with_metrics(Metrics::enabled());
+        tracer,
+    );
     provision_all(&mut engine, tenants, families);
     engine
 }
@@ -475,12 +488,10 @@ struct PassResult {
     tick_ns: Vec<u64>,
 }
 
-/// Runs the full schedule through one engine, timing each tick. When the
-/// engine's metrics plane is on, each tick's wall latency lands in the
-/// `loadgen.tick_ns` histogram (a `_ns` series, so it never enters the
-/// byte-compared deterministic projection). `slo` scores each tick
-/// (good = non-degraded answers); `top_every > 0` prints an ld-top
-/// interval summary every that-many ticks.
+/// Runs the full schedule through one engine, timing each tick into the
+/// result's `tick_ns` (wall-clock, so never into the engine's tracer).
+/// `slo` scores each tick (good = non-degraded answers); `top_every > 0`
+/// prints an ld-top interval summary every that-many ticks.
 fn run_pass(
     engine: &mut ServeEngine,
     tenants: &[Tenant],
@@ -500,7 +511,6 @@ fn run_pass(
         }
         let answered = engine.tick();
         let ns = u64::try_from(tk.elapsed().as_nanos()).expect("tick ns fits u64");
-        engine.metrics().observe("loadgen.tick_ns", ns);
         if let Some(slo) = slo.as_deref_mut() {
             let good = answered.iter().filter(|r| !r.degraded).count() as u64;
             slo.record(tick as u64, good, answered.len() as u64);
@@ -538,6 +548,7 @@ fn main() {
         Ok(cfg) => cfg,
         Err(code) => std::process::exit(code),
     };
+    let (tracer, trace_out) = trace_from_env();
     if !cfg.chaos {
         // The chaos soak owns the fault registry tick by tick; an ambient
         // LD_FAULT plan would fight the schedule.
@@ -559,7 +570,7 @@ fn main() {
     let tenants = build_tenants(&cfg, &families);
 
     if cfg.chaos {
-        run_chaos_soak(&cfg, &tenants, &families, history_len);
+        run_chaos_soak(&cfg, &tenants, &families, history_len, &trace_out);
         return;
     }
     // Generous capacity for the timing phases: every tenant stays resident,
@@ -580,7 +591,7 @@ fn main() {
     provision_all(&mut serial_engine, &tenants, &families);
     let serial = run_pass(&mut serial_engine, &tenants, cfg.ticks, history_len, None, 0);
 
-    let mut batched_engine = batched_engine(&cfg, &tenants, &families);
+    let mut batched_engine = batched_engine(&cfg, &tenants, &families, tracer);
     let mut slo = SloTracker::new(THROUGHPUT_SLO);
     let top_every = if cfg.top { (cfg.ticks / 6).max(1) } else { 0 };
     let batched = run_pass(
@@ -620,31 +631,28 @@ fn main() {
     );
 
     // Phase 3: bitwise determinism + identical span trees on traced reruns.
-    // Both runs record metrics; a third runs metrics-off. The gates: the
-    // two metrics-on runs must agree byte-for-byte on the deterministic
-    // metrics projection, and the metrics-off run must produce the same
-    // response digest (metrics are pure observers).
+    // Two runs are traced; a third runs untraced. The gates: the two
+    // traced runs must agree on their span trees and byte-for-byte on
+    // their events JSON, and the untraced run must produce the same
+    // response digest (tracing is a pure observer).
     let det_tenants = &tenants[..cfg.tenants.min(64)];
     let det_ticks = cfg.ticks.min(6);
     let mut det_snapshots = Vec::new();
     let mut det_results = Vec::new();
-    let mut det_metrics_json = Vec::new();
+    let mut det_events_json = Vec::new();
     for run in 0..3 {
-        let metrics = if run < 2 { Metrics::enabled() } else { Metrics::disabled() };
+        let tracer = if run < 2 { Tracer::enabled() } else { Tracer::disabled() };
         let mut engine = engine_for(
             ExecMode::Batched,
             det_tenants.len(),
             det_tenants.len().max(1),
             open_store(&cfg.store_root, &format!("determinism-{run}")),
-            Tracer::enabled(),
-        )
-        .with_metrics(metrics);
+            tracer,
+        );
         provision_all(&mut engine, det_tenants, &families);
         let pass = run_pass(&mut engine, det_tenants, det_ticks, history_len, None, 0);
         det_snapshots.push(engine.tracer().snapshot());
-        det_metrics_json.push(ld_metrics::to_metrics_json(
-            &engine.metrics().snapshot().deterministic(),
-        ));
+        det_events_json.push(engine.tracer().events().to_json());
         det_results.push(pass.responses);
     }
     let digest = response_digest(&det_results[0]);
@@ -657,13 +665,13 @@ fn main() {
         assert_eq!(a.value.to_bits(), b.value.to_bits());
     }
     assert_eq!(
-        det_metrics_json[0], det_metrics_json[1],
-        "identically-seeded runs must produce byte-identical metrics snapshots"
+        det_events_json[0], det_events_json[1],
+        "identically-seeded runs must produce byte-identical events snapshots"
     );
     assert_eq!(
         digest,
         response_digest(&det_results[2]),
-        "metrics-off run must be bitwise identical to metrics-on (pure observer)"
+        "untraced run must be bitwise identical to the traced ones (pure observer)"
     );
     assert_eq!(
         det_snapshots[0].logical_paths(),
@@ -673,8 +681,8 @@ fn main() {
     let spans =
         validate_chrome_trace(&det_snapshots[0].to_chrome_trace()).expect("chrome trace valid");
     println!(
-        "determinism: digest {digest:016x} stable across reruns (and across metrics on/off), \
-         {spans} trace events validated, metrics snapshots byte-identical"
+        "determinism: digest {digest:016x} stable across reruns (and with tracing off), \
+         {spans} trace events validated, events snapshots byte-identical"
     );
 
     // The committed digest comes from the batched throughput pass.
@@ -780,12 +788,11 @@ fn main() {
     let p95 = percentile_ns(&mut tick_ns, 95);
     let p99 = percentile_ns(&mut tick_ns, 99);
     let requests = batched.responses.len() as u64;
-    let metrics_snapshot = batched_engine.metrics().snapshot();
-    let latency_histogram = metrics_snapshot
-        .histogram("loadgen.tick_ns")
-        .expect("batched pass records per-tick latency")
-        .buckets
-        .clone();
+    let mut tick_histogram = Histogram::new();
+    for &ns in &batched.tick_ns {
+        tick_histogram.record(ns);
+    }
+    let latency_histogram = tick_histogram.snapshot("loadgen.tick_ns").buckets;
     let slo_status = slo.status();
     let report = ServeBenchReport {
         mode: if cfg.smoke { "smoke" } else { "full" }.to_string(),
@@ -820,30 +827,22 @@ fn main() {
         speedup
     );
     print_top_report(&batched.tick_ns, &slo_status, Some(&det_snapshots[0]));
-    if let Some(path) = &cfg.metrics_out {
-        dump_metrics_files(batched_engine.metrics(), path);
-    }
+    let mode = if cfg.smoke { "smoke" } else { "full" };
+    dump_traced_pass(
+        batched_engine.tracer(),
+        &trace_out,
+        run_manifest(&cfg, mode).config("traced_pass", "batched"),
+    );
 
     match &cfg.out {
         Some(path) => {
             std::fs::write(path, text + "\n").expect("write BENCH_serve document");
             println!("wrote {path}");
-            let mut manifest = RunManifest::new("ld-loadgen")
-                .seed(cfg.seed)
+            let manifest = run_manifest(&cfg, mode)
                 .capture_env()
-                .config("mode", if cfg.smoke { "smoke" } else { "full" })
-                .config("tenants", cfg.tenants)
-                .config("ticks", cfg.ticks)
-                .config("families", WorkloadKind::ALL.len())
                 .config("history_len", history_len)
                 .output("bench", path)
-                .with_trace_summary(&det_snapshots[0])
-                .with_metrics_summary(metrics_snapshot.series(), metrics_snapshot.observations());
-            if let Some(mpath) = &cfg.metrics_out {
-                manifest = manifest
-                    .output("metrics", mpath)
-                    .output("metrics_exposition", format!("{mpath}.prom"));
-            }
+                .with_trace_summary(&det_snapshots[0]);
             let manifest_path = format!("{path}.manifest.json");
             manifest.write_json(&manifest_path).expect("write manifest");
             println!("wrote {manifest_path}");
@@ -906,11 +905,9 @@ struct ChaosPass {
     /// Tick-scored SLO: good = non-degraded answers; degraded answers and
     /// sheds count against the budget.
     slo: SloTracker,
-    /// Deterministic (wall-clock-free) metrics projection, serialized —
-    /// identically-seeded passes must agree on it byte-for-byte.
-    metrics_json: String,
-    /// Full metrics handle for the optional LD_METRICS dump.
-    metrics: Metrics,
+    /// The pass's tracer: identically-seeded passes must agree on its
+    /// events snapshot byte-for-byte, and `LD_TRACE` may dump it.
+    tracer: Tracer,
 }
 
 /// Replays the scheduled load through one engine; with a schedule, drives
@@ -953,8 +950,7 @@ fn run_chaos_pass(
         },
         open_store(&cfg.store_root, phase),
         tracer,
-    )
-    .with_metrics(Metrics::enabled());
+    );
     provision_all(&mut engine, tenants, families);
 
     let mut pass = ChaosPass {
@@ -966,8 +962,7 @@ fn run_chaos_pass(
         stats: ServeStats::default(),
         trace: ld_telemetry::TraceSnapshot::default(),
         slo: SloTracker::new(CHAOS_SLO),
-        metrics_json: String::new(),
-        metrics: Metrics::disabled(),
+        tracer: Tracer::disabled(),
     };
     let offer = |engine: &mut ServeEngine, req: Request, issued: &mut u64, shed: &mut u64| {
         *issued += 1;
@@ -1011,7 +1006,6 @@ fn run_chaos_pass(
         }
         let answered = engine.tick();
         let ns = u64::try_from(tk.elapsed().as_nanos()).expect("tick ns fits u64");
-        engine.metrics().observe("loadgen.tick_ns", ns);
         let good = answered.iter().filter(|r| !r.degraded).count() as u64;
         let bad_shed = pass.shed - shed_before;
         pass.slo.record(t, good, answered.len() as u64 + bad_shed);
@@ -1052,8 +1046,7 @@ fn run_chaos_pass(
 
     pass.stats = engine.stats();
     pass.trace = engine.tracer().snapshot();
-    pass.metrics_json = ld_metrics::to_metrics_json(&engine.metrics().snapshot().deterministic());
-    pass.metrics = engine.metrics().clone();
+    pass.tracer = engine.tracer().clone();
     pass
 }
 
@@ -1065,6 +1058,7 @@ fn run_chaos_soak(
     tenants: &[Tenant],
     families: &[(LstmForecaster, Vec<f64>)],
     history_len: usize,
+    trace_out: &Option<String>,
 ) {
     let schedule = ChaosSchedule::generate(cfg.chaos_seed, cfg.ticks as u64, 16);
     println!(
@@ -1139,8 +1133,9 @@ fn run_chaos_soak(
         "identically-seeded chaos runs must fire identical burn-rate alerts"
     );
     assert_eq!(
-        p0.metrics_json, p1.metrics_json,
-        "identically-seeded chaos runs must produce byte-identical metrics snapshots"
+        p0.tracer.events().to_json(),
+        p1.tracer.events().to_json(),
+        "identically-seeded chaos runs must produce byte-identical events snapshots"
     );
 
     // Gate 1b — alert containment: every burn-rate alert must land inside
@@ -1259,28 +1254,26 @@ fn run_chaos_soak(
             alert.tick, alert.short_burn, alert.long_burn
         );
     }
-    if let Some(path) = &cfg.metrics_out {
-        dump_metrics_files(&p0.metrics, path);
-    }
+    let mode = if cfg.smoke { "chaos-smoke" } else { "chaos-full" };
+    dump_traced_pass(
+        &p0.tracer,
+        trace_out,
+        run_manifest(cfg, mode)
+            .config("chaos_seed", cfg.chaos_seed)
+            .config("traced_pass", "chaos-0"),
+    );
 
     match &cfg.out {
         Some(path) => {
             std::fs::write(path, text + "\n").expect("write BENCH_resilience document");
             println!("wrote {path}");
-            let metrics_snapshot = p0.metrics.snapshot();
-            let manifest = RunManifest::new("ld-loadgen")
-                .seed(cfg.seed)
+            let manifest = run_manifest(cfg, mode)
                 .capture_env()
-                .config("mode", if cfg.smoke { "chaos-smoke" } else { "chaos-full" })
-                .config("tenants", cfg.tenants)
-                .config("ticks", cfg.ticks)
-                .config("families", WorkloadKind::ALL.len())
                 .config("chaos_seed", cfg.chaos_seed)
                 .config("chaos_events", schedule.events().len())
                 .config("slo_alerts", slo_status.alerts)
                 .output("bench", path)
-                .with_trace_summary(&p0.trace)
-                .with_metrics_summary(metrics_snapshot.series(), metrics_snapshot.observations());
+                .with_trace_summary(&p0.trace);
             let manifest_path = format!("{path}.manifest.json");
             manifest.write_json(&manifest_path).expect("write manifest");
             println!("wrote {manifest_path}");

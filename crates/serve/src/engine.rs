@@ -14,11 +14,24 @@
 //!
 //! Batch composition is derived from seeds, never from arrival time: lanes
 //! are ordered by request id (assigned by the load schedule), groups by
-//! fingerprint, and every span index is logical (tick number, shard index,
-//! group ordinal, request id). Retry backoff jitter hashes the request id;
+//! fingerprint, and every span index is logical (tick number, group
+//! ordinal, request id). Retry backoff jitter hashes the request id;
 //! breaker transitions advance on logical ticks; slow-shard deferral uses
 //! driver-installed per-tick delays. Two identically-seeded runs produce
 //! bitwise-identical responses and identical span trees.
+//!
+//! # Observability
+//!
+//! The engine reports through the one [`Tracer`] it is built with, and only
+//! ever writes to it: behavior with the tracer enabled is bitwise identical
+//! to disabled, and a disabled tracer costs one branch per site. Spans are
+//! timed regions only: `tick#t` with its `resolve#t` and `batch#g`
+//! children, and one `request#id` leaf per lane, the record of which fused
+//! batch answered the request. The `serve.*` counters, gauges and
+//! histograms carry no wall-clock values, and state changes are events:
+//! `serve`/`shard_health` (`shard`, `from`, `to` as
+//! [`ShardHealth::code`]s) and `serve`/`store_recovery` (`quarantined`,
+//! `indexed`), indexed by tick.
 //!
 //! # Degradation contract
 //!
@@ -34,7 +47,6 @@
 use std::collections::BTreeMap;
 
 use ld_api::Predictor as _;
-use ld_metrics::Metrics;
 use ld_nn::{BatchScratch, LstmForecaster};
 use ld_telemetry::Tracer;
 
@@ -52,10 +64,6 @@ pub enum ExecMode {
     /// The per-tenant workspace path ([`LstmForecaster::predict`]),
     /// retained for equivalence checks and as the honest serial baseline.
     Serial,
-    /// The per-tenant allocating reference path
-    /// ([`LstmForecaster::predict_reference`]); the fused path is bitwise
-    /// equal to this one by construction.
-    Reference,
 }
 
 /// Lifecycle-control knobs: deadlines, retry, breakers, shard health.
@@ -114,8 +122,6 @@ pub enum ResponseSource {
     Batched,
     /// Per-tenant workspace forward.
     Serial,
-    /// Per-tenant reference forward.
-    Reference,
     /// WMA smoothing fallback (degraded, tripped, or unresolvable lane).
     Fallback,
     /// Deadline expired before the engine could answer; the value is the
@@ -124,11 +130,12 @@ pub enum ResponseSource {
 }
 
 impl ResponseSource {
+    /// The source's fixed digest byte (2 is retired), so response digests
+    /// stay bitwise comparable across versions.
     fn tag(self) -> u8 {
         match self {
             ResponseSource::Batched => 0,
             ResponseSource::Serial => 1,
-            ResponseSource::Reference => 2,
             ResponseSource::Fallback => 3,
             ResponseSource::Expired => 4,
         }
@@ -244,12 +251,8 @@ pub struct ServeEngine {
     /// (chaos slow-shard windows); cleared by `set_shard_delays`.
     shard_delay: Vec<u64>,
     supervisor: ShardSupervisor,
-    /// Pure-observer metrics plane. Disabled by default; every recording
-    /// site below is guarded so the metrics-off path does no extra work
-    /// and no engine decision ever reads a metric.
-    metrics: Metrics,
-    /// Submission tick per in-flight request id, kept only while metrics
-    /// are enabled, for the logical request-latency histogram.
+    /// Submission tick per in-flight request id, kept only while the
+    /// tracer is enabled, for the logical request-latency histogram.
     submit_tick: BTreeMap<u64, u64>,
     /// Registry/breaker/supervisor totals already exported, so each tick
     /// emits deltas (counters stay monotonic).
@@ -279,27 +282,11 @@ impl ServeEngine {
             shard_breakers: (0..shards).map(|_| Breaker::new(cfg.lifecycle.breaker)).collect(),
             shard_delay: vec![0; shards],
             supervisor: ShardSupervisor::new(cfg.lifecycle.supervisor, shards),
-            metrics: Metrics::disabled(),
             submit_tick: BTreeMap::new(),
             cache_seen: RegistryStats::default(),
             trips_seen: 0,
             drains_seen: 0,
         }
-    }
-
-    /// Attaches a metrics handle (builder style, like the tracer). The
-    /// engine only ever *writes* metrics; behavior with metrics enabled is
-    /// bitwise identical to disabled — the loadgen and perfbench gates
-    /// assert it.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// The metrics handle threaded through every tick.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Installs a snapshot for `key` (training-time provisioning). Spill
@@ -321,14 +308,14 @@ impl ServeEngine {
         let id = req.id;
         match self.queue.offer(req) {
             Ok(()) => {
-                if self.metrics.is_enabled() {
-                    self.metrics.incr("serve.requests_submitted_total");
+                if self.tracer.is_enabled() {
+                    self.tracer.incr("serve.requests_submitted_total");
                     self.submit_tick.insert(id, self.tick);
                 }
                 Ok(())
             }
             Err(req) => {
-                self.metrics.incr("serve.requests_shed_total");
+                self.tracer.incr("serve.requests_shed_total");
                 Err(req)
             }
         }
@@ -411,23 +398,17 @@ impl ServeEngine {
 
     /// Runs a crash-recovery pass over the snapshot store (quarantine torn
     /// temps and corrupt entries, rebuild the index) and records it as a
-    /// `store_recovery` span indexed by the current tick.
+    /// `serve`/`store_recovery` event indexed by the current tick.
     pub fn recover_store(&mut self) -> std::io::Result<RecoveryReport> {
         let report = self.store.recover()?;
-        self.tracer.record_span(
-            "store_recovery",
-            self.tick,
-            (report.quarantined_torn + report.quarantined_corrupt) as u64,
-            report.indexed as u64,
-        );
-        if self.metrics.is_enabled() {
-            self.metrics.incr("serve.store_recoveries_total");
-            self.metrics.add(
-                "serve.store_quarantined_total",
-                (report.quarantined_torn + report.quarantined_corrupt) as u64,
-            );
-            self.metrics.gauge_set("serve.store_indexed", report.indexed as u64);
-        }
+        let quarantined = (report.quarantined_torn + report.quarantined_corrupt) as u64;
+        let indexed = report.indexed as u64;
+        self.tracer.record_with("serve", "store_recovery", self.tick, |e| {
+            e.int("quarantined", quarantined).int("indexed", indexed);
+        });
+        self.tracer.incr("serve.store_recoveries_total");
+        self.tracer.add("serve.store_quarantined_total", quarantined);
+        self.tracer.gauge("serve.store_indexed", indexed);
         Ok(report)
     }
 
@@ -444,10 +425,8 @@ impl ServeEngine {
         // entry snapshot, so one guard covers every site in the resolve
         // loop below.
         let lifecycle_before = self.lifecycle_stats;
-        if self.metrics.is_enabled() {
-            self.metrics.gauge_set("serve.queue_depth", self.queue.depth() as u64);
-            self.metrics.gauge_set("serve.parked", self.parked.len() as u64);
-        }
+        self.tracer.gauge("serve.queue_depth", self.queue.depth() as u64);
+        self.tracer.gauge("serve.parked", self.parked.len() as u64);
 
         let mut work: Vec<InFlight> = self.parked.release(tick_idx);
         work.extend(self.queue.drain().into_iter().map(|req| InFlight {
@@ -466,8 +445,7 @@ impl ServeEngine {
         let mut shard_obs = vec![ShardObservation::default(); self.registry.shard_count()];
 
         {
-            let resolve_span = tr.span_at("resolve", tick_idx);
-            let rtr = resolve_span.tracer();
+            let _resolve_span = tr.span_at("resolve", tick_idx);
             for item in work {
                 let shard = self.registry.shard_of(&item.req.key);
                 per_shard[shard] += 1;
@@ -575,23 +553,18 @@ impl ServeEngine {
                     }
                 }
             }
-            for (shard, &n) in per_shard.iter().enumerate() {
-                if n > 0 {
-                    rtr.record_span("shard", shard as u64, n, 0);
-                }
-            }
         }
 
-        if self.metrics.is_enabled() {
+        if self.tracer.is_enabled() {
             for (shard, &n) in per_shard.iter().enumerate() {
                 if n > 0 {
-                    self.metrics.gauge_set(&format!("serve.shard{shard}.requests"), n);
-                    self.metrics.observe("serve.shard_requests", n);
+                    self.tracer.gauge(&format!("serve.shard{shard}.requests"), n);
+                    self.tracer.observe("serve.shard_requests", n);
                 }
             }
-            self.metrics.observe("serve.batch_groups", groups.len() as u64);
+            self.tracer.observe("serve.batch_groups", groups.len() as u64);
             for group in groups.values() {
-                self.metrics.observe("serve.batch_size", group.lanes.len() as u64);
+                self.tracer.observe("serve.batch_size", group.lanes.len() as u64);
             }
         }
 
@@ -622,19 +595,11 @@ impl ServeEngine {
                         responses.push(resp);
                     }
                 }
-                ExecMode::Serial | ExecMode::Reference => {
-                    let source = if self.mode == ExecMode::Serial {
-                        ResponseSource::Serial
-                    } else {
-                        ResponseSource::Reference
-                    };
+                ExecMode::Serial => {
                     for lane in &group.lanes {
                         btr.record_span("request", lane.id, 1, 0);
-                        let y = match source {
-                            ResponseSource::Serial => group.model.predict(&lane.window),
-                            _ => group.model.predict_reference(&lane.window),
-                        };
-                        let resp = finish_lane(lane, y, source);
+                        let y = group.model.predict(&lane.window);
+                        let resp = finish_lane(lane, y, ResponseSource::Serial);
                         outcomes.push(Outcome {
                             id: lane.id,
                             key: lane.key.clone(),
@@ -664,7 +629,7 @@ impl ServeEngine {
 
         // Shard health: escalate, drain unhealthy shards (spill + evict so
         // future requests rehydrate from durable state), and record every
-        // transition as a span (duration = new state, ago = old state).
+        // transition as an event.
         let mut transitions = self.supervisor.observe(tick_idx, &shard_obs);
         let unhealthy: Vec<usize> = transitions
             .iter()
@@ -678,23 +643,27 @@ impl ServeEngine {
             }
         }
         for t in &transitions {
-            tr.record_span("shard_health", t.shard as u64, t.to.code(), t.from.code());
+            self.tracer.record_with("serve", "shard_health", tick_idx, |e| {
+                e.int("shard", t.shard as u64)
+                    .int("from", t.from.code())
+                    .int("to", t.to.code());
+            });
         }
 
         responses.sort_by_key(|r| r.id);
         self.served += responses.len() as u64;
         self.degraded += responses.iter().filter(|r| r.degraded).count() as u64;
 
-        if self.metrics.is_enabled() {
+        if self.tracer.is_enabled() {
             self.record_tick_metrics(tick_idx, &responses, lifecycle_before, &transitions);
         }
         responses
     }
 
-    /// Per-tick metrics export: response counters, logical latency
+    /// Per-tick series export: response counters, logical latency
     /// histogram, lifecycle deltas, breaker/supervisor transitions, and
-    /// registry cache deltas. Called only with metrics enabled; reads
-    /// engine state, never writes it.
+    /// registry cache deltas. Called only with the tracer enabled; updates
+    /// only the export bookkeeping, never state a response depends on.
     fn record_tick_metrics(
         &mut self,
         tick_idx: u64,
@@ -702,7 +671,7 @@ impl ServeEngine {
         lifecycle_before: LifecycleStats,
         transitions: &[crate::supervisor::HealthTransition],
     ) {
-        let m = &self.metrics;
+        let m = &self.tracer;
         m.add("serve.responses_total", responses.len() as u64);
         for r in responses {
             if r.degraded {
@@ -902,6 +871,7 @@ mod tests {
     use super::*;
     use ld_api::MinMaxScaler;
     use ld_nn::ForecasterConfig;
+    use ld_telemetry::{FieldValue, Snapshot};
 
     fn test_store(name: &str) -> SnapshotStore {
         let mut p = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -944,39 +914,32 @@ mod tests {
 
     #[test]
     fn batched_equals_reference_bitwise_and_serial_to_1e12() {
-        let mut keys = Vec::new();
-        let mut engines = [
-            engine("engine-eq-batched", ExecMode::Batched),
-            engine("engine-eq-serial", ExecMode::Serial),
-            engine("engine-eq-reference", ExecMode::Reference),
-        ];
-        for e in &mut engines {
-            for t in 0..8u64 {
-                let key = ClientKey::new(format!("t{t}"), "wiki");
-                // Two distinct models (two groups), per-tenant scalers.
-                e.provision(key.clone(), snapshot(t % 2, (0.0, 100.0 + f64::from(u32::try_from(t).unwrap()))));
-                if keys.len() < 8 {
-                    keys.push(key);
-                }
-            }
-        }
-        let run = |e: &mut ServeEngine, keys: &[ClientKey]| -> Vec<Response> {
-            for (i, key) in keys.iter().enumerate() {
+        // Two distinct models (two groups), per-tenant scalers.
+        let snapshots: Vec<(ClientKey, ModelSnapshot)> = (0..8u64)
+            .map(|t| {
+                let hi = 100.0 + f64::from(u32::try_from(t).unwrap());
+                (ClientKey::new(format!("t{t}"), "wiki"), snapshot(t % 2, (0.0, hi)))
+            })
+            .collect();
+        let run = |name: &str, mode: ExecMode| -> Vec<Response> {
+            let mut e = engine(name, mode);
+            for (i, (key, snap)) in snapshots.iter().enumerate() {
+                e.provision(key.clone(), snap.clone());
                 e.submit(Request::new(i as u64, key.clone(), history(i as u64)))
                     .expect("admit");
             }
             e.tick()
         };
-        let [ref mut b, ref mut s, ref mut r] = engines;
-        let batched = run(b, &keys);
-        let serial = run(s, &keys);
-        let reference = run(r, &keys);
+        let batched = run("engine-eq-batched", ExecMode::Batched);
+        let serial = run("engine-eq-serial", ExecMode::Serial);
         assert_eq!(batched.len(), 8);
-        for ((rb, rs), rr) in batched.iter().zip(&serial).zip(&reference) {
+        for ((rb, rs), (_, snap)) in batched.iter().zip(&serial).zip(&snapshots) {
             assert_eq!(rb.id, rs.id);
+            let window = scaled_window(&history(rb.id), snap.history_len(), snap.scaler());
+            let reference = snap.scaler().inverse(snap.model().predict_reference(&window)).max(0.0);
             assert_eq!(
                 rb.value.to_bits(),
-                rr.value.to_bits(),
+                reference.to_bits(),
                 "batched vs reference must be bitwise identical (id {})",
                 rb.id
             );
@@ -1067,7 +1030,12 @@ mod tests {
         assert_eq!(p1, p2, "identically-seeded runs must produce equal span trees");
         assert!(p1.iter().any(|p| p.contains("batch")));
         assert!(p1.iter().any(|p| p.contains("request")));
-        assert!(p1.iter().any(|p| p.contains("shard")));
+        assert!(p1.iter().any(|p| p.contains("resolve")));
+        // Spans are timed regions: no span sits below `resolve`.
+        for p in &p1 {
+            let below = p.split('/').skip_while(|seg| !seg.starts_with("resolve")).skip(1);
+            assert_eq!(below.count(), 0, "span below resolve: {p}");
+        }
     }
 
     #[test]
@@ -1194,8 +1162,20 @@ mod tests {
 
     #[test]
     fn metrics_are_pure_observers_and_deterministic() {
-        let run = |store_name: &str, metrics: Metrics| -> (u64, Metrics) {
-            let mut e = engine(store_name, ExecMode::Batched).with_metrics(metrics);
+        let run = |store_name: &str, tracer: Tracer| -> (u64, Snapshot) {
+            let mut e = ServeEngine::new(
+                EngineConfig {
+                    mode: ExecMode::Batched,
+                    queue_capacity: 64,
+                    registry: RegistryConfig {
+                        shard_count: 4,
+                        capacity_per_shard: 16,
+                    },
+                    lifecycle: LifecycleConfig::default(),
+                },
+                test_store(store_name),
+                tracer,
+            );
             let mut all = Vec::new();
             for t in 0..6u64 {
                 e.provision(ClientKey::new(format!("t{t}"), "w"), snapshot(t % 3, (0.0, 60.0)));
@@ -1211,30 +1191,28 @@ mod tests {
                 }
                 all.extend(e.tick());
             }
-            (response_digest(&all), e.metrics().clone())
+            (response_digest(&all), e.tracer().events())
         };
 
-        let (d_off, _) = run("engine-metrics-off", Metrics::disabled());
-        let (d_on_a, m_a) = run("engine-metrics-a", Metrics::enabled());
-        let (d_on_b, m_b) = run("engine-metrics-b", Metrics::enabled());
+        let (d_off, _) = run("engine-metrics-off", Tracer::disabled());
+        let (d_on_a, s) = run("engine-metrics-a", Tracer::enabled());
+        let (d_on_b, s_b) = run("engine-metrics-b", Tracer::enabled());
 
-        // Pure observer: metrics on/off must not change a single response bit.
-        assert_eq!(d_off, d_on_a, "metrics-on run diverged from metrics-off");
-        // Determinism: identical runs produce byte-identical snapshot JSON.
-        let json_a = ld_metrics::to_metrics_json(&m_a.snapshot().deterministic());
-        let json_b = ld_metrics::to_metrics_json(&m_b.snapshot().deterministic());
+        // Pure observer: tracing on/off must not change a single response bit.
+        assert_eq!(d_off, d_on_a, "traced run diverged from the untraced one");
+        // Determinism: identical runs produce byte-identical events JSON.
         assert_eq!(d_on_a, d_on_b);
-        assert_eq!(json_a, json_b, "metrics snapshots must be byte-identical");
+        let json = s.to_json();
+        assert_eq!(json, s_b.to_json(), "events snapshots must be byte-identical");
 
         // The snapshot actually carries the serving story.
-        let s = m_a.snapshot();
         assert_eq!(s.counter("serve.requests_submitted_total"), 24);
         assert_eq!(s.counter("serve.responses_total"), 24);
         let lat = s.histogram("serve.request_latency_ticks").expect("latency histogram");
         assert_eq!(lat.count, 24);
         assert!(s.histogram("serve.batch_size").is_some());
         assert!(s.gauge("serve.queue_depth").is_some());
-        assert!(ld_metrics::validate_metrics_json(&ld_metrics::to_metrics_json(&s)).is_ok());
+        assert!(ld_telemetry::validate_events(&json).is_ok());
         assert!(ld_metrics::validate_exposition(&ld_metrics::to_prometheus(&s)).is_ok());
     }
 
@@ -1295,10 +1273,20 @@ mod tests {
         assert!(!rs[0].degraded);
         assert_eq!(e.shard_health(0), ShardHealth::Healthy);
         assert!(e.stats().lifecycle.worst_recovery_ticks >= 1);
+        // Every transition is a `serve`/`shard_health` event, not a span.
+        let events = e.tracer().events();
+        let moved = |from: ShardHealth, to: ShardHealth| {
+            let code = |h: ShardHealth| Some(FieldValue::Int { value: h.code() });
+            events.events_of("serve", "shard_health").iter().any(|ev| {
+                ev.field("shard") == Some(&FieldValue::Int { value: 0 })
+                    && ev.field("from").cloned() == code(from)
+                    && ev.field("to").cloned() == code(to)
+            })
+        };
+        assert!(moved(ShardHealth::Degraded, ShardHealth::Unhealthy));
+        assert!(moved(ShardHealth::Unhealthy, ShardHealth::Recovering));
+        assert!(moved(ShardHealth::Recovering, ShardHealth::Healthy));
         let paths = e.tracer().snapshot().logical_paths();
-        assert!(
-            paths.iter().any(|p| p.contains("shard_health")),
-            "health transitions must appear in the span tree"
-        );
+        assert!(!paths.iter().any(|p| p.contains("shard_health")));
     }
 }

@@ -16,9 +16,10 @@
 //!   queue, groups lanes by `(shape, weight fingerprint)`, and answers
 //!   each group with one fused batched LSTM forward
 //!   ([`ld_nn::LstmForecaster::predict_batch_fused`]) while retaining the
-//!   per-tenant serial and reference paths for equivalence; poisoned or
-//!   snapshot-less tenants degrade to the WMA smoothing fallback without
-//!   contaminating their co-batched neighbors;
+//!   per-tenant serial path for equivalence; poisoned or snapshot-less
+//!   tenants degrade to the WMA smoothing fallback without contaminating
+//!   their co-batched neighbors, and everything it does is recorded
+//!   through the one [`ld_telemetry::Tracer`] it is built with;
 //! - [`lifecycle`]: deadlines, deterministic retry backoff, and the
 //!   per-tenant/per-shard circuit breakers that route tripped tenants to
 //!   the smoothing fallback;

@@ -18,9 +18,9 @@
 //! every resident snapshot to the store and evict it, so subsequent
 //! requests rehydrate from durable state — the moral equivalent of a
 //! process restart, with the store as the source of truth. Every
-//! transition is reported so the engine can emit a `shard_health` span
-//! (duration = destination state code, ago = source state code), making
-//! health history part of the deterministic span tree.
+//! transition is reported so the engine can record a `serve`/`shard_health`
+//! event (`shard`, `from` and `to` state codes), making health history part
+//! of the deterministic events snapshot.
 
 /// Supervisor tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +43,7 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Health state of one shard (`code` is the stable span encoding).
+/// Health state of one shard (`code` is the stable event encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
     /// Serving normally.
@@ -57,7 +57,7 @@ pub enum ShardHealth {
 }
 
 impl ShardHealth {
-    /// Stable numeric code (span payloads, bench documents).
+    /// Stable numeric code (event fields, bench documents).
     pub fn code(self) -> u64 {
         match self {
             ShardHealth::Healthy => 0,

@@ -2,8 +2,9 @@
 //!
 //! The contracts under test (see DESIGN.md "Serving determinism"):
 //! - the fused batched path answers exactly what the per-tenant paths
-//!   answer: bitwise vs the reference path, ≤ 1e-12 relative vs the
-//!   workspace (`forward_into`) path;
+//!   answer: bitwise vs the allocating reference forward
+//!   (`predict_reference`), ≤ 1e-12 relative vs the workspace
+//!   (`forward_into`) path;
 //! - identically-seeded runs produce bitwise-identical response streams;
 //! - LRU spills and lazy rehydrations are lossless: a capacity-starved
 //!   registry answers bit-for-bit what an uncapped one answers.
@@ -112,18 +113,27 @@ fn run(eng: &mut ServeEngine, fleet: &Fleet, ticks: usize) -> Vec<Response> {
 fn batched_matches_reference_path_bitwise() {
     let f = fleet(37);
     let batched = run(&mut engine(ExecMode::Batched, "eq-b", 64, &f), &f, 3);
-    let reference = run(&mut engine(ExecMode::Reference, "eq-r", 64, &f), &f, 3);
-    assert_eq!(batched.len(), reference.len());
-    for (b, r) in batched.iter().zip(&reference) {
-        assert_eq!(b.id, r.id);
-        assert!(!b.degraded && !r.degraded);
+    assert_eq!(batched.len(), 3 * f.keys.len());
+    for b in &batched {
+        let t = usize::try_from(b.id).expect("id fits usize") % f.keys.len();
+        // The engine's window: the last HIST observations, tenant-scaled.
+        let (snap, history) = (&f.snapshots[t], &f.histories[t]);
+        let scaler = snap.scaler();
+        let window: Vec<f64> = history[history.len() - HIST..]
+            .iter()
+            .map(|&v| scaler.transform(v))
+            .collect();
+        let reference = scaler
+            .inverse(snap.model().predict_reference(&window))
+            .max(0.0);
+        assert!(!b.degraded);
         assert_eq!(
             b.value.to_bits(),
-            r.value.to_bits(),
+            reference.to_bits(),
             "id {}: batched {} != reference {}",
             b.id,
             b.value,
-            r.value
+            reference
         );
     }
 }

@@ -23,7 +23,7 @@ use ld_serve::{
     ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot, RegistryConfig, Request,
     ResponseSource, ServeEngine, SnapshotError, SnapshotStore,
 };
-use ld_telemetry::Tracer;
+use ld_telemetry::{FieldValue, Tracer};
 
 const HIST: usize = 4;
 
@@ -227,7 +227,7 @@ fn engine_serves_survivors_identically_after_crash_recovery() {
     let _guard = test_lock();
     reset();
 
-    let engine_with = |label: &str| -> ServeEngine {
+    let engine_with = |label: &str, tracer: Tracer| -> ServeEngine {
         ServeEngine::new(
             EngineConfig {
                 mode: ExecMode::Batched,
@@ -239,7 +239,7 @@ fn engine_serves_survivors_identically_after_crash_recovery() {
                 lifecycle: LifecycleConfig::default(),
             },
             SnapshotStore::open(store_dir(label)).expect("open store"),
-            Tracer::disabled(),
+            tracer,
         )
     };
     let histories: Vec<Vec<f64>> = (0..4)
@@ -259,7 +259,7 @@ fn engine_serves_survivors_identically_after_crash_recovery() {
         store.save(&key(t), &snapshot(300 + t as u64, 25.0 + t as f64)).expect("publish");
     }
     drop(store);
-    let mut before = engine_with(label);
+    let mut before = engine_with(label, Tracer::disabled());
     let want = run(&mut before);
     assert!(want.iter().all(|r| !r.degraded));
     drop(before);
@@ -270,9 +270,20 @@ fn engine_serves_survivors_identically_after_crash_recovery() {
     let bytes = std::fs::read(&victim_path).expect("read victim");
     std::fs::write(&victim_path, &bytes[..bytes.len() / 3]).expect("tear victim");
 
-    let mut after = engine_with(label);
+    let mut after = engine_with(label, Tracer::enabled());
     let report = after.recover_store().expect("recovery");
     assert_eq!(report.quarantined_corrupt, 1);
+    // The pass is a `serve`/`store_recovery` event carrying the report's
+    // counts.
+    let events = after.tracer().events();
+    let recovery = events.events_of("serve", "store_recovery");
+    assert_eq!(recovery.len(), 1);
+    let count = |n: usize| Some(FieldValue::Int { value: n as u64 });
+    assert_eq!(
+        recovery[0].field("quarantined").cloned(),
+        count(report.quarantined_torn + report.quarantined_corrupt)
+    );
+    assert_eq!(recovery[0].field("indexed").cloned(), count(report.indexed));
     let got = run(&mut after);
 
     assert_eq!(want.len(), got.len());

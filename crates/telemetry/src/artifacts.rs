@@ -1,11 +1,19 @@
-//! The artifact set of one traced run, and the one place that names it.
+//! The artifact set of one traced run, the one place that names it, and
+//! the one reader of the `LD_TRACE` knob.
 //!
 //! A traced run writes four files from one base path `P`: the Chrome
 //! trace-event JSON at `P`, folded flamegraph stacks at `P.folded`, the
-//! counters and events at `P.events.json` and the run-provenance manifest
-//! at `P.manifest.json`. [`Artifact::path`] derives each name,
-//! [`write_trace_artifacts`] writes the set, and `ld-cli trace-validate`
-//! finds a set's siblings through the same names.
+//! counters, gauges, histograms and events at `P.events.json` and the
+//! run-provenance manifest at `P.manifest.json`. `ld-loadgen` adds a fifth,
+//! the Prometheus text exposition of the same series at `P.prom`.
+//! [`Artifact::path`] derives each name, [`write_trace_artifacts`] writes
+//! the set, and `ld-cli trace-validate` finds a set's siblings through the
+//! same names.
+//!
+//! The binaries opt in through the environment: [`trace_from_env`] reads
+//! `LD_TRACE` and [`dump_trace`] writes the set it asked for. Unset (the
+//! default) leaves the tracer disabled and a binary's behavior and output
+//! byte-identical to an uninstrumented build.
 
 use std::io;
 
@@ -22,6 +30,10 @@ pub enum Artifact {
     Events,
     /// The run-provenance manifest.
     Manifest,
+    /// Prometheus text exposition of the counters, gauges and histograms
+    /// (written by `ld-loadgen` beside its set; not by
+    /// [`write_trace_artifacts`]).
+    Exposition,
 }
 
 impl Artifact {
@@ -33,6 +45,7 @@ impl Artifact {
             Artifact::Folded => "folded",
             Artifact::Events => "events",
             Artifact::Manifest => "manifest",
+            Artifact::Exposition => "exposition",
         }
     }
 
@@ -43,6 +56,7 @@ impl Artifact {
             Artifact::Folded => ".folded",
             Artifact::Events => ".events.json",
             Artifact::Manifest => ".manifest.json",
+            Artifact::Exposition => ".prom",
         };
         format!("{trace_path}{suffix}")
     }
@@ -84,6 +98,34 @@ pub fn write_trace_artifacts(
         std::fs::write(artifact.path(trace_path), contents)?;
     }
     manifest.write_json(Artifact::Manifest.path(trace_path))
+}
+
+/// The tracer plus Chrome-trace output path requested by the environment,
+/// or `(disabled, None)` when `LD_TRACE` is unset or empty. `LD_TRACE=1`
+/// means `trace.json` in the working directory; any other value is the
+/// path.
+pub fn trace_from_env() -> (Tracer, Option<String>) {
+    match std::env::var("LD_TRACE") {
+        Ok(v) if !v.is_empty() => {
+            let path = if v == "1" { "trace.json".to_string() } else { v };
+            (Tracer::enabled(), Some(path))
+        }
+        _ => (Tracer::disabled(), None),
+    }
+}
+
+/// Writes the four trace artifacts to the path from [`trace_from_env`]
+/// through [`write_trace_artifacts`]. The caller builds the manifest with
+/// its tool name, seeds and config. A failed write is reported on stderr
+/// and the run carries on. No-op when tracing was not requested.
+pub fn dump_trace(tracer: &Tracer, path: &Option<String>, manifest: RunManifest) {
+    let Some(path) = path else {
+        return;
+    };
+    match write_trace_artifacts(tracer, path, manifest) {
+        Ok(()) => eprintln!("trace artifacts written to {path} and its siblings"),
+        Err(e) => eprintln!("cannot write trace artifacts to {path}: {e}"),
+    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,23 @@
-//! One instrumentation handle for the LoadDynamics hot loops.
+//! One instrumentation handle for LoadDynamics: the search and training
+//! hot loops and the serving engine report through the same [`Tracer`].
 //!
 //! The framework's cost is concentrated in two nested loops — the Bayesian
 //! search over hyperparameters and, inside each candidate evaluation, the
-//! mini-batch training loop. A [`Tracer`] observes both without changing
-//! their behavior, recording three things into one shared registry:
+//! mini-batch training loop — and a serving fleet adds a third, the engine
+//! tick. A [`Tracer`] observes all of them without changing their behavior,
+//! recording five things into one shared registry:
 //!
 //! - **Spans** — timed regions of the search/training hierarchy
-//!   (`search / iter#3 / evaluate / train / epoch#7`), the only source of
-//!   wall-clock attribution; see [`trace`].
-//! - **Counters** — monotone totals ("epochs run", "gradient clips fired"),
+//!   (`search / iter#3 / evaluate / train / epoch#7`) or of a serving tick,
+//!   the only source of wall-clock attribution; see [`trace`].
+//! - **Counters** — monotone totals ("epochs run", "responses served"),
 //!   via [`Tracer::add`] / [`Tracer::incr`].
-//! - **Events** — structured per-epoch / per-trial records with a small set
-//!   of typed fields, via [`Tracer::record_with`].
+//! - **Gauges** — last value plus peak ("queue depth"), via
+//!   [`Tracer::gauge`].
+//! - **Histograms** — log-linear distributions ("batch size", "request
+//!   latency in ticks"), via [`Tracer::observe`]; see [`histogram`].
+//! - **Events** — structured per-epoch / per-trial / per-transition
+//!   records with a small set of typed fields, via [`Tracer::record_with`].
 //!
 //! A default handle is *disabled*: every method returns immediately without
 //! locking, allocating or reading the clock, so instrumented code paths
@@ -20,29 +26,36 @@
 //!
 //! # Determinism
 //!
-//! Counters and events carry no wall-clock values. Events are keyed by a
-//! *logical* scope string (e.g. `"trainer/n=8 c=4 l=1 b=32"`), a kind, and
-//! an index (epoch or iteration number), and [`Tracer::events`] orders by
-//! those keys plus the field contents, never by arrival order. Two runs
-//! that perform the same logical work therefore produce byte-identical
-//! event snapshots even when worker threads interleave differently.
+//! Counters, gauges, histograms and events carry no wall-clock values:
+//! every value is a count or a logical quantity supplied by the caller.
+//! Events are keyed by a *logical* scope string (e.g.
+//! `"trainer/n=8 c=4 l=1 b=32"`), a kind, and an index (epoch, iteration
+//! or tick number), and [`Tracer::events`] orders by those keys plus the
+//! field contents, never by arrival order; the other series are sorted by
+//! name, and a histogram's buckets depend only on the values recorded.
+//! Two runs that perform the same logical work therefore produce
+//! byte-identical snapshots even when worker threads interleave
+//! differently.
 //!
 //! # JSON schema
 //!
-//! [`Snapshot`] serializes to `{"counters": [...], "events": [...]}` — the
-//! `<trace>.events.json` artifact written beside a Chrome trace; see the
-//! README for the full schema. It also deserializes, and
+//! [`Snapshot`] serializes to
+//! `{"counters": [...], "gauges": [...], "histograms": [...], "events": [...]}`
+//! — the `<trace>.events.json` artifact written beside a Chrome trace; see
+//! the README for the full schema. It also deserializes, and
 //! [`validate_events`] schema-checks a written file. [`artifacts`] names
-//! and writes a traced run's four files.
+//! and writes a traced run's files.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod artifacts;
+pub mod histogram;
 pub mod manifest;
 pub mod trace;
 
 pub use artifacts::{write_trace_artifacts, Artifact};
+pub use histogram::{Histogram, HistogramBucket, HistogramSnapshot};
 pub use manifest::{ManifestEntry, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use trace::{
     validate_chrome_trace, validate_folded, SpanGuard, SpanRecord, TraceSnapshot, Tracer,
@@ -112,6 +125,17 @@ pub struct CounterRecord {
     pub name: String,
     /// Accumulated total.
     pub value: u64,
+}
+
+/// One named gauge in a [`Snapshot`].
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct GaugeRecord {
+    /// Gauge name.
+    pub name: String,
+    /// Last value set.
+    pub value: u64,
+    /// Largest value ever set.
+    pub peak: u64,
 }
 
 /// One structured event in a [`Snapshot`].
@@ -226,12 +250,16 @@ impl FieldValue {
     }
 }
 
-/// An immutable, deterministically-ordered dump of a [`Tracer`]'s counters
-/// and events (see [`Tracer::events`]).
+/// An immutable, deterministically-ordered dump of a [`Tracer`]'s counters,
+/// gauges, histograms and events (see [`Tracer::events`]).
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Snapshot {
     /// All counters, sorted by name.
     pub counters: Vec<CounterRecord>,
+    /// All gauges, sorted by name.
+    pub gauges: Vec<GaugeRecord>,
+    /// All histograms, sorted by name.
+    pub histograms: Vec<HistogramSnapshot>,
     /// All events, sorted by (scope, kind, index, fields).
     pub events: Vec<EventRecord>,
 }
@@ -255,6 +283,16 @@ impl Snapshot {
             .map_or(0, |c| c.value)
     }
 
+    /// The named gauge, if it was ever set.
+    pub fn gauge(&self, name: &str) -> Option<&GaugeRecord> {
+        self.gauges.iter().find(|g| g.name == name)
+    }
+
+    /// The named histogram, if anything was observed into it.
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+        self.histograms.iter().find(|h| h.name == name)
+    }
+
     /// All events with the given scope and kind, in index order.
     pub fn events_of(&self, scope: &str, kind: &str) -> Vec<&EventRecord> {
         self.events
@@ -264,25 +302,30 @@ impl Snapshot {
     }
 }
 
-/// Validates an events file as produced by [`Snapshot::to_json`]: a
-/// `counters` array with unique non-empty names in sorted order, and an
+/// Validates an events file as produced by [`Snapshot::to_json`]:
+/// `counters`, `gauges` and `histograms` arrays with unique non-empty
+/// names in sorted order, every gauge's peak at least its value, every
+/// histogram's buckets disjoint, ascending and summing to its count, and an
 /// `events` array of typed records with non-empty scopes and kinds, sorted
 /// by `(scope, kind, index)`. Returns the event count.
 pub fn validate_events(json: &str) -> Result<usize, String> {
     let snapshot = Snapshot::from_json(json).map_err(|e| format!("not an events snapshot: {e}"))?;
-    if snapshot.counters.iter().any(|c| c.name.is_empty()) {
-        return Err("counter with an empty name".into());
-    }
-    if let Some(w) = snapshot
-        .counters
-        .windows(2)
-        .find(|w| w[0].name >= w[1].name)
-    {
+    check_names("counter", snapshot.counters.iter().map(|c| c.name.as_str()))?;
+    check_names("gauge", snapshot.gauges.iter().map(|g| g.name.as_str()))?;
+    check_names(
+        "histogram",
+        snapshot.histograms.iter().map(|h| h.name.as_str()),
+    )?;
+    if let Some(g) = snapshot.gauges.iter().find(|g| g.peak < g.value) {
         return Err(format!(
-            "counter `{}` is duplicated or out of order",
-            w[1].name
+            "gauge `{}` peak {} < value {}",
+            g.name, g.peak, g.value
         ));
     }
+    snapshot
+        .histograms
+        .iter()
+        .try_for_each(validate_histogram)?;
     if let Some(i) = snapshot
         .events
         .iter()
@@ -302,6 +345,64 @@ pub fn validate_events(json: &str) -> Result<usize, String> {
         ));
     }
     Ok(snapshot.events.len())
+}
+
+/// Checks that one section's names are non-empty, unique and ascending.
+fn check_names<'a>(what: &str, names: impl Iterator<Item = &'a str>) -> Result<(), String> {
+    let mut last: Option<&str> = None;
+    for name in names {
+        if name.is_empty() {
+            return Err(format!("{what} with an empty name"));
+        }
+        if last.is_some_and(|prev| prev >= name) {
+            return Err(format!("{what} `{name}` is duplicated or out of order"));
+        }
+        last = Some(name);
+    }
+    Ok(())
+}
+
+/// Checks one histogram's internal consistency: `min <= max` when
+/// non-empty, monotone quantiles, non-empty disjoint ascending buckets,
+/// and bucket counts that sum to `count`.
+fn validate_histogram(h: &HistogramSnapshot) -> Result<(), String> {
+    let name = &h.name;
+    if h.count > 0 && h.min > h.max {
+        return Err(format!("histogram `{name}` min {} > max {}", h.min, h.max));
+    }
+    if !(h.p50 <= h.p95 && h.p95 <= h.p99) {
+        return Err(format!(
+            "histogram `{name}` quantiles not monotone: p50={} p95={} p99={}",
+            h.p50, h.p95, h.p99
+        ));
+    }
+    let mut total = 0u64;
+    let mut last_hi: Option<u64> = None;
+    for (i, b) in h.buckets.iter().enumerate() {
+        if b.lo > b.hi {
+            return Err(format!(
+                "histogram `{name}` bucket {i} has lo {} > hi {}",
+                b.lo, b.hi
+            ));
+        }
+        if b.count == 0 {
+            return Err(format!("histogram `{name}` bucket {i} is empty"));
+        }
+        if last_hi.is_some_and(|prev| prev >= b.lo) {
+            return Err(format!(
+                "histogram `{name}` bucket {i} overlaps its predecessor"
+            ));
+        }
+        last_hi = Some(b.hi);
+        total = total.saturating_add(b.count);
+    }
+    if total != h.count {
+        return Err(format!(
+            "histogram `{name}` bucket counts sum to {total}, count says {}",
+            h.count
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -357,5 +458,36 @@ mod tests {
             );
         }
         assert_eq!(fit.num("train_mse"), Some(0.25));
+    }
+
+    #[test]
+    fn gauges_and_histograms_roundtrip_and_validate() {
+        let tr = Tracer::enabled();
+        tr.gauge("queue.depth", 7);
+        tr.gauge("queue.depth", 3);
+        for v in [1u64, 2, 3, 10, 100, 1000, 1000, 65_000] {
+            tr.observe("batch.size", v);
+        }
+        let snap = tr.events();
+        let g = snap.gauge("queue.depth").expect("gauge recorded");
+        assert_eq!((g.value, g.peak), (3, 7));
+        let h = snap.histogram("batch.size").expect("histogram recorded");
+        assert_eq!(h.count, 8);
+        let json = snap.to_json();
+        assert_eq!(validate_events(&json), Ok(0));
+        assert_eq!(Snapshot::from_json(&json).unwrap(), snap);
+        // A gauge below its peak, or buckets that disagree with the count,
+        // are rejected.
+        for (from, to) in [
+            ("\"peak\": 7", "\"peak\": 2"),
+            ("\"count\": 8", "\"count\": 9"),
+        ] {
+            assert!(json.contains(from), "{from}");
+            assert!(validate_events(&json.replace(from, to)).is_err(), "{to}");
+        }
+        let unsorted = r#"{"counters": [], "gauges": [{"name": "b", "value": 1, "peak": 1},
+            {"name": "a", "value": 1, "peak": 1}], "histograms": [], "events": []}"#;
+        assert!(validate_events(unsorted).is_err());
+        assert!(validate_events(r#"{"counters": [], "events": []}"#).is_err());
     }
 }

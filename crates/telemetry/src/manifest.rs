@@ -4,7 +4,7 @@
 //! "what exactly produced this artifact": the tool, the workspace version,
 //! the seeds, the effective configuration, the fault-injection / tracing
 //! environment knobs that were live, and the paths of any trace, events or
-//! metrics artifacts written alongside. Manifests are plain data — they
+//! exposition artifacts written alongside. Manifests are plain data — they
 //! deserialize with [`RunManifest::from_json`] so post-processing scripts
 //! and the CI schema gate use the same definitions.
 
@@ -15,9 +15,7 @@ use crate::Snapshot;
 /// changes to the field set.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 
-/// Environment knobs captured by [`RunManifest::capture_env`]. Only
-/// `ld-loadgen` reads `LD_METRICS`, and its manifests list the metrics
-/// artifacts it names under `outputs`, so it is not captured here.
+/// Environment knobs captured by [`RunManifest::capture_env`].
 pub const CAPTURED_ENV_KEYS: &[&str] = &[
     "LD_FAULT",
     "LD_FAULT_SEED",
@@ -52,8 +50,8 @@ pub struct RunManifest {
     /// Captured environment knobs (only keys that were set; see
     /// [`CAPTURED_ENV_KEYS`]).
     pub env: Vec<ManifestEntry>,
-    /// Paths of artifacts written by the run (trace, events and metrics
-    /// snapshots, figures), keyed by kind.
+    /// Paths of artifacts written by the run (trace, events, exposition,
+    /// figures), keyed by kind.
     pub outputs: Vec<ManifestEntry>,
     /// Span count of the attached trace snapshot (0 when tracing was off).
     pub trace_spans: u64,
@@ -62,12 +60,6 @@ pub struct RunManifest {
     /// Event count of the attached events snapshot (0 when tracing was
     /// off).
     pub telemetry_events: u64,
-    /// Distinct metric names in the attached metrics snapshot (0 when the
-    /// metrics plane was off).
-    pub metric_names: u64,
-    /// Total observations (counter increments + gauge sets + histogram
-    /// samples) behind the attached metrics snapshot.
-    pub metric_observations: u64,
 }
 
 impl RunManifest {
@@ -85,8 +77,6 @@ impl RunManifest {
             trace_spans: 0,
             trace_roots: 0,
             telemetry_events: 0,
-            metric_names: 0,
-            metric_observations: 0,
         }
     }
 
@@ -139,16 +129,6 @@ impl RunManifest {
     /// manifest.
     pub fn with_telemetry_summary(mut self, snapshot: &Snapshot) -> Self {
         self.telemetry_events = snapshot.events.len() as u64;
-        self
-    }
-
-    /// Summarizes a metrics snapshot into the manifest: how many distinct
-    /// series it carried and how many raw observations backed them. Kept
-    /// as two plain counts (not a dependency on the metrics crate) so the
-    /// manifest stays the bottom of the crate graph.
-    pub fn with_metrics_summary(mut self, names: u64, observations: u64) -> Self {
-        self.metric_names = names;
-        self.metric_observations = observations;
         self
     }
 
@@ -216,14 +196,11 @@ mod tests {
             .config("series_len", 600)
             .output("trace_chrome", "out/trace.json")
             .with_trace_summary(&tr.snapshot())
-            .with_telemetry_summary(&tr.events())
-            .with_metrics_summary(3, 17);
+            .with_telemetry_summary(&tr.events());
         manifest.validate().unwrap();
         assert_eq!(manifest.trace_spans, 1);
         assert_eq!(manifest.trace_roots, 1);
         assert_eq!(manifest.telemetry_events, 1);
-        assert_eq!(manifest.metric_names, 3);
-        assert_eq!(manifest.metric_observations, 17);
         assert_eq!(manifest.output_path("trace_chrome"), Some("out/trace.json"));
         let restored = RunManifest::from_json(&manifest.to_json()).unwrap();
         assert_eq!(manifest, restored);

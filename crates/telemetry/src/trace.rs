@@ -6,7 +6,8 @@
 //! [`SpanGuard`]; the guard exposes a child [`Tracer`] so nested stages
 //! attach below their parent no matter which rayon worker executes them.
 //! Every handle derived from one root shares that root's registry, which
-//! also holds the run's counters and events (see the crate docs).
+//! also holds the run's counters, gauges, histograms and events (see the
+//! crate docs).
 //!
 //! A default handle is *disabled*: every method is a no-op that neither
 //! locks, allocates, nor reads the clock, so instrumented code paths cost
@@ -30,13 +31,14 @@
 //!   in Perfetto / `chrome://tracing`.
 //! - [`TraceSnapshot::to_folded`] — folded-stack lines
 //!   (`search;iter#0;surrogate_fit 1234`) for `flamegraph.pl` / inferno.
-//! - [`Tracer::events`] — the counters and events as a [`Snapshot`].
+//! - [`Tracer::events`] — the counters, gauges, histograms and events as a
+//!   [`Snapshot`].
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::{lock, CounterRecord, EventBuilder, EventRecord, Snapshot};
+use crate::{lock, CounterRecord, EventBuilder, EventRecord, GaugeRecord, Histogram, Snapshot};
 
 /// Shared storage behind an enabled [`Tracer`].
 struct TraceRegistry {
@@ -47,6 +49,9 @@ struct TraceRegistry {
     /// stamped on spans recorded by that thread.
     threads: Mutex<Vec<std::thread::ThreadId>>,
     counters: Mutex<BTreeMap<String, u64>>,
+    /// Last value and peak per gauge.
+    gauges: Mutex<BTreeMap<String, (u64, u64)>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
     events: Mutex<Vec<EventRecord>>,
 }
 
@@ -57,6 +62,8 @@ impl TraceRegistry {
             spans: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
             counters: Mutex::new(BTreeMap::new()),
+            gauges: Mutex::new(BTreeMap::new()),
+            histograms: Mutex::new(BTreeMap::new()),
             events: Mutex::new(Vec::new()),
         }
     }
@@ -175,6 +182,15 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
+/// The entry for `name`, inserted at its default on first use; allocates the
+/// key only then.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// Strips the exporter separator characters from a span name.
 fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c == ';' || c == '/' { '_' } else { c }).collect()
@@ -271,12 +287,27 @@ impl Tracer {
     /// Adds `n` to the named counter.
     pub fn add(&self, name: &str, n: u64) {
         let Some(reg) = &self.inner else { return };
-        *lock(&reg.counters).entry(name.to_string()).or_insert(0) += n;
+        *slot(&mut lock(&reg.counters), name) += n;
     }
 
     /// Increments the named counter by one.
     pub fn incr(&self, name: &str) {
         self.add(name, 1);
+    }
+
+    /// Sets the named gauge to `value`, keeping the peak value ever set.
+    pub fn gauge(&self, name: &str, value: u64) {
+        let Some(reg) = &self.inner else { return };
+        let mut gauges = lock(&reg.gauges);
+        let (last, peak) = slot(&mut gauges, name);
+        *last = value;
+        *peak = (*peak).max(value);
+    }
+
+    /// Records one observation into the named log-linear histogram.
+    pub fn observe(&self, name: &str, value: u64) {
+        let Some(reg) = &self.inner else { return };
+        slot(&mut lock(&reg.histograms), name).record(value);
     }
 
     /// Records a structured event. `scope`/`kind`/`index` are the logical
@@ -300,9 +331,9 @@ impl Tracer {
         });
     }
 
-    /// A deterministic snapshot of the counters and events recorded so far
-    /// through any handle sharing this registry: counters sorted by name,
-    /// events by (scope, kind, index, fields).
+    /// A deterministic snapshot of the counters, gauges, histograms and
+    /// events recorded so far through any handle sharing this registry:
+    /// series sorted by name, events by (scope, kind, index, fields).
     pub fn events(&self) -> Snapshot {
         let Some(reg) = &self.inner else {
             return Snapshot::default();
@@ -314,9 +345,26 @@ impl Tracer {
                 value,
             })
             .collect();
+        let gauges = lock(&reg.gauges)
+            .iter()
+            .map(|(name, &(value, peak))| GaugeRecord {
+                name: name.clone(),
+                value,
+                peak,
+            })
+            .collect();
+        let histograms = lock(&reg.histograms)
+            .iter()
+            .map(|(name, h)| h.snapshot(name))
+            .collect();
         let mut events: Vec<EventRecord> = lock(&reg.events).clone();
         events.sort_by(EventRecord::logical_cmp);
-        Snapshot { counters, events }
+        Snapshot {
+            counters,
+            gauges,
+            histograms,
+            events,
+        }
     }
 }
 
@@ -544,6 +592,8 @@ mod tests {
         assert_eq!(tr.snapshot(), TraceSnapshot::default());
         assert!(tr.scoped("x", 1).path.is_empty());
         tr.add("c", 5);
+        tr.gauge("g", 5);
+        tr.observe("h", 5);
         let mut built = false;
         tr.record_with("s", "k", 0, |_| built = true);
         assert!(!built, "field builder must not run when disabled");
@@ -580,6 +630,7 @@ mod tests {
                                 e.int("thread_sum", 6).num("x", idx as f64);
                             });
                             tr.incr("total");
+                            tr.observe("idx", idx);
                         }
                     });
                 }
@@ -590,6 +641,7 @@ mod tests {
         let b = record_all();
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.counter("total"), 100);
+        assert_eq!(a.histogram("idx").expect("histogram").count, 100);
         for w in a.events.windows(2) {
             assert_ne!(
                 EventRecord::logical_cmp(&w[0], &w[1]),

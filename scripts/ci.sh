@@ -2,7 +2,9 @@
 # CI gate for the workspace: release build, every workspace test suite,
 # the ld-e2e benchmark's smoke suite, the ld-perfbench smoke run on one CPU
 # (kernel equivalence asserts + bench schema check), the loadgen replays
-# (BENCH_serve.json's response digest recomputed), the ld-lint static-analysis
+# (a traced smoke run whose trace, events, manifest and Prometheus
+# exposition must validate, and BENCH_serve.json's response digest
+# recomputed), the ld-lint static-analysis
 # gate (schema v3 report left in target/lint-report.json and validated, plus
 # the zero-edit --fix --dry-run check), and a warning-free
 # clippy pass over every target (tests, examples and benches included).
@@ -41,11 +43,16 @@ echo "=== ld-perfbench --smoke (kernel equivalence + bench schema + regression g
 first_cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[-,].*//')
 taskset -c "$first_cpu" cargo run -q --release -p ld-perfbench -- --smoke --compare BENCH_perf.json --tolerance 1.8
 
-echo "=== ld-loadgen --smoke (serve replay: equivalence, determinism, shed, cache, metrics) ==="
+echo "=== ld-loadgen --smoke (serve replay: equivalence, determinism, shed, cache, traced artifact set) ==="
 mkdir -p target
-rm -f target/ci-metrics.json target/ci-metrics.json.prom
-LD_METRICS=target/ci-metrics.json cargo run -q --release -p ld-serve --bin ld-loadgen -- --smoke
-cargo run -q --release --bin ld-cli -- metrics-validate target/ci-metrics.json target/ci-metrics.json.prom
+rm -f target/ci-serve.json target/ci-serve.json.folded target/ci-serve.json.events.json \
+    target/ci-serve.json.manifest.json target/ci-serve.json.prom
+LD_TRACE=target/ci-serve.json cargo run -q --release -p ld-serve --bin ld-loadgen -- --smoke
+# The batched pass ran traced: its events file carries the engine's serve.*
+# series, and the manifest lists the exposition, so trace-validate checks
+# all five files and the manifest's totals.
+test -s target/ci-serve.json.events.json || { echo "ci.sh: ld-loadgen wrote no events file" >&2; exit 1; }
+cargo run -q --release --bin ld-cli -- trace-validate target/ci-serve.json target/ci-serve.json.manifest.json
 # Replays BENCH_serve.json's batched pass (its seed, tenants, ticks and mode)
 # and fails unless that recomputes the committed response_digest: training
 # and batched serving must stay bitwise.

@@ -20,10 +20,9 @@
 //! Any other `--` argument is a usage error (exit 2), as is `--fast` for
 //! any command but `optimize` and any flag for the other commands.
 //!
-//! `ld-cli trace-validate <trace.json> [manifest.json]` schema-checks the
-//! trace artifacts and `ld-cli metrics-validate <metrics.json>
-//! [exposition.prom]` the metrics artifacts `ld-loadgen` writes (CI gates
-//! on both).
+//! `ld-cli trace-validate <trace.json> [manifest.json]` schema-checks a
+//! traced run's artifact set — including the Prometheus exposition
+//! `ld-loadgen` writes beside its set — and CI gates on it.
 //!
 //! Traces are plain text (`ld_api::Series::to_text` format): an optional
 //! `# name interval_mins=N` header, then one JAR per line.
@@ -40,8 +39,7 @@ fn usage() -> ! {
          ld-cli optimize <trace.txt> [--fast] [flags]\n  \
          ld-cli predict <trace.txt> [horizon] [flags]\n  \
          ld-cli evaluate <trace.txt> [flags]\n  \
-         ld-cli trace-validate <trace.json> [manifest.json]\n  \
-         ld-cli metrics-validate <metrics.json> [exposition.prom]\n  ld-cli list\n\n\
+         ld-cli trace-validate <trace.json> [manifest.json]\n  ld-cli list\n\n\
          flag for optimize:\n  \
          --fast               laptop-scale search whatever the series length\n\n\
          flag for optimize/predict/evaluate:\n  \
@@ -273,10 +271,11 @@ fn validate_file(path: &str, what: &str, validate: fn(&str) -> Result<usize, Str
     })
 }
 
-/// Schema-checks a Chrome trace emitted by `--trace-out`, its `.folded`
-/// and `.events.json` siblings and, optionally, its run manifest. A
-/// sibling is checked when present; one whose kind (`folded`, `events`)
-/// the manifest lists must also exist, and the manifest's span and event
+/// Schema-checks a Chrome trace emitted by `--trace-out` or `LD_TRACE`, its
+/// `.folded`, `.events.json` and `.prom` exposition siblings and,
+/// optionally, its run manifest. A sibling is checked when present; one
+/// whose kind (`folded`, `events`, `exposition`) the manifest lists must
+/// also exist, and the manifest's span and event
 /// totals must match the files. Siblings are found next to the trace, not
 /// at the manifest's recorded paths, so a moved artifact set still
 /// validates. Exits nonzero on the first violation — CI gates on this.
@@ -314,6 +313,10 @@ fn cmd_trace_validate(trace_path: &str, manifest_path: Option<&str>) {
         println!("{path}: valid events, {events} events");
         events
     });
+    if let Some(prom) = artifact(Artifact::Exposition) {
+        let samples = validate_file(&prom, "exposition", ld_metrics::validate_exposition);
+        println!("{prom}: valid exposition, {samples} samples");
+    }
     let (Some(manifest_path), Some(manifest)) = (manifest_path, manifest) else {
         return;
     };
@@ -338,28 +341,6 @@ fn cmd_trace_validate(trace_path: &str, manifest_path: Option<&str>) {
     );
 }
 
-/// Schema-checks a metrics JSON dump and, optionally, its Prometheus text
-/// exposition sibling. Exits nonzero on the first violation — CI gates on
-/// this.
-fn cmd_metrics_validate(metrics_path: &str, exposition_path: Option<&str>) {
-    match ld_metrics::validate_metrics_json(&read_or_die(metrics_path)) {
-        Ok(n) => println!("{metrics_path}: valid metrics snapshot, {n} series"),
-        Err(e) => {
-            eprintln!("{metrics_path}: invalid metrics snapshot: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(prom_path) = exposition_path {
-        match ld_metrics::validate_exposition(&read_or_die(prom_path)) {
-            Ok(n) => println!("{prom_path}: valid exposition, {n} samples"),
-            Err(e) => {
-                eprintln!("{prom_path}: invalid exposition: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Opt-in fault injection for resilience drills (LD_FAULT / LD_FAULT_SEED).
@@ -382,9 +363,6 @@ fn main() {
         ("evaluate", [path]) => cmd_evaluate(path, &flags),
         ("trace-validate", [trace, rest @ ..]) if rest.len() <= 1 => {
             cmd_trace_validate(trace, rest.first().copied())
-        }
-        ("metrics-validate", [metrics, rest @ ..]) if rest.len() <= 1 => {
-            cmd_metrics_validate(metrics, rest.first().copied())
         }
         ("list", []) => cmd_list(),
         _ => usage(),

@@ -53,10 +53,16 @@ fn unknown_flag_exits_2_with_usage() {
 
 #[test]
 fn removed_telemetry_flag_exits_2() {
-    for flag in ["--telemetry", "--telemetry=t.json", "--metrics", "--metrics=m.json"] {
-        let out = ld_cli(&["optimize", "missing.txt", "--fast", flag]);
-        assert_eq!(out.status.code(), Some(2), "{flag}");
-        assert!(stderr(&out).contains("usage:"), "{flag}: {}", stderr(&out));
+    for args in [
+        &["optimize", "missing.txt", "--fast", "--telemetry"][..],
+        &["optimize", "missing.txt", "--fast", "--telemetry=t.json"],
+        &["optimize", "missing.txt", "--fast", "--metrics"],
+        &["optimize", "missing.txt", "--fast", "--metrics=m.json"],
+        &["metrics-validate", "m.json"],
+    ] {
+        let out = ld_cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("usage:"), "{args:?}: {}", stderr(&out));
     }
 }
 

@@ -133,17 +133,24 @@ fn malformed_exports_are_rejected() {
         validate_events(r#"{"counters": []}"#).is_err(),
         "an events file needs an events array"
     );
+    let counters = |list: &str| {
+        format!(r#"{{"counters": [{list}], "gauges": [], "histograms": [], "events": []}}"#)
+    };
+    assert_eq!(
+        validate_events(&counters(r#"{"name": "a", "value": 1}"#)),
+        Ok(0)
+    );
     assert!(
-        validate_events(
-            r#"{"counters": [{"name": "b", "value": 1}, {"name": "a", "value": 2}], "events": []}"#
-        )
+        validate_events(&counters(
+            r#"{"name": "b", "value": 1}, {"name": "a", "value": 2}"#
+        ))
         .is_err(),
         "counters must be sorted by name"
     );
     assert!(
-        validate_events(
-            r#"{"counters": [{"name": "a", "value": 1}, {"name": "a", "value": 2}], "events": []}"#
-        )
+        validate_events(&counters(
+            r#"{"name": "a", "value": 1}, {"name": "a", "value": 2}"#
+        ))
         .is_err(),
         "counter names must be unique"
     );
@@ -152,7 +159,12 @@ fn malformed_exports_are_rejected() {
             r#"{{"scope": "{scope}", "kind": "epoch", "index": 0, "fields": [{{"name": "x", "value": {value}}}]}}"#
         )
     };
-    let events = |list: &[String]| format!(r#"{{"counters": [], "events": [{}]}}"#, list.join(","));
+    let events = |list: &[String]| {
+        format!(
+            r#"{{"counters": [], "gauges": [], "histograms": [], "events": [{}]}}"#,
+            list.join(",")
+        )
+    };
     let num = r#"{"Num": {"value": 0.5}}"#;
     assert_eq!(
         validate_events(&events(&[event("a", num), event("b", num)])),
@@ -193,6 +205,30 @@ fn run_manifest_stamps_and_roundtrips() {
     assert_eq!(restored.seeds, vec![5]);
     assert_eq!(restored.trace_spans, snap.spans.len() as u64);
     assert_eq!(restored.output_path("chrome_trace"), Some("trace.json"));
+}
+
+#[test]
+fn committed_manifests_parse_and_validate() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    for entry in std::fs::read_dir(root).expect("read repo root") {
+        let path = entry.expect("dir entry").path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json.manifest.json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read manifest");
+        let manifest =
+            RunManifest::from_json(&text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+        manifest
+            .validate()
+            .unwrap_or_else(|e| panic!("{name} does not validate: {e}"));
+        checked += 1;
+    }
+    assert!(checked > 0, "no committed BENCH_*.json.manifest.json found");
 }
 
 #[test]
