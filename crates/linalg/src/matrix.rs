@@ -660,6 +660,15 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
+    /// Reshapes to a `rows x cols` matrix of zeros, reusing the allocation
+    /// (reused scratch that serves products of varying shapes).
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|a| a * a).sum::<f64>().sqrt()

@@ -74,8 +74,12 @@ const JB: usize = 8;
 /// of the add latency; the packed panel makes each k-step's four
 /// broadcasts one contiguous line). Per output element the arithmetic is
 /// still a single ascending-`k` plain multiply/add chain starting from
-/// zero, which is what keeps the kernel bitwise; leftover columns
-/// (`n % JB`) fall back to scalar dots with the identical chain.
+/// zero, which is what keeps the kernel bitwise. Leftover columns
+/// (`n % JB`, so every column of a one-lane product) turn the tile
+/// around: one `[f64; MR]` accumulator per column, filled from the panel's
+/// contiguous k-step lines as [`crate::pack::PackedA::matvec_into`] does,
+/// so the panel's rows are the vector lanes and each live lane is the same
+/// chain.
 ///
 /// # Panics
 /// Panics if the panel buffer, `b`, or `out` do not match the stated
@@ -156,17 +160,20 @@ pub fn gemm(
             }
             j += JB;
         }
-        // Column remainder: scalar ascending-`k` dots, same chain.
+        // Column remainder: the panel's `MR` rows as vector lanes, one
+        // ascending-`k` chain per lane; padding lanes are never stored.
         for jj in j..n {
-            for i in 0..rows {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += a_panel[p * MR + i] * b[p * n + jj];
+            let mut acc = [0.0f64; MR];
+            for (step, &bv) in a_panel.chunks_exact(MR).zip(b[jj..].iter().step_by(n)) {
+                for (a, &av) in acc.iter_mut().zip(step) {
+                    *a += av * bv;
                 }
+            }
+            for (i, &cv) in acc.iter().enumerate().take(rows) {
                 let o = &mut out[(i0 + i) * n + jj];
                 match store {
-                    Store::Assign => *o = acc,
-                    Store::AccBias(bias) => *o = (*o + acc) + bias[i0 + i],
+                    Store::Assign => *o = cv,
+                    Store::AccBias(bias) => *o = (*o + cv) + bias[i0 + i],
                 }
             }
         }

@@ -2,8 +2,9 @@
 //! of same-model windows.
 //!
 //! The serving engine groups tenants whose predictors share identical
-//! weights (one trained model per workload family) and answers them per
-//! tick. Running [`crate::LstmForecaster::predict`] per tenant performs a
+//! weights and shape (one trained model per workload family, or one model
+//! per tenant, a group of one lane) and answers them per tick. Running
+//! [`crate::LstmForecaster::predict`] per tenant performs a
 //! mat-vec per step per tenant; this module instead holds the batch state
 //! transposed — hidden and cell state as `H x B` matrices — so each step is
 //!
@@ -26,41 +27,48 @@
 //! [`crate::LstmForecaster::predict_reference`] and within ~1e-12
 //! reordered-summation noise with the workspace
 //! [`crate::LstmForecaster::predict`] path (whose fused gate step chains
-//! the `W`/`U`/`b` terms differently). The weight panels are packed once
-//! per model ([`crate::recurrent::RecurrentLayer::packed_input_weights`]) and
-//! invalidated on parameter updates; the activations are consumed
-//! row-major by the register-blocked kernel, so nothing is packed or allocated per step.
+//! the `W`/`U`/`b` terms differently). A one-lane batch makes every GEMM
+//! column a remainder column, which the kernel runs with the panel's rows
+//! as vector lanes, so per-tenant models keep the vector units busy too.
+//!
+//! The weight panels are packed once per model
+//! ([`crate::recurrent::RecurrentLayer::packed_input_weights`]) and
+//! invalidated on parameter updates; the serving engine shares one model
+//! per resident snapshot, so they stay packed from tick to tick. The
+//! activations are consumed row-major by the register-blocked kernel, so
+//! nothing is packed per step, and one [`BatchScratch`] is resized within
+//! its capacity for every shape it meets, so a warm scratch allocates
+//! nothing whatever the model.
 
 use ld_linalg::Matrix;
 
 use crate::activation::{sigmoid_map, tanh_map};
 use crate::forecaster::LstmForecaster;
 
-/// Reusable buffers for [`LstmForecaster::predict_batch_fused`]. Grown on
-/// first use per `(model shape, batch)` and reused across ticks —
-/// allocation-free once warm.
+/// Reusable buffers for [`LstmForecaster::predict_batch_fused`]. Every
+/// call resizes them to its `(model shape, batch)` within the capacity
+/// earlier calls grew, so one scratch serves models of any shape back to
+/// back and is allocation-free once warm.
 #[derive(Debug)]
 pub struct BatchScratch {
     /// Layer-0 input row for the current step, `1 x B`.
     x0: Matrix,
-    /// Per-layer hidden state, `H x B` each.
+    /// Per-layer hidden state, `H x B` each. An `L`-layer model uses the
+    /// first `L`; deeper entries keep their capacity for the next model.
     h: Vec<Matrix>,
-    /// Per-layer cell state, flat `H * B` each.
+    /// Per-layer cell state, flat `H * B` each (layered like `h`).
     c: Vec<Vec<f64>>,
     /// Pre-activations / gates for the current layer+step, flat `4H * B`.
     z: Vec<f64>,
-    /// Shape the buffers are currently sized for.
-    sized_for: (usize, usize, usize),
 }
 
 impl Default for BatchScratch {
     fn default() -> Self {
         BatchScratch {
-            x0: Matrix::zeros(1, 1),
+            x0: Matrix::zeros(0, 0),
             h: Vec::new(),
             c: Vec::new(),
             z: Vec::new(),
-            sized_for: (0, 0, 0),
         }
     }
 }
@@ -71,24 +79,20 @@ impl BatchScratch {
         Self::default()
     }
 
-    /// Resizes for `model` at `batch` lanes and zeroes the recurrent state.
-    fn reset(&mut self, model: &LstmForecaster, batch: usize) {
-        let cfg = model.config();
-        let (h_dim, layers) = (cfg.hidden_size, cfg.num_layers);
-        if self.sized_for != (h_dim, layers, batch) {
-            self.x0 = Matrix::zeros(1, batch);
-            self.h = (0..layers).map(|_| Matrix::zeros(h_dim, batch)).collect();
-            self.c = (0..layers).map(|_| vec![0.0; h_dim * batch]).collect();
-            self.z = vec![0.0; 4 * h_dim * batch];
-            self.sized_for = (h_dim, layers, batch);
-        } else {
-            for hl in &mut self.h {
-                hl.as_mut_slice().fill(0.0);
-            }
-            for cl in &mut self.c {
-                cl.fill(0.0);
-            }
+    /// Sizes the buffers for `layers` layers of `h_dim` units at `batch`
+    /// lanes, reusing their capacity, and zeroes the recurrent state.
+    fn reset(&mut self, h_dim: usize, layers: usize, batch: usize) {
+        self.x0.resize_zeroed(1, batch);
+        if self.h.len() < layers {
+            self.h.resize_with(layers, || Matrix::zeros(0, 0));
+            self.c.resize_with(layers, Vec::new);
         }
+        for (hl, cl) in self.h.iter_mut().zip(&mut self.c).take(layers) {
+            hl.resize_zeroed(h_dim, batch);
+            cl.clear();
+            cl.resize(h_dim * batch, 0.0);
+        }
+        self.z.resize(4 * h_dim * batch, 0.0);
     }
 }
 
@@ -117,10 +121,10 @@ impl LstmForecaster {
         if batch == 0 {
             return;
         }
-        scratch.reset(self, batch);
-        let BatchScratch {
-            x0, h, c, z, ..
-        } = scratch;
+        let layers = self.layers().len();
+        scratch.reset(h_dim, layers, batch);
+        let BatchScratch { x0, h, c, z } = scratch;
+        let (h, c) = (&mut h[..layers], &mut c[..layers]);
 
         for t in 0..t_len {
             // Gather this step's input across lanes: X_t is 1 x B.
@@ -262,6 +266,39 @@ mod tests {
         let mut out_again = vec![0.0; 3];
         m.predict_batch_fused(&ws_b, 3, &mut scratch, &mut out_again);
         assert_eq!(out_again, out_cold);
+    }
+
+    #[test]
+    fn scratch_reuse_across_shapes_is_stateless() {
+        // Two models of different `(H, L)` at different batch sizes,
+        // alternately through one scratch: it shrinks, grows, drops and
+        // regains a layer, and every answer must equal a fresh scratch's.
+        let small = LstmForecaster::new(ForecasterConfig {
+            history_len: 5,
+            hidden_size: 3,
+            num_layers: 1,
+            seed: 41,
+        });
+        let big = LstmForecaster::new(ForecasterConfig {
+            history_len: 9,
+            hidden_size: 13,
+            num_layers: 2,
+            seed: 42,
+        });
+        let mut scratch = BatchScratch::new();
+        for (round, (m, batch)) in [(&big, 9usize), (&small, 1), (&big, 2), (&small, 17), (&big, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let t_len = m.config().history_len;
+            let ws = windows(batch, t_len, round as f64);
+            let mut warm = vec![0.0; batch];
+            m.predict_batch_fused(&ws, batch, &mut scratch, &mut warm);
+            let mut cold = vec![0.0; batch];
+            m.predict_batch_fused(&ws, batch, &mut BatchScratch::new(), &mut cold);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&warm), bits(&cold), "round {round}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! Batch composition is derived from seeds, never from arrival time: lanes
 //! are ordered by request id (assigned by the load schedule), groups by
-//! fingerprint, and every span index is logical (tick number, group
-//! ordinal, request id). Retry backoff jitter hashes the request id;
+//! `(shape, fingerprint)`, and every span index is logical (tick number,
+//! group ordinal, request id). Retry backoff jitter hashes the request id;
 //! breaker transitions advance on logical ticks; slow-shard deferral uses
 //! driver-installed per-tick delays. Two identically-seeded runs produce
 //! bitwise-identical responses and identical span trees.
@@ -45,6 +45,7 @@
 //! is eventually answered explicitly; nothing hangs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ld_api::Predictor as _;
 use ld_nn::{BatchScratch, LstmForecaster};
@@ -53,7 +54,7 @@ use ld_telemetry::Tracer;
 use crate::admission::{AdmissionQueue, AdmissionStats, Request};
 use crate::lifecycle::{Breaker, BreakerConfig, BreakerState, RetryPolicy, RetrySchedule, Route};
 use crate::registry::{ClientKey, RegistryConfig, RegistryStats, ShardedRegistry};
-use crate::snapshot::{ModelSnapshot, RecoveryReport, SnapshotError, SnapshotStore};
+use crate::snapshot::{ModelShape, ModelSnapshot, RecoveryReport, SnapshotError, SnapshotStore};
 use crate::supervisor::{ShardHealth, ShardObservation, ShardSupervisor, SupervisorConfig};
 
 /// Which compute path answers the non-degraded lanes.
@@ -202,11 +203,12 @@ struct Lane {
     window: Vec<f64>,
 }
 
-/// Lanes sharing one set of weights, plus a clone of those weights to run
-/// them with (cloned once per group per tick; the registry stays free to
-/// evict mid-tick without invalidating the batch).
+/// Lanes sharing one set of weights, plus the resident snapshot's shared
+/// model to run them with. The handle is a reference count, not a copy: the
+/// model keeps the weight panels packed on earlier ticks, and the registry
+/// stays free to evict mid-tick without invalidating the batch.
 struct Group {
-    model: LstmForecaster,
+    model: Arc<LstmForecaster>,
     lanes: Vec<Lane>,
 }
 
@@ -439,7 +441,7 @@ impl ServeEngine {
         work.sort_by_key(|w| w.req.id);
 
         let mut responses: Vec<Response> = Vec::with_capacity(work.len());
-        let mut groups: BTreeMap<u64, Group> = BTreeMap::new();
+        let mut groups: BTreeMap<(ModelShape, u64), Group> = BTreeMap::new();
         let mut outcomes: Vec<Outcome> = Vec::new();
         let mut per_shard = vec![0u64; self.registry.shard_count()];
         let mut shard_obs = vec![ShardObservation::default(); self.registry.shard_count()];
@@ -488,10 +490,7 @@ impl ServeEngine {
                 let route = if shard_route == Route::Fallback {
                     Route::Fallback
                 } else {
-                    self.tenant_breakers
-                        .entry(item.req.key.clone())
-                        .or_insert_with(|| Breaker::new(self.lifecycle.breaker))
-                        .route(tick_idx)
+                    self.with_tenant_breaker(&item.req.key, |b| b.route(tick_idx))
                 };
                 if route == Route::Fallback {
                     self.lifecycle_stats.breaker_fallbacks += 1;
@@ -503,7 +502,7 @@ impl ServeEngine {
                     Ok(snap) => {
                         let scaler = snap.scaler();
                         let n = snap.history_len();
-                        let fingerprint = snap.fingerprint();
+                        let group_key = (snap.shape(), snap.fingerprint());
                         let mut window = scaled_window(&item.req.history, n, scaler);
                         if ld_faultinject::is_active()
                             && ld_faultinject::fault_hit(
@@ -516,8 +515,8 @@ impl ServeEngine {
                             window[0] = f64::NAN;
                         }
                         if window.iter().all(|v| v.is_finite()) {
-                            let group = groups.entry(fingerprint).or_insert_with(|| Group {
-                                model: snap.model().clone(),
+                            let group = groups.entry(group_key).or_insert_with(|| Group {
+                                model: Arc::clone(snap.shared_model()),
                                 lanes: Vec::new(),
                             });
                             group.lanes.push(Lane {
@@ -621,10 +620,7 @@ impl ServeEngine {
                 shard_obs[o.shard].errors += 1;
             }
             self.shard_breakers[o.shard].record(tick_idx, o.ok);
-            self.tenant_breakers
-                .entry(o.key.clone())
-                .or_insert_with(|| Breaker::new(self.lifecycle.breaker))
-                .record(tick_idx, o.ok);
+            self.with_tenant_breaker(&o.key, |b| b.record(tick_idx, o.ok));
         }
 
         // Shard health: escalate, drain unhealthy shards (spill + evict so
@@ -725,6 +721,22 @@ impl ServeEngine {
             cache.failed_spills.saturating_sub(seen.failed_spills),
         );
         self.cache_seen = cache;
+    }
+
+    /// Runs `f` on the tenant's breaker, creating it on first sight. The key
+    /// is cloned into the map only then, not on every request.
+    fn with_tenant_breaker<R>(
+        &mut self,
+        key: &ClientKey,
+        f: impl FnOnce(&mut Breaker) -> R,
+    ) -> R {
+        if let Some(breaker) = self.tenant_breakers.get_mut(key) {
+            return f(breaker);
+        }
+        let mut breaker = Breaker::new(self.lifecycle.breaker);
+        let out = f(&mut breaker);
+        self.tenant_breakers.insert(key.clone(), breaker);
+        out
     }
 
     /// Handles a model-path failure for `item`: records the outcome, then
@@ -949,6 +961,43 @@ mod tests {
                 rb.value,
                 rs.value
             );
+        }
+    }
+
+    #[test]
+    fn colliding_fingerprints_of_different_shapes_are_batched_apart() {
+        // Two models of different geometry whose 64-bit fingerprints
+        // collide. Grouped by fingerprint alone, both lanes would run
+        // through the first model and trip its window-length check; keyed
+        // by `(shape, fingerprint)`, each tenant gets its own weights.
+        let forged = 0x00c0_111d_ed00_f00d;
+        let tenants: Vec<(ClientKey, ModelSnapshot)> = [(6, 4, 1, 21u64), (9, 5, 2, 22)]
+            .into_iter()
+            .enumerate()
+            .map(|(t, (n, h, layers, seed))| {
+                let model = LstmForecaster::new(ForecasterConfig {
+                    history_len: n,
+                    hidden_size: h,
+                    num_layers: layers,
+                    seed,
+                });
+                let snap = ModelSnapshot::new(model, MinMaxScaler::fit(&[0.0, 90.0]), n);
+                (ClientKey::new(format!("t{t}"), "w"), snap.with_forged_fingerprint(forged))
+            })
+            .collect();
+        let mut e = engine("engine-collision", ExecMode::Batched);
+        for (id, (key, snap)) in tenants.iter().enumerate() {
+            e.provision(key.clone(), snap.clone());
+            e.submit(Request::new(id as u64, key.clone(), history(id as u64)))
+                .expect("admit");
+        }
+        let rs = e.tick();
+        assert_eq!(rs.len(), 2);
+        for (r, (_, snap)) in rs.iter().zip(&tenants) {
+            assert_eq!(r.source, ResponseSource::Batched);
+            let window = scaled_window(&history(r.id), snap.history_len(), snap.scaler());
+            let want = snap.scaler().inverse(snap.model().predict_reference(&window)).max(0.0);
+            assert_eq!(r.value.to_bits(), want.to_bits(), "id {}", r.id);
         }
     }
 

@@ -2,16 +2,25 @@
 //!
 //! A [`ModelSnapshot`] is everything the serving layer needs to answer one
 //! tenant: the trained [`LstmForecaster`], the tenant's [`MinMaxScaler`],
-//! and the tuned window length. Snapshots carry a FNV-1a fingerprint over
-//! every weight, which serves two purposes:
+//! and the tuned window length. The model sits behind an [`Arc`]: clones of
+//! a snapshot share one model, so the weight panels its first batched
+//! forward packs stay warm for as long as the snapshot is resident, and a
+//! batch that holds the model outlives a mid-tick eviction. Sharing never
+//! reaches the spill format: a snapshot serializes its model's own JSON.
+//! Snapshots carry a FNV-1a fingerprint over every weight, which serves
+//! two purposes:
 //!
-//! - the batching engine groups tenants by `(shape, fingerprint)` — only
+//! - the batching engine groups tenants by `(shape, fingerprint)`, so only
 //!   tenants whose predictors share *identical* weights are fused into one
-//!   batched forward, so batching can never change a tenant's answer;
+//!   batched forward and batching can never change a tenant's answer; the
+//!   shape in the key keeps two models whose 64-bit fingerprints collide
+//!   but whose geometry differs in separate batches;
 //! - [`SnapshotStore::load`] recomputes the fingerprint after parsing and
 //!   rejects a snapshot whose weights do not hash to the stored value,
 //!   turning silent on-disk corruption into an explicit
 //!   [`SnapshotError::Corrupt`] the registry can degrade around.
+
+use std::sync::Arc;
 
 use ld_api::MinMaxScaler;
 use ld_nn::LstmForecaster;
@@ -33,7 +42,8 @@ pub struct ModelShape {
 /// A frozen, serializable predictor for one `(tenant, workload)` client.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ModelSnapshot {
-    model: LstmForecaster,
+    /// Shared by every clone of the snapshot (and by the engine's batches).
+    model: Arc<LstmForecaster>,
     scaler: MinMaxScaler,
     history_len: usize,
     /// FNV-1a over every weight's bit pattern; recomputed and verified on
@@ -55,7 +65,7 @@ impl ModelSnapshot {
         );
         let fingerprint = weight_fingerprint(&model);
         ModelSnapshot {
-            model,
+            model: Arc::new(model),
             scaler,
             history_len,
             fingerprint,
@@ -76,6 +86,12 @@ impl ModelSnapshot {
         &self.model
     }
 
+    /// The shared handle to the model: cloning it shares the weights and
+    /// their packed panels instead of copying them.
+    pub(crate) fn shared_model(&self) -> &Arc<LstmForecaster> {
+        &self.model
+    }
+
     /// The tenant's normalization scaler.
     pub fn scaler(&self) -> MinMaxScaler {
         self.scaler
@@ -89,6 +105,14 @@ impl ModelSnapshot {
     /// The weight fingerprint computed when the snapshot was frozen.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// The snapshot with its fingerprint overwritten, to stage a 64-bit
+    /// fingerprint collision between two different models.
+    #[cfg(test)]
+    pub(crate) fn with_forged_fingerprint(mut self, fingerprint: u64) -> Self {
+        self.fingerprint = fingerprint;
+        self
     }
 
     /// The batching-relevant geometry.
@@ -518,6 +542,20 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
         let a2 = ModelSnapshot::new(a.model().clone(), MinMaxScaler::fit(&[0.0, 1.0]), 8);
         assert_eq!(a.fingerprint(), a2.fingerprint());
+    }
+
+    #[test]
+    fn clones_share_one_model() {
+        let s = snap(5);
+        let c = s.clone();
+        assert!(Arc::ptr_eq(s.shared_model(), c.shared_model()));
+    }
+
+    #[test]
+    fn spill_format_is_pinned() {
+        // FNV-1a of the JSON a store writes for a seeded snapshot: the
+        // model's shared handle must not change a byte on disk.
+        assert_eq!(snapshot_bytes_digest(&snap(42)), 0x0623_d269_b595_b0c9);
     }
 
     #[test]

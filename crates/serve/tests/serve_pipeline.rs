@@ -7,7 +7,10 @@
 //!   (`forward_into`) path;
 //! - identically-seeded runs produce bitwise-identical response streams;
 //! - LRU spills and lazy rehydrations are lossless: a capacity-starved
-//!   registry answers bit-for-bit what an uncapped one answers.
+//!   registry answers bit-for-bit what an uncapped one answers;
+//! - a fleet of per-tenant models of mixed shapes, served batched and
+//!   serial through an evicting registry, answers every tick with a pinned
+//!   response digest.
 
 use ld_api::MinMaxScaler;
 use ld_nn::{ForecasterConfig, LstmForecaster};
@@ -240,3 +243,134 @@ fn snapshot_roundtrip_preserves_fingerprint_and_predictions() {
         snap.model().predict_reference(&w).to_bits()
     );
 }
+
+/// Lane counts of the weight-sharing groups in [`mixed_fleet`].
+const SHARED_LANES: [usize; 8] = [2, 3, 4, 5, 6, 7, 8, 9];
+
+/// Tenant `t`'s observation `i`.
+fn mixed_value(t: usize, i: usize) -> f64 {
+    let (offset, amp) = (5.0 + (t % 11) as f64, 2.0 + (t % 5) as f64);
+    offset + amp * ((t * 31 + i * 7) as f64 * 0.13).sin().abs()
+}
+
+/// Tenant `t`'s last 40 observations as of tick `tick`.
+fn mixed_history(t: usize, tick: usize) -> Vec<f64> {
+    (tick..tick + 40).map(|i| mixed_value(t, i)).collect()
+}
+
+/// 64 tenants with models of their own (one-lane groups of every shape
+/// the serving gate meets: `H` 1-16, 1-2 layers, `n` 1-32) beside
+/// weight-sharing groups of 2-9 lanes, so the batched GEMM sees every
+/// column remainder width from 1 to 7 plus a full 8-wide block with one
+/// left over.
+fn mixed_fleet() -> Vec<(ClientKey, ModelSnapshot)> {
+    let own = (0..64usize).map(|t| {
+        let cfg = ForecasterConfig {
+            history_len: 1 + (t * 13) % 32,
+            hidden_size: 1 + t % 16,
+            num_layers: 1 + (t / 16) % 2,
+            seed: 7000 + t as u64,
+        };
+        (format!("own-{t:03}"), cfg)
+    });
+    let shapes = [(4, 1), (12, 3), (1, 8), (32, 13), (7, 16), (20, 5), (9, 2), (16, 11)];
+    let shared = SHARED_LANES.into_iter().zip(shapes).enumerate().flat_map(|(g, (lanes, (n, h)))| {
+        let cfg = ForecasterConfig {
+            history_len: n,
+            hidden_size: h,
+            num_layers: 1 + g % 2,
+            seed: 8000 + g as u64,
+        };
+        (0..lanes).map(move |lane| (format!("grp{g}-{lane}"), cfg))
+    });
+    own.chain(shared)
+        .enumerate()
+        .map(|(t, (name, cfg))| {
+            let span: Vec<f64> = (0..64).map(|i| mixed_value(t, i)).collect();
+            let model = LstmForecaster::new(cfg);
+            let snap = ModelSnapshot::new(model, MinMaxScaler::fit(&span), cfg.history_len);
+            (ClientKey::new(name, "mixed"), snap)
+        })
+        .collect()
+}
+
+/// Every response bit of the mixed fleet is pinned, batched and serial,
+/// through a registry of 4 shards of 24 (96 resident for 108 tenants), so
+/// snapshots spill and come back cold between ticks. Tick `k` asks every
+/// tenant except those with `(t + k) % 5 == 0`.
+#[test]
+fn per_tenant_fleet_matches_golden_digests() {
+    let fleet = mixed_fleet();
+    for (mode, label, golden) in [
+        (ExecMode::Batched, "golden-batched", GOLDEN_BATCHED),
+        (ExecMode::Serial, "golden-serial", GOLDEN_SERIAL),
+    ] {
+        let mut eng = ServeEngine::new(
+            EngineConfig {
+                mode,
+                queue_capacity: 256,
+                registry: RegistryConfig {
+                    shard_count: 4,
+                    capacity_per_shard: 24,
+                },
+                lifecycle: LifecycleConfig::default(),
+            },
+            store(label),
+            Tracer::disabled(),
+        );
+        for (key, snap) in &fleet {
+            eng.provision(key.clone(), snap.clone());
+        }
+        let mut digests = Vec::new();
+        for tick in 0..4 {
+            for (t, (key, _)) in fleet.iter().enumerate() {
+                if (t + tick) % 5 != 0 {
+                    let id = (tick * 1000 + t) as u64;
+                    eng.submit(Request::new(id, key.clone(), mixed_history(t, tick)))
+                        .expect("queue sized for the fleet");
+                }
+            }
+            let responses = eng.tick();
+            for r in &responses {
+                assert!(!r.degraded, "{label} tick {tick}: id {} degraded", r.id);
+                if mode != ExecMode::Batched {
+                    continue;
+                }
+                // Every batched answer is its own model's reference
+                // forward, bit for bit.
+                let t = usize::try_from(r.id % 1000).expect("tenant index");
+                let snap = &fleet[t].1;
+                let history = mixed_history(t, tick);
+                let window: Vec<f64> = history[history.len() - snap.history_len()..]
+                    .iter()
+                    .map(|&v| snap.scaler().transform(v))
+                    .collect();
+                let want = snap
+                    .scaler()
+                    .inverse(snap.model().predict_reference(&window))
+                    .max(0.0);
+                assert_eq!(r.value.to_bits(), want.to_bits(), "{label}: id {}", r.id);
+            }
+            digests.push(response_digest(&responses));
+        }
+        let cache = eng.stats().cache;
+        assert!(
+            cache.evictions > 0 && cache.rehydrations > 0,
+            "{label}: the registry must spill and rehydrate: {cache:?}"
+        );
+        assert_eq!(digests, golden, "{label}: per-tick response digests moved");
+    }
+}
+
+const GOLDEN_BATCHED: [u64; 4] = [
+    0x25e2_35b6_02d2_6d28,
+    0xaa92_27e1_3c47_30ce,
+    0xf9e2_a140_1ab4_bd84,
+    0x976c_b676_b067_a443,
+];
+const GOLDEN_SERIAL: [u64; 4] = [
+    0x47a4_55c2_4827_264e,
+    0x0442_328e_b2df_6934,
+    0x36a9_f1eb_6337_730a,
+    0xb973_4869_9721_1dfa,
+];

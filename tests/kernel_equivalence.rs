@@ -229,7 +229,7 @@ fn bitwise_packed_gemm_matches_naive() {
     // Shapes cover full panels, short final panels, column remainders
     // (n % 8), and the 1xN / Nx1 degenerate edges.
     let mut rng = StdRng::seed_from_u64(0xE0_24);
-    for &(m, k, n) in &[
+    let mut shapes = vec![
         (1usize, 1usize, 1usize),
         (1, 7, 13),
         (13, 7, 1),
@@ -237,7 +237,16 @@ fn bitwise_packed_gemm_matches_naive() {
         (12, 5, 11),
         (33, 65, 17),
         (64, 48, 40),
-    ] {
+    ];
+    // The serving gate shapes: `4H x k` weights (`k` = 1 for layer 0's
+    // input, `H` for the recurrent and deeper inputs) against every lane
+    // count from one (all remainder columns) to 8 + 1.
+    for h in [1usize, 3, 8, 13, 16] {
+        for k in [1, h] {
+            shapes.extend((1..=9).map(|n| (4 * h, k, n)));
+        }
+    }
+    for &(m, k, n) in &shapes {
         let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
         let naive = a.matmul_naive(&b).unwrap();
