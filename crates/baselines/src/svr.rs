@@ -24,6 +24,12 @@ pub enum SvrKernel {
     },
 }
 
+/// Kernel-matrix columns each row evaluates at once.
+const KERNEL_LANES: usize = 8;
+
+/// A kernel-matrix builder over standardized samples.
+type KernelBuild = fn(&Svr, &[Vec<f64>]) -> Vec<Vec<f64>>;
+
 /// Epsilon-SVR trained by coordinate ascent on the (bias-augmented) dual.
 #[derive(Debug, Clone)]
 pub struct Svr {
@@ -76,11 +82,91 @@ impl Svr {
     }
 
     fn kernel_eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let base = match self.kernel {
+        self.finish(match self.kernel {
             SvrKernel::Linear => vecops::dot(a, b),
-            SvrKernel::Rbf { gamma } => (-gamma * vecops::sq_dist(a, b)).exp(),
+            SvrKernel::Rbf { .. } => vecops::sq_dist(a, b),
+        })
+    }
+
+    /// The kernel value from its feature sum: `dot` for the linear kernel,
+    /// `sq_dist` for the RBF.
+    fn finish(&self, sum: f64) -> f64 {
+        let base = match self.kernel {
+            SvrKernel::Linear => sum,
+            SvrKernel::Rbf { gamma } => (-gamma * sum).exp(),
         };
         base + 1.0 // bias absorption
+    }
+
+    /// The kernel matrix over the standardized samples `sx`, built row by
+    /// row. Row `i`'s `j >= i` part runs [`KERNEL_LANES`] columns `j` at
+    /// once over a feature-major copy of the samples: each lane is the
+    /// ascending-`t` chain of `dot` or `sq_dist` for `(sx[i], sx[j])`,
+    /// starting where `Sum for f64` starts, at `-0.0`; the columns left
+    /// over call [`Svr::kernel_eval`]. Its `j < i` part is copied from the
+    /// rows above, since both kernels give the same bits with their
+    /// arguments swapped. Every entry is bitwise the value
+    /// [`Svr::kernel_eval`] gives.
+    fn kernel_matrix(&self, sx: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        match self.kernel {
+            SvrKernel::Linear => self.kernel_rows(sx, |a, b| a * b),
+            SvrKernel::Rbf { .. } => self.kernel_rows(sx, |a, b| (a - b) * (a - b)),
+        }
+    }
+
+    /// [`Svr::kernel_matrix`] with the kernel's per-feature `term`.
+    fn kernel_rows(&self, sx: &[Vec<f64>], term: impl Fn(f64, f64) -> f64) -> Vec<Vec<f64>> {
+        let n = sx.len();
+        let d = sx.first().map_or(0, Vec::len);
+        // Feature `t` of sample `j` at `t * n + j`.
+        let mut cols = vec![0.0; n * d];
+        for (j, x) in sx.iter().enumerate() {
+            for (t, &v) in x.iter().enumerate() {
+                cols[t * n + j] = v;
+            }
+        }
+        let mut k: Vec<Vec<f64>> = Vec::with_capacity(n);
+        for (i, a) in sx.iter().enumerate() {
+            let mut row = vec![0.0; n];
+            for (out, above) in row.iter_mut().zip(&k) {
+                *out = above[i];
+            }
+            let mut j = i;
+            while j + KERNEL_LANES <= n {
+                let mut sums = [-0.0; KERNEL_LANES];
+                for (t, &at) in a.iter().enumerate() {
+                    let b = &cols[t * n + j..t * n + j + KERNEL_LANES];
+                    for (sum, &bt) in sums.iter_mut().zip(b) {
+                        *sum += term(at, bt);
+                    }
+                }
+                for (out, sum) in row[j..j + KERNEL_LANES].iter_mut().zip(sums) {
+                    *out = self.finish(sum);
+                }
+                j += KERNEL_LANES;
+            }
+            for (out, b) in row[j..].iter_mut().zip(&sx[j..]) {
+                *out = self.kernel_eval(a, b);
+            }
+            k.push(row);
+        }
+        k
+    }
+
+    /// Reference kernel build, retained as [`Svr::kernel_matrix`]'s test
+    /// oracle: evaluates the upper triangle pair by pair and mirrors it.
+    #[cfg(test)]
+    fn kernel_matrix_reference(&self, sx: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let n = sx.len();
+        let mut k = vec![vec![0.0f64; n]; n];
+        for i in 0..n {
+            for j in i..n {
+                let v = self.kernel_eval(&sx[i], &sx[j]);
+                k[i][j] = v;
+                k[j][i] = v;
+            }
+        }
+        k
     }
 
     fn standardize(&self, x: &[f64]) -> Vec<f64> {
@@ -89,13 +175,18 @@ impl Svr {
             .map(|(&v, (&m, &s))| (v - m) / s)
             .collect()
     }
-}
 
-impl Regressor for Svr {
-    fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
+    /// Fits on `(xs, ys)` with the kernel matrix from `kernel_matrix`.
+    fn fit_with(&mut self, xs: &[Vec<f64>], ys: &[f64], kernel_matrix: KernelBuild) {
         assert_eq!(xs.len(), ys.len());
         let n = xs.len();
+        self.betas.clear();
+        self.support.clear();
         if n == 0 {
+            self.x_mean.clear();
+            self.x_std.clear();
+            self.y_mean = 0.0;
+            self.y_std = 1.0;
             return;
         }
         let d = xs[0].len();
@@ -118,16 +209,7 @@ impl Regressor for Svr {
         let sy: Vec<f64> = ys.iter().map(|y| (y - self.y_mean) / self.y_std).collect();
 
         // Precompute the kernel matrix (training sets are capped upstream).
-        // `dot` and `sq_dist` give the same bits with their arguments
-        // swapped, so only the upper triangle is evaluated and mirrored.
-        let mut k = vec![vec![0.0f64; n]; n];
-        for i in 0..n {
-            for j in i..n {
-                let v = self.kernel_eval(&sx[i], &sx[j]);
-                k[i][j] = v;
-                k[j][i] = v;
-            }
-        }
+        let k = kernel_matrix(self, &sx);
 
         let mut betas = vec![0.0f64; n];
         let mut f = vec![0.0f64; n]; // f(x_i) under current betas
@@ -154,8 +236,10 @@ impl Regressor for Svr {
                     continue;
                 }
                 betas[i] = new;
-                for j in 0..n {
-                    f[j] += delta * k[i][j];
+                // Zipped, so the update carries no bounds checks and
+                // vectorizes.
+                for (fj, &kij) in f.iter_mut().zip(&k[i]) {
+                    *fj += delta * kij;
                 }
                 max_delta = max_delta.max(delta.abs());
             }
@@ -165,8 +249,6 @@ impl Regressor for Svr {
         }
 
         // Keep only support vectors.
-        self.support = Vec::new();
-        self.betas = Vec::new();
         for (i, &b) in betas.iter().enumerate() {
             if b.abs() > 1e-9 {
                 self.support.push(sx[i].clone());
@@ -179,6 +261,12 @@ impl Regressor for Svr {
             self.support.push(sx[0].clone());
             self.betas.push(0.0);
         }
+    }
+}
+
+impl Regressor for Svr {
+    fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
+        self.fit_with(xs, ys, Self::kernel_matrix);
     }
 
     fn predict(&self, x: &[f64]) -> f64 {
@@ -269,6 +357,69 @@ mod tests {
         let mut svr = Svr::linear();
         svr.fit(&xs, &ys);
         assert!((svr.predict(&[5.0]) - 7.5).abs() < 0.2);
+    }
+
+    #[test]
+    fn empty_fit_clears_the_previous_fit() {
+        let (xs, ys) = linear_data();
+        let mut svr = Svr::linear();
+        svr.fit(&xs, &ys);
+        assert!(svr.predict(&[3.0, 2.0]) != 0.0);
+        svr.fit(&[], &[]);
+        assert_eq!(svr.predict(&[3.0, 2.0]), 0.0);
+    }
+
+    /// Rows with ties, all-zero and signed-zero rows, and a constant
+    /// feature (the third, zero in every row): 45 of them, so each kernel
+    /// row has full lanes and a ragged tail.
+    fn awkward_rows() -> (Vec<Vec<f64>>, Vec<f64>) {
+        let xs: Vec<Vec<f64>> = (0..45)
+            .map(|i| match i % 9 {
+                0 => vec![0.0; 5],
+                4 => vec![-0.0, 0.0, 0.0, -0.0, 0.0],
+                _ => vec![
+                    ((i % 4) as f64 - 1.5) * 0.75,
+                    ((i as f64) * 0.37).sin(),
+                    0.0,
+                    (i / 6) as f64,
+                    -(((i * 7) % 5) as f64),
+                ],
+            })
+            .collect();
+        let ys = (0..45)
+            .map(|i| ((i as f64) * 0.29).cos() * 3.0 + (i % 5) as f64)
+            .collect();
+        (xs, ys)
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn kernel_matrix_and_fit_match_reference_bitwise() {
+        let (xs, ys) = awkward_rows();
+        for kernel in [SvrKernel::Linear, SvrKernel::Rbf { gamma: 0.125 }] {
+            // The raw rows, zeros and signed zeros among them, and the
+            // standardized rows a fit builds its matrix from.
+            let mut fast = Svr::new(kernel);
+            fast.fit(&xs, &ys);
+            let sx: Vec<Vec<f64>> = xs.iter().map(|x| fast.standardize(x)).collect();
+            for rows in [&xs, &sx] {
+                let (got, want) = (fast.kernel_matrix(rows), fast.kernel_matrix_reference(rows));
+                assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(same_bits(g, w), "{kernel:?} kernel row {i}");
+                }
+            }
+            let mut reference = Svr::new(kernel);
+            reference.fit_with(&xs, &ys, Svr::kernel_matrix_reference);
+            assert!(same_bits(&fast.betas, &reference.betas), "{kernel:?} betas");
+            assert_eq!(fast.support.len(), reference.support.len());
+            for (g, w) in fast.support.iter().zip(&reference.support) {
+                assert!(same_bits(g, w), "{kernel:?} support");
+            }
+        }
     }
 
     #[test]

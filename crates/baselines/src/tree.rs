@@ -11,13 +11,16 @@
 //! within its feature. Ranks are computed once per fit and shared by every
 //! tree of an ensemble: all forest trees (bootstrap rows inherit their
 //! source row's ranks) and all boosting stages (whose root-node order is
-//! sorted once). A node's best-split search then sorts packed integer keys
-//! `rank << 32 | node_position` instead of `(value, target)` pairs. Ties
-//! break by node position exactly as the reference's stable sort breaks
-//! them, every floating-point accumulation keeps its order, and the RNG
-//! draw sequence is untouched, so the fitted tree is **bitwise identical**
-//! to the retained index-sort reference builder, which only this module's
-//! tests compile and compare against.
+//! sorted once). A node's best-split search then orders its rows by rank
+//! instead of sorting `(value, target)` pairs: a stable counting sort over
+//! the feature's rank table when that table is at most twice the node's
+//! row count, else a sort of packed integer keys
+//! `rank << 32 | node_position`. Either way ties break by node position
+//! exactly as the reference's stable sort breaks them, every
+//! floating-point accumulation keeps its order, and the RNG draw sequence
+//! is untouched, so the fitted tree is **bitwise identical** to the
+//! retained index-sort reference builder, which only this module's tests
+//! compile and compare against.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -283,7 +286,8 @@ impl DecisionTree {
         let mut idxs: Vec<usize> = (0..cols.n).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut scratch = Scratch {
-            keys: Vec::with_capacity(cols.n),
+            keys: Vec::new(),
+            slots: Vec::new(),
             xs: Vec::with_capacity(cols.n),
             ys: Vec::with_capacity(cols.n),
         };
@@ -297,16 +301,18 @@ impl DecisionTree {
 
     /// Rank-keyed builder over feature-major columns.
     ///
-    /// Best-split search sorts the node's packed keys
-    /// `rank << 32 | node_position`: dense ranks order values exactly as
-    /// `f64::total_cmp` does and tie equal values, and unique positions
-    /// break those ties in node order, so the sorted sequence is the one
-    /// the reference builder's stable index sort yields. The scan then
-    /// accumulates the same sums in the same order and picks the same
-    /// split. Random splits draw their thresholds in the reference's
-    /// sequence and score them in one pass whose conditional sums add
-    /// `+0.0` where the reference skips: a sum that starts at `+0.0` is
-    /// never `-0.0`, so adding `+0.0` leaves its bits unchanged. The
+    /// Best-split search orders the node's rows by rank, ties by node
+    /// position: dense ranks order values exactly as `f64::total_cmp` does
+    /// and tie equal values, so the sequence is the one the reference
+    /// builder's stable index sort yields. A narrow rank table is
+    /// counting-sorted, a wide one sorts the packed keys
+    /// `rank << 32 | node_position`; the keys are unique, so any correct
+    /// sort gives the same sequence. The scan then accumulates the same
+    /// sums in the same order and picks the same split. Random splits draw
+    /// their thresholds in the reference's sequence and score them in one
+    /// pass whose conditional sums add `+0.0` where the reference skips: a
+    /// sum that starts at `+0.0` is never `-0.0`, so adding `+0.0` leaves
+    /// its bits unchanged. Their range comes from [`extremes`]. The
     /// partition is the reference's Lomuto pass written branch-free. Trees
     /// are bitwise identical to the reference builder's.
     fn build_flat(
@@ -344,26 +350,21 @@ impl DecisionTree {
             let col = fit.cols.column(f);
             match self.config.policy {
                 SplitPolicy::Best => {
-                    let sorted: &[u64] = match fit.root_keys {
-                        Some(root) if depth == 0 => &root[f * fit.cols.n..(f + 1) * fit.cols.n],
-                        _ => {
-                            let ranks = fit.cols.rank_column(f);
-                            scratch.keys.clear();
-                            scratch.keys.extend(
-                                idxs.iter().enumerate().map(|(p, &i)| pack_key(ranks[i], p)),
-                            );
-                            scratch.keys.sort_unstable();
-                            &scratch.keys
-                        }
-                    };
                     // Gather values and targets in sorted order, then scan
                     // split points with prefix sums.
-                    scratch.xs.clear();
-                    scratch.ys.clear();
-                    for &key in sorted {
-                        let i = idxs[key_position(key)];
-                        scratch.xs.push(col[i]);
-                        scratch.ys.push(ys[i]);
+                    let ranks = fit.cols.rank_column(f);
+                    let table = fit.cols.rank_counts[f] as usize;
+                    match fit.root_keys {
+                        Some(root) if depth == 0 => scratch.gather_keyed(
+                            &root[f * fit.cols.n..(f + 1) * fit.cols.n],
+                            idxs,
+                            col,
+                            ys,
+                        ),
+                        _ if table <= COUNTING_SORT_SPAN * idxs.len() => {
+                            scratch.counting_sort(ranks, table, idxs, col, ys);
+                        }
+                        _ => scratch.key_sort(ranks, idxs, col, ys),
                     }
                     let (sx, sy) = (&scratch.xs, &scratch.ys);
                     let n = sy.len();
@@ -394,11 +395,7 @@ impl DecisionTree {
                     }
                 }
                 SplitPolicy::Random => {
-                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for &i in idxs.iter() {
-                        lo = lo.min(col[i]);
-                        hi = hi.max(col[i]);
-                    }
+                    let (lo, hi) = extremes(col, idxs);
                     if hi <= lo {
                         continue;
                     }
@@ -417,13 +414,21 @@ impl DecisionTree {
                     for &i in idxs.iter() {
                         let (x, y) = (col[i], ys[i]);
                         let yy = y * y;
+                        // Whole-lane selects, then whole-lane adds: written
+                        // this way the lanes vectorize.
+                        let left: [bool; RANDOM_DRAWS] =
+                            std::array::from_fn(|t| x <= thresholds[t]);
+                        let pick = |yes: bool, v: f64| if yes { v } else { 0.0 };
+                        let ly: [f64; RANDOM_DRAWS] = std::array::from_fn(|t| pick(left[t], y));
+                        let lyy: [f64; RANDOM_DRAWS] = std::array::from_fn(|t| pick(left[t], yy));
+                        let ry: [f64; RANDOM_DRAWS] = std::array::from_fn(|t| pick(!left[t], y));
+                        let ryy: [f64; RANDOM_DRAWS] = std::array::from_fn(|t| pick(!left[t], yy));
                         for t in 0..RANDOM_DRAWS {
-                            let left = x <= thresholds[t];
-                            lsum[t] += if left { y } else { 0.0 };
-                            lsq[t] += if left { yy } else { 0.0 };
-                            rsum[t] += if left { 0.0 } else { y };
-                            rsq[t] += if left { 0.0 } else { yy };
-                            nl[t] += usize::from(left);
+                            lsum[t] += ly[t];
+                            lsq[t] += lyy[t];
+                            rsum[t] += ry[t];
+                            rsq[t] += ryy[t];
+                            nl[t] += usize::from(left[t]);
                         }
                     }
                     for t in 0..RANDOM_DRAWS {
@@ -478,6 +483,47 @@ impl DecisionTree {
 /// Thresholds the random policy draws per candidate feature.
 const RANDOM_DRAWS: usize = 4;
 
+/// A node counting-sorts a feature whose rank table holds at most this
+/// many slots per node row, and sorts packed keys past it: counting costs
+/// a pass over the table, the key sort `m log m` compares. Both give the
+/// same sequence, so the crossover only moves time.
+const COUNTING_SORT_SPAN: usize = 2;
+
+/// Running extremes kept per lane: `f64::min`/`max` over one chain wait on
+/// each other, over eight they vectorize.
+const EXTREME_LANES: usize = 8;
+
+/// The smallest and largest of the node's values in feature column `col`,
+/// as the sequential `f64::min`/`max` chains from `±inf` give them. Both
+/// functions skip NaN and return one of their arguments, so splitting the
+/// chain into lanes changes nothing but which zero wins when `-0.0` and
+/// `+0.0` tie: a zero extreme is recomputed by the sequential chain.
+fn extremes(col: &[f64], idxs: &[usize]) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; EXTREME_LANES];
+    let mut hi = [f64::NEG_INFINITY; EXTREME_LANES];
+    let lanes = idxs.chunks_exact(EXTREME_LANES);
+    let rest = lanes.remainder();
+    for chunk in lanes {
+        let v: [f64; EXTREME_LANES] = std::array::from_fn(|l| col[chunk[l]]);
+        lo = std::array::from_fn(|l| lo[l].min(v[l]));
+        hi = std::array::from_fn(|l| hi[l].max(v[l]));
+    }
+    for (l, &i) in rest.iter().enumerate() {
+        lo[l] = lo[l].min(col[i]);
+        hi[l] = hi[l].max(col[i]);
+    }
+    let lo = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    if lo == 0.0 || hi == 0.0 {
+        return idxs
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &i| {
+                (lo.min(col[i]), hi.max(col[i]))
+            });
+    }
+    (lo, hi)
+}
+
 /// A split-search key: the value's rank above its node position.
 fn pack_key(rank: u32, position: usize) -> u64 {
     (u64::from(rank) << 32) | position as u64
@@ -500,6 +546,8 @@ pub(crate) struct Columns {
     values: Vec<f64>,
     /// Rank of `values[f * n + i]` at the same index; empty when unranked.
     ranks: Vec<u32>,
+    /// Feature `f`'s ranks lie in `0..rank_counts[f]`; empty when unranked.
+    rank_counts: Vec<u32>,
 }
 
 impl Columns {
@@ -517,6 +565,7 @@ impl Columns {
             }
         }
         let mut ranks = Vec::new();
+        let mut rank_counts = Vec::new();
         if ranked {
             ranks = vec![0; n * d];
             let mut order: Vec<usize> = (0..n).collect();
@@ -532,6 +581,7 @@ impl Columns {
                     }
                     out[i] = rank;
                 }
+                rank_counts.push(rank + 1);
             }
         }
         Columns {
@@ -539,6 +589,7 @@ impl Columns {
             d,
             values,
             ranks,
+            rank_counts,
         }
     }
 
@@ -563,6 +614,7 @@ impl Columns {
             d: self.d,
             values,
             ranks,
+            rank_counts: self.rank_counts.clone(),
         }
     }
 
@@ -599,12 +651,71 @@ struct FlatFit<'a> {
     root_keys: Option<&'a [u64]>,
 }
 
-/// Per-fit buffers reused across the fit's nodes: the node's sorted keys,
-/// and its values and targets in that order.
+/// Per-fit buffers reused across the fit's nodes: the node's sorted keys
+/// or rank slots, and its values and targets in sorted order.
 struct Scratch {
     keys: Vec<u64>,
+    slots: Vec<u32>,
     xs: Vec<f64>,
     ys: Vec<f64>,
+}
+
+impl Scratch {
+    /// Gathers the node's values and targets in the order of `sorted`.
+    fn gather_keyed(&mut self, sorted: &[u64], idxs: &[usize], col: &[f64], ys: &[f64]) {
+        self.xs.clear();
+        self.ys.clear();
+        for &key in sorted {
+            let i = idxs[key_position(key)];
+            self.xs.push(col[i]);
+            self.ys.push(ys[i]);
+        }
+    }
+
+    /// Sorts the node's packed keys `rank << 32 | position`, then gathers.
+    fn key_sort(&mut self, ranks: &[u32], idxs: &[usize], col: &[f64], ys: &[f64]) {
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        keys.extend(idxs.iter().enumerate().map(|(p, &i)| pack_key(ranks[i], p)));
+        keys.sort_unstable();
+        self.gather_keyed(&keys, idxs, col, ys);
+        self.keys = keys;
+    }
+
+    /// Stable counting sort over the rank table `0..table`: counts each
+    /// rank, turns the counts into each rank's first slot, then visits the
+    /// node's positions in order and scatters each value and target
+    /// straight into its rank's next slot. Ties keep node order, which is
+    /// the order the packed keys sort them in.
+    fn counting_sort(
+        &mut self,
+        ranks: &[u32],
+        table: usize,
+        idxs: &[usize],
+        col: &[f64],
+        ys: &[f64],
+    ) {
+        let slots = &mut self.slots;
+        slots.clear();
+        slots.resize(table, 0);
+        for &i in idxs {
+            slots[ranks[i] as usize] += 1;
+        }
+        let mut next = 0;
+        for slot in slots.iter_mut() {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        self.xs.resize(idxs.len(), 0.0);
+        self.ys.resize(idxs.len(), 0.0);
+        for &i in idxs {
+            let slot = &mut slots[ranks[i] as usize];
+            self.xs[*slot as usize] = col[i];
+            self.ys[*slot as usize] = ys[i];
+            *slot += 1;
+        }
+    }
 }
 
 impl Regressor for DecisionTree {
@@ -772,6 +883,23 @@ mod tests {
         }
     }
 
+    /// The rows a random forest's bootstrap draws from `n` samples.
+    fn bootstrap(n: usize) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(5);
+        (0..n).map(|_| rng.gen_range(0..n)).collect()
+    }
+
+    /// Width-8 windows over `series`, each with its next value.
+    fn windows(series: &[f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let ys = series[8..].to_vec();
+        let xs = series
+            .windows(8)
+            .take(ys.len())
+            .map(<[f64]>::to_vec)
+            .collect();
+        (xs, ys)
+    }
+
     #[test]
     fn flat_builder_matches_reference_bitwise() {
         // Multi-feature data with deliberate tied values so the tie order
@@ -795,16 +923,67 @@ mod tests {
         let counts: Vec<f64> = (0..120)
             .map(|i| (2 + (i / 3) % 4 + (i * 5 % 7) / 4) as f64)
             .collect();
-        let count_xs: Vec<Vec<f64>> = counts.windows(8).map(<[f64]>::to_vec).collect();
-        let count_ys: Vec<f64> = counts[8..].to_vec();
-        let count_xs = &count_xs[..count_ys.len()];
+        let (count_xs, count_ys) = windows(&counts);
+        // Council-sized window sets (350 rows). Over a distinct-valued
+        // series, like the request-count traces, a feature's rank table is
+        // as wide as the sample, so below the top levels nodes take the
+        // key sort; over a 30-value count series, like AZ-30min, every
+        // node counting-sorts.
+        let distinct: Vec<f64> = (0..358)
+            .map(|i| 900.0 + 250.0 * ((i as f64) * 0.13).sin() + ((i * 7919) % 1009) as f64 * 0.37)
+            .collect();
+        let (distinct_xs, distinct_ys) = windows(&distinct);
+        let thirty: Vec<f64> = (0..358)
+            .map(|i| ((i * 17 + (i / 5) * 3 + (i * i) % 7) % 30) as f64)
+            .collect();
+        let (thirty_xs, thirty_ys) = windows(&thirty);
+        // Signed zeros and a NaN: ranks put `-0.0` below `+0.0` and NaN
+        // last, and the random policy's extremes come out zero, so they
+        // fall back to the sequential chain. The NaN sits in a row the
+        // bootstrap draws once: a node holding two NaN rows could split
+        // between them at a NaN threshold, which no partition honours, and
+        // both builders assert against an empty child.
+        let nan_row = {
+            let rows = bootstrap(80);
+            (0..80)
+                .find(|&r| rows.iter().filter(|&&x| x == r).count() == 1)
+                .unwrap()
+        };
+        let signed_xs: Vec<Vec<f64>> = (0..80)
+            .map(|i| {
+                let zero = if i % 2 == 0 { 0.0 } else { -0.0 };
+                vec![
+                    if i % 3 == 0 {
+                        zero
+                    } else {
+                        (i % 5) as f64 * 0.5
+                    },
+                    if i % 4 == 0 {
+                        zero
+                    } else {
+                        -((i % 7) as f64) - 1.0
+                    },
+                    if i == nan_row {
+                        f64::NAN
+                    } else {
+                        ((i as f64) * 0.61).sin()
+                    },
+                    ((i * 3) % 11) as f64 - 5.0,
+                ]
+            })
+            .collect();
+        let signed_ys: Vec<f64> = (0..80)
+            .map(|i| ((i as f64) * 0.23).cos() * 4.0 + (i % 6) as f64)
+            .collect();
         for (data, xs, ys) in [
-            ("mixed", &mixed_xs[..], &mixed_ys[..]),
-            ("counts", count_xs, &count_ys[..]),
+            ("mixed", &mixed_xs, &mixed_ys),
+            ("counts", &count_xs, &count_ys),
+            ("distinct", &distinct_xs, &distinct_ys),
+            ("thirty", &thirty_xs, &thirty_ys),
+            ("signed", &signed_xs, &signed_ys),
         ] {
             // Bootstrap rows, repeats included, as the random forest draws.
-            let mut rng = StdRng::seed_from_u64(5);
-            let rows: Vec<usize> = (0..xs.len()).map(|_| rng.gen_range(0..xs.len())).collect();
+            let rows = bootstrap(xs.len());
             let bx: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
             let by: Vec<f64> = rows.iter().map(|&i| ys[i]).collect();
             for (policy, max_features) in [
@@ -840,6 +1019,31 @@ mod tests {
                     fast.fit_columns(&cols, ys, Some(&cols.root_keys()));
                     assert_same_tree(&fast, &reference, &format!("{what} root keys"));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn extremes_match_the_sequential_chains_bitwise() {
+        let pool = [0.0, -0.0, f64::NAN, 1.5, -2.0, 0.25, f64::INFINITY, 3.0];
+        let mut rng = StdRng::seed_from_u64(9);
+        for len in [0, 1, 7, 8, 9, 17, 40] {
+            for _ in 0..200 {
+                let col: Vec<f64> = (0..len)
+                    .map(|_| pool[rng.gen_range(0..pool.len())])
+                    .collect();
+                let idxs: Vec<usize> = (0..len).rev().collect();
+                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                for &i in &idxs {
+                    lo = lo.min(col[i]);
+                    hi = hi.max(col[i]);
+                }
+                let (got_lo, got_hi) = extremes(&col, &idxs);
+                assert_eq!(
+                    (got_lo.to_bits(), got_hi.to_bits()),
+                    (lo.to_bits(), hi.to_bits()),
+                    "{col:?}"
+                );
             }
         }
     }

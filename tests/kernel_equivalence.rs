@@ -24,9 +24,11 @@
 //!   forest and boosting members among them) on a continuous and a
 //!   tie-heavy integer series, against digests recorded with the
 //!   index-sort reference tree builder: **bitwise**; and the whole
-//!   council's walk-forward against a digest pinned before the builder
-//!   changed. The tree-by-tree comparison with that reference builder is
-//!   `ld-baselines`' own unit test, where the builder now lives.
+//!   council's walk-forwards over a tie-heavy (AZ-30min) and a
+//!   distinct-valued (wiki-30min) trace against digests pinned before
+//!   the tree search and the SVR kernel build changed. The tree-by-tree
+//!   and kernel-matrix comparisons with the reference builders are
+//!   `ld-baselines`' own unit tests, where those builders now live.
 //! - A full `Trainer::fit` run through the fast path vs the reference
 //!   trainer semantics: identical epoch count, losses within 1e-7 relative.
 //! - Both recurrent cells against their own past: a two-layer LSTM fit
@@ -383,30 +385,37 @@ fn tree_ensembles_match_golden_digests() {
 
 #[test]
 fn cloudinsight_walk_forward_matches_golden_digest() {
-    // The council's forecasts over one LD_FAST-capped (last 400 intervals)
-    // AZ-30min trace, digested bit for bit and pinned to the value the
-    // sort-based tree builder and the full-matrix SVR kernel build
-    // produced. Unlike the test above it walks the council itself, so it
-    // also covers member selection.
+    // The council's forecasts over LD_FAST-capped (last 400 intervals)
+    // traces, digested bit for bit. Unlike the test above it walks the
+    // council itself, so it also covers member selection. AZ-30min's job
+    // counts repeat a few dozen values, so its split searches sort long
+    // tie runs; wiki-30min's request counts are nearly all distinct, so
+    // its nodes' rank tables are wide. AZ-30min was pinned with the sort-based
+    // tree builder and the full-matrix SVR kernel build, wiki-30min with
+    // the rank-keyed builder and the mirrored upper-triangle build.
     use ld_api::Predictor as _;
-    let full = ld_traces::TraceConfig {
-        kind: ld_traces::WorkloadKind::Azure,
-        interval_mins: 30,
-    }
-    .build(42);
-    let values = &full.values[full.len().saturating_sub(400)..];
-    let test_start = ld_api::Partition::paper_default(values.len()).val_end;
-    let mut ci = ld_baselines::CloudInsight::new(5);
-    ci.fit(&values[..test_start]);
-    // FNV-1a over the forecasts' little-endian bits.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for i in test_start..values.len() {
-        for b in ci.predict(&values[..i]).to_bits().to_le_bytes() {
-            digest ^= u64::from(b);
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    for (kind, want) in [
+        (ld_traces::WorkloadKind::Azure, "c59d06a9de5dd210"),
+        (ld_traces::WorkloadKind::Wikipedia, "de6c63c9ad575fe6"),
+    ] {
+        let full = ld_traces::TraceConfig {
+            kind,
+            interval_mins: 30,
         }
+        .build(42);
+        let values = &full.values[full.len().saturating_sub(400)..];
+        let test_start = ld_api::Partition::paper_default(values.len()).val_end;
+        let mut ci = ld_baselines::CloudInsight::new(5);
+        ci.fit(&values[..test_start]);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for i in test_start..values.len() {
+            fnv1a(
+                &mut digest,
+                &ci.predict(&values[..i]).to_bits().to_le_bytes(),
+            );
+        }
+        assert_eq!(format!("{digest:016x}"), want, "{kind:?}");
     }
-    assert_eq!(format!("{digest:016x}"), "c59d06a9de5dd210");
 }
 
 /// FNV-1a, folding `bytes` into `digest`.
