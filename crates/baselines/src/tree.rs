@@ -22,6 +22,8 @@
 //! retained index-sort reference builder, which only this module's tests
 //! compile and compare against.
 
+use std::cmp::Ordering;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -163,8 +165,12 @@ impl DecisionTree {
                         let yi = ys[sorted[k]];
                         lsum += yi;
                         lsq += yi * yi;
-                        // Can't split between equal feature values.
-                        if xs[sorted[k]][f] == xs[sorted[k + 1]][f] {
+                        // Split only between strictly increasing values:
+                        // not between equal ones, and never beside a NaN,
+                        // whose midpoint threshold no partition honours.
+                        if xs[sorted[k]][f].partial_cmp(&xs[sorted[k + 1]][f])
+                            != Some(Ordering::Less)
+                        {
                             continue;
                         }
                         let nl = k + 1;
@@ -376,8 +382,10 @@ impl DecisionTree {
                         let yi = sy[k];
                         lsum += yi;
                         lsq += yi * yi;
-                        // Can't split between equal feature values.
-                        if sx[k] == sx[k + 1] {
+                        // Split only between strictly increasing values:
+                        // not between equal ones, and never beside a NaN,
+                        // whose midpoint threshold no partition honours.
+                        if sx[k].partial_cmp(&sx[k + 1]) != Some(Ordering::Less) {
                             continue;
                         }
                         let nl = k + 1;
@@ -857,6 +865,35 @@ mod tests {
         assert_eq!(tree.predict(&[1.0]), 0.0);
     }
 
+    #[test]
+    fn nan_features_never_become_thresholds() {
+        // Two NaN rows sort last, and the last one's target is an outlier:
+        // splitting between them would isolate it at a NaN threshold, which
+        // sends every row right and leaves an empty left child.
+        let xs: Vec<Vec<f64>> = (0..20)
+            .map(|i| vec![if i == 7 || i == 13 { f64::NAN } else { f64::from(i) }])
+            .collect();
+        let ys: Vec<f64> = (0..20).map(|i| if i == 13 { 50.0 } else { f64::from(i % 3) }).collect();
+        for policy in [SplitPolicy::Best, SplitPolicy::Random] {
+            let mut tree = DecisionTree::new(
+                TreeConfig {
+                    policy,
+                    ..TreeConfig::default()
+                },
+                3,
+            );
+            tree.fit(&xs, &ys);
+            for node in &tree.nodes {
+                if let Node::Split { threshold, .. } = node {
+                    assert!(threshold.is_finite(), "{policy:?}: threshold {threshold}");
+                }
+            }
+            for x in &xs {
+                assert!(tree.predict(x).is_finite(), "{policy:?}: prediction at {x:?}");
+            }
+        }
+    }
+
     /// Asserts two fitted trees have the same nodes, bit for bit.
     fn assert_same_tree(a: &DecisionTree, b: &DecisionTree, what: &str) {
         assert_eq!(a.nodes.len(), b.nodes.len(), "{what}: node counts");
@@ -940,13 +977,12 @@ mod tests {
         // Signed zeros and a NaN: ranks put `-0.0` below `+0.0` and NaN
         // last, and the random policy's extremes come out zero, so they
         // fall back to the sequential chain. The NaN sits in a row the
-        // bootstrap draws once: a node holding two NaN rows could split
-        // between them at a NaN threshold, which no partition honours, and
-        // both builders assert against an empty child.
+        // bootstrap draws more than once, so a node holds several NaN
+        // rows, between which neither builder may split.
         let nan_row = {
             let rows = bootstrap(80);
             (0..80)
-                .find(|&r| rows.iter().filter(|&&x| x == r).count() == 1)
+                .find(|&r| rows.iter().filter(|&&x| x == r).count() > 1)
                 .unwrap()
         };
         let signed_xs: Vec<Vec<f64>> = (0..80)

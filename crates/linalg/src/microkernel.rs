@@ -22,7 +22,11 @@
 //!   accumulator arrays was tried first and made vectorization a per-call-
 //!   site lottery — some instantiations ran 9x slower than others.) This
 //!   is the kernel behind every path under a bitwise contract: the LSTM
-//!   batched gate step and the serve digests.
+//!   batched forward, one GEMM of each layer's fused `[W | U | b]` panel
+//!   per step whose every output is the chain
+//!   [`crate::pack::PackedA::matvec_into`] runs in the sequential gate
+//!   step, and through it the serve digests. Both kernels assign their
+//!   product; callers fold any bias into the packed operand.
 //! - [`gemm_fma`] is the BLIS-style microkernel: an `MR x NR` register
 //!   tile per output block, packed-B column panels, and `f64::mul_add`
 //!   lanes so LLVM emits fused multiply-add instructions — roughly twice
@@ -44,18 +48,6 @@ pub const NR: usize = 16;
 /// whole `MR x NR` tile in registers across the `k` loop instead of
 /// spilling a 16-wide row it cannot type as a single vector.
 const NRH: usize = NR / 2;
-
-/// How a finished product block is committed to the output buffer.
-#[derive(Clone, Copy)]
-pub enum Store<'a> {
-    /// `out = acc` — a plain product.
-    Assign,
-    /// `out = (out + acc) + bias[row]` — the fused accumulate+bias fold
-    /// used by the LSTM batched gate step, with the same combine order as
-    /// [`crate::Matrix::matmul_acc_bias_into`]: the product is accumulated
-    /// to completion from zero first, then folded into `out` in one pass.
-    AccBias(&'a [f64]),
-}
 
 /// Column-block width of the bitwise kernel's register tile: one [`f64`]
 /// accumulator array of this length is exactly one 512-bit register.
@@ -91,28 +83,14 @@ pub fn gemm(
     a_panels: &[f64],
     b: &[f64],
     out: &mut [f64],
-    store: Store<'_>,
 ) {
     let mp = m.div_ceil(MR).max(1);
     assert_eq!(a_panels.len(), mp * MR * k, "gemm: packed A size");
     assert_eq!(b.len(), k * n, "gemm: rhs size");
     assert_eq!(out.len(), m * n, "gemm: output size");
-    if let Store::AccBias(bias) = store {
-        assert_eq!(bias.len(), m, "gemm: bias length");
-    }
     if k == 0 || n == 0 {
-        // No products to accumulate: a degenerate shape reduces to the
-        // store fold with a zero accumulator.
-        match store {
-            Store::Assign => out.fill(0.0),
-            Store::AccBias(bias) => {
-                for (row, &bi) in out.chunks_exact_mut(n.max(1)).zip(bias) {
-                    for o in row.iter_mut() {
-                        *o = (*o + 0.0) + bi;
-                    }
-                }
-            }
-        }
+        // No products to accumulate: every output is the empty sum.
+        out.fill(0.0);
         return;
     }
     for (pi, a_panel) in a_panels.chunks_exact(MR * k).enumerate() {
@@ -145,16 +123,7 @@ pub fn gemm(
                 let accs = [&acc0, &acc1, &acc2, &acc3];
                 for (r, accr) in accs.into_iter().enumerate().take(live) {
                     let row = i0 + r0 + r;
-                    let o = &mut out[row * n + j..row * n + j + JB];
-                    match store {
-                        Store::Assign => o.copy_from_slice(accr),
-                        Store::AccBias(bias) => {
-                            let bi = bias[row];
-                            for (ov, &cv) in o.iter_mut().zip(accr) {
-                                *ov = (*ov + cv) + bi;
-                            }
-                        }
-                    }
+                    out[row * n + j..row * n + j + JB].copy_from_slice(accr);
                 }
                 r0 += 4;
             }
@@ -170,11 +139,7 @@ pub fn gemm(
                 }
             }
             for (i, &cv) in acc.iter().enumerate().take(rows) {
-                let o = &mut out[(i0 + i) * n + jj];
-                match store {
-                    Store::Assign => *o = cv,
-                    Store::AccBias(bias) => *o = (*o + cv) + bias[i0 + i],
-                }
+                out[(i0 + i) * n + jj] = cv;
             }
         }
     }
@@ -196,29 +161,15 @@ pub fn gemm_fma(
     a_panels: &[f64],
     b_panels: &[f64],
     out: &mut [f64],
-    store: Store<'_>,
 ) {
     let mp = m.div_ceil(MR).max(1);
     let np = n.div_ceil(NR).max(1);
     assert_eq!(a_panels.len(), mp * MR * k, "gemm_fma: packed A size");
     assert_eq!(b_panels.len(), np * NR * k, "gemm_fma: packed B size");
     assert_eq!(out.len(), m * n, "gemm_fma: output size");
-    if let Store::AccBias(bias) = store {
-        assert_eq!(bias.len(), m, "gemm_fma: bias length");
-    }
     if k == 0 {
-        // No products to accumulate: a degenerate inner dimension reduces
-        // to the store fold with a zero accumulator.
-        match store {
-            Store::Assign => out.fill(0.0),
-            Store::AccBias(bias) => {
-                for (row, &bi) in out.chunks_exact_mut(n.max(1)).zip(bias) {
-                    for o in row.iter_mut() {
-                        *o = (*o + 0.0) + bi;
-                    }
-                }
-            }
-        }
+        // No products to accumulate: every output is the empty sum.
+        out.fill(0.0);
         return;
     }
     // B-panel-outer order: one `NR * k` B panel is reused by every A panel
@@ -254,38 +205,12 @@ pub fn gemm_fma(
             }
 
             // Clipped store: only the live `rows x cols` corner is written.
-            match store {
-                Store::Assign => {
-                    for (i, (row_lo, row_hi)) in
-                        acc_lo.iter().zip(&acc_hi).take(rows).enumerate()
-                    {
-                        let o0 = (i0 + i) * n + j0;
-                        let lo = cols.min(NRH);
-                        out[o0..o0 + lo].copy_from_slice(&row_lo[..lo]);
-                        if cols > NRH {
-                            out[o0 + NRH..o0 + cols]
-                                .copy_from_slice(&row_hi[..cols - NRH]);
-                        }
-                    }
-                }
-                Store::AccBias(bias) => {
-                    for (i, (row_lo, row_hi)) in
-                        acc_lo.iter().zip(&acc_hi).take(rows).enumerate()
-                    {
-                        let bi = bias[i0 + i];
-                        let o0 = (i0 + i) * n + j0;
-                        let lo = cols.min(NRH);
-                        for (o, &c) in out[o0..o0 + lo].iter_mut().zip(row_lo) {
-                            *o = (*o + c) + bi;
-                        }
-                        if cols > NRH {
-                            for (o, &c) in
-                                out[o0 + NRH..o0 + cols].iter_mut().zip(row_hi)
-                            {
-                                *o = (*o + c) + bi;
-                            }
-                        }
-                    }
+            for (i, (row_lo, row_hi)) in acc_lo.iter().zip(&acc_hi).take(rows).enumerate() {
+                let o0 = (i0 + i) * n + j0;
+                let lo = cols.min(NRH);
+                out[o0..o0 + lo].copy_from_slice(&row_lo[..lo]);
+                if cols > NRH {
+                    out[o0 + NRH..o0 + cols].copy_from_slice(&row_hi[..cols - NRH]);
                 }
             }
         }

@@ -122,7 +122,10 @@ impl PackedA {
     ///
     /// Bitwise identical to [`Matrix::matmul_into`] /
     /// [`Matrix::matmul_naive`] at every shape (single ascending-`k`
-    /// accumulator per output element).
+    /// accumulator per output element), and column `j` of the product is
+    /// bitwise [`PackedA::matvec_into`] of column `j` of `rhs` — what lets
+    /// the LSTM batched forward answer each lane as the sequential gate
+    /// step would.
     ///
     /// # Panics
     /// Panics on shape mismatch (hot path; callers guarantee shapes).
@@ -130,43 +133,7 @@ impl PackedA {
         assert_eq!(self.k, rhs.rows(), "PackedA::matmul_into: inner dim");
         let n = rhs.cols();
         assert_eq!(out.len(), self.m * n, "PackedA::matmul_into: output length");
-        microkernel::gemm(
-            self.m,
-            self.k,
-            n,
-            &self.data,
-            rhs.as_slice(),
-            out,
-            microkernel::Store::Assign,
-        );
-    }
-
-    /// Fused `out = (out + A * rhs) + bias` with a per-row bias: the packed
-    /// twin of [`Matrix::matmul_acc_bias_into`], with the identical combine
-    /// order (each product element accumulated to completion in registers,
-    /// then folded as `(out + acc) + bias[row]` at store time) — bitwise
-    /// equal to the two-pass form.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch (hot path; callers guarantee shapes).
-    pub fn matmul_acc_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut [f64]) {
-        assert_eq!(self.k, rhs.rows(), "PackedA::matmul_acc_bias_into: inner dim");
-        let n = rhs.cols();
-        assert_eq!(
-            out.len(),
-            self.m * n,
-            "PackedA::matmul_acc_bias_into: output length"
-        );
-        assert_eq!(bias.len(), self.m, "PackedA::matmul_acc_bias_into: bias length");
-        microkernel::gemm(
-            self.m,
-            self.k,
-            n,
-            &self.data,
-            rhs.as_slice(),
-            out,
-            microkernel::Store::AccBias(bias),
-        );
+        microkernel::gemm(self.m, self.k, n, &self.data, rhs.as_slice(), out);
     }
 }
 
@@ -321,6 +288,33 @@ mod tests {
                     want.to_bits(),
                     "{m}x{k} row {r}: packed {got} vs dot {want}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_matmul_columns_are_matvecs_bitwise() {
+        // Every column layout of the kernel — full 8-wide blocks, the
+        // remainder columns beside them, and one-column products — must
+        // run each output as the mat-vec's chain.
+        let mut rng = StdRng::seed_from_u64(75);
+        for &(m, k) in SHAPES {
+            let packed = PackedA::from_matrix(&Matrix::random_uniform(m, k, 1.0, &mut rng));
+            for n in [1usize, 3, 8, 9, 17] {
+                let rhs = Matrix::random_uniform(k, n, 1.0, &mut rng);
+                let mut out = vec![f64::NAN; m * n];
+                packed.matmul_into(&rhs, &mut out);
+                let mut col = vec![f64::NAN; m];
+                for j in 0..n {
+                    packed.matvec_into(&rhs.col(j), &mut col);
+                    for (r, want) in col.iter().enumerate() {
+                        assert_eq!(
+                            out[r * n + j].to_bits(),
+                            want.to_bits(),
+                            "{m}x{k} * {k}x{n}: element ({r}, {j})"
+                        );
+                    }
+                }
             }
         }
     }

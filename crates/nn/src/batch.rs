@@ -1,76 +1,71 @@
-//! Fused batched inference: one GEMM per gate block across a whole batch
-//! of same-model windows.
+//! Fused batched inference: one GEMM per layer and step across a whole
+//! batch of same-model windows.
 //!
 //! The serving engine groups tenants whose predictors share identical
 //! weights and shape (one trained model per workload family, or one model
 //! per tenant, a group of one lane) and answers them per tick. Running
 //! [`crate::LstmForecaster::predict`] per tenant performs a
 //! mat-vec per step per tenant; this module instead holds the batch state
-//! transposed — hidden and cell state as `H x B` matrices — so each step is
+//! transposed — each layer's gate input as one `(I + H + 1) x B` matrix
+//! `[X_t; H; 1]`, one column per lane — so each layer step is
 //!
 //! ```text
-//! Z  = W · X_t  +  U · H_state  + b      (two real GEMMs, 4H x B)
+//! Z = [W | U | b] · [X_t; H; 1]      (one real GEMM, 4H x B)
 //! ```
 //!
-//! with the four gate blocks landing as contiguous row ranges of `Z`:
-//! rows `0..3H` are the sigmoid gates `[i|f|o]` (one [`sigmoid_map`] pass),
-//! rows `3H..4H` the candidate `g` (one [`tanh_map`] pass), and the cell /
-//! hidden updates are pure `B`-wide vector ops.
+//! over the layer's cached fused gate panel, with the four gate blocks
+//! landing as contiguous row ranges of `Z`: rows `0..3H` are the sigmoid
+//! gates `[i|f|o]` (one [`sigmoid_map`] pass), rows `3H..4H` the candidate
+//! `g` (one [`tanh_map`] pass). The cell update writes each lane's new
+//! `h` straight into the `H` rows of the layer's own input, and a deeper
+//! layer copies those rows into its `X` rows.
 //!
 //! Equivalence is by construction, not by tolerance: the register-blocked
 //! packed-A GEMM ([`ld_linalg::pack::PackedA::matmul_into`], plain
-//! multiply/add lanes) accumulates each output through a single
-//! ascending-`k` accumulator exactly like the sequential dots of the
-//! retained reference path, the combine order `(Wx + Uh) + b` matches both
-//! scalar paths, and the activations are the same shared functions every
-//! other path calls. The fused kernel therefore agrees **bitwise** with
-//! [`crate::LstmForecaster::predict_reference`] and within ~1e-12
-//! reordered-summation noise with the workspace
-//! [`crate::LstmForecaster::predict`] path (whose fused gate step chains
-//! the `W`/`U`/`b` terms differently). A one-lane batch makes every GEMM
-//! column a remainder column, which the kernel runs with the panel's rows
-//! as vector lanes, so per-tenant models keep the vector units busy too.
+//! multiply/add lanes) accumulates each gate output through a single
+//! ascending-`k` accumulator from `0.0` over the same panel and the same
+//! `[x | h | 1]` column that [`ld_linalg::pack::PackedA::matvec_into`]
+//! walks in the per-sequence gate step
+//! ([`crate::recurrent::RecurrentLayer::gate_step_fused`]); the
+//! activations and the cell update are the same functions in the same
+//! order, and the head is `dot4(w, h) + b` per lane, as
+//! [`crate::dense::Dense::forward_into`] computes it. Every lane is
+//! therefore **bitwise** [`crate::LstmForecaster::predict`]'s answer — the
+//! forecast training and validation computed. A one-lane batch makes every
+//! GEMM column a remainder column, which the kernel runs with the panel's
+//! rows as vector lanes, so per-tenant models keep the vector units busy
+//! too.
 //!
-//! The weight panels are packed once per model
-//! ([`crate::recurrent::RecurrentLayer::packed_input_weights`]) and
-//! invalidated on parameter updates; the serving engine shares one model
-//! per resident snapshot, so they stay packed from tick to tick. The
-//! activations are consumed row-major by the register-blocked kernel, so
-//! nothing is packed per step, and one [`BatchScratch`] is resized within
-//! its capacity for every shape it meets, so a warm scratch allocates
-//! nothing whatever the model.
+//! The fused panel is packed once per model and invalidated on parameter
+//! updates; the serving engine shares one model per resident snapshot, so
+//! it stays packed from tick to tick. The lane inputs are consumed
+//! row-major by the register-blocked kernel, so nothing is packed per
+//! step, and one [`BatchScratch`] is resized within its capacity for every
+//! shape it meets, so a warm scratch allocates nothing whatever the model.
 
-use ld_linalg::Matrix;
+use ld_linalg::{vecops, Matrix};
 
-use crate::activation::{sigmoid_map, tanh_map};
+use crate::activation::{sigmoid_map, tanh, tanh_map};
 use crate::forecaster::LstmForecaster;
+use crate::lstm::LstmLayer;
 
 /// Reusable buffers for [`LstmForecaster::predict_batch_fused`]. Every
 /// call resizes them to its `(model shape, batch)` within the capacity
 /// earlier calls grew, so one scratch serves models of any shape back to
 /// back and is allocation-free once warm.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Layer-0 input row for the current step, `1 x B`.
-    x0: Matrix,
-    /// Per-layer hidden state, `H x B` each. An `L`-layer model uses the
-    /// first `L`; deeper entries keep their capacity for the next model.
-    h: Vec<Matrix>,
-    /// Per-layer cell state, flat `H * B` each (layered like `h`).
+    /// Per-layer stacked gate input `[X_t; H; 1]`, `(I + H + 1) x B` each:
+    /// the step's input rows, the layer's hidden state and a row of ones
+    /// for the bias column. An `L`-layer model uses the first `L`; deeper
+    /// entries keep their capacity for the next model.
+    inputs: Vec<Matrix>,
+    /// Per-layer cell state, flat `H * B` each (layered like `inputs`).
     c: Vec<Vec<f64>>,
     /// Pre-activations / gates for the current layer+step, flat `4H * B`.
     z: Vec<f64>,
-}
-
-impl Default for BatchScratch {
-    fn default() -> Self {
-        BatchScratch {
-            x0: Matrix::zeros(0, 0),
-            h: Vec::new(),
-            c: Vec::new(),
-            z: Vec::new(),
-        }
-    }
+    /// One lane's final hidden state, contiguous for the head's `dot4`.
+    h_lane: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -79,27 +74,32 @@ impl BatchScratch {
         Self::default()
     }
 
-    /// Sizes the buffers for `layers` layers of `h_dim` units at `batch`
-    /// lanes, reusing their capacity, and zeroes the recurrent state.
-    fn reset(&mut self, h_dim: usize, layers: usize, batch: usize) {
-        self.x0.resize_zeroed(1, batch);
-        if self.h.len() < layers {
-            self.h.resize_with(layers, || Matrix::zeros(0, 0));
-            self.c.resize_with(layers, Vec::new);
+    /// Sizes the buffers for `layers` at `batch` lanes, reusing their
+    /// capacity: zero recurrent state, and each input's bias row set to
+    /// ones.
+    fn reset(&mut self, layers: &[LstmLayer], batch: usize) {
+        if self.inputs.len() < layers.len() {
+            self.inputs.resize_with(layers.len(), || Matrix::zeros(0, 0));
+            self.c.resize_with(layers.len(), Vec::new);
         }
-        for (hl, cl) in self.h.iter_mut().zip(&mut self.c).take(layers) {
-            hl.resize_zeroed(h_dim, batch);
+        for ((input, cl), layer) in self.inputs.iter_mut().zip(&mut self.c).zip(layers) {
+            let (i_dim, h_dim) = (layer.input_dim(), layer.hidden());
+            input.resize_zeroed(i_dim + h_dim + 1, batch);
+            input.row_mut(i_dim + h_dim).fill(1.0);
             cl.clear();
             cl.resize(h_dim * batch, 0.0);
         }
+        let h_dim = layers.first().map_or(0, LstmLayer::hidden);
         self.z.resize(4 * h_dim * batch, 0.0);
+        self.h_lane.resize(h_dim, 0.0);
     }
 }
 
 impl LstmForecaster {
-    /// Predicts one value per batch lane with the fused per-gate GEMM
-    /// kernel. `windows` is `batch x history_len` row-major (each lane's
-    /// window contiguous); `out` receives one prediction per lane.
+    /// Predicts one value per batch lane with the fused per-layer GEMM
+    /// kernel — bitwise what [`LstmForecaster::predict`] answers for each
+    /// lane's window. `windows` is `batch x history_len` row-major (each
+    /// lane's window contiguous); `out` receives one prediction per lane.
     ///
     /// All lanes run through *this* model's weights — callers batch tenants
     /// that share a trained model and keep per-tenant scaling outside.
@@ -121,65 +121,73 @@ impl LstmForecaster {
         if batch == 0 {
             return;
         }
-        let layers = self.layers().len();
-        scratch.reset(h_dim, layers, batch);
-        let BatchScratch { x0, h, c, z } = scratch;
-        let (h, c) = (&mut h[..layers], &mut c[..layers]);
+        let layers = self.layers();
+        scratch.reset(layers, batch);
+        let BatchScratch {
+            inputs,
+            c,
+            z,
+            h_lane,
+        } = scratch;
+        let inputs = &mut inputs[..layers.len()];
+        let (gate_rows, state_rows) = (3 * h_dim * batch, h_dim * batch);
 
         for t in 0..t_len {
-            // Gather this step's input across lanes: X_t is 1 x B.
-            for j in 0..batch {
-                x0[(0, j)] = windows[j * t_len + t];
+            // Layer 0's X_t row: this step's value of every lane's window.
+            for (x, lane) in inputs[0].row_mut(0).iter_mut().zip(windows.chunks_exact(t_len)) {
+                *x = lane[t];
             }
-            for (l, layer) in self.layers().iter().enumerate() {
-                let (below, from_l) = h.split_at_mut(l);
-                let x: &Matrix = if l == 0 { x0 } else { &below[l - 1] };
-                let h_l = &mut from_l[0];
-                let c_l = &mut c[l];
+            for (l, layer) in layers.iter().enumerate() {
+                let (below, from_l) = inputs.split_at_mut(l);
+                let input = &mut from_l[0];
+                let x_rows = layer.input_dim() * batch;
+                if l > 0 {
+                    // A deeper layer's X_t is the h_t the layer below just
+                    // wrote into its own H rows.
+                    let prev_x = layers[l - 1].input_dim() * batch;
+                    input.as_mut_slice()[..x_rows]
+                        .copy_from_slice(&below[l - 1].as_slice()[prev_x..prev_x + state_rows]);
+                }
 
-                // Z = (W·X_t + U·H) + b — same combine order as the scalar
-                // paths' `dot(w,x) + dot(u,h) + b`, driven by the register-blocked
-                // packed-A kernel over the per-model cached weight panels.
-                // The recurrent product accumulates into Z with the bias
-                // folded at store time (one pass over the gate slab
-                // instead of three).
-                layer.packed_input_weights().matmul_into(x, z);
-                layer.packed_recurrent_weights().matmul_acc_bias_into(
-                    h_l,
-                    layer.bias().as_slice(),
-                    z,
-                );
+                // Z = [W | U | b] · [X_t; H; 1]: per gate output one
+                // ascending-k chain from 0.0, the chain the sequential
+                // gate step's packed mat-vec runs.
+                layer.fused_gate_panel().matmul_into(input, z);
                 // Gate blocks are contiguous rows: [i|f|o] then [g].
-                sigmoid_map(&mut z[..3 * h_dim * batch]);
-                tanh_map(&mut z[3 * h_dim * batch..]);
+                sigmoid_map(&mut z[..gate_rows]);
+                tanh_map(&mut z[gate_rows..]);
 
                 // C = f.C + i.g ; H = o.tanh(C) — one fused B-wide pass
-                // per cell row. `tanh` is the same branch-free scalar the
-                // map variant applies, evaluated inline so the new cell
-                // value never round-trips through a temporary slab.
+                // per cell row, writing H straight into this layer's
+                // input for the next step. `tanh` is the same scalar the
+                // sequential step maps over C.
+                let h_state = &mut input.as_mut_slice()[x_rows..x_rows + state_rows];
+                let c_l = &mut c[l];
                 for k in 0..h_dim {
-                    let i_row = &z[k * batch..(k + 1) * batch];
-                    let f_row = &z[(h_dim + k) * batch..(h_dim + k + 1) * batch];
-                    let o_row = &z[(2 * h_dim + k) * batch..(2 * h_dim + k + 1) * batch];
-                    let g_row = &z[(3 * h_dim + k) * batch..(3 * h_dim + k + 1) * batch];
+                    let gate = |g: usize| &z[(g * h_dim + k) * batch..(g * h_dim + k + 1) * batch];
+                    let (i_row, f_row, o_row, g_row) = (gate(0), gate(1), gate(2), gate(3));
                     let c_row = &mut c_l[k * batch..(k + 1) * batch];
-                    let h_row = h_l.row_mut(k);
+                    let h_row = &mut h_state[k * batch..(k + 1) * batch];
                     for j in 0..batch {
                         let cv = f_row[j] * c_row[j] + i_row[j] * g_row[j];
                         c_row[j] = cv;
-                        h_row[j] = o_row[j] * crate::activation::tanh(cv);
+                        h_row[j] = o_row[j] * tanh(cv);
                     }
                 }
             }
         }
 
-        // Head: one 1 x B GEMM over the top layer's final hidden state,
-        // then the bias — matching `dot(w, h) + b`.
-        let top = &h[h.len() - 1];
-        self.head().weights().matmul_into(top, out);
+        // Head per lane: `dot4(w, h) + b` over the top layer's final
+        // hidden state, the order `Dense::forward_into` uses.
+        let top = &inputs[layers.len() - 1];
+        let top_x = layers[layers.len() - 1].input_dim();
+        let w = self.head().weights().row(0);
         let hb = self.head().bias()[(0, 0)];
-        for o in out.iter_mut() {
-            *o += hb;
+        for (j, o) in out.iter_mut().enumerate() {
+            for (k, hv) in h_lane.iter_mut().enumerate() {
+                *hv = top[(top_x + k, j)];
+            }
+            *o = vecops::dot4(w, h_lane) + hb;
         }
     }
 }
@@ -204,42 +212,44 @@ mod tests {
             .collect()
     }
 
+    /// Every lane of every probe shape is `predict`'s answer, bit for bit:
+    /// `H` 1-16, 1-3 layers, window lengths 1-13 and lane counts that
+    /// exercise the GEMM's one-lane, remainder-only, full-block and
+    /// block-plus-remainder column layouts — 10,176 lanes over 96 seeds.
     #[test]
-    fn fused_matches_reference_path_bitwise() {
-        for layers in [1usize, 2] {
-            let m = model(11 + layers as u64, layers);
-            let t_len = m.config().history_len;
-            for batch in [1usize, 3, 17] {
-                let ws = windows(batch, t_len, layers as f64);
-                let mut scratch = BatchScratch::new();
-                let mut out = vec![0.0; batch];
-                m.predict_batch_fused(&ws, batch, &mut scratch, &mut out);
-                for j in 0..batch {
-                    let want = m.predict_reference(&ws[j * t_len..(j + 1) * t_len]);
-                    assert_eq!(out[j], want, "lane {j} (layers {layers}, batch {batch})");
+    fn fused_matches_predict_bitwise() {
+        let mut scratch = BatchScratch::new();
+        let mut lanes = 0;
+        for hidden_size in 1..=16usize {
+            for num_layers in 1..=3usize {
+                for s in 0..2u64 {
+                    let seed = (hidden_size * 3 + num_layers) as u64 * 2 + s;
+                    let m = LstmForecaster::new(ForecasterConfig {
+                        history_len: 1 + (seed % 13) as usize,
+                        hidden_size,
+                        num_layers,
+                        seed,
+                    });
+                    let t_len = m.config().history_len;
+                    for batch in [1usize, 2, 5, 8, 9, 17, 64] {
+                        let ws = windows(batch, t_len, seed as f64 + batch as f64 * 0.1);
+                        let mut out = vec![f64::NAN; batch];
+                        m.predict_batch_fused(&ws, batch, &mut scratch, &mut out);
+                        for (j, (got, lane)) in out.iter().zip(ws.chunks_exact(t_len)).enumerate() {
+                            let want = m.predict(lane);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "H {hidden_size} L {num_layers} seed {seed} batch {batch} \
+                                 lane {j}: {got} vs {want}"
+                            );
+                        }
+                        lanes += batch;
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_matches_workspace_path_to_1e12() {
-        let m = model(29, 2);
-        let t_len = m.config().history_len;
-        let batch = 9;
-        let ws = windows(batch, t_len, 0.9);
-        let mut scratch = BatchScratch::new();
-        let mut out = vec![0.0; batch];
-        m.predict_batch_fused(&ws, batch, &mut scratch, &mut out);
-        for j in 0..batch {
-            let want = m.predict(&ws[j * t_len..(j + 1) * t_len]);
-            assert!(
-                (out[j] - want).abs() <= 1e-12 * (1.0 + want.abs()),
-                "lane {j}: {} vs {}",
-                out[j],
-                want
-            );
-        }
+        assert_eq!(lanes, 10_176);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! - [`forecaster`]: the end-to-end model of Eq. (1) — a window of `n` past
 //!   JARs in, one predicted JAR out — as one stacked shell over either cell
 //!   ([`LstmForecaster`], [`GruForecaster`]), plus (de)serialization,
-//! - [`batch`]: fused batched LSTM inference, one GEMM per gate block
-//!   across a batch of same-model windows (the serving path),
+//! - [`batch`]: fused batched LSTM inference, one GEMM of each layer's
+//!   fused `[W | U | b]` panel per step across a batch of same-model
+//!   windows (the serving path), bitwise equal to per-window prediction,
 //! - [`trainer`]: mini-batch training with shuffling, global-norm gradient
 //!   clipping and early stopping on a validation split,
 //! - [`workspace`]: reusable scratch arenas that make the forward/backward

@@ -15,9 +15,11 @@
 //! **one** packed mat-vec of the layer's fused `[W | U | b]` panel against
 //! `[x_t | h_{t-1} | 1]` per step
 //! ([`RecurrentLayer::gate_step_fused`]); the batched inference kernel
-//! ([`crate::batch`]) rides the same layer's packed `W`/`U` panels. The
-//! backward step pulls `dx`/`dh` from the layer's cached weight transposes
-//! (contiguous mat-vecs instead of per-row `axpy` strides).
+//! ([`crate::batch`]) runs the same panel as one GEMM against a column
+//! `[x_t | h_{t-1} | 1]` per lane, so it computes the same gate chains bit
+//! for bit. The backward step pulls `dx`/`dh` from the layer's cached
+//! weight transposes (contiguous mat-vecs instead of per-row `axpy`
+//! strides).
 //!
 //! The pre-change implementation is retained verbatim as
 //! [`LstmLayer::forward_reference`] / [`LstmLayer::backward_reference`] and

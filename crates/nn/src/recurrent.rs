@@ -9,10 +9,12 @@
 //! - the parameters, packed row-wise into single `W` (`GH x input_dim`),
 //!   `U` (`GH x H`) and `b` (`GH x 1`) tensors for `G` gate blocks;
 //! - the lazily built weight transposes (contiguous backward mat-vecs) and
-//!   packed micro-panels ([`ld_linalg::pack`]) — the fused `[W | U | b]`
-//!   gate panel and the `W`/`U` panels of the batched GEMM — which
-//!   [`RecurrentLayer::visit_params`] invalidates whenever it exposes the
-//!   weights to an optimizer step, and which a clone starts without;
+//!   the fused `[W | U | b]` gate panel packed into micro-panels
+//!   ([`ld_linalg::pack`]), which the sequential gate step and the batched
+//!   inference kernel ([`crate::batch`]) both run, so every path computes
+//!   the same gate chains; [`RecurrentLayer::visit_params`] invalidates
+//!   them whenever it exposes the weights to an optimizer step, and a clone
+//!   starts without them;
 //! - the unroll over time ([`RecurrentLayer::forward_into`]) and the
 //!   reverse sweep ([`RecurrentLayer::backward_into`]) over a caller-owned
 //!   [`LayerCache`] whose flat strided buffers make both allocation-free
@@ -121,10 +123,6 @@ pub struct RecurrentLayer<C> {
     /// Lazily packed fused gate panel `[W | U | b]`
     /// (`GATES * H x (input_dim + H + 1)` in micro-panels).
     fused_wub: OnceLock<PackedA>,
-    /// Lazily packed `W` micro-panels for the batched gate GEMM.
-    wpack: OnceLock<PackedA>,
-    /// Lazily packed `U` micro-panels for the batched gate GEMM.
-    upack: OnceLock<PackedA>,
     cell: PhantomData<C>,
 }
 
@@ -253,8 +251,6 @@ impl<C> RecurrentLayer<C> {
             wt: OnceLock::new(),
             ut: OnceLock::new(),
             fused_wub: OnceLock::new(),
-            wpack: OnceLock::new(),
-            upack: OnceLock::new(),
             cell: PhantomData,
         }
     }
@@ -274,8 +270,8 @@ impl<C> RecurrentLayer<C> {
         self.w.rows() * (self.input_dim + self.hidden + 1)
     }
 
-    /// Input weights `W` (`GATES * H x input_dim`), read-only — used by the
-    /// fused batch kernel and snapshot fingerprints.
+    /// Input weights `W` (`GATES * H x input_dim`), read-only — used by
+    /// snapshot fingerprints.
     pub fn input_weights(&self) -> &Matrix {
         &self.w
     }
@@ -315,8 +311,6 @@ impl<C> RecurrentLayer<C> {
         self.wt.take();
         self.ut.take();
         self.fused_wub.take();
-        self.wpack.take();
-        self.upack.take();
     }
 
     /// `W^T`, built on first use after each parameter update.
@@ -332,8 +326,9 @@ impl<C> RecurrentLayer<C> {
     /// The fused gate panel `[W | U | b]` packed into micro-panels, built
     /// on first use after each parameter update. One packed mat-vec of
     /// this panel against `[x | h_prev | 1]` computes every gate
-    /// pre-activation.
-    fn fused_gate_panel(&self) -> &PackedA {
+    /// pre-activation; the batched kernel runs the same panel as a GEMM
+    /// against one such column per lane.
+    pub(crate) fn fused_gate_panel(&self) -> &PackedA {
         self.fused_wub.get_or_init(|| {
             let (rows, i_dim, h) = (self.w.rows(), self.input_dim, self.hidden);
             let width = i_dim + h + 1;
@@ -345,17 +340,6 @@ impl<C> RecurrentLayer<C> {
             }
             PackedA::pack(&flat, rows, width)
         })
-    }
-
-    /// `W` packed into micro-panels for the batched gate GEMM, built on
-    /// first use after each parameter update.
-    pub fn packed_input_weights(&self) -> &PackedA {
-        self.wpack.get_or_init(|| PackedA::from_matrix(&self.w))
-    }
-
-    /// `U` packed into micro-panels for the batched gate GEMM.
-    pub fn packed_recurrent_weights(&self) -> &PackedA {
-        self.upack.get_or_init(|| PackedA::from_matrix(&self.u))
     }
 
     /// Fused gate step: writes every pre-activation `z = W x + U h_prev + b`

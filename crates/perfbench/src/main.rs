@@ -399,9 +399,10 @@ fn bench_matmul(cfg: &Cfg, n: usize) -> KernelResult {
 }
 
 fn bench_packed_gemm(cfg: &Cfg) -> KernelResult {
-    // LSTM-batch-shaped rectangular product: (4H x H) * (H x B), the exact
-    // shape `predict_batch_fused` drives per layer step. "Before" is the
-    // in-place product the batched path used previously; "after" packs
+    // LSTM-batch-shaped rectangular product: (4H x H) * (H x B), the
+    // recurrent block of the `4H x (I + H + 1)` fused-panel product
+    // `predict_batch_fused` drives per layer step. "Before" is the
+    // unpacked in-place product (`Matrix::matmul_into`); "after" packs
     // the left operand once (the per-model cached-panel pattern) and runs
     // the register-blocked plain-lane kernel, whose packed-A broadcasts
     // let it hold twice as many accumulator rows in registers. Both

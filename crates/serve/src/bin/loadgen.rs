@@ -8,8 +8,9 @@
 //! 2. **Throughput**: the identical request schedule is answered twice —
 //!    once on the retained per-tenant serial path, once on the fused
 //!    batched path — and the speedup between the two is the headline
-//!    number. Every serial/batched response pair is equivalence-checked to
-//!    1e-9 relative before any timing is trusted.
+//!    number. Every serial/batched response pair must carry the same value
+//!    bits before any timing is trusted: both paths run the forward
+//!    training and validation run.
 //! 3. **Determinism**: two identically-seeded traced runs must produce
 //!    bitwise-identical response streams (FNV digest), identical logical
 //!    span trees and byte-identical events snapshots; an untraced third
@@ -26,6 +27,9 @@
 //! an existing document against the schema, then replays its batched pass
 //! (the document's seed, tenants, ticks and mode) and exits non-zero unless
 //! that recomputes the committed `response_digest` bit for bit.
+//! `--check-resilience PATH` does the same for a `BENCH_resilience.json`
+//! document, replaying its first chaos pass (seed, chaos seed, tenants,
+//! ticks and mode).
 //!
 //! `--chaos` switches to the resilience soak: a fault-free baseline pass
 //! records every tenant's model-path answer bits, then two identically-
@@ -135,6 +139,7 @@ fn parse_args() -> Result<Cfg, i32> {
     let mut out: Option<String> = None;
     let mut store_root = PathBuf::from("target/ld-serve-loadgen");
     let mut check: Option<String> = None;
+    let mut check_resilience: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |what: &str| {
@@ -154,14 +159,7 @@ fn parse_args() -> Result<Cfg, i32> {
             "--out" => out = Some(take("--out")),
             "--store" => store_root = PathBuf::from(take("--store")),
             "--check" => check = Some(take("--check")),
-            "--check-resilience" => {
-                let path = take("--check-resilience");
-                return Err(check_document(
-                    &path,
-                    validate_resilience_document,
-                    "BENCH_resilience",
-                ));
-            }
+            "--check-resilience" => check_resilience = Some(take("--check-resilience")),
             "--help" | "-h" => {
                 println!(
                     "ld-loadgen [--smoke] [--chaos] [--top] [--tenants N] [--ticks N] [--seed S] \
@@ -173,9 +171,10 @@ fn parse_args() -> Result<Cfg, i32> {
                      --top prints periodic ld-top interval summaries during the batched \
                      pass;\n--smoke runs tiny counts with every check and writes nothing \
                      unless --out is given;\n--check / --check-resilience validate an \
-                     existing document against its schema (exit 2 on violation), and \
-                     --check then replays the document's batched pass to recompute its \
-                     response_digest (exit 1 on a mismatch);\n\
+                     existing document against its schema (exit 2 on violation), then \
+                     replay the document's batched pass (--check-resilience: its first \
+                     chaos pass) to recompute its response_digest (exit 1 on a \
+                     mismatch);\n\
                      LD_TRACE=1|PATH traces the batched pass (--chaos: the first chaos \
                      pass) and writes PATH (default trace.json), PATH.folded, \
                      PATH.events.json, PATH.manifest.json and the PATH.prom exposition"
@@ -189,7 +188,10 @@ fn parse_args() -> Result<Cfg, i32> {
         }
     }
     if let Some(path) = check {
-        return Err(check_serve_document(&path, store_root));
+        return Err(check_replay(&path, false, store_root));
+    }
+    if let Some(path) = check_resilience {
+        return Err(check_replay(&path, true, store_root));
     }
     let (default_tenants, default_ticks) = match (smoke, chaos) {
         (true, false) => (24, 6),
@@ -271,12 +273,18 @@ fn check_document(path: &str, validate: fn(&str) -> Result<(), String>, what: &s
     }
 }
 
-/// `--check BENCH_serve.json`: the schema check, then a replay of the
-/// document's batched pass that must reproduce its `response_digest`. The
-/// digest hashes every answer's bits, so this proves training and batched
-/// serving still compute what the document was generated from.
-fn check_serve_document(path: &str, store_root: PathBuf) -> i32 {
-    let code = check_document(path, validate_document, "BENCH_serve");
+/// `--check` / `--check-resilience`: the schema check, then a replay of the
+/// pass the document's `response_digest` comes from (a `BENCH_serve.json`'s
+/// batched pass, a `BENCH_resilience.json`'s first chaos pass) with the
+/// document's seed, tenants, ticks and mode, and its chaos seed. The digest
+/// hashes every answer's bits, so a match proves training, the fault
+/// schedule and serving still compute what the document was generated from.
+fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
+    let code = if chaos {
+        check_document(path, validate_resilience_document, "BENCH_resilience")
+    } else {
+        check_document(path, validate_document, "BENCH_serve")
+    };
     if code != 0 {
         return code;
     }
@@ -284,34 +292,50 @@ fn check_serve_document(path: &str, store_root: PathBuf) -> i32 {
     let text = std::fs::read_to_string(path).expect("document was just read");
     let doc: serde::Value = serde_json::from_str(&text).expect("document was just parsed");
     let field = |key: &str| doc.field(key).expect("validated field");
-    let count = |key: &str| {
-        let v = field(key).as_u64().expect("validated integer");
-        usize::try_from(v).expect("count fits usize")
-    };
+    let int = |key: &str| field(key).as_u64().expect("validated integer");
+    let count = |key: &str| usize::try_from(int(key)).expect("count fits usize");
     let mode = field("mode").as_str().expect("validated mode");
     let want = field("response_digest").as_str().expect("validated digest");
     let cfg = Cfg {
         smoke: mode == "smoke",
-        chaos: false,
+        chaos,
         top: false,
         tenants: count("tenants"),
         ticks: count("ticks"),
-        seed: field("seed").as_u64().expect("validated seed"),
-        chaos_seed: 0,
+        seed: int("seed"),
+        chaos_seed: if chaos { int("chaos_seed") } else { 0 },
         out: None,
         store_root,
     };
     assert_eq!(count("families"), WorkloadKind::ALL.len(), "validated family count");
     println!(
-        "{path}: replaying the batched pass ({} tenants x {} ticks, {mode}, seed {})",
-        cfg.tenants, cfg.ticks, cfg.seed
+        "{path}: replaying the {} ({} tenants x {} ticks, {mode}, seed {}{})",
+        if chaos { "first chaos pass" } else { "batched pass" },
+        cfg.tenants,
+        cfg.ticks,
+        cfg.seed,
+        if chaos { format!(", chaos seed {}", cfg.chaos_seed) } else { String::new() }
     );
     let families = train_family_models(&cfg);
     let history_len = families[0].0.config().history_len;
     let tenants = build_tenants(&cfg, &families);
-    let mut engine = batched_engine(&cfg, &tenants, &families, Tracer::disabled());
-    let pass = run_pass(&mut engine, &tenants, cfg.ticks, history_len, None, 0);
-    let got = format!("{:016x}", response_digest(&pass.responses));
+    let responses = if chaos {
+        let schedule = chaos_schedule(&cfg);
+        let pass = run_chaos_pass(
+            &cfg,
+            &tenants,
+            &families,
+            history_len,
+            Some(&schedule),
+            "chaos-0",
+            Tracer::disabled(),
+        );
+        pass.responses
+    } else {
+        let mut engine = batched_engine(&cfg, &tenants, &families, Tracer::disabled());
+        run_pass(&mut engine, &tenants, cfg.ticks, history_len, None, 0).responses
+    };
+    let got = format!("{:016x}", response_digest(&responses));
     if got == want {
         println!("{path}: response_digest {got} recomputed bit for bit");
         0
@@ -603,14 +627,14 @@ fn main() {
         top_every,
     );
 
-    // Equivalence gate before any timing is trusted.
+    // Bitwise equivalence gate before any timing is trusted.
     assert_eq!(serial.responses.len(), batched.responses.len());
     for (s, b) in serial.responses.iter().zip(&batched.responses) {
         assert_eq!(s.id, b.id, "schedules diverged");
-        let scale = s.value.abs().max(b.value.abs()).max(1.0);
-        assert!(
-            (s.value - b.value).abs() <= 1e-9 * scale,
-            "serial vs batched beyond 1e-9 for id {}: {} vs {}",
+        assert_eq!(
+            s.value.to_bits(),
+            b.value.to_bits(),
+            "serial vs batched bits differ for id {}: {} vs {}",
             s.id,
             s.value,
             b.value
@@ -623,7 +647,7 @@ fn main() {
     }
     let speedup = serial.elapsed_secs / batched.elapsed_secs.max(1e-12);
     println!(
-        "throughput: serial {:.3}s, batched {:.3}s -> {:.2}x (equivalence 1e-9 ok over {} responses)",
+        "throughput: serial {:.3}s, batched {:.3}s -> {:.2}x (bitwise equal over {} responses)",
         serial.elapsed_secs,
         batched.elapsed_secs,
         speedup,
@@ -1050,6 +1074,12 @@ fn run_chaos_pass(
     pass
 }
 
+/// The seed-keyed fault timeline every chaos pass of `cfg` replays, over
+/// the engine's 16 shards.
+fn chaos_schedule(cfg: &Cfg) -> ChaosSchedule {
+    ChaosSchedule::generate(cfg.chaos_seed, cfg.ticks as u64, 16)
+}
+
 /// The `--chaos` soak: baseline pass, two identically-seeded chaos passes,
 /// the availability / isolation / determinism gates, and the
 /// `BENCH_resilience.json` document.
@@ -1060,7 +1090,7 @@ fn run_chaos_soak(
     history_len: usize,
     trace_out: &Option<String>,
 ) {
-    let schedule = ChaosSchedule::generate(cfg.chaos_seed, cfg.ticks as u64, 16);
+    let schedule = chaos_schedule(cfg);
     println!(
         "chaos: seed {} -> {} events over {} ticks (digest {:016x})",
         cfg.chaos_seed,

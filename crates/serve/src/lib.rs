@@ -15,8 +15,8 @@
 //! - [`engine`]: the tick-based [`engine::ServeEngine`] — drains the
 //!   queue, groups lanes by `(shape, weight fingerprint)`, and answers
 //!   each group with one fused batched LSTM forward
-//!   ([`ld_nn::LstmForecaster::predict_batch_fused`]) while retaining the
-//!   per-tenant serial path for equivalence; poisoned or snapshot-less
+//!   ([`ld_nn::LstmForecaster::predict_batch_fused`]), bitwise the answer
+//!   of the retained per-tenant serial path; poisoned or snapshot-less
 //!   tenants degrade to the WMA smoothing fallback without contaminating
 //!   their co-batched neighbors, and everything it does is recorded
 //!   through the one [`ld_telemetry::Tracer`] it is built with;

@@ -1,10 +1,9 @@
 //! End-to-end serving pipeline equivalence and determinism.
 //!
 //! The contracts under test (see DESIGN.md "Serving determinism"):
-//! - the fused batched path answers exactly what the per-tenant paths
-//!   answer: bitwise vs the allocating reference forward
-//!   (`predict_reference`), ≤ 1e-12 relative vs the workspace
-//!   (`forward_into`) path;
+//! - the fused batched path answers exactly what the per-tenant path
+//!   answers: bitwise vs the `Serial` engine and vs `predict`, the
+//!   forward training and validation run;
 //! - identically-seeded runs produce bitwise-identical response streams;
 //! - LRU spills and lazy rehydrations are lossless: a capacity-starved
 //!   registry answers bit-for-bit what an uncapped one answers;
@@ -113,11 +112,23 @@ fn run(eng: &mut ServeEngine, fleet: &Fleet, ticks: usize) -> Vec<Response> {
 }
 
 #[test]
-fn batched_matches_reference_path_bitwise() {
+fn batched_matches_serial_and_predict_bitwise() {
     let f = fleet(37);
     let batched = run(&mut engine(ExecMode::Batched, "eq-b", 64, &f), &f, 3);
+    let serial = run(&mut engine(ExecMode::Serial, "eq-s", 64, &f), &f, 3);
     assert_eq!(batched.len(), 3 * f.keys.len());
-    for b in &batched {
+    assert_eq!(batched.len(), serial.len());
+    for (b, s) in batched.iter().zip(&serial) {
+        assert_eq!(b.id, s.id);
+        assert!(!b.degraded && !s.degraded, "id {} degraded", b.id);
+        assert_eq!(
+            b.value.to_bits(),
+            s.value.to_bits(),
+            "id {}: batched {} != serial {}",
+            b.id,
+            b.value,
+            s.value
+        );
         let t = usize::try_from(b.id).expect("id fits usize") % f.keys.len();
         // The engine's window: the last HIST observations, tenant-scaled.
         let (snap, history) = (&f.snapshots[t], &f.histories[t]);
@@ -126,36 +137,14 @@ fn batched_matches_reference_path_bitwise() {
             .iter()
             .map(|&v| scaler.transform(v))
             .collect();
-        let reference = scaler
-            .inverse(snap.model().predict_reference(&window))
-            .max(0.0);
-        assert!(!b.degraded);
+        let want = scaler.inverse(snap.model().predict(&window)).max(0.0);
         assert_eq!(
             b.value.to_bits(),
-            reference.to_bits(),
-            "id {}: batched {} != reference {}",
+            want.to_bits(),
+            "id {}: batched {} != predict {}",
             b.id,
             b.value,
-            reference
-        );
-    }
-}
-
-#[test]
-fn batched_matches_workspace_forward_to_1e12() {
-    let f = fleet(37);
-    let batched = run(&mut engine(ExecMode::Batched, "ws-b", 64, &f), &f, 3);
-    let serial = run(&mut engine(ExecMode::Serial, "ws-s", 64, &f), &f, 3);
-    assert_eq!(batched.len(), serial.len());
-    for (b, s) in batched.iter().zip(&serial) {
-        assert_eq!(b.id, s.id);
-        let scale = b.value.abs().max(s.value.abs()).max(1.0);
-        assert!(
-            (b.value - s.value).abs() <= 1e-12 * scale,
-            "id {}: batched {} vs workspace {}",
-            b.id,
-            b.value,
-            s.value
+            want
         );
     }
 }
@@ -336,8 +325,8 @@ fn per_tenant_fleet_matches_golden_digests() {
                 if mode != ExecMode::Batched {
                     continue;
                 }
-                // Every batched answer is its own model's reference
-                // forward, bit for bit.
+                // Every batched answer is its own model's `predict`, bit
+                // for bit.
                 let t = usize::try_from(r.id % 1000).expect("tenant index");
                 let snap = &fleet[t].1;
                 let history = mixed_history(t, tick);
@@ -345,10 +334,7 @@ fn per_tenant_fleet_matches_golden_digests() {
                     .iter()
                     .map(|&v| snap.scaler().transform(v))
                     .collect();
-                let want = snap
-                    .scaler()
-                    .inverse(snap.model().predict_reference(&window))
-                    .max(0.0);
+                let want = snap.scaler().inverse(snap.model().predict(&window)).max(0.0);
                 assert_eq!(r.value.to_bits(), want.to_bits(), "{label}: id {}", r.id);
             }
             digests.push(response_digest(&responses));
@@ -363,10 +349,10 @@ fn per_tenant_fleet_matches_golden_digests() {
 }
 
 const GOLDEN_BATCHED: [u64; 4] = [
-    0x25e2_35b6_02d2_6d28,
-    0xaa92_27e1_3c47_30ce,
-    0xf9e2_a140_1ab4_bd84,
-    0x976c_b676_b067_a443,
+    0xebcd_5903_de07_c0ba,
+    0x0683_103b_9f56_cab1,
+    0x8034_cb43_639e_c243,
+    0xc427_2851_19ec_532a,
 ];
 const GOLDEN_SERIAL: [u64; 4] = [
     0x47a4_55c2_4827_264e,

@@ -3,8 +3,8 @@
 # the ld-e2e benchmark's smoke suite, the ld-perfbench smoke run on one CPU
 # (kernel equivalence asserts + bench schema check), the loadgen replays
 # (a traced smoke run whose trace, events, manifest and Prometheus
-# exposition must validate, and BENCH_serve.json's response digest
-# recomputed), the ld-lint static-analysis
+# exposition must validate, and the response digests of BENCH_serve.json
+# and BENCH_resilience.json recomputed), the ld-lint static-analysis
 # gate (schema v3 report left in target/lint-report.json and validated, plus
 # the zero-edit --fix --dry-run check), and a warning-free
 # clippy pass over every target (tests, examples and benches included).
@@ -61,6 +61,9 @@ cargo run -q --release -p ld-serve --bin ld-loadgen -- --check BENCH_serve.json
 echo "=== ld-loadgen --chaos --smoke (chaos soak: availability, isolation, determinism) ==="
 mkdir -p target
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --chaos --smoke --out target/ci-resilience.json
+# Each replays the document's first chaos pass (its seed, chaos seed,
+# tenants, ticks and mode) and fails unless that recomputes the document's
+# response_digest.
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience target/ci-resilience.json
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience BENCH_resilience.json
 

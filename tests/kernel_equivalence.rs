@@ -12,12 +12,14 @@
 //!   implementations must agree with).
 //! - Packed register-tiled matmul (FMA lanes) vs the naive streaming
 //!   kernel: 1e-9 relative; pack/unpack round trips: **bitwise**.
-//! - The register-blocked packed-A GEMM (plain lanes) and its fused
-//!   accumulate+bias store vs the naive kernels: **bitwise**, including
-//!   edge tiles and 1xN / Nx1 degenerate shapes.
+//! - The register-blocked packed-A GEMM (plain lanes) vs the naive
+//!   kernel: **bitwise**, including edge tiles, 1xN / Nx1 degenerate
+//!   shapes and the fused `[W | U | b]` panel shapes the batched forward
+//!   drives.
 //! - The fused LSTM gate step (one packed `[W | U | b]` mat-vec) vs the
 //!   per-row three-term reference step: 1e-9 relative; the batched fused
-//!   inference path vs `predict_reference`: **bitwise**.
+//!   inference path vs the per-window `predict` that training and
+//!   validation run: **bitwise**.
 //! - The packed-panel Gram build and the shipped `gram::build` dispatcher
 //!   vs the serial build: **bitwise**.
 //! - Every council member's own forecasts (the rank-keyed CART tree,
@@ -240,11 +242,11 @@ fn bitwise_packed_gemm_matches_naive() {
         (33, 65, 17),
         (64, 48, 40),
     ];
-    // The serving gate shapes: `4H x k` weights (`k` = 1 for layer 0's
-    // input, `H` for the recurrent and deeper inputs) against every lane
-    // count from one (all remainder columns) to 8 + 1.
+    // The serving gate shapes: a `4H x (I + H + 1)` fused panel (`I` = 1
+    // for layer 0, `H` for deeper layers) against every lane count from
+    // one (all remainder columns) to 8 + 1.
     for h in [1usize, 3, 8, 13, 16] {
-        for k in [1, h] {
+        for k in [h + 2, 2 * h + 1] {
             shapes.extend((1..=9).map(|n| (4 * h, k, n)));
         }
     }
@@ -262,23 +264,6 @@ fn bitwise_packed_gemm_matches_naive() {
                 r.to_bits(),
                 "({m}x{k})*({k}x{n}) element {i}: {f} vs {r}"
             );
-        }
-
-        // The fused accumulate+bias store folds `(out + acc) + bias[row]`
-        // with the product accumulated to completion first.
-        let bias: Vec<f64> = (0..m).map(|i| (i as f64 * 0.3).cos()).collect();
-        let seed: Vec<f64> = (0..m * n).map(|i| (i as f64 * 0.17).sin()).collect();
-        let mut acc = seed.clone();
-        packed.matmul_acc_bias_into(&b, &bias, &mut acc);
-        for i in 0..m {
-            for j in 0..n {
-                let want = (seed[i * n + j] + naive[(i, j)]) + bias[i];
-                assert_eq!(
-                    acc[i * n + j].to_bits(),
-                    want.to_bits(),
-                    "acc+bias ({m}x{k})*({k}x{n}) at ({i},{j})"
-                );
-            }
         }
     }
 }
@@ -311,7 +296,7 @@ fn fused_gate_step_matches_reference_within_1e9() {
 }
 
 #[test]
-fn batched_fused_inference_matches_reference_bitwise() {
+fn batched_fused_inference_matches_predict_bitwise() {
     let model = LstmForecaster::new(ForecasterConfig {
         history_len: 9,
         hidden_size: 7,
@@ -326,7 +311,7 @@ fn batched_fused_inference_matches_reference_bitwise() {
     let mut out = vec![0.0; batch];
     model.predict_batch_fused(&windows, batch, &mut scratch, &mut out);
     for (j, got) in out.iter().enumerate() {
-        let want = model.predict_reference(&windows[j * 9..(j + 1) * 9]);
+        let want = model.predict(&windows[j * 9..(j + 1) * 9]);
         assert_eq!(got.to_bits(), want.to_bits(), "lane {j}: {got} vs {want}");
     }
 }
