@@ -147,72 +147,6 @@ impl Predictor for BrownDes {
     }
 }
 
-/// Holt–Winters *triple* exponential smoothing (additive seasonality).
-///
-/// Table II's pool uses the double (trend-only) variant; the triple
-/// variant is provided for seasonal workloads — the classical non-ML
-/// answer to Wikipedia-style traffic, and a useful extra expert for a
-/// custom [`crate::cloudinsight::CloudInsight::with_members`] council.
-#[derive(Debug, Clone)]
-pub struct HoltWintersSeasonal {
-    /// Level smoothing factor.
-    pub alpha: f64,
-    /// Trend smoothing factor.
-    pub beta: f64,
-    /// Seasonal smoothing factor.
-    pub gamma: f64,
-    /// Season length in intervals (e.g. a day).
-    pub period: usize,
-}
-
-impl HoltWintersSeasonal {
-    /// Triple smoothing with standard factors for the given season length.
-    pub fn new(period: usize) -> Self {
-        assert!(period >= 2, "season length must be >= 2");
-        HoltWintersSeasonal {
-            alpha: 0.3,
-            beta: 0.05,
-            gamma: 0.3,
-            period,
-        }
-    }
-}
-
-impl Predictor for HoltWintersSeasonal {
-    fn name(&self) -> String {
-        format!("HoltWintersSeasonal(p={})", self.period)
-    }
-
-    fn fit(&mut self, _history: &[f64]) {}
-
-    fn predict(&mut self, history: &[f64]) -> f64 {
-        let p = self.period;
-        // Need at least two full seasons to initialize sensibly.
-        if history.len() < 2 * p {
-            return HoltDes::default().predict(history);
-        }
-        let h = crate::features::recent(history, 8 * p.max(64));
-        // Initialize level/trend from the first season, seasonal indices
-        // from deviations of the first season around its mean.
-        let s0_mean = h[..p].iter().sum::<f64>() / p as f64;
-        let s1_mean = h[p..2 * p].iter().sum::<f64>() / p as f64;
-        let mut level = s0_mean;
-        let mut trend = (s1_mean - s0_mean) / p as f64;
-        let mut seasonal: Vec<f64> = h[..p].iter().map(|v| v - s0_mean).collect();
-
-        for (t, &v) in h.iter().enumerate().skip(p) {
-            let s_idx = t % p;
-            let prev_level = level;
-            level = self.alpha * (v - seasonal[s_idx]) + (1.0 - self.alpha) * (level + trend);
-            trend = self.beta * (level - prev_level) + (1.0 - self.beta) * trend;
-            seasonal[s_idx] =
-                self.gamma * (v - level) + (1.0 - self.gamma) * seasonal[s_idx];
-        }
-        let next_idx = h.len() % p;
-        level + trend + seasonal[next_idx]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,44 +201,5 @@ mod tests {
         assert_eq!(Ema::default().predict(&h), 7.0);
         assert_eq!(HoltDes::default().predict(&h), 7.0);
         assert_eq!(BrownDes::default().predict(&h), 7.0);
-        assert_eq!(HoltWintersSeasonal::new(4).predict(&h), 7.0);
-    }
-
-    #[test]
-    fn triple_smoothing_tracks_a_seasonal_pattern() {
-        // Period-6 additive pattern on a flat level.
-        let pattern = [10.0, 30.0, 50.0, 40.0, 20.0, 5.0];
-        let mut h = Vec::new();
-        for _ in 0..12 {
-            h.extend_from_slice(&pattern);
-        }
-        let mut hw = HoltWintersSeasonal::new(6);
-        let pred = hw.predict(&h);
-        // Next value is the first pattern entry.
-        assert!((pred - 10.0).abs() < 4.0, "pred {pred}");
-        // The non-seasonal smoothers cannot get close to the trough.
-        let holt = HoltDes::default().predict(&h);
-        assert!((pred - 10.0).abs() < (holt - 10.0).abs());
-    }
-
-    #[test]
-    fn triple_smoothing_tracks_season_plus_trend() {
-        // Rising level with a period-4 wave on top.
-        let h: Vec<f64> = (0..80)
-            .map(|i| 100.0 + 2.0 * i as f64 + [0.0, 15.0, 0.0, -15.0][i % 4])
-            .collect();
-        let mut hw = HoltWintersSeasonal::new(4);
-        let pred = hw.predict(&h);
-        let truth = 100.0 + 2.0 * 80.0 + 0.0;
-        assert!((pred - truth).abs() < 8.0, "pred {pred} vs {truth}");
-    }
-
-    #[test]
-    fn triple_falls_back_when_history_shorter_than_two_seasons() {
-        let h: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let mut hw = HoltWintersSeasonal::new(8);
-        // Falls back to Holt's DES, which extrapolates the ramp.
-        let pred = hw.predict(&h);
-        assert!((pred - 10.0).abs() < 1.0, "pred {pred}");
     }
 }

@@ -183,7 +183,7 @@ impl DecisionTree {
                         let rsq = total_sq - lsq;
                         let child_sse = (lsq - lsum * lsum / nl as f64)
                             + (rsq - rsum * rsum / nr as f64);
-                        let threshold = 0.5 * (xs[sorted[k]][f] + xs[sorted[k + 1]][f]);
+                        let threshold = split_threshold(xs[sorted[k]][f], xs[sorted[k + 1]][f]);
                         if best.is_none_or(|(s, _, _)| child_sse < s) {
                             best = Some((child_sse, f, threshold));
                         }
@@ -398,7 +398,7 @@ impl DecisionTree {
                         let child_sse =
                             (lsq - lsum * lsum / nl as f64) + (rsq - rsum * rsum / nr as f64);
                         if best.is_none_or(|(s, _, _)| child_sse < s) {
-                            best = Some((child_sse, f, 0.5 * (sx[k] + sx[k + 1])));
+                            best = Some((child_sse, f, split_threshold(sx[k], sx[k + 1])));
                         }
                     }
                 }
@@ -485,6 +485,20 @@ impl DecisionTree {
             right,
         };
         node_idx
+    }
+}
+
+/// The best-split threshold between adjacent sorted values `a < b`: their
+/// midpoint when it lies in `[a, b)`, else `a`. The midpoint is `b` or
+/// `inf` when `b` is `+inf`, when `a + b` overflows, and between adjacent
+/// floats; such a threshold would send the rows at `b` left with the
+/// prefix, so the partition would not be the split that was scored.
+fn split_threshold(a: f64, b: f64) -> f64 {
+    let mid = 0.5 * (a + b);
+    if a <= mid && mid < b {
+        mid
+    } else {
+        a
     }
 }
 
@@ -867,29 +881,54 @@ mod tests {
 
     #[test]
     fn nan_features_never_become_thresholds() {
-        // Two NaN rows sort last, and the last one's target is an outlier:
-        // splitting between them would isolate it at a NaN threshold, which
-        // sends every row right and leaves an empty left child.
-        let xs: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![if i == 7 || i == 13 { f64::NAN } else { f64::from(i) }])
-            .collect();
-        let ys: Vec<f64> = (0..20).map(|i| if i == 13 { 50.0 } else { f64::from(i % 3) }).collect();
-        for policy in [SplitPolicy::Best, SplitPolicy::Random] {
-            let mut tree = DecisionTree::new(
-                TreeConfig {
+        // Rows 7 and 13 hold the value under test. NaN: both sort last and
+        // row 13's target is an outlier; splitting between them would
+        // isolate it at a NaN threshold, which sends every row right and
+        // leaves an empty left child. `+inf`, `-inf` and a float's
+        // successor: both rows carry outlier targets, and the midpoint of
+        // the split that isolates them is `inf`, `-inf` or that successor.
+        // `-inf` is the right threshold; the other two would send every row
+        // left and leave an empty right child.
+        let (below, above) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        for (odd, rest) in [
+            (f64::NAN, None),
+            (f64::INFINITY, None),
+            (f64::NEG_INFINITY, None),
+            (above, Some(below)),
+        ] {
+            let xs: Vec<Vec<f64>> = (0..20)
+                .map(|i| vec![if i == 7 || i == 13 { odd } else { rest.unwrap_or(f64::from(i)) }])
+                .collect();
+            let outlier = |i: i32| i == 13 || (i == 7 && !odd.is_nan());
+            let ys: Vec<f64> = (0..20)
+                .map(|i| if outlier(i) { 50.0 } else { f64::from(i % 3) })
+                .collect();
+            for policy in [SplitPolicy::Best, SplitPolicy::Random] {
+                let config = TreeConfig {
                     policy,
                     ..TreeConfig::default()
-                },
-                3,
-            );
-            tree.fit(&xs, &ys);
-            for node in &tree.nodes {
-                if let Node::Split { threshold, .. } = node {
-                    assert!(threshold.is_finite(), "{policy:?}: threshold {threshold}");
+                };
+                let mut fast = DecisionTree::new(config, 3);
+                fast.fit(&xs, &ys);
+                let mut reference = DecisionTree::new(config, 3);
+                reference.fit_reference(&xs, &ys);
+                let what = format!("{odd} {policy:?}");
+                assert_same_tree(&fast, &reference, &what);
+                for tree in [&fast, &reference] {
+                    if odd.is_nan() {
+                        for node in &tree.nodes {
+                            if let Node::Split { threshold, .. } = node {
+                                assert!(threshold.is_finite(), "{what}: threshold {threshold}");
+                            }
+                        }
+                    }
+                    for x in &xs {
+                        assert!(tree.predict(x).is_finite(), "{what}: prediction at {x:?}");
+                    }
+                    if policy == SplitPolicy::Best && !odd.is_nan() {
+                        assert_eq!(tree.predict(&[odd]), 50.0, "{what}: outlier leaf");
+                    }
                 }
-            }
-            for x in &xs {
-                assert!(tree.predict(x).is_finite(), "{policy:?}: prediction at {x:?}");
             }
         }
     }

@@ -396,24 +396,6 @@ pub struct OptimizedPredictor {
 }
 
 impl OptimizedPredictor {
-    /// Assembles a predictor from parts (used by the seed-ensemble
-    /// builder, which trains extra models outside `optimize`).
-    pub(crate) fn from_parts(
-        name: String,
-        model: LstmForecaster,
-        scaler: ld_api::MinMaxScaler,
-        history_len: usize,
-    ) -> Self {
-        OptimizedPredictor {
-            name,
-            kind: PredictorKind::Lstm {
-                model,
-                scaler,
-                history_len,
-            },
-        }
-    }
-
     /// The tuned history length `n` (1 for a degraded baseline predictor,
     /// which manages its own lookback internally).
     pub fn history_len(&self) -> usize {

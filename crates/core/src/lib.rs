@@ -35,14 +35,12 @@
 #![deny(rust_2018_idioms)]
 
 pub mod adaptive;
-pub mod ensemble;
 pub mod framework;
 pub mod hyperparams;
 pub mod pipeline;
 pub mod space;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveLoadDynamics, DriftDetector};
-pub use ensemble::SeedEnsemble;
 pub use framework::{
     FallbackKind, FrameworkConfig, LoadDynamics, OptimizationOutcome, OptimizedPredictor,
     SearchStrategy,

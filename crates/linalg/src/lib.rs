@@ -4,16 +4,18 @@
 //! `f64` linear algebra. This crate provides exactly the pieces the upper
 //! layers need, implemented from scratch:
 //!
-//! - [`Matrix`]: a row-major dense matrix with the usual arithmetic, a
-//!   packed-panel register-tiled matrix product for large operands
-//!   ([`pack`]/[`microkernel`]), and serde support so trained models can be
-//!   snapshotted.
+//! - [`Matrix`]: a row-major dense matrix with the usual arithmetic and
+//!   serde support so trained models can be snapshotted.
+//! - [`pack`]: [`pack::PackedA`], a weight matrix repacked into row
+//!   micro-panels once and reused by the LSTM gate step's mat-vec and the
+//!   batched serving forward's register-blocked GEMM (bitwise equal to
+//!   [`Matrix::matmul`]).
 //! - [`cholesky`]: Cholesky factorization and triangular solves, the
 //!   numerical core of Gaussian-process regression.
-//! - [`vecops`]: small dense-vector kernels (dot, axpy, norms) shared by the
-//!   neural-network and statistics code.
-//! - [`solve`]: general least-squares / linear-system solving via normal
-//!   equations with ridge damping, used by the regression baselines.
+//! - [`vecops`]: small dense-vector kernels (dot, axpy, distances, moments)
+//!   shared by the neural-network and statistics code.
+//! - [`solve`]: (weighted) least squares via the normal equations with
+//!   ridge damping, used by the regression baselines.
 //!
 //! All routines are deterministic; anything randomized takes an explicit RNG.
 
@@ -23,7 +25,7 @@
 pub mod cholesky;
 mod guard;
 pub mod matrix;
-pub mod microkernel;
+mod microkernel;
 pub mod pack;
 pub mod solve;
 pub mod vecops;
@@ -44,8 +46,6 @@ pub enum LinalgError {
         /// Index of the pivot that failed.
         pivot: usize,
     },
-    /// The system is singular or too ill-conditioned to solve.
-    Singular,
 }
 
 impl std::fmt::Display for LinalgError {
@@ -57,7 +57,6 @@ impl std::fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix not positive definite (pivot {pivot})")
             }
-            LinalgError::Singular => write!(f, "singular system"),
         }
     }
 }

@@ -1,28 +1,21 @@
-//! Micro-panel packing for the register-tiled GEMM ([`crate::microkernel`]).
+//! Micro-panel packing for the register-blocked GEMM
+//! (`microkernel::gemm`).
 //!
-//! A BLIS-style packed product reads both operands through flat panels laid
-//! out in exactly the order the microkernel consumes them:
-//!
-//! - **A panels** ([`PackedA`]): the left operand is cut into row panels of
-//!   [`MR`] rows. Each panel stores its `k` steps contiguously, `MR` values
-//!   per step (`panel[p * MR + i] = a[i0 + i][p]`), so one k-step of the
-//!   microkernel is a single contiguous `MR`-wide load. The final panel is
-//!   zero-padded to `MR` rows.
-//! - **B panels** ([`pack_b_into`]): the right operand of the FMA-tiled
-//!   path ([`crate::Matrix::matmul_packed`]) is cut into column panels of
-//!   [`NR`] columns, stored k-major (`panel[p * NR + j] = b[p][j0 + j]`),
-//!   zero-padded to `NR` columns. The bitwise [`PackedA`] products consume
-//!   their right operand row-major instead — the streaming kernel
-//!   ([`crate::microkernel::gemm`]) wants runtime-width rows, not fixed
-//!   tiles — so only the reused left weights pay a packing cost.
+//! The left operand ([`PackedA`]) is cut into row panels of `MR` (8) rows.
+//! Each panel stores its `k` steps contiguously, `MR` values per step
+//! (`panel[p * MR + i] = a[i0 + i][p]`), so one k-step of the kernel is a
+//! single contiguous `MR`-wide load. The final panel is zero-padded to
+//! `MR` rows. The right operand stays row-major: the streaming kernel
+//! wants runtime-width rows, not fixed tiles, so only the reused left
+//! weights pay a packing cost.
 //!
 //! Padding lanes multiply real data by `0.0` and are never stored back, so
 //! they cannot affect results (finite inputs; `0.0 * x` is `±0.0`). Each
 //! output element is accumulated by a single accumulator in ascending-`k`
-//! order, which keeps every packed kernel **bitwise identical** to
-//! [`crate::Matrix::matmul_naive`] — the repo-wide dispatch contract.
+//! order, which keeps every packed product **bitwise identical** to
+//! [`crate::Matrix::matmul`].
 
-use crate::microkernel::{self, MR, NR};
+use crate::microkernel::{self, MR};
 use crate::Matrix;
 
 /// A matrix packed into `MR`-row micro-panels — the GEMM/mat-vec left
@@ -117,15 +110,14 @@ impl PackedA {
     }
 
     /// Register-blocked packed-A GEMM `out = A * rhs` against an unpacked
-    /// right operand ([`crate::microkernel::gemm`] consumes `rhs`
-    /// row-major; nothing is packed or allocated per call).
+    /// right operand (the kernel consumes `rhs` row-major; nothing is
+    /// packed or allocated per call).
     ///
-    /// Bitwise identical to [`Matrix::matmul_into`] /
-    /// [`Matrix::matmul_naive`] at every shape (single ascending-`k`
-    /// accumulator per output element), and column `j` of the product is
-    /// bitwise [`PackedA::matvec_into`] of column `j` of `rhs` — what lets
-    /// the LSTM batched forward answer each lane as the sequential gate
-    /// step would.
+    /// Bitwise identical to [`Matrix::matmul`] at every shape (single
+    /// ascending-`k` accumulator per output element), and column `j` of the
+    /// product is bitwise [`PackedA::matvec_into`] of column `j` of `rhs` —
+    /// what lets the LSTM batched forward answer each lane as the
+    /// sequential gate step would.
     ///
     /// # Panics
     /// Panics on shape mismatch (hot path; callers guarantee shapes).
@@ -142,7 +134,7 @@ impl PackedA {
 ///
 /// # Panics
 /// Panics if `out` is not exactly the packed size.
-pub fn pack_a_into(a: &[f64], m: usize, k: usize, out: &mut [f64]) {
+fn pack_a_into(a: &[f64], m: usize, k: usize, out: &mut [f64]) {
     let panels = m.div_ceil(MR).max(1);
     assert_eq!(a.len(), m * k, "pack_a_into: input size");
     assert_eq!(out.len(), panels * MR * k, "pack_a_into: output size");
@@ -167,56 +159,6 @@ pub fn pack_a_into(a: &[f64], m: usize, k: usize, out: &mut [f64]) {
     }
 }
 
-/// Packs a flat row-major `k x n` slice into `NR`-column panels
-/// (`ceil(n/NR)` panels of `k * NR` values, k-major, zero-padded columns),
-/// growing `out` as needed. Returns nothing; the panel count is implied by
-/// `n`.
-pub fn pack_b_into(b: &[f64], k: usize, n: usize, out: &mut Vec<f64>) {
-    assert_eq!(b.len(), k * n, "pack_b_into: input size");
-    let panels = n.div_ceil(NR).max(1);
-    out.resize(panels * NR * k, 0.0);
-    if k == 0 {
-        return;
-    }
-    // Padding columns in a partial final panel must be zero on every call
-    // (the scratch buffer may hold stale lanes from a previous pack); full
-    // panels are fully overwritten below, so only the tail needs clearing.
-    if !n.is_multiple_of(NR) || n == 0 {
-        out[(panels - 1) * NR * k..].fill(0.0);
-    }
-    if n == 0 {
-        return;
-    }
-    // One sequential pass over B: each source row is read once and its
-    // `NR`-wide chunks scattered to their panels, instead of re-streaming
-    // the whole matrix once per panel.
-    for (p, brow) in b.chunks_exact(n).enumerate() {
-        for (pj, chunk) in brow.chunks(NR).enumerate() {
-            out[pj * NR * k + p * NR..][..chunk.len()].copy_from_slice(chunk);
-        }
-    }
-}
-
-/// Unpacks an `NR`-column panel buffer back to flat row-major `k x n` —
-/// the inverse of [`pack_b_into`], for the round-trip property tests.
-pub fn unpack_b(packed: &[f64], k: usize, n: usize) -> Vec<f64> {
-    let panels = n.div_ceil(NR).max(1);
-    assert_eq!(packed.len(), panels * NR * k, "unpack_b: packed size");
-    let mut out = vec![0.0; k * n];
-    if k == 0 {
-        return out;
-    }
-    for (pj, panel) in packed.chunks_exact(NR * k).enumerate() {
-        let j0 = pj * NR;
-        let cols = n.saturating_sub(j0).min(NR);
-        for p in 0..k {
-            out[p * n + j0..p * n + j0 + cols]
-                .copy_from_slice(&panel[p * NR..p * NR + cols]);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,10 +171,10 @@ mod tests {
         (1, 1),
         (1, 13),
         (13, 1),
-        (MR, NR),
-        (MR - 1, NR + 1),
+        (MR, 16),
+        (MR - 1, 17),
         (2 * MR + 3, 17),
-        (31, 2 * NR + 1),
+        (31, 33),
         (64, 64),
     ];
 
@@ -258,17 +200,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn pack_b_round_trips_bitwise() {
-        let mut rng = StdRng::seed_from_u64(72);
-        for &(k, n) in SHAPES {
-            let b: Vec<f64> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut packed = Vec::new();
-            pack_b_into(&b, k, n, &mut packed);
-            assert_eq!(unpack_b(&packed, k, n), b, "{k}x{n} B round trip");
         }
     }
 
@@ -317,20 +248,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pack_buffer_reuse_is_stateless() {
-        // A larger pack followed by a smaller one through the same scratch
-        // must produce exactly the fresh-buffer panels.
-        let mut rng = StdRng::seed_from_u64(74);
-        let big: Vec<f64> = (0..9 * 11).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let small: Vec<f64> = (0..3 * 2).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut warm = Vec::new();
-        pack_b_into(&big, 9, 11, &mut warm);
-        pack_b_into(&small, 3, 2, &mut warm);
-        let mut cold = Vec::new();
-        pack_b_into(&small, 3, 2, &mut cold);
-        assert_eq!(warm, cold);
     }
 }

@@ -1,87 +1,12 @@
-//! General linear solving: Gaussian elimination with partial pivoting and
-//! (ridge-damped) least squares via the normal equations.
+//! (Ridge-damped, optionally weighted) least squares via the normal
+//! equations.
 //!
 //! The regression baselines of Table II (linear/quadratic/cubic regression,
 //! AR/ARMA/ARIMA fitting, Wood et al.'s robust regression) all reduce to
 //! least-squares problems of modest dimension; these routines are their
 //! numerical backend.
 
-use crate::{guard, Cholesky, LinalgError, Matrix, Result};
-
-/// Solves a general square system `A x = b` by Gaussian elimination with
-/// partial pivoting.
-pub fn solve_square(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::ShapeMismatch {
-            context: format!("solve_square: {}x{} not square", a.rows(), a.cols()),
-        });
-    }
-    if b.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            context: format!("solve_square: rhs {} vs dim {n}", b.len()),
-        });
-    }
-    let mut aug = a.clone();
-    let mut rhs = b.to_vec();
-    for col in 0..n {
-        // Partial pivot: largest magnitude in the remaining column, under
-        // the IEEE total order. A NaN anywhere in the column wins the
-        // selection (NaN sorts above +inf by magnitude), fails the finite
-        // pivot check below, and surfaces as a deterministic `Singular`
-        // instead of an order-dependent result.
-        let mut pivot_row = col;
-        for i in (col + 1)..n {
-            if aug[(i, col)].abs().total_cmp(&aug[(pivot_row, col)].abs()).is_gt() {
-                pivot_row = i;
-            }
-        }
-        let pivot = aug[(pivot_row, col)];
-        if pivot.abs() < 1e-12 || !pivot.is_finite() {
-            return Err(LinalgError::Singular);
-        }
-        if pivot_row != col {
-            for k in 0..n {
-                let tmp = aug[(col, k)];
-                aug[(col, k)] = aug[(pivot_row, k)];
-                aug[(pivot_row, k)] = tmp;
-            }
-            rhs.swap(col, pivot_row);
-        }
-        for row in (col + 1)..n {
-            let factor = aug[(row, col)] / pivot;
-            if factor == 0.0 {
-                continue;
-            }
-            for k in col..n {
-                let v = aug[(col, k)];
-                aug[(row, k)] -= factor * v;
-            }
-            rhs[row] -= factor * rhs[col];
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut s = rhs[row];
-        for k in (row + 1)..n {
-            s -= aug[(row, k)] * x[k];
-        }
-        x[row] = s / aug[(row, row)];
-    }
-    // Sanitizer: every pivot was checked finite, so a NaN in the solution can
-    // only descend from a non-finite entry in the original system (a NaN off
-    // the pivot columns passes the pivot checks) or from an intermediate
-    // overflow, which leaves a visible ±inf entry behind.
-    debug_assert!(
-        !guard::has_nan(&x)
-            || guard::has_nonfinite(b)
-            || !a.is_finite()
-            || guard::has_inf(&x),
-        "solve_square: NaN born from a finite system without overflow"
-    );
-    Ok(x)
-}
+use crate::{Cholesky, LinalgError, Matrix, Result};
 
 /// Solves `min_x ||A x - b||^2 + ridge * ||x||^2` via the normal equations
 /// `(A^T A + ridge I) x = A^T b`, factored with Cholesky.
@@ -99,7 +24,7 @@ pub fn lstsq(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
     // ascending rows, streaming each design row once with no transpose
     // materialization. Per output element this is the same single
     // ascending-`r` accumulator with the same zero-skip as
-    // [`Matrix::matmul_naive`], so it is bitwise identical to the
+    // [`Matrix::matmul`], so it is bitwise identical to the
     // reference build.
     let (rows, cols) = (a.rows(), a.cols());
     let mut ata = Matrix::zeros(cols, cols);
@@ -130,7 +55,7 @@ fn lstsq_reference(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
         });
     }
     let at = a.transpose();
-    let ata = at.matmul_naive(a)?;
+    let ata = at.matmul(a)?;
     let atb = a.matvec_t(b)?;
     solve_normal(ata, &atb, ridge)
 }
@@ -188,50 +113,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn square_solve_recovers_solution() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]);
-        let x = solve_square(&a, &[8.0, -11.0, -3.0]).unwrap();
-        let expect = [2.0, 3.0, -1.0];
-        for (u, v) in x.iter().zip(&expect) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn square_solve_detects_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(
-            solve_square(&a, &[1.0, 2.0]),
-            Err(LinalgError::Singular)
-        ));
-    }
-
-    #[test]
-    fn square_solve_needs_pivoting() {
-        // Zero on the initial pivot position forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = solve_square(&a, &[2.0, 3.0]).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn square_solve_with_nan_is_singular_not_a_panic() {
-        // Regression: pivot selection used partial_cmp and could panic (or
-        // pick an arbitrary row) on NaN. Under total_cmp a NaN wins the
-        // magnitude contest, fails the finite-pivot check, and the solve
-        // reports Singular — same outcome wherever the NaN sits.
-        for idx in 0..4 {
-            let mut rows = [[1.0, 2.0], [3.0, 4.0]];
-            rows[idx / 2][idx % 2] = f64::NAN;
-            let a = Matrix::from_rows(&[&rows[0], &rows[1]]);
-            assert!(
-                matches!(solve_square(&a, &[1.0, 1.0]), Err(LinalgError::Singular)),
-                "NaN at flat index {idx} must yield Singular"
-            );
-        }
-    }
 
     #[test]
     fn lstsq_exact_on_consistent_system() {

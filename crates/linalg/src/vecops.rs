@@ -78,12 +78,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     );
 }
 
-/// Euclidean norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Squared Euclidean distance between two points.
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -114,38 +108,6 @@ pub fn stddev(a: &[f64]) -> f64 {
     variance(a).sqrt()
 }
 
-/// Index of the minimum value (first on ties); `None` for empty input or if
-/// every entry is NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv <= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the maximum value (first on ties); `None` for empty input or if
-/// every entry is NaN.
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv >= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +115,7 @@ mod tests {
     #[test]
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
+        assert_eq!(dot(&[3.0, 4.0], &[3.0, 4.0]).sqrt(), 5.0);
     }
 
     #[test]
@@ -192,14 +154,5 @@ mod tests {
         assert_eq!(stddev(&xs), 2.0);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn argmin_argmax_handle_ties_and_nans() {
-        assert_eq!(argmin(&[3.0, 1.0, 1.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[3.0, 5.0, 5.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[]), None);
-        assert_eq!(argmin(&[f64::NAN, 2.0, 1.0]), Some(2));
-        assert_eq!(argmax(&[f64::NAN, f64::NAN]), None);
     }
 }

@@ -127,17 +127,6 @@ fn dot_is_bilinear() {
 }
 
 #[test]
-fn norm_triangle_inequality() {
-    let mut rng = StdRng::seed_from_u64(0x11A8);
-    for _ in 0..CASES {
-        let x = vector(8, &mut rng);
-        let y = vector(8, &mut rng);
-        let sum: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        assert!(vecops::norm2(&sum) <= vecops::norm2(&x) + vecops::norm2(&y) + 1e-9);
-    }
-}
-
-#[test]
 fn variance_nonnegative_and_shift_invariant() {
     let mut rng = StdRng::seed_from_u64(0x11A9);
     for _ in 0..CASES {

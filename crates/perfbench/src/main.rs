@@ -5,14 +5,15 @@
 //! retained *reference* implementation ("before": allocating LSTM
 //! forward/backward and reference trainer, naive matmul, per-row gate
 //! dots, serial Gram build) and the optimized implementation ("after":
-//! workspace-reusing LSTM kernels and trainer, packed register-tiled GEMM,
-//! fused gate step, the shipped serial-or-packed Gram dispatcher). The
-//! `observe-overhead` row instead times one serving engine with its
+//! workspace-reusing LSTM kernels and trainer, packed register-blocked
+//! GEMM, fused gate step, the shipped serial-or-packed Gram dispatcher).
+//! The `observe-overhead` row instead times one serving engine with its
 //! tracer off ("before") and on ("after"), so its speedup is below 1 by
-//! the observability plane's cost and falls when that cost grows. Each run reports the
-//! median of `reps` timed repetitions taken after `warmup` discarded
-//! repetitions — medians because a shared CI box produces one-sided
-//! latency noise that a mean would absorb and a median rejects.
+//! the observability plane's cost and falls when that cost grows. Each
+//! row reports per-leg medians of `reps` interleaved before/after pairs
+//! taken after one discarded pair — medians because a shared CI box
+//! produces one-sided latency noise that a mean would absorb and a median
+//! rejects.
 //!
 //! Before anything is timed, every before/after pair is equivalence-checked
 //! (1e-9 relative for float paths, bitwise for the paths that guarantee it),
@@ -22,7 +23,7 @@
 //!
 //! Modes:
 //! - full (default): realistic shapes; writes `BENCH_perf.json` (stable
-//!   schema, `schema_version: 1`) into the working directory.
+//!   schema, `schema_version: 2`) into the working directory.
 //! - `--smoke`: tiny shapes; all equivalence asserts still run and the
 //!   JSON document is built and schema-checked, but nothing is written
 //!   unless `--out` is given. Wired into `scripts/ci.sh`.
@@ -56,12 +57,11 @@ use ld_telemetry::Tracer;
 use serde::Value;
 
 /// Bump when the shape of `BENCH_perf.json` changes.
-const SCHEMA_VERSION: u64 = 1;
+const SCHEMA_VERSION: u64 = 2;
 
 /// Harness configuration resolved from the command line.
 struct Cfg {
     smoke: bool,
-    warmup: usize,
     reps: usize,
     /// Output path; `None` means "do not write" (smoke default).
     out: Option<String>,
@@ -150,17 +150,6 @@ fn series(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| 0.5 + 0.4 * (i as f64 * 0.13).sin() + 0.01 * (i % 7) as f64)
         .collect()
-}
-
-/// Deterministic dense matrix for the matmul sweep.
-fn dense(n: usize, phase: f64) -> Matrix {
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            m[(i, j)] = ((i * n + j) as f64 * 0.017 + phase).sin();
-        }
-    }
-    m
 }
 
 fn bench_lstm_forward(cfg: &Cfg) -> KernelResult {
@@ -357,70 +346,27 @@ fn bench_gram_build(cfg: &Cfg) -> KernelResult {
     }
 }
 
-fn bench_matmul(cfg: &Cfg, n: usize) -> KernelResult {
-    let a = dense(n, 0.1);
-    let b = dense(n, 0.7);
-    let r_naive = a.matmul_naive(&b).expect("square shapes");
-    let r_fast = a.matmul(&b).expect("square shapes");
-    // The dispatcher's packed register-tiled kernel accumulates through
-    // fused multiply-adds (one rounding per step instead of two), so it is
-    // pinned to the repo-wide 1e-9 relative gate rather than bitwise; the
-    // bitwise plain-lane variant is gated separately by the packed-gemm
-    // row.
-    let scale = r_naive
-        .as_slice()
-        .iter()
-        .fold(1.0f64, |m, v| m.max(v.abs()));
-    assert!(
-        r_naive.max_abs_diff(&r_fast) <= 1e-9 * scale,
-        "matmul n={n}: dispatched result beyond 1e-9 relative of naive"
-    );
-    let (before, after) = interleaved_medians(
-        cfg.reps,
-        || {
-            black_box(black_box(&a).matmul_naive(black_box(&b)).expect("shapes"));
-        },
-        || {
-            black_box(black_box(&a).matmul(black_box(&b)).expect("shapes"));
-        },
-    );
-    KernelResult {
-        name: match n {
-            32 => "matmul-n32",
-            64 => "matmul-n64",
-            128 => "matmul-n128",
-            256 => "matmul-n256",
-            _ => "matmul",
-        },
-        params: format!("{n}x{n} * {n}x{n}"),
-        before_median_secs: before,
-        after_median_secs: after,
-    }
-}
-
 fn bench_packed_gemm(cfg: &Cfg) -> KernelResult {
     // LSTM-batch-shaped rectangular product: (4H x H) * (H x B), the
     // recurrent block of the `4H x (I + H + 1)` fused-panel product
-    // `predict_batch_fused` drives per layer step. "Before" is the
-    // unpacked in-place product (`Matrix::matmul_into`); "after" packs
-    // the left operand once (the per-model cached-panel pattern) and runs
-    // the register-blocked plain-lane kernel, whose packed-A broadcasts
-    // let it hold twice as many accumulator rows in registers. Both
-    // accumulate each output through a single ascending-k chain, so the
-    // results must be bitwise identical. The kernel is microseconds even
-    // at the full shape, so smoke mode keeps it — the smoke `--compare`
-    // gate then measures the same crossover the committed full baseline
-    // records.
+    // `predict_batch_fused` drives per layer step. "Before" is the naive
+    // streaming product (`Matrix::matmul`, the kernel's oracle); "after"
+    // packs the left operand once (the per-model cached-panel pattern) and
+    // runs the register-blocked plain-lane kernel into a reused buffer.
+    // Both accumulate each output through a single ascending-k chain, so
+    // the results must be bitwise identical. The kernel is microseconds
+    // even at the full shape, so smoke mode keeps it — the smoke
+    // `--compare` gate then measures the same crossover the committed full
+    // baseline records.
     let (h_dim, batch) = (32, 64);
     let (m, k, n) = (4 * h_dim, h_dim, batch);
     let a = Matrix::from_fn(m, k, |i, j| ((i * k + j) as f64 * 0.019).sin());
     let b = Matrix::from_fn(k, n, |i, j| ((i * n + j) as f64 * 0.023).cos());
     let packed = PackedA::from_matrix(&a);
-    let mut out_ref = vec![0.0; m * n];
-    let mut out_fast = vec![0.0; m * n];
-    a.matmul_into(&b, &mut out_ref);
-    packed.matmul_into(&b, &mut out_fast);
-    for (i, (r, f)) in out_ref.iter().zip(&out_fast).enumerate() {
+    let reference = a.matmul(&b).expect("conforming shapes");
+    let mut out = vec![0.0; m * n];
+    packed.matmul_into(&b, &mut out);
+    for (i, (r, f)) in reference.as_slice().iter().zip(&out).enumerate() {
         assert_eq!(
             r.to_bits(),
             f.to_bits(),
@@ -432,12 +378,12 @@ fn bench_packed_gemm(cfg: &Cfg) -> KernelResult {
         cfg.reps,
         || {
             for _ in 0..inner {
-                black_box(&a).matmul_into(black_box(&b), &mut out_ref);
+                black_box(black_box(&a).matmul(black_box(&b)).expect("shapes"));
             }
         },
         || {
             for _ in 0..inner {
-                black_box(&packed).matmul_into(black_box(&b), &mut out_fast);
+                black_box(&packed).matmul_into(black_box(&b), &mut out);
             }
         },
     );
@@ -674,7 +620,6 @@ fn to_document(cfg: &Cfg, results: &[KernelResult]) -> Value {
             "mode".to_string(),
             Value::String(if cfg.smoke { "smoke" } else { "full" }.to_string()),
         ),
-        ("warmup".to_string(), Value::Uint(cfg.warmup as u64)),
         ("reps".to_string(), Value::Uint(cfg.reps as u64)),
         (
             "kernels".to_string(),
@@ -693,7 +638,7 @@ fn validate_schema(text: &str, expected_kernels: usize) {
         .and_then(Value::as_u64)
         .expect("schema_version");
     assert_eq!(version, SCHEMA_VERSION, "schema_version drifted");
-    for key in ["mode", "warmup", "reps"] {
+    for key in ["mode", "reps"] {
         doc.field(key).expect("top-level field");
     }
     let Ok(Value::Array(kernels)) = doc.field("kernels") else {
@@ -749,12 +694,11 @@ fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, String> {
 /// Compares the current run against a committed baseline's entries.
 ///
 /// Kernels are matched by name; entries present on only one side are
-/// reported and skipped (smoke shapes rename the matmul kernel, so a
-/// smoke run gates only the shape-independent kernels). The gate is on
-/// *speedup ratios*, not absolute seconds — absolute timings shift with
-/// the host, but the before/after ratio of the same two code paths on the
-/// same box is comparatively stable. A kernel regresses when
-/// `current_speedup * tolerance < baseline_speedup`.
+/// reported and skipped. The gate is on *speedup ratios*, not absolute
+/// seconds — absolute timings shift with the host, but the before/after
+/// ratio of the same two code paths on the same box is comparatively
+/// stable. A kernel regresses when `current_speedup * tolerance <
+/// baseline_speedup`.
 ///
 /// Returns the number of regressions.
 fn compare_against(baseline: &[(String, f64)], results: &[KernelResult], tolerance: f64) -> usize {
@@ -811,7 +755,6 @@ fn flag_value<T: std::str::FromStr>(
 
 fn parse_args() -> Result<Cfg, String> {
     let mut smoke = false;
-    let mut warmup: Option<usize> = None;
     let mut reps: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut compare: Option<String> = None;
@@ -820,7 +763,6 @@ fn parse_args() -> Result<Cfg, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--warmup" => warmup = Some(flag_value("--warmup", args.next(), "an integer")?),
             "--reps" => reps = Some(flag_value("--reps", args.next(), "an integer")?),
             "--out" => out = Some(flag_value("--out", args.next(), "a path")?),
             "--compare" => compare = Some(flag_value("--compare", args.next(), "a path")?),
@@ -834,7 +776,7 @@ fn parse_args() -> Result<Cfg, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "ld-perfbench [--smoke] [--warmup N] [--reps N] [--out PATH] \
+                    "ld-perfbench [--smoke] [--reps N] [--out PATH] \
                      [--compare BASELINE.json] [--tolerance F]\n\
                      full mode writes BENCH_perf.json; --smoke asserts equivalence on tiny shapes;\n\
                      --compare gates per-kernel speedup ratios against a committed baseline\n\
@@ -846,11 +788,9 @@ fn parse_args() -> Result<Cfg, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    let (default_warmup, default_reps) = if smoke { (1, 3) } else { (2, 9) };
     Ok(Cfg {
         smoke,
-        warmup: warmup.unwrap_or(default_warmup),
-        reps: reps.unwrap_or(default_reps),
+        reps: reps.unwrap_or(if smoke { 3 } else { 9 }),
         // Smoke stays read-only unless an output path is asked for.
         out: out.or_else(|| (!smoke).then(|| "BENCH_perf.json".to_string())),
         compare,
@@ -867,20 +807,16 @@ fn main() {
             .unwrap_or_else(|e| usage_error(&e));
         (path, entries)
     });
-    let mut results = vec![
+    let results = vec![
         bench_lstm_forward(&cfg),
         bench_lstm_bptt(&cfg),
         bench_train_epoch(&cfg),
         bench_gram_build(&cfg),
+        bench_packed_gemm(&cfg),
+        bench_fused_gate_step(&cfg),
+        bench_bo_surrogate_gram(&cfg),
+        bench_observe_overhead(&cfg),
     ];
-    let matmul_sizes: &[usize] = if cfg.smoke { &[24] } else { &[32, 64, 128, 256] };
-    for &n in matmul_sizes {
-        results.push(bench_matmul(&cfg, n));
-    }
-    results.push(bench_packed_gemm(&cfg));
-    results.push(bench_fused_gate_step(&cfg));
-    results.push(bench_bo_surrogate_gram(&cfg));
-    results.push(bench_observe_overhead(&cfg));
 
     println!(
         "{:<22} {:>14} {:>14} {:>9}",
@@ -908,7 +844,6 @@ fn main() {
             let mut manifest = ld_telemetry::RunManifest::new("ld-perfbench")
                 .capture_env()
                 .config("mode", if cfg.smoke { "smoke" } else { "full" })
-                .config("warmup", cfg.warmup)
                 .config("reps", cfg.reps)
                 .config("kernels", results.len())
                 .output("bench", path);

@@ -24,7 +24,7 @@ fn write_baseline(name: &str, kernels: &[(&str, f64)]) -> PathBuf {
         .map(|(k, s)| format!("{{\"name\":\"{k}\",\"speedup\":{s}}}"))
         .collect();
     let doc = format!(
-        "{{\"schema_version\":1,\"kernels\":[{}]}}",
+        "{{\"schema_version\":2,\"kernels\":[{}]}}",
         entries.join(",")
     );
     let path = scratch(name);
@@ -48,9 +48,8 @@ fn run_compare(baseline: &Path, tolerance: &str) -> std::process::Output {
 #[test]
 fn regressed_kernel_exits_3() {
     // A baseline claiming an absurd speedup no real run can reach: the
-    // comparison must flag a regression and exit 3. Smoke shapes report
-    // the matmul kernel under the shape-independent name `matmul`.
-    let baseline = write_baseline("doctored-high.json", &[("matmul", 1.0e9)]);
+    // comparison must flag a regression and exit 3.
+    let baseline = write_baseline("doctored-high.json", &[("packed-gemm", 1.0e9)]);
     let out = run_compare(&baseline, "1.0");
     assert_eq!(
         out.status.code(),
@@ -76,7 +75,7 @@ fn healthy_baseline_exits_0_and_skips_unknown_kernels() {
     // smoke run are reported as skipped, not failed.
     let baseline = write_baseline(
         "doctored-low.json",
-        &[("matmul", 1.0e-9), ("not-a-kernel", 1.0e9)],
+        &[("packed-gemm", 1.0e-9), ("not-a-kernel", 1.0e9)],
     );
     let out = run_compare(&baseline, "1.0");
     assert_eq!(
@@ -127,6 +126,7 @@ fn unknown_flag_exits_2() {
         &["--smoke", "--tolerance", "0.5"],
         &["--smoke", "--tolerance", "nan"],
         &["--smoke", "--reps", "x"],
+        &["--smoke", "--warmup", "4"],
         &["--smoke", "--compare"],
         &["--smoke", "--compare", missing],
     ] {

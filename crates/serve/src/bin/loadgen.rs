@@ -200,12 +200,6 @@ fn parse_args() -> Result<Cfg, i32> {
         (true, true) => (24, 24),
         (false, _) => (2000, 60),
     };
-    // The chaos-schedule seed is decorrelated from the load seed unless
-    // pinned explicitly (flag wins over env).
-    // ld-lint: allow(determinism, "explicit chaos-seed override; captured in the run manifest")
-    let env_chaos_seed = std::env::var("LD_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok());
     let default_out = if chaos { "BENCH_resilience.json" } else { "BENCH_serve.json" };
     Ok(Cfg {
         smoke,
@@ -214,9 +208,9 @@ fn parse_args() -> Result<Cfg, i32> {
         tenants: tenants.unwrap_or(default_tenants),
         ticks: ticks.unwrap_or(default_ticks),
         seed,
-        chaos_seed: chaos_seed
-            .or(env_chaos_seed)
-            .unwrap_or(seed ^ 0xCA05_CA05_CA05_CA05),
+        // The chaos-schedule seed is decorrelated from the load seed unless
+        // pinned with --chaos-seed.
+        chaos_seed: chaos_seed.unwrap_or(seed ^ 0xCA05_CA05_CA05_CA05),
         out: out.or_else(|| (!smoke).then(|| default_out.to_string())),
         store_root,
     })

@@ -19,7 +19,6 @@ pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 pub const CAPTURED_ENV_KEYS: &[&str] = &[
     "LD_FAULT",
     "LD_FAULT_SEED",
-    "LD_CHAOS_SEED",
     "LD_TRACE",
     "LD_FAST",
 ];

@@ -10,12 +10,10 @@
 //!   reference paths, 1e-9 relative.
 //! - BPTT gradients vs central finite differences (the ground truth both
 //!   implementations must agree with).
-//! - Packed register-tiled matmul (FMA lanes) vs the naive streaming
-//!   kernel: 1e-9 relative; pack/unpack round trips: **bitwise**.
-//! - The register-blocked packed-A GEMM (plain lanes) vs the naive
-//!   kernel: **bitwise**, including edge tiles, 1xN / Nx1 degenerate
-//!   shapes and the fused `[W | U | b]` panel shapes the batched forward
-//!   drives.
+//! - The register-blocked packed-A GEMM vs the naive streaming
+//!   `Matrix::matmul`: **bitwise**, including edge tiles, 1xN / Nx1
+//!   degenerate shapes and the fused `[W | U | b]` panel shapes the
+//!   batched forward drives; pack/unpack round trips: **bitwise**.
 //! - The fused LSTM gate step (one packed `[W | U | b]` mat-vec) vs the
 //!   per-row three-term reference step: 1e-9 relative; the batched fused
 //!   inference path vs the per-window `predict` that training and
@@ -184,45 +182,14 @@ fn lstm_grads_match_finite_differences() {
 }
 
 #[test]
-fn packed_matmul_matches_naive_within_1e9() {
-    // Shapes cover full micro-tiles, edge tiles in both dimensions
-    // (non-multiples of the 8x4 tile), and the 1xN / Nx1 degenerate edges.
-    // The packed kernel's FMA lanes round once per step, so the contract
-    // is 1e-9 relative (the dispatcher's documented tolerance), not
-    // bitwise.
-    let mut rng = StdRng::seed_from_u64(0xE0_04);
-    for &(m, k, n) in &[
-        (2usize, 3usize, 4usize),
-        (1, 11, 9),
-        (9, 11, 1),
-        (8, 16, 4),
-        (33, 65, 17),
-        (80, 120, 96),
-    ] {
-        let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
-        let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
-        let naive = a.matmul_naive(&b).unwrap();
-        let scale = naive.frobenius_norm().max(1.0);
-        assert!(
-            a.matmul_packed(&b).unwrap().max_abs_diff(&naive) <= 1e-9 * scale,
-            "({m}x{k})*({k}x{n}): packed drifts from naive"
-        );
-        assert!(a.matmul(&b).unwrap().max_abs_diff(&naive) <= 1e-9 * scale);
-    }
-}
-
-#[test]
 fn pack_round_trips_are_lossless() {
-    // pack(A) / pack(B) followed by unpack restores the flat buffer
-    // bitwise, including at shapes that force zero-padded edge panels.
+    // pack followed by unpack restores the flat buffer bitwise, including
+    // at shapes that force zero-padded edge panels.
     let mut rng = StdRng::seed_from_u64(0xE0_14);
     for &(r, c) in &[(1usize, 1usize), (1, 10), (10, 1), (7, 5), (16, 12), (31, 33)] {
         let flat: Vec<f64> = (0..r * c).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let a = ld_linalg::pack::PackedA::pack(&flat, r, c);
         assert_eq!(a.unpack(), flat, "{r}x{c} A round trip");
-        let mut bp = Vec::new();
-        ld_linalg::pack::pack_b_into(&flat, r, c, &mut bp);
-        assert_eq!(ld_linalg::pack::unpack_b(&bp, r, c), flat, "{r}x{c} B round trip");
     }
 }
 
@@ -253,7 +220,7 @@ fn bitwise_packed_gemm_matches_naive() {
     for &(m, k, n) in &shapes {
         let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
-        let naive = a.matmul_naive(&b).unwrap();
+        let naive = a.matmul(&b).unwrap();
         let packed = ld_linalg::pack::PackedA::from_matrix(&a);
 
         let mut fast = vec![0.0; m * n];
