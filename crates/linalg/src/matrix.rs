@@ -183,7 +183,9 @@ impl Matrix {
         }
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0; m * n];
-        for (r, out_row) in out.chunks_mut(n).enumerate() {
+        // With `n == 0` the output is empty and has no rows to fill;
+        // `max(1)` keeps the chunk size legal.
+        for (r, out_row) in out.chunks_mut(n.max(1)).enumerate() {
             let a_row = &self.data[r * k..(r + 1) * k];
             for (p, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
@@ -386,6 +388,19 @@ mod tests {
         let b = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]);
         let c = a.matmul(&b).unwrap();
         assert_eq!(c, Matrix::from_rows(&[&[58.0, 64.0], &[139.0, 154.0]]));
+    }
+
+    #[test]
+    fn matmul_handles_empty_dimensions() {
+        let product = |(m, k): (usize, usize), n: usize| {
+            Matrix::filled(m, k, 1.5)
+                .matmul(&Matrix::filled(k, n, 2.0))
+                .unwrap()
+        };
+        assert_eq!(product((2, 3), 0), Matrix::zeros(2, 0));
+        assert_eq!(product((0, 3), 2), Matrix::zeros(0, 2));
+        // An empty inner dimension sums nothing: a zero matrix.
+        assert_eq!(product((2, 0), 3), Matrix::zeros(2, 3));
     }
 
     #[test]

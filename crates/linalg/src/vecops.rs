@@ -27,9 +27,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// four lanes lets the compiler keep the FP pipeline full (and vectorize).
 /// The summation *order* therefore differs from [`dot`] by O(eps) rounding —
 /// fast paths built on this kernel are equivalence-gated against the
-/// sequential reference at 1e-9 relative tolerance (`ld-perfbench --smoke`
-/// and the `kernel_equivalence` suite). The lane layout is fixed, so the
-/// result is still bitwise deterministic run to run.
+/// sequential reference at 1e-9 relative tolerance (`ld-nn`'s oracle
+/// tests). The lane layout is fixed, so the result is still bitwise
+/// deterministic run to run.
 ///
 /// # Panics
 /// Panics in debug builds if lengths differ or the kernel manufactures a

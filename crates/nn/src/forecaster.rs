@@ -7,7 +7,9 @@
 //! [`Cell`]: the workspace forward pass, the reverse sweep, gradient
 //! accumulate/scale/norm/clip, the [`crate::trainer::Trainable`] impl and
 //! JSON snapshots. [`LstmForecaster`] is the paper's model;
-//! [`GruForecaster`] the `ablation_lstm_vs_gru` variant.
+//! [`GruForecaster`] the `ablation_lstm_vs_gru` variant. The LSTM's
+//! pre-change forward and BPTT, which this module's tests pin the
+//! workspace path to, are compiled only into tests (`crate::reference`).
 
 use ld_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -17,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::dense::{Dense, DenseGrads};
 use crate::gru::Gru;
 use crate::loss::squared_error_grad;
-use crate::lstm::{Lstm, ReferenceLstmCache};
+use crate::lstm::Lstm;
 use crate::recurrent::{Cell, LayerGrads, RecurrentLayer};
 use crate::workspace::{self, Workspace};
 
@@ -306,72 +308,6 @@ impl<C: Cell> RecurrentForecaster<C> {
     }
 }
 
-impl LstmForecaster {
-    /// Pre-change prediction path (nested-`Vec` caches, sequential dots),
-    /// retained as the equivalence oracle and the perfbench "before" model.
-    pub fn predict_reference(&self, window: &[f64]) -> f64 {
-        let (pred, _) = self.forward_cached_reference(window);
-        pred
-    }
-
-    /// Forward pass over the reference kernels, keeping per-layer caches.
-    fn forward_cached_reference(&self, window: &[f64]) -> (f64, Vec<ReferenceLstmCache>) {
-        assert_eq!(
-            window.len(),
-            self.config.history_len,
-            "window length {} != history_len {}",
-            window.len(),
-            self.config.history_len
-        );
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut seq: Vec<Vec<f64>> = window.iter().map(|&v| vec![v]).collect();
-        for layer in &self.layers {
-            let cache = layer.forward_reference(&seq);
-            seq = cache.hidden_sequence().to_vec();
-            caches.push(cache);
-        }
-        let last_h = caches[caches.len() - 1].last_hidden();
-        let pred = self.head.forward(last_h)[0];
-        (pred, caches)
-    }
-
-    /// Pre-change `sample_grads`, retained verbatim over the reference
-    /// kernels — used by the equivalence tests and as perfbench's "before"
-    /// gradient path.
-    pub fn sample_grads_reference(&self, window: &[f64], target: f64) -> (f64, ForecasterGrads) {
-        let (pred, caches) = self.forward_cached_reference(window);
-        let loss = (pred - target) * (pred - target);
-        let dpred = squared_error_grad(pred, target);
-
-        // Head backward.
-        let top_cache = &caches[caches.len() - 1];
-        let (head_grads, dh_last) = self.head.backward(top_cache.last_hidden(), &[dpred]);
-
-        // Backprop through the LSTM stack, top layer first.
-        let steps = self.config.history_len;
-        let hidden = self.config.hidden_size;
-        let mut lstm_rev: Vec<LayerGrads> = Vec::with_capacity(self.layers.len());
-        // Gradient flowing into the top layer's hidden sequence: zero except
-        // at the final step.
-        let mut dh_seq = vec![vec![0.0; hidden]; steps];
-        dh_seq[steps - 1] = dh_last;
-
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (grads, dxs) = layer.backward_reference(&caches[idx], &dh_seq);
-            lstm_rev.push(grads);
-            // dxs of this layer is the dh sequence of the layer below.
-            dh_seq = dxs;
-        }
-        lstm_rev.reverse();
-
-        let grads = ForecasterGrads {
-            layers: lstm_rev,
-            head: head_grads,
-        };
-        (loss, grads)
-    }
-}
-
 // Hand-written (de)serialization: the vendored `serde_derive` rejects
 // generic types. Field set and order are what the derive emitted for the
 // LSTM forecaster, so snapshots (and the digests that hash their bytes)
@@ -509,43 +445,70 @@ mod tests {
         check_sample_grads_against_finite_differences(&tiny_gru(), &[0.3, -0.2, 0.6, -0.4], 0.35);
     }
 
+    /// The workspace path and the reference path agree on one window
+    /// within 1e-9 relative: the prediction, the sample loss and every
+    /// gradient tensor.
+    fn check_against_reference(model: &LstmForecaster, window: &[f64], target: f64) {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+        let (pred, pred_ref) = (model.predict(window), model.predict_reference(window));
+        let (loss, grads) = model.sample_grads(window, target);
+        let (loss_ref, grads_ref) = model.sample_grads_reference(window, target);
+        let cfg = model.config();
+        assert!(close(pred, pred_ref), "{cfg:?}: {pred} vs {pred_ref}");
+        assert!(close(loss, loss_ref), "{cfg:?}: loss {loss} vs {loss_ref}");
+        let (head, head_ref) = (&grads.head, &grads_ref.head);
+        let mut pairs = vec![(&head.dw, &head_ref.dw), (&head.db, &head_ref.db)];
+        for (a, b) in grads.layers.iter().zip(&grads_ref.layers) {
+            pairs.extend([(&a.dw, &b.dw), (&a.du, &b.du), (&a.db, &b.db)]);
+        }
+        for (i, (g, g_ref)) in pairs.into_iter().enumerate() {
+            let diff = g.max_abs_diff(g_ref);
+            let bound = 1e-9 * g_ref.frobenius_norm().max(1.0);
+            assert!(diff <= bound, "{cfg:?}: grad tensor {i} differs by {diff}");
+        }
+    }
+
     /// The workspace hot path agrees with the retained pre-change
-    /// implementation within 1e-9 relative (fast dots reorder summation).
+    /// implementation within 1e-9 relative (fast dots reorder summation):
+    /// the tiny two-layer model at three seeds, the T=8 H=8 model
+    /// `ld-perfbench` times at seeds 42 and 43, then random windows on one-
+    /// to three-layer models up to T=30 H=16.
     #[test]
     fn workspace_path_matches_reference_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let config = |history_len, hidden_size, num_layers, seed| ForecasterConfig {
+            history_len,
+            hidden_size,
+            num_layers,
+            seed,
+        };
         for seed in [42u64, 7, 99] {
-            let mut cfg = tiny_config();
-            cfg.seed = seed;
-            let model = LstmForecaster::new(cfg);
-            let window = [0.2, -0.4, 0.7, 0.1];
-            let target = 0.5;
-
-            let p_fast = model.predict(&window);
-            let p_ref = model.predict_reference(&window);
-            assert!(
-                (p_fast - p_ref).abs() <= 1e-9 * (1.0 + p_ref.abs()),
-                "seed {seed}: predict {p_fast} vs {p_ref}"
-            );
-
-            let (l_fast, g_fast) = model.sample_grads(&window, target);
-            let (l_ref, g_ref) = model.sample_grads_reference(&window, target);
-            assert!((l_fast - l_ref).abs() <= 1e-9 * (1.0 + l_ref.abs()));
-            for (idx, (a, b)) in g_fast.layers.iter().zip(&g_ref.layers).enumerate() {
-                for (ma, mb) in [(&a.dw, &b.dw), (&a.du, &b.du), (&a.db, &b.db)] {
-                    assert!(
-                        ma.max_abs_diff(mb) <= 1e-9 * (1.0 + mb.frobenius_norm()),
-                        "seed {seed}: lstm grads mismatch at layer {idx}"
-                    );
-                }
+            let model = LstmForecaster::new(config(4, 3, 2, seed));
+            check_against_reference(&model, &[0.2, -0.4, 0.7, 0.1], 0.5);
+        }
+        let wave: Vec<f64> = (0..8)
+            .map(|i| 0.5 + 0.4 * (i as f64 * 0.13).sin() + 0.01 * (i % 7) as f64)
+            .collect();
+        for seed in [42, 43] {
+            check_against_reference(&LstmForecaster::new(config(8, 8, 1, seed)), &wave, 0.62);
+        }
+        let mut rng = StdRng::seed_from_u64(0xE0_01);
+        for (n, s, layers) in [(4, 3, 1), (12, 8, 2), (30, 16, 3)] {
+            let model = LstmForecaster::new(config(n, s, layers, 7));
+            for _ in 0..8 {
+                let w: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+                check_against_reference(&model, &w, 0.5);
             }
-            assert!(
-                g_fast.head.dw.max_abs_diff(&g_ref.head.dw)
-                    <= 1e-9 * (1.0 + g_ref.head.dw.frobenius_norm())
-            );
-            assert!(
-                g_fast.head.db.max_abs_diff(&g_ref.head.db)
-                    <= 1e-9 * (1.0 + g_ref.head.db.frobenius_norm())
-            );
+        }
+        let mut rng = StdRng::seed_from_u64(0xE0_02);
+        for (n, s, layers) in [(5, 4, 1), (16, 10, 2)] {
+            let model = LstmForecaster::new(config(n, s, layers, 11));
+            for _ in 0..6 {
+                let w: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+                check_against_reference(&model, &w, rng.gen_range(0.0..1.0));
+            }
         }
     }
 

@@ -7,8 +7,7 @@
 //! - [`recurrent`]: the recurrent engine — one generic layer, gradient type
 //!   and flat per-layer cache with exact backpropagation-through-time, under
 //!   a [`recurrent::Cell`] trait that supplies only the gate math,
-//! - [`lstm`]: the paper's LSTM cell (Fig 3/4), plus the retained reference
-//!   kernels that pin it,
+//! - [`lstm`]: the paper's LSTM cell (Fig 3/4),
 //! - [`gru`]: the GRU cell of the `ablation_lstm_vs_gru` experiment,
 //! - [`dense`]: the fully-connected output head `T`,
 //! - [`mlp`]: a plain feed-forward autoregressor used by the
@@ -24,12 +23,13 @@
 //! - [`trainer`]: mini-batch training with shuffling, global-norm gradient
 //!   clipping and early stopping on a validation split,
 //! - [`workspace`]: reusable scratch arenas that make the forward/backward
-//!   hot loops allocation-free,
-//! - [`reference`]: the retained pre-change compute paths, used as the
-//!   equivalence oracle for the optimized kernels.
+//!   hot loops allocation-free.
 //!
 //! Every forward pass is pure; gradients are checked against finite
-//! differences in the test suite. All randomness flows from explicit seeds.
+//! differences in the test suite, and the LSTM's shipped kernels against
+//! its pre-change forward, BPTT, gate step and trainer, which are compiled
+//! only into this crate's tests (`reference`). All randomness flows from
+//! explicit seeds.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -44,7 +44,8 @@ pub mod lstm;
 pub mod mlp;
 pub mod optim;
 pub mod recurrent;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod trainer;
 pub mod workspace;
 

@@ -21,17 +21,13 @@
 //! weight transposes (contiguous mat-vecs instead of per-row `axpy`
 //! strides).
 //!
-//! The pre-change implementation is retained verbatim as
-//! [`LstmLayer::forward_reference`] / [`LstmLayer::backward_reference`] and
-//! the per-row-dots step as [`LstmLayer::gate_step_reference`] — the
-//! equivalence oracles for `ld-perfbench --smoke` and the
-//! `kernel_equivalence` suite (fast paths agree within 1e-9 relative).
+//! The pre-change forward, backward and per-row-dots gate step are this
+//! crate's test oracles (`crate::reference`, compiled only into its
+//! tests); the shipped kernels agree with them within 1e-9 relative.
 
 use ld_linalg::{vecops, Matrix};
 
-use crate::activation::{
-    sigmoid, sigmoid_deriv_from_output, sigmoid_map, tanh, tanh_deriv_from_output, tanh_map,
-};
+use crate::activation::{sigmoid_deriv_from_output, sigmoid_map, tanh_deriv_from_output, tanh_map};
 use crate::recurrent::{BackStep, Cell, LayerGrads, RecurrentLayer, Step};
 
 /// The LSTM cell: four gates `[i, f, o, g]` and a memory state `C_t`.
@@ -123,164 +119,6 @@ impl Cell for Lstm {
     }
 }
 
-/// Forward-pass record of the pre-change implementation (nested `Vec`s),
-/// kept as the equivalence oracle for the workspace kernels.
-#[derive(Debug, Clone)]
-pub struct ReferenceLstmCache {
-    pub(crate) xs: Vec<Vec<f64>>,
-    pub(crate) hs: Vec<Vec<f64>>,
-    pub(crate) cs: Vec<Vec<f64>>,
-    pub(crate) gates: Vec<[Vec<f64>; 4]>,
-    pub(crate) tanh_c: Vec<Vec<f64>>,
-}
-
-impl ReferenceLstmCache {
-    /// Hidden states `h_1..h_T` as rows.
-    pub fn hidden_sequence(&self) -> &[Vec<f64>] {
-        &self.hs[1..]
-    }
-
-    /// The final hidden state.
-    pub fn last_hidden(&self) -> &[f64] {
-        &self.hs[self.hs.len() - 1]
-    }
-
-    /// Number of unrolled steps.
-    pub fn steps(&self) -> usize {
-        self.xs.len()
-    }
-}
-
-impl LstmLayer {
-    /// The pre-change gate step: per-row four-lane dots
-    /// `z_r = dot4(W_r, x) + dot4(U_r, h_prev) + b_r`. Retained as the
-    /// "before" kernel `ld-perfbench` times the fused step against and the
-    /// 1e-9 oracle the equivalence suite pins it to.
-    pub fn gate_step_reference(&self, x: &[f64], h_prev: &[f64], z: &mut [f64]) {
-        for (r, zr) in z.iter_mut().enumerate() {
-            *zr = vecops::dot4(self.w.row(r), x)
-                + vecops::dot4(self.u.row(r), h_prev)
-                + self.b[(r, 0)];
-        }
-    }
-
-    /// The pre-change forward pass, retained verbatim (per-step `Vec`
-    /// allocations, sequential `dot`) as the equivalence oracle and the
-    /// perfbench "before" kernel. Not used by the training hot path.
-    pub fn forward_reference(&self, xs: &[Vec<f64>]) -> ReferenceLstmCache {
-        let h = self.hidden;
-        let t_len = xs.len();
-        let mut cache = ReferenceLstmCache {
-            xs: xs.to_vec(),
-            hs: Vec::with_capacity(t_len + 1),
-            cs: Vec::with_capacity(t_len + 1),
-            gates: Vec::with_capacity(t_len),
-            tanh_c: Vec::with_capacity(t_len),
-        };
-        cache.hs.push(vec![0.0; h]);
-        cache.cs.push(vec![0.0; h]);
-
-        let mut z = vec![0.0; 4 * h];
-        for (t, x) in xs.iter().enumerate() {
-            assert_eq!(x.len(), self.input_dim, "LSTM input dim mismatch");
-            let h_prev = cache.hs[t].clone();
-            let c_prev = cache.cs[t].clone();
-
-            // z = W x + U h_prev + b
-            for (r, zr) in z.iter_mut().enumerate() {
-                *zr = vecops::dot(self.w.row(r), x)
-                    + vecops::dot(self.u.row(r), &h_prev)
-                    + self.b[(r, 0)];
-            }
-            let i_gate: Vec<f64> = z[0..h].iter().map(|&v| sigmoid(v)).collect();
-            let f_gate: Vec<f64> = z[h..2 * h].iter().map(|&v| sigmoid(v)).collect();
-            let o_gate: Vec<f64> = z[2 * h..3 * h].iter().map(|&v| sigmoid(v)).collect();
-            let g_gate: Vec<f64> = z[3 * h..4 * h].iter().map(|&v| tanh(v)).collect();
-
-            let mut c_t = vec![0.0; h];
-            for k in 0..h {
-                c_t[k] = f_gate[k] * c_prev[k] + i_gate[k] * g_gate[k];
-            }
-            let tanh_c: Vec<f64> = c_t.iter().map(|&v| tanh(v)).collect();
-            let mut h_t = vec![0.0; h];
-            for k in 0..h {
-                h_t[k] = o_gate[k] * tanh_c[k];
-            }
-
-            cache.gates.push([i_gate, f_gate, o_gate, g_gate]);
-            cache.tanh_c.push(tanh_c);
-            cache.cs.push(c_t);
-            cache.hs.push(h_t);
-        }
-        cache
-    }
-
-    /// The pre-change backward pass over a [`ReferenceLstmCache`], retained
-    /// verbatim as the equivalence oracle for [`Self::backward_into`].
-    pub fn backward_reference(
-        &self,
-        cache: &ReferenceLstmCache,
-        dh_seq: &[Vec<f64>],
-    ) -> (LayerGrads, Vec<Vec<f64>>) {
-        let h = self.hidden;
-        let t_len = cache.steps();
-        assert_eq!(dh_seq.len(), t_len, "dh sequence length mismatch");
-
-        let mut grads = self.zero_grads();
-        let mut dxs = vec![vec![0.0; self.input_dim]; t_len];
-
-        // Gradients carried backwards across time.
-        let mut dh_next = vec![0.0; h];
-        let mut dc_next = vec![0.0; h];
-        let mut dz = vec![0.0; 4 * h];
-
-        for t in (0..t_len).rev() {
-            let [i_gate, f_gate, o_gate, g_gate] = &cache.gates[t];
-            let tanh_c = &cache.tanh_c[t];
-            let c_prev = &cache.cs[t];
-            let h_prev = &cache.hs[t];
-            let x_t = &cache.xs[t];
-
-            for k in 0..h {
-                let dh = dh_seq[t][k] + dh_next[k];
-                let dct = dh * o_gate[k] * tanh_deriv_from_output(tanh_c[k]) + dc_next[k];
-                let do_ = dh * tanh_c[k];
-                let di = dct * g_gate[k];
-                let df = dct * c_prev[k];
-                let dg = dct * i_gate[k];
-
-                dz[k] = di * sigmoid_deriv_from_output(i_gate[k]);
-                dz[h + k] = df * sigmoid_deriv_from_output(f_gate[k]);
-                dz[2 * h + k] = do_ * sigmoid_deriv_from_output(o_gate[k]);
-                dz[3 * h + k] = dg * tanh_deriv_from_output(g_gate[k]);
-
-                dc_next[k] = dct * f_gate[k];
-            }
-
-            for (r, &dzr) in dz.iter().enumerate() {
-                if dzr == 0.0 {
-                    continue;
-                }
-                vecops::axpy(dzr, x_t, grads.dw.row_mut(r));
-                vecops::axpy(dzr, h_prev, grads.du.row_mut(r));
-                grads.db[(r, 0)] += dzr;
-            }
-
-            let dx = &mut dxs[t];
-            dh_next.fill(0.0);
-            for (r, &dzr) in dz.iter().enumerate() {
-                if dzr == 0.0 {
-                    continue;
-                }
-                vecops::axpy(dzr, self.w.row(r), dx);
-                vecops::axpy(dzr, self.u.row(r), &mut dh_next);
-            }
-        }
-
-        (grads, dxs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,11 +175,54 @@ mod tests {
         }
     }
 
+    /// The fused gate step agrees with the per-row reference step within
+    /// 1e-9 relative on every pre-activation row.
+    fn check_gate_step(layer: &LstmLayer, x: &[f64], h_prev: &[f64]) {
+        let h = layer.hidden;
+        let mut gate_in = vec![0.0; x.len() + h + 1];
+        let (mut z_fast, mut z_ref) = (vec![0.0; 4 * h], vec![0.0; 4 * h]);
+        layer.gate_step_fused(x, h_prev, &mut gate_in, &mut z_fast);
+        layer.gate_step_reference(x, h_prev, &mut z_ref);
+        for (r, (f, want)) in z_fast.iter().zip(&z_ref).enumerate() {
+            let scale = f.abs().max(want.abs()).max(1.0);
+            assert!(
+                (f - want).abs() <= 1e-9 * scale,
+                "H={h} gate row {r}: {f} vs {want}"
+            );
+        }
+    }
+
     /// The workspace kernels agree with the retained pre-change
     /// implementation within 1e-9 relative (the fast path reorders dot
-    /// sums, so bitwise equality is not expected).
+    /// sums, so bitwise equality is not expected): the gate step on both
+    /// layers of an H=24 stack and on the stacked layer of the H=32 model
+    /// `ld-perfbench` times, then whole forward and backward passes.
     #[test]
     fn workspace_forward_backward_match_reference() {
+        use crate::forecaster::{ForecasterConfig, LstmForecaster};
+        use rand::Rng;
+
+        let stack = |history_len, hidden_size| {
+            LstmForecaster::new(ForecasterConfig {
+                history_len,
+                hidden_size,
+                num_layers: 2,
+                seed: 77,
+            })
+        };
+        let mut rng = StdRng::seed_from_u64(0xE0_34);
+        for (l, layer) in stack(10, 24).layers().iter().enumerate() {
+            let i_dim = if l == 0 { 1 } else { 24 };
+            for _ in 0..6 {
+                let x: Vec<f64> = (0..i_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let h_prev: Vec<f64> = (0..24).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                check_gate_step(layer, &x, &h_prev);
+            }
+        }
+        let x: Vec<f64> = (0..32).map(|i| (i as f64 * 0.31).sin() * 0.5).collect();
+        let h_prev: Vec<f64> = (0..32).map(|i| (i as f64 * 0.41).cos() * 0.5).collect();
+        check_gate_step(&stack(8, 32).layers()[1], &x, &h_prev);
+
         for &(seed, i_dim, h, t_len) in
             &[(7u64, 2usize, 3usize, 4usize), (8, 1, 8, 6), (9, 5, 4, 1)]
         {

@@ -72,15 +72,6 @@ impl ModelSnapshot {
         }
     }
 
-    /// Freezes the LSTM inside a tuned [`loaddynamics::OptimizedPredictor`].
-    /// Returns `None` when the framework degraded to a smoothing baseline —
-    /// those predictors are stateless and need no registry entry.
-    pub fn from_predictor(p: &loaddynamics::OptimizedPredictor) -> Option<Self> {
-        let model = p.model()?.clone();
-        let scaler = p.scaler()?;
-        Some(Self::new(model, scaler, p.history_len()))
-    }
-
     /// The trained model.
     pub fn model(&self) -> &LstmForecaster {
         &self.model

@@ -228,8 +228,8 @@ fn snapshot_roundtrip_preserves_fingerprint_and_predictions() {
     assert_eq!(back.fingerprint(), snap.fingerprint());
     let w: Vec<f64> = (0..HIST).map(|i| 0.1 + 0.05 * i as f64).collect();
     assert_eq!(
-        back.model().predict_reference(&w).to_bits(),
-        snap.model().predict_reference(&w).to_bits()
+        back.model().predict(&w).to_bits(),
+        snap.model().predict(&w).to_bits()
     );
 }
 

@@ -74,8 +74,8 @@ fn assert_loads_bitwise(store: &SnapshotStore, k: &ClientKey, want: &ModelSnapsh
     assert_eq!(got.fingerprint(), want.fingerprint(), "weights changed for {k:?}");
     let w: Vec<f64> = (0..HIST).map(|i| 0.2 + 0.1 * i as f64).collect();
     assert_eq!(
-        got.model().predict_reference(&w).to_bits(),
-        want.model().predict_reference(&w).to_bits(),
+        got.model().predict(&w).to_bits(),
+        want.model().predict(&w).to_bits(),
         "prediction bits changed for {k:?}"
     );
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the workspace: release build, every workspace test suite,
-# the ld-e2e benchmark's smoke suite, the ld-perfbench smoke run on one CPU
-# (kernel equivalence asserts + bench schema check), the loadgen replays
+# the ld-e2e benchmark's smoke suite, the ld-perfbench regression gate on
+# one CPU (bench schema check + per-row cost gate), the loadgen replays
 # (a traced smoke run whose trace, events, manifest and Prometheus
 # exposition must validate, and the response digests of BENCH_serve.json
 # and BENCH_resilience.json recomputed), the ld-lint static-analysis
@@ -27,21 +27,25 @@ cargo test -q --workspace
 echo "=== ld-e2e smoke suite (every benchmark workload, council's bitwise forecasts-repeat) ==="
 cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
-echo "=== ld-perfbench --smoke (kernel equivalence + bench schema + regression gate, one CPU) ==="
-# Tolerance 1.8: every row times its before/after legs interleaved
-# round-by-round, so host frequency drift cancels out of the ratio and
-# the remaining run-to-run noise is leg-local jitter. 1.8 leaves margin
-# while still failing on any real kernel regression.
+echo "=== ld-perfbench --compare (bench schema + per-row cost regression gate, one CPU) ==="
+# Tolerance 1.8: every row times its shipped path interleaved round by round
+# with one fixed host kernel that calls no program code, and is gated on its
+# cost in kernel units, so host speed largely cancels out of the cost. The
+# rows run at the baseline's shapes, and a row whose params differ from the
+# baseline's fails. Over 40 pinned runs on a 2-vCPU host every row's cost
+# stayed within 0.63 to 1.20 of its baseline, while an lstm-forward made to
+# do twice its work read 1.94 to 2.43: 1.8 leaves margin while still
+# failing on a real kernel regression.
 #
-# The gate runs on the first CPU this script may use. At smoke shapes the
-# train-epoch row is the only one that times rayon-parallel code (trainer
-# mini-batches), and on more than one core the vendored rayon shim spawns
-# eight scoped threads per parallel call. Unpinned on a 2-vCPU host,
-# train-epoch read 0.27x to 3.5x of its baseline and the gate failed 8 of
-# 60 runs; pinned, it failed none of 40. On one core the shim runs its
-# chunks inline. ld-perfbench forbids `unsafe`, so it cannot pin itself.
+# The gate runs on the first CPU this script may use. The train-epoch row
+# times rayon-parallel code (trainer mini-batches), and on more than one
+# core the vendored rayon shim spawns eight scoped threads per parallel
+# call. Unpinned on a 2-vCPU host, train-epoch read 0.27x to 3.5x of its
+# baseline and the gate failed 8 of 60 runs; pinned, it failed none of 40.
+# On one core the shim runs its chunks inline. ld-perfbench forbids
+# `unsafe`, so it cannot pin itself.
 first_cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[-,].*//')
-taskset -c "$first_cpu" cargo run -q --release -p ld-perfbench -- --smoke --compare BENCH_perf.json --tolerance 1.8
+taskset -c "$first_cpu" cargo run -q --release -p ld-perfbench -- --compare BENCH_perf.json --tolerance 1.8
 
 echo "=== ld-loadgen --smoke (serve replay: equivalence, determinism, shed, cache, traced artifact set) ==="
 mkdir -p target
