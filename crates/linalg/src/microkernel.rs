@@ -105,15 +105,18 @@ pub fn gemm(
         }
         // Column remainder: the panel's `MR` rows as vector lanes, one
         // ascending-`k` chain per lane; padding lanes are never stored.
+        // `b` and `out` are walked a row at a time (a one-lane product's
+        // rows are single values) rather than by a stride iterator.
         for jj in j..n {
             let mut acc = [0.0f64; MR];
-            for (step, &bv) in a_panel.chunks_exact(MR).zip(b[jj..].iter().step_by(n)) {
+            for (step, b_row) in a_panel.chunks_exact(MR).zip(b.chunks_exact(n)) {
+                let bv = b_row[jj];
                 for (a, &av) in acc.iter_mut().zip(step) {
                     *a += av * bv;
                 }
             }
-            for (i, &cv) in acc.iter().enumerate().take(rows) {
-                out[(i0 + i) * n + jj] = cv;
+            for (out_row, &cv) in out.chunks_exact_mut(n).skip(i0).zip(&acc[..rows]) {
+                out_row[jj] = cv;
             }
         }
     }

@@ -1,11 +1,12 @@
 //! `ld-perfbench` — the reproducible perf-bench harness over the
 //! LoadDynamics compute kernels.
 //!
-//! Every row times one shipped path: the workspace LSTM forward and BPTT, a
-//! trainer fit, the Gram dispatcher at one size and over a search's growing
-//! surrogate refits, the packed GEMM and the fused gate step. Each is timed
-//! round by round, interleaved with a fixed reference leg, and reported as
-//! its **cost**: its median time in units of the reference leg's median.
+//! Every row times one shipped path: the workspace LSTM forward, the
+//! batched forward at one lane, BPTT, a trainer fit, the Gram dispatcher
+//! at one size and over a search's growing surrogate refits, the packed
+//! GEMM and the fused gate step. Each is timed round by round, interleaved
+//! with a fixed reference leg, and reported as its **cost**: its median
+//! time in units of the reference leg's median.
 //! The reference leg is [`host_kernel`], fixed work that calls no program
 //! code (the method of `ld-e2e`'s host-speed adjustment), so host speed
 //! largely cancels out of the cost while any slowdown in the shipped path,
@@ -49,7 +50,9 @@ use ld_gp::{Kernel, KernelKind};
 use ld_linalg::pack::PackedA;
 use ld_linalg::Matrix;
 use ld_nn::optim::{Adam, AdamConfig};
-use ld_nn::{make_windows, ForecasterConfig, LstmForecaster, TrainOptions, Trainer};
+use ld_nn::{
+    make_windows, BatchScratch, ForecasterConfig, LstmForecaster, TrainOptions, Trainer,
+};
 use ld_serve::{
     response_digest, ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot,
     RegistryConfig, Request, ServeEngine, SnapshotStore,
@@ -240,6 +243,24 @@ fn bench_lstm_forward(reps: usize) -> Row {
     host_row(reps, "lstm-forward", "T=8 H=8 L=1".into(), calls, || {
         for _ in 0..calls {
             black_box(model.predict(black_box(&window)));
+        }
+    })
+}
+
+fn bench_lstm_forward_one_lane(reps: usize) -> Row {
+    // `lstm-forward`'s model and window as a one-lane batch: the forward
+    // serving runs per tenant when every tenant has its own model. It
+    // answers bitwise what the `lstm-forward` row's `predict` does, so the
+    // two costs compare directly.
+    let model = forecaster(8, 1, 42);
+    let window = series(8);
+    let mut scratch = BatchScratch::new();
+    let mut out = [0.0];
+    let calls = 128;
+    host_row(reps, "lstm-forward-1lane", "T=8 H=8 L=1 B=1".into(), calls, || {
+        for _ in 0..calls {
+            model.predict_batch_fused(black_box(&window), 1, &mut scratch, &mut out);
+            black_box(&out);
         }
     })
 }
@@ -658,6 +679,7 @@ fn main() {
     });
     let rows = vec![
         bench_lstm_forward(cfg.reps),
+        bench_lstm_forward_one_lane(cfg.reps),
         bench_lstm_bptt(cfg.reps),
         bench_train_epoch(cfg.reps),
         bench_gram_build(cfg.reps),

@@ -4,12 +4,16 @@
 //!
 //! Per tick the engine drains its bounded queue plus any parked retries,
 //! resolves each request's snapshot through the sharded registry
-//! (rehydrating from disk on a miss), and groups the resolved lanes by
+//! (rehydrating from disk on a miss), scales its window into one
+//! engine-owned buffer, and groups the resolved lanes by a stable sort on
 //! `(model shape, weight fingerprint)`. Each group becomes one fused
 //! batched LSTM forward
 //! ([`ld_nn::LstmForecaster::predict_batch_fused`]): one blocked GEMM of
 //! each layer's fused `[W | U | b]` panel per step instead of one mat-vec
-//! per tenant per step. Every lane gets bitwise the answer
+//! per tenant per step. A one-lane group (a tenant with its own model) runs
+//! the same kernel on its window in place; the buffers are reused from tick
+//! to tick, so a warm tick allocates nothing per group or per lane. Every
+//! lane gets bitwise the answer
 //! [`ld_nn::LstmForecaster::predict`] gives its window — the forecast
 //! training and validation computed — so [`ExecMode::Serial`], which runs
 //! `predict` per lane, is the engine-level oracle: the two modes' responses
@@ -46,8 +50,9 @@
 //! `degraded` — and is *excluded from the fused batch*, so a poisoned
 //! tenant can never contaminate the lanes it would have been co-batched
 //! with. A tenant behind an open circuit breaker, or whose deadline
-//! expired, is likewise answered from its own history only. Every request
-//! is eventually answered explicitly; nothing hangs.
+//! expired, is likewise answered from its own history only, and so is a
+//! request that carries no history at all. Every request is eventually
+//! answered explicitly; nothing hangs and nothing panics the tick.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -201,22 +206,46 @@ pub struct ServeStats {
 }
 
 /// One resolved, batchable lane.
+#[derive(Debug)]
 struct Lane {
+    /// Lanes fuse only with lanes of equal `(shape, fingerprint)`.
+    batch: (ModelShape, u64),
     id: u64,
     key: ClientKey,
     shard: usize,
     scaler: ld_api::MinMaxScaler,
-    /// Scaled window, exactly `history_len` long.
-    window: Vec<f64>,
+    /// The resident snapshot's shared model. The handle is a reference
+    /// count, not a copy: the model keeps the weight panels packed on
+    /// earlier ticks, and the registry stays free to evict mid-tick without
+    /// invalidating the batch.
+    model: Arc<LstmForecaster>,
+    /// Where the lane's scaled window starts in [`TickBuffers::windows`];
+    /// it is `batch.0.history_len` long.
+    window_start: usize,
 }
 
-/// Lanes sharing one set of weights, plus the resident snapshot's shared
-/// model to run them with. The handle is a reference count, not a copy: the
-/// model keeps the weight panels packed on earlier ticks, and the registry
-/// stays free to evict mid-tick without invalidating the batch.
-struct Group {
-    model: Arc<LstmForecaster>,
+impl Lane {
+    /// The lane's scaled window, read from the tick's window buffer.
+    fn window<'w>(&self, windows: &'w [f64]) -> &'w [f64] {
+        &windows[self.window_start..self.window_start + self.batch.0.history_len]
+    }
+}
+
+/// What a tick fills and the next tick reuses, so a warm tick allocates
+/// nothing per group or per lane.
+#[derive(Debug, Default)]
+struct TickBuffers {
+    /// The tick's batchable lanes, resolved in id order and then sorted
+    /// into groups.
     lanes: Vec<Lane>,
+    /// Every lane's scaled window, back to back in resolve order.
+    windows: Vec<f64>,
+    /// A multi-lane group's windows, gathered contiguous in lane order.
+    gathered: Vec<f64>,
+    /// One model output per lane, in group order.
+    outputs: Vec<f64>,
+    /// Model-path outcomes awaiting breaker and supervisor bookkeeping.
+    outcomes: Vec<Outcome>,
 }
 
 /// A request in flight across ticks: how many retries it has consumed and
@@ -229,11 +258,22 @@ struct InFlight {
 }
 
 /// Model-path outcome for breaker/supervisor bookkeeping.
+#[derive(Debug)]
 struct Outcome {
     id: u64,
-    key: ClientKey,
+    tenant: Tenant,
     shard: usize,
     ok: bool,
+}
+
+/// Whose breaker an [`Outcome`] advances.
+#[derive(Debug)]
+enum Tenant {
+    /// The key of the tick's response at this index.
+    Answered(usize),
+    /// A failure parked for retry has no response yet, so it keeps a copy
+    /// of its key.
+    Parked(ClientKey),
 }
 
 /// The serving engine.
@@ -246,6 +286,7 @@ pub struct ServeEngine {
     queue: AdmissionQueue,
     tracer: Tracer,
     scratch: BatchScratch,
+    buffers: TickBuffers,
     tick: u64,
     served: u64,
     degraded: u64,
@@ -282,6 +323,7 @@ impl ServeEngine {
             queue: AdmissionQueue::new(cfg.queue_capacity),
             tracer,
             scratch: BatchScratch::new(),
+            buffers: TickBuffers::default(),
             tick: 0,
             served: 0,
             degraded: 0,
@@ -448,8 +490,7 @@ impl ServeEngine {
         work.sort_by_key(|w| w.req.id);
 
         let mut responses: Vec<Response> = Vec::with_capacity(work.len());
-        let mut groups: BTreeMap<(ModelShape, u64), Group> = BTreeMap::new();
-        let mut outcomes: Vec<Outcome> = Vec::new();
+        let mut buf = std::mem::take(&mut self.buffers);
         let mut per_shard = vec![0u64; self.registry.shard_count()];
         let mut shard_obs = vec![ShardObservation::default(); self.registry.shard_count()];
 
@@ -464,7 +505,16 @@ impl ServeEngine {
                 // answer from its own history, never a hang.
                 if item.req.deadline.is_some_and(|d| tick_idx > d) {
                     self.lifecycle_stats.expired += 1;
-                    responses.push(expired_response(&item.req));
+                    responses.push(expired_response(item.req));
+                    continue;
+                }
+
+                // A request without history has no window to forecast from:
+                // it is answered from the fallback (0.0 over an empty
+                // history) and, being malformed rather than a model-path
+                // failure, records no outcome.
+                if item.req.history.is_empty() {
+                    responses.push(fallback_response(item.req));
                     continue;
                 }
 
@@ -476,7 +526,7 @@ impl ServeEngine {
                     shard_obs[shard].deferred += 1;
                     if item.req.deadline.is_some_and(|d| release > d) {
                         self.lifecycle_stats.expired += 1;
-                        responses.push(expired_response(&item.req));
+                        responses.push(expired_response(item.req));
                     } else {
                         self.lifecycle_stats.deferrals += 1;
                         self.parked.park(
@@ -501,16 +551,20 @@ impl ServeEngine {
                 };
                 if route == Route::Fallback {
                     self.lifecycle_stats.breaker_fallbacks += 1;
-                    responses.push(fallback_response(&item.req));
+                    responses.push(fallback_response(item.req));
                     continue;
                 }
 
                 match self.registry.get(&item.req.key, &self.store) {
                     Ok(snap) => {
+                        let start = buf.windows.len();
                         let scaler = snap.scaler();
-                        let n = snap.history_len();
-                        let group_key = (snap.shape(), snap.fingerprint());
-                        let mut window = scaled_window(&item.req.history, n, scaler);
+                        push_scaled_window(
+                            &mut buf.windows,
+                            &item.req.history,
+                            snap.history_len(),
+                            scaler,
+                        );
                         if ld_faultinject::is_active()
                             && ld_faultinject::fault_hit(
                                 ld_faultinject::FaultSite::BatchNan,
@@ -519,28 +573,27 @@ impl ServeEngine {
                         {
                             // Simulated upstream poison: the lane's scaled
                             // window arrives non-finite.
-                            window[0] = f64::NAN;
+                            buf.windows[start] = f64::NAN;
                         }
-                        if window.iter().all(|v| v.is_finite()) {
-                            let group = groups.entry(group_key).or_insert_with(|| Group {
-                                model: Arc::clone(snap.shared_model()),
-                                lanes: Vec::new(),
-                            });
-                            group.lanes.push(Lane {
+                        if buf.windows[start..].iter().all(|v| v.is_finite()) {
+                            buf.lanes.push(Lane {
+                                batch: (snap.shape(), snap.fingerprint()),
                                 id: item.req.id,
                                 key: item.req.key,
                                 shard,
                                 scaler,
-                                window,
+                                model: Arc::clone(snap.shared_model()),
+                                window_start: start,
                             });
                         } else {
+                            buf.windows.truncate(start);
                             self.finish_failure(
                                 tick_idx,
                                 item,
                                 shard,
                                 true,
                                 &mut responses,
-                                &mut outcomes,
+                                &mut buf.outcomes,
                             );
                         }
                     }
@@ -554,12 +607,18 @@ impl ServeEngine {
                             shard,
                             transient,
                             &mut responses,
-                            &mut outcomes,
+                            &mut buf.outcomes,
                         );
                     }
                 }
             }
         }
+
+        // Groups in `(shape, fingerprint)` order, each holding its lanes in
+        // id order: the sort is stable and the lanes were resolved in id
+        // order.
+        buf.lanes.sort_by_key(|lane| lane.batch);
+        let same_batch = |a: &Lane, b: &Lane| a.batch == b.batch;
 
         if self.tracer.is_enabled() {
             for (shard, &n) in per_shard.iter().enumerate() {
@@ -568,61 +627,86 @@ impl ServeEngine {
                     self.tracer.observe("serve.shard_requests", n);
                 }
             }
-            self.tracer.observe("serve.batch_groups", groups.len() as u64);
-            for group in groups.values() {
-                self.tracer.observe("serve.batch_size", group.lanes.len() as u64);
+            let groups = buf.lanes.chunk_by(same_batch).count();
+            self.tracer.observe("serve.batch_groups", groups as u64);
+            for group in buf.lanes.chunk_by(same_batch) {
+                self.tracer.observe("serve.batch_size", group.len() as u64);
             }
         }
 
-        for (ordinal, group) in groups.values().enumerate() {
+        // Each mode only produces the model outputs; both are bitwise
+        // `predict`'s, so the modes differ in the tag alone.
+        let source = match self.mode {
+            ExecMode::Batched => ResponseSource::Batched,
+            ExecMode::Serial => ResponseSource::Serial,
+        };
+        buf.outputs.clear();
+        buf.outputs.resize(buf.lanes.len(), 0.0);
+        let mut done = 0;
+        for (ordinal, group) in buf.lanes.chunk_by(same_batch).enumerate() {
             let batch_span = tr.span_at("batch", ordinal as u64);
             let btr = batch_span.tracer();
-            // Each mode only produces the group's model outputs; both are
-            // bitwise `predict`'s, so the modes differ in the tag alone.
-            let (outputs, source) = match self.mode {
+            let model = &group[0].model;
+            let out = &mut buf.outputs[done..done + group.len()];
+            done += group.len();
+            match self.mode {
+                // One forward per group, whatever its lane count: a lone
+                // lane's window is read in place, a group's are gathered.
                 ExecMode::Batched => {
-                    let n = group.model.config().history_len;
-                    let batch = group.lanes.len();
-                    let mut windows = Vec::with_capacity(batch * n);
-                    for lane in &group.lanes {
-                        windows.extend_from_slice(&lane.window);
-                    }
-                    let mut out = vec![0.0; batch];
-                    group
-                        .model
-                        .predict_batch_fused(&windows, batch, &mut self.scratch, &mut out);
-                    (out, ResponseSource::Batched)
+                    let windows = if let [lane] = group {
+                        lane.window(&buf.windows)
+                    } else {
+                        buf.gathered.clear();
+                        for lane in group {
+                            buf.gathered.extend_from_slice(lane.window(&buf.windows));
+                        }
+                        &buf.gathered
+                    };
+                    model.predict_batch_fused(windows, group.len(), &mut self.scratch, out);
                 }
                 ExecMode::Serial => {
-                    let out: Vec<f64> =
-                        group.lanes.iter().map(|lane| group.model.predict(&lane.window)).collect();
-                    (out, ResponseSource::Serial)
+                    for (y, lane) in out.iter_mut().zip(group) {
+                        *y = model.predict(lane.window(&buf.windows));
+                    }
                 }
-            };
-            for (lane, &y) in group.lanes.iter().zip(&outputs) {
+            }
+            for lane in group {
                 btr.record_span("request", lane.id, 1, 0);
-                let resp = finish_lane(lane, y, source);
-                outcomes.push(Outcome {
-                    id: lane.id,
-                    key: lane.key.clone(),
-                    shard: lane.shard,
-                    ok: !resp.degraded,
-                });
-                responses.push(resp);
             }
         }
+        for (lane, &y) in buf.lanes.iter_mut().zip(&buf.outputs) {
+            let resp = finish_lane(lane, y, source, &buf.windows);
+            buf.outcomes.push(Outcome {
+                id: resp.id,
+                tenant: Tenant::Answered(responses.len()),
+                shard: lane.shard,
+                ok: !resp.degraded,
+            });
+            responses.push(resp);
+        }
+        // The lanes' model handles are released in a pass of their own. Each
+        // release is an atomic decrement, which waits for every pending
+        // store; interleaved with the response writes above, the releases
+        // made that loop about three times as slow on a 2,000-lane tick.
+        buf.lanes.clear();
+        buf.windows.clear();
 
         // Apply model-path outcomes in id order: breaker state advances as
         // a pure function of the (deterministic) outcome sequence.
-        outcomes.sort_by_key(|o| o.id);
-        for o in &outcomes {
+        buf.outcomes.sort_by_key(|o| o.id);
+        for o in buf.outcomes.drain(..) {
             shard_obs[o.shard].services += 1;
             if !o.ok {
                 shard_obs[o.shard].errors += 1;
             }
             self.shard_breakers[o.shard].record(tick_idx, o.ok);
-            self.with_tenant_breaker(&o.key, |b| b.record(tick_idx, o.ok));
+            let key = match &o.tenant {
+                Tenant::Answered(i) => &responses[*i].key,
+                Tenant::Parked(key) => key,
+            };
+            self.with_tenant_breaker(key, |b| b.record(tick_idx, o.ok));
         }
+        self.buffers = buf;
 
         // Shard health: escalate, drain unhealthy shards (spill + evict so
         // future requests rehydrate from durable state), and record every
@@ -752,12 +836,6 @@ impl ServeEngine {
         responses: &mut Vec<Response>,
         outcomes: &mut Vec<Outcome>,
     ) {
-        outcomes.push(Outcome {
-            id: item.req.id,
-            key: item.req.key.clone(),
-            shard,
-            ok: false,
-        });
         let next_attempt = item.attempt + 1;
         if transient && self.lifecycle.retry.allows(next_attempt) {
             // Jitter derives from the request id — the request's own seed —
@@ -769,6 +847,12 @@ impl ServeEngine {
             let release = tick_idx + backoff;
             if item.req.deadline.is_none_or(|d| release <= d) {
                 self.lifecycle_stats.retries += 1;
+                outcomes.push(Outcome {
+                    id: item.req.id,
+                    tenant: Tenant::Parked(item.req.key.clone()),
+                    shard,
+                    ok: false,
+                });
                 self.parked.park(
                     release,
                     InFlight {
@@ -779,56 +863,60 @@ impl ServeEngine {
                 return;
             }
         }
-        responses.push(fallback_response(&item.req));
+        outcomes.push(Outcome {
+            id: item.req.id,
+            tenant: Tenant::Answered(responses.len()),
+            shard,
+            ok: false,
+        });
+        responses.push(fallback_response(item.req));
     }
 }
 
-/// Mirrors `OptimizedPredictor::predict`'s window preparation exactly:
-/// take the last `n` observations (left-padding with the earliest value
-/// when the history is shorter) and scale each one.
-fn scaled_window(history: &[f64], n: usize, scaler: ld_api::MinMaxScaler) -> Vec<f64> {
-    assert!(!history.is_empty(), "request history must be non-empty");
-    if history.len() >= n {
-        history[history.len() - n..]
-            .iter()
-            .map(|&v| scaler.transform(v))
-            .collect()
-    } else {
-        let pad = n - history.len();
-        std::iter::repeat_n(history[0], pad)
-            .chain(history.iter().cloned())
-            .map(|v| scaler.transform(v))
-            .collect()
-    }
+/// Appends `history`'s scaled window to `out`, exactly as
+/// `OptimizedPredictor::predict` prepares it: take the last `n`
+/// observations (left-padding with the earliest value when the history is
+/// shorter) and scale each one.
+///
+/// # Panics
+/// Panics if `history` is empty; the tick answers such a request from the
+/// fallback before it gets here.
+fn push_scaled_window(
+    out: &mut Vec<f64>,
+    history: &[f64],
+    n: usize,
+    scaler: ld_api::MinMaxScaler,
+) {
+    let pad = n.saturating_sub(history.len());
+    let kept = &history[history.len().saturating_sub(n)..];
+    let window = std::iter::repeat_n(history[0], pad).chain(kept.iter().copied());
+    out.extend(window.map(|v| scaler.transform(v)));
 }
 
 /// Inverse-scales a model output and clamps to the non-negative JAR domain
 /// (same post-processing as `OptimizedPredictor::predict`). A non-finite
-/// model output degrades the lane instead of poisoning the response.
-fn finish_lane(lane: &Lane, y: f64, source: ResponseSource) -> Response {
+/// model output degrades the lane instead of poisoning the response. The
+/// response takes the lane's key.
+fn finish_lane(lane: &mut Lane, y: f64, source: ResponseSource, windows: &[f64]) -> Response {
     let value = lane.scaler.inverse(y).max(0.0);
-    if value.is_finite() {
-        Response {
-            id: lane.id,
-            key: lane.key.clone(),
-            value,
-            source,
-            degraded: false,
-        }
+    let (value, source, degraded) = if value.is_finite() {
+        (value, source, false)
     } else {
-        Response {
-            id: lane.id,
-            key: lane.key.clone(),
-            value: wma_forecast_scaled(lane),
-            source: ResponseSource::Fallback,
-            degraded: true,
-        }
+        let fallback = wma_forecast_scaled(lane.window(windows), lane.scaler);
+        (fallback, ResponseSource::Fallback, true)
+    };
+    Response {
+        id: lane.id,
+        key: std::mem::replace(&mut lane.key, ClientKey::new("", "")),
+        value,
+        source,
+        degraded,
     }
 }
 
 /// The smoothing fallback over a lane's scaled window, inverse-scaled.
-fn wma_forecast_scaled(lane: &Lane) -> f64 {
-    let raw: Vec<f64> = lane.window.iter().map(|&u| lane.scaler.inverse(u)).collect();
+fn wma_forecast_scaled(window: &[f64], scaler: ld_api::MinMaxScaler) -> f64 {
+    let raw: Vec<f64> = window.iter().map(|&u| scaler.inverse(u)).collect();
     ld_baselines::smoothing::Wma::default().predict(&raw).max(0.0)
 }
 
@@ -843,23 +931,23 @@ fn fallback_value(req: &Request) -> f64 {
 }
 
 /// The smoothing fallback for a request that never produced a lane
-/// (corrupt snapshot / poisoned window / open breaker).
-fn fallback_response(req: &Request) -> Response {
+/// (corrupt snapshot / poisoned window / open breaker / empty history).
+fn fallback_response(req: Request) -> Response {
     Response {
+        value: fallback_value(&req),
         id: req.id,
-        key: req.key.clone(),
-        value: fallback_value(req),
+        key: req.key,
         source: ResponseSource::Fallback,
         degraded: true,
     }
 }
 
 /// The explicit answer for a request whose deadline passed.
-fn expired_response(req: &Request) -> Response {
+fn expired_response(req: Request) -> Response {
     Response {
+        value: fallback_value(&req),
         id: req.id,
-        key: req.key.clone(),
-        value: fallback_value(req),
+        key: req.key,
         source: ResponseSource::Expired,
         degraded: true,
     }
@@ -925,6 +1013,19 @@ mod tests {
         (0..9).map(|i| 40.0 + f64::from(i) * 3.0 + (id as f64)).collect()
     }
 
+    fn scaled_window(history: &[f64], n: usize, scaler: MinMaxScaler) -> Vec<f64> {
+        let mut window = Vec::new();
+        push_scaled_window(&mut window, history, n, scaler);
+        window
+    }
+
+    /// What `predict` answers for `history` through `snap`, post-processed
+    /// as the engine does.
+    fn predicted(snap: &ModelSnapshot, history: &[f64]) -> f64 {
+        let window = scaled_window(history, snap.history_len(), snap.scaler());
+        snap.scaler().inverse(snap.model().predict(&window)).max(0.0)
+    }
+
     #[test]
     fn batched_equals_serial_and_predict_bitwise() {
         // Two distinct models (two groups), per-tenant scalers.
@@ -956,8 +1057,7 @@ mod tests {
                 "batched vs serial must be bitwise identical (id {})",
                 rb.id
             );
-            let window = scaled_window(&history(rb.id), snap.history_len(), snap.scaler());
-            let want = snap.scaler().inverse(snap.model().predict(&window)).max(0.0);
+            let want = predicted(snap, &history(rb.id));
             assert_eq!(
                 rb.value.to_bits(),
                 want.to_bits(),
@@ -998,10 +1098,123 @@ mod tests {
         assert_eq!(rs.len(), 2);
         for (r, (_, snap)) in rs.iter().zip(&tenants) {
             assert_eq!(r.source, ResponseSource::Batched);
-            let window = scaled_window(&history(r.id), snap.history_len(), snap.scaler());
-            let want = snap.scaler().inverse(snap.model().predict(&window)).max(0.0);
+            let want = predicted(snap, &history(r.id));
             assert_eq!(r.value.to_bits(), want.to_bits(), "id {}", r.id);
         }
+    }
+
+    #[test]
+    fn mixed_tick_answers_every_lane_from_its_own_window() {
+        // One tick mixing a three-lane group (model `a`), one-lane groups of
+        // two shapes, and a lane whose model output is non-finite: a head
+        // bias of 1e308 inverse-scales to infinity.
+        let a = snapshot(11, (0.0, 90.0));
+        let other_shape = LstmForecaster::new(ForecasterConfig {
+            history_len: 9,
+            hidden_size: 5,
+            num_layers: 2,
+            seed: 14,
+        });
+        let mut poisoned = LstmForecaster::new(ForecasterConfig {
+            history_len: 6,
+            hidden_size: 4,
+            num_layers: 1,
+            seed: 13,
+        });
+        let grads = poisoned.zero_grads();
+        // The head bias is the model's one 1x1 parameter at H = 4.
+        poisoned.visit_params(&grads, &mut |p, _| {
+            if (p.rows(), p.cols()) == (1, 1) {
+                p[(0, 0)] = 1e308;
+            }
+        });
+        let tenants: Vec<(ClientKey, ModelSnapshot)> = [
+            a.clone(),
+            snapshot(12, (0.0, 95.0)),
+            a.clone(),
+            ModelSnapshot::new(poisoned, MinMaxScaler::fit(&[0.0, 80.0]), 6),
+            ModelSnapshot::new(other_shape, MinMaxScaler::fit(&[0.0, 70.0]), 9),
+            a,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(t, snap)| (ClientKey::new(format!("t{t}"), "w"), snap))
+        .collect();
+        let poisoned_id = 3;
+        let tick = |e: &mut ServeEngine, first_id: u64| -> Vec<Response> {
+            for (t, (key, _)) in tenants.iter().enumerate() {
+                let id = first_id + t as u64;
+                e.submit(Request::new(id, key.clone(), history(t as u64))).expect("admit");
+            }
+            e.tick()
+        };
+        let provisioned = |name: &str, mode: ExecMode| {
+            let mut e = engine(name, mode);
+            for (key, snap) in &tenants {
+                e.provision(key.clone(), snap.clone());
+            }
+            e
+        };
+        let mut batched = provisioned("engine-mixed-batched", ExecMode::Batched);
+        let rs = tick(&mut batched, 0);
+        let serial = tick(&mut provisioned("engine-mixed-serial", ExecMode::Serial), 0);
+        assert_eq!(rs.len(), tenants.len());
+        for ((r, s), (key, snap)) in rs.iter().zip(&serial).zip(&tenants) {
+            assert_eq!((r.id, &r.key, r.degraded), (s.id, key, s.degraded));
+            assert_eq!(r.value.to_bits(), s.value.to_bits(), "batched vs serial, id {}", r.id);
+            let own = history(r.id);
+            if r.id == poisoned_id {
+                assert!(r.degraded);
+                assert_eq!(r.source, ResponseSource::Fallback);
+                assert_eq!(s.source, ResponseSource::Fallback);
+                // The WMA of the lane's own inverse-scaled window, which
+                // another lane's window would not give.
+                let scaler = snap.scaler();
+                let wma = |h: &[f64]| {
+                    let raw: Vec<f64> = scaled_window(h, 6, scaler)
+                        .iter()
+                        .map(|&u| scaler.inverse(u))
+                        .collect();
+                    ld_baselines::smoothing::Wma::default().predict(&raw).max(0.0)
+                };
+                assert_eq!(r.value.to_bits(), wma(&own).to_bits());
+                assert_ne!(r.value.to_bits(), wma(&history(r.id - 1)).to_bits());
+            } else {
+                assert!(!r.degraded, "id {}", r.id);
+                assert_eq!((r.source, s.source), (ResponseSource::Batched, ResponseSource::Serial));
+                assert_eq!(r.value.to_bits(), predicted(snap, &own).to_bits(), "id {}", r.id);
+            }
+        }
+
+        // A second tick through the engine's reused buffers answers alike.
+        let again = tick(&mut batched, 100);
+        let answer = |r: &Response| (r.key.clone(), r.value.to_bits(), r.source, r.degraded);
+        for (r, g) in rs.iter().zip(&again) {
+            assert_eq!(g.id, r.id + 100);
+            assert_eq!(answer(g), answer(r));
+        }
+    }
+
+    #[test]
+    fn empty_history_is_answered_from_the_fallback() {
+        // A request with no history must not panic the tick and lose every
+        // other tenant's answer.
+        let snaps = [snapshot(6, (0.0, 75.0)), snapshot(7, (0.0, 85.0))];
+        let keys = [ClientKey::new("good", "w"), ClientKey::new("empty", "w")];
+        let mut e = engine("engine-empty-history", ExecMode::Batched);
+        for (key, snap) in keys.iter().zip(&snaps) {
+            e.provision(key.clone(), snap.clone());
+        }
+        e.submit(Request::new(0, keys[0].clone(), history(0))).expect("admit");
+        e.submit(Request::new(1, keys[1].clone(), vec![])).expect("admit");
+        let rs = e.tick();
+        assert_eq!(rs.len(), 2);
+        assert!(!rs[0].degraded);
+        assert_eq!(rs[0].source, ResponseSource::Batched);
+        assert_eq!(rs[0].value.to_bits(), predicted(&snaps[0], &history(0)).to_bits());
+        assert!(rs[1].degraded);
+        assert_eq!((rs[1].source, rs[1].value), (ResponseSource::Fallback, 0.0));
+        assert_eq!(e.pending_work(), 0);
     }
 
     #[test]
