@@ -105,8 +105,10 @@ pub fn gemm(
         }
         // Column remainder: the panel's `MR` rows as vector lanes, one
         // ascending-`k` chain per lane; padding lanes are never stored.
-        // `b` and `out` are walked a row at a time (a one-lane product's
-        // rows are single values) rather than by a stride iterator.
+        // `b` and the panel's `rows x n` block of `out` are walked a row at
+        // a time (a one-lane product's rows are single values) rather than
+        // by a stride iterator or index arithmetic.
+        let out_panel = &mut out[i0 * n..(i0 + rows) * n];
         for jj in j..n {
             let mut acc = [0.0f64; MR];
             for (step, b_row) in a_panel.chunks_exact(MR).zip(b.chunks_exact(n)) {
@@ -115,7 +117,7 @@ pub fn gemm(
                     *a += av * bv;
                 }
             }
-            for (out_row, &cv) in out.chunks_exact_mut(n).skip(i0).zip(&acc[..rows]) {
+            for (out_row, &cv) in out_panel.chunks_exact_mut(n).zip(&acc) {
                 out_row[jj] = cv;
             }
         }
