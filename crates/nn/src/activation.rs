@@ -7,11 +7,11 @@
 //! ([`fast_exp`]) rather than libm calls: the transcendentals dominate the
 //! LSTM step cost (the matrix work is a few ns per cell, a libm `tanh` is
 //! ~20 ns), and the branch-free form lets the compiler auto-vectorize the
-//! slice-mapped variants ([`sigmoid_map`], [`tanh_map`]) used by the fused
-//! batch kernel. Every forward path — scalar, workspace, and batched —
-//! calls these same functions, so cross-path equivalence is preserved by
-//! construction. Accuracy is ~1 ulp for `exp`/`sigmoid` and < 4e-13
-//! absolute for `tanh` (see the tests), far below training noise.
+//! LSTM cell pass ([`crate::lstm`]), which runs them over blocks of units
+//! as vector lanes, and [`tanh_map`]. Every forward path — sequential and
+//! batched — calls these same functions, so cross-path equivalence is
+//! preserved by construction. Accuracy is ~1 ulp for `exp`/`sigmoid` and
+//! < 4e-13 absolute for `tanh` (see the tests), far below training noise.
 
 const LOG2E: f64 = std::f64::consts::LOG2_E;
 // ln(2) split hi/lo for Cody-Waite argument reduction.
@@ -35,8 +35,10 @@ pub fn fast_exp(x: f64) -> f64 {
     let zs = x * LOG2E + SHIFT;
     let kf = zs - SHIFT;
     let r = (x - kf * LN2_HI) - kf * LN2_LO;
-    // Plain mul+add on purpose: without the FMA target feature,
-    // `f64::mul_add` lowers to a correctly-rounded libm call (~40 ns).
+    // Plain mul+add on purpose: a fused multiply-add rounds once where
+    // mul+add rounds twice, so it would change every result, and with it
+    // every committed digest. (Without the FMA target feature,
+    // `f64::mul_add` would also lower to a libm call, ~40 ns.)
     // Estrin's scheme rather than Horner: the tree regroups the Taylor sum
     // into independent sub-polynomials so the ~4-cycle mul/add chains
     // overlap, where Horner's single serial chain leaves the FP ports idle
@@ -103,19 +105,12 @@ pub fn tanh_deriv_from_output(t: f64) -> f64 {
     1.0 - t * t
 }
 
-/// Applies [`sigmoid`] to every element in place.
+/// Applies [`tanh`] to every element in place (the MLP ablation's hidden
+/// layers).
 ///
 /// A single non-inlined call site over a contiguous slice: the branch-free
-/// body auto-vectorizes here (2-wide SSE2 at the baseline target), which
-/// inlining four copies into an interleaved gate loop defeats.
-#[inline(never)]
-pub fn sigmoid_map(xs: &mut [f64]) {
-    for x in xs.iter_mut() {
-        *x = sigmoid(*x);
-    }
-}
-
-/// Applies [`tanh`] to every element in place. See [`sigmoid_map`].
+/// body auto-vectorizes here, 8 lanes wide under `target-cpu=native` on an
+/// AVX-512 host, with the last `len mod 8` elements left to a scalar loop.
 #[inline(never)]
 pub fn tanh_map(xs: &mut [f64]) {
     for x in xs.iter_mut() {
@@ -185,14 +180,11 @@ mod tests {
     }
 
     #[test]
-    fn map_variants_match_scalar_exactly() {
+    fn tanh_map_matches_scalar_exactly() {
         let xs: Vec<f64> = (0..257).map(|i| (i as f64 - 128.0) * 0.073).collect();
-        let mut s = xs.clone();
-        sigmoid_map(&mut s);
         let mut t = xs.clone();
         tanh_map(&mut t);
         for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(s[i], sigmoid(x));
             assert_eq!(t[i], tanh(x));
         }
     }

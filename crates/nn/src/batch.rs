@@ -14,11 +14,12 @@
 //! ```
 //!
 //! over the layer's cached fused gate panel, with the four gate blocks
-//! landing as contiguous row ranges of `Z`: rows `0..3H` are the sigmoid
-//! gates `[i|f|o]` (one [`sigmoid_map`] pass), rows `3H..4H` the candidate
-//! `g` (one [`tanh_map`] pass). The cell update writes each lane's new
-//! `h` straight into the `H` rows of the layer's own input, and a deeper
-//! layer copies those rows into its `X` rows.
+//! `[i|f|o|g]` landing as contiguous row ranges of `Z`. The LSTM's one
+//! cell routine ([`crate::lstm`]'s `cell_pass`, the one the sequential
+//! step runs) then takes the whole `H x B` block at once: it activates `Z`
+//! in place, updates the layer's cell state and writes each lane's new `h`
+//! straight into the `H` rows of the layer's own input, and a deeper layer
+//! copies those rows into its `X` rows.
 //!
 //! Equivalence is by construction, not by tolerance: the register-blocked
 //! packed-A GEMM ([`ld_linalg::pack::PackedA::matmul_into`], plain
@@ -27,8 +28,8 @@
 //! `[x | h | 1]` column that [`ld_linalg::pack::PackedA::matvec_into`]
 //! walks in the per-sequence gate step
 //! ([`crate::recurrent::RecurrentLayer::gate_step_fused`]); the
-//! activations and the cell update are the same functions in the same
-//! order, and the head is `dot4(w, h) + b` per lane, as
+//! activations and the cell update are the same routine, and the head is
+//! `dot4(w, h) + b` per lane, as
 //! [`crate::dense::Dense::forward_into`] computes it. Every lane is
 //! therefore **bitwise** [`crate::LstmForecaster::predict`]'s answer — the
 //! forecast training and validation computed. A one-lane batch makes every
@@ -45,9 +46,8 @@
 
 use ld_linalg::{vecops, Matrix};
 
-use crate::activation::{sigmoid_map, tanh, tanh_map};
 use crate::forecaster::LstmForecaster;
-use crate::lstm::LstmLayer;
+use crate::lstm::{cell_pass, LstmLayer};
 
 /// Reusable buffers for [`LstmForecaster::predict_batch_fused`]. Every
 /// call resizes them to its `(model shape, batch)` within the capacity
@@ -62,7 +62,7 @@ pub struct BatchScratch {
     inputs: Vec<Matrix>,
     /// Per-layer cell state, flat `H * B` each (layered like `inputs`).
     c: Vec<Vec<f64>>,
-    /// Pre-activations / gates for the current layer+step, flat `4H * B`.
+    /// Gate pre-activations for the current layer and step, flat `4H * B`.
     z: Vec<f64>,
     /// One lane's final hidden state, contiguous for the head's `dot4`.
     h_lane: Vec<f64>,
@@ -130,7 +130,7 @@ impl LstmForecaster {
             h_lane,
         } = scratch;
         let inputs = &mut inputs[..layers.len()];
-        let (gate_rows, state_rows) = (3 * h_dim * batch, h_dim * batch);
+        let state_rows = h_dim * batch;
 
         for t in 0..t_len {
             // Layer 0's X_t row: this step's value of every lane's window.
@@ -153,27 +153,12 @@ impl LstmForecaster {
                 // ascending-k chain from 0.0, the chain the sequential
                 // gate step's packed mat-vec runs.
                 layer.fused_gate_panel().matmul_into(input, z);
-                // Gate blocks are contiguous rows: [i|f|o] then [g].
-                sigmoid_map(&mut z[..gate_rows]);
-                tanh_map(&mut z[gate_rows..]);
-
-                // C = f.C + i.g ; H = o.tanh(C) — one flat pass over the
-                // contiguous `H x B` block (every gate, C and H share its
-                // row-major layout), writing H straight into this layer's
-                // input for the next step. The pass is as wide as the
-                // block whatever the lane count, so it vectorizes at one
-                // lane too. `tanh` is the same scalar the sequential
-                // step maps over C.
-                let (i_g, rest) = z.split_at(state_rows);
-                let (f_g, rest) = rest.split_at(state_rows);
-                let (o_g, g_g) = rest.split_at(state_rows);
+                // The cell over the contiguous `H x B` block (every gate,
+                // C and H share its row-major layout), as wide as the block
+                // whatever the lane count, writing H straight into this
+                // layer's input for the next step.
                 let h_state = &mut input.as_mut_slice()[x_rows..x_rows + state_rows];
-                let gates = i_g.iter().zip(f_g).zip(o_g.iter().zip(g_g));
-                for ((cv, hv), ((&i, &f), (&o, &g))) in c[l].iter_mut().zip(h_state).zip(gates) {
-                    let c_new = f * *cv + i * g;
-                    *cv = c_new;
-                    *hv = o * tanh(c_new);
-                }
+                cell_pass(z, &mut c[l], h_state, None);
             }
         }
 

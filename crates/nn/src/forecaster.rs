@@ -192,9 +192,9 @@ impl<C: Cell> RecurrentForecaster<C> {
             let (done, rest) = ws.caches.split_at_mut(idx);
             let cache = &mut rest[0];
             if idx == 0 {
-                layer.forward_into(window, steps, &mut ws.z, cache);
+                layer.forward_into(window, steps, cache);
             } else {
-                layer.forward_into(done[idx - 1].hidden_sequence(), steps, &mut ws.z, cache);
+                layer.forward_into(done[idx - 1].hidden_sequence(), steps, cache);
             }
         }
         let mut out = [0.0f64; 1];

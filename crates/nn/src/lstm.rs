@@ -14,12 +14,17 @@
 //! Every gate reads `h_{t-1}` directly, so the whole `4H` pre-activation is
 //! **one** packed mat-vec of the layer's fused `[W | U | b]` panel against
 //! `[x_t | h_{t-1} | 1]` per step
-//! ([`RecurrentLayer::gate_step_fused`]); the batched inference kernel
-//! ([`crate::batch`]) runs the same panel as one GEMM against a column
-//! `[x_t | h_{t-1} | 1]` per lane, so it computes the same gate chains bit
-//! for bit. The backward step pulls `dx`/`dh` from the layer's cached
-//! weight transposes (contiguous mat-vecs instead of per-row `axpy`
-//! strides).
+//! ([`RecurrentLayer::gate_step_fused`]), written straight into the step's
+//! gate record; the batched inference kernel ([`crate::batch`]) runs the
+//! same panel as one GEMM against a column `[x_t | h_{t-1} | 1]` per lane,
+//! so it computes the same gate chains bit for bit. Both then run the one
+//! cell routine, [`cell_pass`]: the step over its `H` units, the batch over
+//! its flat `H x B` block. It activates the gates in place and updates `C`
+//! and `h` with whole 8-unit blocks as vector lanes and the last `H mod 8`
+//! units as one zero-filled block, so a tuned model of any cell size runs
+//! no scalar activation tail. The backward step pulls `dx`/`dh` from the
+//! layer's cached weight transposes (contiguous mat-vecs instead of
+//! per-row `axpy` strides).
 //!
 //! The pre-change forward, backward and per-row-dots gate step are this
 //! crate's test oracles (`crate::reference`, compiled only into its
@@ -27,7 +32,7 @@
 
 use ld_linalg::{vecops, Matrix};
 
-use crate::activation::{sigmoid_deriv_from_output, sigmoid_map, tanh_deriv_from_output, tanh_map};
+use crate::activation::{sigmoid, sigmoid_deriv_from_output, tanh, tanh_deriv_from_output};
 use crate::recurrent::{BackStep, Cell, LayerGrads, RecurrentLayer, Step};
 
 /// The LSTM cell: four gates `[i, f, o, g]` and a memory state `C_t`.
@@ -52,26 +57,12 @@ impl Cell for Lstm {
     /// `aux` records `tanh(C_t)`.
     #[inline]
     fn step(layer: &LstmLayer, s: Step<'_>) {
-        let h = layer.hidden;
-        // z = W x + U h_prev + b as one packed panel mat-vec.
-        layer.gate_step_fused(s.x, s.h_prev, s.gate_in, s.z);
-
-        // Gate blocks are contiguous ([i|f|o] then [g]), so the
-        // activations run as two slice-mapped passes the compiler can
-        // vectorize; per-element results match the scalar calls exactly.
-        let g_row = s.gates;
-        g_row.copy_from_slice(s.z);
-        sigmoid_map(&mut g_row[..3 * h]);
-        tanh_map(&mut g_row[3 * h..]);
-        for k in 0..h {
-            s.c[k] = g_row[h + k] * s.c_prev[k] + g_row[k] * g_row[3 * h + k];
-        }
-        let tc = s.aux;
-        tc.copy_from_slice(s.c);
-        tanh_map(tc);
-        for k in 0..h {
-            s.h[k] = g_row[2 * h + k] * tc[k];
-        }
+        // z = W x + U h_prev + b as one packed panel mat-vec, written
+        // straight into the gate record and activated there; C_t's row
+        // starts as C_{t-1} and is updated in place.
+        layer.gate_step_fused(s.x, s.h_prev, s.gate_in, s.gates);
+        s.c.copy_from_slice(s.c_prev);
+        cell_pass(s.gates, s.c, s.h, Some(s.aux));
     }
 
     /// `dstate` carries the cell-state gradient `dC` backwards.
@@ -119,6 +110,188 @@ impl Cell for Lstm {
     }
 }
 
+/// The LSTM cell over `n = c.len()` units, in place. On entry `gates`
+/// holds the pre-activations `[z_i | z_f | z_o | z_g]` (`4n`) and `c` holds
+/// `C_{t-1}`; on return they hold the gates `[i | f | o | g]` and `C_t`,
+/// `h` holds `h_t` and `tanh_c`, when given, `tanh(C_t)`. The sequential
+/// step runs it over one layer's `H` units, recording gates and `tanh(C_t)`
+/// for BPTT; the batched kernel runs it over a layer's flat `H x B` block.
+///
+/// Every unit gets the scalar [`sigmoid`] and [`tanh`] and the expressions
+/// `c = f * c_prev + i * g`, `h = o * tanh(c)` in that order, so the pass
+/// is bitwise a plain per-unit loop; only the grouping of units into
+/// vector lanes varies with `n`:
+///
+/// - the whole 8-unit blocks go pass by pass: one activation pass per gate,
+///   then one update pass, each a loop of its own. One body holding all
+///   five transcendentals of a block spills registers: it made the pass
+///   about 1.3x slower than separate passes at 8 to 32 units;
+/// - the last `n mod 8` units run as one zero-filled block of 4 lanes when
+///   at most 4 remain, else 8 (a 512-bit divide has about twice the
+///   latency of a 256-bit one). Padding lanes are never stored.
+///
+/// # Panics
+/// Panics if `gates` is not `4n` long or `h` or `tanh_c` is not `n` long.
+pub(crate) fn cell_pass(
+    gates: &mut [f64],
+    c: &mut [f64],
+    h: &mut [f64],
+    mut tanh_c: Option<&mut [f64]>,
+) {
+    let n = c.len();
+    assert_eq!(gates.len(), 4 * n, "cell gate length");
+    assert_eq!(h.len(), n, "cell hidden length");
+    assert!(
+        tanh_c.as_ref().is_none_or(|t| t.len() == n),
+        "tanh(C) length"
+    );
+    let (i, rest) = gates.split_at_mut(n);
+    let (f, rest) = rest.split_at_mut(n);
+    let (o, g) = rest.split_at_mut(n);
+    let whole = n - n % 8;
+    if whole > 0 {
+        fn blocks(units: &mut [f64], whole: usize) -> &mut [[f64; 8]] {
+            units[..whole].as_chunks_mut::<8>().0
+        }
+        let (bi, bf) = (blocks(i, whole), blocks(f, whole));
+        let (bo, bg) = (blocks(o, whole), blocks(g, whole));
+        map_lanes(bi, sigmoid);
+        map_lanes(bf, sigmoid);
+        map_lanes(bo, sigmoid);
+        map_lanes(bg, tanh);
+        update_lanes(
+            [bi, bf, bo, bg],
+            blocks(c, whole),
+            blocks(h, whole),
+            tanh_c.as_deref_mut().map(|t| blocks(t, whole)),
+        );
+    }
+    let gates = [
+        &mut i[whole..],
+        &mut f[whole..],
+        &mut o[whole..],
+        &mut g[whole..],
+    ];
+    let (c, h, tanh_c) = (
+        &mut c[whole..],
+        &mut h[whole..],
+        tanh_c.map(|t| &mut t[whole..]),
+    );
+    // One arm per tail length: a fixed-length tail loads and stores with
+    // plain moves, where a run-time length would call `memcpy` per slice.
+    match n - whole {
+        0 => {}
+        1 => tail::<4, 1>(gates, c, h, tanh_c),
+        2 => tail::<4, 2>(gates, c, h, tanh_c),
+        3 => tail::<4, 3>(gates, c, h, tanh_c),
+        4 => tail::<4, 4>(gates, c, h, tanh_c),
+        5 => tail::<8, 5>(gates, c, h, tanh_c),
+        6 => tail::<8, 6>(gates, c, h, tanh_c),
+        _ => tail::<8, 7>(gates, c, h, tanh_c),
+    }
+}
+
+/// One unit of the cell update: `C_t`, `tanh(C_t)` and `h_t` from the
+/// unit's gates and `C_{t-1}`.
+#[inline(always)]
+fn update(i: f64, f: f64, o: f64, g: f64, c_prev: f64) -> (f64, f64, f64) {
+    let c = f * c_prev + i * g;
+    let tanh_c = tanh(c);
+    (c, tanh_c, o * tanh_c)
+}
+
+/// Applies `act` to every lane in place. Out of line, like the update
+/// pass, so each pass's loop keeps its own constants in registers.
+#[inline(never)]
+fn map_lanes(lanes: &mut [[f64; 8]], act: impl Fn(f64) -> f64) {
+    for block in lanes {
+        for v in block {
+            *v = act(*v);
+        }
+    }
+}
+
+/// The update pass over whole blocks of activated gates, `C` in place.
+#[inline(never)]
+fn update_lanes(
+    gates: [&[[f64; 8]]; 4],
+    c: &mut [[f64; 8]],
+    h: &mut [[f64; 8]],
+    tanh_c: Option<&mut [[f64; 8]]>,
+) {
+    let [i, f, o, g] = gates;
+    let units = c
+        .iter_mut()
+        .zip(h)
+        .zip(i.iter().zip(f).zip(o.iter().zip(g)));
+    match tanh_c {
+        Some(tanh_c) => {
+            for (((c, h), ((i, f), (o, g))), t) in units.zip(tanh_c) {
+                for k in 0..8 {
+                    (c[k], t[k], h[k]) = update(i[k], f[k], o[k], g[k], c[k]);
+                }
+            }
+        }
+        None => {
+            for ((c, h), ((i, f), (o, g))) in units {
+                for k in 0..8 {
+                    (c[k], _, h[k]) = update(i[k], f[k], o[k], g[k], c[k]);
+                }
+            }
+        }
+    }
+}
+
+/// The cell's last `LEN` units (each slice holds exactly them) as one
+/// zero-filled `W`-lane block in one body.
+#[inline(always)]
+fn tail<const W: usize, const LEN: usize>(
+    gates: [&mut [f64]; 4],
+    c: &mut [f64],
+    h: &mut [f64],
+    tanh_c: Option<&mut [f64]>,
+) {
+    let load = zero_filled::<W, LEN>;
+    let [i, f, o, g] = &gates;
+    let mut lanes = [load(i), load(f), load(o), load(g)];
+    let mut c_lanes = load(c);
+    let (mut h_lanes, mut tanh_lanes) = ([0.0; W], [0.0; W]);
+    let [li, lf, lo, lg] = &mut lanes;
+    for gate in [&mut *li, &mut *lf, &mut *lo] {
+        for v in gate {
+            *v = sigmoid(*v);
+        }
+    }
+    for v in &mut *lg {
+        *v = tanh(*v);
+    }
+    for k in 0..W {
+        (c_lanes[k], tanh_lanes[k], h_lanes[k]) = update(li[k], lf[k], lo[k], lg[k], c_lanes[k]);
+    }
+    for (out, lanes) in gates.into_iter().zip(&lanes) {
+        out.copy_from_slice(&lanes[..LEN]);
+    }
+    c.copy_from_slice(&c_lanes[..LEN]);
+    h.copy_from_slice(&h_lanes[..LEN]);
+    if let Some(out) = tanh_c {
+        out.copy_from_slice(&tanh_lanes[..LEN]);
+    }
+}
+
+/// `src`'s first `LEN` values as `W` lanes, zero past `LEN`, built lane
+/// by lane in registers. Copied into a zeroed array instead, the block's
+/// vector load waits on two stores: a one-unit pass then took 1.4x as
+/// long as the scalar loop it replaces.
+#[inline(always)]
+fn zero_filled<const W: usize, const LEN: usize>(src: &[f64]) -> [f64; W] {
+    let src = &src[..LEN];
+    let mut lanes = [0.0; W];
+    for (lane, &v) in lanes.iter_mut().zip(src) {
+        *lane = v;
+    }
+    lanes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +336,50 @@ mod tests {
         let a = layer.forward(&xs);
         let b = layer.forward(&xs);
         assert_eq!(a.last_hidden(), b.last_hidden());
+    }
+
+    /// The cell pass is bitwise a plain per-unit loop over `sigmoid` and
+    /// `tanh` at every length: tails alone (`n` < 8), whole blocks plus
+    /// every tail up to 40 units, and 25 blocks with a tail (`n` = 205),
+    /// recorded and not.
+    #[test]
+    fn cell_pass_matches_per_unit_loop_at_every_length() {
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(0xCE11);
+        for n in (1..=40).chain([205]) {
+            let z: Vec<f64> = (0..4 * n).map(|_| rng.gen_range(-6.0..6.0)).collect();
+            let c_prev: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+
+            let (mut gates_want, mut tanh_c_want) = (vec![0.0; 4 * n], vec![0.0; n]);
+            let (mut c_want, mut h_want) = (vec![0.0; n], vec![0.0; n]);
+            for k in 0..n {
+                let (i, f) = (sigmoid(z[k]), sigmoid(z[n + k]));
+                let (o, g) = (sigmoid(z[2 * n + k]), tanh(z[3 * n + k]));
+                c_want[k] = f * c_prev[k] + i * g;
+                tanh_c_want[k] = tanh(c_want[k]);
+                h_want[k] = o * tanh_c_want[k];
+                for (gate, v) in [i, f, o, g].into_iter().enumerate() {
+                    gates_want[gate * n + k] = v;
+                }
+            }
+
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut gates, mut tanh_c) = (z.clone(), vec![f64::NAN; n]);
+            let (mut c, mut h) = (c_prev.clone(), vec![f64::NAN; n]);
+            cell_pass(&mut gates, &mut c, &mut h, Some(&mut tanh_c));
+            assert_eq!(bits(&gates), bits(&gates_want), "gates, n = {n}");
+            assert_eq!(bits(&tanh_c), bits(&tanh_c_want), "tanh(C), n = {n}");
+            assert_eq!(bits(&c), bits(&c_want), "C, n = {n}");
+            assert_eq!(bits(&h), bits(&h_want), "h, n = {n}");
+
+            let mut gates = z.clone();
+            let (mut c, mut h) = (c_prev.clone(), vec![f64::NAN; n]);
+            cell_pass(&mut gates, &mut c, &mut h, None);
+            assert_eq!(bits(&gates), bits(&gates_want), "gates unrecorded, n = {n}");
+            assert_eq!(bits(&c), bits(&c_want), "C unrecorded, n = {n}");
+            assert_eq!(bits(&h), bits(&h_want), "h unrecorded, n = {n}");
+        }
     }
 
     #[test]

@@ -69,14 +69,13 @@ pub struct Step<'a> {
     pub c_prev: &'a [f64],
     /// Memory state `C_t` to write (`H`; empty without cell state).
     pub c: &'a mut [f64],
-    /// Post-activation gates to record (`GATES * H`).
+    /// Post-activation gates to record (`GATES * H`); a cell may write its
+    /// pre-activations here first and activate them in place.
     pub gates: &'a mut [f64],
     /// The cell's own `H`-wide record for its backward step.
     pub aux: &'a mut [f64],
     /// Scratch for the fused gate input `[x_t | h_{t-1} | 1]`.
     pub gate_in: &'a mut [f64],
-    /// Scratch for the gate pre-activations (`GATES * H`).
-    pub z: &'a mut [f64],
 }
 
 /// One backward step's rows of a [`LayerCache`], plus the sweep scratch.
@@ -377,20 +376,17 @@ impl<C: Cell> RecurrentLayer<C> {
 
     /// Unrolls the layer over a flat `steps x input_dim` row-major input
     /// starting from zero state, recording the cache for backprop.
-    /// Allocation-free once `z` (the pre-activation scratch) and the cache
-    /// have grown to size.
+    /// Allocation-free once the cache has grown to size.
     ///
     /// # Panics
     /// Panics if `xs.len() != steps * input_dim`.
-    pub fn forward_into(&self, xs: &[f64], steps: usize, z: &mut Vec<f64>, cache: &mut LayerCache) {
+    pub fn forward_into(&self, xs: &[f64], steps: usize, cache: &mut LayerCache) {
         let (h, i_dim) = (self.hidden, self.input_dim);
         let gh = C::GATES * h;
         let ch = if C::CELL_STATE { h } else { 0 };
         assert_eq!(xs.len(), steps * i_dim, "recurrent input dim mismatch");
         cache.reset::<C>(steps, i_dim, h);
         cache.xs.copy_from_slice(xs);
-        z.clear();
-        z.resize(gh, 0.0);
 
         let LayerCache {
             xs: cxs,
@@ -414,7 +410,6 @@ impl<C: Cell> RecurrentLayer<C> {
                 gates: &mut gates[t * gh..(t + 1) * gh],
                 aux: &mut aux[t * h..(t + 1) * h],
                 gate_in,
-                z,
             };
             C::step(self, step);
         }
@@ -484,9 +479,8 @@ impl<C: Cell> RecurrentLayer<C> {
             assert_eq!(x.len(), self.input_dim, "recurrent input dim mismatch");
             flat.extend_from_slice(x);
         }
-        let mut z = Vec::new();
         let mut cache = LayerCache::default();
-        self.forward_into(&flat, xs.len(), &mut z, &mut cache);
+        self.forward_into(&flat, xs.len(), &mut cache);
         cache
     }
 

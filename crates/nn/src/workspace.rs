@@ -28,8 +28,6 @@ pub struct Workspace {
     /// Per-layer forward caches of a stacked recurrent forecaster, for
     /// every cell.
     pub(crate) caches: Vec<LayerCache>,
-    /// Gate pre-activations for one timestep (`GATES * H`).
-    pub(crate) z: Vec<f64>,
     /// Gate pre-activation gradients (`GATES * H`).
     pub(crate) dz: Vec<f64>,
     /// Hidden-state gradient carried backwards across time (`H`).

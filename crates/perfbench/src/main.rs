@@ -1,7 +1,8 @@
 //! `ld-perfbench` — the reproducible perf-bench harness over the
 //! LoadDynamics compute kernels.
 //!
-//! Every row times one shipped path: the workspace LSTM forward, the
+//! Every row times one shipped path: the workspace LSTM forward (at a
+//! whole 8-unit block of cells and at a tuned-size `H = 5`), the
 //! batched forward at one lane, BPTT, a trainer fit, the Gram dispatcher
 //! at one size and over a search's growing surrogate refits, the packed
 //! GEMM and the fused gate step. Each is timed round by round, interleaved
@@ -261,6 +262,20 @@ fn bench_lstm_forward_one_lane(reps: usize) -> Row {
         for _ in 0..calls {
             model.predict_batch_fused(black_box(&window), 1, &mut scratch, &mut out);
             black_box(&out);
+        }
+    })
+}
+
+fn bench_lstm_forward_h5(reps: usize) -> Row {
+    // `lstm-forward` at a cell size inside the `tune` preset's space (the
+    // golden test's H = 5): every other LSTM row runs H = 8, a whole
+    // 8-lane block, so this is the row that sees the cell's tail.
+    let model = forecaster(5, 1, 42);
+    let window = series(8);
+    let calls = 128;
+    host_row(reps, "lstm-forward-h5", "T=8 H=5 L=1".into(), calls, || {
+        for _ in 0..calls {
+            black_box(model.predict(black_box(&window)));
         }
     })
 }
@@ -680,6 +695,7 @@ fn main() {
     let rows = vec![
         bench_lstm_forward(cfg.reps),
         bench_lstm_forward_one_lane(cfg.reps),
+        bench_lstm_forward_h5(cfg.reps),
         bench_lstm_bptt(cfg.reps),
         bench_train_epoch(cfg.reps),
         bench_gram_build(cfg.reps),

@@ -45,14 +45,18 @@
 //! # Degradation contract
 //!
 //! A tenant whose snapshot cannot be produced (corrupt spill file) or whose
-//! scaled window is non-finite (upstream NaN, injected via the `batch_nan`
-//! fault site) is answered by the WMA smoothing fallback and marked
-//! `degraded` — and is *excluded from the fused batch*, so a poisoned
-//! tenant can never contaminate the lanes it would have been co-batched
-//! with. A tenant behind an open circuit breaker, or whose deadline
-//! expired, is likewise answered from its own history only, and so is a
-//! request that carries no history at all. Every request is eventually
-//! answered explicitly; nothing hangs and nothing panics the tick.
+//! scaled window arrives non-finite (upstream poison, injected via the
+//! `batch_nan` fault site) is answered by the WMA smoothing fallback and
+//! marked `degraded` once its retries run out — and is *excluded from the
+//! fused batch*, so a poisoned tenant can never contaminate the lanes it
+//! would have been co-batched with. A tenant behind an open circuit
+//! breaker, or whose deadline expired, is likewise answered from its own
+//! history only, and so is malformed input: a request that carries no
+//! history at all, or whose own values scale to a non-finite window. Such a
+//! request is answered on the tick it is resolved, with no retry and no
+//! breaker outcome, since retrying would see the same values. Every request
+//! is eventually answered explicitly; nothing hangs and nothing panics the
+//! tick.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -565,17 +569,24 @@ impl ServeEngine {
                             snap.history_len(),
                             scaler,
                         );
-                        if ld_faultinject::is_active()
+                        // A window that is non-finite from its own values
+                        // is malformed input, like an empty history: a
+                        // retry would see the same values, so it is
+                        // answered from the fallback now and records no
+                        // outcome.
+                        if !buf.windows[start..].iter().all(|v| v.is_finite()) {
+                            buf.windows.truncate(start);
+                            responses.push(fallback_response(item.req));
+                            continue;
+                        }
+                        // Simulated upstream poison: the lane's scaled
+                        // window arrives non-finite, a transient fault.
+                        let poisoned = ld_faultinject::is_active()
                             && ld_faultinject::fault_hit(
                                 ld_faultinject::FaultSite::BatchNan,
                                 item.req.key.stable_hash() ^ tick_idx.rotate_left(23),
-                            )
-                        {
-                            // Simulated upstream poison: the lane's scaled
-                            // window arrives non-finite.
-                            buf.windows[start] = f64::NAN;
-                        }
-                        if buf.windows[start..].iter().all(|v| v.is_finite()) {
+                            );
+                        if !poisoned {
                             buf.lanes.push(Lane {
                                 batch: (snap.shape(), snap.fingerprint()),
                                 id: item.req.id,
@@ -1215,6 +1226,41 @@ mod tests {
         assert!(rs[1].degraded);
         assert_eq!((rs[1].source, rs[1].value), (ResponseSource::Fallback, 0.0));
         assert_eq!(e.pending_work(), 0);
+    }
+
+    #[test]
+    fn non_finite_history_is_answered_at_once_without_retry() {
+        // A request whose own history holds a NaN is malformed input, not a
+        // transient fault: retried, it would fail the same way, trip the
+        // tenant and shard breakers, drain the shard and send the tenant's
+        // next well-formed request to the fallback.
+        let snap = snapshot(9, (0.0, 70.0));
+        let key = ClientKey::new("nan", "w");
+        let mut e = engine("engine-nan-history", ExecMode::Batched);
+        e.provision(key.clone(), snap.clone());
+        let mut poisoned = history(0);
+        *poisoned.last_mut().expect("non-empty history") = f64::NAN;
+        e.submit(Request::new(0, key.clone(), poisoned.clone())).expect("admit");
+        let rs = e.tick();
+        assert_eq!(rs.len(), 1, "answered on the tick it was submitted");
+        assert!(rs[0].degraded);
+        assert_eq!(rs[0].source, ResponseSource::Fallback);
+        let finite: Vec<f64> = poisoned.iter().copied().filter(|v| v.is_finite()).collect();
+        let wma = ld_baselines::smoothing::Wma::default().predict(&finite).max(0.0);
+        assert_eq!(rs[0].value.to_bits(), wma.to_bits());
+        assert_eq!(e.pending_work(), 0);
+        let lifecycle = e.stats().lifecycle;
+        assert_eq!(
+            (lifecycle.retries, lifecycle.breaker_trips, lifecycle.shard_drains),
+            (0, 0, 0)
+        );
+        assert_eq!(e.tenant_breaker_state(&key), BreakerState::Closed);
+
+        e.submit(Request::new(1, key, history(1))).expect("admit");
+        let rs = e.tick();
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs[0].source, ResponseSource::Batched);
+        assert_eq!(rs[0].value.to_bits(), predicted(&snap, &history(1)).to_bits());
     }
 
     #[test]
