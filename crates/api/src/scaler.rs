@@ -54,6 +54,35 @@ impl MinMaxScaler {
     pub fn range(&self) -> (f64, f64) {
         (self.lo, self.hi)
     }
+
+    /// Appends a model's input window to `out`: the last `n` values of
+    /// `history`, left-padded with its earliest value when it is shorter,
+    /// each scaled. The first half of the forecast rule every caller of a
+    /// trained model shares; [`Self::forecast`] is the second.
+    ///
+    /// # Panics
+    /// Panics if `history` is empty and `n > 0`.
+    #[inline]
+    pub fn push_window(&self, out: &mut Vec<f64>, history: &[f64], n: usize) {
+        let kept = &history[history.len().saturating_sub(n)..];
+        if kept.len() < n {
+            out.extend(std::iter::repeat_n(
+                self.transform(history[0]),
+                n - kept.len(),
+            ));
+        }
+        out.extend(kept.iter().map(|&v| self.transform(v)));
+    }
+
+    /// The forecast a model output `y` stands for: inverse-scaled and
+    /// clamped to the non-negative JAR domain, or `None` when the
+    /// inverse-scaled value is not finite. The check comes before the
+    /// clamp, since `f64::max` would turn NaN and −∞ into a healthy 0.0.
+    #[inline]
+    pub fn forecast(&self, y: f64) -> Option<f64> {
+        let v = self.inverse(y);
+        v.is_finite().then(|| v.max(0.0))
+    }
 }
 
 #[cfg(test)]
@@ -84,6 +113,27 @@ mod tests {
         assert_eq!(s.transform(7.0), 0.0);
         assert_eq!(s.inverse(0.0), 7.0);
         assert_eq!(s.transform(8.0), 1.0);
+    }
+
+    #[test]
+    fn window_takes_the_last_n_and_pads_short_histories() {
+        let s = MinMaxScaler::fit(&[0.0, 10.0]);
+        let mut out = vec![9.0];
+        s.push_window(&mut out, &[1.0, 2.0, 3.0, 4.0], 2);
+        assert_eq!(out, [9.0, 0.3, 0.4]);
+        out.clear();
+        s.push_window(&mut out, &[5.0, 6.0], 4);
+        assert_eq!(out, [0.5, 0.5, 0.5, 0.6]);
+    }
+
+    #[test]
+    fn forecast_rejects_non_finite_outputs_before_clamping() {
+        let s = MinMaxScaler::fit(&[10.0, 20.0]);
+        assert_eq!(s.forecast(0.5), Some(15.0));
+        assert_eq!(s.forecast(-3.0), Some(0.0));
+        for y in [f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -1e308, 1e308] {
+            assert_eq!(s.forecast(y), None, "{y}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! the comparator searches evaluate their candidates rayon-parallel, since
 //! each evaluation is an independent LSTM training run.
 
+use ld_faultinject::{FaultPlan, FaultSite};
 use ld_gp::fit::{fit_auto, FitOptions};
 use ld_telemetry::Tracer;
 use rand::rngs::StdRng;
@@ -167,6 +168,7 @@ impl Default for BoOptions {
 pub struct BayesianOptimizer {
     opts: BoOptions,
     tracer: Tracer,
+    faults: FaultPlan,
 }
 
 impl BayesianOptimizer {
@@ -177,6 +179,7 @@ impl BayesianOptimizer {
         BayesianOptimizer {
             opts,
             tracer: Tracer::disabled(),
+            faults: FaultPlan::disarmed(),
         }
     }
 
@@ -189,6 +192,14 @@ impl BayesianOptimizer {
     /// `"bayesopt"` scope.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
+        self
+    }
+
+    /// Arms the `cholesky` fault-injection site: each surrogate fit first
+    /// draws from `faults`' occurrence budget, and a hit fails the whole
+    /// fit the way a factorization breakdown would.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -333,9 +344,14 @@ impl BayesianOptimizer {
                     levels: 2,
                     ..FitOptions::default()
                 };
-                // Surrogate recovery on `None`: the next proposal degrades
-                // to a random unseen point instead of aborting the search.
-                let fitted = fit_auto(&xs, &ys, opts).ok();
+                // Surrogate recovery on `None` (a failed or fault-injected
+                // fit): the next proposal degrades to a random unseen point
+                // instead of aborting the search.
+                let fitted = if self.faults.hit_counted(FaultSite::CholeskyFail) {
+                    None
+                } else {
+                    fit_auto(&xs, &ys, opts).ok()
+                };
                 if fitted.is_none() {
                     self.tracer.incr("bayesopt.surrogate_failures");
                 }

@@ -17,7 +17,7 @@ use loaddynamics::LoadDynamics;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    ld_faultinject::activate_from_env(0);
+    let faults = ld_faultinject::plan_from_env(0);
     let (tracer, trace_out) = trace_from_env();
     println!("=== Fig. 10: auto-scaling with different prediction techniques (Azure, 60-min) ===");
     println!("(scale: {scale:?})\n");
@@ -30,7 +30,8 @@ fn main() {
         kind: WorkloadKind::Azure,
         interval_mins: 60,
     }
-    .build(0);
+    .build_reported(0, &faults)
+    .0;
     let series: Series = scale.cap_series(&raw.scaled(0.6));
     let partition = Partition::paper_default(series.len());
     let sim_config = SimConfig {
@@ -44,7 +45,8 @@ fn main() {
     // The tracer (when LD_TRACE is set) covers the optimization and every
     // predictor's scaling decisions, each under its own event scope.
     eprintln!("[fig10] optimizing LoadDynamics ...");
-    let framework = LoadDynamics::new(scale.framework_config(0).with_tracer(tracer.clone()));
+    let config = scale.framework_config(0).with_tracer(tracer.clone());
+    let framework = LoadDynamics::new(config.with_faults(faults));
     let outcome = framework.optimize(&series);
     let mut ld: Box<dyn Predictor> = Box::new(outcome.predictor);
     let report = simulate_traced(ld.as_mut(), &series, &sim_config, &tracer);

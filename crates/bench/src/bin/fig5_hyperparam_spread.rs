@@ -64,6 +64,7 @@ fn main() {
                 &budget,
                 0,
                 &candidate_guard.tracer(),
+                &ld_faultinject::FaultPlan::disarmed(),
             );
             (hp, out.val_mape)
         })

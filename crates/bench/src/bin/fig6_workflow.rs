@@ -15,7 +15,7 @@ use loaddynamics::{HyperParams, LoadDynamics};
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    ld_faultinject::activate_from_env(0);
+    let faults = ld_faultinject::plan_from_env(0);
     let (tracer, trace_out) = trace_from_env();
     println!("=== Fig. 6/7: the self-optimization workflow, traced (LCG 30-min) ===");
     println!("(scale: {scale:?})\n");
@@ -25,7 +25,8 @@ fn main() {
             kind: WorkloadKind::Lcg,
             interval_mins: 30,
         }
-        .build(0),
+        .build_reported(0, &faults)
+        .0,
     );
     let partition = Partition::paper_default(series.len());
     println!("--- Fig. 7: data partitioning (60/20/20) ---");
@@ -43,7 +44,8 @@ fn main() {
         series.len()
     );
 
-    let framework = LoadDynamics::new(scale.framework_config(0).with_tracer(tracer.clone()));
+    let config = scale.framework_config(0).with_tracer(tracer.clone());
+    let framework = LoadDynamics::new(config.with_faults(faults));
     let outcome = framework.optimize(&series);
 
     println!("--- Fig. 6 steps 1-4: train / validate / propose / select ---");

@@ -100,6 +100,7 @@ impl ExperimentScale {
             seed,
             strategy: SearchStrategy::default(),
             tracer: ld_telemetry::Tracer::disabled(),
+            faults: ld_faultinject::FaultPlan::disarmed(),
             deadline_secs: None,
         }
     }

@@ -3,6 +3,7 @@
 
 use ld_api::{walk_forward_range, FrameworkError, Partition, Predictor, Series};
 use ld_bayesopt::{BayesianOptimizer, BoOptions, GridSearch, OptResult, RandomSearch, SearchSpace};
+use ld_faultinject::FaultPlan;
 use ld_nn::LstmForecaster;
 
 use crate::hyperparams::HyperParams;
@@ -49,6 +50,9 @@ pub struct FrameworkConfig {
     /// no-ops and the framework's outputs are bitwise identical to an
     /// untraced run.
     pub tracer: ld_telemetry::Tracer,
+    /// Fault plan of the run: the trainer's `nan_loss` site and the
+    /// surrogate fit's `cholesky` site draw from it. Disarmed by default.
+    pub faults: FaultPlan,
     /// Wall-clock deadline for the hyperparameter search, in seconds,
     /// mirroring the paper's 3-hour per-configuration budget. Applied to
     /// the Bayesian strategy (unless its own [`BoOptions::deadline_secs`]
@@ -72,6 +76,7 @@ impl FrameworkConfig {
             seed,
             strategy: SearchStrategy::default(),
             tracer: ld_telemetry::Tracer::disabled(),
+            faults: FaultPlan::disarmed(),
             // The paper's Section IV budget: three hours per configuration.
             deadline_secs: Some(3.0 * 3600.0),
         }
@@ -91,6 +96,7 @@ impl FrameworkConfig {
                 ..BoOptions::default()
             }),
             tracer: ld_telemetry::Tracer::disabled(),
+            faults: FaultPlan::disarmed(),
             deadline_secs: None,
         }
     }
@@ -98,6 +104,12 @@ impl FrameworkConfig {
     /// Returns the same configuration with tracing enabled (or replaced).
     pub fn with_tracer(mut self, tracer: ld_telemetry::Tracer) -> Self {
         self.tracer = tracer;
+        self
+    }
+
+    /// Returns the same configuration under the fault plan `faults`.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
         self
     }
 }
@@ -191,6 +203,7 @@ impl LoadDynamics {
         let budget = self.config.budget;
         let seed = self.config.seed;
         let tracer = &self.config.tracer;
+        let faults = &self.config.faults;
 
         // Root of the span hierarchy: everything in the Fig. 6 workflow —
         // init design, BO iterations, candidate training and the final
@@ -205,7 +218,7 @@ impl LoadDynamics {
                               trial_tracer: &ld_telemetry::Tracer|
               -> f64 {
             let hp = HyperParams::from_params(params);
-            evaluate_hyperparams_traced(values, partition, hp, &budget, seed, trial_tracer)
+            evaluate_hyperparams_traced(values, partition, hp, &budget, seed, trial_tracer, faults)
                 .val_mape
         };
         let trials = match &self.config.strategy {
@@ -216,6 +229,7 @@ impl LoadDynamics {
                 }
                 BayesianOptimizer::new(bo_opts)
                     .with_tracer(search_tracer.clone())
+                    .with_faults(faults.clone())
                     .optimize_traced(&self.config.space, &objective, self.config.max_iters, seed)
             }
             SearchStrategy::Random => RandomSearch.optimize_traced(
@@ -263,6 +277,7 @@ impl LoadDynamics {
             &budget,
             seed,
             &retrain_guard.tracer(),
+            faults,
         );
         drop(retrain_guard);
         drop(search_guard);
@@ -367,6 +382,12 @@ impl FallbackKind {
             FallbackKind::Ema => Box::new(ld_baselines::smoothing::Ema::default()),
             FallbackKind::HoltDes => Box::new(ld_baselines::smoothing::HoltDes::default()),
         }
+    }
+
+    /// The baseline's forecast from `history`. `max` ignores NaN, so even
+    /// a pathological history yields a usable non-negative forecast.
+    fn forecast(&self, history: &[f64]) -> f64 {
+        self.instantiate().predict(history).max(0.0)
     }
 }
 
@@ -476,33 +497,22 @@ impl Predictor for OptimizedPredictor {
 
     fn predict(&mut self, history: &[f64]) -> f64 {
         assert!(!history.is_empty(), "history must be non-empty");
-        let (model, scaler, n) = match &self.kind {
+        match &self.kind {
             PredictorKind::Lstm {
                 model,
                 scaler,
                 history_len,
-            } => (model, scaler, *history_len),
-            PredictorKind::Baseline { kind } => {
-                // `max` ignores NaN, so even a pathological history yields
-                // a usable non-negative forecast.
-                return kind.instantiate().predict(history).max(0.0);
+            } => {
+                let mut window = Vec::with_capacity(*history_len);
+                scaler.push_window(&mut window, history, *history_len);
+                // A non-finite model output is answered as a degraded
+                // predictor would answer it.
+                scaler
+                    .forecast(model.predict(&window))
+                    .unwrap_or_else(|| FallbackKind::Wma.forecast(history))
             }
-        };
-        // Left-pad with the earliest value when the history is shorter than
-        // the tuned window (only possible in synthetic unit tests).
-        let window: Vec<f64> = if history.len() >= n {
-            history[history.len() - n..]
-                .iter()
-                .map(|&v| scaler.transform(v))
-                .collect()
-        } else {
-            let pad = n - history.len();
-            std::iter::repeat_n(history[0], pad)
-                .chain(history.iter().cloned())
-                .map(|v| scaler.transform(v))
-                .collect()
-        };
-        scaler.inverse(model.predict(&window)).max(0.0)
+            PredictorKind::Baseline { kind } => kind.forecast(history),
+        }
     }
 }
 
@@ -523,7 +533,6 @@ mod tests {
 
     #[test]
     fn end_to_end_beats_trivial_error_on_seasonal_series() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(300);
         let framework = LoadDynamics::new(FrameworkConfig::fast_preset(3));
         let outcome = framework.optimize(&series);
@@ -542,7 +551,6 @@ mod tests {
 
     #[test]
     fn trials_count_matches_max_iters() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let mut config = FrameworkConfig::fast_preset(1);
         config.max_iters = 5;
@@ -552,7 +560,6 @@ mod tests {
 
     #[test]
     fn selected_hyperparams_are_inside_the_space() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(220);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(2)).optimize(&series);
         let hp = outcome.hyperparams;
@@ -564,7 +571,6 @@ mod tests {
 
     #[test]
     fn random_and_grid_strategies_work() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         for strategy in [SearchStrategy::Random, SearchStrategy::Grid] {
             let mut config = FrameworkConfig::fast_preset(4);
@@ -577,7 +583,6 @@ mod tests {
 
     #[test]
     fn predictor_pads_short_history() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(5)).optimize(&series);
         let mut p = outcome.predictor;
@@ -588,8 +593,50 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_model_outputs_answer_the_wma_fallback() {
+        let history: Vec<f64> = (0..12).map(|i| 50.0 + f64::from(i) * 2.0).collect();
+        let wma = FallbackKind::Wma.forecast(&history);
+        assert!(wma.is_finite() && wma > 0.0);
+        let scaler = ld_api::MinMaxScaler::fit(&history);
+        for y in [0.25, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            // Zero weights and `y` as the head's bias, visited last: the
+            // model outputs `y` for every window.
+            let mut model = LstmForecaster::new(ld_nn::ForecasterConfig {
+                history_len: 4,
+                hidden_size: 3,
+                num_layers: 1,
+                seed: 0,
+            });
+            let grads = model.zero_grads();
+            let mut left = 0;
+            model.visit_params(&grads, &mut |_, _| left += 1);
+            model.visit_params(&grads, &mut |p, _| {
+                left -= 1;
+                p.as_mut_slice().fill(if left == 0 { y } else { 0.0 });
+            });
+            let mut predictor = OptimizedPredictor {
+                name: "constant".into(),
+                kind: PredictorKind::Lstm {
+                    model,
+                    scaler,
+                    history_len: 4,
+                },
+            };
+            let want = if y.is_finite() {
+                scaler.inverse(y)
+            } else {
+                wma
+            };
+            assert_eq!(
+                predictor.predict(&history).to_bits(),
+                want.to_bits(),
+                "output {y}"
+            );
+        }
+    }
+
+    #[test]
     fn snapshot_roundtrips_with_identical_predictions() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(6)).optimize(&series);
         let mut original = outcome.predictor;
@@ -606,7 +653,6 @@ mod tests {
 
     #[test]
     fn try_optimize_reports_invalid_input_instead_of_panicking() {
-        let _faults = crate::without_faults();
         let framework = LoadDynamics::new(FrameworkConfig::fast_preset(1));
         // Partition sized for a different series length.
         let series = seasonal_series(200);
@@ -627,7 +673,6 @@ mod tests {
 
     #[test]
     fn try_optimize_matches_optimize_on_valid_input() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let mut config = FrameworkConfig::fast_preset(4);
         config.max_iters = 3;
@@ -640,21 +685,17 @@ mod tests {
 
     #[test]
     fn degrades_to_baseline_when_no_candidate_survives() {
-        let _guard = ld_faultinject::test_lock();
         // Rate-1.0 NaN-loss injection: every LSTM trial diverges, so the
         // framework must fall back to the best smoothing baseline.
-        ld_faultinject::install(
-            ld_faultinject::FaultConfig::new(3).with_site(
-                ld_faultinject::FaultSite::NanLoss,
-                1.0,
-                None,
-            ),
-        );
+        let faults = FaultPlan::new(ld_faultinject::FaultConfig::new(3).with_site(
+            ld_faultinject::FaultSite::NanLoss,
+            1.0,
+            None,
+        ));
         let series = seasonal_series(220);
-        let mut config = FrameworkConfig::fast_preset(3);
+        let mut config = FrameworkConfig::fast_preset(3).with_faults(faults);
         config.max_iters = 4;
         let outcome = LoadDynamics::new(config).optimize(&series);
-        ld_faultinject::reset();
 
         assert!(outcome.predictor.is_fallback());
         assert!(outcome.predictor.fallback_name().is_some());
@@ -678,7 +719,6 @@ mod tests {
 
     #[test]
     fn snapshot_file_roundtrip() {
-        let _faults = crate::without_faults();
         let series = seasonal_series(200);
         let outcome = LoadDynamics::new(FrameworkConfig::fast_preset(7)).optimize(&series);
         let mut original = outcome.predictor;

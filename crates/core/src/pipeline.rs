@@ -10,6 +10,7 @@
 //! original units.
 
 use ld_api::{metrics, MinMaxScaler, Partition};
+use ld_faultinject::FaultPlan;
 use ld_nn::{make_windows, Adam, LstmForecaster, Sample, TrainOptions, Trainer};
 
 use crate::hyperparams::HyperParams;
@@ -101,17 +102,19 @@ pub fn evaluate_hyperparams(
         budget,
         seed,
         &ld_telemetry::Tracer::disabled(),
+        &FaultPlan::disarmed(),
     )
 }
 
-/// [`evaluate_hyperparams`] with a tracer: the candidate's training opens a
-/// `train` span under the supplied tracer (usually already scoped to the
-/// search trial), with per-epoch children recorded by the trainer. The
-/// candidate's validation MAPE is recorded under the
+/// [`evaluate_hyperparams`] with a tracer and a fault plan: the candidate's
+/// training opens a `train` span under the supplied tracer (usually already
+/// scoped to the search trial), with per-epoch children recorded by the
+/// trainer. The candidate's validation MAPE is recorded under the
 /// `"candidate/<hyperparams>"` event scope and its training epochs under
 /// `"trainer/<hyperparams>"`. The hyperparameter fingerprint — not arrival
 /// order — keys every event, so concurrent candidate evaluations produce
-/// deterministically ordered snapshots.
+/// deterministically ordered snapshots. The trainer's `nan_loss` site draws
+/// from `faults`.
 pub fn evaluate_hyperparams_traced(
     values: &[f64],
     partition: &Partition,
@@ -119,8 +122,9 @@ pub fn evaluate_hyperparams_traced(
     budget: &TrainBudget,
     seed: u64,
     tracer: &ld_telemetry::Tracer,
+    faults: &FaultPlan,
 ) -> EvalOutcome {
-    let outcome = evaluate_hyperparams_inner(values, partition, hp, budget, seed, tracer);
+    let outcome = evaluate_hyperparams_inner(values, partition, hp, budget, seed, tracer, faults);
     if tracer.is_enabled() {
         tracer.incr("framework.candidate_evals");
         tracer.record_with(&format!("candidate/{hp}"), "eval", 0, |e| {
@@ -149,6 +153,7 @@ fn evaluate_hyperparams_inner(
     budget: &TrainBudget,
     seed: u64,
     tracer: &ld_telemetry::Tracer,
+    faults: &FaultPlan,
 ) -> EvalOutcome {
     let scaler = MinMaxScaler::fit(partition.train(values));
     let normalized = scaler.transform_all(&values[..partition.val_end]);
@@ -185,14 +190,12 @@ fn evaluate_hyperparams_inner(
         shuffle_seed: seed,
         lr_decay: 1.0,
         max_divergence_retries: 3,
-    });
+    })
+    .with_faults(faults.clone(), fault_key(hp, seed));
     // The trainer opens epoch/batch children beneath the `train` span.
     let train_guard = tracer.span("train");
     if tracer.is_enabled() {
         trainer = trainer.with_tracer(train_guard.tracer(), format!("trainer/{hp}"));
-    }
-    if ld_faultinject::is_active() {
-        trainer = trainer.with_fault_key(fault_key(hp, seed));
     }
     let mut opt = Adam::with_lr(budget.learning_rate);
     let report = trainer.fit(&mut model, &mut opt, &train_windows, &val_samples);
@@ -256,7 +259,6 @@ mod tests {
 
     #[test]
     fn learns_predictable_series_to_low_mape() {
-        let _faults = crate::without_faults();
         let values = sine_values(400);
         let partition = Partition::paper_default(values.len());
         let out = evaluate_hyperparams(&values, &partition, hp(), &TrainBudget::default(), 1);
@@ -266,7 +268,6 @@ mod tests {
 
     #[test]
     fn infeasible_history_length_penalized_not_crashed() {
-        let _faults = crate::without_faults();
         let values = sine_values(60);
         let partition = Partition::paper_default(values.len());
         let giant = HyperParams {
@@ -280,7 +281,6 @@ mod tests {
 
     #[test]
     fn validation_windows_can_cross_partition_boundary() {
-        let _faults = crate::without_faults();
         let values = sine_values(200);
         let partition = Partition::paper_default(values.len());
         let n = 8;
@@ -298,7 +298,6 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let _faults = crate::without_faults();
         let values = sine_values(250);
         let partition = Partition::paper_default(values.len());
         let a = evaluate_hyperparams(&values, &partition, hp(), &TrainBudget::tiny(), 7);
@@ -308,25 +307,28 @@ mod tests {
 
     #[test]
     fn injected_divergence_maps_to_infeasible() {
-        let _guard = ld_faultinject::test_lock();
-        ld_faultinject::install(
-            ld_faultinject::FaultConfig::new(5).with_site(
-                ld_faultinject::FaultSite::NanLoss,
-                1.0,
-                None,
-            ),
-        );
+        let faults = FaultPlan::new(ld_faultinject::FaultConfig::new(5).with_site(
+            ld_faultinject::FaultSite::NanLoss,
+            1.0,
+            None,
+        ));
         let values = sine_values(250);
         let partition = Partition::paper_default(values.len());
-        let out = evaluate_hyperparams(&values, &partition, hp(), &TrainBudget::tiny(), 7);
-        ld_faultinject::reset();
+        let out = evaluate_hyperparams_traced(
+            &values,
+            &partition,
+            hp(),
+            &TrainBudget::tiny(),
+            7,
+            &ld_telemetry::Tracer::disabled(),
+            &faults,
+        );
         assert_eq!(out.val_mape, INFEASIBLE_MAPE);
         assert!(out.model.is_none());
     }
 
     #[test]
     fn window_cap_is_applied() {
-        let _faults = crate::without_faults();
         let values = sine_values(1000);
         let partition = Partition::paper_default(values.len());
         let budget = TrainBudget {

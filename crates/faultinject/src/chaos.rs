@@ -203,8 +203,8 @@ impl ChaosSchedule {
 
     /// The point-fault plan for `tick`: snapshot-corrupt, crash-write, and
     /// batch-NaN windows become site rates on a [`FaultConfig`] keyed by
-    /// the schedule seed. Empty (install nothing / reset) when no such
-    /// window is open.
+    /// the schedule seed. Empty (a plan armed with it injects nothing) when
+    /// no such window is open.
     pub fn fault_plan_at(&self, tick: u64) -> FaultConfig {
         let mut plan = FaultConfig::new(self.seed ^ tick.rotate_left(29));
         for event in self.active_at(tick) {
@@ -330,9 +330,8 @@ mod tests {
                 corrupt_open,
                 "tick {tick}"
             );
-            if !plan.is_empty() {
-                saw_nonempty = true;
-            }
+            let sites = [FaultSite::SnapshotCorrupt, FaultSite::CrashWrite, FaultSite::BatchNan];
+            saw_nonempty |= sites.iter().any(|&site| plan.site(site).is_some());
             for (shard, delay) in s.slow_shards_at(tick) {
                 assert!(shard < 4);
                 assert!((1..=2).contains(&delay));

@@ -9,16 +9,17 @@
 //! losses into 30% of trials injects them into exactly the same trials
 //! every time.
 //!
-//! Six injection sites are wired into the workspace:
+//! Six injection sites are wired into the workspace, each reached by the
+//! object that owns the run:
 //!
-//! | Site | Location | Effect |
-//! |---|---|---|
-//! | [`FaultSite::NanLoss`] | `ld-nn` trainer epoch loop | epoch loss becomes NaN for afflicted trials |
-//! | [`FaultSite::CholeskyFail`] | `ld-gp` surrogate auto-fit | the whole GP fit reports `NumericalFailure` |
-//! | [`FaultSite::TraceCorrupt`] | `ld-traces` config builder | trace values become NaN / negative before sanitization |
-//! | [`FaultSite::SnapshotCorrupt`] | `ld-serve` registry rehydration | a model snapshot read back from disk is truncated/garbled |
-//! | [`FaultSite::BatchNan`] | `ld-serve` fused batch forward | one tenant's window turns NaN inside a shared batch |
-//! | [`FaultSite::CrashWrite`] | `ld-serve` snapshot spill | the spill "crashes" mid-write, leaving a torn temp file |
+//! | Site | Location | Plan comes from | Effect |
+//! |---|---|---|---|
+//! | [`FaultSite::NanLoss`] | `ld-nn` trainer epoch loop | `FrameworkConfig::faults` | epoch loss becomes NaN for afflicted trials |
+//! | [`FaultSite::CholeskyFail`] | `ld-bayesopt` surrogate fit | `FrameworkConfig::faults` | the whole GP fit fails; the optimizer proposes a random point |
+//! | [`FaultSite::TraceCorrupt`] | `ld-traces` `TraceConfig::build_reported` | its `faults` argument | trace values become NaN / negative before sanitization |
+//! | [`FaultSite::SnapshotCorrupt`] | `ld-serve` registry rehydration | `ServeEngine::set_faults` | a model snapshot read back from disk is truncated/garbled |
+//! | [`FaultSite::BatchNan`] | `ld-serve` fused batch forward | `ServeEngine::set_faults` | one tenant's window turns NaN inside a shared batch |
+//! | [`FaultSite::CrashWrite`] | `ld-serve` snapshot spill | `ServeEngine::set_faults` | the spill "crashes" mid-write, leaving a torn temp file |
 //!
 //! The [`chaos`] module layers a *schedule* on top of these point sites: a
 //! seed-keyed timeline of slow-shard, snapshot-corrupt, crash-at-offset,
@@ -27,11 +28,15 @@
 //!
 //! # Activation
 //!
-//! Injection is process-global and **off by default**: the fast path of
-//! every query is a single relaxed atomic load, and a disabled process is
-//! byte-identical to a build without the hooks. Tests activate it with
-//! [`install`] / [`reset`]; binaries activate it from the environment via
-//! [`init_from_env`]:
+//! A plan is a [`FaultPlan`] handle that the run carries, the way it
+//! carries its tracer. The handle is **disarmed by default**: every query
+//! then answers "no fault" after one branch on it, so a clean run is
+//! byte-identical to a build without the hooks. Nothing is process-wide:
+//! two runs in one process, one faulted and one clean, never see each
+//! other's plan, and a test arms a plan by handing it to the run it
+//! drives. Clones of one plan share its occurrence counters.
+//!
+//! Binaries arm a plan from the environment with [`plan_from_env`]:
 //!
 //! ```text
 //! LD_FAULT="nan_loss=0.3,cholesky=1x1,trace=0.05" LD_FAULT_SEED=42 ld-cli ...
@@ -40,17 +45,14 @@
 //! Each `site=rate[xCOUNT]` entry sets the per-key fault probability and an
 //! optional cap on total occurrences (`cholesky=1x1`: rate 1.0, at most one
 //! occurrence — "the first surrogate fit fails").
-//!
-//! Because the registry is process-global, tests that install a plan must
-//! serialize on a lock (see [`test_lock`]) and [`reset`] when done.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod chaos;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The injection sites understood by the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,12 +167,6 @@ impl FaultConfig {
         self.sites[site.index()]
     }
 
-    /// Whether no site is configured (installing such a plan injects
-    /// nothing; callers usually [`reset`] instead).
-    pub fn is_empty(&self) -> bool {
-        self.sites.iter().all(Option::is_none)
-    }
-
     /// Parses a spec like `"nan_loss=0.3,cholesky=1x1,trace=0.05"`.
     ///
     /// Each entry is `site=rate` or `site=rateXcount` (capital or lowercase
@@ -206,139 +202,155 @@ impl FaultConfig {
     }
 }
 
-/// An installed plan plus per-site occurrence counters.
-struct Installed {
+/// A fault plan handle: the parsed [`FaultConfig`] plus its per-site
+/// occurrence counters, or nothing at all.
+///
+/// Disarmed by default, where every query answers "no fault" after one
+/// branch. An armed plan is an `Arc`, so it is cheap to clone into every
+/// part of the run it afflicts (worker closures included), and all clones
+/// draw from the same occurrence budget: a cap such as `cholesky=1x1`
+/// counts across the whole run, or the whole process when a binary hands
+/// one plan to every run it drives.
+#[derive(Debug, Clone, Default)]
+pub struct FaultPlan {
+    armed: Option<Arc<Armed>>,
+}
+
+#[derive(Debug)]
+struct Armed {
     config: FaultConfig,
     counters: [AtomicU64; SITE_COUNT],
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn registry() -> &'static Mutex<Option<Installed>> {
-    static REGISTRY: OnceLock<Mutex<Option<Installed>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(None))
-}
-
-/// Serializes tests that install process-global fault plans. Integration
-/// tests in one binary run on multiple threads; hold this lock around
-/// [`install`] .. [`reset`] so plans never overlap.
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Installs a fault plan process-wide, replacing any previous plan and
-/// resetting all occurrence counters.
-pub fn install(config: FaultConfig) {
-    let mut guard = registry().lock().unwrap_or_else(|p| p.into_inner());
-    *guard = Some(Installed {
-        config,
-        counters: Default::default(),
-    });
-    ACTIVE.store(true, Ordering::Release);
-}
-
-/// Removes the installed plan; all queries return "no fault" again.
-pub fn reset() {
-    let mut guard = registry().lock().unwrap_or_else(|p| p.into_inner());
-    ACTIVE.store(false, Ordering::Release);
-    *guard = None;
-}
-
-/// A parsed, ready-to-install fault plan plus the spec it came from.
-///
-/// This is the one piece of `LD_FAULT` plumbing the workspace binaries
-/// share: fig6, fig10, `ld-cli`, and `ld-loadgen` all call
-/// [`activate_from_env`] (or build a `FaultPlan` directly) instead of
-/// each re-implementing env parsing and the "announce on stderr" courtesy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    config: FaultConfig,
-    spec: String,
-}
-
 impl FaultPlan {
-    /// Parses a spec like `"nan_loss=0.3,cholesky=1x1"` into a plan.
-    pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
-        Ok(FaultPlan {
-            config: FaultConfig::parse(spec, seed)?,
-            spec: spec.trim().to_string(),
-        })
+    /// The plan that injects nothing.
+    pub fn disarmed() -> Self {
+        FaultPlan::default()
     }
 
-    /// Builds a plan from `LD_FAULT` / `LD_FAULT_SEED`. Returns `None`
-    /// when `LD_FAULT` is unset or empty; malformed specs are reported on
-    /// stderr and ignored (a typo'd knob must not corrupt a run).
+    /// Arms `config` with fresh occurrence counters.
+    pub fn new(config: FaultConfig) -> Self {
+        FaultPlan {
+            armed: Some(Arc::new(Armed {
+                config,
+                counters: Default::default(),
+            })),
+        }
+    }
+
+    /// Builds a plan from `LD_FAULT` / `LD_FAULT_SEED`, without announcing
+    /// it. Returns `None` when `LD_FAULT` is unset or empty. A malformed
+    /// spec or seed is reported on stderr and the plan ignored: a typo'd
+    /// knob must neither corrupt a run nor afflict other trials than the
+    /// drill asked for.
     pub fn from_env(default_seed: u64) -> Option<Self> {
-        let spec = std::env::var("LD_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let seed = std::env::var("LD_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(default_seed);
-        match FaultPlan::parse(&spec, seed) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                eprintln!("LD_FAULT ignored: {e}");
-                None
+        env_plan(default_seed).map(|(plan, _)| plan)
+    }
+
+    /// Whether the plan is armed.
+    #[inline]
+    pub fn is_armed(&self) -> bool {
+        self.armed.is_some()
+    }
+
+    #[inline]
+    fn site(&self, site: FaultSite) -> Option<(&Armed, SiteConfig)> {
+        let armed = self.armed.as_deref()?;
+        Some((armed, armed.config.site(site)?))
+    }
+
+    /// Pure keyed decision: does `key` fault at `site`? Deterministic in
+    /// `(plan seed, site, key)`; ignores occurrence caps.
+    #[inline]
+    pub fn hit(&self, site: FaultSite, key: u64) -> bool {
+        self.site(site)
+            .is_some_and(|(armed, cfg)| unit_draw(armed.config.seed, site.salt(), key) < cfg.rate)
+    }
+
+    /// Counted decision: each call consumes one slot of the site's
+    /// occurrence budget; call `n` faults iff the site's keyed draw at index
+    /// `n` fires and fewer than `max` faults were already injected.
+    /// Deterministic as long as the site is consulted in a deterministic
+    /// order (the BO surrogate loop is sequential).
+    pub fn hit_counted(&self, site: FaultSite) -> bool {
+        let Some((armed, cfg)) = self.site(site) else {
+            return false;
+        };
+        let n = armed.counters[site.index()].fetch_add(1, Ordering::Relaxed);
+        cfg.max.is_none_or(|max| n < max) && unit_draw(armed.config.seed, site.salt(), n) < cfg.rate
+    }
+
+    /// Corrupts `v` if `key` faults at `site`: half the afflicted keys
+    /// become NaN, half become `-(v + 1)` (strictly negative even at
+    /// `v = 0`), so both repair paths of the sanitizer are exercised.
+    pub fn corrupt(&self, site: FaultSite, key: u64, v: f64) -> f64 {
+        match self.site(site) {
+            Some((armed, cfg)) if unit_draw(armed.config.seed, site.salt(), key) < cfg.rate => {
+                // Decorrelate the corruption mode from the hit decision.
+                if splitmix64(armed.config.seed ^ site.salt() ^ key.wrapping_mul(3)) & 1 == 0 {
+                    f64::NAN
+                } else {
+                    -(v + 1.0)
+                }
             }
+            _ => v,
         }
-    }
-
-    /// The parsed configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// The originating spec string.
-    pub fn spec(&self) -> &str {
-        &self.spec
-    }
-
-    /// Installs the plan process-wide and announces it on stderr, so a
-    /// faulted run can never be mistaken for a clean one.
-    pub fn activate(&self) {
-        install(self.config.clone());
-        eprintln!(
-            "fault injection active: LD_FAULT={} (seed {})",
-            self.spec, self.config.seed
-        );
     }
 }
 
-/// The one env entry point every binary uses: parse `LD_FAULT` /
-/// `LD_FAULT_SEED`, install the plan, and announce it. Returns whether a
-/// plan was activated.
-pub fn activate_from_env(default_seed: u64) -> bool {
-    match FaultPlan::from_env(default_seed) {
-        Some(plan) => {
-            plan.activate();
-            true
+/// The one env entry point every binary uses (fig6, fig10, `ld-cli`,
+/// `ld-loadgen`): the plan `LD_FAULT` / `LD_FAULT_SEED` describe, announced
+/// on stderr so a faulted run can never be mistaken for a clean one, or a
+/// disarmed plan.
+pub fn plan_from_env(default_seed: u64) -> FaultPlan {
+    match env_plan(default_seed) {
+        Some((plan, announcement)) => {
+            eprintln!("{announcement}");
+            plan
         }
-        None => false,
+        None => FaultPlan::disarmed(),
     }
 }
 
-/// Installs a plan from `LD_FAULT` / `LD_FAULT_SEED` if `LD_FAULT` is set
-/// and non-empty, without the stderr announcement (tests). Returns whether
-/// a plan was installed.
-pub fn init_from_env(default_seed: u64) -> bool {
-    match FaultPlan::from_env(default_seed) {
-        Some(plan) => {
-            install(plan.config.clone());
-            true
-        }
-        None => false,
-    }
-}
-
-/// Whether any plan is installed. One relaxed atomic load — instrumented
-/// hot paths gate on this before doing anything else.
-#[inline]
+/// Always `false`: no fault plan is process-wide any more, since each run
+/// carries its own [`FaultPlan`].
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    false
+}
+
+/// The plan `LD_FAULT` / `LD_FAULT_SEED` describe and its announcement.
+fn env_plan(default_seed: u64) -> Option<(FaultPlan, String)> {
+    let spec = std::env::var("LD_FAULT").ok()?;
+    let spec = spec.trim();
+    if spec.is_empty() {
+        return None;
+    }
+    match env_seed(default_seed).and_then(|seed| FaultConfig::parse(spec, seed)) {
+        Ok(config) => {
+            let announcement = format!(
+                "fault injection active: LD_FAULT={spec} (seed {})",
+                config.seed
+            );
+            Some((FaultPlan::new(config), announcement))
+        }
+        Err(e) => {
+            eprintln!("LD_FAULT ignored: {e}");
+            None
+        }
+    }
+}
+
+/// `LD_FAULT_SEED`, or `default_seed` when it is unset or blank.
+fn env_seed(default_seed: u64) -> Result<u64, String> {
+    match std::env::var("LD_FAULT_SEED") {
+        Err(std::env::VarError::NotPresent) => Ok(default_seed),
+        Err(e) => Err(format!("bad LD_FAULT_SEED: {e}")),
+        Ok(s) if s.trim().is_empty() => Ok(default_seed),
+        Ok(s) => s
+            .trim()
+            .parse()
+            .map_err(|e| format!("bad LD_FAULT_SEED `{s}`: {e}")),
+    }
 }
 
 /// `splitmix64` — the finalizer used to turn `(seed, salt, key)` into an
@@ -357,128 +369,78 @@ fn unit_draw(seed: u64, salt: u64, key: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn with_site<T>(site: FaultSite, f: impl FnOnce(&Installed, SiteConfig) -> T) -> Option<T> {
-    if !is_active() {
-        return None;
-    }
-    let guard = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let installed = guard.as_ref()?;
-    let cfg = installed.config.site(site)?;
-    Some(f(installed, cfg))
-}
-
-/// Pure keyed decision: does `key` fault at `site`? Deterministic in
-/// `(installed seed, site, key)`; ignores occurrence caps.
-pub fn fault_hit(site: FaultSite, key: u64) -> bool {
-    with_site(site, |installed, cfg| {
-        unit_draw(installed.config.seed, site.salt(), key) < cfg.rate
-    })
-    .unwrap_or(false)
-}
-
-/// Counted decision: each call consumes one slot of the site's occurrence
-/// budget; call `n` faults iff the site's keyed draw at index `n` fires and
-/// fewer than `max` faults were already injected. Deterministic as long as
-/// the site is consulted in a deterministic order (the BO surrogate loop
-/// is sequential).
-pub fn fault_hit_counted(site: FaultSite) -> bool {
-    with_site(site, |installed, cfg| {
-        let n = installed.counters[site.index()].fetch_add(1, Ordering::Relaxed);
-        if let Some(max) = cfg.max {
-            if n >= max {
-                return false;
-            }
-        }
-        unit_draw(installed.config.seed, site.salt(), n) < cfg.rate
-    })
-    .unwrap_or(false)
-}
-
-/// Corrupts `v` if `key` faults at `site`: half the afflicted keys become
-/// NaN, half become `-(v + 1)` (strictly negative even at `v = 0`), so both
-/// repair paths of the sanitizer are exercised.
-pub fn corrupt_value(site: FaultSite, key: u64, v: f64) -> f64 {
-    if !fault_hit(site, key) {
-        return v;
-    }
-    // Decorrelate the corruption mode from the hit decision.
-    let mode = with_site(site, |installed, _| {
-        splitmix64(installed.config.seed ^ site.salt() ^ key.wrapping_mul(3)) & 1
-    })
-    .unwrap_or(0);
-    if mode == 0 {
-        f64::NAN
-    } else {
-        -(v + 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The registry is process-global; every test serializes on `test_lock`.
+    // Each test arms its own plan; nothing is shared between them.
 
     #[test]
-    fn disabled_by_default_and_after_reset() {
-        let _guard = test_lock();
-        reset();
+    fn disarmed_by_default_and_when_empty() {
         assert!(!is_active());
-        assert!(!fault_hit(FaultSite::NanLoss, 7));
-        assert!(!fault_hit_counted(FaultSite::CholeskyFail));
-        assert_eq!(corrupt_value(FaultSite::TraceCorrupt, 0, 5.0), 5.0);
+        for plan in [FaultPlan::default(), FaultPlan::new(FaultConfig::new(3))] {
+            assert!(!plan.hit(FaultSite::NanLoss, 7));
+            assert!(!plan.hit_counted(FaultSite::CholeskyFail));
+            assert_eq!(plan.corrupt(FaultSite::TraceCorrupt, 0, 5.0), 5.0);
+        }
+        assert!(!FaultPlan::disarmed().is_armed());
     }
 
     #[test]
     fn decisions_are_deterministic_and_rate_accurate() {
-        let _guard = test_lock();
-        install(FaultConfig::new(42).with_site(FaultSite::NanLoss, 0.3, None));
-        let first: Vec<bool> = (0..10_000).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
-        let second: Vec<bool> = (0..10_000).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
+        let plan = FaultPlan::new(FaultConfig::new(42).with_site(FaultSite::NanLoss, 0.3, None));
+        let first: Vec<bool> = (0..10_000).map(|k| plan.hit(FaultSite::NanLoss, k)).collect();
+        let second: Vec<bool> = (0..10_000).map(|k| plan.hit(FaultSite::NanLoss, k)).collect();
         assert_eq!(first, second);
         let hits = first.iter().filter(|&&b| b).count();
         assert!(
             (2700..3300).contains(&hits),
             "expected ~30% of 10k keys, got {hits}"
         );
-        reset();
     }
 
     #[test]
     fn different_seeds_afflict_different_keys() {
-        let _guard = test_lock();
-        install(FaultConfig::new(1).with_site(FaultSite::NanLoss, 0.3, None));
-        let a: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
-        install(FaultConfig::new(2).with_site(FaultSite::NanLoss, 0.3, None));
-        let b: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
+        let one = FaultPlan::new(FaultConfig::new(1).with_site(FaultSite::NanLoss, 0.3, None));
+        let two = FaultPlan::new(FaultConfig::new(2).with_site(FaultSite::NanLoss, 0.3, None));
+        let a: Vec<bool> = (0..512).map(|k| one.hit(FaultSite::NanLoss, k)).collect();
+        let b: Vec<bool> = (0..512).map(|k| two.hit(FaultSite::NanLoss, k)).collect();
         assert_ne!(a, b);
-        reset();
     }
 
     #[test]
     fn counted_site_respects_occurrence_cap() {
-        let _guard = test_lock();
-        install(FaultConfig::new(0).with_site(FaultSite::CholeskyFail, 1.0, Some(2)));
-        let hits: Vec<bool> = (0..10).map(|_| fault_hit_counted(FaultSite::CholeskyFail)).collect();
+        let config = FaultConfig::new(0).with_site(FaultSite::CholeskyFail, 1.0, Some(2));
+        let plan = FaultPlan::new(config);
+        let hits: Vec<bool> = (0..10).map(|_| plan.hit_counted(FaultSite::CholeskyFail)).collect();
         assert_eq!(hits.iter().filter(|&&b| b).count(), 2);
         assert!(hits[0] && hits[1], "cap consumes the first calls at rate 1");
-        reset();
     }
 
     #[test]
-    fn corrupt_value_produces_nan_and_negatives() {
-        let _guard = test_lock();
-        install(FaultConfig::new(9).with_site(FaultSite::TraceCorrupt, 1.0, None));
-        let out: Vec<f64> = (0..64).map(|k| corrupt_value(FaultSite::TraceCorrupt, k, 10.0)).collect();
+    fn clones_share_the_budget_and_new_plans_start_fresh() {
+        let config = FaultConfig::new(0).with_site(FaultSite::CrashWrite, 1.0, Some(1));
+        let plan = FaultPlan::new(config.clone());
+        let clone = plan.clone();
+        assert!(clone.hit_counted(FaultSite::CrashWrite));
+        assert!(!plan.hit_counted(FaultSite::CrashWrite), "the clone spent the one slot");
+        assert!(FaultPlan::new(config).hit_counted(FaultSite::CrashWrite));
+    }
+
+    #[test]
+    fn corrupt_produces_nan_and_negatives() {
+        let config = FaultConfig::new(9).with_site(FaultSite::TraceCorrupt, 1.0, None);
+        let plan = FaultPlan::new(config);
+        let out: Vec<f64> = (0..64)
+            .map(|k| plan.corrupt(FaultSite::TraceCorrupt, k, 10.0))
+            .collect();
         assert!(out.iter().any(|v| v.is_nan()));
         assert!(out.iter().any(|v| *v < 0.0));
         assert!(out.iter().all(|v| v.is_nan() || *v < 0.0));
-        reset();
     }
 
     #[test]
     fn serve_sites_parse_and_draw_independently() {
-        let _guard = test_lock();
         let parsed = FaultConfig::parse("snapshot=1x1, batch_nan=0.4", 5).unwrap();
         assert_eq!(
             parsed.site(FaultSite::SnapshotCorrupt),
@@ -490,16 +452,15 @@ mod tests {
         );
         // Distinct salts: the same keys must not fault identically at the
         // two new sites when both run at the same rate.
-        install(
+        let plan = FaultPlan::new(
             FaultConfig::new(11)
                 .with_site(FaultSite::SnapshotCorrupt, 0.4, None)
                 .with_site(FaultSite::BatchNan, 0.4, None),
         );
-        let snap: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::SnapshotCorrupt, k)).collect();
-        let nan: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::BatchNan, k)).collect();
+        let snap: Vec<bool> = (0..512).map(|k| plan.hit(FaultSite::SnapshotCorrupt, k)).collect();
+        let nan: Vec<bool> = (0..512).map(|k| plan.hit(FaultSite::BatchNan, k)).collect();
         assert_ne!(snap, nan);
         assert!(snap.iter().any(|&b| b) && nan.iter().any(|&b| b));
-        reset();
     }
 
     #[test]

@@ -49,15 +49,6 @@ fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 /// likelihood over a coarse-to-fine log grid. Signal variance is handled by
 /// the regressor's internal target standardization (so it is fixed at 1).
 pub fn fit_auto(x: &[Vec<f64>], y: &[f64], opts: FitOptions) -> Result<GpRegressor, GpError> {
-    // Fault-injection site: simulate a surrogate-wide factorization failure
-    // so callers' no-surrogate fallback paths can be exercised
-    // deterministically. Gated on the registry's fast path — a single
-    // relaxed atomic load when injection is off.
-    if ld_faultinject::is_active()
-        && ld_faultinject::fault_hit_counted(ld_faultinject::FaultSite::CholeskyFail)
-    {
-        return Err(GpError::NumericalFailure);
-    }
     let (mut ls_lo, mut ls_hi) = opts.lengthscale_bounds;
     let (mut nz_lo, mut nz_hi) = opts.noise_bounds;
     let mut best: Option<GpRegressor> = None;

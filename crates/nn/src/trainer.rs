@@ -10,6 +10,7 @@
 //! dominant cost of the whole framework — the Bayesian-optimization loop
 //! above trains hundreds of these models.
 
+use ld_faultinject::{FaultPlan, FaultSite};
 use ld_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -196,10 +197,10 @@ pub struct Trainer {
     tracer: ld_telemetry::Tracer,
     /// Scope of the epoch / fit events recorded through `tracer`.
     scope: String,
-    /// Deterministic key for the fault-injection `nan_loss` site; `None`
-    /// leaves injection off for this trainer even when the harness is
-    /// active.
-    fault_key: Option<u64>,
+    /// The plan the fault-injection `nan_loss` site draws from, and this
+    /// run's key into it. Disarmed by default.
+    faults: FaultPlan,
+    fault_key: u64,
 }
 
 impl Trainer {
@@ -211,16 +212,18 @@ impl Trainer {
             opts,
             tracer: ld_telemetry::Tracer::disabled(),
             scope: String::new(),
-            fault_key: None,
+            faults: FaultPlan::disarmed(),
+            fault_key: 0,
         }
     }
 
     /// Arms the deterministic `nan_loss` fault-injection site for this
     /// trainer. Whether this particular run is afflicted is a pure function
-    /// of `key` and the installed harness config, so searches replay
-    /// identically. A no-op while the harness is inactive.
-    pub fn with_fault_key(mut self, key: u64) -> Self {
-        self.fault_key = Some(key);
+    /// of `key` and the plan's seed and rate, so searches replay
+    /// identically. A no-op under a disarmed plan.
+    pub fn with_faults(mut self, faults: FaultPlan, key: u64) -> Self {
+        self.faults = faults;
+        self.fault_key = key;
         self
     }
 
@@ -282,10 +285,7 @@ impl Trainer {
         // Deterministic per-run fault decision: an afflicted run reports a
         // non-finite loss every epoch, so it exercises the full
         // rollback-then-give-up path of the watchdog.
-        let inject_nan = self.fault_key.is_some_and(|k| {
-            ld_faultinject::is_active()
-                && ld_faultinject::fault_hit(ld_faultinject::FaultSite::NanLoss, k)
-        });
+        let inject_nan = self.faults.hit(FaultSite::NanLoss, self.fault_key);
 
         let trace_on = self.tracer.is_enabled();
 
@@ -706,14 +706,11 @@ mod tests {
 
     #[test]
     fn injected_nan_loss_drives_run_to_divergence() {
-        let _guard = ld_faultinject::test_lock();
-        ld_faultinject::install(
-            ld_faultinject::FaultConfig::new(11).with_site(
-                ld_faultinject::FaultSite::NanLoss,
-                1.0,
-                None,
-            ),
-        );
+        let plan = FaultPlan::new(ld_faultinject::FaultConfig::new(11).with_site(
+            FaultSite::NanLoss,
+            1.0,
+            None,
+        ));
         let train = flaky_samples(16);
         let mut model = FlakyModel::new(0); // model itself is healthy
         let trainer = Trainer::new(TrainOptions {
@@ -723,20 +720,12 @@ mod tests {
             max_divergence_retries: 1,
             ..TrainOptions::default()
         })
-        .with_fault_key(3);
+        .with_faults(plan, 3);
         let mut opt = Adam::with_lr(0.1);
         let report = trainer.fit(&mut model, &mut opt, &train, &[]);
-        ld_faultinject::reset();
         assert!(report.diverged, "rate-1.0 injection must afflict the run");
         assert_eq!(report.rollbacks, 1);
-        // Without a fault key the same harness config leaves training alone.
-        ld_faultinject::install(
-            ld_faultinject::FaultConfig::new(11).with_site(
-                ld_faultinject::FaultSite::NanLoss,
-                1.0,
-                None,
-            ),
-        );
+        // A trainer that was not handed the plan trains cleanly.
         let mut clean = FlakyModel::new(0);
         let trainer = Trainer::new(TrainOptions {
             batch_size: 16,
@@ -745,7 +734,6 @@ mod tests {
             ..TrainOptions::default()
         });
         let report = trainer.fit(&mut clean, &mut opt, &train, &[]);
-        ld_faultinject::reset();
         assert!(!report.diverged);
         assert_eq!(report.rollbacks, 0);
     }

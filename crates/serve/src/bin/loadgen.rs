@@ -60,6 +60,7 @@ use std::time::Instant;
 
 use ld_api::MinMaxScaler;
 use ld_faultinject::chaos::ChaosSchedule;
+use ld_faultinject::FaultPlan;
 use ld_metrics::{SloConfig, SloTracker, SpanProfile};
 use ld_nn::{
     make_windows, Adam, AdamConfig, ForecasterConfig, LstmForecaster, TrainOptions, Trainer,
@@ -91,6 +92,9 @@ struct Cfg {
     chaos_seed: u64,
     out: Option<String>,
     store_root: PathBuf,
+    /// The `LD_FAULT` plan every trace build and engine of the run shares
+    /// (disarmed under `--chaos`, whose schedule arms each tick's own).
+    faults: FaultPlan,
 }
 
 /// Availability objective the batched throughput pass is scored against.
@@ -213,6 +217,7 @@ fn parse_args() -> Result<Cfg, i32> {
         chaos_seed: chaos_seed.unwrap_or(seed ^ 0xCA05_CA05_CA05_CA05),
         out: out.or_else(|| (!smoke).then(|| default_out.to_string())),
         store_root,
+        faults: FaultPlan::disarmed(),
     })
 }
 
@@ -300,6 +305,7 @@ fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
         chaos_seed: if chaos { int("chaos_seed") } else { 0 },
         out: None,
         store_root,
+        faults: FaultPlan::disarmed(),
     };
     assert_eq!(count("families"), WorkloadKind::ALL.len(), "validated family count");
     println!(
@@ -369,7 +375,10 @@ fn train_family_models(cfg: &Cfg) -> Vec<(LstmForecaster, Vec<f64>)> {
                 kind,
                 interval_mins: kind.intervals()[0],
             };
-            let series = trace.build(cfg.seed ^ (f as u64)).values;
+            let series = trace
+                .build_reported(cfg.seed ^ (f as u64), &cfg.faults)
+                .0
+                .values;
             let scaler = MinMaxScaler::fit(&series);
             let scaled: Vec<f64> = series.iter().map(|&v| scaler.transform(v)).collect();
             let samples = make_windows(&scaled, hist);
@@ -433,8 +442,9 @@ fn engine_for(
     capacity_per_shard: usize,
     store: SnapshotStore,
     tracer: Tracer,
+    faults: &FaultPlan,
 ) -> ServeEngine {
-    ServeEngine::new(
+    let mut engine = ServeEngine::new(
         EngineConfig {
             mode,
             queue_capacity,
@@ -446,7 +456,9 @@ fn engine_for(
         },
         store,
         tracer,
-    )
+    );
+    engine.set_faults(faults.clone());
+    engine
 }
 
 fn provision_all(
@@ -477,6 +489,7 @@ fn batched_engine(
         cfg.tenants.max(1),
         open_store(&cfg.store_root, "batched"),
         tracer,
+        &cfg.faults,
     );
     provision_all(&mut engine, tenants, families);
     engine
@@ -562,15 +575,15 @@ fn run_pass(
 }
 
 fn main() {
-    let cfg = match parse_args() {
+    let mut cfg = match parse_args() {
         Ok(cfg) => cfg,
         Err(code) => std::process::exit(code),
     };
     let (tracer, trace_out) = trace_from_env();
     if !cfg.chaos {
-        // The chaos soak owns the fault registry tick by tick; an ambient
+        // The chaos soak arms its engine's plan tick by tick; an ambient
         // LD_FAULT plan would fight the schedule.
-        ld_faultinject::activate_from_env(cfg.seed);
+        cfg.faults = ld_faultinject::plan_from_env(cfg.seed);
     }
 
     println!(
@@ -605,6 +618,7 @@ fn main() {
         per_shard_full,
         open_store(&cfg.store_root, "serial"),
         Tracer::disabled(),
+        &cfg.faults,
     );
     provision_all(&mut serial_engine, &tenants, &families);
     let serial = run_pass(&mut serial_engine, &tenants, cfg.ticks, history_len, None, 0);
@@ -666,6 +680,7 @@ fn main() {
             det_tenants.len().max(1),
             open_store(&cfg.store_root, &format!("determinism-{run}")),
             tracer,
+            &cfg.faults,
         );
         provision_all(&mut engine, det_tenants, &families);
         let pass = run_pass(&mut engine, det_tenants, det_ticks, history_len, None, 0);
@@ -714,6 +729,7 @@ fn main() {
         per_shard_full,
         open_store(&cfg.store_root, "overload"),
         Tracer::disabled(),
+        &cfg.faults,
     );
     provision_all(&mut shed_engine, &tenants, &families);
     let shed_ticks = cfg.ticks.min(4);
@@ -755,6 +771,7 @@ fn main() {
         cache_capacity,
         open_store(&cfg.store_root, "cache"),
         Tracer::disabled(),
+        &cfg.faults,
     );
     provision_all(&mut cache_engine, &tenants, &families);
     let cache_ticks = cfg.ticks.min(4);
@@ -992,12 +1009,7 @@ fn run_chaos_pass(
     for tick in 0..cfg.ticks {
         let t = tick as u64;
         if let Some(s) = schedule {
-            let plan = s.fault_plan_at(t);
-            if plan.is_empty() {
-                ld_faultinject::reset();
-            } else {
-                ld_faultinject::install(plan);
-            }
+            engine.set_faults(FaultPlan::new(s.fault_plan_at(t)));
             engine.set_shard_delays(&s.slow_shards_at(t));
         }
         let shed_before = pass.shed;
@@ -1033,7 +1045,7 @@ fn run_chaos_pass(
             if s.crash_window_ends_at(t) {
                 // A crash window just closed: run the startup-style
                 // recovery pass and count what it quarantined.
-                ld_faultinject::reset();
+                engine.set_faults(FaultPlan::disarmed());
                 let report = engine.recover_store().expect("store recovery");
                 pass.quarantined += (report.quarantined_torn + report.quarantined_corrupt) as u64;
             }
@@ -1043,7 +1055,7 @@ fn run_chaos_pass(
     // Settle: chaos off, serve out every parked retry/deferral. Bounded —
     // max backoff and deferral are a handful of ticks, so a non-draining
     // queue here is a hang, which is exactly what the bound catches.
-    ld_faultinject::reset();
+    engine.set_faults(FaultPlan::disarmed());
     engine.set_shard_delays(&[]);
     let mut settle = 0u64;
     while engine.pending_work() > 0 {

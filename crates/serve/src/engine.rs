@@ -62,6 +62,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ld_api::Predictor as _;
+use ld_faultinject::{FaultPlan, FaultSite};
 use ld_nn::{BatchScratch, LstmForecaster};
 use ld_telemetry::Tracer;
 
@@ -289,6 +290,8 @@ pub struct ServeEngine {
     store: SnapshotStore,
     queue: AdmissionQueue,
     tracer: Tracer,
+    /// The plan the `batch_nan` site draws from; the store holds a clone.
+    faults: FaultPlan,
     scratch: BatchScratch,
     buffers: TickBuffers,
     tick: u64,
@@ -326,6 +329,7 @@ impl ServeEngine {
             store,
             queue: AdmissionQueue::new(cfg.queue_capacity),
             tracer,
+            faults: FaultPlan::disarmed(),
             scratch: BatchScratch::new(),
             buffers: TickBuffers::default(),
             tick: 0,
@@ -438,6 +442,14 @@ impl ServeEngine {
     /// The shard's current health.
     pub fn shard_health(&self, shard: usize) -> ShardHealth {
         self.supervisor.health(shard)
+    }
+
+    /// Replaces the fault plan of the engine and its snapshot store
+    /// (disarmed when built): the `batch_nan`, `snapshot` and `crash` sites
+    /// draw from it from the next call on.
+    pub fn set_faults(&mut self, faults: FaultPlan) {
+        self.store.set_faults(faults.clone());
+        self.faults = faults;
     }
 
     /// Installs per-shard service delays for subsequent ticks (chaos
@@ -563,12 +575,7 @@ impl ServeEngine {
                     Ok(snap) => {
                         let start = buf.windows.len();
                         let scaler = snap.scaler();
-                        push_scaled_window(
-                            &mut buf.windows,
-                            &item.req.history,
-                            snap.history_len(),
-                            scaler,
-                        );
+                        scaler.push_window(&mut buf.windows, &item.req.history, snap.history_len());
                         // A window that is non-finite from its own values
                         // is malformed input, like an empty history: a
                         // retry would see the same values, so it is
@@ -581,9 +588,10 @@ impl ServeEngine {
                         }
                         // Simulated upstream poison: the lane's scaled
                         // window arrives non-finite, a transient fault.
-                        let poisoned = ld_faultinject::is_active()
-                            && ld_faultinject::fault_hit(
-                                ld_faultinject::FaultSite::BatchNan,
+                        // The key is hashed only under an armed plan.
+                        let poisoned = self.faults.is_armed()
+                            && self.faults.hit(
+                                FaultSite::BatchNan,
                                 item.req.key.stable_hash() ^ tick_idx.rotate_left(23),
                             );
                         if !poisoned {
@@ -884,37 +892,17 @@ impl ServeEngine {
     }
 }
 
-/// Appends `history`'s scaled window to `out`, exactly as
-/// `OptimizedPredictor::predict` prepares it: take the last `n`
-/// observations (left-padding with the earliest value when the history is
-/// shorter) and scale each one.
-///
-/// # Panics
-/// Panics if `history` is empty; the tick answers such a request from the
-/// fallback before it gets here.
-fn push_scaled_window(
-    out: &mut Vec<f64>,
-    history: &[f64],
-    n: usize,
-    scaler: ld_api::MinMaxScaler,
-) {
-    let pad = n.saturating_sub(history.len());
-    let kept = &history[history.len().saturating_sub(n)..];
-    let window = std::iter::repeat_n(history[0], pad).chain(kept.iter().copied());
-    out.extend(window.map(|v| scaler.transform(v)));
-}
-
-/// Inverse-scales a model output and clamps to the non-negative JAR domain
-/// (same post-processing as `OptimizedPredictor::predict`). A non-finite
-/// model output degrades the lane instead of poisoning the response. The
-/// response takes the lane's key.
+/// Turns a model output into the lane's response by the rule
+/// `OptimizedPredictor::predict` follows ([`ld_api::MinMaxScaler::forecast`]):
+/// a non-finite output degrades the lane to the smoothing fallback
+/// instead of poisoning the response. The response takes the lane's key.
 fn finish_lane(lane: &mut Lane, y: f64, source: ResponseSource, windows: &[f64]) -> Response {
-    let value = lane.scaler.inverse(y).max(0.0);
-    let (value, source, degraded) = if value.is_finite() {
-        (value, source, false)
-    } else {
-        let fallback = wma_forecast_scaled(lane.window(windows), lane.scaler);
-        (fallback, ResponseSource::Fallback, true)
+    let (value, source, degraded) = match lane.scaler.forecast(y) {
+        Some(value) => (value, source, false),
+        None => {
+            let fallback = wma_forecast_scaled(lane.window(windows), lane.scaler);
+            (fallback, ResponseSource::Fallback, true)
+        }
     };
     Response {
         id: lane.id,
@@ -1026,7 +1014,7 @@ mod tests {
 
     fn scaled_window(history: &[f64], n: usize, scaler: MinMaxScaler) -> Vec<f64> {
         let mut window = Vec::new();
-        push_scaled_window(&mut window, history, n, scaler);
+        scaler.push_window(&mut window, history, n);
         window
     }
 
@@ -1349,14 +1337,56 @@ mod tests {
         }
     }
 
+    /// A model that outputs `y` for every window: zero weights, and `y` as
+    /// the head's bias, which `visit_params` visits last.
+    fn constant_model(y: f64) -> LstmForecaster {
+        let mut model = LstmForecaster::new(ForecasterConfig {
+            history_len: 6,
+            hidden_size: 4,
+            num_layers: 1,
+            seed: 0,
+        });
+        let grads = model.zero_grads();
+        let mut left = 0;
+        model.visit_params(&grads, &mut |_, _| left += 1);
+        model.visit_params(&grads, &mut |p, _| {
+            left -= 1;
+            p.as_mut_slice().fill(if left == 0 { y } else { 0.0 });
+        });
+        model
+    }
+
     #[test]
-    fn short_history_left_pads_like_the_framework() {
-        let scaler = MinMaxScaler::fit(&[0.0, 10.0]);
-        let w = scaled_window(&[4.0, 6.0], 4, scaler);
-        assert_eq!(w.len(), 4);
-        assert_eq!(w[0], scaler.transform(4.0));
-        assert_eq!(w[1], scaler.transform(4.0));
-        assert_eq!(w[3], scaler.transform(6.0));
+    fn non_finite_model_outputs_degrade_the_lane() {
+        // The finiteness check must come before the clamp: `f64::max`
+        // drops a NaN operand and turns −∞ into a healthy 0.0.
+        let scaler = MinMaxScaler::fit(&[0.0, 90.0]);
+        let serve = |mode: ExecMode, y: f64| -> Response {
+            let mut e = engine(
+                &format!("engine-output-{mode:?}-{:016x}", y.to_bits()),
+                mode,
+            );
+            let key = ClientKey::new("one-lane", "w");
+            e.provision(
+                key.clone(),
+                ModelSnapshot::new(constant_model(y), scaler, 6),
+            );
+            e.submit(Request::new(0, key, history(0))).expect("admit");
+            e.tick().remove(0)
+        };
+        let wma = wma_forecast_scaled(&scaled_window(&history(0), 6, scaler), scaler);
+        assert!(wma.is_finite() && wma > 0.0);
+        for mode in [ExecMode::Batched, ExecMode::Serial] {
+            let healthy = serve(mode, 0.25);
+            assert!(!healthy.degraded, "{mode:?}");
+            assert_eq!(healthy.value, scaler.inverse(0.25), "{mode:?}");
+            for y in [f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -1e308, 1e308] {
+                let r = serve(mode, y);
+                assert!(r.degraded, "{mode:?} output {y}");
+                assert_eq!(r.source, ResponseSource::Fallback, "{mode:?} output {y}");
+                assert_eq!(r.value.to_bits(), wma.to_bits(), "{mode:?} output {y}");
+            }
+        }
     }
 
     #[test]

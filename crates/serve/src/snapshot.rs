@@ -23,6 +23,7 @@
 use std::sync::Arc;
 
 use ld_api::MinMaxScaler;
+use ld_faultinject::{FaultPlan, FaultSite};
 use ld_nn::LstmForecaster;
 
 use crate::hash::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
@@ -226,16 +227,18 @@ pub struct RecoveryReport {
 /// checksum-failing entries and rebuilds the in-memory index, so at most
 /// the in-flight snapshot is lost — never the rest of the store.
 ///
-/// When the [`ld_faultinject`] `crash` site is active, [`save`](Self::save)
-/// deterministically simulates such a crash: it writes a torn temp file
-/// (truncated at a hash-keyed offset), skips the rename, and reports the
-/// spill as failed.
+/// When its fault plan ([`Self::set_faults`]) arms the `crash` site,
+/// [`save`](Self::save) deterministically simulates such a crash: it
+/// writes a torn temp file (truncated at a hash-keyed offset), skips the
+/// rename, and reports the spill as failed.
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: std::path::PathBuf,
     /// Stable hashes of published, valid-named snapshots (the registry
     /// index). Rebuilt by [`Self::open`] / [`Self::recover`].
     index: std::sync::Mutex<std::collections::BTreeSet<u64>>,
+    /// The plan the `crash` and `snapshot` sites draw from.
+    faults: FaultPlan,
 }
 
 impl SnapshotStore {
@@ -247,9 +250,15 @@ impl SnapshotStore {
         let store = SnapshotStore {
             dir,
             index: std::sync::Mutex::new(std::collections::BTreeSet::new()),
+            faults: FaultPlan::disarmed(),
         };
         store.rebuild_index()?;
         Ok(store)
+    }
+
+    /// Replaces the store's fault plan (disarmed when opened).
+    pub fn set_faults(&mut self, faults: FaultPlan) {
+        self.faults = faults;
     }
 
     /// The file a key spills to.
@@ -317,9 +326,7 @@ impl SnapshotStore {
         let framed = Self::frame(&snap.to_json());
         self.journal_append(&format!("I {hash:016x}"))?;
         let tmp = self.tmp_path_for(hash);
-        if ld_faultinject::is_active()
-            && ld_faultinject::fault_hit_counted(ld_faultinject::FaultSite::CrashWrite)
-        {
+        if self.faults.hit_counted(FaultSite::CrashWrite) {
             // Simulated crash: tear the write at a hash-keyed byte offset
             // and never publish. The journal intent above has no commit, so
             // recovery knows this spill was in flight.
@@ -356,7 +363,7 @@ impl SnapshotStore {
     /// Rehydrates the snapshot spilled for `key`, verifying the payload
     /// checksum and then the weight fingerprint.
     ///
-    /// When the [`ld_faultinject`] `snapshot` site is active, the loaded
+    /// When the store's fault plan arms the `snapshot` site, the loaded
     /// bytes are deterministically mangled before verification (keyed off
     /// the key's stable hash), exercising the registry's
     /// corrupt-rehydration degradation path.
@@ -369,11 +376,9 @@ impl SnapshotStore {
             }
             Err(e) => return Err(SnapshotError::Io(e.to_string())),
         };
-        if ld_faultinject::is_active()
-            && ld_faultinject::fault_hit(
-                ld_faultinject::FaultSite::SnapshotCorrupt,
-                key.stable_hash(),
-            )
+        if self
+            .faults
+            .hit(FaultSite::SnapshotCorrupt, key.stable_hash())
         {
             // Deterministic mangling: truncate to half and flip a digit, so
             // the checksum (or the fingerprint check) must fail.
@@ -613,7 +618,7 @@ mod tests {
     }
 
     // Crash-write injection is covered by the `serve_recovery` integration
-    // tests, which serialize on the process-global fault lock.
+    // tests.
 
     #[test]
     fn recovery_quarantines_corrupt_published_entries() {

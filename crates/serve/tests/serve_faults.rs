@@ -3,9 +3,12 @@
 //! a fused batch drops only the victim lane to the smoothing fallback;
 //! every co-batched neighbor answers bit-for-bit what it answers in a
 //! fault-free run.
+//!
+//! Each faulted engine is handed its own plan; the clean engines beside it
+//! in the same test, and the other tests, run disarmed.
 
 use ld_api::MinMaxScaler;
-use ld_faultinject::{install, reset, test_lock, FaultConfig, FaultSite};
+use ld_faultinject::{FaultConfig, FaultPlan, FaultSite};
 use ld_nn::{ForecasterConfig, LstmForecaster};
 use ld_serve::{
     BreakerConfig, ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot,
@@ -27,7 +30,11 @@ fn store(label: &str) -> SnapshotStore {
     s
 }
 
-fn build_engine(label: &str, capacity_per_shard: usize) -> (ServeEngine, Vec<ClientKey>, Vec<Vec<f64>>) {
+fn build_engine(
+    label: &str,
+    capacity_per_shard: usize,
+    faults: FaultPlan,
+) -> (ServeEngine, Vec<ClientKey>, Vec<Vec<f64>>) {
     let model = LstmForecaster::new(ForecasterConfig {
         history_len: HIST,
         hidden_size: 5,
@@ -67,6 +74,7 @@ fn build_engine(label: &str, capacity_per_shard: usize) -> (ServeEngine, Vec<Cli
         store(label),
         Tracer::disabled(),
     );
+    eng.set_faults(faults);
     let mut keys = Vec::new();
     let mut histories = Vec::new();
     for t in 0..TENANTS {
@@ -103,19 +111,15 @@ fn by_id(responses: &[Response]) -> BTreeMap<u64, &Response> {
 
 #[test]
 fn corrupt_rehydration_degrades_victim_without_poisoning_neighbors() {
-    let _guard = test_lock();
-    reset();
-
     // Tight registry: each full-fleet tick evicts and rehydrates, so the
     // SnapshotCorrupt site actually fires on the load path.
-    let (mut clean_eng, keys, histories) = build_engine("snap-clean", 3);
+    let (mut clean_eng, keys, histories) = build_engine("snap-clean", 3, FaultPlan::disarmed());
     let clean = run(&mut clean_eng, &keys, &histories, 3);
 
-    install(FaultConfig::new(0xfa_417).with_site(FaultSite::SnapshotCorrupt, 0.5, None));
-    let (mut faulty_eng, _, _) = build_engine("snap-faulty", 3);
+    let plan = FaultConfig::new(0xfa_417).with_site(FaultSite::SnapshotCorrupt, 0.5, None);
+    let (mut faulty_eng, _, _) = build_engine("snap-faulty", 3, FaultPlan::new(plan));
     let faulty = run(&mut faulty_eng, &keys, &histories, 3);
     let stats = faulty_eng.stats();
-    reset();
 
     assert_eq!(clean.len(), faulty.len());
     assert!(
@@ -152,17 +156,13 @@ fn corrupt_rehydration_degrades_victim_without_poisoning_neighbors() {
 
 #[test]
 fn batch_nan_degrades_only_the_poisoned_lane() {
-    let _guard = test_lock();
-    reset();
-
-    let (mut clean_eng, keys, histories) = build_engine("nan-clean", 64);
+    let (mut clean_eng, keys, histories) = build_engine("nan-clean", 64, FaultPlan::disarmed());
     let clean = run(&mut clean_eng, &keys, &histories, 4);
     assert!(clean.iter().all(|r| !r.degraded));
 
-    install(FaultConfig::new(0xbad_5eed).with_site(FaultSite::BatchNan, 0.25, None));
-    let (mut faulty_eng, _, _) = build_engine("nan-faulty", 64);
+    let plan = FaultConfig::new(0xbad_5eed).with_site(FaultSite::BatchNan, 0.25, None);
+    let (mut faulty_eng, _, _) = build_engine("nan-faulty", 64, FaultPlan::new(plan));
     let faulty = run(&mut faulty_eng, &keys, &histories, 4);
-    reset();
 
     assert_eq!(clean.len(), faulty.len());
     let degraded: Vec<u64> = faulty.iter().filter(|r| r.degraded).map(|r| r.id).collect();
@@ -199,18 +199,14 @@ fn batch_nan_degrades_only_the_poisoned_lane() {
 
 #[test]
 fn fault_free_runs_stay_identical_after_a_plan_is_reset() {
-    let _guard = test_lock();
-    reset();
-
-    let (mut a_eng, keys, histories) = build_engine("reset-a", 64);
+    let (mut a_eng, keys, histories) = build_engine("reset-a", 64, FaultPlan::disarmed());
     let a = run(&mut a_eng, &keys, &histories, 2);
 
-    // Install and tear down a plan without running anything under it; a
-    // subsequent run must not remember it.
-    install(FaultConfig::new(1).with_site(FaultSite::BatchNan, 1.0, None));
-    reset();
-
-    let (mut b_eng, _, _) = build_engine("reset-b", 64);
+    // Arm and disarm a plan without running anything under it; the run
+    // that follows must not remember it.
+    let plan = FaultConfig::new(1).with_site(FaultSite::BatchNan, 1.0, None);
+    let (mut b_eng, _, _) = build_engine("reset-b", 64, FaultPlan::new(plan));
+    b_eng.set_faults(FaultPlan::disarmed());
     let b = run(&mut b_eng, &keys, &histories, 2);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {

@@ -14,10 +14,9 @@
 //! - retry backoff is deterministic and bounded, and the queue bound
 //!   holds even while transient faults keep parking retries.
 //!
-//! Every test that drives an engine holds `ld_faultinject::test_lock()`
-//! and starts from a cleared plan: the retry-pressure test installs a
-//! process-global `SnapshotCorrupt` plan, which engines on parallel test
-//! threads would otherwise see.
+//! The retry-pressure test hands a `SnapshotCorrupt` plan to its own
+//! engine; the engines of the tests running beside it stay disarmed, and
+//! every engine spills to a directory of its own.
 
 use ld_api::MinMaxScaler;
 use ld_nn::{ForecasterConfig, LstmForecaster};
@@ -89,8 +88,6 @@ fn provisioned_engine(
 
 #[test]
 fn no_request_is_both_shed_and_answered_and_none_is_lost() {
-    let _guard = ld_faultinject::test_lock();
-    ld_faultinject::reset();
     for seed in [3u64, 17, 91] {
         let tenants = 12 + (splitmix64(seed) % 9) as usize;
         let bound = 8usize;
@@ -137,8 +134,6 @@ fn no_request_is_both_shed_and_answered_and_none_is_lost() {
 
 #[test]
 fn queue_depth_never_exceeds_bound() {
-    let _guard = ld_faultinject::test_lock();
-    ld_faultinject::reset();
     for seed in [7u64, 23] {
         let bound = 5usize;
         let (mut eng, keys, histories) =
@@ -164,8 +159,6 @@ fn queue_depth_never_exceeds_bound() {
 
 #[test]
 fn shard_count_is_constant_under_churn() {
-    let _guard = ld_faultinject::test_lock();
-    ld_faultinject::reset();
     let (mut eng, keys, histories) =
         provisioned_engine("shards", 29, 20, 64, 8, 1 /* heavy eviction churn */, );
     let want = eng.shard_count();
@@ -188,8 +181,6 @@ fn shard_count_is_constant_under_churn() {
 
 #[test]
 fn cache_accounting_is_conserved() {
-    let _guard = ld_faultinject::test_lock();
-    ld_faultinject::reset();
     for (label, capacity) in [("acct-roomy", 64usize), ("acct-tight", 2)] {
         let (mut eng, keys, histories) = provisioned_engine(label, 41, 15, 64, 4, capacity);
         let mut resolved = 0u64;
@@ -382,22 +373,19 @@ fn retry_backoff_is_deterministic_and_bounded() {
 /// neither overflow the queue nor leak requests.
 #[test]
 fn queue_bound_holds_under_retry_pressure() {
-    let _guard = ld_faultinject::test_lock();
-    ld_faultinject::reset();
-
     let bound = 10usize;
     // Tight registry (capacity 1 per shard) so every tick rehydrates from
     // disk, and a 60% SnapshotCorrupt plan so many of those rehydrations
     // fail transiently and park retries.
     let (mut eng, keys, histories) =
         provisioned_engine("retry-bound", 57, 12, bound, 4, 1);
-    ld_faultinject::install(
+    eng.set_faults(ld_faultinject::FaultPlan::new(
         ld_faultinject::FaultConfig::new(0x7e57_5eed).with_site(
             ld_faultinject::FaultSite::SnapshotCorrupt,
             0.6,
             None,
         ),
-    );
+    ));
 
     let mut submitted = 0u64;
     let mut answered = 0u64;
@@ -430,6 +418,5 @@ fn queue_bound_holds_under_retry_pressure() {
         assert!(settle <= 32, "retry settle must terminate");
         answered += eng.tick().len() as u64;
     }
-    ld_faultinject::reset();
     assert_eq!(answered + shed, submitted, "every request answered xor shed");
 }

@@ -13,11 +13,11 @@
 //! - after recovery the serving engine answers every surviving tenant
 //!   exactly as before the crash, and only the victim degrades.
 //!
-//! Every test takes the process-global fault lock: fault plans installed
-//! here must never leak into concurrently running tests.
+//! The crash site's plan is handed to the one store it afflicts, so the
+//! tests running beside it never see it; each test owns its directory.
 
 use ld_api::MinMaxScaler;
-use ld_faultinject::{install, reset, test_lock, FaultConfig, FaultSite};
+use ld_faultinject::{FaultConfig, FaultPlan, FaultSite};
 use ld_nn::{ForecasterConfig, LstmForecaster};
 use ld_serve::{
     ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot, RegistryConfig, Request,
@@ -82,20 +82,21 @@ fn assert_loads_bitwise(store: &SnapshotStore, k: &ClientKey, want: &ModelSnapsh
 
 #[test]
 fn simulated_crash_tears_tmp_and_recovery_quarantines_it() {
-    let _guard = test_lock();
-    reset();
-
-    let store = fresh_store("fault-site");
+    let mut store = fresh_store("fault-site");
     let survivor = key(0);
     let survivor_snap = snapshot(11, 50.0);
     store.save(&survivor, &survivor_snap).expect("clean spill");
 
     // Every spill under this plan crashes mid-write.
-    install(FaultConfig::new(0xc4a5).with_site(FaultSite::CrashWrite, 1.0, None));
+    store.set_faults(FaultPlan::new(FaultConfig::new(0xc4a5).with_site(
+        FaultSite::CrashWrite,
+        1.0,
+        None,
+    )));
     let victim = key(1);
     let err = store.save(&victim, &snapshot(13, 60.0)).unwrap_err();
     assert!(err.to_string().contains("crash"), "unexpected error: {err}");
-    reset();
+    store.set_faults(FaultPlan::disarmed());
 
     // Nothing was published for the victim...
     assert!(!store.contains(&victim));
@@ -120,9 +121,6 @@ fn simulated_crash_tears_tmp_and_recovery_quarantines_it() {
 
 #[test]
 fn crash_at_every_byte_boundary_loses_at_most_the_inflight_snapshot() {
-    let _guard = test_lock();
-    reset();
-
     let label = "every-byte-tmp";
     let store = fresh_store(label);
     let survivors: Vec<(ClientKey, ModelSnapshot)> = (0..6)
@@ -176,9 +174,6 @@ fn crash_at_every_byte_boundary_loses_at_most_the_inflight_snapshot() {
 
 #[test]
 fn torn_published_file_is_quarantined_without_taking_neighbors() {
-    let _guard = test_lock();
-    reset();
-
     let label = "every-byte-published";
     let store = fresh_store(label);
     let tenants: Vec<(ClientKey, ModelSnapshot)> = (0..5)
@@ -224,9 +219,6 @@ fn torn_published_file_is_quarantined_without_taking_neighbors() {
 
 #[test]
 fn engine_serves_survivors_identically_after_crash_recovery() {
-    let _guard = test_lock();
-    reset();
-
     let engine_with = |label: &str, tracer: Tracer| -> ServeEngine {
         ServeEngine::new(
             EngineConfig {

@@ -6,6 +6,7 @@
 //! single day and uses only 5/10.
 
 use ld_api::Series;
+use ld_faultinject::{FaultPlan, FaultSite};
 
 use crate::generators;
 
@@ -91,18 +92,7 @@ pub struct TraceConfig {
 impl TraceConfig {
     /// Builds the configuration's series by generating the base trace and
     /// aggregating to the configured interval.
-    ///
-    /// When the [`ld_faultinject`] `trace` site is active, values are
-    /// deterministically corrupted (NaN / negatives keyed off the seed) and
-    /// then repaired through [`Series::sanitized`] — the harness's way of
-    /// exercising the ingestion repair path on otherwise-valid traces.
     pub fn build(&self, seed: u64) -> Series {
-        self.build_reported(seed).0
-    }
-
-    /// [`TraceConfig::build`] that also returns what (if anything) the
-    /// sanitizer repaired after fault injection.
-    pub fn build_reported(&self, seed: u64) -> (Series, ld_api::SanitizeReport) {
         let base = self.kind.generate_base(seed);
         assert_eq!(
             self.interval_mins % base.interval_mins,
@@ -114,24 +104,32 @@ impl TraceConfig {
         let factor = (self.interval_mins / base.interval_mins) as usize;
         let mut s = base.aggregate(factor);
         s.name = self.label();
-        if ld_faultinject::is_active() {
-            let corrupted: Vec<f64> = s
-                .values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    ld_faultinject::corrupt_value(
-                        ld_faultinject::FaultSite::TraceCorrupt,
-                        seed.rotate_left(17) ^ i as u64,
-                        v,
-                    )
-                })
-                .collect();
-            let (repaired, report) = Series::sanitized(s.name.clone(), s.interval_mins, corrupted)
-                .expect("interval validated above");
-            return (repaired, report);
+        s
+    }
+
+    /// [`TraceConfig::build`] under a fault plan, with what the sanitizer
+    /// repaired. An armed plan's `trace` site deterministically corrupts
+    /// values (NaN / negatives keyed off the seed), which are then repaired
+    /// through [`Series::sanitized`]: the harness's way of exercising the
+    /// ingestion repair path on otherwise-valid traces.
+    pub fn build_reported(
+        &self,
+        seed: u64,
+        faults: &FaultPlan,
+    ) -> (Series, ld_api::SanitizeReport) {
+        let s = self.build(seed);
+        if !faults.is_armed() {
+            return (s, ld_api::SanitizeReport::default());
         }
-        (s, ld_api::SanitizeReport::default())
+        let corrupted: Vec<f64> = s
+            .values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                faults.corrupt(FaultSite::TraceCorrupt, seed.rotate_left(17) ^ i as u64, v)
+            })
+            .collect();
+        Series::sanitized(s.name, s.interval_mins, corrupted).expect("interval validated above")
     }
 
     /// Figure-style label, e.g. `"GL-30min"`.

@@ -29,6 +29,7 @@
 
 use ld_api::{predict_horizon, walk_forward, Partition, Predictor, Series};
 use ld_baselines::{CloudInsight, CloudScale, WoodPredictor};
+use ld_faultinject::FaultPlan;
 use ld_telemetry::{Artifact, RunManifest, Tracer};
 use ld_traces::all_configurations;
 use loaddynamics::{FrameworkConfig, LoadDynamics};
@@ -120,7 +121,7 @@ fn read_series(path: &str) -> Series {
     })
 }
 
-fn framework(series_len: usize, fast: bool, tracer: &Tracer) -> LoadDynamics {
+fn framework(series_len: usize, fast: bool, tracer: &Tracer, faults: &FaultPlan) -> LoadDynamics {
     // Scale effort to the series size unless --fast is given.
     let config = if fast || series_len < 600 {
         FrameworkConfig::fast_preset(0)
@@ -137,15 +138,19 @@ fn framework(series_len: usize, fast: bool, tracer: &Tracer) -> LoadDynamics {
         };
         c
     };
-    LoadDynamics::new(config.with_tracer(tracer.clone()))
+    LoadDynamics::new(
+        config
+            .with_tracer(tracer.clone())
+            .with_faults(faults.clone()),
+    )
 }
 
-fn cmd_generate(label: &str, out: &str) {
+fn cmd_generate(label: &str, out: &str, faults: &FaultPlan) {
     let Some(config) = all_configurations().into_iter().find(|c| c.label() == label) else {
         eprintln!("unknown configuration '{label}' — see `ld-cli list`");
         std::process::exit(1);
     };
-    let series = config.build(0);
+    let (series, _) = config.build_reported(0, faults);
     std::fs::write(out, series.to_text()).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
@@ -158,7 +163,7 @@ fn cmd_generate(label: &str, out: &str) {
     );
 }
 
-fn cmd_optimize(path: &str, flags: &Flags) {
+fn cmd_optimize(path: &str, flags: &Flags, faults: &FaultPlan) {
     let series = read_series(path);
     println!(
         "optimizing on {} ({} intervals, {} min each)...",
@@ -167,7 +172,7 @@ fn cmd_optimize(path: &str, flags: &Flags) {
         series.interval_mins
     );
     let tracer = flags.tracer();
-    let outcome = framework(series.len(), flags.fast, &tracer).optimize(&series);
+    let outcome = framework(series.len(), flags.fast, &tracer, faults).optimize(&series);
     println!("selected hyperparameters: {}", outcome.hyperparams);
     println!("cross-validation MAPE:    {:.2}%", outcome.val_mape);
     println!("trials evaluated:         {}", outcome.trials.trials.len());
@@ -184,10 +189,10 @@ fn cmd_optimize(path: &str, flags: &Flags) {
     );
 }
 
-fn cmd_predict(path: &str, horizon: usize, flags: &Flags) {
+fn cmd_predict(path: &str, horizon: usize, flags: &Flags, faults: &FaultPlan) {
     let series = read_series(path);
     let tracer = flags.tracer();
-    let outcome = framework(series.len(), false, &tracer).optimize(&series);
+    let outcome = framework(series.len(), false, &tracer, faults).optimize(&series);
     eprintln!(
         "tuned {} (val MAPE {:.1}%)",
         outcome.hyperparams, outcome.val_mape
@@ -210,7 +215,7 @@ fn cmd_predict(path: &str, horizon: usize, flags: &Flags) {
     );
 }
 
-fn cmd_evaluate(path: &str, flags: &Flags) {
+fn cmd_evaluate(path: &str, flags: &Flags, faults: &FaultPlan) {
     let series = read_series(path);
     let partition = Partition::paper_default(series.len());
     println!(
@@ -218,7 +223,7 @@ fn cmd_evaluate(path: &str, flags: &Flags) {
         series.len() - partition.val_end
     );
     let tracer = flags.tracer();
-    let outcome = framework(series.len(), false, &tracer).optimize(&series);
+    let outcome = framework(series.len(), false, &tracer, faults).optimize(&series);
     let hyperparams = outcome.hyperparams;
     let mut rows: Vec<(String, f64)> = Vec::new();
     let mut ld: Box<dyn Predictor> = Box::new(outcome.predictor);
@@ -344,23 +349,23 @@ fn cmd_trace_validate(trace_path: &str, manifest_path: Option<&str>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Opt-in fault injection for resilience drills (LD_FAULT / LD_FAULT_SEED).
-    ld_faultinject::activate_from_env(0);
+    let faults = ld_faultinject::plan_from_env(0);
     let Some((command, rest)) = args.split_first() else {
         usage()
     };
     let (positional, flags) = parse_args(command, rest);
     match (command.as_str(), positional.as_slice()) {
-        ("generate", [label, out]) => cmd_generate(label, out),
-        ("optimize", [path]) => cmd_optimize(path, &flags),
+        ("generate", [label, out]) => cmd_generate(label, out, &faults),
+        ("optimize", [path]) => cmd_optimize(path, &flags, &faults),
         ("predict", [path, rest @ ..]) if rest.len() <= 1 => {
             let horizon = rest
                 .first()
                 .and_then(|h| h.parse().ok())
                 .unwrap_or(3usize)
                 .clamp(1, 1000);
-            cmd_predict(path, horizon, &flags)
+            cmd_predict(path, horizon, &flags, &faults)
         }
-        ("evaluate", [path]) => cmd_evaluate(path, &flags),
+        ("evaluate", [path]) => cmd_evaluate(path, &flags, &faults),
         ("trace-validate", [trace, rest @ ..]) if rest.len() <= 1 => {
             cmd_trace_validate(trace, rest.first().copied())
         }

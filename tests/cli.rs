@@ -1,17 +1,25 @@
-//! The `ld-cli` binary end to end: unknown flags are usage errors, and a
+//! The `ld-cli` binary end to end: unknown flags are usage errors, a
 //! traced `optimize` writes four artifacts that `trace-validate` accepts
 //! only while every artifact its manifest lists is present and agrees
-//! with the manifest's totals, wherever the set is moved.
+//! with the manifest's totals, wherever the set is moved, and the
+//! `LD_FAULT` / `LD_FAULT_SEED` knobs reach the fault sites.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
 
-fn ld_cli(args: &[&str]) -> Output {
+/// `ld-cli` with exactly the fault knobs in `env` set.
+fn ld_cli_env(args: &[&str], env: &[(&str, &str)]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_ld-cli"))
         .args(args)
         .env_remove("LD_FAULT")
+        .env_remove("LD_FAULT_SEED")
+        .envs(env.iter().copied())
         .output()
         .expect("ld-cli runs")
+}
+
+fn ld_cli(args: &[&str]) -> Output {
+    ld_cli_env(args, &[])
 }
 
 fn stderr(out: &Output) -> String {
@@ -130,5 +138,85 @@ fn traced_optimize_writes_four_artifacts_that_validate() {
         &format!("{moved_trace}.manifest.json"),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ld_fault_reaches_the_sites_through_the_binary() {
+    let dir = scratch_dir("faults");
+    let generate = |name: &str, env: &[(&str, &str)]| -> (Output, Vec<f64>) {
+        let path = dir.join(name);
+        let out = ld_cli_env(&["generate", "LCG-30min", path_str(&path)], env);
+        assert!(out.status.success(), "{name}: {}", stderr(&out));
+        let text = std::fs::read_to_string(&path).expect("generated trace");
+        (
+            out,
+            ld_api::Series::from_text(&text)
+                .expect("trace parses")
+                .values,
+        )
+    };
+    let (_, clean) = generate("clean.txt", &[]);
+
+    // A `trace=` plan corrupts the build, the sanitizer repairs it, and
+    // stderr says the run was faulted.
+    let plan = [("LD_FAULT", "trace=0.05"), ("LD_FAULT_SEED", "7")];
+    let (out, faulted) = generate("faulted.txt", &plan);
+    assert!(
+        stderr(&out).contains("fault injection active: LD_FAULT=trace=0.05 (seed 7)"),
+        "{}",
+        stderr(&out)
+    );
+    assert_eq!(faulted.len(), clean.len());
+    assert_ne!(faulted, clean);
+    assert!(faulted.iter().all(|v| v.is_finite() && *v >= 0.0));
+
+    // A malformed seed is reported and the plan ignored, not run under
+    // the default seed.
+    let typo_seed = [("LD_FAULT", "trace=0.05"), ("LD_FAULT_SEED", "7x")];
+    let (out, typo) = generate("typo.txt", &typo_seed);
+    assert!(
+        stderr(&out).contains("LD_FAULT ignored: bad LD_FAULT_SEED `7x`"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(
+        !stderr(&out).contains("fault injection active"),
+        "{}",
+        stderr(&out)
+    );
+    assert_eq!(typo, clean);
+
+    // The trainer's and the surrogate fit's sites, read back from the
+    // traced run's events file.
+    let trace = path_str(&dir.join("t.json")).to_string();
+    let out = ld_cli_env(
+        &[
+            "optimize",
+            path_str(&dir.join("clean.txt")),
+            "--fast",
+            &format!("--trace-out={trace}"),
+        ],
+        &[("LD_FAULT", "nan_loss=0.5,cholesky=1x1")],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("fault injection active"),
+        "{}",
+        stderr(&out)
+    );
+    let events = std::fs::read_to_string(format!("{trace}.events.json")).expect("events file");
+    let events = ld_telemetry::Snapshot::from_json(&events).expect("events parse");
+    assert!(
+        events.counter("pipeline.diverged_trials") >= 1,
+        "{:?}",
+        events.counters
+    );
+    assert_eq!(
+        events.counter("bayesopt.surrogate_failures"),
+        1,
+        "{:?}",
+        events.counters
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

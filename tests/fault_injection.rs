@@ -4,11 +4,12 @@
 //! finish without panicking, record what failed in the tracer's counters
 //! and events, and still hand back a usable finite-MAPE predictor.
 //!
-//! Fault plans are process-global, so every test serializes on
-//! [`ld_faultinject::test_lock`] and uninstalls its plan before asserting.
+//! Each test hands its plan to the run it drives, so the tests run side by
+//! side, and a clean search beside a faulted one in the same process
+//! answers exactly what it answers alone.
 
 use ld_api::{Predictor, Series};
-use ld_faultinject::{install, reset, test_lock, FaultConfig, FaultSite};
+use ld_faultinject::{FaultConfig, FaultPlan, FaultSite};
 use ld_telemetry::Tracer;
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{FrameworkConfig, LoadDynamics, OptimizationOutcome};
@@ -25,27 +26,28 @@ fn seasonal_series(len: usize) -> Series {
     )
 }
 
-/// The ISSUE acceptance scenario: NaN losses on ~30% of trials plus one
-/// forced Cholesky failure. Caller must hold the test lock.
-fn faulted_plan() -> FaultConfig {
-    FaultConfig::new(17)
-        .with_site(FaultSite::NanLoss, 0.3, None)
-        .with_site(FaultSite::CholeskyFail, 1.0, Some(1))
+/// The acceptance scenario: NaN losses on ~30% of trials plus one forced
+/// Cholesky failure, with fresh occurrence counters.
+fn faulted_plan() -> FaultPlan {
+    FaultPlan::new(
+        FaultConfig::new(17)
+            .with_site(FaultSite::NanLoss, 0.3, None)
+            .with_site(FaultSite::CholeskyFail, 1.0, Some(1)),
+    )
 }
 
 fn run_faulted(tracer: Tracer) -> OptimizationOutcome {
-    let mut config = FrameworkConfig::fast_preset(7).with_tracer(tracer);
+    let mut config = FrameworkConfig::fast_preset(7)
+        .with_tracer(tracer)
+        .with_faults(faulted_plan());
     config.max_iters = MAX_ITERS;
     LoadDynamics::new(config).optimize(&seasonal_series(240))
 }
 
 #[test]
 fn search_survives_nan_losses_and_a_cholesky_failure() {
-    let _guard = test_lock();
-    install(faulted_plan());
     let tracer = Tracer::enabled();
     let outcome = run_faulted(tracer.clone());
-    reset();
 
     // The search completed its full budget and produced a usable model.
     assert!(outcome.val_mape.is_finite());
@@ -73,12 +75,8 @@ fn search_survives_nan_losses_and_a_cholesky_failure() {
 
 #[test]
 fn faulted_search_is_deterministic() {
-    let _guard = test_lock();
-    install(faulted_plan());
     let a = run_faulted(Tracer::disabled());
-    install(faulted_plan());
     let b = run_faulted(Tracer::disabled());
-    reset();
 
     assert_eq!(a.hyperparams, b.hyperparams);
     assert_eq!(a.val_mape.to_bits(), b.val_mape.to_bits());
@@ -88,16 +86,20 @@ fn faulted_search_is_deterministic() {
     }
 }
 
+/// Every trial's training diverges.
+fn diverge_all() -> FaultPlan {
+    FaultPlan::new(FaultConfig::new(3).with_site(FaultSite::NanLoss, 1.0, None))
+}
+
 #[test]
 fn total_divergence_degrades_to_baseline_fallback() {
-    let _guard = test_lock();
-    install(FaultConfig::new(3).with_site(FaultSite::NanLoss, 1.0, None));
     let tracer = Tracer::enabled();
-    let mut config = FrameworkConfig::fast_preset(3).with_tracer(tracer.clone());
+    let mut config = FrameworkConfig::fast_preset(3)
+        .with_tracer(tracer.clone())
+        .with_faults(diverge_all());
     config.max_iters = 4;
     let series = seasonal_series(240);
     let outcome = LoadDynamics::new(config).optimize(&series);
-    reset();
 
     assert!(outcome.predictor.is_fallback());
     assert!(outcome.predictor.fallback_name().is_some());
@@ -122,14 +124,12 @@ fn total_divergence_degrades_to_baseline_fallback() {
 
 #[test]
 fn corrupted_trace_values_are_sanitized_on_ingest() {
-    let _guard = test_lock();
     let config = TraceConfig {
         kind: WorkloadKind::Wikipedia,
         interval_mins: 30,
     };
-    install(FaultConfig::new(42).with_site(FaultSite::TraceCorrupt, 0.05, None));
-    let (series, report) = config.build_reported(0);
-    reset();
+    let plan = FaultPlan::new(FaultConfig::new(42).with_site(FaultSite::TraceCorrupt, 0.05, None));
+    let (series, report) = config.build_reported(0, &plan);
 
     assert!(
         !report.is_clean(),
@@ -137,30 +137,53 @@ fn corrupted_trace_values_are_sanitized_on_ingest() {
     );
     assert!(series.values.iter().all(|v| v.is_finite() && *v >= 0.0));
 
-    // Without a plan installed, the same build is clean and untouched.
-    let (clean, clean_report) = config.build_reported(0);
+    // Under a disarmed plan the same build is clean and untouched, and it
+    // is exactly the plain build.
+    let (clean, clean_report) = config.build_reported(0, &FaultPlan::disarmed());
     assert!(clean_report.is_clean());
+    assert_eq!(clean.values, config.build(0).values);
     assert_eq!(clean.len(), series.len());
     assert!(clean.values.iter().zip(&series.values).any(|(a, b)| a != b));
 }
 
 #[test]
-fn ld_fault_env_knobs_install_a_plan() {
-    let _guard = test_lock();
-    std::env::set_var("LD_FAULT", "nan_loss=0.5,cholesky=1x1");
-    std::env::set_var("LD_FAULT_SEED", "9");
-    let installed = ld_faultinject::init_from_env(0);
-    std::env::remove_var("LD_FAULT");
-    std::env::remove_var("LD_FAULT_SEED");
-    assert!(installed);
-    assert!(ld_faultinject::is_active());
-    reset();
-    assert!(!ld_faultinject::is_active());
+fn a_clean_search_beside_a_faulted_one_answers_as_if_alone() {
+    let series = seasonal_series(240);
+    let search = |faults: FaultPlan| {
+        let mut config = FrameworkConfig::fast_preset(3).with_faults(faults);
+        config.max_iters = 4;
+        LoadDynamics::new(config).optimize(&series)
+    };
+    let alone = search(FaultPlan::disarmed());
+    // Both searches start together, so the faulted one trains while the
+    // clean one does.
+    let start = std::sync::Barrier::new(2);
+    let (clean, faulted) = std::thread::scope(|s| {
+        let faulted = s.spawn(|| {
+            start.wait();
+            search(diverge_all())
+        });
+        let clean = s.spawn(|| {
+            start.wait();
+            search(FaultPlan::disarmed())
+        });
+        (
+            clean.join().expect("clean search"),
+            faulted.join().expect("faulted search"),
+        )
+    });
 
-    // A malformed spec is rejected without installing anything.
-    std::env::set_var("LD_FAULT", "nan_loss=banana");
-    let installed = ld_faultinject::init_from_env(0);
-    std::env::remove_var("LD_FAULT");
-    assert!(!installed);
-    assert!(!ld_faultinject::is_active());
+    assert!(!clean.predictor.is_fallback());
+    assert_eq!(clean.hyperparams, alone.hyperparams);
+    assert_eq!(clean.val_mape.to_bits(), alone.val_mape.to_bits());
+    assert_eq!(clean.trials.trials.len(), alone.trials.trials.len());
+    for (c, a) in clean.trials.trials.iter().zip(&alone.trials.trials) {
+        assert_eq!(c.value.to_bits(), a.value.to_bits());
+        assert_eq!(c.failed, a.failed);
+    }
+    assert!(
+        faulted.predictor.is_fallback(),
+        "the faulted search's plan reached it"
+    );
+    assert!(faulted.val_mape.is_finite());
 }
