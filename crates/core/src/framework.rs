@@ -1,13 +1,16 @@
 //! Phases 3–5 of the Fig. 6 workflow: the self-optimization loop and the
 //! final walk-forward predictor.
 
+use std::cmp::Ordering;
+use std::sync::{Mutex, PoisonError};
+
 use ld_api::{walk_forward_range, FrameworkError, Partition, Predictor, Series};
 use ld_bayesopt::{BayesianOptimizer, BoOptions, GridSearch, OptResult, RandomSearch, SearchSpace};
 use ld_faultinject::FaultPlan;
 use ld_nn::LstmForecaster;
 
 use crate::hyperparams::HyperParams;
-use crate::pipeline::{evaluate_hyperparams_traced, TrainBudget};
+use crate::pipeline::{evaluate_hyperparams_traced, EvalOutcome, TrainBudget};
 use crate::space;
 
 /// Which hyperparameter search drives the self-optimization.
@@ -206,21 +209,34 @@ impl LoadDynamics {
         let faults = &self.config.faults;
 
         // Root of the span hierarchy: everything in the Fig. 6 workflow —
-        // init design, BO iterations, candidate training and the final
-        // retrain — nests under `search`.
+        // init design, BO iterations and candidate training — nests under
+        // `search`.
         let search_guard = tracer.span("search");
         let search_tracer = search_guard.tracer();
 
         // Fig. 6 steps 1-3, iterated maxIters times by the chosen search.
         // The second argument is the trial-scoped tracer handed down by the
         // optimizer, so every strategy's candidates record under `search`.
-        let objective = move |params: &[ld_bayesopt::ParamValue],
-                              trial_tracer: &ld_telemetry::Tracer|
-              -> f64 {
-            let hp = HyperParams::from_params(params);
-            evaluate_hyperparams_traced(values, partition, hp, &budget, seed, trial_tracer, faults)
-                .val_mape
-        };
+        // Each trained candidate that ties or beats the lowest error so far
+        // is kept (usually one at a time, so the search stays memory-flat);
+        // step 4 picks the winner among them.
+        let kept = Mutex::new(Vec::new());
+        let objective =
+            |params: &[ld_bayesopt::ParamValue], trial_tracer: &ld_telemetry::Tracer| -> f64 {
+                let hp = HyperParams::from_params(params);
+                let outcome = evaluate_hyperparams_traced(
+                    values,
+                    partition,
+                    hp,
+                    &budget,
+                    seed,
+                    trial_tracer,
+                    faults,
+                );
+                let val_mape = outcome.val_mape;
+                keep_if_best(&kept, hp, outcome);
+                val_mape
+            };
         let trials = match &self.config.strategy {
             SearchStrategy::Bayesian(opts) => {
                 let mut bo_opts = *opts;
@@ -264,22 +280,19 @@ impl LoadDynamics {
             }
         }
 
-        // Step 4: select the lowest-error model; retrain it once to
-        // materialize the weights (trial models are discarded to keep the
-        // search memory-flat).
-        let best = trials.best();
-        let hyperparams = HyperParams::from_params(&best.params);
-        let retrain_guard = search_tracer.span("retrain");
-        let outcome = evaluate_hyperparams_traced(
-            values,
-            partition,
-            hyperparams,
-            &budget,
-            seed,
-            &retrain_guard.tracer(),
-            faults,
-        );
-        drop(retrain_guard);
+        // Step 4: select the lowest-error model. The initial design may
+        // finish its trials in any order, so the search's own `best()`
+        // (lowest error, then lowest trial index) names the winner, and its
+        // hyperparameters find it among the kept ties. A hyperparameter set
+        // always trains to the same bits, so this is the model a retrain of
+        // the winner would compute.
+        let hyperparams = HyperParams::from_params(&trials.best().params);
+        let outcome = kept
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_iter()
+            .find(|(hp, _)| *hp == hyperparams)
+            .and_then(|(_, outcome)| Some((outcome.model?, outcome.scaler, outcome.val_mape)));
         drop(search_guard);
 
         // Graceful degradation: when even the selected candidate cannot
@@ -287,18 +300,24 @@ impl LoadDynamics {
         // under fault injection or a hostile series), fall back to the best
         // cheap baseline predictor instead of aborting. A degraded but
         // finite forecast keeps downstream auto-scaling alive.
-        let (predictor, val_mape) = match outcome.model {
-            Some(model) => (
-                OptimizedPredictor {
-                    name: format!("LoadDynamics({})", series.name),
-                    kind: PredictorKind::Lstm {
-                        model,
-                        scaler: outcome.scaler,
-                        history_len: hyperparams.history_len,
+        let (predictor, val_mape) = match outcome {
+            Some((model, scaler, val_mape)) => {
+                // Training returns the best epoch's snapshot, whose packed
+                // panels start cold: pack them now, not on the first
+                // forecast.
+                model.pack_panels();
+                (
+                    OptimizedPredictor {
+                        name: format!("LoadDynamics({})", series.name),
+                        kind: PredictorKind::Lstm {
+                            model,
+                            scaler,
+                            history_len: hyperparams.history_len,
+                        },
                     },
-                },
-                outcome.val_mape,
-            ),
+                    val_mape,
+                )
+            }
             None => {
                 let (kind, mape) = select_fallback(series, partition);
                 tracer.incr("framework.fallback");
@@ -333,6 +352,31 @@ impl LoadDynamics {
     }
 }
 
+/// Keeps `outcome` in `kept` if its error ties or beats every kept one,
+/// dropping those it beats. `kept` then holds every distinct candidate at
+/// the lowest error seen so far, in whatever order concurrent trials
+/// finished: callers select from it by hyperparameters, never by position.
+fn keep_if_best(
+    kept: &Mutex<Vec<(HyperParams, EvalOutcome)>>,
+    hp: HyperParams,
+    outcome: EvalOutcome,
+) {
+    let mut kept = kept.lock().unwrap_or_else(PoisonError::into_inner);
+    let order = kept.first().map(|(_, o)| outcome.val_mape.total_cmp(&o.val_mape));
+    match order {
+        Some(Ordering::Greater) => {}
+        Some(Ordering::Equal) => {
+            if kept.iter().all(|(h, _)| *h != hp) {
+                kept.push((hp, outcome));
+            }
+        }
+        Some(Ordering::Less) | None => {
+            kept.clear();
+            kept.push((hp, outcome));
+        }
+    }
+}
+
 /// Scores the cheap smoothing baselines on the cross-validation segment
 /// (walk-forward MAPE) and returns the winner. Used only on the degraded
 /// path, so cost is irrelevant next to the failed LSTM search.
@@ -346,7 +390,7 @@ fn select_fallback(series: &Series, partition: &Partition) -> (FallbackKind, f64
     for kind in [FallbackKind::Wma, FallbackKind::Ema, FallbackKind::HoltDes] {
         let mut p = kind.instantiate();
         let mape = walk_forward_range(p.as_mut(), series, start, end).mape();
-        if mape.total_cmp(&best.1) == std::cmp::Ordering::Less {
+        if mape.total_cmp(&best.1) == Ordering::Less {
             best = (kind, mape);
         }
     }
@@ -715,6 +759,84 @@ mod tests {
             restored.predict(&series.values[..150])
         );
         assert!(restored.is_fallback());
+    }
+
+    /// Checks that `config`'s search returns exactly the model its best
+    /// trial trained: the predictor's model serializes like one evaluation
+    /// of the best trial's hyperparameters, with the same scaler and the
+    /// same validation MAPE bits.
+    fn assert_returns_the_best_trials_model(config: FrameworkConfig, series: &Series) {
+        let outcome = LoadDynamics::new(config.clone()).optimize(series);
+        let best = HyperParams::from_params(&outcome.trials.best().params);
+        assert_eq!(outcome.hyperparams, best);
+        let partition = Partition::paper_default(series.len());
+        let want = evaluate_hyperparams_traced(
+            &series.values,
+            &partition,
+            best,
+            &config.budget,
+            config.seed,
+            &ld_telemetry::Tracer::disabled(),
+            &config.faults,
+        );
+        let model = outcome.predictor.model().expect("a trained winner");
+        assert_eq!(model.to_json(), want.model.expect("the winner trains").to_json());
+        assert_eq!(outcome.predictor.scaler(), Some(want.scaler));
+        assert_eq!(outcome.val_mape.to_bits(), want.val_mape.to_bits());
+        assert_eq!(outcome.val_mape.to_bits(), outcome.trials.best().value.to_bits());
+    }
+
+    #[test]
+    fn optimize_returns_the_best_trials_model_under_every_strategy() {
+        let series = seasonal_series(200);
+        // The Bayesian initial design evaluates its points in parallel.
+        assert_returns_the_best_trials_model(FrameworkConfig::fast_preset(8), &series);
+        for strategy in [SearchStrategy::Random, SearchStrategy::Grid] {
+            let mut config = FrameworkConfig::fast_preset(9);
+            config.max_iters = 5;
+            config.strategy = strategy;
+            assert_returns_the_best_trials_model(config, &series);
+        }
+    }
+
+    #[test]
+    fn optimize_returns_the_best_trials_model_under_nan_losses() {
+        let faults = FaultPlan::new(ld_faultinject::FaultConfig::new(4).with_site(
+            ld_faultinject::FaultSite::NanLoss,
+            0.5,
+            None,
+        ));
+        let config = FrameworkConfig::fast_preset(10).with_faults(faults);
+        let series = seasonal_series(200);
+        let outcome = LoadDynamics::new(config.clone()).optimize(&series);
+        // The plan afflicts some candidates and spares the winner.
+        assert!(outcome
+            .trials
+            .trials
+            .iter()
+            .any(|t| t.value == crate::pipeline::INFEASIBLE_MAPE));
+        assert_returns_the_best_trials_model(config, &series);
+    }
+
+    #[test]
+    fn all_infeasible_search_degrades_to_the_fallback() {
+        // Every history length exceeds the 132-interval training partition.
+        let mut config = FrameworkConfig::fast_preset(11);
+        config.space = SearchSpace::new(vec![
+            ld_bayesopt::Dim::int("hist_len", 200, 300),
+            ld_bayesopt::Dim::int("c_size", 1, 4),
+            ld_bayesopt::Dim::int("layers", 1, 1),
+            ld_bayesopt::Dim::int("batch", 8, 16),
+        ]);
+        config.max_iters = 4;
+        let outcome = LoadDynamics::new(config).optimize(&seasonal_series(220));
+        assert!(outcome
+            .trials
+            .trials
+            .iter()
+            .all(|t| t.value == crate::pipeline::INFEASIBLE_MAPE));
+        assert!(outcome.predictor.is_fallback());
+        assert!(outcome.val_mape.is_finite() && outcome.val_mape < 100.0);
     }
 
     #[test]

@@ -136,8 +136,9 @@ pub fn evaluate_hyperparams_traced(
 }
 
 /// Deterministic key for the `nan_loss` fault-injection site: a pure
-/// function of `(hyperparams, seed)`, so the search trial for a candidate
-/// and its later retrain reach the same afflicted/clean decision.
+/// function of `(hyperparams, seed)`, so every evaluation of a candidate,
+/// whichever trial or thread runs it, reaches the same afflicted/clean
+/// decision and trains to the same bits.
 fn fault_key(hp: HyperParams, seed: u64) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ ((hp.history_len as u64) << 48)
@@ -212,10 +213,12 @@ fn evaluate_hyperparams_inner(
         };
     }
 
-    // Validation MAPE in original units.
-    let preds: Vec<f64> = val_samples
+    // Validation MAPE in original units, from the trainer's forecasts of
+    // the validation set with the weights it returned.
+    let preds: Vec<f64> = report
+        .val_preds
         .iter()
-        .map(|s| scaler.inverse(model.predict(&s.window)).max(0.0))
+        .map(|&p| scaler.inverse(p).max(0.0))
         .collect();
     let actuals: Vec<f64> = val_samples
         .iter()

@@ -43,6 +43,12 @@ impl DenseGrads {
         self.dw.scale(alpha);
         self.db.scale(alpha);
     }
+
+    /// Resets all gradients to `+0.0` in place.
+    pub fn clear(&mut self) {
+        self.dw.as_mut_slice().fill(0.0);
+        self.db.as_mut_slice().fill(0.0);
+    }
 }
 
 impl Dense {

@@ -82,6 +82,14 @@ impl ForecasterGrads {
         self.head.scale(alpha);
     }
 
+    /// Resets every gradient to `+0.0` in place.
+    pub fn clear(&mut self) {
+        for g in &mut self.layers {
+            g.clear();
+        }
+        self.head.clear();
+    }
+
     /// Global L2 norm across all gradient tensors.
     pub fn global_norm(&self) -> f64 {
         let mut ss = 0.0;
@@ -158,6 +166,14 @@ impl<C: Cell> RecurrentForecaster<C> {
     /// The dense output head, read-only.
     pub fn head(&self) -> &Dense {
         &self.head
+    }
+
+    /// Packs every layer's fused gate panel now, which [`Self::predict`]
+    /// would otherwise do on its first call after a clone or an update.
+    pub fn pack_panels(&self) {
+        for layer in &self.layers {
+            layer.fused_gate_panel();
+        }
     }
 
     /// Total number of trainable scalars.

@@ -48,6 +48,12 @@ impl MlpGrads {
         self.l2.scale(alpha);
     }
 
+    /// Resets all gradients to `+0.0` in place.
+    pub fn clear(&mut self) {
+        self.l1.clear();
+        self.l2.clear();
+    }
+
     /// Global L2 norm across all tensors.
     pub fn global_norm(&self) -> f64 {
         (self.l1.dw.sum_squares()

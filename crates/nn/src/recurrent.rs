@@ -167,6 +167,13 @@ impl LayerGrads {
         self.du.scale(alpha);
         self.db.scale(alpha);
     }
+
+    /// Resets all gradients to `+0.0` in place.
+    pub fn clear(&mut self) {
+        self.dw.as_mut_slice().fill(0.0);
+        self.du.as_mut_slice().fill(0.0);
+        self.db.as_mut_slice().fill(0.0);
+    }
 }
 
 /// Everything the backward sweep needs from a forward unroll, stored as

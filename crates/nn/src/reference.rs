@@ -257,6 +257,9 @@ impl Trainable for ReferenceLstmForecaster {
     fn zero_grads(&self) -> Self::Grads {
         self.0.zero_grads()
     }
+    fn clear(grads: &mut Self::Grads) {
+        grads.clear();
+    }
     fn sample_grads(&self, window: &[f64], target: f64) -> (f64, Self::Grads) {
         self.0.sample_grads_reference(window, target)
     }

@@ -1,21 +1,25 @@
-//! Mini-batch training loop: shuffling, rayon-parallel gradient
-//! accumulation, global-norm clipping, and early stopping on a validation
-//! split.
+//! Mini-batch training loop: shuffling, in-order gradient accumulation,
+//! global-norm clipping, and early stopping on a validation split.
 //!
 //! The loop is generic over [`Trainable`] so the stacked recurrent
 //! forecasters (LSTM and GRU, one impl) and the feed-forward ablation
-//! baseline share one implementation. Per-batch gradients are computed
-//! sample-parallel with rayon (each worker folds its chunk into a local
-//! gradient accumulator, then accumulators reduce pairwise), which is the
-//! dominant cost of the whole framework — the Bayesian-optimization loop
-//! above trains hundreds of these models.
+//! baseline share one implementation. Training is the dominant cost of the
+//! whole framework (the Bayesian-optimization loop above trains hundreds of
+//! these models), so a fit allocates its batch gradient, its chunk
+//! accumulator and its validation buffers once and reuses them for every
+//! mini-batch and epoch. A mini-batch's gradient runs on the calling
+//! thread: the batch splits into the rayon shim's [`rayon::CHUNKS`]
+//! balanced pieces, each piece sums into a zeroed accumulator in sample
+//! order, and the pieces add into a zeroed total left to right. That is
+//! the shim's `par_iter().fold(..).reduce(..)` bit for bit, with no thread
+//! spawned and no gradient set built per batch; the parallelism of a search
+//! sits one level up, across candidates.
 
 use ld_faultinject::{FaultPlan, FaultSite};
 use ld_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::forecaster::{ForecasterGrads, RecurrentForecaster};
 use crate::loss::mse;
@@ -24,14 +28,16 @@ use crate::recurrent::Cell;
 use crate::Sample;
 
 /// A model the [`Trainer`] can fit: cloneable (snapshots for early
-/// stopping), thread-safe for parallel gradient evaluation, with an
-/// associated gradient type that can be summed.
-pub trait Trainable: Clone + Send + Sync {
+/// stopping), with an associated gradient type that can be summed.
+pub trait Trainable: Clone {
     /// Gradient container matching the model structure.
-    type Grads: Send;
+    type Grads;
 
     /// Zeroed gradients.
     fn zero_grads(&self) -> Self::Grads;
+    /// Resets `grads` in place to the `+0.0` of [`Self::zero_grads`], so a
+    /// fit reuses one accumulator across mini-batches.
+    fn clear(grads: &mut Self::Grads);
     /// Loss and gradients for a single sample.
     fn sample_grads(&self, window: &[f64], target: f64) -> (f64, Self::Grads);
     /// Loss for a single sample with its gradients *accumulated* into an
@@ -73,6 +79,9 @@ impl<C: Cell> Trainable for RecurrentForecaster<C> {
     fn zero_grads(&self) -> Self::Grads {
         RecurrentForecaster::zero_grads(self)
     }
+    fn clear(grads: &mut Self::Grads) {
+        grads.clear();
+    }
     fn sample_grads(&self, window: &[f64], target: f64) -> (f64, Self::Grads) {
         RecurrentForecaster::sample_grads(self, window, target)
     }
@@ -101,6 +110,9 @@ impl Trainable for crate::mlp::MlpForecaster {
 
     fn zero_grads(&self) -> Self::Grads {
         crate::mlp::MlpForecaster::zero_grads(self)
+    }
+    fn clear(grads: &mut Self::Grads) {
+        grads.clear();
     }
     fn sample_grads(&self, window: &[f64], target: f64) -> (f64, Self::Grads) {
         crate::mlp::MlpForecaster::sample_grads(self, window, target)
@@ -176,6 +188,11 @@ pub struct TrainReport {
     pub train_losses: Vec<f64>,
     /// Validation MSE at the end of each epoch (empty when no val set).
     pub val_losses: Vec<f64>,
+    /// The returned model's forecast of each validation sample, in order
+    /// (empty when no val set): the validation pass of the epoch whose
+    /// weights the model holds, so a caller scoring the model need not
+    /// predict the set again.
+    pub val_preds: Vec<f64>,
     /// Best validation MSE observed (train MSE when no val set).
     pub best_loss: f64,
     /// True if early stopping fired.
@@ -246,13 +263,8 @@ impl Trainer {
 
     /// Mean squared error of `model` over `samples`.
     pub fn evaluate<M: Trainable>(model: &M, samples: &[Sample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let preds: Vec<f64> = samples
-            .par_iter()
-            .map(|s| model.predict(&s.window))
-            .collect();
+        let mut preds = Vec::new();
+        forecast_into(model, samples, &mut preds);
         let targets: Vec<f64> = samples.iter().map(|s| s.target).collect();
         mse(&preds, &targets)
     }
@@ -269,6 +281,13 @@ impl Trainer {
         assert!(!train.is_empty(), "empty training set");
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut rng = StdRng::seed_from_u64(self.opts.shuffle_seed);
+        // Every buffer a mini-batch or a validation pass writes, allocated
+        // once per fit.
+        let mut grads = model.zero_grads();
+        let mut chunk_grads = model.zero_grads();
+        let val_targets: Vec<f64> = val.iter().map(|s| s.target).collect();
+        let mut val_preds = Vec::with_capacity(val.len());
+        let mut best_val_preds = Vec::with_capacity(val.len());
 
         let mut best_loss = f64::INFINITY;
         let mut best_model = model.clone();
@@ -301,27 +320,9 @@ impl Trainer {
             let mut batches = 0u64;
             let mut clipped_batches = 0u64;
 
-            for (b, chunk) in order.chunks(self.opts.batch_size).enumerate() {
+            for (b, batch) in order.chunks(self.opts.batch_size).enumerate() {
                 let _batch_guard = epoch_tracer.span_at("batch", b as u64);
-                let (loss_sum, mut grads) = chunk
-                    .par_iter()
-                    .fold(
-                        || (0.0f64, model.zero_grads()),
-                        |(mut ls, mut acc), &idx| {
-                            let s = &train[idx];
-                            // Accumulate straight into the worker-local
-                            // batch gradients: no per-sample allocation.
-                            ls += model.sample_grads_into(&s.window, s.target, &mut acc);
-                            (ls, acc)
-                        },
-                    )
-                    .reduce(
-                        || (0.0f64, model.zero_grads()),
-                        |(l1, mut g1), (l2, g2)| {
-                            M::accumulate(&mut g1, &g2);
-                            (l1 + l2, g1)
-                        },
-                    );
+                let loss_sum = batch_gradient(model, train, batch, &mut grads, &mut chunk_grads);
                 if !loss_sum.is_finite() {
                     // Bail before applying: gradients from a non-finite
                     // batch would poison the weights and optimizer moments
@@ -331,7 +332,7 @@ impl Trainer {
                 }
                 epoch_loss_sum += loss_sum;
                 batches += 1;
-                M::scale(&mut grads, 1.0 / chunk.len() as f64);
+                M::scale(&mut grads, 1.0 / batch.len() as f64);
                 if self.opts.clip_norm.is_finite() && M::clip(&mut grads, self.opts.clip_norm) {
                     clipped_batches += 1;
                 }
@@ -348,7 +349,8 @@ impl Trainer {
                 train_mse
             } else {
                 let validate_guard = epoch_tracer.span("validate");
-                let v = Self::evaluate(model, val);
+                forecast_into(model, val, &mut val_preds);
+                let v = mse(&val_preds, &val_targets);
                 drop(validate_guard);
                 val_losses.push(v);
                 v
@@ -397,6 +399,7 @@ impl Trainer {
             if monitored + self.opts.min_delta < best_loss {
                 best_loss = monitored;
                 best_model = model.clone();
+                best_val_preds.clone_from(&val_preds);
                 since_best = 0;
             } else {
                 since_best += 1;
@@ -408,6 +411,11 @@ impl Trainer {
         }
 
         *model = best_model;
+        if best_val_preds.len() != val.len() {
+            // No epoch finished finite: the model is back on its initial
+            // weights, which no validation pass has forecast yet.
+            forecast_into(model, val, &mut best_val_preds);
+        }
         if trace_on {
             if diverged {
                 self.tracer.incr("trainer.diverged_runs");
@@ -434,12 +442,57 @@ impl Trainer {
             epochs_run,
             train_losses,
             val_losses,
+            val_preds: best_val_preds,
             best_loss,
             early_stopped,
             rollbacks,
             diverged,
         }
     }
+}
+
+/// Forecasts each of `samples` into `preds`, in order, resizing `preds` to
+/// `samples.len()` (which allocates only the first time).
+fn forecast_into<M: Trainable>(model: &M, samples: &[Sample], preds: &mut Vec<f64>) {
+    preds.resize(samples.len(), 0.0);
+    for (p, s) in preds.iter_mut().zip(samples) {
+        *p = model.predict(&s.window);
+    }
+}
+
+/// Writes the summed gradient of the samples `batch` indexes into `grads`
+/// and returns their summed loss. The batch splits like the rayon shim's
+/// `par_iter`: into `min(CHUNKS, len)` contiguous pieces, the first
+/// `len % pieces` one sample longer. Each piece sums into `chunk`, cleared
+/// first, in sample order, and the pieces add into a cleared `grads` (and
+/// their losses into `0.0`) left to right. That is the shim's
+/// `fold(..).reduce(..)` from zeroed identities, bit for bit, on the
+/// calling thread.
+fn batch_gradient<M: Trainable>(
+    model: &M,
+    train: &[Sample],
+    batch: &[usize],
+    grads: &mut M::Grads,
+    chunk: &mut M::Grads,
+) -> f64 {
+    M::clear(grads);
+    let mut loss_sum = 0.0;
+    let pieces = rayon::CHUNKS.min(batch.len());
+    let (base, extra) = (batch.len() / pieces, batch.len() % pieces);
+    let mut rest = batch;
+    for piece in 0..pieces {
+        let (head, tail) = rest.split_at(base + usize::from(piece < extra));
+        rest = tail;
+        M::clear(chunk);
+        let mut chunk_loss = 0.0;
+        for &idx in head {
+            let s = &train[idx];
+            chunk_loss += model.sample_grads_into(&s.window, s.target, chunk);
+        }
+        M::accumulate(grads, chunk);
+        loss_sum += chunk_loss;
+    }
+    loss_sum
 }
 
 #[cfg(test)]
@@ -554,7 +607,7 @@ mod tests {
                 seed: 9,
             });
             let trainer = Trainer::new(TrainOptions {
-                batch_size: 100_000, // single full batch: order-independent sum
+                batch_size: 100_000, // one full batch, split into CHUNKS pieces
                 max_epochs: 5,
                 patience: 0,
                 ..TrainOptions::default()
@@ -563,10 +616,322 @@ mod tests {
             trainer.fit(&mut model, &mut opt, train, val);
             Trainer::evaluate(&model, val)
         };
-        // Full-batch accumulation is still floating-point order dependent
-        // under rayon, so compare within a tight tolerance rather than bitwise.
+        // The batch splits into fixed pieces that combine in a fixed
+        // order, so a seeded fit reproduces every bit.
         let (a, b) = (run(), run());
-        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+    }
+
+    /// The trainer as it was when every mini-batch ran the shim's
+    /// `par_iter().fold(..).reduce(..)` and validation its `par_iter().map`,
+    /// minus tracing and fault injection: the oracle [`Trainer::fit`] must
+    /// match bit for bit.
+    fn oracle_fit<M>(
+        opts: &TrainOptions,
+        model: &mut M,
+        opt: &mut dyn Optimizer,
+        train: &[Sample],
+        val: &[Sample],
+    ) -> TrainReport
+    where
+        M: Trainable + Sync,
+        M::Grads: Send,
+    {
+        use rayon::prelude::*;
+        let evaluate = |model: &M| {
+            let preds: Vec<f64> = val.par_iter().map(|s| model.predict(&s.window)).collect();
+            let targets: Vec<f64> = val.iter().map(|s| s.target).collect();
+            mse(&preds, &targets)
+        };
+        let mut order: Vec<usize> = (0..train.len()).collect();
+        let mut rng = StdRng::seed_from_u64(opts.shuffle_seed);
+        let mut best_loss = f64::INFINITY;
+        let mut best_model = model.clone();
+        let mut since_best = 0usize;
+        let (mut train_losses, mut val_losses) = (Vec::new(), Vec::new());
+        let (mut early_stopped, mut diverged) = (false, false);
+        let (mut epochs_run, mut rollbacks, mut lr_retreat) = (0usize, 0usize, 1.0f64);
+        for epoch in 0..opts.max_epochs {
+            epochs_run += 1;
+            if opts.lr_decay != 1.0 || lr_retreat != 1.0 {
+                opt.set_lr_scale(opts.lr_decay.powi(epoch as i32) * lr_retreat);
+            }
+            order.shuffle(&mut rng);
+            let mut epoch_loss_sum = 0.0;
+            for chunk in order.chunks(opts.batch_size) {
+                let (loss_sum, mut grads) = chunk
+                    .par_iter()
+                    .fold(
+                        || (0.0f64, model.zero_grads()),
+                        |(mut ls, mut acc), &idx| {
+                            let s = &train[idx];
+                            ls += model.sample_grads_into(&s.window, s.target, &mut acc);
+                            (ls, acc)
+                        },
+                    )
+                    .reduce(
+                        || (0.0f64, model.zero_grads()),
+                        |(l1, mut g1), (l2, g2)| {
+                            M::accumulate(&mut g1, &g2);
+                            (l1 + l2, g1)
+                        },
+                    );
+                if !loss_sum.is_finite() {
+                    epoch_loss_sum = f64::NAN;
+                    break;
+                }
+                epoch_loss_sum += loss_sum;
+                M::scale(&mut grads, 1.0 / chunk.len() as f64);
+                if opts.clip_norm.is_finite() {
+                    M::clip(&mut grads, opts.clip_norm);
+                }
+                model.apply(&grads, opt);
+            }
+            let train_mse = epoch_loss_sum / train.len() as f64;
+            train_losses.push(train_mse);
+            let monitored = if val.is_empty() {
+                train_mse
+            } else {
+                let v = evaluate(model);
+                val_losses.push(v);
+                v
+            };
+            if !train_mse.is_finite() || !monitored.is_finite() {
+                if rollbacks >= opts.max_divergence_retries {
+                    diverged = true;
+                    break;
+                }
+                rollbacks += 1;
+                *model = best_model.clone();
+                opt.reset();
+                lr_retreat *= 0.5;
+                continue;
+            }
+            if monitored + opts.min_delta < best_loss {
+                best_loss = monitored;
+                best_model = model.clone();
+                since_best = 0;
+            } else {
+                since_best += 1;
+                if opts.patience > 0 && since_best >= opts.patience {
+                    early_stopped = true;
+                    break;
+                }
+            }
+        }
+        *model = best_model;
+        let val_preds = val.par_iter().map(|s| model.predict(&s.window)).collect();
+        TrainReport {
+            epochs_run,
+            train_losses,
+            val_losses,
+            val_preds,
+            best_loss,
+            early_stopped,
+            rollbacks,
+            diverged,
+        }
+    }
+
+    /// A model whose first `poisoned` gradient evaluations report a NaN
+    /// loss. Clones share the call counter, so the trainer's snapshots do
+    /// not reset it; poisoning no more calls than one mini-batch holds
+    /// rolls back exactly the first epoch, whatever thread ran the call.
+    #[derive(Clone)]
+    struct Poisoned<M> {
+        inner: M,
+        calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
+        poisoned: u64,
+    }
+
+    impl<M: Trainable> Trainable for Poisoned<M> {
+        type Grads = M::Grads;
+
+        fn zero_grads(&self) -> M::Grads {
+            self.inner.zero_grads()
+        }
+        fn clear(grads: &mut M::Grads) {
+            M::clear(grads);
+        }
+        fn sample_grads(&self, window: &[f64], target: f64) -> (f64, M::Grads) {
+            let mut grads = self.zero_grads();
+            let loss = self.sample_grads_into(window, target, &mut grads);
+            (loss, grads)
+        }
+        fn sample_grads_into(&self, window: &[f64], target: f64, grads: &mut M::Grads) -> f64 {
+            let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let loss = self.inner.sample_grads_into(window, target, grads);
+            if call < self.poisoned {
+                f64::NAN
+            } else {
+                loss
+            }
+        }
+        fn accumulate(into: &mut M::Grads, other: &M::Grads) {
+            M::accumulate(into, other);
+        }
+        fn scale(grads: &mut M::Grads, alpha: f64) {
+            M::scale(grads, alpha);
+        }
+        fn clip(grads: &mut M::Grads, max_norm: f64) -> bool {
+            M::clip(grads, max_norm)
+        }
+        fn visit_params(&mut self, grads: &M::Grads, f: &mut impl FnMut(&mut Matrix, &Matrix)) {
+            self.inner.visit_params(grads, f);
+        }
+        fn predict(&self, window: &[f64]) -> f64 {
+            self.inner.predict(window)
+        }
+    }
+
+    /// Every parameter of `model`, in visit order, as bits.
+    fn weight_bits<M: Trainable>(model: &M) -> Vec<u64> {
+        let mut bits = Vec::new();
+        let grads = model.zero_grads();
+        model.clone().visit_params(&grads, &mut |p, _| {
+            bits.extend(p.as_slice().iter().map(|v| v.to_bits()));
+        });
+        bits
+    }
+
+    fn loss_bits(losses: &[f64]) -> Vec<u64> {
+        losses.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Fits `fresh()` with [`Trainer::fit`] and with [`oracle_fit`] and
+    /// checks the two runs agree bit for bit.
+    fn check_against_oracle<M: Trainable + Sync>(
+        what: &str,
+        fresh: impl Fn() -> M,
+        opts: TrainOptions,
+        (train, val): (&[Sample], &[Sample]),
+    ) where
+        M::Grads: Send,
+    {
+        let (mut fast, mut oracle) = (fresh(), fresh());
+        let mut opt = Adam::with_lr(1e-2);
+        let got = Trainer::new(opts).fit(&mut fast, &mut opt, train, val);
+        let mut opt = Adam::with_lr(1e-2);
+        let want = oracle_fit(&opts, &mut oracle, &mut opt, train, val);
+        let what = format!("{what} batch {}", opts.batch_size);
+        let train_bits = loss_bits(&want.train_losses);
+        assert_eq!(loss_bits(&got.train_losses), train_bits, "{what}: train losses");
+        assert_eq!(loss_bits(&got.val_losses), loss_bits(&want.val_losses), "{what}: val losses");
+        assert_eq!(loss_bits(&got.val_preds), loss_bits(&want.val_preds), "{what}: val forecasts");
+        assert_eq!(weight_bits(&fast), weight_bits(&oracle), "{what}: final weights");
+        let shape = |r: &TrainReport| (r.epochs_run, r.rollbacks, r.early_stopped, r.diverged);
+        assert_eq!(shape(&got), shape(&want), "{what}: run shape");
+        assert_eq!(got.best_loss.to_bits(), want.best_loss.to_bits(), "{what}: best loss");
+    }
+
+    #[test]
+    fn fit_matches_the_parallel_fold_reduce_oracle_bitwise() {
+        // 97 training windows: no batch size above 1 divides them, so
+        // every epoch ends on a short batch and most batches split into
+        // pieces of unequal length.
+        let series = sine_series(97 + 6 + 30);
+        let samples = make_windows(&series, 6);
+        let (train, val) = samples.split_at(97);
+        let batches = (1..=20).chain([33, 64]);
+        for batch_size in batches {
+            let opts = TrainOptions {
+                batch_size,
+                max_epochs: 3,
+                patience: 0,
+                shuffle_seed: 5,
+                ..TrainOptions::default()
+            };
+            let lstm = || {
+                LstmForecaster::new(ForecasterConfig {
+                    history_len: 6,
+                    hidden_size: 4,
+                    num_layers: 2,
+                    seed: 7,
+                })
+            };
+            check_against_oracle("lstm", lstm, opts, (train, val));
+            let mlp = || {
+                MlpForecaster::new(MlpConfig {
+                    history_len: 6,
+                    hidden_size: 5,
+                    seed: 8,
+                })
+            };
+            check_against_oracle("mlp", mlp, opts, (train, val));
+        }
+    }
+
+    #[test]
+    fn watchdog_rollback_matches_the_oracle_bitwise() {
+        let series = sine_series(97 + 6 + 30);
+        let samples = make_windows(&series, 6);
+        let (train, val) = samples.split_at(97);
+        let opts = TrainOptions {
+            batch_size: 13,
+            max_epochs: 4,
+            patience: 2,
+            shuffle_seed: 3,
+            ..TrainOptions::default()
+        };
+        let poisoned = || Poisoned {
+            inner: LstmForecaster::new(ForecasterConfig {
+                history_len: 6,
+                hidden_size: 4,
+                num_layers: 1,
+                seed: 2,
+            }),
+            calls: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            poisoned: 5,
+        };
+        let (mut model, mut opt) = (poisoned(), Adam::with_lr(1e-2));
+        let report = Trainer::new(opts).fit(&mut model, &mut opt, train, val);
+        assert_eq!(report.rollbacks, 1, "the first epoch must roll back");
+        assert!(report.train_losses[0].is_nan() && !report.diverged);
+        check_against_oracle("poisoned lstm", poisoned, opts, (train, val));
+    }
+
+    #[test]
+    fn val_preds_forecast_the_returned_model() {
+        let series = sine_series(120);
+        let samples = make_windows(&series, 6);
+        let (train, val) = samples.split_at(80);
+        let mut model = LstmForecaster::new(ForecasterConfig {
+            history_len: 6,
+            hidden_size: 5,
+            num_layers: 1,
+            seed: 9,
+        });
+        let trainer = Trainer::new(TrainOptions {
+            batch_size: 16,
+            max_epochs: 30,
+            patience: 3,
+            ..TrainOptions::default()
+        });
+        let report = trainer.fit(&mut model, &mut Adam::with_lr(2e-2), train, val);
+        let want: Vec<u64> = val.iter().map(|s| model.predict(&s.window).to_bits()).collect();
+        assert_eq!(loss_bits(&report.val_preds), want);
+        // A run whose every epoch rolls back keeps its initial weights, and
+        // still forecasts the validation set with them.
+        let mut model = Poisoned {
+            inner: LstmForecaster::new(ForecasterConfig {
+                history_len: 6,
+                hidden_size: 5,
+                num_layers: 1,
+                seed: 9,
+            }),
+            calls: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            poisoned: u64::MAX,
+        };
+        let initial = model.clone();
+        let trainer = Trainer::new(TrainOptions {
+            batch_size: 16,
+            max_epochs: 2,
+            ..TrainOptions::default()
+        });
+        let report = trainer.fit(&mut model, &mut Adam::with_lr(2e-2), train, val);
+        assert_eq!((report.rollbacks, report.diverged), (2, false));
+        let want: Vec<u64> = val.iter().map(|s| initial.predict(&s.window).to_bits()).collect();
+        assert_eq!(loss_bits(&report.val_preds), want);
     }
 
     #[test]
@@ -621,6 +986,9 @@ mod tests {
 
         fn zero_grads(&self) -> Matrix {
             Matrix::zeros(1, 1)
+        }
+        fn clear(grads: &mut Matrix) {
+            grads.as_mut_slice().fill(0.0);
         }
         fn sample_grads(&self, _window: &[f64], target: f64) -> (f64, Matrix) {
             let n = self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

@@ -5,10 +5,10 @@
 //! Shard placement is FNV-1a of the key — a pure function of the key's
 //! bytes, so the same tenant lands on the same shard in every run on every
 //! platform. Recency is a *logical* clock (one bump per touch), never wall
-//! time, so eviction order is a pure function of the request sequence.
-//! Within a shard, entries live in a `BTreeMap` and LRU ties break on key
-//! order: iteration, eviction, and therefore the whole serve pipeline stay
-//! deterministic.
+//! time, so eviction order is a pure function of the request sequence, and
+//! no two resident entries ever share a recency. Within a shard, entries
+//! live in a `BTreeMap`, so iteration and drains run in key order:
+//! eviction, and therefore the whole serve pipeline, stays deterministic.
 
 use std::collections::BTreeMap;
 
@@ -166,22 +166,13 @@ impl ShardedRegistry {
         let shard = &mut self.shards[idx];
         let replacing = shard.entries.contains_key(&key);
         if !replacing && shard.entries.len() >= cap {
-            // Evict least-recently-used; BTreeMap order breaks ties
-            // deterministically.
-            let victim = shard
-                .entries
-                .iter()
-                .min_by_key(|(k, e)| (e.last_used, (*k).clone()))
-                .map(|(k, _)| k.clone())
-                // ld-lint: allow(panic-path, "eviction only runs when the shard is at capacity > 0")
-                .expect("non-empty shard at capacity");
-            let victim_snap = &shard.entries[&victim].snapshot;
-            if store.save(&victim, victim_snap).is_ok() {
-                shard.entries.remove(&victim);
-                self.stats.evictions += 1;
-            } else {
-                self.stats.failed_spills += 1;
-            }
+            // Evict the least-recently-used entry. Every touch bumps the
+            // logical clock, so no two entries share a `last_used` and the
+            // oldest one names the victim alone.
+            let oldest = shard.entries.values().map(|e| e.last_used).min();
+            let stats = &mut self.stats;
+            let victim = |e: &Entry| Some(e.last_used) == oldest;
+            shard.entries.retain(|k, e| !victim(e) || !spill(store, k, e, stats));
         }
         shard.entries.insert(
             key,
@@ -243,22 +234,23 @@ impl ShardedRegistry {
     /// drain is deterministic.
     pub fn drain_shard(&mut self, shard: usize, store: &SnapshotStore) -> (usize, usize) {
         let entries = &mut self.shards[shard].entries;
-        let keys: Vec<ClientKey> = entries.keys().cloned().collect();
-        let mut spilled = 0;
-        let mut kept = 0;
-        for key in keys {
-            let snap = &entries[&key].snapshot;
-            if store.save(&key, snap).is_ok() {
-                entries.remove(&key);
-                self.stats.evictions += 1;
-                spilled += 1;
-            } else {
-                self.stats.failed_spills += 1;
-                kept += 1;
-            }
-        }
-        (spilled, kept)
+        let resident = entries.len();
+        let stats = &mut self.stats;
+        entries.retain(|k, e| !spill(store, k, e, stats));
+        (resident - entries.len(), entries.len())
     }
+}
+
+/// Spills one resident entry to `store` and counts the outcome: `true`
+/// when the write succeeded and the entry may leave memory.
+fn spill(store: &SnapshotStore, key: &ClientKey, entry: &Entry, stats: &mut RegistryStats) -> bool {
+    let saved = store.save(key, &entry.snapshot).is_ok();
+    if saved {
+        stats.evictions += 1;
+    } else {
+        stats.failed_spills += 1;
+    }
+    saved
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! resilience document: its first chaos pass) that must recompute its
 //! `response_digest`. Exit 0 when it does, 1 when the digest differs, 2 on
 //! a schema violation. Exercised against the real binary on a smoke
-//! document it writes itself, then on doctored copies of it.
+//! document it writes itself, then on doctored copies of it. A smoke run
+//! under a serving fault plan must complete.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -123,4 +124,18 @@ fn check_resilience_recomputes_the_response_digest() {
         .expect("write broken document");
     let out = check("--check-resilience", &broken, &store);
     assert_eq!(out.status.code(), Some(2), "{}", describe(&out));
+}
+
+#[test]
+fn smoke_run_completes_under_a_serving_fault_plan() {
+    // Poisoned lanes are parked and looked up again on their retry: the
+    // cache accounting must count those lookups, not fail on them. The
+    // plan is set on the child process only.
+    let store = scratch().join("faulted-store");
+    let run = Command::new(env!("CARGO_BIN_EXE_ld-loadgen"))
+        .args(["--smoke", "--store", store.to_str().unwrap()])
+        .env("LD_FAULT", "batch_nan=0.1")
+        .output()
+        .expect("spawn ld-loadgen");
+    assert_eq!(run.status.code(), Some(0), "{}", describe(&run));
 }

@@ -4,10 +4,12 @@
 # one CPU (bench schema check + per-row cost gate), the loadgen replays
 # (a traced smoke run whose trace, events, manifest and Prometheus
 # exposition must validate, and the response digests of BENCH_serve.json
-# and BENCH_resilience.json recomputed), the ld-lint static-analysis
-# gate (schema v3 report left in target/lint-report.json and validated, plus
-# the zero-edit --fix --dry-run check), and a warning-free
-# clippy pass over every target (tests, examples and benches included).
+# and BENCH_resilience.json recomputed), a traced `ld-cli optimize --fast`
+# whose events must not change between one CPU and all, the ld-lint
+# static-analysis gate (schema v3 report left in target/lint-report.json
+# and validated, plus the zero-edit --fix --dry-run check), and a
+# warning-free clippy pass over every target (tests, examples and benches
+# included).
 # Run from the repository root:
 #
 #     ./scripts/ci.sh
@@ -37,13 +39,15 @@ echo "=== ld-perfbench --compare (bench schema + per-row cost regression gate, o
 # do twice its work read 1.94 to 2.43: 1.8 leaves margin while still
 # failing on a real kernel regression.
 #
-# The gate runs on the first CPU this script may use. The train-epoch row
-# times rayon-parallel code (trainer mini-batches), and on more than one
-# core the vendored rayon shim spawns eight scoped threads per parallel
-# call. Unpinned on a 2-vCPU host, train-epoch read 0.27x to 3.5x of its
-# baseline and the gate failed 8 of 60 runs; pinned, it failed none of 40.
-# On one core the shim runs its chunks inline. ld-perfbench forbids
-# `unsafe`, so it cannot pin itself.
+# The gate runs on the first CPU this script may use. When the pin went
+# in, the train-epoch row timed rayon-parallel trainer mini-batches: on
+# more than one core the vendored rayon shim spawned eight scoped threads
+# per mini-batch, and unpinned on a 2-vCPU host train-epoch read 0.27x to
+# 3.5x of its baseline and the gate failed 8 of 60 runs; pinned, it failed
+# none of 40. The trainer now runs each mini-batch on the calling thread,
+# so no row spawns threads per call, but the pin stays until the unpinned
+# gate has run clean as often (40 runs). ld-perfbench forbids `unsafe`, so
+# it cannot pin itself.
 first_cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[-,].*//')
 taskset -c "$first_cpu" cargo run -q --release -p ld-perfbench -- --compare BENCH_perf.json --tolerance 1.8
 
@@ -80,6 +84,20 @@ LD_FAST=1 LD_TRACE=target/ci-trace.json cargo run -q --release -p ld-bench --bin
 # exist and validate, and its span and event totals must match the files.
 test -s target/ci-trace.json.events.json || { echo "ci.sh: fig6 wrote no events file" >&2; exit 1; }
 cargo run -q --release --bin ld-cli -- trace-validate target/ci-trace.json target/ci-trace.json.manifest.json
+
+echo "=== ld-cli optimize --fast on one CPU and unpinned (identical events) ==="
+# The same traced search on one CPU and on every CPU this script may use:
+# the rayon shim's fixed chunks and in-order combines keep every float
+# reduction, and therefore the logical events file, byte-identical
+# whatever the core count. No timing is involved.
+mkdir -p target
+rm -f target/ci-lcg30.txt target/ci-opt-1cpu.json* target/ci-opt-ncpu.json*
+cargo run -q --release --bin ld-cli -- generate LCG-30min target/ci-lcg30.txt > /dev/null
+taskset -c "$first_cpu" cargo run -q --release --bin ld-cli -- \
+    optimize target/ci-lcg30.txt --fast --trace-out=target/ci-opt-1cpu.json > /dev/null
+cargo run -q --release --bin ld-cli -- \
+    optimize target/ci-lcg30.txt --fast --trace-out=target/ci-opt-ncpu.json > /dev/null
+cmp target/ci-opt-1cpu.json.events.json target/ci-opt-ncpu.json.events.json
 
 echo "=== ld-lint --deny (static analysis gate, schema_version 3) ==="
 mkdir -p target

@@ -104,11 +104,9 @@ fn trainer_epochs_record_finite_losses() {
     assert!(any_improved, "no candidate's training loss ever improved");
     // The epoch counter aggregates exactly the recorded epoch events.
     assert_eq!(snap.counter("trainer.epochs"), epochs.len() as u64);
-    // maxIters candidate evaluations plus the final retrain of the winner.
-    assert_eq!(
-        snap.counter("framework.candidate_evals"),
-        MAX_ITERS as u64 + 1
-    );
+    // One candidate evaluation per trial: the winner is kept, not
+    // retrained.
+    assert_eq!(snap.counter("framework.candidate_evals"), MAX_ITERS as u64);
     // Each fit's wall time is its `train` span.
     let trace = tracer.snapshot();
     assert!(trace.spans.iter().any(|s| s.leaf() == "train"));
@@ -162,11 +160,9 @@ fn grid_search_candidates_record_through_the_tracer() {
     let outcome = LoadDynamics::new(config).optimize(&seasonal_series(240));
     assert!(outcome.val_mape.is_finite());
     let snap = tracer.events();
-    // maxIters grid points plus the final retrain of the winner.
-    assert_eq!(
-        snap.counter("framework.candidate_evals"),
-        MAX_ITERS as u64 + 1
-    );
+    // One candidate evaluation per grid point: the winner is kept, not
+    // retrained.
+    assert_eq!(snap.counter("framework.candidate_evals"), MAX_ITERS as u64);
     assert_eq!(snap.events_of("search", "trial").len(), MAX_ITERS);
     assert!(snap
         .events

@@ -62,7 +62,11 @@ fn span_tree_covers_the_search_hierarchy() {
     has(&|p| p.contains("/train/epoch"), "train-epoch spans");
     has(&|p| p.contains("/epoch") && p.contains("/batch"), "mini-batch spans");
     has(&|p| p.contains("epoch") && p.ends_with("/validate"), "validation spans");
-    has(&|p| p.starts_with("search/retrain"), "the final retrain span");
+    // The winner is kept from its trial, never retrained.
+    assert!(
+        !paths.iter().any(|p| p.starts_with("search/retrain")),
+        "a `search/retrain` span: the winner was trained twice"
+    );
     // `batch` and `surrogate_fit` are leaves: per-kernel cost is timed by
     // ld-perfbench's kernel rows, not by spans.
     let below_leaf: Vec<String> = snap
