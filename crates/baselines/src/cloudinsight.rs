@@ -119,11 +119,6 @@ impl CloudInsight {
         self
     }
 
-    /// Number of members.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Name of the currently selected member.
     pub fn active_member(&self) -> String {
         self.members[self.active].name()

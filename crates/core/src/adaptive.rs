@@ -57,11 +57,6 @@ impl DriftDetector {
         self.count
     }
 
-    /// Running mean error.
-    pub fn mean_error(&self) -> f64 {
-        self.mean
-    }
-
     /// Ingests one error magnitude; returns `true` when drift is detected.
     /// The detector keeps accumulating after an alarm; callers typically
     /// [`DriftDetector::reset`] once they act on it.

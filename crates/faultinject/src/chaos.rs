@@ -36,7 +36,7 @@
 //! shard-targeted events and `*` for fleet-wide ones; magnitudes are
 //! permille rates (fault/burst kinds) or tick delays (`slow_shard`).
 
-use crate::{FaultConfig, FaultSite};
+use crate::{splitmix64, FaultConfig, FaultSite};
 
 /// The five chaos families the soak harness replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -120,13 +120,6 @@ pub struct ChaosSchedule {
     horizon: u64,
     shard_count: u64,
     events: Vec<ChaosEvent>,
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl ChaosSchedule {

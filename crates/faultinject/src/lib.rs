@@ -353,11 +353,10 @@ fn env_seed(default_seed: u64) -> Result<u64, String> {
     }
 }
 
-/// `splitmix64` — the finalizer used to turn `(seed, salt, key)` into an
-/// independent uniform decision.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
+/// The splitmix64 finalizer: turns a `(seed, salt, key)` mix into
+/// decorrelated bits. Fault decisions and chaos schedules draw through it.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

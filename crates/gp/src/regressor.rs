@@ -168,11 +168,6 @@ impl GpRegressor {
             var_std * self.y_std * self.y_std,
         )
     }
-
-    /// Predictive standard deviation at `x_star` in original units.
-    pub fn predict_std(&self, x_star: &[f64]) -> f64 {
-        self.predict(x_star).1.sqrt()
-    }
 }
 
 #[cfg(test)]

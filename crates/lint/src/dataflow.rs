@@ -581,26 +581,6 @@ pub fn solve<T: Transfer>(cfg: &Cfg<'_>, entry_env: Env, tf: &mut T) -> Vec<Opti
     in_env
 }
 
-/// Applies interval widening between joins: if a bound moved, it is pushed
-/// to infinity so loops converge. Called by transfer functions that detect
-/// repeated visits; the solver's join alone converges for the workspace's
-/// loop shapes, so widening stays available but unused by default.
-pub fn widen(old: &AbsVal, new: &AbsVal) -> AbsVal {
-    let mut w = new.clone();
-    if new.lo < old.lo {
-        w.lo = f64::NEG_INFINITY;
-    }
-    if new.hi > old.hi {
-        w.hi = f64::INFINITY;
-    }
-    w
-}
-
-/// Collects the binding names of a pattern (helper re-export for rules).
-pub fn pattern_bindings(pat: &Pat) -> &[String] {
-    &pat.bindings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

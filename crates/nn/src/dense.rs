@@ -156,11 +156,6 @@ impl Dense {
         f(&mut self.w, &grads.dw);
         f(&mut self.b, &grads.db);
     }
-
-    /// Sum of squares of all parameters.
-    pub fn param_sum_squares(&self) -> f64 {
-        self.w.sum_squares() + self.b.sum_squares()
-    }
 }
 
 #[cfg(test)]

@@ -58,8 +58,7 @@ use ld_serve::{
     response_digest, ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot,
     RegistryConfig, Request, ServeEngine, SnapshotStore,
 };
-use ld_telemetry::Tracer;
-use serde::Value;
+use ld_telemetry::{parse_versioned, Tracer};
 
 /// Bump when the shape of `BENCH_perf.json` changes.
 const SCHEMA_VERSION: u64 = 3;
@@ -77,37 +76,66 @@ struct Cfg {
     tolerance: f64,
 }
 
+/// The `BENCH_perf.json` document, written by `--out` and read back as a
+/// `--compare` baseline.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
+struct PerfDocument {
+    /// [`SCHEMA_VERSION`].
+    schema_version: u64,
+    /// Timed rounds per row.
+    reps: u64,
+    kernels: Vec<Row>,
+}
+
+impl PerfDocument {
+    /// Reads a `BENCH_perf.json`: every row's timings and cost must be
+    /// positive finite. Returns the first violation.
+    fn parse(text: &str) -> Result<Self, String> {
+        let doc: PerfDocument = parse_versioned(text, SCHEMA_VERSION)?;
+        for (i, row) in doc.kernels.iter().enumerate() {
+            for (key, v) in [
+                ("reference_median_secs", row.reference_median_secs),
+                ("median_secs", row.median_secs),
+                ("cost", row.cost),
+            ] {
+                if !v.is_finite() || v <= 0.0 {
+                    return Err(format!("kernels[{i}].{key} must be positive finite, got {v}"));
+                }
+            }
+        }
+        Ok(doc)
+    }
+}
+
 /// One timed row.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
 struct Row {
-    name: &'static str,
+    name: String,
     params: String,
     /// What the reference leg ran: `"host-kernel"` or `"tracer-off"`.
-    reference: &'static str,
+    reference: String,
     reference_median_secs: f64,
     median_secs: f64,
+    /// The shipped path's median time in reference-leg units.
+    cost: f64,
 }
 
 impl Row {
-    /// The shipped path's median time in reference-leg units.
-    fn cost(&self) -> f64 {
-        self.median_secs / self.reference_median_secs.max(1e-12)
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), Value::String(self.name.to_string())),
-            ("params".to_string(), Value::String(self.params.clone())),
-            (
-                "reference".to_string(),
-                Value::String(self.reference.to_string()),
-            ),
-            (
-                "reference_median_secs".to_string(),
-                Value::Float(self.reference_median_secs),
-            ),
-            ("median_secs".to_string(), Value::Float(self.median_secs)),
-            ("cost".to_string(), Value::Float(self.cost())),
-        ])
+    fn new(
+        name: &str,
+        params: String,
+        reference: &str,
+        reference_median_secs: f64,
+        median_secs: f64,
+    ) -> Row {
+        Row {
+            name: name.to_string(),
+            params,
+            reference: reference.to_string(),
+            reference_median_secs,
+            median_secs,
+            cost: median_secs / reference_median_secs.max(1e-12),
+        }
     }
 }
 
@@ -201,21 +229,9 @@ fn host_kernel() -> impl FnMut() {
 
 /// Times `shipped`, which makes `calls` calls of the row's path per round,
 /// against the host kernel. The row's median is per call.
-fn host_row(
-    reps: usize,
-    name: &'static str,
-    params: String,
-    calls: usize,
-    shipped: impl FnMut(),
-) -> Row {
+fn host_row(reps: usize, name: &str, params: String, calls: usize, shipped: impl FnMut()) -> Row {
     let (reference, median) = interleaved_medians(reps, host_kernel(), shipped);
-    Row {
-        name,
-        params,
-        reference: "host-kernel",
-        reference_median_secs: reference,
-        median_secs: median / calls as f64,
-    }
+    Row::new(name, params, "host-kernel", reference, median / calls as f64)
 }
 
 /// Deterministic bounded workload series (sine + weekly-ish residue).
@@ -484,95 +500,13 @@ fn bench_observe_overhead(reps: usize) -> Row {
             black_box(run_round(&mut engine_on));
         },
     );
-    Row {
-        name: "observe-overhead",
-        params: format!(
-            "tenants={tenant_count} ticks={ticks} batched engine, tracer on (per tick)"
-        ),
-        reference: "tracer-off",
-        reference_median_secs: off / ticks as f64,
-        median_secs: on / ticks as f64,
-    }
-}
-
-/// Assembles the stable `BENCH_perf.json` document.
-fn to_document(cfg: &Cfg, rows: &[Row]) -> Value {
-    Value::Object(vec![
-        ("schema_version".to_string(), Value::Uint(SCHEMA_VERSION)),
-        ("reps".to_string(), Value::Uint(cfg.reps as u64)),
-        (
-            "kernels".to_string(),
-            Value::Array(rows.iter().map(Row::to_value).collect()),
-        ),
-    ])
-}
-
-/// Round-trips the document through the JSON layer and checks the schema
-/// invariants every downstream BENCH consumer relies on.
-fn validate_schema(text: &str, expected_rows: usize) {
-    let doc: Value = serde_json::from_str(text).expect("BENCH document must re-parse");
-    let version = doc
-        .field("schema_version")
-        .ok()
-        .and_then(Value::as_u64)
-        .expect("schema_version");
-    assert_eq!(version, SCHEMA_VERSION, "schema_version drifted");
-    doc.field("reps").expect("top-level reps");
-    let Ok(Value::Array(rows)) = doc.field("kernels") else {
-        panic!("kernels must be an array");
-    };
-    assert_eq!(rows.len(), expected_rows, "kernel entry count");
-    for row in rows {
-        for key in ["name", "params", "reference"] {
-            row.field(key)
-                .ok()
-                .and_then(Value::as_str)
-                .expect("string field");
-        }
-        for key in ["reference_median_secs", "median_secs", "cost"] {
-            let v = row
-                .field(key)
-                .ok()
-                .and_then(Value::as_f64)
-                .expect("numeric field");
-            assert!(v.is_finite() && v > 0.0, "{key} must be positive finite");
-        }
-    }
-}
-
-/// A committed baseline row: name, params and cost.
-type BaselineRow = (String, String, f64);
-
-/// Parses a committed baseline document into its rows. Called before any
-/// row runs, so a bad baseline is reported as a usage error rather than
-/// after the timing.
-fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
-    let doc: Value = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let version = doc
-        .field("schema_version")
-        .ok()
-        .and_then(Value::as_u64)
-        .ok_or("missing schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {SCHEMA_VERSION}"
-        ));
-    }
-    let Ok(Value::Array(rows)) = doc.field("kernels") else {
-        return Err("kernels must be an array".to_string());
-    };
-    rows.iter()
-        .map(|row| {
-            let text = |key| row.field(key).ok().and_then(Value::as_str);
-            let cost = row.field("cost").ok().and_then(Value::as_f64);
-            match (text("name"), text("params"), cost) {
-                (Some(name), Some(params), Some(cost)) => {
-                    Ok((name.to_string(), params.to_string(), cost))
-                }
-                _ => Err("every kernel entry needs a name, params and a numeric cost".to_string()),
-            }
-        })
-        .collect()
+    Row::new(
+        "observe-overhead",
+        format!("tenants={tenant_count} ticks={ticks} batched engine, tracer on (per tick)"),
+        "tracer-off",
+        off / ticks as f64,
+        on / ticks as f64,
+    )
 }
 
 /// Compares the current run against a committed baseline's rows.
@@ -585,42 +519,41 @@ fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
 /// interleaved on the same host, so host speed cancels out of them.
 ///
 /// Returns the number of failed rows.
-fn compare_against(baseline: &[BaselineRow], rows: &[Row], tolerance: f64) -> usize {
+fn compare_against(baseline: &[Row], rows: &[Row], tolerance: f64) -> usize {
     println!(
         "\n{:<22} {:>12} {:>12} {:>9}  verdict (tolerance {tolerance}x)",
         "kernel", "baseline", "current", "ratio"
     );
     let mut failures = 0usize;
     for row in rows {
-        let Some((_, base_params, base)) = baseline.iter().find(|(n, _, _)| n == row.name) else {
+        let Some(base) = baseline.iter().find(|b| b.name == row.name) else {
             println!("{:<22} skipped (not in baseline)", row.name);
             continue;
         };
-        if *base_params != row.params {
+        if base.params != row.params {
             failures += 1;
             println!(
-                "{:<22} PARAMS DIFFER: baseline {base_params:?}, current {:?}",
-                row.name, row.params
+                "{:<22} PARAMS DIFFER: baseline {:?}, current {:?}",
+                row.name, base.params, row.params
             );
             continue;
         }
-        let cost = row.cost();
-        let regressed = cost > base * tolerance;
+        let regressed = row.cost > base.cost * tolerance;
         if regressed {
             failures += 1;
         }
         println!(
             "{:<22} {:>12.6} {:>12.6} {:>9.3}  {}",
             row.name,
-            base,
-            cost,
-            cost / base.max(1e-300),
+            base.cost,
+            row.cost,
+            row.cost / base.cost.max(1e-300),
             if regressed { "REGRESSION" } else { "ok" }
         );
     }
-    for (name, _, _) in baseline {
-        if !rows.iter().any(|r| r.name == *name) {
-            println!("{name:<22} (in baseline, not measured this run)");
+    for base in baseline {
+        if !rows.iter().any(|r| r.name == base.name) {
+            println!("{:<22} (in baseline, not measured this run)", base.name);
         }
     }
     failures
@@ -686,43 +619,48 @@ fn parse_args() -> Result<Cfg, String> {
 fn main() {
     let cfg = parse_args().unwrap_or_else(|e| usage_error(&e));
     let baseline = cfg.compare.as_deref().map(|path| {
-        let rows = std::fs::read_to_string(path)
+        let doc = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read baseline {path}: {e}"))
-            .and_then(|text| parse_baseline(&text).map_err(|e| format!("baseline {path}: {e}")))
+            .and_then(|text| {
+                PerfDocument::parse(&text).map_err(|e| format!("baseline {path}: {e}"))
+            })
             .unwrap_or_else(|e| usage_error(&e));
-        (path, rows)
+        (path, doc.kernels)
     });
-    let rows = vec![
-        bench_lstm_forward(cfg.reps),
-        bench_lstm_forward_one_lane(cfg.reps),
-        bench_lstm_forward_h5(cfg.reps),
-        bench_lstm_bptt(cfg.reps),
-        bench_train_epoch(cfg.reps),
-        bench_gram_build(cfg.reps),
-        bench_packed_gemm(cfg.reps),
-        bench_fused_gate_step(cfg.reps),
-        bench_bo_surrogate_gram(cfg.reps),
-        bench_observe_overhead(cfg.reps),
-    ];
+    let doc = PerfDocument {
+        schema_version: SCHEMA_VERSION,
+        reps: cfg.reps as u64,
+        kernels: vec![
+            bench_lstm_forward(cfg.reps),
+            bench_lstm_forward_one_lane(cfg.reps),
+            bench_lstm_forward_h5(cfg.reps),
+            bench_lstm_bptt(cfg.reps),
+            bench_train_epoch(cfg.reps),
+            bench_gram_build(cfg.reps),
+            bench_packed_gemm(cfg.reps),
+            bench_fused_gate_step(cfg.reps),
+            bench_bo_surrogate_gram(cfg.reps),
+            bench_observe_overhead(cfg.reps),
+        ],
+    };
 
     println!(
         "{:<22} {:<12} {:>14} {:>14} {:>12}",
         "kernel", "reference", "reference (ms)", "median (ms)", "cost"
     );
-    for r in &rows {
+    for r in &doc.kernels {
         println!(
             "{:<22} {:<12} {:>14.4} {:>14.6} {:>12.6}",
             r.name,
             r.reference,
             r.reference_median_secs * 1e3,
             r.median_secs * 1e3,
-            r.cost()
+            r.cost
         );
     }
 
-    let doc = to_document(&cfg, &rows);
     let text = serde_json::to_string_pretty(&doc).expect("BENCH document serializes");
-    validate_schema(&text, rows.len());
+    PerfDocument::parse(&text).expect("the written document must read back");
     if let Some(path) = &cfg.out {
         std::fs::write(path, text + "\n").expect("write BENCH document");
         println!("wrote {path}");
@@ -731,7 +669,7 @@ fn main() {
         let mut manifest = ld_telemetry::RunManifest::new("ld-perfbench")
             .capture_env()
             .config("reps", cfg.reps)
-            .config("kernels", rows.len())
+            .config("kernels", doc.kernels.len())
             .output("bench", path);
         if let Some(baseline) = &cfg.compare {
             manifest = manifest
@@ -746,11 +684,37 @@ fn main() {
     }
 
     if let Some((baseline_path, baseline)) = &baseline {
-        let failures = compare_against(baseline, &rows, cfg.tolerance);
+        let failures = compare_against(baseline, &doc.kernels, cfg.tolerance);
         if failures > 0 {
             eprintln!("{failures} kernel(s) regressed or changed params vs {baseline_path}");
             std::process::exit(3);
         }
         println!("no regressions vs {baseline_path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../BENCH_perf.json");
+
+    /// The hand-built writer this type replaced wrote the committed
+    /// baseline: reading it and writing it again gives back its bytes.
+    #[test]
+    fn committed_baseline_reads_back_byte_for_byte() {
+        let baseline = PerfDocument::parse(COMMITTED).expect("committed BENCH_perf.json");
+        let text = serde_json::to_string_pretty(&baseline).expect("serialize");
+        assert_eq!(text + "\n", COMMITTED);
+    }
+
+    #[test]
+    fn reader_rejects_every_broken_key() {
+        let doc = serde_json::from_str(COMMITTED).expect("committed BENCH_perf.json");
+        let broken = ld_telemetry::document::rejects_broken_keys(&doc, PerfDocument::parse);
+        assert_eq!(broken, Ok(14));
+        let negative = COMMITTED.replacen("\"cost\": ", "\"cost\": -", 1);
+        let err = PerfDocument::parse(&negative).unwrap_err();
+        assert!(err.contains("kernels[0].cost"), "{err}");
     }
 }

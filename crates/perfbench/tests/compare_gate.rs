@@ -57,16 +57,20 @@ fn params(name: &str) -> String {
         .to_string()
 }
 
-/// Writes a schema-3 baseline of `(name, params, cost)` rows.
+/// Writes a schema-3 baseline of `(name, params, cost)` rows. `--compare`
+/// reads a row's params and cost; its timings are `cost` host-kernel units.
 fn write_baseline(file: &str, rows: &[(&str, String, f64)]) -> PathBuf {
     let entries: Vec<String> = rows
         .iter()
         .map(|(name, params, cost)| {
-            format!("{{\"name\":{name:?},\"params\":{params:?},\"cost\":{cost}}}")
+            format!(
+                "{{\"name\":{name:?},\"params\":{params:?},\"reference\":\"host-kernel\",\
+                 \"reference_median_secs\":1.0,\"median_secs\":{cost},\"cost\":{cost}}}"
+            )
         })
         .collect();
     let doc = format!(
-        "{{\"schema_version\":3,\"kernels\":[{}]}}",
+        "{{\"schema_version\":3,\"reps\":1,\"kernels\":[{}]}}",
         entries.join(",")
     );
     let path = scratch(file);

@@ -1,17 +1,20 @@
-//! The stable `BENCH_serve.json` document: what one loadgen run measured,
-//! in a schema every downstream consumer (CI, plots, regression gates) can
-//! rely on.
+//! The stable `BENCH_serve.json` and `BENCH_resilience.json` documents:
+//! what one loadgen run measured, in a schema every downstream consumer
+//! (CI, plots, regression gates) can rely on. Each document is its report
+//! type: the writer serializes it, and `parse` reads it back, then runs the
+//! checks the type cannot express.
 
-use ld_telemetry::HistogramBucket;
-use serde::Value;
+use ld_telemetry::{parse_versioned, HexDigest};
 
 /// Bump when the shape of `BENCH_serve.json` changes.
 /// v2: adds `p95_tick_ns`, the `slo_*` block, and `latency_histogram`.
 pub const SERVE_SCHEMA_VERSION: u64 = 2;
 
-/// Everything a loadgen run measures.
-#[derive(Debug, Clone)]
+/// Everything a loadgen run measures: the `BENCH_serve.json` document.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ServeBenchReport {
+    /// [`SERVE_SCHEMA_VERSION`].
+    pub schema_version: u64,
     /// `"smoke"` or `"full"`.
     pub mode: String,
     /// Load-schedule seed.
@@ -43,7 +46,7 @@ pub struct ServeBenchReport {
     /// Registry hit fraction of the capacity-constrained phase, `[0, 1]`.
     pub cache_hit_rate: f64,
     /// FNV-1a digest over the batched pass's response stream.
-    pub response_digest: u64,
+    pub response_digest: HexDigest,
     /// Availability objective the batched pass was scored against.
     pub slo_target: f64,
     /// Measured availability (non-degraded fraction) of the batched pass.
@@ -52,183 +55,86 @@ pub struct ServeBenchReport {
     pub slo_budget_remaining: f64,
     /// Multi-window burn-rate alerts fired during the batched pass.
     pub slo_alerts: u64,
-    /// Non-empty log-linear buckets of the per-tick latency histogram
-    /// (nanoseconds); counts sum to `ticks`.
-    pub latency_histogram: Vec<HistogramBucket>,
+    /// Non-empty log-linear buckets of the per-tick latency histogram;
+    /// counts sum to `ticks`.
+    pub latency_histogram: Vec<LatencyBucket>,
+}
+
+/// One non-empty bucket of the per-tick latency histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct LatencyBucket {
+    /// Smallest tick latency the bucket holds, nanoseconds.
+    pub lo_ns: u64,
+    /// Largest tick latency the bucket holds, nanoseconds.
+    pub hi_ns: u64,
+    /// Ticks in the bucket.
+    pub count: u64,
 }
 
 impl ServeBenchReport {
-    /// Assembles the stable JSON document.
-    pub fn to_document(&self) -> Value {
-        Value::Object(vec![
-            ("schema_version".to_string(), Value::Uint(SERVE_SCHEMA_VERSION)),
-            ("mode".to_string(), Value::String(self.mode.clone())),
-            ("seed".to_string(), Value::Uint(self.seed)),
-            ("tenants".to_string(), Value::Uint(self.tenants)),
-            ("ticks".to_string(), Value::Uint(self.ticks)),
-            ("families".to_string(), Value::Uint(self.families)),
-            ("requests".to_string(), Value::Uint(self.requests)),
-            ("p50_tick_ns".to_string(), Value::Uint(self.p50_tick_ns)),
-            ("p95_tick_ns".to_string(), Value::Uint(self.p95_tick_ns)),
-            ("p99_tick_ns".to_string(), Value::Uint(self.p99_tick_ns)),
-            ("throughput_rps".to_string(), Value::Float(self.throughput_rps)),
-            ("serial_secs".to_string(), Value::Float(self.serial_secs)),
-            ("batched_secs".to_string(), Value::Float(self.batched_secs)),
-            (
-                "speedup_batched_vs_serial".to_string(),
-                Value::Float(self.speedup_batched_vs_serial),
-            ),
-            ("shed_rate".to_string(), Value::Float(self.shed_rate)),
-            ("cache_hit_rate".to_string(), Value::Float(self.cache_hit_rate)),
-            (
-                "response_digest".to_string(),
-                Value::String(format!("{:016x}", self.response_digest)),
-            ),
-            ("slo_target".to_string(), Value::Float(self.slo_target)),
-            (
-                "slo_availability".to_string(),
-                Value::Float(self.slo_availability),
-            ),
-            (
-                "slo_budget_remaining".to_string(),
-                Value::Float(self.slo_budget_remaining),
-            ),
-            ("slo_alerts".to_string(), Value::Uint(self.slo_alerts)),
-            (
-                "latency_histogram".to_string(),
-                Value::Array(
-                    self.latency_histogram
-                        .iter()
-                        .map(|b| {
-                            Value::Object(vec![
-                                ("lo_ns".to_string(), Value::Uint(b.lo)),
-                                ("hi_ns".to_string(), Value::Uint(b.hi)),
-                                ("count".to_string(), Value::Uint(b.count)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// Reads a `BENCH_serve.json` and checks it against the schema every
+    /// consumer relies on. Returns the first violation.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let r: ServeBenchReport = parse_versioned(text, SERVE_SCHEMA_VERSION)?;
+        check_mode_and_families(&r.mode, r.families)?;
+        let (p50, p95, p99) = (r.p50_tick_ns, r.p95_tick_ns, r.p99_tick_ns);
+        if !(p50 <= p95 && p95 <= p99) {
+            return Err(format!(
+                "latency percentiles must be ordered: p50 {p50} <= p95 {p95} <= p99 {p99}"
+            ));
+        }
+        for (key, v) in [
+            ("throughput_rps", r.throughput_rps),
+            ("serial_secs", r.serial_secs),
+            ("batched_secs", r.batched_secs),
+            ("speedup_batched_vs_serial", r.speedup_batched_vs_serial),
+        ] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(format!("{key} must be positive finite, got {v}"));
+            }
+        }
+        check_fractions(&[("shed_rate", r.shed_rate), ("cache_hit_rate", r.cache_hit_rate)])?;
+        if !(r.slo_target > 0.0 && r.slo_target < 1.0) {
+            return Err(format!("slo_target must be in (0, 1), got {}", r.slo_target));
+        }
+        check_fractions(&[
+            ("slo_availability", r.slo_availability),
+            ("slo_budget_remaining", r.slo_budget_remaining),
+        ])?;
+        check_latency_histogram(&r.latency_histogram, r.ticks)?;
+        Ok(r)
     }
 }
 
-/// Validates a serialized `BENCH_serve.json` against the schema every
-/// consumer relies on. Returns a description of the first violation.
-pub fn validate_document(text: &str) -> Result<(), String> {
-    let doc: Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let version = doc
-        .field("schema_version")
-        .ok()
-        .and_then(Value::as_u64)
-        .ok_or("schema_version missing or not an integer")?;
-    if version != SERVE_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != expected {SERVE_SCHEMA_VERSION}"
-        ));
-    }
-    let mode = doc
-        .field("mode")
-        .ok()
-        .and_then(Value::as_str)
-        .ok_or("mode missing")?;
+/// Both documents come from a `smoke` or `full` run over Table I's five
+/// trace families.
+fn check_mode_and_families(mode: &str, families: u64) -> Result<(), String> {
     if mode != "smoke" && mode != "full" {
         return Err(format!("mode must be smoke|full, got {mode:?}"));
     }
-    for key in [
-        "seed",
-        "tenants",
-        "ticks",
-        "families",
-        "requests",
-        "p50_tick_ns",
-        "p95_tick_ns",
-        "p99_tick_ns",
-        "slo_alerts",
-    ] {
-        doc.field(key)
-            .ok()
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{key} missing or not an unsigned integer"))?;
-    }
-    let families = doc.field("families").ok().and_then(Value::as_u64).unwrap_or(0);
     if families != 5 {
         return Err(format!("families must be 5 (Table I), got {families}"));
     }
-    let p50 = doc.field("p50_tick_ns").ok().and_then(Value::as_u64).unwrap_or(0);
-    let p95 = doc.field("p95_tick_ns").ok().and_then(Value::as_u64).unwrap_or(0);
-    let p99 = doc.field("p99_tick_ns").ok().and_then(Value::as_u64).unwrap_or(0);
-    if !(p50 <= p95 && p95 <= p99) {
-        return Err(format!(
-            "latency percentiles must be ordered: p50 {p50} <= p95 {p95} <= p99 {p99}"
-        ));
+    Ok(())
+}
+
+/// Each value must lie in `[0, 1]`; a `null`, read as NaN, does not.
+fn check_fractions(values: &[(&str, f64)]) -> Result<(), String> {
+    match values.iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
+        Some((key, v)) => Err(format!("{key} must be in [0, 1], got {v}")),
+        None => Ok(()),
     }
-    for key in ["throughput_rps", "serial_secs", "batched_secs", "speedup_batched_vs_serial"] {
-        let v = doc
-            .field(key)
-            .ok()
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{key} missing or not a number"))?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!("{key} must be positive finite, got {v}"));
-        }
-    }
-    for key in ["shed_rate", "cache_hit_rate"] {
-        let v = doc
-            .field(key)
-            .ok()
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{key} missing or not a number"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{key} must be in [0, 1], got {v}"));
-        }
-    }
-    let digest = doc
-        .field("response_digest")
-        .ok()
-        .and_then(Value::as_str)
-        .ok_or("response_digest missing")?;
-    if digest.len() != 16 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("response_digest must be 16 hex chars, got {digest:?}"));
-    }
-    let slo_target = doc
-        .field("slo_target")
-        .ok()
-        .and_then(Value::as_f64)
-        .ok_or("slo_target missing or not a number")?;
-    if !(slo_target > 0.0 && slo_target < 1.0) {
-        return Err(format!("slo_target must be in (0, 1), got {slo_target}"));
-    }
-    for key in ["slo_availability", "slo_budget_remaining"] {
-        let v = doc
-            .field(key)
-            .ok()
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{key} missing or not a number"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{key} must be in [0, 1], got {v}"));
-        }
-    }
-    let ticks = doc.field("ticks").ok().and_then(Value::as_u64).unwrap_or(0);
-    let buckets = doc
-        .field("latency_histogram")
-        .ok()
-        .and_then(Value::as_array)
-        .ok_or("latency_histogram missing or not an array")?;
+}
+
+/// The buckets must be non-empty, disjoint and ascending, and count every
+/// tick once.
+fn check_latency_histogram(buckets: &[LatencyBucket], ticks: u64) -> Result<(), String> {
     if buckets.is_empty() {
         return Err("latency_histogram must not be empty".into());
     }
     let mut prev_hi: Option<u64> = None;
     let mut total: u64 = 0;
-    for (i, bucket) in buckets.iter().enumerate() {
-        let get = |key: &str| {
-            bucket
-                .field(key)
-                .ok()
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("latency_histogram[{i}].{key} missing or not an integer"))
-        };
-        let (lo, hi, count) = (get("lo_ns")?, get("hi_ns")?, get("count")?);
+    for (i, &LatencyBucket { lo_ns: lo, hi_ns: hi, count }) in buckets.iter().enumerate() {
         if lo > hi {
             return Err(format!("latency_histogram[{i}]: lo_ns {lo} > hi_ns {hi}"));
         }
@@ -256,9 +162,12 @@ pub fn validate_document(text: &str) -> Result<(), String> {
 /// Bump when the shape of `BENCH_resilience.json` changes.
 pub const RESILIENCE_SCHEMA_VERSION: u64 = 1;
 
-/// What one `ld-loadgen --chaos` soak measured.
-#[derive(Debug, Clone)]
+/// What one `ld-loadgen --chaos` soak measured: the
+/// `BENCH_resilience.json` document.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ResilienceBenchReport {
+    /// [`RESILIENCE_SCHEMA_VERSION`].
+    pub schema_version: u64,
     /// `"smoke"` or `"full"`.
     pub mode: String,
     /// Load-schedule seed.
@@ -274,7 +183,7 @@ pub struct ResilienceBenchReport {
     /// Chaos events in the schedule.
     pub chaos_events: u64,
     /// FNV-1a digest of the chaos schedule spec.
-    pub schedule_digest: u64,
+    pub schedule_digest: HexDigest,
     /// Requests offered (baseline load + bursts).
     pub issued: u64,
     /// Requests answered with a response (any source).
@@ -310,168 +219,52 @@ pub struct ResilienceBenchReport {
     /// bitwise identical to the fault-free baseline run.
     pub isolation_clean: bool,
     /// FNV-1a digest over the chaos run's response stream.
-    pub response_digest: u64,
+    pub response_digest: HexDigest,
 }
 
 impl ResilienceBenchReport {
-    /// Assembles the stable JSON document.
-    pub fn to_document(&self) -> Value {
-        Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                Value::Uint(RESILIENCE_SCHEMA_VERSION),
-            ),
-            ("mode".to_string(), Value::String(self.mode.clone())),
-            ("seed".to_string(), Value::Uint(self.seed)),
-            ("chaos_seed".to_string(), Value::Uint(self.chaos_seed)),
-            ("tenants".to_string(), Value::Uint(self.tenants)),
-            ("ticks".to_string(), Value::Uint(self.ticks)),
-            ("families".to_string(), Value::Uint(self.families)),
-            ("chaos_events".to_string(), Value::Uint(self.chaos_events)),
-            (
-                "schedule_digest".to_string(),
-                Value::String(format!("{:016x}", self.schedule_digest)),
-            ),
-            ("issued".to_string(), Value::Uint(self.issued)),
-            ("answered".to_string(), Value::Uint(self.answered)),
-            ("shed".to_string(), Value::Uint(self.shed)),
-            ("availability".to_string(), Value::Float(self.availability)),
-            ("shed_rate".to_string(), Value::Float(self.shed_rate)),
-            ("p50_tick_ns".to_string(), Value::Uint(self.p50_tick_ns)),
-            ("p99_tick_ns".to_string(), Value::Uint(self.p99_tick_ns)),
-            (
-                "fallback_fraction".to_string(),
-                Value::Float(self.fallback_fraction),
-            ),
-            (
-                "expired_fraction".to_string(),
-                Value::Float(self.expired_fraction),
-            ),
-            ("breaker_trips".to_string(), Value::Uint(self.breaker_trips)),
-            ("retries".to_string(), Value::Uint(self.retries)),
-            ("deferrals".to_string(), Value::Uint(self.deferrals)),
-            ("shard_drains".to_string(), Value::Uint(self.shard_drains)),
-            ("recovery_ticks".to_string(), Value::Uint(self.recovery_ticks)),
-            ("quarantined".to_string(), Value::Uint(self.quarantined)),
-            ("isolation_clean".to_string(), Value::Bool(self.isolation_clean)),
-            (
-                "response_digest".to_string(),
-                Value::String(format!("{:016x}", self.response_digest)),
-            ),
-        ])
-    }
-}
-
-fn hex16(doc: &Value, key: &str) -> Result<(), String> {
-    let s = doc
-        .field(key)
-        .ok()
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{key} missing"))?;
-    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("{key} must be 16 hex chars, got {s:?}"));
-    }
-    Ok(())
-}
-
-/// Validates a serialized `BENCH_resilience.json`: structure plus the
-/// chaos-soak gates (availability, isolation). Returns the first violation.
-pub fn validate_resilience_document(text: &str) -> Result<(), String> {
-    let doc: Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let version = doc
-        .field("schema_version")
-        .ok()
-        .and_then(Value::as_u64)
-        .ok_or("schema_version missing or not an integer")?;
-    if version != RESILIENCE_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != expected {RESILIENCE_SCHEMA_VERSION}"
-        ));
-    }
-    let mode = doc
-        .field("mode")
-        .ok()
-        .and_then(Value::as_str)
-        .ok_or("mode missing")?;
-    if mode != "smoke" && mode != "full" {
-        return Err(format!("mode must be smoke|full, got {mode:?}"));
-    }
-    for key in [
-        "seed",
-        "chaos_seed",
-        "tenants",
-        "ticks",
-        "families",
-        "chaos_events",
-        "issued",
-        "answered",
-        "shed",
-        "p50_tick_ns",
-        "p99_tick_ns",
-        "breaker_trips",
-        "retries",
-        "deferrals",
-        "shard_drains",
-        "recovery_ticks",
-        "quarantined",
-    ] {
-        doc.field(key)
-            .ok()
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{key} missing or not an unsigned integer"))?;
-    }
-    let get = |key: &str| doc.field(key).ok().and_then(Value::as_u64).unwrap_or(0);
-    if get("families") != 5 {
-        return Err(format!("families must be 5 (Table I), got {}", get("families")));
-    }
-    if mode == "full" && get("tenants") < 2000 {
-        return Err(format!(
-            "full chaos soak must run >= 2000 tenants, got {}",
-            get("tenants")
-        ));
-    }
-    if get("chaos_events") == 0 {
-        return Err("chaos_events must be positive (a soak without chaos proves nothing)".into());
-    }
-    if get("answered") + get("shed") != get("issued") {
-        return Err(format!(
-            "answered {} + shed {} != issued {} (requests unaccounted for)",
-            get("answered"),
-            get("shed"),
-            get("issued")
-        ));
-    }
-    if get("p99_tick_ns") < get("p50_tick_ns") {
-        return Err(format!(
-            "p99_tick_ns {} < p50_tick_ns {}",
-            get("p99_tick_ns"),
-            get("p50_tick_ns")
-        ));
-    }
-    for key in ["availability", "shed_rate", "fallback_fraction", "expired_fraction"] {
-        let v = doc
-            .field(key)
-            .ok()
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{key} missing or not a number"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{key} must be in [0, 1], got {v}"));
+    /// Reads a `BENCH_resilience.json`: structure plus the chaos-soak gates
+    /// (availability, isolation). Returns the first violation.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let r: ResilienceBenchReport = parse_versioned(text, RESILIENCE_SCHEMA_VERSION)?;
+        check_mode_and_families(&r.mode, r.families)?;
+        if r.mode == "full" && r.tenants < 2000 {
+            return Err(format!(
+                "full chaos soak must run >= 2000 tenants, got {}",
+                r.tenants
+            ));
         }
-    }
-    let availability = doc.field("availability").ok().and_then(Value::as_f64).unwrap_or(0.0);
-    if availability < 0.99 {
-        return Err(format!("availability {availability} below the 0.99 gate"));
-    }
-    match doc.field("isolation_clean").ok().and_then(Value::as_bool) {
-        Some(true) => {}
-        Some(false) => {
-            return Err("isolation_clean is false: a faulted tenant perturbed a neighbor".into())
+        if r.chaos_events == 0 {
+            return Err(
+                "chaos_events must be positive (a soak without chaos proves nothing)".into(),
+            );
         }
-        None => return Err("isolation_clean missing or not a bool".into()),
+        if r.answered.checked_add(r.shed) != Some(r.issued) {
+            return Err(format!(
+                "answered {} + shed {} != issued {} (requests unaccounted for)",
+                r.answered, r.shed, r.issued
+            ));
+        }
+        if r.p99_tick_ns < r.p50_tick_ns {
+            return Err(format!(
+                "p99_tick_ns {} < p50_tick_ns {}",
+                r.p99_tick_ns, r.p50_tick_ns
+            ));
+        }
+        check_fractions(&[
+            ("availability", r.availability),
+            ("shed_rate", r.shed_rate),
+            ("fallback_fraction", r.fallback_fraction),
+            ("expired_fraction", r.expired_fraction),
+        ])?;
+        if r.availability < 0.99 {
+            return Err(format!("availability {} below the 0.99 gate", r.availability));
+        }
+        if !r.isolation_clean {
+            return Err("isolation_clean is false: a faulted tenant perturbed a neighbor".into());
+        }
+        Ok(r)
     }
-    hex16(&doc, "schedule_digest")?;
-    hex16(&doc, "response_digest")?;
-    Ok(())
 }
 
 /// Integer percentile over raw nanosecond samples: sorts, then takes the
@@ -488,8 +281,13 @@ pub fn percentile_ns(samples: &mut [u64], p: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn to_json(report: &impl serde::Serialize) -> String {
+        serde_json::to_string_pretty(report).expect("serialize")
+    }
+
     fn report() -> ServeBenchReport {
         ServeBenchReport {
+            schema_version: SERVE_SCHEMA_VERSION,
             mode: "smoke".into(),
             seed: 42,
             tenants: 24,
@@ -505,38 +303,38 @@ mod tests {
             speedup_batched_vs_serial: 2.22,
             shed_rate: 0.25,
             cache_hit_rate: 0.5,
-            response_digest: 0xdead_beef_0123_4567,
+            response_digest: HexDigest(0xdead_beef_0123_4567),
             slo_target: 0.99,
             slo_availability: 1.0,
             slo_budget_remaining: 1.0,
             slo_alerts: 0,
             latency_histogram: vec![
-                HistogramBucket { lo: 896, hi: 1023, count: 4 },
-                HistogramBucket { lo: 1792, hi: 2047, count: 2 },
+                LatencyBucket { lo_ns: 896, hi_ns: 1023, count: 4 },
+                LatencyBucket { lo_ns: 1792, hi_ns: 2047, count: 2 },
             ],
         }
     }
 
     #[test]
     fn document_roundtrips_and_validates() {
-        let text = serde_json::to_string_pretty(&report().to_document()).expect("serialize");
-        validate_document(&text).expect("valid document");
+        ServeBenchReport::parse(&to_json(&report())).expect("valid document");
     }
 
     #[test]
     fn validation_rejects_schema_violations() {
-        assert!(validate_document("{\"schema_version\": 9}")
+        let parse = ServeBenchReport::parse;
+        assert!(parse("{\"schema_version\": 9}")
             .unwrap_err()
             .contains("schema_version"));
 
         let bad_rate = text_with(|r| r.shed_rate = 1.5, |t| t);
-        assert!(validate_document(&bad_rate).unwrap_err().contains("shed_rate"));
+        assert!(parse(&bad_rate).unwrap_err().contains("shed_rate"));
 
         let bad_speedup = text_with(|r| r.speedup_batched_vs_serial = -1.0, |t| t);
-        assert!(validate_document(&bad_speedup).unwrap_err().contains("speedup"));
+        assert!(parse(&bad_speedup).unwrap_err().contains("speedup"));
 
         let bad_families = text_with(|r| r.families = 4, |t| t);
-        assert!(validate_document(&bad_families).unwrap_err().contains("families"));
+        assert!(parse(&bad_families).unwrap_err().contains("families"));
 
         let inverted = text_with(
             |r| {
@@ -546,40 +344,44 @@ mod tests {
             },
             |t| t,
         );
-        assert!(validate_document(&inverted).unwrap_err().contains("ordered"));
+        assert!(parse(&inverted).unwrap_err().contains("ordered"));
 
         let bad_target = text_with(|r| r.slo_target = 1.0, |t| t);
-        assert!(validate_document(&bad_target).unwrap_err().contains("slo_target"));
+        assert!(parse(&bad_target).unwrap_err().contains("slo_target"));
 
         let bad_budget = text_with(|r| r.slo_budget_remaining = -0.1, |t| t);
-        assert!(validate_document(&bad_budget)
+        assert!(parse(&bad_budget)
             .unwrap_err()
             .contains("slo_budget_remaining"));
 
         let no_buckets = text_with(|r| r.latency_histogram.clear(), |t| t);
-        assert!(validate_document(&no_buckets)
+        assert!(parse(&no_buckets)
             .unwrap_err()
             .contains("latency_histogram"));
 
         let short_histogram = text_with(|r| r.latency_histogram[0].count = 3, |t| t);
-        assert!(validate_document(&short_histogram)
+        assert!(parse(&short_histogram)
             .unwrap_err()
             .contains("counts sum"));
 
-        let overlapping = text_with(|r| r.latency_histogram[1].lo = 900, |t| t);
-        assert!(validate_document(&overlapping)
+        let overlapping = text_with(|r| r.latency_histogram[1].lo_ns = 900, |t| t);
+        assert!(parse(&overlapping)
             .unwrap_err()
             .contains("disjoint"));
+
+        let bad_digest = text_with(|_| {}, |t| t.replace("deadbeef01234567", "deadbeef0123456"));
+        assert!(parse(&bad_digest).unwrap_err().contains("response_digest"));
     }
 
     fn text_with(tweak: impl FnOnce(&mut ServeBenchReport), post: impl FnOnce(String) -> String) -> String {
         let mut r = report();
         tweak(&mut r);
-        post(serde_json::to_string_pretty(&r.to_document()).expect("serialize"))
+        post(to_json(&r))
     }
 
     fn resilience_report() -> ResilienceBenchReport {
         ResilienceBenchReport {
+            schema_version: RESILIENCE_SCHEMA_VERSION,
             mode: "smoke".into(),
             seed: 42,
             chaos_seed: 1337,
@@ -587,7 +389,7 @@ mod tests {
             ticks: 12,
             families: 5,
             chaos_events: 9,
-            schedule_digest: 0x1111_2222_3333_4444,
+            schedule_digest: HexDigest(0x1111_2222_3333_4444),
             issued: 520,
             answered: 500,
             shed: 20,
@@ -604,15 +406,13 @@ mod tests {
             recovery_ticks: 4,
             quarantined: 2,
             isolation_clean: true,
-            response_digest: 0xfeed_f00d_0000_1111,
+            response_digest: HexDigest(0xfeed_f00d_0000_1111),
         }
     }
 
     #[test]
     fn resilience_document_roundtrips_and_validates() {
-        let text =
-            serde_json::to_string_pretty(&resilience_report().to_document()).expect("serialize");
-        validate_resilience_document(&text).expect("valid document");
+        ResilienceBenchReport::parse(&to_json(&resilience_report())).expect("valid document");
     }
 
     #[test]
@@ -620,24 +420,53 @@ mod tests {
         let with = |tweak: fn(&mut ResilienceBenchReport)| -> String {
             let mut r = resilience_report();
             tweak(&mut r);
-            serde_json::to_string_pretty(&r.to_document()).expect("serialize")
+            to_json(&r)
         };
-        let err = validate_resilience_document(&with(|r| r.availability = 0.9)).unwrap_err();
+        let parse = ResilienceBenchReport::parse;
+        let err = parse(&with(|r| r.availability = 0.9)).unwrap_err();
         assert!(err.contains("availability"), "{err}");
-        let err = validate_resilience_document(&with(|r| r.isolation_clean = false)).unwrap_err();
+        let err = parse(&with(|r| r.isolation_clean = false)).unwrap_err();
         assert!(err.contains("isolation"), "{err}");
-        let err = validate_resilience_document(&with(|r| r.chaos_events = 0)).unwrap_err();
+        let err = parse(&with(|r| r.chaos_events = 0)).unwrap_err();
         assert!(err.contains("chaos_events"), "{err}");
-        let err = validate_resilience_document(&with(|r| r.shed = 1)).unwrap_err();
+        let err = parse(&with(|r| r.shed = 1)).unwrap_err();
         assert!(err.contains("unaccounted"), "{err}");
-        let err = validate_resilience_document(&with(|r| {
+        let err = parse(&with(|r| {
             r.mode = "full".into();
             // availability/shed arithmetic untouched: tenants gate fires.
             r.tenants = 100;
         }))
         .unwrap_err();
         assert!(err.contains("2000"), "{err}");
-        assert!(validate_resilience_document("{\"schema_version\": 7}").is_err());
+        assert!(parse("{\"schema_version\": 7}").is_err());
+    }
+
+    #[test]
+    fn readers_reject_every_broken_key() {
+        let doc = |text: String| serde_json::from_str(&text).expect("a valid document");
+        let serve = ld_telemetry::document::rejects_broken_keys(
+            &doc(to_json(&report())),
+            ServeBenchReport::parse,
+        );
+        assert_eq!(serve, Ok(47));
+        let resilience = ld_telemetry::document::rejects_broken_keys(
+            &doc(to_json(&resilience_report())),
+            ResilienceBenchReport::parse,
+        );
+        assert_eq!(resilience, Ok(48));
+    }
+
+    /// The hand-built writers these types replaced wrote the committed
+    /// documents: reading one and writing it again gives back its bytes.
+    #[test]
+    fn committed_documents_read_back_byte_for_byte() {
+        let serve = include_str!("../../../BENCH_serve.json");
+        let report = ServeBenchReport::parse(serve).expect("committed BENCH_serve.json");
+        assert_eq!(to_json(&report) + "\n", serve);
+        let resilience = include_str!("../../../BENCH_resilience.json");
+        let report =
+            ResilienceBenchReport::parse(resilience).expect("committed BENCH_resilience.json");
+        assert_eq!(to_json(&report) + "\n", resilience);
     }
 
     #[test]

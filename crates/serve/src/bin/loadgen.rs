@@ -9,8 +9,10 @@
 //!    once on the retained per-tenant serial path, once on the fused
 //!    batched path — and the speedup between the two is the headline
 //!    number. Every serial/batched response pair must carry the same value
-//!    bits before any timing is trusted: both paths run the forward
-//!    training and validation run.
+//!    bits and the same degraded flag before any timing is trusted: both
+//!    paths run the forward training and validation run. A clean run must
+//!    degrade no answer; under an `LD_FAULT` plan a lane poisoned on every
+//!    retry is answered from the fallback.
 //! 3. **Determinism**: two identically-seeded traced runs must produce
 //!    bitwise-identical response streams (FNV digest), identical logical
 //!    span trees and byte-identical events snapshots; an untraced third
@@ -23,10 +25,11 @@
 //!
 //! Modes: full (default, writes `BENCH_serve.json` + a provenance
 //! manifest) and `--smoke` (tiny counts, all checks, writes nothing unless
-//! `--out` is given — wired into `scripts/ci.sh`). `--check PATH` validates
-//! an existing document against the schema, then replays its batched pass
-//! (the document's seed, tenants, ticks and mode) and exits non-zero unless
-//! that recomputes the committed `response_digest` bit for bit.
+//! `--out` is given — wired into `scripts/ci.sh`). `--check PATH` reads an
+//! existing document into its report type, schema checks included, then
+//! replays its batched pass (the document's seed, tenants, ticks and mode)
+//! and exits non-zero unless that recomputes the committed
+//! `response_digest` bit for bit.
 //! `--check-resilience PATH` does the same for a `BENCH_resilience.json`
 //! document, replaying its first chaos pass (seed, chaos seed, tenants,
 //! ticks and mode).
@@ -58,21 +61,22 @@ use std::path::PathBuf;
 // are all seed/occupancy-derived).
 use std::time::Instant;
 
+use ld_api::stats::count_to_f64;
 use ld_api::MinMaxScaler;
 use ld_faultinject::chaos::ChaosSchedule;
-use ld_faultinject::FaultPlan;
+use ld_faultinject::{splitmix64, FaultPlan};
 use ld_metrics::{SloConfig, SloTracker, SpanProfile};
 use ld_nn::{
     make_windows, Adam, AdamConfig, ForecasterConfig, LstmForecaster, TrainOptions, Trainer,
 };
 use ld_serve::{
-    percentile_ns, response_digest, validate_document, validate_resilience_document, ClientKey,
-    EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot, RegistryConfig, Request,
-    ResilienceBenchReport, Response, ServeEngine, ServeBenchReport, ServeStats, SnapshotStore,
-    SupervisorConfig,
+    percentile_ns, response_digest, ClientKey, EngineConfig, ExecMode, LatencyBucket,
+    LifecycleConfig, ModelSnapshot, RegistryConfig, Request, ResilienceBenchReport, Response,
+    ServeEngine, ServeBenchReport, ServeStats, SnapshotStore, SupervisorConfig,
+    RESILIENCE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION,
 };
 use ld_telemetry::artifacts::{dump_trace, trace_from_env};
-use ld_telemetry::{validate_chrome_trace, Artifact, Histogram, RunManifest, Tracer};
+use ld_telemetry::{validate_chrome_trace, Artifact, HexDigest, Histogram, RunManifest, Tracer};
 use ld_traces::{TraceConfig, WorkloadKind};
 
 /// Observations each tenant has accumulated before the first tick.
@@ -250,9 +254,15 @@ fn dump_traced_pass(tracer: &Tracer, trace_out: &Option<String>, manifest: RunMa
     );
 }
 
-/// Shared `--check*` handler: validate `path` with `validate`, report, and
-/// produce the process exit code.
-fn check_document(path: &str, validate: fn(&str) -> Result<(), String>, what: &str) -> i32 {
+/// `--check` / `--check-resilience`: reads the document (schema checks
+/// included), then replays the pass its `response_digest` comes from (a
+/// `BENCH_serve.json`'s batched pass, a `BENCH_resilience.json`'s first
+/// chaos pass) with the document's seed, tenants, ticks and mode, and its
+/// chaos seed. The digest hashes every answer's bits, so a match proves
+/// training, the fault schedule and serving still compute what the
+/// document was generated from.
+fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
+    let what = if chaos { "BENCH_resilience" } else { "BENCH_serve" };
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -260,54 +270,35 @@ fn check_document(path: &str, validate: fn(&str) -> Result<(), String>, what: &s
             return 2;
         }
     };
-    match validate(&text) {
-        Ok(()) => {
-            println!("{path}: valid {what} document");
-            0
-        }
+    // The settings the pass is replayed with, and the digest it must give.
+    let read = if chaos {
+        ResilienceBenchReport::parse(&text)
+            .map(|r| (r.mode, r.seed, r.tenants, r.ticks, r.chaos_seed, r.response_digest))
+    } else {
+        ServeBenchReport::parse(&text)
+            .map(|r| (r.mode, r.seed, r.tenants, r.ticks, 0, r.response_digest))
+    };
+    let (mode, seed, tenants, ticks, chaos_seed, want) = match read {
+        Ok(read) => read,
         Err(why) => {
             eprintln!("{path}: INVALID {what} document: {why}");
-            2
+            return 2;
         }
-    }
-}
-
-/// `--check` / `--check-resilience`: the schema check, then a replay of the
-/// pass the document's `response_digest` comes from (a `BENCH_serve.json`'s
-/// batched pass, a `BENCH_resilience.json`'s first chaos pass) with the
-/// document's seed, tenants, ticks and mode, and its chaos seed. The digest
-/// hashes every answer's bits, so a match proves training, the fault
-/// schedule and serving still compute what the document was generated from.
-fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
-    let code = if chaos {
-        check_document(path, validate_resilience_document, "BENCH_resilience")
-    } else {
-        check_document(path, validate_document, "BENCH_serve")
     };
-    if code != 0 {
-        return code;
-    }
-    // The schema check read and validated these fields.
-    let text = std::fs::read_to_string(path).expect("document was just read");
-    let doc: serde::Value = serde_json::from_str(&text).expect("document was just parsed");
-    let field = |key: &str| doc.field(key).expect("validated field");
-    let int = |key: &str| field(key).as_u64().expect("validated integer");
-    let count = |key: &str| usize::try_from(int(key)).expect("count fits usize");
-    let mode = field("mode").as_str().expect("validated mode");
-    let want = field("response_digest").as_str().expect("validated digest");
+    let count = |n: u64| usize::try_from(n).expect("count fits usize");
     let cfg = Cfg {
         smoke: mode == "smoke",
         chaos,
         top: false,
-        tenants: count("tenants"),
-        ticks: count("ticks"),
-        seed: int("seed"),
-        chaos_seed: if chaos { int("chaos_seed") } else { 0 },
+        tenants: count(tenants),
+        ticks: count(ticks),
+        seed,
+        chaos_seed,
         out: None,
         store_root,
         faults: FaultPlan::disarmed(),
     };
-    assert_eq!(count("families"), WorkloadKind::ALL.len(), "validated family count");
+    println!("{path}: valid {what} document");
     println!(
         "{path}: replaying the {} ({} tenants x {} ticks, {mode}, seed {}{})",
         if chaos { "first chaos pass" } else { "batched pass" },
@@ -335,7 +326,7 @@ fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
         let mut engine = batched_engine(&cfg, &tenants, &families, Tracer::disabled());
         run_pass(&mut engine, &tenants, cfg.ticks, history_len, None, 0).responses
     };
-    let got = format!("{:016x}", response_digest(&responses));
+    let got = HexDigest(response_digest(&responses));
     if got == want {
         println!("{path}: response_digest {got} recomputed bit for bit");
         0
@@ -343,14 +334,6 @@ fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
         eprintln!("{path}: response_digest MISMATCH: document {want}, replay {got}");
         1
     }
-}
-
-/// Splitmix64: expands a tenant index into decorrelated jitter bits.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Uniform in `[0, 1)` from the top 32 bits (u32 -> f64 is exact).
@@ -647,8 +630,11 @@ fn main() {
             s.value,
             b.value
         );
+        // Under an armed plan a lane poisoned on every retry is answered
+        // from the fallback, and both passes poison the same lanes.
+        assert_eq!(s.degraded, b.degraded, "serial vs batched degraded differ for id {}", s.id);
         assert!(
-            !s.degraded && !b.degraded,
+            cfg.faults.is_armed() || !b.degraded,
             "throughput pass degraded id {}",
             s.id
         );
@@ -797,7 +783,7 @@ fn main() {
         }
         let responses = cache_engine.tick();
         assert!(
-            responses.iter().all(|r| !r.degraded),
+            cfg.faults.is_armed() || responses.iter().all(|r| !r.degraded),
             "cache pass degraded a tenant"
         );
     }
@@ -833,9 +819,15 @@ fn main() {
     for &ns in &batched.tick_ns {
         tick_histogram.record(ns);
     }
-    let latency_histogram = tick_histogram.snapshot("loadgen.tick_ns").buckets;
+    let latency_histogram = tick_histogram
+        .snapshot("loadgen.tick_ns")
+        .buckets
+        .iter()
+        .map(|b| LatencyBucket { lo_ns: b.lo, hi_ns: b.hi, count: b.count })
+        .collect();
     let slo_status = slo.status();
     let report = ServeBenchReport {
+        schema_version: SERVE_SCHEMA_VERSION,
         mode: if cfg.smoke { "smoke" } else { "full" }.to_string(),
         seed: cfg.seed,
         tenants: cfg.tenants as u64,
@@ -851,15 +843,15 @@ fn main() {
         speedup_batched_vs_serial: speedup,
         shed_rate,
         cache_hit_rate,
-        response_digest: bench_digest,
+        response_digest: HexDigest(bench_digest),
         slo_target: slo_status.target,
         slo_availability: slo_status.availability,
         slo_budget_remaining: slo_status.budget_remaining,
         slo_alerts: slo_status.alerts,
         latency_histogram,
     };
-    let text = serde_json::to_string_pretty(&report.to_document()).expect("serialize document");
-    validate_document(&text).expect("generated document must validate");
+    let text = serde_json::to_string_pretty(&report).expect("serialize document");
+    ServeBenchReport::parse(&text).expect("generated document must validate");
     println!(
         "summary: p50 {}us p99 {}us per tick, {:.0} req/s, speedup {:.2}x",
         p50 / 1000,
@@ -1244,6 +1236,7 @@ fn run_chaos_soak(
     let degraded_answers = p0.responses.iter().filter(|r| r.degraded).count() as u64;
     let mut tick_ns = p0.tick_ns.clone();
     let report = ResilienceBenchReport {
+        schema_version: RESILIENCE_SCHEMA_VERSION,
         mode: if cfg.smoke { "smoke" } else { "full" }.to_string(),
         seed: cfg.seed,
         chaos_seed: cfg.chaos_seed,
@@ -1251,7 +1244,7 @@ fn run_chaos_soak(
         ticks: cfg.ticks as u64,
         families: WorkloadKind::ALL.len() as u64,
         chaos_events: schedule.events().len() as u64,
-        schedule_digest: schedule.digest(),
+        schedule_digest: HexDigest(schedule.digest()),
         issued: p0.issued,
         answered,
         shed: p0.shed,
@@ -1268,10 +1261,10 @@ fn run_chaos_soak(
         recovery_ticks: lifecycle.worst_recovery_ticks,
         quarantined: p0.quarantined,
         isolation_clean,
-        response_digest: digest,
+        response_digest: HexDigest(digest),
     };
-    let text = serde_json::to_string_pretty(&report.to_document()).expect("serialize document");
-    validate_resilience_document(&text).expect("generated document must validate");
+    let text = serde_json::to_string_pretty(&report).expect("serialize document");
+    ResilienceBenchReport::parse(&text).expect("generated document must validate");
     println!(
         "chaos soak: availability {:.4} ({} answered + {} shed of {} issued), \
          {} isolated answers verified bit-identical",
@@ -1336,10 +1329,4 @@ fn fraction(a: u64, b: u64) -> f64 {
 /// Requests per second.
 fn fraction_scaled(requests: u64, secs: f64) -> f64 {
     count_to_f64(requests) / secs.max(1e-12)
-}
-
-fn count_to_f64(v: u64) -> f64 {
-    let hi = u32::try_from(v >> 32).expect("count fits u64");
-    let lo = u32::try_from(v & 0xffff_ffff).expect("masked to 32 bits");
-    f64::from(hi) * 4_294_967_296.0 + f64::from(lo)
 }

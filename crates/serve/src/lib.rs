@@ -26,7 +26,7 @@
 //! - [`supervisor`]: per-shard health tracking that drains and restarts
 //!   unhealthy shards from durable snapshot state;
 //! - [`bench`]: the stable `BENCH_serve.json` / `BENCH_resilience.json`
-//!   schemas written by the `ld-loadgen` binary, plus their validators.
+//!   report types the `ld-loadgen` binary writes and reads back.
 //!
 //! Everything downstream of the request sequence is deterministic: shard
 //! placement and batch composition derive from keys and seeds — never from
@@ -48,8 +48,8 @@ pub mod supervisor;
 
 pub use admission::{AdmissionQueue, AdmissionStats, Request};
 pub use bench::{
-    percentile_ns, validate_document, validate_resilience_document, ResilienceBenchReport,
-    ServeBenchReport, RESILIENCE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION,
+    percentile_ns, LatencyBucket, ResilienceBenchReport, ServeBenchReport,
+    RESILIENCE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION,
 };
 pub use engine::{
     response_digest, EngineConfig, ExecMode, LifecycleConfig, LifecycleStats, Response,

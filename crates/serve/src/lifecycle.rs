@@ -29,6 +29,8 @@
 
 use std::collections::BTreeMap;
 
+use ld_faultinject::splitmix64;
+
 /// Breaker tuning knobs (all in consecutive events / logical ticks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
@@ -212,13 +214,6 @@ impl Default for RetryPolicy {
             jitter_ticks: 1,
         }
     }
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

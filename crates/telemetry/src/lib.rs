@@ -50,11 +50,13 @@
 #![deny(rust_2018_idioms)]
 
 pub mod artifacts;
+pub mod document;
 pub mod histogram;
 pub mod manifest;
 pub mod trace;
 
 pub use artifacts::{write_trace_artifacts, Artifact};
+pub use document::{parse_versioned, HexDigest};
 pub use histogram::{Histogram, HistogramBucket, HistogramSnapshot};
 pub use manifest::{ManifestEntry, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use trace::{

@@ -442,40 +442,27 @@ impl TraceSnapshot {
     /// complete `ph:"X"` events), loadable in Perfetto / `chrome://tracing`.
     /// Timestamps are microseconds since the tracer epoch.
     pub fn to_chrome_trace(&self) -> String {
-        use serde::Value;
-        let events: Vec<Value> = self
-            .spans
-            .iter()
-            .map(|s| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(s.leaf())),
-                    ("cat".to_string(), Value::String("ld-trace".to_string())),
-                    ("ph".to_string(), Value::String("X".to_string())),
-                    ("ts".to_string(), Value::Float(s.start_ns as f64 / 1e3)),
-                    ("dur".to_string(), Value::Float(s.dur_ns as f64 / 1e3)),
-                    ("pid".to_string(), Value::Uint(1)),
-                    ("tid".to_string(), Value::Uint(s.tid)),
-                    (
-                        "args".to_string(),
-                        Value::Object(vec![
-                            ("path".to_string(), Value::String(s.path_string())),
-                            (
-                                "depth".to_string(),
-                                Value::Uint(s.path.len() as u64),
-                            ),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Value::Object(vec![
-            (
-                "displayTimeUnit".to_string(),
-                Value::String("ms".to_string()),
-            ),
-            ("traceEvents".to_string(), Value::Array(events)),
-        ]);
-        serde_json::to_string_pretty(&doc).expect("chrome trace serialization")
+        let trace = ChromeTrace {
+            displayTimeUnit: "ms".to_string(),
+            traceEvents: self
+                .spans
+                .iter()
+                .map(|s| ChromeEvent {
+                    name: s.leaf(),
+                    cat: "ld-trace".to_string(),
+                    ph: "X".to_string(),
+                    ts: s.start_ns as f64 / 1e3,
+                    dur: s.dur_ns as f64 / 1e3,
+                    pid: 1,
+                    tid: s.tid,
+                    args: ChromeArgs {
+                        path: s.path_string(),
+                        depth: s.path.len() as u64,
+                    },
+                })
+                .collect(),
+        };
+        serde_json::to_string_pretty(&trace).expect("chrome trace serialization")
     }
 
     /// Folded-stack flamegraph text: one `seg;seg;seg <self-µs>` line per
@@ -508,46 +495,60 @@ impl TraceSnapshot {
     }
 }
 
+/// The Chrome trace-event document [`TraceSnapshot::to_chrome_trace`]
+/// writes; its keys are the format's own.
+#[derive(serde::Serialize, serde::Deserialize)]
+#[allow(non_snake_case)]
+struct ChromeTrace {
+    displayTimeUnit: String,
+    traceEvents: Vec<ChromeEvent>,
+}
+
+/// One span as a complete event: its leaf name, its interval in
+/// microseconds, and its whole path as the `args.path` breadcrumb.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct ChromeEvent {
+    name: String,
+    cat: String,
+    ph: String,
+    ts: f64,
+    dur: f64,
+    pid: u64,
+    tid: u64,
+    args: ChromeArgs,
+}
+
+/// An event's `args`: the span's whole path and its depth.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct ChromeArgs {
+    path: String,
+    depth: u64,
+}
+
 /// Validates Chrome trace-event JSON as produced by
-/// [`TraceSnapshot::to_chrome_trace`]: a `traceEvents` array of complete
-/// (`ph:"X"`) events, each carrying `name`/`ts`/`dur`/`pid`/`tid` and an
-/// `args.path` breadcrumb. Returns the event count.
+/// [`TraceSnapshot::to_chrome_trace`]: a non-empty `traceEvents` array of
+/// complete (`ph:"X"`) events with non-negative `ts` and `dur` and a
+/// non-empty `args.path` breadcrumb. Returns the event count.
 pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
-    use serde::Value;
-    let doc: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let events = doc
-        .get("traceEvents")
-        .ok_or("missing traceEvents")?
-        .as_array()
-        .ok_or("traceEvents is not an array")?;
-    if events.is_empty() {
+    let trace: ChromeTrace =
+        serde_json::from_str(json).map_err(|e| format!("not a Chrome trace: {e}"))?;
+    if trace.traceEvents.is_empty() {
         return Err("traceEvents is empty".into());
     }
-    for (i, event) in events.iter().enumerate() {
-        for key in ["name", "ph", "ts", "dur", "pid", "tid", "args"] {
-            if event.get(key).is_none() {
-                return Err(format!("event {i} missing field `{key}`"));
-            }
-        }
-        if event.get("ph").and_then(Value::as_str) != Some("X") {
+    for (i, event) in trace.traceEvents.iter().enumerate() {
+        if event.ph != "X" {
             return Err(format!("event {i} is not a complete (ph=X) event"));
         }
-        for key in ["ts", "dur"] {
-            let ok = event.get(key).and_then(Value::as_f64).is_some_and(|v| v >= 0.0);
-            if !ok {
+        for (key, v) in [("ts", event.ts), ("dur", event.dur)] {
+            if v.is_nan() || v < 0.0 {
                 return Err(format!("event {i} has a non-numeric or negative `{key}`"));
             }
         }
-        let path = event
-            .get("args")
-            .and_then(|a| a.get("path"))
-            .and_then(Value::as_str);
-        match path {
-            Some(p) if !p.is_empty() => {}
-            _ => return Err(format!("event {i} missing args.path breadcrumb")),
+        if event.args.path.is_empty() {
+            return Err(format!("event {i} missing args.path breadcrumb"));
         }
     }
-    Ok(events.len())
+    Ok(trace.traceEvents.len())
 }
 
 /// Validates folded-stack flamegraph text as produced by
@@ -736,6 +737,49 @@ mod tests {
         }
         assert_eq!(events[1]["name"].as_str(), Some("inner#2"));
         assert_eq!(events[1]["args"]["path"].as_str(), Some("outer/inner#2"));
+    }
+
+    /// What the hand-built writer this exporter replaced wrote for a
+    /// `search/iter#3` span of 987 ns that started 1,234,567 ns in.
+    const CHROME_TEXT: &str = r#"{
+  "displayTimeUnit": "ms",
+  "traceEvents": [
+    {
+      "name": "iter#3",
+      "cat": "ld-trace",
+      "ph": "X",
+      "ts": 1234.567,
+      "dur": 0.987,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "path": "search/iter#3",
+        "depth": 2
+      }
+    }
+  ]
+}"#;
+
+    #[test]
+    fn chrome_trace_serializes_as_before_and_validates() {
+        let seg = |name: &str, index| Seg {
+            name: name.into(),
+            index,
+        };
+        let snap = TraceSnapshot {
+            spans: vec![SpanRecord {
+                path: vec![seg("search", 0), seg("iter", 3)],
+                start_ns: 1_234_567,
+                dur_ns: 987,
+                tid: 1,
+            }],
+        };
+        let text = snap.to_chrome_trace();
+        assert_eq!(text, CHROME_TEXT);
+        assert_eq!(validate_chrome_trace(&text), Ok(1));
+        let doc = serde_json::from_str(&text).expect("a valid trace");
+        let broken = crate::document::rejects_broken_keys(&doc, validate_chrome_trace);
+        assert_eq!(broken, Ok(17));
     }
 
     #[test]

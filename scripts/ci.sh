@@ -3,13 +3,13 @@
 # the ld-e2e benchmark's smoke suite, the ld-perfbench regression gate on
 # one CPU (bench schema check + per-row cost gate), the loadgen replays
 # (a traced smoke run whose trace, events, manifest and Prometheus
-# exposition must validate, and the response digests of BENCH_serve.json
-# and BENCH_resilience.json recomputed), a traced `ld-cli optimize --fast`
-# whose events must not change between one CPU and all, the ld-lint
-# static-analysis gate (schema v3 report left in target/lint-report.json
-# and validated, plus the zero-edit --fix --dry-run check), and a
-# warning-free clippy pass over every target (tests, examples and benches
-# included).
+# exposition must validate and whose BENCH_serve document must read back,
+# and the response digests of BENCH_serve.json and BENCH_resilience.json
+# recomputed), a traced `ld-cli optimize --fast` whose events must not
+# change between one CPU and all, the ld-lint static-analysis gate
+# (schema v3 report left in target/lint-report.json and validated, plus
+# the zero-edit --fix --dry-run check), and a warning-free clippy pass
+# over every target (tests, examples and benches included).
 # Run from the repository root:
 #
 #     ./scripts/ci.sh
@@ -54,16 +54,19 @@ taskset -c "$first_cpu" cargo run -q --release -p ld-perfbench -- --compare BENC
 echo "=== ld-loadgen --smoke (serve replay: equivalence, determinism, shed, cache, traced artifact set) ==="
 mkdir -p target
 rm -f target/ci-serve.json target/ci-serve.json.folded target/ci-serve.json.events.json \
-    target/ci-serve.json.manifest.json target/ci-serve.json.prom
-LD_TRACE=target/ci-serve.json cargo run -q --release -p ld-serve --bin ld-loadgen -- --smoke
+    target/ci-serve.json.manifest.json target/ci-serve.json.prom \
+    target/ci-serve-doc.json target/ci-serve-doc.json.manifest.json
+LD_TRACE=target/ci-serve.json cargo run -q --release -p ld-serve --bin ld-loadgen -- --smoke \
+    --out target/ci-serve-doc.json
 # The batched pass ran traced: its events file carries the engine's serve.*
 # series, and the manifest lists the exposition, so trace-validate checks
 # all five files and the manifest's totals.
 test -s target/ci-serve.json.events.json || { echo "ci.sh: ld-loadgen wrote no events file" >&2; exit 1; }
 cargo run -q --release --bin ld-cli -- trace-validate target/ci-serve.json target/ci-serve.json.manifest.json
-# Replays BENCH_serve.json's batched pass (its seed, tenants, ticks and mode)
-# and fails unless that recomputes the committed response_digest: training
-# and batched serving must stay bitwise.
+# Each reads the document back into its report type, replays its batched
+# pass (its seed, tenants, ticks and mode) and fails unless that recomputes
+# its response_digest: training and batched serving must stay bitwise.
+cargo run -q --release -p ld-serve --bin ld-loadgen -- --check target/ci-serve-doc.json
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check BENCH_serve.json
 
 echo "=== ld-loadgen --chaos --smoke (chaos soak: availability, isolation, determinism) ==="
