@@ -58,15 +58,17 @@ pub struct AdmissionStats {
     pub peak_depth: usize,
 }
 
-/// A bounded FIFO of pending requests.
+/// A bounded FIFO of pending requests: [`Request`]s, or whatever item the
+/// owner queues a request as (the engine queues each with its interned
+/// tenant and submit tick).
 #[derive(Debug)]
-pub struct AdmissionQueue {
+pub struct AdmissionQueue<T = Request> {
     capacity: usize,
-    queue: VecDeque<Request>,
+    queue: VecDeque<T>,
     stats: AdmissionStats,
 }
 
-impl AdmissionQueue {
+impl<T> AdmissionQueue<T> {
     /// Builds an empty queue holding at most `capacity` requests.
     ///
     /// # Panics
@@ -97,7 +99,7 @@ impl AdmissionQueue {
 
     /// Offers a request. `Err` returns the request to the caller: it was
     /// shed because the queue is at its bound.
-    pub fn offer(&mut self, req: Request) -> Result<(), Request> {
+    pub fn offer(&mut self, req: T) -> Result<(), T> {
         if self.queue.len() >= self.capacity {
             self.stats.shed += 1;
             return Err(req);
@@ -109,8 +111,8 @@ impl AdmissionQueue {
     }
 
     /// Takes every pending request, in admission order.
-    pub fn drain(&mut self) -> Vec<Request> {
-        self.queue.drain(..).collect()
+    pub fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, T> {
+        self.queue.drain(..)
     }
 }
 
@@ -141,7 +143,7 @@ mod tests {
         for id in [5, 1, 9] {
             q.offer(req(id)).expect("admit");
         }
-        let ids: Vec<u64> = q.drain().iter().map(|r| r.id).collect();
+        let ids: Vec<u64> = q.drain().map(|r| r.id).collect();
         assert_eq!(ids, vec![5, 1, 9]);
         assert_eq!(q.depth(), 0);
         // Capacity frees up after a drain.

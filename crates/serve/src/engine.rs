@@ -2,11 +2,18 @@
 //! fusion, per-tenant graceful degradation, and the request lifecycle
 //! (deadlines, retries, circuit breakers, shard health).
 //!
+//! Each request's [`ClientKey`] is interned once, at [`ServeEngine::submit`]
+//! (or at [`ServeEngine::provision`]), to the registry's dense
+//! [`TenantId`]; the queued item carries that id and its submit tick, and
+//! from there on the tick reaches the tenant's shard, stable hash,
+//! snapshot and breaker by indexing, never by comparing keys.
+//!
 //! Per tick the engine drains its bounded queue plus any parked retries,
-//! resolves each request's snapshot through the sharded registry
-//! (rehydrating from disk on a miss), scales its window into one
-//! engine-owned buffer, and groups the resolved lanes by a stable sort on
-//! `(model shape, weight fingerprint)`. Each group becomes one fused
+//! sorts them by request id into the tick's work list, resolves each
+//! request's snapshot through the sharded registry (rehydrating from disk
+//! on a miss), scales its window into one engine-owned buffer, and groups
+//! the resolved lanes by sorting compact `(model shape, weight
+//! fingerprint, lane index)` keys. Each group becomes one fused
 //! batched LSTM forward
 //! ([`ld_nn::LstmForecaster::predict_batch_fused`]): one blocked GEMM of
 //! each layer's fused `[W | U | b]` panel per step instead of one mat-vec
@@ -24,7 +31,11 @@
 //! Batch composition is derived from seeds, never from arrival time: lanes
 //! are ordered by request id (assigned by the load schedule), groups by
 //! `(shape, fingerprint)`, and every span index is logical (tick number,
-//! group ordinal, request id). Retry backoff jitter hashes the request id;
+//! group ordinal, request id). Each request's response and model-path
+//! outcome go into its slot of the id-sorted work list, so responses come
+//! back, and breakers and the supervisor advance, in request-id order
+//! without a sort. Tenant ids follow interning order, and nothing is
+//! ordered by them. Retry backoff jitter hashes the request id;
 //! breaker transitions advance on logical ticks; slow-shard deferral uses
 //! driver-installed per-tick delays. Two identically-seeded runs produce
 //! bitwise-identical responses and identical span trees.
@@ -58,7 +69,6 @@
 //! is eventually answered explicitly; nothing hangs and nothing panics the
 //! tick.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ld_api::Predictor as _;
@@ -68,7 +78,7 @@ use ld_telemetry::Tracer;
 
 use crate::admission::{AdmissionQueue, AdmissionStats, Request};
 use crate::lifecycle::{Breaker, BreakerConfig, BreakerState, RetryPolicy, RetrySchedule, Route};
-use crate::registry::{ClientKey, RegistryConfig, RegistryStats, ShardedRegistry};
+use crate::registry::{ClientKey, RegistryConfig, RegistryStats, ShardedRegistry, TenantId};
 use crate::snapshot::{ModelShape, ModelSnapshot, RecoveryReport, SnapshotError, SnapshotStore};
 use crate::supervisor::{ShardHealth, ShardObservation, ShardSupervisor, SupervisorConfig};
 
@@ -210,14 +220,17 @@ pub struct ServeStats {
     pub lifecycle: LifecycleStats,
 }
 
+/// Lanes fuse only with lanes of equal `(shape, fingerprint)`.
+type BatchKey = (ModelShape, u64);
+
 /// One resolved, batchable lane.
 #[derive(Debug)]
 struct Lane {
-    /// Lanes fuse only with lanes of equal `(shape, fingerprint)`.
-    batch: (ModelShape, u64),
+    batch: BatchKey,
     id: u64,
     key: ClientKey,
-    shard: usize,
+    /// The request's position in the tick's work list: its slot.
+    pos: usize,
     scaler: ld_api::MinMaxScaler,
     /// The resident snapshot's shared model. The handle is a reference
     /// count, not a copy: the model keeps the weight panels packed on
@@ -240,45 +253,44 @@ impl Lane {
 /// nothing per group or per lane.
 #[derive(Debug, Default)]
 struct TickBuffers {
-    /// The tick's batchable lanes, resolved in id order and then sorted
-    /// into groups.
+    /// The tick's batchable lanes, in id order.
     lanes: Vec<Lane>,
+    /// Each lane's batch key and index in `lanes`, sorted into groups:
+    /// `(shape, fingerprint)` order, and id order within a group.
+    groups: Vec<(BatchKey, usize)>,
     /// Every lane's scaled window, back to back in resolve order.
     windows: Vec<f64>,
     /// A multi-lane group's windows, gathered contiguous in lane order.
     gathered: Vec<f64>,
     /// One model output per lane, in group order.
     outputs: Vec<f64>,
-    /// Model-path outcomes awaiting breaker and supervisor bookkeeping.
-    outcomes: Vec<Outcome>,
+    /// One slot per request of the tick's work list, in id order.
+    slots: Vec<Slot>,
 }
 
-/// A request in flight across ticks: how many retries it has consumed and
-/// whether it has already been deferred off a slow shard.
+/// A request in flight across ticks: its interned tenant, the tick it was
+/// submitted on, how many retries it has consumed and whether it has
+/// already been deferred off a slow shard.
 #[derive(Debug, Clone)]
 struct InFlight {
     req: Request,
+    tenant: TenantId,
+    submitted: u64,
     attempt: u32,
     deferred: bool,
 }
 
-/// Model-path outcome for breaker/supervisor bookkeeping.
+/// What one request of the tick's work list produced.
 #[derive(Debug)]
-struct Outcome {
-    id: u64,
-    tenant: Tenant,
-    shard: usize,
-    ok: bool,
-}
-
-/// Whose breaker an [`Outcome`] advances.
-#[derive(Debug)]
-enum Tenant {
-    /// The key of the tick's response at this index.
-    Answered(usize),
-    /// A failure parked for retry has no response yet, so it keeps a copy
-    /// of its key.
-    Parked(ClientKey),
+struct Slot {
+    tenant: TenantId,
+    /// The tick the request was submitted on.
+    submitted: u64,
+    /// Its answer, unless it was parked for a later tick.
+    response: Option<Response>,
+    /// Its model-path outcome (`true` = served), which advances breakers
+    /// and the supervisor; `None` when it never reached the model path.
+    outcome: Option<bool>,
 }
 
 /// The serving engine.
@@ -288,7 +300,7 @@ pub struct ServeEngine {
     lifecycle: LifecycleConfig,
     registry: ShardedRegistry,
     store: SnapshotStore,
-    queue: AdmissionQueue,
+    queue: AdmissionQueue<InFlight>,
     tracer: Tracer,
     /// The plan the `batch_nan` site draws from; the store holds a clone.
     faults: FaultPlan,
@@ -300,17 +312,16 @@ pub struct ServeEngine {
     lifecycle_stats: LifecycleStats,
     /// Requests parked for retry backoff or slow-shard deferral.
     parked: RetrySchedule<InFlight>,
-    /// Per-tenant breakers, keyed deterministically by client key.
-    tenant_breakers: BTreeMap<ClientKey, Breaker>,
+    /// Per-tenant breakers, indexed by [`TenantId`]: one per interned key.
+    tenant_breakers: Vec<Breaker>,
     /// Per-shard breakers.
     shard_breakers: Vec<Breaker>,
     /// Driver-installed per-shard service delay for the *next* tick
     /// (chaos slow-shard windows); cleared by `set_shard_delays`.
     shard_delay: Vec<u64>,
     supervisor: ShardSupervisor,
-    /// Submission tick per in-flight request id, kept only while the
-    /// tracer is enabled, for the logical request-latency histogram.
-    submit_tick: BTreeMap<u64, u64>,
+    /// The `serve.shard{k}.requests` gauge names, formatted once.
+    shard_gauges: Vec<String>,
     /// Registry/breaker/supervisor totals already exported, so each tick
     /// emits deltas (counters stay monotonic).
     cache_seen: RegistryStats,
@@ -337,11 +348,11 @@ impl ServeEngine {
             degraded: 0,
             lifecycle_stats: LifecycleStats::default(),
             parked: RetrySchedule::new(),
-            tenant_breakers: BTreeMap::new(),
+            tenant_breakers: Vec::new(),
             shard_breakers: (0..shards).map(|_| Breaker::new(cfg.lifecycle.breaker)).collect(),
             shard_delay: vec![0; shards],
             supervisor: ShardSupervisor::new(cfg.lifecycle.supervisor, shards),
-            submit_tick: BTreeMap::new(),
+            shard_gauges: (0..shards).map(|k| format!("serve.shard{k}.requests")).collect(),
             cache_seen: RegistryStats::default(),
             trips_seen: 0,
             drains_seen: 0,
@@ -352,32 +363,47 @@ impl ServeEngine {
     /// failures during eviction keep the victim resident and are counted
     /// in [`RegistryStats::failed_spills`].
     pub fn provision(&mut self, key: ClientKey, snapshot: ModelSnapshot) {
-        self.registry.insert(key, snapshot, &self.store);
+        let tenant = self.intern(&key);
+        self.registry.insert(tenant, snapshot, &self.store);
     }
 
     /// Offers a request; `Err` returns it because it was shed. Requests
     /// without a deadline receive the engine's default budget (deadline =
-    /// next tick + `deadline_ticks`).
+    /// next tick + `deadline_ticks`). The request's key is interned here,
+    /// so the tick never looks a key up.
     pub fn submit(&mut self, mut req: Request) -> Result<(), Request> {
         if req.deadline.is_none() {
             if let Some(budget) = self.lifecycle.deadline_ticks {
                 req.deadline = Some(self.tick.saturating_add(budget));
             }
         }
-        let id = req.id;
-        match self.queue.offer(req) {
+        let item = InFlight {
+            tenant: self.intern(&req.key),
+            req,
+            submitted: self.tick,
+            attempt: 0,
+            deferred: false,
+        };
+        match self.queue.offer(item) {
             Ok(()) => {
-                if self.tracer.is_enabled() {
-                    self.tracer.incr("serve.requests_submitted_total");
-                    self.submit_tick.insert(id, self.tick);
-                }
+                self.tracer.incr("serve.requests_submitted_total");
                 Ok(())
             }
-            Err(req) => {
+            Err(item) => {
                 self.tracer.incr("serve.requests_shed_total");
-                Err(req)
+                Err(item.req)
             }
         }
+    }
+
+    /// The registry's id for `key`, interning it, with a closed breaker,
+    /// on first sight.
+    fn intern(&mut self, key: &ClientKey) -> TenantId {
+        let tenant = self.registry.intern(key);
+        if tenant.index() == self.tenant_breakers.len() {
+            self.tenant_breakers.push(Breaker::new(self.lifecycle.breaker));
+        }
+        tenant
     }
 
     /// Engine-wide accounting.
@@ -385,7 +411,7 @@ impl ServeEngine {
         let mut lifecycle = self.lifecycle_stats;
         lifecycle.breaker_trips = self
             .tenant_breakers
-            .values()
+            .iter()
             .chain(self.shard_breakers.iter())
             .map(Breaker::trips)
             .sum();
@@ -434,9 +460,9 @@ impl ServeEngine {
 
     /// The tenant breaker's current state (tests, bench reporting).
     pub fn tenant_breaker_state(&self, key: &ClientKey) -> BreakerState {
-        self.tenant_breakers
-            .get(key)
-            .map_or(BreakerState::Closed, Breaker::state)
+        self.registry
+            .id_of(key)
+            .map_or(BreakerState::Closed, |id| self.tenant_breakers[id.index()].state())
     }
 
     /// The shard's current health.
@@ -496,16 +522,11 @@ impl ServeEngine {
         self.tracer.gauge("serve.parked", self.parked.len() as u64);
 
         let mut work: Vec<InFlight> = self.parked.release(tick_idx);
-        work.extend(self.queue.drain().into_iter().map(|req| InFlight {
-            req,
-            attempt: 0,
-            deferred: false,
-        }));
+        work.extend(self.queue.drain());
         // Seed-derived composition: order by schedule-assigned id, not by
         // the order submissions happened to arrive in.
         work.sort_by_key(|w| w.req.id);
 
-        let mut responses: Vec<Response> = Vec::with_capacity(work.len());
         let mut buf = std::mem::take(&mut self.buffers);
         let mut per_shard = vec![0u64; self.registry.shard_count()];
         let mut shard_obs = vec![ShardObservation::default(); self.registry.shard_count()];
@@ -513,142 +534,40 @@ impl ServeEngine {
         {
             let _resolve_span = tr.span_at("resolve", tick_idx);
             for item in work {
-                let shard = self.registry.shard_of(&item.req.key);
+                let (tenant, submitted) = (item.tenant, item.submitted);
+                let shard = self.registry.shard(tenant);
                 per_shard[shard] += 1;
-
-                // Deadline budget: a request the engine failed to answer by
-                // its deadline tick gets an explicit Expired answer — an
-                // answer from its own history, never a hang.
-                if item.req.deadline.is_some_and(|d| tick_idx > d) {
-                    self.lifecycle_stats.expired += 1;
-                    responses.push(expired_response(item.req));
-                    continue;
-                }
-
-                // A request without history has no window to forecast from:
-                // it is answered from the fallback (0.0 over an empty
-                // history) and, being malformed rather than a model-path
-                // failure, records no outcome.
-                if item.req.history.is_empty() {
-                    responses.push(fallback_response(item.req));
-                    continue;
-                }
-
-                // Slow-shard deferral: at most once per request, and never
-                // past the deadline.
-                let delay = self.shard_delay[shard];
-                if delay > 0 && !item.deferred {
-                    let release = tick_idx + delay;
-                    shard_obs[shard].deferred += 1;
-                    if item.req.deadline.is_some_and(|d| release > d) {
-                        self.lifecycle_stats.expired += 1;
-                        responses.push(expired_response(item.req));
-                    } else {
-                        self.lifecycle_stats.deferrals += 1;
-                        self.parked.park(
-                            release,
-                            InFlight {
-                                deferred: true,
-                                ..item
-                            },
-                        );
-                    }
-                    continue;
-                }
-
-                // Circuit breakers: shard first, then tenant. An open
-                // breaker answers from the tenant's own history and records
-                // no outcome (fast-fails must not extend the cooldown).
-                let shard_route = self.shard_breakers[shard].route(tick_idx);
-                let route = if shard_route == Route::Fallback {
-                    Route::Fallback
-                } else {
-                    self.with_tenant_breaker(&item.req.key, |b| b.route(tick_idx))
-                };
-                if route == Route::Fallback {
-                    self.lifecycle_stats.breaker_fallbacks += 1;
-                    responses.push(fallback_response(item.req));
-                    continue;
-                }
-
-                match self.registry.get(&item.req.key, &self.store) {
-                    Ok(snap) => {
-                        let start = buf.windows.len();
-                        let scaler = snap.scaler();
-                        scaler.push_window(&mut buf.windows, &item.req.history, snap.history_len());
-                        // A window that is non-finite from its own values
-                        // is malformed input, like an empty history: a
-                        // retry would see the same values, so it is
-                        // answered from the fallback now and records no
-                        // outcome.
-                        if !buf.windows[start..].iter().all(|v| v.is_finite()) {
-                            buf.windows.truncate(start);
-                            responses.push(fallback_response(item.req));
-                            continue;
-                        }
-                        // Simulated upstream poison: the lane's scaled
-                        // window arrives non-finite, a transient fault.
-                        // The key is hashed only under an armed plan.
-                        let poisoned = self.faults.is_armed()
-                            && self.faults.hit(
-                                FaultSite::BatchNan,
-                                item.req.key.stable_hash() ^ tick_idx.rotate_left(23),
-                            );
-                        if !poisoned {
-                            buf.lanes.push(Lane {
-                                batch: (snap.shape(), snap.fingerprint()),
-                                id: item.req.id,
-                                key: item.req.key,
-                                shard,
-                                scaler,
-                                model: Arc::clone(snap.shared_model()),
-                                window_start: start,
-                            });
-                        } else {
-                            buf.windows.truncate(start);
-                            self.finish_failure(
-                                tick_idx,
-                                item,
-                                shard,
-                                true,
-                                &mut responses,
-                                &mut buf.outcomes,
-                            );
-                        }
-                    }
-                    Err(err) => {
-                        // Corrupt spills are transient (the bytes may heal
-                        // after recovery/re-spill); Missing is permanent.
-                        let transient = matches!(err, SnapshotError::Corrupt(_));
-                        self.finish_failure(
-                            tick_idx,
-                            item,
-                            shard,
-                            transient,
-                            &mut responses,
-                            &mut buf.outcomes,
-                        );
-                    }
-                }
+                let pos = buf.slots.len();
+                let (response, outcome) =
+                    self.resolve(tick_idx, item, shard, pos, &mut buf, &mut shard_obs);
+                buf.slots.push(Slot {
+                    tenant,
+                    submitted,
+                    response,
+                    outcome,
+                });
             }
         }
 
         // Groups in `(shape, fingerprint)` order, each holding its lanes in
-        // id order: the sort is stable and the lanes were resolved in id
-        // order.
-        buf.lanes.sort_by_key(|lane| lane.batch);
-        let same_batch = |a: &Lane, b: &Lane| a.batch == b.batch;
+        // id order: lanes were resolved in id order, and the lane index
+        // breaks ties.
+        buf.groups.clear();
+        buf.groups
+            .extend(buf.lanes.iter().enumerate().map(|(i, lane)| (lane.batch, i)));
+        buf.groups.sort_unstable();
+        let same_batch = |a: &(BatchKey, usize), b: &(BatchKey, usize)| a.0 == b.0;
 
         if self.tracer.is_enabled() {
-            for (shard, &n) in per_shard.iter().enumerate() {
+            for (name, &n) in self.shard_gauges.iter().zip(&per_shard) {
                 if n > 0 {
-                    self.tracer.gauge(&format!("serve.shard{shard}.requests"), n);
+                    self.tracer.gauge(name, n);
                     self.tracer.observe("serve.shard_requests", n);
                 }
             }
-            let groups = buf.lanes.chunk_by(same_batch).count();
+            let groups = buf.groups.chunk_by(same_batch).count();
             self.tracer.observe("serve.batch_groups", groups as u64);
-            for group in buf.lanes.chunk_by(same_batch) {
+            for group in buf.groups.chunk_by(same_batch) {
                 self.tracer.observe("serve.batch_size", group.len() as u64);
             }
         }
@@ -662,46 +581,44 @@ impl ServeEngine {
         buf.outputs.clear();
         buf.outputs.resize(buf.lanes.len(), 0.0);
         let mut done = 0;
-        for (ordinal, group) in buf.lanes.chunk_by(same_batch).enumerate() {
+        for (ordinal, group) in buf.groups.chunk_by(same_batch).enumerate() {
             let batch_span = tr.span_at("batch", ordinal as u64);
             let btr = batch_span.tracer();
-            let model = &group[0].model;
+            let lane = |at: usize| &buf.lanes[group[at].1];
+            let model = &lane(0).model;
             let out = &mut buf.outputs[done..done + group.len()];
             done += group.len();
             match self.mode {
                 // One forward per group, whatever its lane count: a lone
                 // lane's window is read in place, a group's are gathered.
                 ExecMode::Batched => {
-                    let windows = if let [lane] = group {
-                        lane.window(&buf.windows)
+                    let windows = if group.len() == 1 {
+                        lane(0).window(&buf.windows)
                     } else {
                         buf.gathered.clear();
-                        for lane in group {
-                            buf.gathered.extend_from_slice(lane.window(&buf.windows));
+                        for at in 0..group.len() {
+                            buf.gathered.extend_from_slice(lane(at).window(&buf.windows));
                         }
                         &buf.gathered
                     };
                     model.predict_batch_fused(windows, group.len(), &mut self.scratch, out);
                 }
                 ExecMode::Serial => {
-                    for (y, lane) in out.iter_mut().zip(group) {
-                        *y = model.predict(lane.window(&buf.windows));
+                    for (at, y) in out.iter_mut().enumerate() {
+                        *y = model.predict(lane(at).window(&buf.windows));
                     }
                 }
             }
-            for lane in group {
-                btr.record_span("request", lane.id, 1, 0);
+            for at in 0..group.len() {
+                btr.record_span("request", lane(at).id, 1, 0);
             }
         }
-        for (lane, &y) in buf.lanes.iter_mut().zip(&buf.outputs) {
+        for (&(_, i), &y) in buf.groups.iter().zip(&buf.outputs) {
+            let lane = &mut buf.lanes[i];
             let resp = finish_lane(lane, y, source, &buf.windows);
-            buf.outcomes.push(Outcome {
-                id: resp.id,
-                tenant: Tenant::Answered(responses.len()),
-                shard: lane.shard,
-                ok: !resp.degraded,
-            });
-            responses.push(resp);
+            let slot = &mut buf.slots[lane.pos];
+            slot.outcome = Some(!resp.degraded);
+            slot.response = Some(resp);
         }
         // The lanes' model handles are released in a pass of their own. Each
         // release is an atomic decrement, which waits for every pending
@@ -710,22 +627,19 @@ impl ServeEngine {
         buf.lanes.clear();
         buf.windows.clear();
 
-        // Apply model-path outcomes in id order: breaker state advances as
-        // a pure function of the (deterministic) outcome sequence.
-        buf.outcomes.sort_by_key(|o| o.id);
-        for o in buf.outcomes.drain(..) {
-            shard_obs[o.shard].services += 1;
-            if !o.ok {
-                shard_obs[o.shard].errors += 1;
+        // Apply model-path outcomes in id order (the slots' order): breaker
+        // state advances as a pure function of the (deterministic) outcome
+        // sequence.
+        for slot in &buf.slots {
+            let Some(ok) = slot.outcome else { continue };
+            let shard = self.registry.shard(slot.tenant);
+            shard_obs[shard].services += 1;
+            if !ok {
+                shard_obs[shard].errors += 1;
             }
-            self.shard_breakers[o.shard].record(tick_idx, o.ok);
-            let key = match &o.tenant {
-                Tenant::Answered(i) => &responses[*i].key,
-                Tenant::Parked(key) => key,
-            };
-            self.with_tenant_breaker(key, |b| b.record(tick_idx, o.ok));
+            self.shard_breakers[shard].record(tick_idx, ok);
+            self.tenant_breakers[slot.tenant.index()].record(tick_idx, ok);
         }
-        self.buffers = buf;
 
         // Shard health: escalate, drain unhealthy shards (spill + evict so
         // future requests rehydrate from durable state), and record every
@@ -750,14 +664,120 @@ impl ServeEngine {
             });
         }
 
-        responses.sort_by_key(|r| r.id);
+        if self.tracer.is_enabled() {
+            self.record_tick_metrics(tick_idx, &buf.slots, lifecycle_before, &transitions);
+        }
+        let mut responses = Vec::with_capacity(buf.slots.len());
+        responses.extend(buf.slots.drain(..).filter_map(|slot| slot.response));
+        self.buffers = buf;
         self.served += responses.len() as u64;
         self.degraded += responses.iter().filter(|r| r.degraded).count() as u64;
-
-        if self.tracer.is_enabled() {
-            self.record_tick_metrics(tick_idx, &responses, lifecycle_before, &transitions);
-        }
         responses
+    }
+
+    /// Resolves the work list's request at `pos` on `shard`: answers it
+    /// now, parks it for a later tick, or queues its lane in `buf`.
+    /// Returns its response if it was answered now, and its model-path
+    /// outcome if it failed on the model path (a lane's come later).
+    fn resolve(
+        &mut self,
+        tick_idx: u64,
+        item: InFlight,
+        shard: usize,
+        pos: usize,
+        buf: &mut TickBuffers,
+        shard_obs: &mut [ShardObservation],
+    ) -> (Option<Response>, Option<bool>) {
+        // Deadline budget: a request the engine failed to answer by its
+        // deadline tick gets an explicit Expired answer — an answer from
+        // its own history, never a hang.
+        if item.req.deadline.is_some_and(|d| tick_idx > d) {
+            self.lifecycle_stats.expired += 1;
+            return (Some(expired_response(item.req)), None);
+        }
+
+        // A request without history has no window to forecast from: it is
+        // answered from the fallback (0.0 over an empty history) and, being
+        // malformed rather than a model-path failure, records no outcome.
+        if item.req.history.is_empty() {
+            return (Some(fallback_response(item.req)), None);
+        }
+
+        // Slow-shard deferral: at most once per request, and never past
+        // the deadline.
+        let delay = self.shard_delay[shard];
+        if delay > 0 && !item.deferred {
+            let release = tick_idx + delay;
+            shard_obs[shard].deferred += 1;
+            if item.req.deadline.is_some_and(|d| release > d) {
+                self.lifecycle_stats.expired += 1;
+                return (Some(expired_response(item.req)), None);
+            }
+            self.lifecycle_stats.deferrals += 1;
+            self.parked.park(
+                release,
+                InFlight {
+                    deferred: true,
+                    ..item
+                },
+            );
+            return (None, None);
+        }
+
+        // Circuit breakers: shard first, then tenant. An open breaker
+        // answers from the tenant's own history and records no outcome
+        // (fast-fails must not extend the cooldown).
+        let route = if self.shard_breakers[shard].route(tick_idx) == Route::Fallback {
+            Route::Fallback
+        } else {
+            self.tenant_breakers[item.tenant.index()].route(tick_idx)
+        };
+        if route == Route::Fallback {
+            self.lifecycle_stats.breaker_fallbacks += 1;
+            return (Some(fallback_response(item.req)), None);
+        }
+
+        // Simulated upstream poison: the lane's scaled window arrives
+        // non-finite, a transient fault. The draw is a pure function of
+        // the key's hash and the tick, made only under an armed plan.
+        let poisoned = self.faults.is_armed()
+            && self.faults.hit(
+                FaultSite::BatchNan,
+                self.registry.stable_hash(item.tenant) ^ tick_idx.rotate_left(23),
+            );
+        let snap = match self.registry.get(item.tenant, &self.store) {
+            Ok(snap) => snap,
+            Err(err) => {
+                // Corrupt spills are transient (the bytes may heal after
+                // recovery/re-spill); Missing is permanent.
+                let transient = matches!(err, SnapshotError::Corrupt(_));
+                return (self.finish_failure(tick_idx, item, transient), Some(false));
+            }
+        };
+        let start = buf.windows.len();
+        let scaler = snap.scaler();
+        scaler.push_window(&mut buf.windows, &item.req.history, snap.history_len());
+        // A window that is non-finite from its own values is malformed
+        // input, like an empty history: a retry would see the same values,
+        // so it is answered from the fallback now and records no outcome.
+        if !buf.windows[start..].iter().all(|v| v.is_finite()) {
+            buf.windows.truncate(start);
+            return (Some(fallback_response(item.req)), None);
+        }
+        if poisoned {
+            buf.windows.truncate(start);
+            return (self.finish_failure(tick_idx, item, true), Some(false));
+        }
+        buf.lanes.push(Lane {
+            batch: (snap.shape(), snap.fingerprint()),
+            id: item.req.id,
+            key: item.req.key,
+            pos,
+            scaler,
+            model: Arc::clone(snap.shared_model()),
+            window_start: start,
+        });
+        (None, None)
     }
 
     /// Per-tick series export: response counters, logical latency
@@ -767,20 +787,21 @@ impl ServeEngine {
     fn record_tick_metrics(
         &mut self,
         tick_idx: u64,
-        responses: &[Response],
+        slots: &[Slot],
         lifecycle_before: LifecycleStats,
         transitions: &[crate::supervisor::HealthTransition],
     ) {
         let m = &self.tracer;
-        m.add("serve.responses_total", responses.len() as u64);
-        for r in responses {
+        let mut responses = 0;
+        for slot in slots {
+            let Some(r) = &slot.response else { continue };
+            responses += 1;
             if r.degraded {
                 m.incr("serve.responses_degraded_total");
             }
-            if let Some(submitted) = self.submit_tick.remove(&r.id) {
-                m.observe("serve.request_latency_ticks", tick_idx.saturating_sub(submitted));
-            }
+            m.observe("serve.request_latency_ticks", tick_idx.saturating_sub(slot.submitted));
         }
+        m.add("serve.responses_total", responses);
         let lc = self.lifecycle_stats;
         m.add("serve.expired_total", lc.expired.saturating_sub(lifecycle_before.expired));
         m.add("serve.retries_total", lc.retries.saturating_sub(lifecycle_before.retries));
@@ -795,7 +816,7 @@ impl ServeEngine {
 
         let trips: u64 = self
             .tenant_breakers
-            .values()
+            .iter()
             .chain(self.shard_breakers.iter())
             .map(Breaker::trips)
             .sum();
@@ -827,34 +848,11 @@ impl ServeEngine {
         self.cache_seen = cache;
     }
 
-    /// Runs `f` on the tenant's breaker, creating it on first sight. The key
-    /// is cloned into the map only then, not on every request.
-    fn with_tenant_breaker<R>(
-        &mut self,
-        key: &ClientKey,
-        f: impl FnOnce(&mut Breaker) -> R,
-    ) -> R {
-        if let Some(breaker) = self.tenant_breakers.get_mut(key) {
-            return f(breaker);
-        }
-        let mut breaker = Breaker::new(self.lifecycle.breaker);
-        let out = f(&mut breaker);
-        self.tenant_breakers.insert(key.clone(), breaker);
-        out
-    }
-
-    /// Handles a model-path failure for `item`: records the outcome, then
-    /// either parks a retry (transient failure, budget and deadline allow)
-    /// or answers from the fallback now.
-    fn finish_failure(
-        &mut self,
-        tick_idx: u64,
-        item: InFlight,
-        shard: usize,
-        transient: bool,
-        responses: &mut Vec<Response>,
-        outcomes: &mut Vec<Outcome>,
-    ) {
+    /// Handles a model-path failure for `item`: parks a retry (transient
+    /// failure, budget and deadline allow) or answers from the fallback
+    /// now, returning that answer. Either way the caller records the
+    /// failed outcome.
+    fn finish_failure(&mut self, tick_idx: u64, item: InFlight, transient: bool) -> Option<Response> {
         let next_attempt = item.attempt + 1;
         if transient && self.lifecycle.retry.allows(next_attempt) {
             // Jitter derives from the request id — the request's own seed —
@@ -866,12 +864,6 @@ impl ServeEngine {
             let release = tick_idx + backoff;
             if item.req.deadline.is_none_or(|d| release <= d) {
                 self.lifecycle_stats.retries += 1;
-                outcomes.push(Outcome {
-                    id: item.req.id,
-                    tenant: Tenant::Parked(item.req.key.clone()),
-                    shard,
-                    ok: false,
-                });
                 self.parked.park(
                     release,
                     InFlight {
@@ -879,16 +871,10 @@ impl ServeEngine {
                         ..item
                     },
                 );
-                return;
+                return None;
             }
         }
-        outcomes.push(Outcome {
-            id: item.req.id,
-            tenant: Tenant::Answered(responses.len()),
-            shard,
-            ok: false,
-        });
-        responses.push(fallback_response(item.req));
+        Some(fallback_response(item.req))
     }
 }
 

@@ -9,7 +9,8 @@
 //!   tenant scaler + window length) with weight fingerprints, spilled to
 //!   and rehydrated from a [`snapshot::SnapshotStore`];
 //! - [`registry`]: the FNV-sharded, logically-clocked LRU registry of
-//!   resident snapshots keyed by `(tenant, workload)`;
+//!   resident snapshots of `(tenant, workload)` keys, each interned once
+//!   to a dense [`registry::TenantId`];
 //! - [`admission`]: a bounded request queue whose shed decisions are a
 //!   pure function of the submission sequence;
 //! - [`engine`]: the tick-based [`engine::ServeEngine`] — drains the
@@ -56,7 +57,7 @@ pub use engine::{
     ResponseSource, ServeEngine, ServeStats,
 };
 pub use lifecycle::{Breaker, BreakerConfig, BreakerState, RetryPolicy, RetrySchedule, Route};
-pub use registry::{ClientKey, RegistryConfig, RegistryStats, ShardedRegistry};
+pub use registry::{ClientKey, RegistryConfig, RegistryStats, ShardedRegistry, TenantId};
 pub use snapshot::{ModelSnapshot, ModelShape, RecoveryReport, SnapshotError, SnapshotStore};
 pub use supervisor::{
     HealthTransition, ShardHealth, ShardObservation, ShardSupervisor, SupervisorConfig,

@@ -1,16 +1,25 @@
-//! The sharded model registry: resident snapshots keyed by
-//! `(tenant, workload)`, LRU-evicted to a [`SnapshotStore`] and lazily
-//! rehydrated on the next request.
+//! The sharded model registry: resident snapshots of `(tenant, workload)`
+//! keys, LRU-evicted to a [`SnapshotStore`] and lazily rehydrated on the
+//! next request.
+//!
+//! Each [`ClientKey`] is interned once, when it is provisioned or first
+//! submitted, to a dense [`TenantId`]. The id indexes the tenant's record
+//! (its key, its stable hash, its shard and its resident snapshot) in a
+//! `Vec`, so a lookup is one index, never a key comparison. The key-to-id
+//! map is only looked up, never iterated, and ids follow interning order,
+//! which no output depends on.
 //!
 //! Shard placement is FNV-1a of the key — a pure function of the key's
 //! bytes, so the same tenant lands on the same shard in every run on every
 //! platform. Recency is a *logical* clock (one bump per touch), never wall
 //! time, so eviction order is a pure function of the request sequence, and
-//! no two resident entries ever share a recency. Within a shard, entries
-//! live in a `BTreeMap`, so iteration and drains run in key order:
-//! eviction, and therefore the whole serve pipeline, stays deterministic.
+//! no two resident entries ever share a recency: the shard's unique oldest
+//! entry is the victim, whatever order its resident ids are kept in. A
+//! drain spills the shard's residents in key order, not id order, so the
+//! spill sequence (the store's journal, and the crash site's draws) is the
+//! same however the keys were interned.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use crate::snapshot::{ModelSnapshot, SnapshotError, SnapshotStore};
 
@@ -45,6 +54,18 @@ impl ClientKey {
 impl std::fmt::Display for ClientKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.tenant, self.workload)
+    }
+}
+
+/// A tenant's dense handle in one registry: ids count up from 0 in the
+/// order keys are first interned ([`ShardedRegistry::intern`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TenantId(u32);
+
+impl TenantId {
+    /// The id's position in per-tenant tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -93,15 +114,25 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    entries: BTreeMap<ClientKey, Entry>,
+/// One interned tenant.
+#[derive(Debug)]
+struct Tenant {
+    key: ClientKey,
+    stable_hash: u64,
+    shard: usize,
+    /// The resident snapshot; `None` while it lives only in the store.
+    entry: Option<Entry>,
 }
 
 /// The sharded, LRU-evicting snapshot registry.
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    shards: Vec<Shard>,
+    /// Key to id, looked up only: never iterated.
+    ids: HashMap<ClientKey, TenantId>,
+    /// Every interned tenant, indexed by [`TenantId`].
+    tenants: Vec<Tenant>,
+    /// Each shard's resident ids, in no particular order.
+    resident: Vec<Vec<TenantId>>,
     capacity_per_shard: usize,
     /// Logical recency clock: bumped on every touch.
     clock: u64,
@@ -120,7 +151,9 @@ impl ShardedRegistry {
             "registry shards need capacity for at least one snapshot"
         );
         ShardedRegistry {
-            shards: (0..cfg.shard_count).map(|_| Shard::default()).collect(),
+            ids: HashMap::new(),
+            tenants: Vec::new(),
+            resident: vec![Vec::new(); cfg.shard_count],
             capacity_per_shard: cfg.capacity_per_shard,
             clock: 0,
             stats: RegistryStats::default(),
@@ -129,19 +162,61 @@ impl ShardedRegistry {
 
     /// The fixed shard count.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.resident.len()
     }
 
     /// Which shard a key lives on.
     pub fn shard_of(&self, key: &ClientKey) -> usize {
-        usize::try_from(key.stable_hash() % self.shards.len() as u64)
-            // ld-lint: allow(panic-path, "hash % len is < len, which fits usize on every platform")
-            .expect("shard index fits usize")
+        shard_of_hash(key.stable_hash(), self.resident.len())
+    }
+
+    /// The id of `key`, interning it on first sight. Only a new key is
+    /// cloned; it starts with no resident snapshot.
+    pub fn intern(&mut self, key: &ClientKey) -> TenantId {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        // ld-lint: allow(panic-path, "u32 ids outnumber the keys that fit in memory")
+        let id = TenantId(u32::try_from(self.tenants.len()).expect("fewer than 2^32 tenants"));
+        let stable_hash = key.stable_hash();
+        self.tenants.push(Tenant {
+            key: key.clone(),
+            stable_hash,
+            shard: shard_of_hash(stable_hash, self.resident.len()),
+            entry: None,
+        });
+        self.ids.insert(key.clone(), id);
+        id
+    }
+
+    /// The id `key` was interned to, if it was (no interning, no stats).
+    pub fn id_of(&self, key: &ClientKey) -> Option<TenantId> {
+        self.ids.get(key).copied()
+    }
+
+    /// Number of interned tenants: every id is below it.
+    pub fn tenant_count(&self) -> usize {
+        self.tenants.len()
+    }
+
+    /// The key `id` was interned from.
+    pub fn key(&self, id: TenantId) -> &ClientKey {
+        &self.tenants[id.index()].key
+    }
+
+    /// The shard `id` lives on: [`Self::shard_of`] its key.
+    pub fn shard(&self, id: TenantId) -> usize {
+        self.tenants[id.index()].shard
+    }
+
+    /// [`ClientKey::stable_hash`] of `id`'s key.
+    pub fn stable_hash(&self, id: TenantId) -> u64 {
+        self.tenants[id.index()].stable_hash
     }
 
     /// Total resident snapshots across all shards.
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.len()).sum()
+        self.resident.iter().map(Vec::len).sum()
     }
 
     /// Cumulative cache accounting.
@@ -149,7 +224,7 @@ impl ShardedRegistry {
         self.stats
     }
 
-    /// Installs a snapshot for `key`, spilling the shard's LRU entry to
+    /// Installs a snapshot for `id`, spilling the shard's LRU entry to
     /// `store` if the shard is at capacity.
     ///
     /// Eviction is **spill-then-remove**: the victim is written to the
@@ -158,70 +233,86 @@ impl ShardedRegistry {
     /// resident — the shard runs one entry over capacity until a later
     /// eviction succeeds — so no snapshot ever exists solely in a torn
     /// file. Failures are counted in [`RegistryStats::failed_spills`].
-    pub fn insert(&mut self, key: ClientKey, snapshot: ModelSnapshot, store: &SnapshotStore) {
-        self.clock += 1;
-        let now = self.clock;
-        let cap = self.capacity_per_shard;
-        let idx = self.shard_of(&key);
-        let shard = &mut self.shards[idx];
-        let replacing = shard.entries.contains_key(&key);
-        if !replacing && shard.entries.len() >= cap {
-            // Evict the least-recently-used entry. Every touch bumps the
-            // logical clock, so no two entries share a `last_used` and the
-            // oldest one names the victim alone.
-            let oldest = shard.entries.values().map(|e| e.last_used).min();
-            let stats = &mut self.stats;
-            let victim = |e: &Entry| Some(e.last_used) == oldest;
-            shard.entries.retain(|k, e| !victim(e) || !spill(store, k, e, stats));
-        }
-        shard.entries.insert(
-            key,
-            Entry {
-                snapshot,
-                last_used: now,
-            },
-        );
+    pub fn insert(&mut self, id: TenantId, snapshot: ModelSnapshot, store: &SnapshotStore) {
+        self.place(id, snapshot, store);
     }
 
-    /// Looks up `key`, rehydrating from `store` on a miss. A successful
+    /// [`Self::insert`], returning the now-resident snapshot.
+    fn place(&mut self, id: TenantId, snapshot: ModelSnapshot, store: &SnapshotStore) -> &ModelSnapshot {
+        self.clock += 1;
+        let now = self.clock;
+        let shard = self.tenants[id.index()].shard;
+        if self.tenants[id.index()].entry.is_none() {
+            if self.resident[shard].len() >= self.capacity_per_shard {
+                self.evict_oldest(shard, store);
+            }
+            self.resident[shard].push(id);
+        }
+        let entry = Entry {
+            snapshot,
+            last_used: now,
+        };
+        &self.tenants[id.index()].entry.insert(entry).snapshot
+    }
+
+    /// Spills the shard's least-recently-used entry and drops it from
+    /// memory if the spill succeeded. Every touch bumps the logical clock,
+    /// so no two entries share a `last_used` and the oldest one names the
+    /// victim alone.
+    fn evict_oldest(&mut self, shard: usize, store: &SnapshotStore) {
+        let tenants = &mut self.tenants;
+        let last_used = |id: &TenantId| tenants[id.index()].entry.as_ref().map(|e| e.last_used);
+        let oldest = self.resident[shard]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, id)| last_used(id))
+            .map(|(at, &id)| (at, id));
+        if let Some((at, victim)) = oldest {
+            if spill(&mut tenants[victim.index()], store, &mut self.stats) {
+                self.resident[shard].swap_remove(at);
+            }
+        }
+    }
+
+    /// Looks up `id`, rehydrating from `store` on a miss. A successful
     /// rehydration makes the snapshot resident (possibly evicting another
     /// entry first). Corrupt or missing spill files surface as
     /// [`SnapshotError`] for the engine's degradation path.
     pub fn get(
         &mut self,
-        key: &ClientKey,
+        id: TenantId,
         store: &SnapshotStore,
     ) -> Result<&ModelSnapshot, SnapshotError> {
         self.clock += 1;
         let now = self.clock;
-        let idx = self.shard_of(key);
-        if self.shards[idx].entries.contains_key(key) {
-            self.stats.hits += 1;
-            // ld-lint: allow(panic-path, "guarded by the contains_key hit check directly above")
-            let entry = self.shards[idx].entries.get_mut(key).expect("hit resident");
-            entry.last_used = now;
-            return Ok(&entry.snapshot);
+        if self.tenants[id.index()].entry.is_none() {
+            self.stats.misses += 1;
+            return match store.load(&self.tenants[id.index()].key) {
+                Ok(snapshot) => {
+                    self.stats.rehydrations += 1;
+                    Ok(self.place(id, snapshot, store))
+                }
+                Err(SnapshotError::Corrupt(why)) => {
+                    self.stats.corrupt_rehydrations += 1;
+                    Err(SnapshotError::Corrupt(why))
+                }
+                Err(other) => Err(other),
+            };
         }
-        self.stats.misses += 1;
-        match store.load(key) {
-            Ok(snapshot) => {
-                self.stats.rehydrations += 1;
-                self.insert(key.clone(), snapshot, store);
-                let idx = self.shard_of(key);
-                // ld-lint: allow(panic-path, "insert on the previous line makes the key resident")
-                Ok(&self.shards[idx].entries.get(key).expect("just inserted").snapshot)
-            }
-            Err(SnapshotError::Corrupt(why)) => {
-                self.stats.corrupt_rehydrations += 1;
-                Err(SnapshotError::Corrupt(why))
-            }
-            Err(other) => Err(other),
-        }
+        self.stats.hits += 1;
+        let entry = self.tenants[id.index()]
+            .entry
+            .as_mut()
+            // ld-lint: allow(panic-path, "guarded by the is_none miss check directly above")
+            .expect("hit resident");
+        entry.last_used = now;
+        Ok(&entry.snapshot)
     }
 
     /// Whether `key` is currently resident (no recency bump, no stats).
     pub fn is_resident(&self, key: &ClientKey) -> bool {
-        self.shards[self.shard_of(key)].entries.contains_key(key)
+        self.id_of(key)
+            .is_some_and(|id| self.tenants[id.index()].entry.is_some())
     }
 
     /// Drains `shard` for a restart: spills every resident entry to
@@ -230,23 +321,38 @@ impl ShardedRegistry {
     /// exists nowhere else). Future requests rehydrate lazily from the
     /// store — the moral equivalent of restarting the shard process.
     ///
-    /// Returns `(spilled, kept)` counts; iteration is in key order, so the
-    /// drain is deterministic.
+    /// Returns `(spilled, kept)` counts. Entries spill in key order, so the
+    /// drain is deterministic and independent of interning order.
     pub fn drain_shard(&mut self, shard: usize, store: &SnapshotStore) -> (usize, usize) {
-        let entries = &mut self.shards[shard].entries;
-        let resident = entries.len();
-        let stats = &mut self.stats;
-        entries.retain(|k, e| !spill(store, k, e, stats));
-        (resident - entries.len(), entries.len())
+        let mut ids = std::mem::take(&mut self.resident[shard]);
+        let tenants = &mut self.tenants;
+        ids.sort_unstable_by(|a, b| tenants[a.index()].key.cmp(&tenants[b.index()].key));
+        let resident = ids.len();
+        ids.retain(|id| !spill(&mut tenants[id.index()], store, &mut self.stats));
+        let kept = ids.len();
+        self.resident[shard] = ids;
+        (resident - kept, kept)
     }
 }
 
-/// Spills one resident entry to `store` and counts the outcome: `true`
-/// when the write succeeded and the entry may leave memory.
-fn spill(store: &SnapshotStore, key: &ClientKey, entry: &Entry, stats: &mut RegistryStats) -> bool {
-    let saved = store.save(key, &entry.snapshot).is_ok();
+/// The shard a stable hash places its key on.
+fn shard_of_hash(stable_hash: u64, shards: usize) -> usize {
+    usize::try_from(stable_hash % shards as u64)
+        // ld-lint: allow(panic-path, "hash % len is < len, which fits usize on every platform")
+        .expect("shard index fits usize")
+}
+
+/// Spills `tenant`'s resident snapshot to `store`, counts the outcome and,
+/// once the write succeeded, drops the snapshot from memory. Returns
+/// whether the tenant holds no snapshot in memory afterwards.
+fn spill(tenant: &mut Tenant, store: &SnapshotStore, stats: &mut RegistryStats) -> bool {
+    let Some(entry) = &tenant.entry else {
+        return true;
+    };
+    let saved = store.save(&tenant.key, &entry.snapshot).is_ok();
     if saved {
         stats.evictions += 1;
+        tenant.entry = None;
     } else {
         stats.failed_spills += 1;
     }
@@ -280,13 +386,32 @@ mod tests {
 
     #[test]
     fn shard_placement_is_stable_and_key_separator_matters() {
-        let reg = ShardedRegistry::new(RegistryConfig::default());
+        let mut reg = ShardedRegistry::new(RegistryConfig::default());
         let k = ClientKey::new("t1", "wiki");
         assert_eq!(reg.shard_of(&k), reg.shard_of(&k.clone()));
         assert_ne!(
             ClientKey::new("ab", "c").stable_hash(),
             ClientKey::new("a", "bc").stable_hash()
         );
+        // The interned record agrees with the key's own placement.
+        let id = reg.intern(&k);
+        assert_eq!((reg.shard(id), reg.stable_hash(id)), (reg.shard_of(&k), k.stable_hash()));
+    }
+
+    #[test]
+    fn interning_is_dense_and_idempotent() {
+        let mut reg = ShardedRegistry::new(RegistryConfig::default());
+        let keys: Vec<ClientKey> = (0..5).map(|i| ClientKey::new(format!("t{i}"), "w")).collect();
+        let ids: Vec<TenantId> = keys.iter().map(|k| reg.intern(k)).collect();
+        assert_eq!(ids.iter().map(|id| id.index()).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        for (k, &id) in keys.iter().zip(&ids) {
+            assert_eq!(reg.intern(k), id);
+            assert_eq!(reg.id_of(k), Some(id));
+            assert_eq!(reg.key(id), k);
+        }
+        assert_eq!(reg.tenant_count(), 5);
+        assert_eq!(reg.id_of(&ClientKey::new("t9", "w")), None);
+        assert_eq!(reg.resident(), 0, "interning makes nothing resident");
     }
 
     #[test]
@@ -301,19 +426,21 @@ mod tests {
             ClientKey::new("b", "w"),
             ClientKey::new("c", "w"),
         );
-        reg.insert(a.clone(), snap(1), &store);
-        reg.insert(b.clone(), snap(2), &store);
+        let (ia, ib, ic) = (reg.intern(&a), reg.intern(&b), reg.intern(&c));
+        reg.insert(ia, snap(1), &store);
+        reg.insert(ib, snap(2), &store);
         // Touch `a` so `b` becomes LRU, then overflow.
-        let fp_a = reg.get(&a, &store).expect("a resident").fingerprint();
-        reg.insert(c.clone(), snap(3), &store);
+        let fp_a = reg.get(ia, &store).expect("a resident").fingerprint();
+        reg.insert(ic, snap(3), &store);
         assert!(!reg.is_resident(&b), "b must have been evicted");
+        assert!(reg.is_resident(&a) && reg.is_resident(&c));
         assert_eq!(reg.stats().evictions, 1);
         // Lazy rehydration brings `b` back, losslessly.
-        let fp_b = reg.get(&b, &store).expect("rehydrate b").fingerprint();
+        let fp_b = reg.get(ib, &store).expect("rehydrate b").fingerprint();
         assert_eq!(fp_b, snap(2).fingerprint());
         assert_eq!(reg.stats().rehydrations, 1);
         assert!(reg.is_resident(&b));
-        let _ = fp_a;
+        assert_eq!(fp_a, snap(1).fingerprint());
     }
 
     #[test]
@@ -324,12 +451,13 @@ mod tests {
             capacity_per_shard: 1,
         });
         let keys: Vec<ClientKey> = (0..6).map(|i| ClientKey::new(format!("t{i}"), "w")).collect();
-        for (i, k) in keys.iter().enumerate() {
-            reg.insert(k.clone(), snap(i as u64), &store);
+        let ids: Vec<TenantId> = keys.iter().map(|k| reg.intern(k)).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            reg.insert(id, snap(i as u64), &store);
         }
         let mut lookups = 0u64;
-        for k in keys.iter().chain(keys.iter()).chain(keys.iter().take(3)) {
-            let _ = reg.get(k, &store);
+        for &id in ids.iter().chain(ids.iter()).chain(ids.iter().take(3)) {
+            let _ = reg.get(id, &store);
             lookups += 1;
         }
         let s = reg.stats();
@@ -340,7 +468,8 @@ mod tests {
     fn missing_spill_is_an_error_not_a_panic() {
         let store = store("registry-missing");
         let mut reg = ShardedRegistry::new(RegistryConfig::default());
-        let err = reg.get(&ClientKey::new("ghost", "w"), &store).unwrap_err();
+        let ghost = reg.intern(&ClientKey::new("ghost", "w"));
+        let err = reg.get(ghost, &store).unwrap_err();
         assert_eq!(err, SnapshotError::Missing);
     }
 
@@ -352,13 +481,14 @@ mod tests {
             capacity_per_shard: 8,
         });
         let keys: Vec<ClientKey> = (0..4).map(|i| ClientKey::new(format!("d{i}"), "w")).collect();
-        let fps: Vec<u64> = keys
+        let ids: Vec<TenantId> = keys.iter().map(|k| reg.intern(k)).collect();
+        let fps: Vec<u64> = ids
             .iter()
             .enumerate()
-            .map(|(i, k)| {
+            .map(|(i, &id)| {
                 let s = snap(100 + i as u64);
                 let fp = s.fingerprint();
-                reg.insert(k.clone(), s, &store);
+                reg.insert(id, s, &store);
                 fp
             })
             .collect();
@@ -366,9 +496,38 @@ mod tests {
         assert_eq!((spilled, kept), (4, 0));
         assert_eq!(reg.resident(), 0);
         // Every tenant comes back from durable state with identical weights.
-        for (k, fp) in keys.iter().zip(&fps) {
-            assert_eq!(reg.get(k, &store).expect("rehydrate").fingerprint(), *fp);
+        for (&id, fp) in ids.iter().zip(&fps) {
+            assert_eq!(reg.get(id, &store).expect("rehydrate").fingerprint(), *fp);
         }
         assert_eq!(reg.stats().failed_spills, 0);
+    }
+
+    #[test]
+    fn drain_spills_in_key_order_whatever_the_interning_order() {
+        let store = store("registry-drain-order");
+        let mut reg = ShardedRegistry::new(RegistryConfig {
+            shard_count: 2,
+            capacity_per_shard: 16,
+        });
+        // Interned in reverse key order, so id order is the reverse of key
+        // order.
+        let keys: Vec<ClientKey> = (0..12).rev().map(|i| ClientKey::new(format!("k{i:02}"), "w")).collect();
+        for (i, k) in keys.iter().enumerate() {
+            let id = reg.intern(k);
+            assert_eq!(id.index(), i);
+            reg.insert(id, snap(200 + i as u64), &store);
+        }
+        let shard = reg.shard_of(&keys[0]);
+        let mut want: Vec<&ClientKey> = keys.iter().filter(|k| reg.shard_of(k) == shard).collect();
+        want.sort();
+        assert!(want.len() >= 2, "the drained shard must hold several keys");
+        let (spilled, kept) = reg.drain_shard(shard, &store);
+        assert_eq!((spilled, kept), (want.len(), 0));
+
+        // The journal records each spill's intent and commit, by key hash.
+        let journal = std::fs::read_to_string(store.dir().join("journal.log")).expect("journal");
+        let commits: Vec<&str> = journal.lines().filter_map(|l| l.strip_prefix("C ")).collect();
+        let want_hashes: Vec<String> = want.iter().map(|k| format!("{:016x}", k.stable_hash())).collect();
+        assert_eq!(commits, want_hashes, "drain must spill in key order");
     }
 }

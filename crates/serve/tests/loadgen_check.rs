@@ -131,9 +131,10 @@ fn smoke_run_completes_under_a_serving_fault_plan() {
     // Poisoned lanes are parked and looked up again on their retry: the
     // cache accounting must count those lookups, not fail on them. At 0.5
     // some lane is poisoned on every retry and answered from the fallback,
-    // which an armed plan makes expected. The plan is set on the child
-    // process only.
-    for plan in ["batch_nan=0.1", "batch_nan=0.5"] {
+    // which an armed plan makes expected. Retries still parked after the
+    // last scheduled tick are settled, so the throughput pass answers all
+    // 24 tenants x 6 ticks. The plan is set on the child process only.
+    for plan in ["batch_nan=0.1", "batch_nan=0.5", "batch_nan=1.0"] {
         let store = scratch().join(format!("faulted-store-{plan}"));
         let run = Command::new(env!("CARGO_BIN_EXE_ld-loadgen"))
             .args(["--smoke", "--store", store.to_str().unwrap()])
@@ -141,5 +142,10 @@ fn smoke_run_completes_under_a_serving_fault_plan() {
             .output()
             .expect("spawn ld-loadgen");
         assert_eq!(run.status.code(), Some(0), "{plan}\n{}", describe(&run));
+        assert!(
+            String::from_utf8_lossy(&run.stdout).contains("bitwise equal over 144 responses"),
+            "{plan}: the throughput pass must answer every request\n{}",
+            describe(&run)
+        );
     }
 }

@@ -9,13 +9,18 @@
 //!   registry answers bit-for-bit what an uncapped one answers;
 //! - a fleet of per-tenant models of mixed shapes, served batched and
 //!   serial through an evicting registry, answers every tick with a pinned
-//!   response digest.
+//!   response digest and pinned cache accounting (spills are lossless, so
+//!   only the accounting shows a wrong LRU victim);
+//! - the same fleet served traced under a `batch_nan` plan, so retries,
+//!   breakers and shard drains fire, records pinned events and span trees.
 
 use ld_api::MinMaxScaler;
+use ld_faultinject::{FaultConfig, FaultPlan, FaultSite};
 use ld_nn::{ForecasterConfig, LstmForecaster};
 use ld_serve::{
     response_digest, ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot,
-    RegistryConfig, Request, Response, ServeEngine, SnapshotStore,
+    RegistryConfig, RegistryStats, Request, Response, ServeEngine, SnapshotStore,
+    SupervisorConfig,
 };
 use ld_telemetry::Tracer;
 
@@ -311,6 +316,7 @@ fn per_tenant_fleet_matches_golden_digests() {
             eng.provision(key.clone(), snap.clone());
         }
         let mut digests = Vec::new();
+        let mut cache = Vec::new();
         for tick in 0..4 {
             for (t, (key, _)) in fleet.iter().enumerate() {
                 if (t + tick) % 5 != 0 {
@@ -338,15 +344,30 @@ fn per_tenant_fleet_matches_golden_digests() {
                 assert_eq!(r.value.to_bits(), want.to_bits(), "{label}: id {}", r.id);
             }
             digests.push(response_digest(&responses));
+            let RegistryStats {
+                hits,
+                misses,
+                evictions,
+                rehydrations,
+                ..
+            } = eng.stats().cache;
+            cache.push([hits, misses, evictions, rehydrations]);
         }
-        let cache = eng.stats().cache;
-        assert!(
-            cache.evictions > 0 && cache.rehydrations > 0,
-            "{label}: the registry must spill and rehydrate: {cache:?}"
-        );
         assert_eq!(digests, golden, "{label}: per-tick response digests moved");
+        // Spills are lossless, so a wrong LRU victim or drain order leaves
+        // every response bit unchanged: the cache accounting shows it.
+        assert_eq!(cache, GOLDEN_CACHE, "{label}: per-tick registry stats moved");
     }
 }
+
+/// Cumulative `[hits, misses, evictions, rehydrations]` after each tick of
+/// [`per_tenant_fleet_matches_golden_digests`], either mode.
+const GOLDEN_CACHE: [[u64; 4]; 4] = [
+    [42, 44, 56, 44],
+    [111, 62, 74, 62],
+    [181, 79, 91, 79],
+    [250, 96, 108, 96],
+];
 
 const GOLDEN_BATCHED: [u64; 4] = [
     0xebcd_5903_de07_c0ba,
@@ -359,4 +380,89 @@ const GOLDEN_SERIAL: [u64; 4] = [
     0x0442_328e_b2df_6934,
     0x36a9_f1eb_6337_730a,
     0xb973_4869_9721_1dfa,
+];
+
+/// FNV-1a over `bytes`, for pinning text artifacts by digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The mixed fleet served traced through an evicting registry under a
+/// `batch_nan` plan, so lanes fail, retry, trip tenant breakers and drain
+/// shards, then settled with the plan disarmed. The response digest, the
+/// events JSON and the span tree are pinned: a refactor of the engine's
+/// bookkeeping must leave every series, event and span where it was.
+#[test]
+fn traced_faulted_fleet_matches_golden_events() {
+    let fleet = mixed_fleet();
+    let mut eng = ServeEngine::new(
+        EngineConfig {
+            mode: ExecMode::Batched,
+            queue_capacity: 256,
+            registry: RegistryConfig {
+                shard_count: 4,
+                capacity_per_shard: 24,
+            },
+            // The chaos soak's supervisor: shards that keep failing a
+            // fifth of their lanes drain.
+            lifecycle: LifecycleConfig {
+                supervisor: SupervisorConfig {
+                    degraded_ratio: 0.2,
+                    unhealthy_ticks: 2,
+                    recovery_ticks: 2,
+                },
+                ..LifecycleConfig::default()
+            },
+        },
+        store("golden-events"),
+        Tracer::enabled(),
+    );
+    for (key, snap) in &fleet {
+        eng.provision(key.clone(), snap.clone());
+    }
+    let plan = FaultConfig::new(29).with_site(FaultSite::BatchNan, 0.15, None);
+    eng.set_faults(FaultPlan::new(plan));
+    let mut responses = Vec::new();
+    for tick in 0..8 {
+        for (t, (key, _)) in fleet.iter().enumerate() {
+            if (t + tick) % 5 != 0 {
+                let id = (tick * 1000 + t) as u64;
+                eng.submit(Request::new(id, key.clone(), mixed_history(t, tick)))
+                    .expect("queue sized for the fleet");
+            }
+        }
+        responses.extend(eng.tick());
+    }
+    eng.set_faults(FaultPlan::disarmed());
+    for _ in 0..16 {
+        if eng.pending_work() == 0 {
+            break;
+        }
+        responses.extend(eng.tick());
+    }
+    assert_eq!(eng.pending_work(), 0, "the settle ticks must answer every parked retry");
+
+    let stats = eng.stats();
+    let lc = stats.lifecycle;
+    assert!(
+        lc.retries > 0 && lc.breaker_trips > 0 && lc.breaker_fallbacks > 0 && lc.shard_drains > 0,
+        "the plan must drive retries, breakers and drains: {lc:?}"
+    );
+    assert!(
+        stats.cache.evictions > 0 && stats.cache.rehydrations > 0,
+        "the registry must spill and rehydrate: {:?}",
+        stats.cache
+    );
+    let events = fnv1a(eng.tracer().events().to_json().as_bytes());
+    let paths = eng.tracer().snapshot().logical_paths().join("\n");
+    let got = [response_digest(&responses), events, fnv1a(paths.as_bytes())];
+    assert_eq!(got, GOLDEN_EVENTS, "[responses, events JSON, span paths] digests moved");
+}
+
+const GOLDEN_EVENTS: [u64; 3] = [
+    0x470d_141a_9729_a1f7,
+    0xc3f3_997e_dcb5_3c95,
+    0x5e59_05b3_cec9_4e07,
 ];

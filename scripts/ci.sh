@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate for the workspace: release build, every workspace test suite,
-# the ld-e2e benchmark's smoke suite, the ld-perfbench regression gate on
+# the ld-e2e benchmark's smoke suite and its four seed-42 digests, the ld-perfbench regression gate on
 # one CPU (bench schema check + per-row cost gate), the loadgen replays
 # (a traced smoke run whose trace, events, manifest and Prometheus
 # exposition must validate and whose BENCH_serve document must read back,
@@ -28,6 +28,22 @@ cargo test -q --workspace
 
 echo "=== ld-e2e smoke suite (every benchmark workload, council's bitwise forecasts-repeat) ==="
 cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+
+echo "=== ld-e2e seed-42 digests (training, the council and both serving modes stay bitwise) ==="
+# Each digest covers a workload's first pass or first set-up, so it does
+# not depend on --seconds; one second per workload keeps this short.
+for pair in tune:2ce033262f009536 council:0a61be70f0444e96 \
+        serve-shared:789f9548ce4b67b4 serve-pertenant:ab2b8ba24683a2e3; do
+    workload=${pair%%:*}
+    want=${pair#*:}
+    got=$(cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
+        run --workload "$workload" --seconds 1 --seed 42 | sed -n 's/^  digest //p')
+    if [ "$got" != "$want" ]; then
+        echo "ci.sh: ld-e2e $workload digest ${got:-missing}, expected $want" >&2
+        exit 1
+    fi
+    echo "$workload digest $got"
+done
 
 echo "=== ld-perfbench --compare (bench schema + per-row cost regression gate, one CPU) ==="
 # Tolerance 1.8: every row times its shipped path interleaved round by round
