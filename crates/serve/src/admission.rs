@@ -58,17 +58,15 @@ pub struct AdmissionStats {
     pub peak_depth: usize,
 }
 
-/// A bounded FIFO of pending requests: [`Request`]s, or whatever item the
-/// owner queues a request as (the engine queues each with its interned
-/// tenant and submit tick).
+/// A bounded FIFO of pending requests.
 #[derive(Debug)]
-pub struct AdmissionQueue<T = Request> {
+pub struct AdmissionQueue {
     capacity: usize,
-    queue: VecDeque<T>,
+    queue: VecDeque<Request>,
     stats: AdmissionStats,
 }
 
-impl<T> AdmissionQueue<T> {
+impl AdmissionQueue {
     /// Builds an empty queue holding at most `capacity` requests.
     ///
     /// # Panics
@@ -99,7 +97,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Offers a request. `Err` returns the request to the caller: it was
     /// shed because the queue is at its bound.
-    pub fn offer(&mut self, req: T) -> Result<(), T> {
+    pub fn offer(&mut self, req: Request) -> Result<(), Request> {
         if self.queue.len() >= self.capacity {
             self.stats.shed += 1;
             return Err(req);
@@ -111,7 +109,7 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Takes every pending request, in admission order.
-    pub fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, T> {
+    pub fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, Request> {
         self.queue.drain(..)
     }
 }

@@ -516,8 +516,31 @@ fn run_pass(
 ) -> PassResult {
     let mut responses = Vec::with_capacity(tenants.len() * ticks);
     let mut tick_ns = Vec::with_capacity(ticks);
-    for tick in 0..ticks {
-        let reqs = requests_at(tenants, tick, history_len);
+    // Service time is the sum of per-tick (submit + tick) windows: the
+    // wall span additionally counts the generator re-building request
+    // objects each tick, which is harness cost, not engine work — charging
+    // it to both passes would only blur the serial/batched contrast.
+    let mut service_ns = 0u64;
+    // After the last scheduled tick the pass ticks on until no retry is
+    // parked, so it answers every request it submitted. A clean pass parks
+    // nothing and settles in zero ticks; the settle is bounded like the
+    // chaos soak's, since max backoff is a handful of ticks. Settle ticks
+    // count toward service time and the SLO, but are not latency samples.
+    for tick in 0.. {
+        let scheduled = tick < ticks;
+        if !scheduled && engine.pending_work() == 0 {
+            break;
+        }
+        assert!(
+            tick < ticks + 64,
+            "throughput pass failed to settle: {} requests still pending",
+            engine.pending_work()
+        );
+        let reqs = if scheduled {
+            requests_at(tenants, tick, history_len)
+        } else {
+            Vec::new()
+        };
         // ld-lint: allow(determinism, "per-tick latency measurement; answers do not depend on it")
         let tk = Instant::now();
         for req in reqs {
@@ -525,11 +548,15 @@ fn run_pass(
         }
         let answered = engine.tick();
         let ns = u64::try_from(tk.elapsed().as_nanos()).expect("tick ns fits u64");
+        service_ns += ns;
         if let Some(slo) = slo.as_deref_mut() {
             let good = answered.iter().filter(|r| !r.degraded).count() as u64;
             slo.record(tick as u64, good, answered.len() as u64);
         }
         responses.extend(answered);
+        if !scheduled {
+            continue;
+        }
         tick_ns.push(ns);
         if top_every > 0 && (tick + 1) % top_every == 0 {
             let mut window = tick_ns[tick + 1 - top_every..].to_vec();
@@ -545,36 +572,6 @@ fn run_pass(
             );
         }
     }
-    // Settle: serve out every retry still parked after the last scheduled
-    // tick, so the pass answers every request it submitted. A clean pass
-    // parks nothing and settles in zero ticks. Bounded like the chaos
-    // soak's settle loop: max backoff is a handful of ticks. Settle ticks
-    // count toward service time but not toward the scheduled ticks'
-    // latency samples.
-    let mut settle = 0;
-    let mut settle_ns = 0;
-    while engine.pending_work() > 0 {
-        settle += 1;
-        assert!(
-            settle <= 64,
-            "throughput pass failed to settle: {} requests still pending",
-            engine.pending_work()
-        );
-        // ld-lint: allow(determinism, "per-tick latency measurement; answers do not depend on it")
-        let tk = Instant::now();
-        let answered = engine.tick();
-        settle_ns += u64::try_from(tk.elapsed().as_nanos()).expect("tick ns fits u64");
-        if let Some(slo) = slo.as_deref_mut() {
-            let good = answered.iter().filter(|r| !r.degraded).count() as u64;
-            slo.record((ticks + settle - 1) as u64, good, answered.len() as u64);
-        }
-        responses.extend(answered);
-    }
-    // Service time is the sum of per-tick (submit + tick) windows: the
-    // wall span additionally counts the generator re-building request
-    // objects each tick, which is harness cost, not engine work — charging
-    // it to both passes would only blur the serial/batched contrast.
-    let service_ns: u64 = tick_ns.iter().sum::<u64>() + settle_ns;
     PassResult {
         responses,
         elapsed_secs: service_ns as f64 / 1e9,

@@ -2,11 +2,12 @@
 //! fusion, per-tenant graceful degradation, and the request lifecycle
 //! (deadlines, retries, circuit breakers, shard health).
 //!
-//! Each request's [`ClientKey`] is interned once, at [`ServeEngine::submit`]
-//! (or at [`ServeEngine::provision`]), to the registry's dense
-//! [`TenantId`]; the queued item carries that id and its submit tick, and
-//! from there on the tick reaches the tenant's shard, stable hash,
-//! snapshot and breaker by indexing, never by comparing keys.
+//! Each request's [`ClientKey`] is interned to the registry's dense
+//! [`TenantId`] when the tick drains it from the queue (a provisioned key
+//! already holds one), so a shed request leaves nothing behind. The
+//! in-flight item carries that id and its submit tick, and from there on
+//! the tick reaches the tenant's shard, stable hash, snapshot and breaker
+//! by indexing, never by comparing keys.
 //!
 //! Per tick the engine drains its bounded queue plus any parked retries,
 //! sorts them by request id into the tick's work list, resolves each
@@ -300,7 +301,7 @@ pub struct ServeEngine {
     lifecycle: LifecycleConfig,
     registry: ShardedRegistry,
     store: SnapshotStore,
-    queue: AdmissionQueue<InFlight>,
+    queue: AdmissionQueue,
     tracer: Tracer,
     /// The plan the `batch_nan` site draws from; the store holds a clone.
     faults: FaultPlan,
@@ -312,7 +313,8 @@ pub struct ServeEngine {
     lifecycle_stats: LifecycleStats,
     /// Requests parked for retry backoff or slow-shard deferral.
     parked: RetrySchedule<InFlight>,
-    /// Per-tenant breakers, indexed by [`TenantId`]: one per interned key.
+    /// Per-tenant breakers, indexed by [`TenantId`]; grown, closed, as the
+    /// tick drains requests for new ids.
     tenant_breakers: Vec<Breaker>,
     /// Per-shard breakers.
     shard_breakers: Vec<Breaker>,
@@ -363,47 +365,29 @@ impl ServeEngine {
     /// failures during eviction keep the victim resident and are counted
     /// in [`RegistryStats::failed_spills`].
     pub fn provision(&mut self, key: ClientKey, snapshot: ModelSnapshot) {
-        let tenant = self.intern(&key);
+        let tenant = self.registry.intern(&key);
         self.registry.insert(tenant, snapshot, &self.store);
     }
 
     /// Offers a request; `Err` returns it because it was shed. Requests
     /// without a deadline receive the engine's default budget (deadline =
-    /// next tick + `deadline_ticks`). The request's key is interned here,
-    /// so the tick never looks a key up.
+    /// next tick + `deadline_ticks`).
     pub fn submit(&mut self, mut req: Request) -> Result<(), Request> {
         if req.deadline.is_none() {
             if let Some(budget) = self.lifecycle.deadline_ticks {
                 req.deadline = Some(self.tick.saturating_add(budget));
             }
         }
-        let item = InFlight {
-            tenant: self.intern(&req.key),
-            req,
-            submitted: self.tick,
-            attempt: 0,
-            deferred: false,
-        };
-        match self.queue.offer(item) {
+        match self.queue.offer(req) {
             Ok(()) => {
                 self.tracer.incr("serve.requests_submitted_total");
                 Ok(())
             }
-            Err(item) => {
+            Err(req) => {
                 self.tracer.incr("serve.requests_shed_total");
-                Err(item.req)
+                Err(req)
             }
         }
-    }
-
-    /// The registry's id for `key`, interning it, with a closed breaker,
-    /// on first sight.
-    fn intern(&mut self, key: &ClientKey) -> TenantId {
-        let tenant = self.registry.intern(key);
-        if tenant.index() == self.tenant_breakers.len() {
-            self.tenant_breakers.push(Breaker::new(self.lifecycle.breaker));
-        }
-        tenant
     }
 
     /// Engine-wide accounting.
@@ -462,7 +446,8 @@ impl ServeEngine {
     pub fn tenant_breaker_state(&self, key: &ClientKey) -> BreakerState {
         self.registry
             .id_of(key)
-            .map_or(BreakerState::Closed, |id| self.tenant_breakers[id.index()].state())
+            .and_then(|id| self.tenant_breakers.get(id.index()))
+            .map_or(BreakerState::Closed, Breaker::state)
     }
 
     /// The shard's current health.
@@ -521,8 +506,23 @@ impl ServeEngine {
         self.tracer.gauge("serve.queue_depth", self.queue.depth() as u64);
         self.tracer.gauge("serve.parked", self.parked.len() as u64);
 
+        // Every queued request was submitted since the last tick, i.e. on
+        // this one; its tenant gets a closed breaker on first sight.
         let mut work: Vec<InFlight> = self.parked.release(tick_idx);
-        work.extend(self.queue.drain());
+        for req in self.queue.drain() {
+            let tenant = self.registry.intern(&req.key);
+            if tenant.index() >= self.tenant_breakers.len() {
+                let cfg = self.lifecycle.breaker;
+                self.tenant_breakers.resize_with(tenant.index() + 1, || Breaker::new(cfg));
+            }
+            work.push(InFlight {
+                req,
+                tenant,
+                submitted: tick_idx,
+                attempt: 0,
+                deferred: false,
+            });
+        }
         // Seed-derived composition: order by schedule-assigned id, not by
         // the order submissions happened to arrive in.
         work.sort_by_key(|w| w.req.id);
@@ -1273,6 +1273,21 @@ mod tests {
         solo.submit(Request::new(0, known, history(0))).expect("admit");
         let solo_rs = solo.tick();
         assert_eq!(rs[0].value.to_bits(), solo_rs[0].value.to_bits());
+    }
+
+    #[test]
+    fn a_shed_request_interns_nothing() {
+        let mut e = engine("engine-shed", ExecMode::Batched);
+        for id in 0..64 {
+            e.submit(Request::new(id, ClientKey::new(format!("q{id}"), "w"), history(id)))
+                .expect("admit");
+        }
+        let shed = ClientKey::new("shed", "w");
+        assert!(e.submit(Request::new(64, shed.clone(), history(64))).is_err());
+        assert_eq!(e.registry().id_of(&ClientKey::new("q0", "w")), None, "queued, not yet drained");
+        assert_eq!(e.tick().len(), 64);
+        assert!(e.registry().id_of(&ClientKey::new("q63", "w")).is_some());
+        assert_eq!(e.registry().id_of(&shed), None);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! keys, LRU-evicted to a [`SnapshotStore`] and lazily rehydrated on the
 //! next request.
 //!
-//! Each [`ClientKey`] is interned once, when it is provisioned or first
-//! submitted, to a dense [`TenantId`]. The id indexes the tenant's record
-//! (its key, its stable hash, its shard and its resident snapshot) in a
-//! `Vec`, so a lookup is one index, never a key comparison. The key-to-id
-//! map is only looked up, never iterated, and ids follow interning order,
-//! which no output depends on.
+//! Each [`ClientKey`] is interned once, when it is provisioned or when a
+//! tick first drains a request for it, to a dense [`TenantId`]. The id
+//! indexes the tenant's record (its key, its stable hash, its shard and its
+//! resident snapshot) in a `Vec`, so a lookup is one index, never a key
+//! comparison. Interning itself finds the id through a map keyed by the
+//! key's stable hash, which is only looked up, never iterated, and confirms
+//! it against a copy of the key's bytes kept back to back in id order, so
+//! a tick whose requests arrive in id order reads them as one stream. Ids
+//! follow interning order, which no output depends on.
 //!
 //! Shard placement is FNV-1a of the key — a pure function of the key's
 //! bytes, so the same tenant lands on the same shard in every run on every
@@ -120,6 +123,9 @@ struct Tenant {
     key: ClientKey,
     stable_hash: u64,
     shard: usize,
+    /// The id interned before this one under the same stable hash, if any:
+    /// keys whose hashes collide chain from [`ShardedRegistry::by_hash`].
+    same_hash: Option<TenantId>,
     /// The resident snapshot; `None` while it lives only in the store.
     entry: Option<Entry>,
 }
@@ -127,8 +133,14 @@ struct Tenant {
 /// The sharded, LRU-evicting snapshot registry.
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    /// Key to id, looked up only: never iterated.
-    ids: HashMap<ClientKey, TenantId>,
+    /// Stable hash to the id last interned under it; looked up only, never
+    /// iterated.
+    by_hash: HashMap<u64, TenantId>,
+    /// Every interned key's bytes as [`ClientKey::stable_hash`] reads them
+    /// (tenant, `0xff`, workload), back to back in id order: id `i`'s are
+    /// `key_bytes[key_bounds[i]..key_bounds[i + 1]]`.
+    key_bytes: Vec<u8>,
+    key_bounds: Vec<usize>,
     /// Every interned tenant, indexed by [`TenantId`].
     tenants: Vec<Tenant>,
     /// Each shard's resident ids, in no particular order.
@@ -151,7 +163,9 @@ impl ShardedRegistry {
             "registry shards need capacity for at least one snapshot"
         );
         ShardedRegistry {
-            ids: HashMap::new(),
+            by_hash: HashMap::new(),
+            key_bytes: Vec::new(),
+            key_bounds: vec![0],
             tenants: Vec::new(),
             resident: vec![Vec::new(); cfg.shard_count],
             capacity_per_shard: cfg.capacity_per_shard,
@@ -173,35 +187,58 @@ impl ShardedRegistry {
     /// The id of `key`, interning it on first sight. Only a new key is
     /// cloned; it starts with no resident snapshot.
     pub fn intern(&mut self, key: &ClientKey) -> TenantId {
-        if let Some(&id) = self.ids.get(key) {
+        self.intern_hashed(key, key.stable_hash())
+    }
+
+    /// [`Self::intern`] with the key's stable hash already computed.
+    fn intern_hashed(&mut self, key: &ClientKey, stable_hash: u64) -> TenantId {
+        if let Some(id) = self.find(key, stable_hash) {
             return id;
         }
         // ld-lint: allow(panic-path, "u32 ids outnumber the keys that fit in memory")
         let id = TenantId(u32::try_from(self.tenants.len()).expect("fewer than 2^32 tenants"));
-        let stable_hash = key.stable_hash();
+        self.key_bytes.extend_from_slice(key.tenant.as_bytes());
+        self.key_bytes.push(0xff);
+        self.key_bytes.extend_from_slice(key.workload.as_bytes());
+        self.key_bounds.push(self.key_bytes.len());
         self.tenants.push(Tenant {
             key: key.clone(),
             stable_hash,
             shard: shard_of_hash(stable_hash, self.resident.len()),
+            same_hash: self.by_hash.insert(stable_hash, id),
             entry: None,
         });
-        self.ids.insert(key.clone(), id);
         id
     }
 
     /// The id `key` was interned to, if it was (no interning, no stats).
     pub fn id_of(&self, key: &ClientKey) -> Option<TenantId> {
-        self.ids.get(key).copied()
+        self.find(key, key.stable_hash())
     }
 
-    /// Number of interned tenants: every id is below it.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
+    /// Walks the ids interned under `stable_hash` for the one interned
+    /// from `key`.
+    fn find(&self, key: &ClientKey, stable_hash: u64) -> Option<TenantId> {
+        let mut at = self.by_hash.get(&stable_hash).copied();
+        while let Some(id) = at {
+            if self.interned_from(id, key) {
+                return Some(id);
+            }
+            at = self.tenants[id.index()].same_hash;
+        }
+        None
     }
 
-    /// The key `id` was interned from.
-    pub fn key(&self, id: TenantId) -> &ClientKey {
-        &self.tenants[id.index()].key
+    /// Whether `id` was interned from `key`, read from the key bytes alone.
+    /// UTF-8 never holds `0xff`, so stored bytes of the key's length that
+    /// start with its tenant and end with its workload have the separator
+    /// between the two: the keys are equal.
+    fn interned_from(&self, id: TenantId, key: &ClientKey) -> bool {
+        let bytes = &self.key_bytes[self.key_bounds[id.index()]..self.key_bounds[id.index() + 1]];
+        let (tenant, workload) = (key.tenant.as_bytes(), key.workload.as_bytes());
+        bytes.len() == tenant.len() + 1 + workload.len()
+            && bytes.starts_with(tenant)
+            && bytes.ends_with(workload)
     }
 
     /// The shard `id` lives on: [`Self::shard_of`] its key.
@@ -225,7 +262,7 @@ impl ShardedRegistry {
     }
 
     /// Installs a snapshot for `id`, spilling the shard's LRU entry to
-    /// `store` if the shard is at capacity.
+    /// `store` if the shard is at capacity, and returns it resident.
     ///
     /// Eviction is **spill-then-remove**: the victim is written to the
     /// store first and only dropped from memory once the write succeeded.
@@ -233,12 +270,12 @@ impl ShardedRegistry {
     /// resident — the shard runs one entry over capacity until a later
     /// eviction succeeds — so no snapshot ever exists solely in a torn
     /// file. Failures are counted in [`RegistryStats::failed_spills`].
-    pub fn insert(&mut self, id: TenantId, snapshot: ModelSnapshot, store: &SnapshotStore) {
-        self.place(id, snapshot, store);
-    }
-
-    /// [`Self::insert`], returning the now-resident snapshot.
-    fn place(&mut self, id: TenantId, snapshot: ModelSnapshot, store: &SnapshotStore) -> &ModelSnapshot {
+    pub fn insert(
+        &mut self,
+        id: TenantId,
+        snapshot: ModelSnapshot,
+        store: &SnapshotStore,
+    ) -> &ModelSnapshot {
         self.clock += 1;
         let now = self.clock;
         let shard = self.tenants[id.index()].shard;
@@ -290,7 +327,7 @@ impl ShardedRegistry {
             return match store.load(&self.tenants[id.index()].key) {
                 Ok(snapshot) => {
                     self.stats.rehydrations += 1;
-                    Ok(self.place(id, snapshot, store))
+                    Ok(self.insert(id, snapshot, store))
                 }
                 Err(SnapshotError::Corrupt(why)) => {
                     self.stats.corrupt_rehydrations += 1;
@@ -407,11 +444,27 @@ mod tests {
         for (k, &id) in keys.iter().zip(&ids) {
             assert_eq!(reg.intern(k), id);
             assert_eq!(reg.id_of(k), Some(id));
-            assert_eq!(reg.key(id), k);
         }
-        assert_eq!(reg.tenant_count(), 5);
         assert_eq!(reg.id_of(&ClientKey::new("t9", "w")), None);
+        assert_eq!(reg.intern(&ClientKey::new("t9", "w")).index(), 5);
         assert_eq!(reg.resident(), 0, "interning makes nothing resident");
+    }
+
+    #[test]
+    fn keys_sharing_a_stable_hash_intern_apart() {
+        let mut reg = ShardedRegistry::new(RegistryConfig::default());
+        let keys: Vec<ClientKey> = (0..3).map(|i| ClientKey::new(format!("c{i}"), "w")).collect();
+        // Force one hash on all three, as a 64-bit collision would.
+        let ids: Vec<TenantId> = keys.iter().map(|k| reg.intern_hashed(k, 7)).collect();
+        assert_eq!(ids.iter().map(|id| id.index()).collect::<Vec<_>>(), vec![0, 1, 2]);
+        for (k, &id) in keys.iter().zip(&ids) {
+            assert_eq!(reg.intern_hashed(k, 7), id);
+            assert_eq!(reg.find(k, 7), Some(id));
+        }
+        assert_eq!(reg.find(&ClientKey::new("c3", "w"), 7), None);
+        // The same characters split differently are a different key.
+        assert_eq!(reg.find(&ClientKey::new("c", "0w"), 7), None);
+        assert_eq!(reg.find(&ClientKey::new("c0w", ""), 7), None);
     }
 
     #[test]
