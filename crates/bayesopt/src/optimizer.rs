@@ -132,15 +132,18 @@ pub trait HyperOptimizer {
     ) -> OptResult;
 }
 
+/// Candidate-pool size scored by the acquisition per iteration.
+const CANDIDATE_POOL: usize = 512;
+
+/// How many of the pool are local perturbations of the incumbent (a
+/// quarter); the rest are uniform draws over the space.
+const LOCAL_CANDIDATES: usize = CANDIDATE_POOL / 4;
+
 /// Options for [`BayesianOptimizer`].
 #[derive(Debug, Clone, Copy)]
 pub struct BoOptions {
     /// Random initial-design size before the GP takes over.
     pub init_points: usize,
-    /// Candidate-pool size scored by the acquisition per iteration.
-    pub candidate_pool: usize,
-    /// Fraction of the pool drawn as local perturbations of the incumbent.
-    pub local_fraction: f64,
     /// Acquisition function.
     pub acquisition: Acquisition,
     /// Wall-clock deadline for the whole search, in seconds. When set, no
@@ -155,8 +158,6 @@ impl Default for BoOptions {
     fn default() -> Self {
         BoOptions {
             init_points: 5,
-            candidate_pool: 512,
-            local_fraction: 0.25,
             acquisition: Acquisition::default(),
             deadline_secs: None,
         }
@@ -175,7 +176,6 @@ impl BayesianOptimizer {
     /// Optimizer with explicit options.
     pub fn new(opts: BoOptions) -> Self {
         assert!(opts.init_points >= 1, "need at least one initial point");
-        assert!(opts.candidate_pool >= 1, "need a non-empty candidate pool");
         BayesianOptimizer {
             opts,
             tracer: Tracer::disabled(),
@@ -371,15 +371,10 @@ impl BayesianOptimizer {
                 .unwrap();
 
             // Build the candidate pool: global uniform + local perturbations.
-            let n_local = ld_api::num::to_index(
-                ((self.opts.candidate_pool as f64) * self.opts.local_fraction).round(),
-                self.opts.candidate_pool,
-            );
-            let n_global = self.opts.candidate_pool - n_local;
-            let mut pool: Vec<Vec<f64>> = (0..n_global)
+            let mut pool: Vec<Vec<f64>> = (0..CANDIDATE_POOL - LOCAL_CANDIDATES)
                 .map(|_| space.sample_unit(&mut rng))
                 .collect();
-            for _ in 0..n_local {
+            for _ in 0..LOCAL_CANDIDATES {
                 let p: Vec<f64> = incumbent
                     .iter()
                     .map(|&u| (u + rng.gen_range(-0.1..0.1)).clamp(0.0, 1.0))

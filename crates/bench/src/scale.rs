@@ -55,14 +55,12 @@ impl ExperimentScale {
                 patience: 4,
                 learning_rate: 8e-3,
                 max_train_windows: 550,
-                clip_norm: 5.0,
             },
             ExperimentScale::Fast => TrainBudget {
                 max_epochs: 8,
                 patience: 3,
                 learning_rate: 1e-2,
                 max_train_windows: 250,
-                clip_norm: 5.0,
             },
         }
     }

@@ -31,8 +31,6 @@ pub struct TrainBudget {
     pub learning_rate: f64,
     /// Cap on the number of (most recent) training windows.
     pub max_train_windows: usize,
-    /// Global gradient-norm clip.
-    pub clip_norm: f64,
 }
 
 impl Default for TrainBudget {
@@ -42,7 +40,6 @@ impl Default for TrainBudget {
             patience: 6,
             learning_rate: 5e-3,
             max_train_windows: 2000,
-            clip_norm: 5.0,
         }
     }
 }
@@ -55,7 +52,6 @@ impl TrainBudget {
             patience: 4,
             learning_rate: 1e-2,
             max_train_windows: 400,
-            clip_norm: 5.0,
         }
     }
 }
@@ -187,9 +183,7 @@ fn evaluate_hyperparams_inner(
         max_epochs: budget.max_epochs,
         patience: budget.patience,
         min_delta: 1e-7,
-        clip_norm: budget.clip_norm,
         shuffle_seed: seed,
-        lr_decay: 1.0,
         max_divergence_retries: 3,
     })
     .with_faults(faults.clone(), fault_key(hp, seed));

@@ -137,6 +137,9 @@ impl Trainable for crate::mlp::MlpForecaster {
     }
 }
 
+/// Global gradient-norm clip applied to every mini-batch's gradient.
+const CLIP_NORM: f64 = 5.0;
+
 /// Knobs for one training run.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainOptions {
@@ -149,14 +152,8 @@ pub struct TrainOptions {
     pub patience: usize,
     /// Minimum validation-MSE improvement that resets patience.
     pub min_delta: f64,
-    /// Global gradient-norm clip (`f64::INFINITY` disables clipping).
-    pub clip_norm: f64,
     /// Seed for epoch shuffling.
     pub shuffle_seed: u64,
-    /// Multiplicative learning-rate decay applied per epoch via gradient
-    /// rescaling (`1.0` = constant rate). Values slightly below 1 (e.g.
-    /// `0.97`) trade early progress for a finer-grained endgame.
-    pub lr_decay: f64,
     /// Divergence-watchdog budget: how many times a non-finite epoch may be
     /// rolled back (restore best weights, reset optimizer state, halve the
     /// learning rate) before the run is declared diverged. `0` disables
@@ -171,9 +168,7 @@ impl Default for TrainOptions {
             max_epochs: 60,
             patience: 8,
             min_delta: 1e-6,
-            clip_norm: 5.0,
             shuffle_seed: 0,
-            lr_decay: 1.0,
             max_divergence_retries: 3,
         }
     }
@@ -296,8 +291,7 @@ impl Trainer {
         let mut val_losses = Vec::new();
         let mut early_stopped = false;
         let mut epochs_run = 0usize;
-        // Watchdog state: each rollback halves the effective learning rate
-        // on top of the configured decay schedule.
+        // Watchdog state: each rollback halves the effective learning rate.
         let mut lr_retreat = 1.0f64;
         let mut rollbacks = 0usize;
         let mut diverged = false;
@@ -312,8 +306,8 @@ impl Trainer {
             let epoch_guard = self.tracer.span_at("epoch", epoch as u64);
             let epoch_tracer = epoch_guard.tracer();
             epochs_run += 1;
-            if self.opts.lr_decay != 1.0 || lr_retreat != 1.0 {
-                opt.set_lr_scale(self.opts.lr_decay.powi(epoch as i32) * lr_retreat);
+            if lr_retreat != 1.0 {
+                opt.set_lr_scale(lr_retreat);
             }
             order.shuffle(&mut rng);
             let mut epoch_loss_sum = 0.0;
@@ -333,7 +327,7 @@ impl Trainer {
                 epoch_loss_sum += loss_sum;
                 batches += 1;
                 M::scale(&mut grads, 1.0 / batch.len() as f64);
-                if self.opts.clip_norm.is_finite() && M::clip(&mut grads, self.opts.clip_norm) {
+                if M::clip(&mut grads, CLIP_NORM) {
                     clipped_batches += 1;
                 }
                 model.apply(&grads, opt);
@@ -651,10 +645,10 @@ mod tests {
         let (mut train_losses, mut val_losses) = (Vec::new(), Vec::new());
         let (mut early_stopped, mut diverged) = (false, false);
         let (mut epochs_run, mut rollbacks, mut lr_retreat) = (0usize, 0usize, 1.0f64);
-        for epoch in 0..opts.max_epochs {
+        for _ in 0..opts.max_epochs {
             epochs_run += 1;
-            if opts.lr_decay != 1.0 || lr_retreat != 1.0 {
-                opt.set_lr_scale(opts.lr_decay.powi(epoch as i32) * lr_retreat);
+            if lr_retreat != 1.0 {
+                opt.set_lr_scale(lr_retreat);
             }
             order.shuffle(&mut rng);
             let mut epoch_loss_sum = 0.0;
@@ -682,9 +676,7 @@ mod tests {
                 }
                 epoch_loss_sum += loss_sum;
                 M::scale(&mut grads, 1.0 / chunk.len() as f64);
-                if opts.clip_norm.is_finite() {
-                    M::clip(&mut grads, opts.clip_norm);
-                }
+                M::clip(&mut grads, CLIP_NORM);
                 model.apply(&grads, opt);
             }
             let train_mse = epoch_loss_sum / train.len() as f64;
@@ -932,33 +924,6 @@ mod tests {
         assert_eq!((report.rollbacks, report.diverged), (2, false));
         let want: Vec<u64> = val.iter().map(|s| initial.predict(&s.window).to_bits()).collect();
         assert_eq!(loss_bits(&report.val_preds), want);
-    }
-
-    #[test]
-    fn lr_decay_schedule_still_learns() {
-        let series = sine_series(160);
-        let samples = make_windows(&series, 6);
-        let (train, val) = samples.split_at(120);
-        let mut model = LstmForecaster::new(ForecasterConfig {
-            history_len: 6,
-            hidden_size: 6,
-            num_layers: 1,
-            seed: 4,
-        });
-        let before = Trainer::evaluate(&model, val);
-        let trainer = Trainer::new(TrainOptions {
-            batch_size: 16,
-            max_epochs: 30,
-            patience: 10,
-            lr_decay: 0.95,
-            ..TrainOptions::default()
-        });
-        let mut opt = Adam::with_lr(8e-3);
-        trainer.fit(&mut model, &mut opt, train, val);
-        let after = Trainer::evaluate(&model, val);
-        assert!(after < before * 0.3, "{before} -> {after}");
-        // The schedule actually moved the optimizer's effective rate.
-        assert!(opt.learning_rate() < 8e-3);
     }
 
     /// A scalar model whose first `nan_first_calls` gradient evaluations

@@ -134,7 +134,6 @@ fn framework(series_len: usize, fast: bool, tracer: &Tracer, faults: &FaultPlan)
             patience: 4,
             learning_rate: 8e-3,
             max_train_windows: 550,
-            clip_norm: 5.0,
         };
         c
     };
