@@ -18,31 +18,36 @@
 //!    span trees and byte-identical events snapshots; an untraced third
 //!    run must produce the same digest (tracing is a pure observer).
 //! 4. **Overload**: a half-capacity admission queue sheds deterministically;
-//!    the shed rate is recorded and no request may be both shed and
-//!    answered.
+//!    the shed rate is recorded, and every request is answered or shed,
+//!    never both.
 //! 5. **Cache**: a capacity-constrained registry forces LRU spills and lazy
-//!    rehydrations under a skewed access pattern; the hit rate is recorded.
+//!    rehydrations under a skewed access pattern; every request is
+//!    answered and the hit rate is recorded.
+//!
+//! Every pass is a [`Pass`] value replayed by one driver, [`replay`]: after
+//! its last scheduled tick it ticks on until the engine owes no answer, so
+//! a pass answers or sheds every request it offers even under a fault plan.
 //!
 //! Modes: full (default, writes `BENCH_serve.json` + a provenance
 //! manifest) and `--smoke` (tiny counts, all checks, writes nothing unless
 //! `--out` is given — wired into `scripts/ci.sh`). `--check PATH` reads an
 //! existing document into its report type, schema checks included, then
-//! replays its batched pass (the document's seed, tenants, ticks and mode)
-//! and exits non-zero unless that recomputes the committed
-//! `response_digest` bit for bit.
-//! `--check-resilience PATH` does the same for a `BENCH_resilience.json`
-//! document, replaying its first chaos pass (seed, chaos seed, tenants,
-//! ticks and mode).
+//! replays its batched, overload and cache passes (the document's seed,
+//! tenants, ticks and mode) and exits non-zero unless that recomputes the
+//! committed `response_digest` and every other deterministic field bit for
+//! bit. `--check-resilience PATH` does the same for a
+//! `BENCH_resilience.json` document, replaying its first chaos pass (seed,
+//! chaos seed, tenants, ticks and mode).
 //!
 //! `--chaos` switches to the resilience soak: a fault-free baseline pass
 //! records every tenant's model-path answer bits, then two identically-
 //! seeded chaos passes replay the same schedule under a seed-keyed
 //! [`ChaosSchedule`] (slow shards, snapshot corruption, crash-torn spills,
 //! NaN-poisoned batches, burst overload) and must (a) answer or explicitly
-//! shed every request — availability ≥ 99%, no hangs, (b) leave every
-//! unaffected tenant's model-path bits identical to the baseline, and
-//! (c) agree bitwise with each other (digest + span tree + events). The
-//! result is the schema-checked `BENCH_resilience.json`.
+//! shed every request — no hangs, (b) leave every unaffected tenant's
+//! model-path bits identical to the baseline, and (c) agree bitwise with
+//! each other (digest + span tree + events). The result is the
+//! schema-checked `BENCH_resilience.json`.
 //!
 //! Observability is the one `LD_TRACE` knob: set, the batched throughput
 //! pass (under `--chaos`, the first chaos pass) runs traced and writes its
@@ -76,8 +81,11 @@ use ld_serve::{
     RESILIENCE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION,
 };
 use ld_telemetry::artifacts::{dump_trace, trace_from_env};
-use ld_telemetry::{validate_chrome_trace, Artifact, HexDigest, Histogram, RunManifest, Tracer};
+use ld_telemetry::{
+    validate_chrome_trace, Artifact, HexDigest, Histogram, RunManifest, TraceSnapshot, Tracer,
+};
 use ld_traces::{TraceConfig, WorkloadKind};
+use serde::Serialize;
 
 /// Observations each tenant has accumulated before the first tick.
 const WARMUP_INTERVALS: usize = 48;
@@ -85,6 +93,37 @@ const WARMUP_INTERVALS: usize = 48;
 /// Burst-overload requests get ids in a disjoint band so the isolation
 /// check can tell scheduled load from chaos-injected extra load.
 const BURST_BASE: u64 = 1 << 40;
+
+/// Registry shards of every engine (and of the chaos schedule's targets).
+const SHARDS: usize = 16;
+
+/// Ticks a pass may take after its schedule to answer what it still owes:
+/// max backoff and deferral are a handful of ticks, so a queue that has not
+/// drained by then is a hang.
+const SETTLE_TICKS: usize = 64;
+
+/// Ticks past a chaos event's end during which a burn-rate alert is still
+/// attributed to that event: the short window keeps burning for
+/// `short_window` (4) ticks after the last bad answer, and the machinery
+/// keeps producing degraded answers for up to breaker cooldown (4) +
+/// retry backoff (~4) + supervisor drain/recovery (~4) ticks after the
+/// fault itself clears.
+const ALERT_GRACE_TICKS: u64 = 16;
+
+/// The document fields a `--check` replay does not recompute: the
+/// wall-clock timings, and `isolation_clean`, which needs the chaos
+/// baseline pass. It compares every other field.
+const UNCHECKED: [&str; 9] = [
+    "p50_tick_ns",
+    "p95_tick_ns",
+    "p99_tick_ns",
+    "throughput_rps",
+    "serial_secs",
+    "batched_secs",
+    "speedup_batched_vs_serial",
+    "latency_histogram",
+    "isolation_clean",
+];
 
 struct Cfg {
     smoke: bool,
@@ -101,39 +140,20 @@ struct Cfg {
     faults: FaultPlan,
 }
 
-/// Availability objective the batched throughput pass is scored against.
-const THROUGHPUT_SLO: SloConfig = SloConfig {
-    target: 0.99,
-    short_window: 4,
-    long_window: 12,
-    short_burn: 1.0,
-    long_burn: 1.0,
-};
-
-/// The chaos soak's objective: looser target (faults are scheduled), same
-/// multi-window alert rule.
-const CHAOS_SLO: SloConfig = SloConfig {
-    target: 0.98,
-    short_window: 4,
-    long_window: 12,
-    short_burn: 1.0,
-    long_burn: 1.0,
-};
-
-/// Ticks past a chaos event's end during which a burn-rate alert is still
-/// attributed to that event: the short window keeps burning for
-/// `short_window` (4) ticks after the last bad answer, and the machinery
-/// keeps producing degraded answers for up to breaker cooldown (4) +
-/// retry backoff (~4) + supervisor drain/recovery (~4) ticks after the
-/// fault itself clears.
-const ALERT_GRACE_TICKS: u64 = 16;
-
 /// One tenant: key, its jittered series, and its fitted scaler.
 struct Tenant {
     key: ClientKey,
     family: usize,
     series: Vec<f64>,
     scaler: MinMaxScaler,
+}
+
+/// The trained family models and the tenant fleet every pass serves.
+struct Fleet {
+    models: Vec<LstmForecaster>,
+    tenants: Vec<Tenant>,
+    /// Observations per request window (every family's model reads as many).
+    history_len: usize,
 }
 
 fn parse_args() -> Result<Cfg, i32> {
@@ -180,9 +200,10 @@ fn parse_args() -> Result<Cfg, i32> {
                      pass;\n--smoke runs tiny counts with every check and writes nothing \
                      unless --out is given;\n--check / --check-resilience validate an \
                      existing document against its schema (exit 2 on violation), then \
-                     replay the document's batched pass (--check-resilience: its first \
-                     chaos pass) to recompute its response_digest (exit 1 on a \
-                     mismatch);\n\
+                     replay the document's batched, overload and cache passes \
+                     (--check-resilience: its first chaos pass) to recompute its \
+                     response_digest and every other field but timings (exit 1 naming \
+                     the first that differs);\n\
                      LD_TRACE=1|PATH traces the batched pass (--chaos: the first chaos \
                      pass) and writes PATH (default trace.json), PATH.folded, \
                      PATH.events.json, PATH.manifest.json and the PATH.prom exposition"
@@ -225,6 +246,13 @@ fn parse_args() -> Result<Cfg, i32> {
     })
 }
 
+impl Cfg {
+    /// The run's scale, as documents record it.
+    fn mode(&self) -> &'static str {
+        if self.smoke { "smoke" } else { "full" }
+    }
+}
+
 /// The provenance every manifest of this run starts from.
 fn run_manifest(cfg: &Cfg, mode: &str) -> RunManifest {
     RunManifest::new("ld-loadgen")
@@ -254,13 +282,40 @@ fn dump_traced_pass(tracer: &Tracer, trace_out: &Option<String>, manifest: RunMa
     );
 }
 
+/// Validates a generated document, then writes it and its provenance
+/// manifest to `--out`; with no `--out` (smoke mode) writes nothing.
+fn write_document<R: Serialize>(
+    cfg: &Cfg,
+    report: &R,
+    parse: fn(&str) -> Result<R, String>,
+    manifest: RunManifest,
+) {
+    let text = serde_json::to_string_pretty(report).expect("serialize document");
+    parse(&text).expect("generated document must validate");
+    let Some(path) = &cfg.out else {
+        println!("smoke mode: all invariants checked, nothing written");
+        return;
+    };
+    std::fs::write(path, text + "\n").expect("write document");
+    println!("wrote {path}");
+    let manifest_path = format!("{path}.manifest.json");
+    manifest
+        .capture_env()
+        .output("bench", path)
+        .write_json(&manifest_path)
+        .expect("write manifest");
+    println!("wrote {manifest_path}");
+}
+
 /// `--check` / `--check-resilience`: reads the document (schema checks
-/// included), then replays the pass its `response_digest` comes from (a
-/// `BENCH_serve.json`'s batched pass, a `BENCH_resilience.json`'s first
-/// chaos pass) with the document's seed, tenants, ticks and mode, and its
-/// chaos seed. The digest hashes every answer's bits, so a match proves
-/// training, the fault schedule and serving still compute what the
-/// document was generated from.
+/// included), then replays the passes its fields come from (a
+/// `BENCH_serve.json`'s batched, overload and cache passes, a
+/// `BENCH_resilience.json`'s first chaos pass) with the document's seed,
+/// tenants, ticks and mode, and its chaos seed, and compares every field
+/// the replay recomputes. The digest hashes every answer's bits, so a match
+/// proves training, the fault schedule and serving still compute what the
+/// document was generated from; the counts prove the same of admission,
+/// the registry and the engine's lifecycle.
 fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
     let what = if chaos { "BENCH_resilience" } else { "BENCH_serve" };
     let text = match std::fs::read_to_string(path) {
@@ -270,15 +325,15 @@ fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
             return 2;
         }
     };
-    // The settings the pass is replayed with, and the digest it must give.
+    // The settings the passes are replayed with, and the document's fields.
     let read = if chaos {
         ResilienceBenchReport::parse(&text)
-            .map(|r| (r.mode, r.seed, r.tenants, r.ticks, r.chaos_seed, r.response_digest))
+            .map(|r| (r.mode.clone(), r.seed, r.tenants, r.ticks, r.chaos_seed, r.to_value()))
     } else {
         ServeBenchReport::parse(&text)
-            .map(|r| (r.mode, r.seed, r.tenants, r.ticks, 0, r.response_digest))
+            .map(|r| (r.mode.clone(), r.seed, r.tenants, r.ticks, 0, r.to_value()))
     };
-    let (mode, seed, tenants, ticks, chaos_seed, want) = match read {
+    let (mode, seed, tenants, ticks, chaos_seed, doc) = match read {
         Ok(read) => read,
         Err(why) => {
             eprintln!("{path}: INVALID {what} document: {why}");
@@ -301,39 +356,39 @@ fn check_replay(path: &str, chaos: bool, store_root: PathBuf) -> i32 {
     println!("{path}: valid {what} document");
     println!(
         "{path}: replaying the {} ({} tenants x {} ticks, {mode}, seed {}{})",
-        if chaos { "first chaos pass" } else { "batched pass" },
+        if chaos { "first chaos pass" } else { "batched, overload and cache passes" },
         cfg.tenants,
         cfg.ticks,
         cfg.seed,
         if chaos { format!(", chaos seed {}", cfg.chaos_seed) } else { String::new() }
     );
-    let families = train_family_models(&cfg);
-    let history_len = families[0].0.config().history_len;
-    let tenants = build_tenants(&cfg, &families);
-    let responses = if chaos {
+    let fleet = train_fleet(&cfg);
+    let got = if chaos {
         let schedule = chaos_schedule(&cfg);
-        let pass = run_chaos_pass(
-            &cfg,
-            &tenants,
-            &families,
-            history_len,
-            Some(&schedule),
-            "chaos-0",
-            Tracer::disabled(),
-        );
-        pass.responses
+        let pass = Pass::chaos(&cfg, "chaos-0", Some(&schedule), Tracer::disabled());
+        // `isolation_clean` is not compared, so any value stands in.
+        resilience_report(&cfg, &schedule, &replay(&cfg, &fleet, pass), true).to_value()
     } else {
-        let mut engine = batched_engine(&cfg, &tenants, &families, Tracer::disabled());
-        run_pass(&mut engine, &tenants, cfg.ticks, history_len, None, 0).responses
+        let batched = replay(&cfg, &fleet, batched_pass(&cfg));
+        let (shed_rate, cache_hit_rate) = (overload(&cfg, &fleet), cache(&cfg, &fleet));
+        // No serial pass runs: the timings are not compared.
+        serve_report(&cfg, &batched, 0.0, shed_rate, cache_hit_rate).to_value()
     };
-    let got = HexDigest(response_digest(&responses));
-    if got == want {
-        println!("{path}: response_digest {got} recomputed bit for bit");
-        0
-    } else {
-        eprintln!("{path}: response_digest MISMATCH: document {want}, replay {got}");
-        1
+    let json = |v: &serde_json::Value| serde_json::to_string(v).expect("serialize field");
+    let mut recomputed = Vec::new();
+    for (field, want) in doc.as_object().expect("a document is an object") {
+        if UNCHECKED.contains(&field.as_str()) {
+            continue;
+        }
+        if got[field.as_str()] != *want {
+            let (want, got) = (json(want), json(&got[field.as_str()]));
+            eprintln!("{path}: {field} MISMATCH: document {want}, replay {got}");
+            return 1;
+        }
+        recomputed.push(format!("{field} {}", json(want)));
     }
+    println!("{path}: {} recomputed bit for bit", recomputed.join(", "));
+    0
 }
 
 /// Uniform in `[0, 1)` from the top 32 bits (u32 -> f64 is exact).
@@ -342,15 +397,16 @@ fn unit(bits: u64) -> f64 {
     f64::from(u32::try_from(bits >> 32).expect("top 32 bits")) * SCALE
 }
 
-/// Trains one model per trace family on its scaled series; returns each
-/// family's trained model and raw series.
-fn train_family_models(cfg: &Cfg) -> Vec<(LstmForecaster, Vec<f64>)> {
+/// Trains one model per trace family on its scaled series, then builds the
+/// tenant fleet: tenant `i` replays family `i % 5` with a deterministic
+/// per-tenant affine jitter and its own fitted scaler.
+fn train_fleet(cfg: &Cfg) -> Fleet {
     // Deep-narrow wins for batched serving on this workload: stacking three
     // H=8 layers keeps accuracy in family while shifting work into the
     // blocked GEMMs, where the fused path's advantage over per-tenant
     // mat-vecs is largest (small dots are prologue-bound serially).
     let (hist, hidden, layers, epochs) = if cfg.smoke { (8, 8, 2, 2) } else { (20, 8, 3, 4) };
-    WorkloadKind::ALL
+    let (models, series): (Vec<LstmForecaster>, Vec<Vec<f64>>) = WorkloadKind::ALL
         .iter()
         .enumerate()
         .map(|(f, &kind)| {
@@ -382,23 +438,14 @@ fn train_family_models(cfg: &Cfg) -> Vec<(LstmForecaster, Vec<f64>)> {
             trainer.fit(&mut model, &mut opt, &samples, &[]);
             (model, series)
         })
-        .collect()
-}
-
-/// Builds the tenant fleet: tenant `i` replays family `i % 5` with a
-/// deterministic per-tenant affine jitter and its own fitted scaler.
-fn build_tenants(cfg: &Cfg, families: &[(LstmForecaster, Vec<f64>)]) -> Vec<Tenant> {
-    (0..cfg.tenants)
+        .unzip();
+    let tenants = (0..cfg.tenants)
         .map(|t| {
-            let family = t % families.len();
+            let family = t % series.len();
             let bits = splitmix64(cfg.seed ^ (t as u64).rotate_left(17));
             let scale = 0.5 + unit(bits);
             let offset = 10.0 * unit(splitmix64(bits));
-            let series: Vec<f64> = families[family]
-                .1
-                .iter()
-                .map(|&v| v * scale + offset)
-                .collect();
+            let series: Vec<f64> = series[family].iter().map(|&v| v * scale + offset).collect();
             let scaler = MinMaxScaler::fit(&series);
             Tenant {
                 key: ClientKey::new(
@@ -410,173 +457,296 @@ fn build_tenants(cfg: &Cfg, families: &[(LstmForecaster, Vec<f64>)]) -> Vec<Tena
                 scaler,
             }
         })
-        .collect()
-}
-
-fn open_store(root: &std::path::Path, phase: &str) -> SnapshotStore {
-    let store = SnapshotStore::open(root.join(phase)).expect("open snapshot store");
-    store.clear().expect("clear snapshot store");
-    store
-}
-
-fn engine_for(
-    mode: ExecMode,
-    queue_capacity: usize,
-    capacity_per_shard: usize,
-    store: SnapshotStore,
-    tracer: Tracer,
-    faults: &FaultPlan,
-) -> ServeEngine {
-    let mut engine = ServeEngine::new(
-        EngineConfig {
-            mode,
-            queue_capacity,
-            registry: RegistryConfig {
-                shard_count: 16,
-                capacity_per_shard,
-            },
-            lifecycle: LifecycleConfig::default(),
-        },
-        store,
-        tracer,
-    );
-    engine.set_faults(faults.clone());
-    engine
-}
-
-fn provision_all(
-    engine: &mut ServeEngine,
-    tenants: &[Tenant],
-    families: &[(LstmForecaster, Vec<f64>)],
-) {
-    for tenant in tenants {
-        let model = families[tenant.family].0.clone();
-        let n = model.config().history_len;
-        let snap = ModelSnapshot::new(model, tenant.scaler, n);
-        engine.provision(tenant.key.clone(), snap);
+        .collect();
+    Fleet {
+        history_len: models[0].config().history_len,
+        models,
+        tenants,
     }
 }
 
-/// The engine of the batched throughput pass: every tenant provisioned and
-/// resident, observed by `tracer`. Tracing is a pure observer, so the
-/// response digest is the same whether or not `LD_TRACE` traces the pass.
-fn batched_engine(
-    cfg: &Cfg,
-    tenants: &[Tenant],
-    families: &[(LstmForecaster, Vec<f64>)],
+/// Which tenants ask at a scheduled tick.
+#[derive(Clone, Copy)]
+enum Load {
+    /// Every tenant; tenant `i` asks with id `tick * tenants + i`.
+    Schedule,
+    /// Skewed access: the first `hot` tenants every tick plus a rotating
+    /// cold slice of as many, ids numbered in offer order across ticks.
+    HotCold { hot: usize },
+}
+
+/// One replay of the load through a freshly provisioned engine: everything
+/// that differs between the throughput, determinism, overload, cache and
+/// chaos passes.
+struct Pass<'a> {
+    /// Names the pass's snapshot-store directory.
+    phase: String,
+    mode: ExecMode,
+    /// The pass serves the fleet's first `tenants` tenants.
+    tenants: usize,
+    /// Scheduled ticks; the pass then settles.
+    ticks: usize,
+    queue_capacity: usize,
+    capacity_per_shard: usize,
+    supervisor: SupervisorConfig,
+    /// The chaos timeline: each tick's fault plan, slow shards and burst,
+    /// and the store recoveries that close crash windows.
+    schedule: Option<&'a ChaosSchedule>,
+    load: Load,
+    /// Scores each tick: good = non-degraded answers; degraded answers and
+    /// sheds count against the budget.
+    slo: SloConfig,
     tracer: Tracer,
-) -> ServeEngine {
-    let mut engine = engine_for(
-        ExecMode::Batched,
-        cfg.tenants.max(1),
-        cfg.tenants.max(1),
-        open_store(&cfg.store_root, "batched"),
-        tracer,
-        &cfg.faults,
+    /// Print an ld-top interval summary every that-many ticks (0: never).
+    top_every: usize,
+}
+
+impl<'a> Pass<'a> {
+    /// A batched, untraced, fault-free pass of the tick schedule over the
+    /// first `tenants` tenants, with room for all of them: the queue holds
+    /// a whole tick and every tenant stays resident, so no tick pays LRU
+    /// spill and rehydration I/O. (Sizing shards at the *average* occupancy,
+    /// tenants/16, thrashes: FNV placement is uneven enough that half the
+    /// shards overflow and evict every tick. The cache pass constrains
+    /// capacity to exercise exactly that.)
+    fn new(phase: impl Into<String>, tenants: usize, ticks: usize) -> Self {
+        Pass {
+            phase: phase.into(),
+            mode: ExecMode::Batched,
+            tenants,
+            ticks,
+            queue_capacity: tenants.max(1),
+            capacity_per_shard: tenants.max(1),
+            supervisor: SupervisorConfig::default(),
+            schedule: None,
+            load: Load::Schedule,
+            slo: SloConfig::default(),
+            tracer: Tracer::disabled(),
+            top_every: 0,
+        }
+    }
+
+    /// A chaos-soak pass over the whole fleet: under `schedule`, or its
+    /// fault-free baseline without one.
+    fn chaos(cfg: &Cfg, phase: &str, schedule: Option<&'a ChaosSchedule>, tracer: Tracer) -> Self {
+        Pass {
+            // Headroom for bursts but not for the worst of them: a 1.5x
+            // bound admits moderate bursts and deterministically sheds the
+            // peaks.
+            queue_capacity: (cfg.tenants + cfg.tenants / 2).max(2),
+            // Resident capacity 2x the mean shard occupancy: steady state
+            // stays in memory; spills and rehydrations come from
+            // supervisor-ordered drains, which is exactly the machinery the
+            // soak wants under fire. The aggressive supervisor makes NaN
+            // windows escalate to drain-restarts.
+            capacity_per_shard: (cfg.tenants / 8).max(4),
+            supervisor: SupervisorConfig {
+                degraded_ratio: 0.2,
+                unhealthy_ticks: 2,
+                recovery_ticks: 2,
+            },
+            schedule,
+            // Looser than the throughput pass's target (faults are
+            // scheduled), same multi-window alert rule.
+            slo: SloConfig { target: 0.98, ..SloConfig::default() },
+            tracer,
+            ..Pass::new(phase, cfg.tenants, cfg.ticks)
+        }
+    }
+}
+
+/// The batched throughput pass, whose responses give the document's
+/// digest. Tracing is a pure observer, so the digest is the same whether
+/// or not `LD_TRACE` traces it.
+fn batched_pass(cfg: &Cfg) -> Pass<'static> {
+    Pass::new("batched", cfg.tenants, cfg.ticks)
+}
+
+/// What one pass produced.
+struct Replay {
+    responses: Vec<Response>,
+    /// Requests offered, and the ids of those the queue shed.
+    issued: u64,
+    shed: Vec<u64>,
+    /// Wall-clock nanoseconds of each scheduled tick's submits and tick.
+    tick_ns: Vec<u64>,
+    /// Seconds of every tick's submits and tick, settle ticks included.
+    service_secs: f64,
+    /// Entries the crash-window and final store recoveries quarantined.
+    quarantined: u64,
+    stats: ServeStats,
+    slo: SloTracker,
+    /// The pass's tracer: identically-seeded passes must agree on its
+    /// events snapshot byte for byte, and `LD_TRACE` may dump it.
+    tracer: Tracer,
+}
+
+/// The pass's engine over its own emptied store directory, armed with the
+/// run's fault plan, every tenant of the pass provisioned.
+fn build_engine(cfg: &Cfg, fleet: &Fleet, pass: &Pass<'_>) -> ServeEngine {
+    let store = SnapshotStore::open(cfg.store_root.join(&pass.phase)).expect("open snapshot store");
+    store.clear().expect("clear snapshot store");
+    let mut engine = ServeEngine::new(
+        EngineConfig {
+            mode: pass.mode,
+            queue_capacity: pass.queue_capacity,
+            registry: RegistryConfig {
+                shard_count: SHARDS,
+                capacity_per_shard: pass.capacity_per_shard,
+            },
+            lifecycle: LifecycleConfig {
+                supervisor: pass.supervisor,
+                ..LifecycleConfig::default()
+            },
+        },
+        store,
+        pass.tracer.clone(),
     );
-    provision_all(&mut engine, tenants, families);
+    engine.set_faults(cfg.faults.clone());
+    for tenant in &fleet.tenants[..pass.tenants] {
+        let model = fleet.models[tenant.family].clone();
+        let snap = ModelSnapshot::new(model, tenant.scaler, fleet.history_len);
+        engine.provision(tenant.key.clone(), snap);
+    }
     engine
 }
 
-/// The deterministic request schedule: at tick `k`, every tenant asks for a
-/// forecast given its history up to `WARMUP_INTERVALS + k` observations.
-fn requests_at(tenants: &[Tenant], tick: usize, history_len: usize) -> Vec<Request> {
-    tenants
-        .iter()
-        .enumerate()
-        .map(|(i, tenant)| {
-            let upto = (WARMUP_INTERVALS + tick).min(tenant.series.len());
-            let lo = upto.saturating_sub(history_len);
-            Request::new(
-                (tick * tenants.len() + i) as u64,
-                tenant.key.clone(),
-                tenant.series[lo..upto].to_vec(),
-            )
-        })
-        .collect()
+/// The tenant's request at `tick`: the last `history_len` of its first
+/// `WARMUP_INTERVALS + tick` observations.
+fn request(id: u64, tenant: &Tenant, tick: usize, history_len: usize) -> Request {
+    let upto = (WARMUP_INTERVALS + tick).min(tenant.series.len());
+    let lo = upto.saturating_sub(history_len);
+    Request::new(id, tenant.key.clone(), tenant.series[lo..upto].to_vec())
 }
 
-struct PassResult {
-    responses: Vec<Response>,
-    elapsed_secs: f64,
-    tick_ns: Vec<u64>,
-}
-
-/// Runs the full schedule through one engine, timing each tick into the
-/// result's `tick_ns` (wall-clock, so never into the engine's tracer).
-/// `slo` scores each tick (good = non-degraded answers); `top_every > 0`
-/// prints an ld-top interval summary every that-many ticks.
-fn run_pass(
-    engine: &mut ServeEngine,
-    tenants: &[Tenant],
-    ticks: usize,
-    history_len: usize,
-    mut slo: Option<&mut SloTracker>,
-    top_every: usize,
-) -> PassResult {
-    let mut responses = Vec::with_capacity(tenants.len() * ticks);
-    let mut tick_ns = Vec::with_capacity(ticks);
-    // Service time is the sum of per-tick (submit + tick) windows: the
-    // wall span additionally counts the generator re-building request
-    // objects each tick, which is harness cost, not engine work — charging
-    // it to both passes would only blur the serial/batched contrast.
+/// Replays `pass` through a freshly built engine. Each scheduled tick
+/// offers the load's requests (under a schedule, after arming the tick's
+/// fault plan and slow shards, plus its burst), recording sheds, and ticks;
+/// a closing crash window triggers a store recovery. Then the pass settles:
+/// it ticks on, offering nothing, until the engine owes no answer. A clean
+/// pass parks nothing and settles in zero ticks. Under a schedule the settle
+/// runs with chaos off and ends in a final store recovery; an `LD_FAULT`
+/// plan stays armed throughout. Settle ticks count toward service time and
+/// the SLO, but are not latency samples.
+fn replay(cfg: &Cfg, fleet: &Fleet, pass: Pass<'_>) -> Replay {
+    let mut engine = build_engine(cfg, fleet, &pass);
+    let tenants = &fleet.tenants[..pass.tenants];
+    let n = tenants.len();
+    let mut out = Replay {
+        responses: Vec::with_capacity(n * pass.ticks),
+        issued: 0,
+        shed: Vec::new(),
+        tick_ns: Vec::with_capacity(pass.ticks),
+        service_secs: 0.0,
+        quarantined: 0,
+        stats: ServeStats::default(),
+        slo: SloTracker::new(pass.slo),
+        tracer: pass.tracer.clone(),
+    };
+    let recover = |engine: &mut ServeEngine| {
+        let report = engine.recover_store().expect("store recovery");
+        (report.quarantined_torn + report.quarantined_corrupt) as u64
+    };
     let mut service_ns = 0u64;
-    // After the last scheduled tick the pass ticks on until no retry is
-    // parked, so it answers every request it submitted. A clean pass parks
-    // nothing and settles in zero ticks; the settle is bounded like the
-    // chaos soak's, since max backoff is a handful of ticks. Settle ticks
-    // count toward service time and the SLO, but are not latency samples.
     for tick in 0.. {
-        let scheduled = tick < ticks;
+        let scheduled = tick < pass.ticks;
+        let t = tick as u64;
+        if let Some(s) = pass.schedule {
+            let (faults, slow) = if scheduled {
+                (FaultPlan::new(s.fault_plan_at(t)), s.slow_shards_at(t))
+            } else {
+                (FaultPlan::disarmed(), Vec::new())
+            };
+            engine.set_faults(faults);
+            engine.set_shard_delays(&slow);
+        }
         if !scheduled && engine.pending_work() == 0 {
             break;
         }
         assert!(
-            tick < ticks + 64,
-            "throughput pass failed to settle: {} requests still pending",
+            tick < pass.ticks + SETTLE_TICKS,
+            "{} pass failed to settle: {} requests still pending",
+            pass.phase,
             engine.pending_work()
         );
-        let reqs = if scheduled {
-            requests_at(tenants, tick, history_len)
-        } else {
-            Vec::new()
+        let mut reqs: Vec<Request> = match pass.load {
+            _ if !scheduled => Vec::new(),
+            Load::Schedule => tenants
+                .iter()
+                .enumerate()
+                .map(|(i, tenant)| request((tick * n + i) as u64, tenant, tick, fleet.history_len))
+                .collect(),
+            Load::HotCold { hot } => {
+                let cold = hot + (tick * hot) % (n - hot).max(1);
+                tenants[..hot]
+                    .iter()
+                    .chain(tenants[cold.min(n)..].iter().take(hot))
+                    .zip(out.issued..)
+                    .map(|(tenant, id)| request(id, tenant, tick, fleet.history_len))
+                    .collect()
+            }
         };
+        if let Some(s) = pass.schedule.filter(|_| scheduled) {
+            // Burst overload: the schedule's permille of extra fleet load,
+            // ids in the disjoint burst band.
+            let extra = n * usize::try_from(s.burst_permille_at(t)).expect("permille") / 1000;
+            reqs.extend(tenants.iter().take(extra).enumerate().map(|(i, tenant)| {
+                request(BURST_BASE + (tick * n + i) as u64, tenant, tick, fleet.history_len)
+            }));
+        }
+        let shed_before = out.shed.len();
         // ld-lint: allow(determinism, "per-tick latency measurement; answers do not depend on it")
-        let tk = Instant::now();
+        let started = Instant::now();
         for req in reqs {
-            engine.submit(req).expect("throughput pass must not shed");
+            out.issued += 1;
+            if let Err(back) = engine.submit(req) {
+                out.shed.push(back.id);
+            }
         }
         let answered = engine.tick();
-        let ns = u64::try_from(tk.elapsed().as_nanos()).expect("tick ns fits u64");
+        let ns = u64::try_from(started.elapsed().as_nanos()).expect("tick ns fits u64");
         service_ns += ns;
-        if let Some(slo) = slo.as_deref_mut() {
-            let good = answered.iter().filter(|r| !r.degraded).count() as u64;
-            slo.record(tick as u64, good, answered.len() as u64);
-        }
-        responses.extend(answered);
+        let good = answered.iter().filter(|r| !r.degraded).count() as u64;
+        let bad_shed = (out.shed.len() - shed_before) as u64;
+        out.slo.record(t, good, answered.len() as u64 + bad_shed);
+        out.responses.extend(answered);
         if !scheduled {
             continue;
         }
-        tick_ns.push(ns);
-        if top_every > 0 && (tick + 1) % top_every == 0 {
-            let mut window = tick_ns[tick + 1 - top_every..].to_vec();
+        out.tick_ns.push(ns);
+        if pass.top_every > 0 && (tick + 1) % pass.top_every == 0 {
+            let mut window = out.tick_ns[tick + 1 - pass.top_every..].to_vec();
             let p50 = percentile_ns(&mut window, 50);
             let p95 = percentile_ns(&mut window, 95);
-            let avail = slo.as_deref().map_or(1.0, |s| s.status().availability);
             println!(
-                "[ld-top] tick {:>5}/{ticks}: interval p50 {}us p95 {}us, {} responses total, availability {avail:.4}",
+                "[ld-top] tick {:>5}/{}: interval p50 {}us p95 {}us, {} responses total, availability {:.4}",
                 tick + 1,
+                pass.ticks,
                 p50 / 1000,
                 p95 / 1000,
-                responses.len()
+                out.responses.len(),
+                out.slo.status().availability
             );
         }
+        if pass.schedule.is_some_and(|s| s.crash_window_ends_at(t)) {
+            // A crash window just closed: run the startup-style recovery
+            // pass and count what it quarantined.
+            engine.set_faults(FaultPlan::disarmed());
+            out.quarantined += recover(&mut engine);
+        }
     }
-    PassResult {
-        responses,
-        elapsed_secs: service_ns as f64 / 1e9,
-        tick_ns,
+    if pass.schedule.is_some() {
+        out.quarantined += recover(&mut engine);
     }
+    assert_eq!(
+        (out.responses.len() + out.shed.len()) as u64,
+        out.issued,
+        "{} pass: every request must be answered or explicitly shed — anything else is a hang",
+        pass.phase
+    );
+    out.service_secs = service_ns as f64 / 1e9;
+    out.stats = engine.stats();
+    out
 }
 
 fn main() {
@@ -597,50 +767,34 @@ fn main() {
         cfg.ticks,
         WorkloadKind::ALL.len(),
         cfg.seed,
-        if cfg.smoke { "smoke" } else { "full" },
+        cfg.mode(),
         if cfg.chaos { ", chaos" } else { "" }
     );
 
-    let families = train_family_models(&cfg);
-    let history_len = families[0].0.config().history_len;
-    let tenants = build_tenants(&cfg, &families);
-
+    let fleet = train_fleet(&cfg);
     if cfg.chaos {
-        run_chaos_soak(&cfg, &tenants, &families, history_len, &trace_out);
-        return;
+        run_chaos_soak(&cfg, &fleet, &trace_out);
+    } else {
+        run_serving(&cfg, &fleet, tracer, &trace_out);
     }
-    // Generous capacity for the timing phases: every tenant stays resident,
-    // so no tick pays LRU spill + rehydration I/O. Sizing shards at the
-    // *average* occupancy (tenants/16) thrashes — FNV placement is uneven
-    // enough that half the shards overflow and evict every tick. The cache
-    // phase below deliberately constrains capacity to exercise exactly that.
-    let per_shard_full = cfg.tenants.max(1);
+}
 
+/// Phases 2 to 5 and the `BENCH_serve.json` document.
+fn run_serving(cfg: &Cfg, fleet: &Fleet, tracer: Tracer, trace_out: &Option<String>) {
     // Phase 2: throughput, serial then batched, identical schedules.
-    let mut serial_engine = engine_for(
-        ExecMode::Serial,
-        cfg.tenants.max(1),
-        per_shard_full,
-        open_store(&cfg.store_root, "serial"),
-        Tracer::disabled(),
-        &cfg.faults,
+    let serial = replay(
+        cfg,
+        fleet,
+        Pass { mode: ExecMode::Serial, ..Pass::new("serial", cfg.tenants, cfg.ticks) },
     );
-    provision_all(&mut serial_engine, &tenants, &families);
-    let serial = run_pass(&mut serial_engine, &tenants, cfg.ticks, history_len, None, 0);
-
-    let mut batched_engine = batched_engine(&cfg, &tenants, &families, tracer);
-    let mut slo = SloTracker::new(THROUGHPUT_SLO);
     let top_every = if cfg.top { (cfg.ticks / 6).max(1) } else { 0 };
-    let batched = run_pass(
-        &mut batched_engine,
-        &tenants,
-        cfg.ticks,
-        history_len,
-        Some(&mut slo),
-        top_every,
-    );
+    let batched = replay(cfg, fleet, Pass { tracer, top_every, ..batched_pass(cfg) });
 
     // Bitwise equivalence gate before any timing is trusted.
+    assert!(
+        serial.shed.is_empty() && batched.shed.is_empty(),
+        "throughput pass must not shed"
+    );
     assert_eq!(serial.responses.len(), batched.responses.len());
     for (s, b) in serial.responses.iter().zip(&batched.responses) {
         assert_eq!(s.id, b.id, "schedules diverged");
@@ -661,12 +815,11 @@ fn main() {
             s.id
         );
     }
-    let speedup = serial.elapsed_secs / batched.elapsed_secs.max(1e-12);
     println!(
         "throughput: serial {:.3}s, batched {:.3}s -> {:.2}x (bitwise equal over {} responses)",
-        serial.elapsed_secs,
-        batched.elapsed_secs,
-        speedup,
+        serial.service_secs,
+        batched.service_secs,
+        serial.service_secs / batched.service_secs.max(1e-12),
         batched.responses.len()
     );
 
@@ -675,244 +828,185 @@ fn main() {
     // traced runs must agree on their span trees and byte-for-byte on
     // their events JSON, and the untraced run must produce the same
     // response digest (tracing is a pure observer).
-    let det_tenants = &tenants[..cfg.tenants.min(64)];
-    let det_ticks = cfg.ticks.min(6);
-    let mut det_snapshots = Vec::new();
-    let mut det_results = Vec::new();
-    let mut det_events_json = Vec::new();
-    for run in 0..3 {
-        let tracer = if run < 2 { Tracer::enabled() } else { Tracer::disabled() };
-        let mut engine = engine_for(
-            ExecMode::Batched,
-            det_tenants.len(),
-            det_tenants.len().max(1),
-            open_store(&cfg.store_root, &format!("determinism-{run}")),
-            tracer,
-            &cfg.faults,
-        );
-        provision_all(&mut engine, det_tenants, &families);
-        let pass = run_pass(&mut engine, det_tenants, det_ticks, history_len, None, 0);
-        det_snapshots.push(engine.tracer().snapshot());
-        det_events_json.push(engine.tracer().events().to_json());
-        det_results.push(pass.responses);
-    }
-    let digest = response_digest(&det_results[0]);
+    let det: Vec<Replay> = (0..3)
+        .map(|run| {
+            let tracer = if run < 2 { Tracer::enabled() } else { Tracer::disabled() };
+            let phase = format!("determinism-{run}");
+            let pass = Pass::new(phase, cfg.tenants.min(64), cfg.ticks.min(6));
+            replay(cfg, fleet, Pass { tracer, ..pass })
+        })
+        .collect();
+    let digest = response_digest(&det[0].responses);
     assert_eq!(
         digest,
-        response_digest(&det_results[1]),
+        response_digest(&det[1].responses),
         "identically-seeded runs must produce bitwise-identical responses"
     );
-    for (a, b) in det_results[0].iter().zip(&det_results[1]) {
+    for (a, b) in det[0].responses.iter().zip(&det[1].responses) {
         assert_eq!(a.value.to_bits(), b.value.to_bits());
     }
     assert_eq!(
-        det_events_json[0], det_events_json[1],
+        det[0].tracer.events().to_json(),
+        det[1].tracer.events().to_json(),
         "identically-seeded runs must produce byte-identical events snapshots"
     );
     assert_eq!(
         digest,
-        response_digest(&det_results[2]),
+        response_digest(&det[2].responses),
         "untraced run must be bitwise identical to the traced ones (pure observer)"
     );
+    let trace = det[0].tracer.snapshot();
     assert_eq!(
-        det_snapshots[0].logical_paths(),
-        det_snapshots[1].logical_paths(),
+        trace.logical_paths(),
+        det[1].tracer.snapshot().logical_paths(),
         "identically-seeded runs must produce identical span trees"
     );
-    let spans =
-        validate_chrome_trace(&det_snapshots[0].to_chrome_trace()).expect("chrome trace valid");
+    let spans = validate_chrome_trace(&trace.to_chrome_trace()).expect("chrome trace valid");
     println!(
         "determinism: digest {digest:016x} stable across reruns (and with tracing off), \
          {spans} trace events validated, events snapshots byte-identical"
     );
 
-    // The committed digest comes from the batched throughput pass.
-    let bench_digest = response_digest(&batched.responses);
-
-    // Phase 4: overload — half-capacity queue sheds deterministically.
-    let shed_capacity = (cfg.tenants / 2).max(1);
-    let mut shed_engine = engine_for(
-        ExecMode::Batched,
-        shed_capacity,
-        per_shard_full,
-        open_store(&cfg.store_root, "overload"),
-        Tracer::disabled(),
-        &cfg.faults,
-    );
-    provision_all(&mut shed_engine, &tenants, &families);
-    let shed_ticks = cfg.ticks.min(4);
-    let mut shed_ids = Vec::new();
-    let mut answered_ids = Vec::new();
-    for tick in 0..shed_ticks {
-        for req in requests_at(&tenants, tick, history_len) {
-            if let Err(back) = shed_engine.submit(req) {
-                shed_ids.push(back.id);
-            }
-        }
-        answered_ids.extend(shed_engine.tick().iter().map(|r| r.id));
-    }
-    let submitted = (tenants.len() * shed_ticks) as u64;
-    let stats = shed_engine.stats();
-    assert_eq!(stats.admission.admitted + stats.admission.shed, submitted);
-    assert!(
-        stats.admission.peak_depth <= shed_capacity,
-        "queue bound violated"
-    );
-    let answered: std::collections::BTreeSet<u64> = answered_ids.iter().copied().collect();
-    for id in &shed_ids {
-        assert!(
-            !answered.contains(id),
-            "request {id} both shed and answered"
-        );
-    }
-    let shed_rate = fraction(stats.admission.shed, submitted);
+    let (shed_rate, cache_hit_rate) = (overload(cfg, fleet), cache(cfg, fleet));
+    let report = serve_report(cfg, &batched, serial.service_secs, shed_rate, cache_hit_rate);
     println!(
-        "overload: {}/{} shed (rate {:.3}), queue bound {} held",
-        stats.admission.shed, submitted, shed_rate, shed_capacity
+        "summary: p50 {}us p99 {}us per tick, {:.0} req/s, speedup {:.2}x",
+        report.p50_tick_ns / 1000,
+        report.p99_tick_ns / 1000,
+        report.throughput_rps,
+        report.speedup_batched_vs_serial
     );
+    print_top_report(&batched.tick_ns, &batched.slo.status(), &trace);
+    dump_traced_pass(
+        &batched.tracer,
+        trace_out,
+        run_manifest(cfg, cfg.mode()).config("traced_pass", "batched"),
+    );
+    write_document(
+        cfg,
+        &report,
+        ServeBenchReport::parse,
+        run_manifest(cfg, cfg.mode())
+            .config("history_len", fleet.history_len)
+            .with_trace_summary(&trace),
+    );
+}
 
-    // Phase 5: capacity-constrained registry — spills, rehydrations, hits.
-    let cache_capacity = (cfg.tenants / 64).max(1);
-    let mut cache_engine = engine_for(
-        ExecMode::Batched,
-        cfg.tenants.max(1),
-        cache_capacity,
-        open_store(&cfg.store_root, "cache"),
-        Tracer::disabled(),
-        &cfg.faults,
-    );
-    provision_all(&mut cache_engine, &tenants, &families);
-    let cache_ticks = cfg.ticks.min(4);
-    let hot = (tenants.len() / 10).max(1);
-    let mut next_id = 0u64;
-    for tick in 0..cache_ticks {
-        // Skewed access: hot tenants every tick, a rotating cold slice.
-        let cold_start = hot + (tick * hot) % (tenants.len() - hot).max(1);
-        let picks = tenants[..hot]
-            .iter()
-            .chain(tenants[cold_start.min(tenants.len())..].iter().take(hot));
-        for tenant in picks {
-            let upto = (WARMUP_INTERVALS + tick).min(tenant.series.len());
-            let lo = upto.saturating_sub(history_len);
-            cache_engine
-                .submit(Request::new(
-                    next_id,
-                    tenant.key.clone(),
-                    tenant.series[lo..upto].to_vec(),
-                ))
-                .expect("cache pass must not shed");
-            next_id += 1;
-        }
-        let responses = cache_engine.tick();
-        assert!(
-            cfg.faults.is_armed() || responses.iter().all(|r| !r.degraded),
-            "cache pass degraded a tenant"
-        );
+/// Phase 4: a half-capacity admission queue sheds deterministically. Every
+/// request is answered or shed, exactly once, and the queue never holds
+/// more than its bound. Returns the shed rate.
+fn overload(cfg: &Cfg, fleet: &Fleet) -> f64 {
+    let capacity = (cfg.tenants / 2).max(1);
+    let pass = Pass::new("overload", cfg.tenants, cfg.ticks.min(4));
+    let pass = replay(cfg, fleet, Pass { queue_capacity: capacity, ..pass });
+    let admission = pass.stats.admission;
+    let shed = pass.shed.len() as u64;
+    assert_eq!((admission.admitted, admission.shed), (pass.issued - shed, shed));
+    assert!(admission.peak_depth <= capacity, "queue bound violated");
+    let answered: std::collections::BTreeSet<u64> = pass.responses.iter().map(|r| r.id).collect();
+    assert_eq!(answered.len(), pass.responses.len(), "a request was answered twice");
+    for id in &pass.shed {
+        assert!(!answered.contains(id), "request {id} both shed and answered");
     }
+    let shed_rate = fraction(shed, pass.issued);
+    println!(
+        "overload: {} answered + {shed} shed of {} requests (shed rate {shed_rate:.3}), \
+         queue bound {capacity} held",
+        answered.len(),
+        pass.issued
+    );
+    shed_rate
+}
+
+/// Phase 5: a capacity-constrained registry under skewed access (the hot
+/// tenants every tick, a rotating cold slice) spills and lazily rehydrates.
+/// Every request is answered, and the lookups account for every answer and
+/// retry. Returns the hit rate.
+fn cache(cfg: &Cfg, fleet: &Fleet) -> f64 {
+    let pass = Pass::new("cache", cfg.tenants, cfg.ticks.min(4));
+    let pass = Pass {
+        capacity_per_shard: (cfg.tenants / 64).max(1),
+        load: Load::HotCold { hot: (cfg.tenants / 10).max(1) },
+        ..pass
+    };
+    let pass = replay(cfg, fleet, pass);
+    assert!(pass.shed.is_empty(), "cache pass must not shed");
+    assert!(
+        cfg.faults.is_armed() || pass.responses.iter().all(|r| !r.degraded),
+        "cache pass degraded a tenant"
+    );
     // Every lookup ends in an answer or a parked retry, and expiries and
     // open breakers answer without one, so the lookups count the served
     // requests plus the retries, less those two.
-    let stats = cache_engine.stats();
-    let cache_stats = stats.cache;
+    let (stats, lifecycle) = (pass.stats.cache, pass.stats.lifecycle);
     assert_eq!(
-        cache_stats.hits + cache_stats.misses,
-        stats.served + stats.lifecycle.retries
-            - stats.lifecycle.expired
-            - stats.lifecycle.breaker_fallbacks,
+        stats.hits + stats.misses,
+        pass.stats.served + lifecycle.retries - lifecycle.expired - lifecycle.breaker_fallbacks,
         "cache accounting must sum to served requests"
     );
-    let cache_hit_rate = fraction(cache_stats.hits, cache_stats.hits + cache_stats.misses);
+    let hit_rate = fraction(stats.hits, stats.hits + stats.misses);
     println!(
-        "cache: {} hits / {} misses (rate {:.3}), {} evictions, {} rehydrations",
-        cache_stats.hits,
-        cache_stats.misses,
-        cache_hit_rate,
-        cache_stats.evictions,
-        cache_stats.rehydrations
+        "cache: {} of {} requests answered, {} hits / {} misses (rate {hit_rate:.3}), \
+         {} evictions, {} rehydrations",
+        pass.responses.len(),
+        pass.issued,
+        stats.hits,
+        stats.misses,
+        stats.evictions,
+        stats.rehydrations
     );
+    hit_rate
+}
 
-    // Assemble, validate, and (full mode) write the document.
+/// The `BENCH_serve.json` document of a run's passes.
+fn serve_report(
+    cfg: &Cfg,
+    batched: &Replay,
+    serial_secs: f64,
+    shed_rate: f64,
+    cache_hit_rate: f64,
+) -> ServeBenchReport {
     let mut tick_ns = batched.tick_ns.clone();
-    let p50 = percentile_ns(&mut tick_ns, 50);
-    let p95 = percentile_ns(&mut tick_ns, 95);
-    let p99 = percentile_ns(&mut tick_ns, 99);
     let requests = batched.responses.len() as u64;
     let mut tick_histogram = Histogram::new();
     for &ns in &batched.tick_ns {
         tick_histogram.record(ns);
     }
-    let latency_histogram = tick_histogram
-        .snapshot("loadgen.tick_ns")
-        .buckets
-        .iter()
-        .map(|b| LatencyBucket { lo_ns: b.lo, hi_ns: b.hi, count: b.count })
-        .collect();
-    let slo_status = slo.status();
-    let report = ServeBenchReport {
+    let slo = batched.slo.status();
+    ServeBenchReport {
         schema_version: SERVE_SCHEMA_VERSION,
-        mode: if cfg.smoke { "smoke" } else { "full" }.to_string(),
+        mode: cfg.mode().to_string(),
         seed: cfg.seed,
         tenants: cfg.tenants as u64,
         ticks: cfg.ticks as u64,
         families: WorkloadKind::ALL.len() as u64,
         requests,
-        p50_tick_ns: p50,
-        p95_tick_ns: p95,
-        p99_tick_ns: p99,
-        throughput_rps: fraction_scaled(requests, batched.elapsed_secs),
-        serial_secs: serial.elapsed_secs,
-        batched_secs: batched.elapsed_secs,
-        speedup_batched_vs_serial: speedup,
+        p50_tick_ns: percentile_ns(&mut tick_ns, 50),
+        p95_tick_ns: percentile_ns(&mut tick_ns, 95),
+        p99_tick_ns: percentile_ns(&mut tick_ns, 99),
+        throughput_rps: count_to_f64(requests) / batched.service_secs.max(1e-12),
+        serial_secs,
+        batched_secs: batched.service_secs,
+        speedup_batched_vs_serial: serial_secs / batched.service_secs.max(1e-12),
         shed_rate,
         cache_hit_rate,
-        response_digest: HexDigest(bench_digest),
-        slo_target: slo_status.target,
-        slo_availability: slo_status.availability,
-        slo_budget_remaining: slo_status.budget_remaining,
-        slo_alerts: slo_status.alerts,
-        latency_histogram,
-    };
-    let text = serde_json::to_string_pretty(&report).expect("serialize document");
-    ServeBenchReport::parse(&text).expect("generated document must validate");
-    println!(
-        "summary: p50 {}us p99 {}us per tick, {:.0} req/s, speedup {:.2}x",
-        p50 / 1000,
-        p99 / 1000,
-        report.throughput_rps,
-        speedup
-    );
-    print_top_report(&batched.tick_ns, &slo_status, Some(&det_snapshots[0]));
-    let mode = if cfg.smoke { "smoke" } else { "full" };
-    dump_traced_pass(
-        batched_engine.tracer(),
-        &trace_out,
-        run_manifest(&cfg, mode).config("traced_pass", "batched"),
-    );
-
-    match &cfg.out {
-        Some(path) => {
-            std::fs::write(path, text + "\n").expect("write BENCH_serve document");
-            println!("wrote {path}");
-            let manifest = run_manifest(&cfg, mode)
-                .capture_env()
-                .config("history_len", history_len)
-                .output("bench", path)
-                .with_trace_summary(&det_snapshots[0]);
-            let manifest_path = format!("{path}.manifest.json");
-            manifest.write_json(&manifest_path).expect("write manifest");
-            println!("wrote {manifest_path}");
-        }
-        None => println!("smoke mode: all serving invariants checked, nothing written"),
+        response_digest: HexDigest(response_digest(&batched.responses)),
+        slo_target: slo.target,
+        slo_availability: slo.availability,
+        slo_budget_remaining: slo.budget_remaining,
+        slo_alerts: slo.alerts,
+        latency_histogram: tick_histogram
+            .snapshot("loadgen.tick_ns")
+            .buckets
+            .iter()
+            .map(|b| LatencyBucket { lo_ns: b.lo, hi_ns: b.hi, count: b.count })
+            .collect(),
     }
 }
 
 /// The ld-top closing report: latency percentiles, the SLO / error-budget
-/// line, and (when a trace is available) the hottest spans by self time.
-fn print_top_report(
-    tick_ns: &[u64],
-    slo: &ld_metrics::SloStatus,
-    trace: Option<&ld_telemetry::TraceSnapshot>,
-) {
+/// line, and the hottest spans of `trace` by self time.
+fn print_top_report(tick_ns: &[u64], slo: &ld_metrics::SloStatus, trace: &TraceSnapshot) {
     let mut sorted = tick_ns.to_vec();
     let (p50, p95, p99) = (
         percentile_ns(&mut sorted, 50),
@@ -938,184 +1032,23 @@ fn print_top_report(
         slo.long_burn,
         slo.alerts
     );
-    if let Some(trace) = trace {
-        let profile = SpanProfile::from_trace(trace);
-        if !profile.entries().is_empty() {
-            println!("[ld-top] hottest spans by self time:");
-            print!("{}", profile.render(5));
-        }
+    let profile = SpanProfile::from_trace(trace);
+    if !profile.entries().is_empty() {
+        println!("[ld-top] hottest spans by self time:");
+        print!("{}", profile.render(5));
     }
-}
-
-/// One chaos (or baseline) pass: every response, explicit accounting, and
-/// the engine's end-of-pass state.
-struct ChaosPass {
-    responses: Vec<Response>,
-    issued: u64,
-    shed: u64,
-    tick_ns: Vec<u64>,
-    quarantined: u64,
-    stats: ServeStats,
-    trace: ld_telemetry::TraceSnapshot,
-    /// Tick-scored SLO: good = non-degraded answers; degraded answers and
-    /// sheds count against the budget.
-    slo: SloTracker,
-    /// The pass's tracer: identically-seeded passes must agree on its
-    /// events snapshot byte-for-byte, and `LD_TRACE` may dump it.
-    tracer: Tracer,
-}
-
-/// Replays the scheduled load through one engine; with a schedule, drives
-/// the chaos timeline (fault plans, slow shards, bursts, crash-boundary
-/// recovery passes) tick by tick, then settles until the engine owes
-/// nothing. Every submitted request is accounted for: answered or shed.
-fn run_chaos_pass(
-    cfg: &Cfg,
-    tenants: &[Tenant],
-    families: &[(LstmForecaster, Vec<f64>)],
-    history_len: usize,
-    schedule: Option<&ChaosSchedule>,
-    phase: &str,
-    tracer: Tracer,
-) -> ChaosPass {
-    // Headroom for bursts but not for the worst of them: a 1.5x bound
-    // admits moderate bursts and deterministically sheds the peaks.
-    let queue_capacity = (cfg.tenants + cfg.tenants / 2).max(2);
-    // Resident capacity 2x the mean shard occupancy: steady state stays in
-    // memory; spills and rehydrations come from supervisor-ordered drains,
-    // which is exactly the machinery the soak wants under fire. The
-    // aggressive supervisor makes NaN windows escalate to drain-restarts.
-    let capacity_per_shard = (cfg.tenants / 8).max(4);
-    let mut engine = ServeEngine::new(
-        EngineConfig {
-            mode: ExecMode::Batched,
-            queue_capacity,
-            registry: RegistryConfig {
-                shard_count: 16,
-                capacity_per_shard,
-            },
-            lifecycle: LifecycleConfig {
-                supervisor: SupervisorConfig {
-                    degraded_ratio: 0.2,
-                    unhealthy_ticks: 2,
-                    recovery_ticks: 2,
-                },
-                ..LifecycleConfig::default()
-            },
-        },
-        open_store(&cfg.store_root, phase),
-        tracer,
-    );
-    provision_all(&mut engine, tenants, families);
-
-    let mut pass = ChaosPass {
-        responses: Vec::with_capacity(tenants.len() * cfg.ticks),
-        issued: 0,
-        shed: 0,
-        tick_ns: Vec::with_capacity(cfg.ticks),
-        quarantined: 0,
-        stats: ServeStats::default(),
-        trace: ld_telemetry::TraceSnapshot::default(),
-        slo: SloTracker::new(CHAOS_SLO),
-        tracer: Tracer::disabled(),
-    };
-    let offer = |engine: &mut ServeEngine, req: Request, issued: &mut u64, shed: &mut u64| {
-        *issued += 1;
-        if engine.submit(req).is_err() {
-            *shed += 1;
-        }
-    };
-
-    for tick in 0..cfg.ticks {
-        let t = tick as u64;
-        if let Some(s) = schedule {
-            engine.set_faults(FaultPlan::new(s.fault_plan_at(t)));
-            engine.set_shard_delays(&s.slow_shards_at(t));
-        }
-        let shed_before = pass.shed;
-        // ld-lint: allow(determinism, "per-tick latency measurement; answers do not depend on it")
-        let tk = Instant::now();
-        for req in requests_at(tenants, tick, history_len) {
-            offer(&mut engine, req, &mut pass.issued, &mut pass.shed);
-        }
-        if let Some(s) = schedule {
-            // Burst overload: the schedule's permille of extra fleet load,
-            // ids in the disjoint burst band.
-            let extra = tenants.len() * usize::try_from(s.burst_permille_at(t)).expect("permille")
-                / 1000;
-            for (i, tenant) in tenants.iter().take(extra).enumerate() {
-                let upto = (WARMUP_INTERVALS + tick).min(tenant.series.len());
-                let lo = upto.saturating_sub(history_len);
-                let req = Request::new(
-                    BURST_BASE + (tick * tenants.len() + i) as u64,
-                    tenant.key.clone(),
-                    tenant.series[lo..upto].to_vec(),
-                );
-                offer(&mut engine, req, &mut pass.issued, &mut pass.shed);
-            }
-        }
-        let answered = engine.tick();
-        let ns = u64::try_from(tk.elapsed().as_nanos()).expect("tick ns fits u64");
-        let good = answered.iter().filter(|r| !r.degraded).count() as u64;
-        let bad_shed = pass.shed - shed_before;
-        pass.slo.record(t, good, answered.len() as u64 + bad_shed);
-        pass.responses.extend(answered);
-        pass.tick_ns.push(ns);
-        if let Some(s) = schedule {
-            if s.crash_window_ends_at(t) {
-                // A crash window just closed: run the startup-style
-                // recovery pass and count what it quarantined.
-                engine.set_faults(FaultPlan::disarmed());
-                let report = engine.recover_store().expect("store recovery");
-                pass.quarantined += (report.quarantined_torn + report.quarantined_corrupt) as u64;
-            }
-        }
-    }
-
-    // Settle: chaos off, serve out every parked retry/deferral. Bounded —
-    // max backoff and deferral are a handful of ticks, so a non-draining
-    // queue here is a hang, which is exactly what the bound catches.
-    engine.set_faults(FaultPlan::disarmed());
-    engine.set_shard_delays(&[]);
-    let mut settle = 0u64;
-    while engine.pending_work() > 0 {
-        settle += 1;
-        assert!(
-            settle <= 64,
-            "chaos soak failed to settle: {} requests still pending",
-            engine.pending_work()
-        );
-        let answered = engine.tick();
-        let good = answered.iter().filter(|r| !r.degraded).count() as u64;
-        pass.slo
-            .record(cfg.ticks as u64 + settle - 1, good, answered.len() as u64);
-        pass.responses.extend(answered);
-    }
-    let report = engine.recover_store().expect("final store recovery");
-    pass.quarantined += (report.quarantined_torn + report.quarantined_corrupt) as u64;
-
-    pass.stats = engine.stats();
-    pass.trace = engine.tracer().snapshot();
-    pass.tracer = engine.tracer().clone();
-    pass
 }
 
 /// The seed-keyed fault timeline every chaos pass of `cfg` replays, over
-/// the engine's 16 shards.
+/// the engine's shards.
 fn chaos_schedule(cfg: &Cfg) -> ChaosSchedule {
-    ChaosSchedule::generate(cfg.chaos_seed, cfg.ticks as u64, 16)
+    ChaosSchedule::generate(cfg.chaos_seed, cfg.ticks as u64, SHARDS as u64)
 }
 
 /// The `--chaos` soak: baseline pass, two identically-seeded chaos passes,
-/// the availability / isolation / determinism gates, and the
-/// `BENCH_resilience.json` document.
-fn run_chaos_soak(
-    cfg: &Cfg,
-    tenants: &[Tenant],
-    families: &[(LstmForecaster, Vec<f64>)],
-    history_len: usize,
-    trace_out: &Option<String>,
-) {
+/// the isolation / determinism gates, and the `BENCH_resilience.json`
+/// document.
+fn run_chaos_soak(cfg: &Cfg, fleet: &Fleet, trace_out: &Option<String>) {
     let schedule = chaos_schedule(cfg);
     println!(
         "chaos: seed {} -> {} events over {} ticks (digest {:016x})",
@@ -1127,16 +1060,8 @@ fn run_chaos_soak(
 
     // Fault-free baseline: the per-request model-path answer bits every
     // unaffected tenant must reproduce under chaos.
-    let baseline = run_chaos_pass(
-        cfg,
-        tenants,
-        families,
-        history_len,
-        None,
-        "chaos-baseline",
-        Tracer::disabled(),
-    );
-    assert_eq!(baseline.shed, 0, "fault-free baseline must not shed");
+    let baseline = replay(cfg, fleet, Pass::chaos(cfg, "chaos-baseline", None, Tracer::disabled()));
+    assert!(baseline.shed.is_empty(), "fault-free baseline must not shed");
     assert!(
         baseline.slo.alerts().is_empty(),
         "fault-free baseline must not fire burn-rate alerts, got {:?}",
@@ -1148,25 +1073,10 @@ fn run_chaos_soak(
         base_bits.insert(r.id, r.value.to_bits());
     }
 
-    // Two identically-seeded chaos passes.
-    let p0 = run_chaos_pass(
-        cfg,
-        tenants,
-        families,
-        history_len,
-        Some(&schedule),
-        "chaos-0",
-        Tracer::enabled(),
-    );
-    let p1 = run_chaos_pass(
-        cfg,
-        tenants,
-        families,
-        history_len,
-        Some(&schedule),
-        "chaos-1",
-        Tracer::enabled(),
-    );
+    // Two identically-seeded chaos passes. Each answers or sheds every
+    // request it issues (the driver's settle gate).
+    let p0 = replay(cfg, fleet, Pass::chaos(cfg, "chaos-0", Some(&schedule), Tracer::enabled()));
+    let p1 = replay(cfg, fleet, Pass::chaos(cfg, "chaos-1", Some(&schedule), Tracer::enabled()));
 
     // Gate 1 — determinism: the same seeds replay the same catastrophe,
     // bit for bit, span for span.
@@ -1176,12 +1086,13 @@ fn run_chaos_soak(
         response_digest(&p1.responses),
         "identically-seeded chaos runs must produce bitwise-identical responses"
     );
+    let trace = p0.tracer.snapshot();
     assert_eq!(
-        p0.trace.logical_paths(),
-        p1.trace.logical_paths(),
+        trace.logical_paths(),
+        p1.tracer.snapshot().logical_paths(),
         "identically-seeded chaos runs must produce identical span trees"
     );
-    assert_eq!((p0.issued, p0.shed), (p1.issued, p1.shed));
+    assert_eq!((p0.issued, &p0.shed), (p1.issued, &p1.shed));
     assert_eq!(p0.quarantined, p1.quarantined);
     assert_eq!(
         p0.slo.alerts(),
@@ -1211,29 +1122,13 @@ fn run_chaos_soak(
         );
     }
 
-    // Gate 2 — availability: every issued request got an explicit outcome.
-    let answered = p0.responses.len() as u64;
-    assert_eq!(
-        answered + p0.shed,
-        p0.issued,
-        "every request must be answered or explicitly shed — anything else is a hang"
-    );
-    let availability = fraction(answered + p0.shed, p0.issued);
-    assert!(
-        availability >= 0.99,
-        "availability {availability} under chaos fell below 0.99"
-    );
-
-    // Gate 3 — isolation: a model-path (non-degraded) answer for scheduled
+    // Gate 2 — isolation: a model-path (non-degraded) answer for scheduled
     // load must be bitwise identical to the fault-free baseline. Faults may
     // force a tenant onto the fallback; they may never bend a healthy
     // tenant's bits.
     let mut compared = 0u64;
     let mut perturbed = 0u64;
-    for r in &p0.responses {
-        if r.id >= BURST_BASE || r.degraded {
-            continue;
-        }
+    for r in p0.responses.iter().filter(|r| r.id < BURST_BASE && !r.degraded) {
         let bits = base_bits
             .get(&r.id)
             .unwrap_or_else(|| panic!("chaos answered id {} the baseline never saw", r.id));
@@ -1254,43 +1149,11 @@ fn run_chaos_soak(
         "{perturbed} of {compared} unaffected answers were perturbed by co-tenant faults"
     );
 
-    let lifecycle = p0.stats.lifecycle;
-    let degraded_answers = p0.responses.iter().filter(|r| r.degraded).count() as u64;
-    let mut tick_ns = p0.tick_ns.clone();
-    let report = ResilienceBenchReport {
-        schema_version: RESILIENCE_SCHEMA_VERSION,
-        mode: if cfg.smoke { "smoke" } else { "full" }.to_string(),
-        seed: cfg.seed,
-        chaos_seed: cfg.chaos_seed,
-        tenants: cfg.tenants as u64,
-        ticks: cfg.ticks as u64,
-        families: WorkloadKind::ALL.len() as u64,
-        chaos_events: schedule.events().len() as u64,
-        schedule_digest: HexDigest(schedule.digest()),
-        issued: p0.issued,
-        answered,
-        shed: p0.shed,
-        availability,
-        shed_rate: fraction(p0.shed, p0.issued),
-        p50_tick_ns: percentile_ns(&mut tick_ns, 50),
-        p99_tick_ns: percentile_ns(&mut tick_ns, 99),
-        fallback_fraction: fraction(degraded_answers, answered),
-        expired_fraction: fraction(lifecycle.expired, answered),
-        breaker_trips: lifecycle.breaker_trips,
-        retries: lifecycle.retries,
-        deferrals: lifecycle.deferrals,
-        shard_drains: lifecycle.shard_drains,
-        recovery_ticks: lifecycle.worst_recovery_ticks,
-        quarantined: p0.quarantined,
-        isolation_clean,
-        response_digest: HexDigest(digest),
-    };
-    let text = serde_json::to_string_pretty(&report).expect("serialize document");
-    ResilienceBenchReport::parse(&text).expect("generated document must validate");
+    let report = resilience_report(cfg, &schedule, &p0, isolation_clean);
     println!(
         "chaos soak: availability {:.4} ({} answered + {} shed of {} issued), \
          {} isolated answers verified bit-identical",
-        availability, answered, p0.shed, p0.issued, compared
+        report.availability, report.answered, report.shed, report.issued, compared
     );
     println!(
         "resilience: {} retries, {} deferrals, {} breaker trips, {} drains, \
@@ -1303,7 +1166,7 @@ fn run_chaos_soak(
         report.fallback_fraction
     );
     let slo_status = p0.slo.status();
-    print_top_report(&p0.tick_ns, &slo_status, Some(&p0.trace));
+    print_top_report(&p0.tick_ns, &slo_status, &trace);
     for alert in p0.slo.alerts() {
         println!(
             "[ld-top] burn-rate alert at tick {}: short {:.2} long {:.2} (contained in a \
@@ -1311,31 +1174,65 @@ fn run_chaos_soak(
             alert.tick, alert.short_burn, alert.long_burn
         );
     }
-    let mode = if cfg.smoke { "chaos-smoke" } else { "chaos-full" };
+    let mode = format!("chaos-{}", cfg.mode());
     dump_traced_pass(
         &p0.tracer,
         trace_out,
-        run_manifest(cfg, mode)
+        run_manifest(cfg, &mode)
             .config("chaos_seed", cfg.chaos_seed)
             .config("traced_pass", "chaos-0"),
     );
+    write_document(
+        cfg,
+        &report,
+        ResilienceBenchReport::parse,
+        run_manifest(cfg, &mode)
+            .config("chaos_seed", cfg.chaos_seed)
+            .config("chaos_events", schedule.events().len())
+            .config("slo_alerts", slo_status.alerts)
+            .with_trace_summary(&trace),
+    );
+}
 
-    match &cfg.out {
-        Some(path) => {
-            std::fs::write(path, text + "\n").expect("write BENCH_resilience document");
-            println!("wrote {path}");
-            let manifest = run_manifest(cfg, mode)
-                .capture_env()
-                .config("chaos_seed", cfg.chaos_seed)
-                .config("chaos_events", schedule.events().len())
-                .config("slo_alerts", slo_status.alerts)
-                .output("bench", path)
-                .with_trace_summary(&p0.trace);
-            let manifest_path = format!("{path}.manifest.json");
-            manifest.write_json(&manifest_path).expect("write manifest");
-            println!("wrote {manifest_path}");
-        }
-        None => println!("smoke mode: all resilience invariants checked, nothing written"),
+/// The `BENCH_resilience.json` document of a chaos pass under `schedule`.
+fn resilience_report(
+    cfg: &Cfg,
+    schedule: &ChaosSchedule,
+    pass: &Replay,
+    isolation_clean: bool,
+) -> ResilienceBenchReport {
+    let answered = pass.responses.len() as u64;
+    let shed = pass.shed.len() as u64;
+    let lifecycle = pass.stats.lifecycle;
+    let degraded_answers = pass.responses.iter().filter(|r| r.degraded).count() as u64;
+    let mut tick_ns = pass.tick_ns.clone();
+    ResilienceBenchReport {
+        schema_version: RESILIENCE_SCHEMA_VERSION,
+        mode: cfg.mode().to_string(),
+        seed: cfg.seed,
+        chaos_seed: cfg.chaos_seed,
+        tenants: cfg.tenants as u64,
+        ticks: cfg.ticks as u64,
+        families: WorkloadKind::ALL.len() as u64,
+        chaos_events: schedule.events().len() as u64,
+        schedule_digest: HexDigest(schedule.digest()),
+        issued: pass.issued,
+        answered,
+        shed,
+        availability: fraction(answered + shed, pass.issued),
+        shed_rate: fraction(shed, pass.issued),
+        p50_tick_ns: percentile_ns(&mut tick_ns, 50),
+        p99_tick_ns: percentile_ns(&mut tick_ns, 99),
+        fallback_fraction: fraction(degraded_answers, answered),
+        expired_fraction: fraction(lifecycle.expired, answered),
+        breaker_trips: lifecycle.breaker_trips,
+        retries: lifecycle.retries,
+        deferrals: lifecycle.deferrals,
+        shard_drains: lifecycle.shard_drains,
+        recovery_ticks: lifecycle.worst_recovery_ticks,
+        quarantined: pass.quarantined,
+        isolation_clean,
+        response_digest: HexDigest(response_digest(&pass.responses)),
     }
 }
 
@@ -1346,9 +1243,4 @@ fn fraction(a: u64, b: u64) -> f64 {
         return 0.0;
     }
     count_to_f64(a) / count_to_f64(b)
-}
-
-/// Requests per second.
-fn fraction_scaled(requests: u64, secs: f64) -> f64 {
-    count_to_f64(requests) / secs.max(1e-12)
 }
