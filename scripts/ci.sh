@@ -4,8 +4,8 @@
 # one CPU (bench schema check + per-row cost gate), the loadgen replays
 # (a traced smoke run whose trace, events, manifest and Prometheus
 # exposition must validate and whose BENCH_serve document must read back,
-# and the response digests of BENCH_serve.json and BENCH_resilience.json
-# recomputed), a traced `ld-cli optimize --fast` whose events must not
+# and every untimed field of BENCH_serve.json and BENCH_resilience.json,
+# response digests included, recomputed), a traced `ld-cli optimize --fast` whose events must not
 # change between one CPU and all, the ld-lint static-analysis gate
 # (schema v3 report left in target/lint-report.json and validated, plus
 # the zero-edit --fix --dry-run check), and a warning-free clippy pass
@@ -68,6 +68,8 @@ first_cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[-,].*//')
 taskset -c "$first_cpu" cargo run -q --release -p ld-perfbench -- --compare BENCH_perf.json --tolerance 1.8
 
 echo "=== ld-loadgen --smoke (serve replay: equivalence, determinism, shed, cache, traced artifact set) ==="
+# Every pass settles after its schedule, so each one answers or sheds every
+# request it offers; the overload and cache gates check that accounting.
 mkdir -p target
 rm -f target/ci-serve.json target/ci-serve.json.folded target/ci-serve.json.events.json \
     target/ci-serve.json.manifest.json target/ci-serve.json.prom \
@@ -79,9 +81,11 @@ LD_TRACE=target/ci-serve.json cargo run -q --release -p ld-serve --bin ld-loadge
 # all five files and the manifest's totals.
 test -s target/ci-serve.json.events.json || { echo "ci.sh: ld-loadgen wrote no events file" >&2; exit 1; }
 cargo run -q --release --bin ld-cli -- trace-validate target/ci-serve.json target/ci-serve.json.manifest.json
-# Each reads the document back into its report type, replays its batched
-# pass (its seed, tenants, ticks and mode) and fails unless that recomputes
-# its response_digest: training and batched serving must stay bitwise.
+# Each reads the document back into its report type, replays its batched,
+# overload and cache passes (its seed, tenants, ticks and mode) and fails,
+# naming the field, unless that recomputes every field but the timings:
+# response_digest, requests, shed_rate, cache_hit_rate and the SLO block.
+# Training, batched serving, admission and the registry must stay bitwise.
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check target/ci-serve-doc.json
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check BENCH_serve.json
 
@@ -89,8 +93,9 @@ echo "=== ld-loadgen --chaos --smoke (chaos soak: availability, isolation, deter
 mkdir -p target
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --chaos --smoke --out target/ci-resilience.json
 # Each replays the document's first chaos pass (its seed, chaos seed,
-# tenants, ticks and mode) and fails unless that recomputes the document's
-# response_digest.
+# tenants, ticks and mode) and fails, naming the field, unless that
+# recomputes every field but the tick timings and isolation_clean (which
+# needs the baseline pass): the digests and every count of the soak.
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience target/ci-resilience.json
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience BENCH_resilience.json
 
