@@ -147,11 +147,8 @@ fn check_resilience_recomputes_the_response_digest() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("retries MISMATCH"));
 
     // Another chaos seed replays another fault schedule.
-    let seed_at = text.find("\"chaos_seed\": ").expect("chaos_seed field") + 14;
-    let seed_end = seed_at + text[seed_at..].find(',').expect("chaos_seed value");
     let reseeded = dir.join("chaos-doctored-seed.json");
-    fs::write(&reseeded, format!("{}5{}", &text[..seed_at], &text[seed_end..]))
-        .expect("write reseeded document");
+    fs::write(&reseeded, doctor(&text, "chaos_seed", "5")).expect("write reseeded document");
     let out = check("--check-resilience", &reseeded, &store);
     assert_eq!(out.status.code(), Some(1), "{}", describe(&out));
 
