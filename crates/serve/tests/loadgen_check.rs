@@ -161,8 +161,8 @@ fn check_resilience_recomputes_the_response_digest() {
 
 #[test]
 fn clean_smoke_runs_reproduce_the_pinned_digests() {
-    // Recorded from the smoke runs of the loadgen that replayed each pass
-    // through its own hand-written tick loop.
+    // A `--check` only compares a run with a replay of itself; these
+    // pinned values also catch a change that moves both alike.
     let dir = scratch();
     let doc = dir.join("pinned-smoke.json");
     let run = loadgen(&[
